@@ -42,6 +42,7 @@ from .masking import (
     MaskSpec,
     apply_mask,
     constrained_viterbi,
+    decode,
     masked_nll,
     mask_convergence_gap,
     reapply_mask_in_place,
@@ -90,6 +91,7 @@ __all__ = [
     "build_tagset",
     "chunk_prf",
     "constrained_viterbi",
+    "decode",
     "decompose_tag",
     "encode",
     "encoder_backward",

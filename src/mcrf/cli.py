@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .crf import viterbi
+from .crf import viterbi  # noqa: F401  (module attribute that perfbench/selftest.py checks)
 from .data import (
     ModelState,
     SyntheticConfig,
@@ -22,9 +22,9 @@ from .data import (
 from .encoder import encode, load_external_logits
 from .errors import DataError, McrfError
 from .evaluation import chunk_prf, format_report, illegal_stats
-from .masking import MaskSpec, constrained_viterbi
+from .masking import decode
 from .postproc import STRATEGIES, extract_segments, repair_tags
-from .schemes import Scheme, build_tagset, illegal_transition_set
+from .schemes import Scheme, build_tagset
 from .training import TrainConfig, train
 from .verification import run_verification
 
@@ -40,17 +40,6 @@ def _entity_types(count: int) -> tuple[str, ...]:
         return DEFAULT_TYPE_NAMES[:count]
     extra = tuple(f"TYPE{i}" for i in range(len(DEFAULT_TYPE_NAMES), count))
     return DEFAULT_TYPE_NAMES + extra
-
-
-def _decode_with_model(model: ModelState, emissions) -> list[int]:
-    if model.mode == "crf":
-        return viterbi(emissions, model.trans)
-    spec = MaskSpec(
-        rules=illegal_transition_set(model.tagset),
-        mask_value=model.mask_value,
-        enforce_start=model.enforce_start,
-    )
-    return constrained_viterbi(emissions, model.trans, spec)
 
 
 def _model_emissions(model: ModelState, sentences, logits_path: str | None):
@@ -121,7 +110,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     sentences = read_conll(args.data, model.tagset)
     emissions = _model_emissions(model, sentences, args.emissions)
     predictions = [
-        repair_tags(_decode_with_model(model, em), model.tagset, args.strategy)
+        repair_tags(decode(em, model.trans, model.mask_spec), model.tagset, args.strategy)
         for em in emissions
     ]
     write_conll(args.out, sentences, model.tagset, predictions=predictions)
@@ -158,7 +147,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         sentences = read_conll(args.data, tagset)
         emissions = _model_emissions(model, sentences, args.emissions)
         gold = [s.gold for s in sentences]
-        raw = [_decode_with_model(model, em) for em in emissions]
+        raw = [decode(em, model.trans, model.mask_spec) for em in emissions]
     predictions = [repair_tags(p, tagset, args.strategy) for p in raw]
     gold_segments = [extract_segments(g, tagset) for g in gold]
     raw_segments = [extract_segments(p, tagset) for p in raw]

@@ -233,19 +233,6 @@ def _check_enumerable(T: int, d: int) -> None:
         )
 
 
-def _legality_tables(
-    d: int, rules: TransitionRuleSet | None
-) -> tuple[np.ndarray, np.ndarray]:
-    illegal_pair = np.zeros((d, d), dtype=bool)
-    illegal_start = np.zeros(d, dtype=bool)
-    if rules is not None:
-        for i, j in rules.omega:
-            illegal_pair[i, j] = True
-        for i in rules.illegal_starts:
-            illegal_start[i] = True
-    return illegal_pair, illegal_start
-
-
 def _iter_scored_chunks(
     emissions: np.ndarray,
     trans: TransitionMatrix,
@@ -260,9 +247,10 @@ def _iter_scored_chunks(
     emissions = _check_emissions(emissions)
     T, d = emissions.shape
     _check_enumerable(T, d)
-    if restrict_to_legal and rules is None:
-        raise ValueError("restrict_to_legal requires a TransitionRuleSet")
-    illegal_pair, illegal_start = _legality_tables(d, rules)
+    if restrict_to_legal:
+        if rules is None:
+            raise ValueError("restrict_to_legal requires a TransitionRuleSet")
+        illegal_pair, illegal_start = rules.tables(d)
     total = d**T
     positions = np.arange(T)
     for lo in range(0, total, _CHUNK):

@@ -6,20 +6,23 @@ Gold paths are validated for scheme legality at load time; an illegal gold
 corpus is a data error, not something to repair silently.
 
 The model file is a single JSON document (format tag "mcrf-model-v1") whose
-floats round-trip exactly through repr, so save/load is bit-faithful.
+floats round-trip exactly through repr, so save/load is bit-faithful. Loading
+checks array shapes, finiteness and, in mcrf-train mode, the masked entries.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .crf import TransitionMatrix
 from .encoder import EncoderWeights, Vocabulary
 from .errors import ConfigurationError, DataError, FormatError
-from .schemes import Scheme, Tagset, build_tagset, first_violation
+from .masking import MaskSpec, mask_spec_for
+from .schemes import Scheme, Tagset, build_tagset, canonical_run, first_violation
 
 MODEL_FORMAT = "mcrf-model-v1"
 
@@ -134,6 +137,11 @@ class ModelState:
         if self.mode not in TRAIN_MODES:
             raise ConfigurationError(f"unknown mode {self.mode!r}, expected {TRAIN_MODES}")
 
+    @cached_property
+    def mask_spec(self) -> MaskSpec | None:
+        """The mask this model decodes under (None for crf), built on first use."""
+        return mask_spec_for(self, self.tagset)
+
 
 def save_model(path: str, state: ModelState) -> None:
     doc = {
@@ -178,26 +186,50 @@ def load_model(path: str) -> ModelState:
                 f"canonical order {list(tagset.tags)}"
             )
         enc = doc["encoder"]
+        vocab = Vocabulary(tokens=tuple(doc["vocabulary"]))
+        d, e = tagset.size, int(enc["embedding_dim"])
+
+        def array(field: str, value, shape: tuple[int, ...]) -> np.ndarray:
+            out = np.asarray(value, dtype=np.float64)
+            if out.shape != shape:
+                raise FormatError(f"{path}: {field} has shape {out.shape}, expected {shape}")
+            if not np.all(np.isfinite(out)):
+                raise FormatError(f"{path}: {field} holds a non-finite value")
+            return out
+
         state = ModelState(
             tagset=tagset,
             mode=doc["mode"],
-            mask_value=float(doc["mask_value"]),
+            mask_value=float(array("mask_value", doc["mask_value"], ())),
             enforce_start=bool(doc["enforce_start"]),
             trans=TransitionMatrix(
-                np.asarray(doc["transitions"], dtype=np.float64),
-                np.asarray(doc["start"], dtype=np.float64),
+                array("transitions", doc["transitions"], (d, d)),
+                array("start", doc["start"], (d,)),
             ),
             encoder=EncoderWeights(
-                embeddings=np.asarray(enc["embeddings"], dtype=np.float64),
-                projection=np.asarray(enc["projection"], dtype=np.float64),
-                bias=np.asarray(enc["bias"], dtype=np.float64),
+                embeddings=array("encoder.embeddings", enc["embeddings"], (vocab.size, e)),
+                projection=array("encoder.projection", enc["projection"], (3 * e, d)),
+                bias=array("encoder.bias", enc["bias"], (d,)),
             ),
-            vocab=Vocabulary(tokens=tuple(doc["vocabulary"])),
+            vocab=vocab,
         )
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: invalid model file ({exc})") from None
+    if state.mode == "mcrf-train":
+        # masked training pins every masked entry to exactly mask_value
+        illegal_pair, illegal_start = state.mask_spec.masked_tables(d)
+        want = np.float64(state.mask_value).tobytes()
+        for field, masked in (
+            ("transitions", state.trans.scores[illegal_pair]),
+            ("start", state.trans.start[illegal_start]),
+        ):
+            if masked.tobytes() != want * masked.size:
+                raise FormatError(
+                    f"{path}: {field} has a masked entry that differs from "
+                    f"mask_value {state.mask_value!r} in mcrf-train mode"
+                )
     return state
 
 
@@ -233,18 +265,6 @@ class SyntheticConfig:
             raise ConfigurationError("need at least one sentence")
 
 
-def _entity_tags(tagset: Tagset, etype: str, length: int) -> list[int]:
-    if tagset.scheme is Scheme.BIO:
-        return [tagset.index_of(f"B-{etype}")] + [tagset.index_of(f"I-{etype}")] * (length - 1)
-    if length == 1:
-        return [tagset.index_of(f"S-{etype}")]
-    return (
-        [tagset.index_of(f"B-{etype}")]
-        + [tagset.index_of(f"I-{etype}")] * (length - 2)
-        + [tagset.index_of(f"E-{etype}")]
-    )
-
-
 def generate_synthetic(
     config: SyntheticConfig, seed: int
 ) -> tuple[Tagset, list[LabeledSentence]]:
@@ -271,7 +291,7 @@ def generate_synthetic(
                 span = int(rng.integers(1, min(config.max_entity_length, remaining) + 1))
                 pool = pools[etype]
                 tokens.extend(str(rng.choice(pool)) for _ in range(span))
-                gold.extend(_entity_tags(tagset, etype, span))
+                gold.extend(canonical_run(tagset, etype, span))
                 t += span
             else:
                 tokens.append(str(rng.choice(fillers)))

@@ -19,7 +19,7 @@ from .data import LabeledSentence
 from .encoder import encode
 from .errors import ConfigurationError
 from .evaluation import ChunkMetrics, IllegalStats, chunk_prf, illegal_stats
-from .masking import MaskSpec, constrained_viterbi
+from .masking import MaskSpec, constrained_viterbi, decode
 from .postproc import extract_segments, repair_tags
 from .schemes import Scheme, Tagset, first_violation, illegal_transition_set
 from .training import TrainConfig, train
@@ -117,31 +117,20 @@ def compare_systems(
     mcrf_config = replace(config, mode="mcrf-train")
     crf_model, _ = train(train_sentences, dev_sentences, crf_config, tagset)
     mcrf_model, _ = train(train_sentences, dev_sentences, mcrf_config, tagset)
-    spec = MaskSpec(
-        rules=illegal_transition_set(tagset),
-        mask_value=config.mask_value,
-        enforce_start=config.enforce_start,
-    )
+    spec = mcrf_model.mask_spec
     gold_segments = [extract_segments(s.gold, tagset) for s in dev_sentences]
 
     def emissions_for(model, sent):
         return encode(model.vocab.lookup_all(sent.tokens), model.encoder)
 
     zero_trans = TransitionMatrix.zeros(tagset.size)
-    tagger_raw = [
-        viterbi(emissions_for(crf_model, s), zero_trans) for s in dev_sentences
-    ]
-    crf_raw = [
-        viterbi(emissions_for(crf_model, s), crf_model.trans) for s in dev_sentences
-    ]
-    mcrf_decode_raw = [
-        constrained_viterbi(emissions_for(crf_model, s), crf_model.trans, spec)
-        for s in dev_sentences
-    ]
-    mcrf_train_raw = [
-        constrained_viterbi(emissions_for(mcrf_model, s), mcrf_model.trans, spec)
-        for s in dev_sentences
-    ]
+    def decode_all(model, trans, spec) -> list[list[int]]:
+        return [decode(emissions_for(model, s), trans, spec) for s in dev_sentences]
+
+    tagger_raw = decode_all(crf_model, zero_trans, None)
+    crf_raw = decode_all(crf_model, crf_model.trans, None)
+    mcrf_decode_raw = decode_all(crf_model, crf_model.trans, spec)
+    mcrf_train_raw = decode_all(mcrf_model, mcrf_model.trans, spec)
 
     def row(label: str, raw: list[list[int]], strategy: str) -> SystemRow:
         stats = illegal_stats(gold_segments, [extract_segments(p, tagset) for p in raw])

@@ -25,7 +25,7 @@ from .crf import (
     viterbi,
 )
 from .errors import ConfigurationError, DataError
-from .schemes import Tagset, TransitionRuleSet, first_violation
+from .schemes import Tagset, TransitionRuleSet, first_violation, illegal_transition_set
 
 DEFAULT_MASK_VALUE = -1e4
 _GUARD_MARGIN = 1e3
@@ -51,6 +51,25 @@ class MaskSpec:
         dropped when start enforcement is off."""
         return self.rules if self.enforce_start else self.rules.without_start_rules()
 
+    def masked_tables(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """Boolean (d, d) and (d,) tables of the entries the mask overwrites."""
+        illegal_pair, illegal_start = self.rules.tables(d)
+        if not self.enforce_start:
+            illegal_start = np.zeros(d, dtype=bool)
+        return illegal_pair, illegal_start
+
+
+def mask_spec_for(settings, tagset: Tagset) -> MaskSpec | None:
+    """The mask that settings (a TrainConfig or ModelState: anything with
+    mode, mask_value and enforce_start) train or decode under; None for crf."""
+    if settings.mode == "crf":
+        return None
+    return MaskSpec(
+        rules=illegal_transition_set(tagset),
+        mask_value=settings.mask_value,
+        enforce_start=settings.enforce_start,
+    )
+
 
 def apply_mask(trans: TransitionMatrix, spec: MaskSpec) -> TransitionMatrix:
     """Return a copy of trans with masked entries set to spec.mask_value."""
@@ -61,16 +80,9 @@ def apply_mask(trans: TransitionMatrix, spec: MaskSpec) -> TransitionMatrix:
 
 def reapply_mask_in_place(trans: TransitionMatrix, spec: MaskSpec) -> None:
     """Overwrite masked entries with spec.mask_value (idempotent)."""
-    d = trans.num_tags
-    for i, j in spec.rules.omega:
-        if not (0 <= i < d and 0 <= j < d):
-            raise ValueError(f"mask entry ({i}, {j}) out of range for {d} tags")
-        trans.scores[i, j] = spec.mask_value
-    if spec.enforce_start:
-        for i in spec.rules.illegal_starts:
-            if not 0 <= i < d:
-                raise ValueError(f"illegal start {i} out of range for {d} tags")
-            trans.start[i] = spec.mask_value
+    illegal_pair, illegal_start = spec.masked_tables(trans.num_tags)
+    trans.scores[illegal_pair] = spec.mask_value
+    trans.start[illegal_start] = spec.mask_value
 
 
 def guard_threshold(emissions_list: list[np.ndarray], trans: TransitionMatrix, spec: MaskSpec) -> float:
@@ -81,18 +93,13 @@ def guard_threshold(emissions_list: list[np.ndarray], trans: TransitionMatrix, s
     legal entries; one masked entry contributes c once. Separating the two
     sets therefore needs c below twice that range, plus a fixed margin.
     """
-    d = trans.num_tags
     t_max = max(e.shape[0] for e in emissions_list)
     max_l = max(float(np.max(np.abs(e))) for e in emissions_list)
-    legal = np.ones((d, d), dtype=bool)
-    for i, j in spec.rules.omega:
-        legal[i, j] = False
-    max_a = float(np.max(np.abs(trans.scores[legal]))) if legal.any() else 0.0
-    legal_start = np.ones(d, dtype=bool)
-    if spec.enforce_start:
-        for i in spec.rules.illegal_starts:
-            legal_start[i] = False
-    max_s = float(np.max(np.abs(trans.start[legal_start]))) if legal_start.any() else 0.0
+    illegal_pair, illegal_start = spec.masked_tables(trans.num_tags)
+    legal_a = np.abs(trans.scores[~illegal_pair])
+    legal_s = np.abs(trans.start[~illegal_start])
+    max_a = float(np.max(legal_a)) if legal_a.size else 0.0
+    max_s = float(np.max(legal_s)) if legal_s.size else 0.0
     return -(2.0 * t_max * (max_l + max_a + max_s) + _GUARD_MARGIN)
 
 
@@ -113,6 +120,16 @@ def constrained_viterbi(
     or (with enforce_start) a masked start, provided the guard holds."""
     _check_guard(emissions, trans, spec)
     return viterbi(emissions, apply_mask(trans, spec))
+
+
+def decode(
+    emissions: np.ndarray, trans: TransitionMatrix, spec: MaskSpec | None
+) -> list[int]:
+    """The decode entry point: plain Viterbi without a spec, constrained
+    Viterbi under it otherwise."""
+    if spec is None:
+        return viterbi(emissions, trans)
+    return constrained_viterbi(emissions, trans, spec)
 
 
 def validate_gold_paths(batch: Batch, tagset: Tagset, spec: MaskSpec) -> None:
@@ -159,27 +176,20 @@ def mask_convergence_gap(
     transition entries, and unmasked start entries. Both gaps decay like
     e^c and are exactly zero when the rule set is empty.
     """
-    rules = spec.restriction_rules()
     masked = apply_mask(trans, spec)
     loss_m, grads_m = brute_force_loss_and_gradients(batch, masked)
     loss_r, grads_r = brute_force_loss_and_gradients(
-        batch, trans, restrict_to_legal=True, rules=rules
+        batch, trans, restrict_to_legal=True, rules=spec.restriction_rules()
     )
     loss_gap = abs(loss_m - loss_r)
-    d = trans.num_tags
-    legal = np.ones((d, d), dtype=bool)
-    for i, j in rules.omega:
-        legal[i, j] = False
-    legal_start = np.ones(d, dtype=bool)
-    for i in rules.illegal_starts:
-        legal_start[i] = False
+    illegal_pair, illegal_start = spec.masked_tables(trans.num_tags)
     grad_gap = 0.0
     for em_m, em_r in zip(grads_m.emissions, grads_r.emissions):
         grad_gap = max(grad_gap, float(np.max(np.abs(em_m - em_r))))
-    diff_a = np.abs(grads_m.transitions - grads_r.transitions)[legal]
+    diff_a = np.abs(grads_m.transitions - grads_r.transitions)[~illegal_pair]
     if diff_a.size:
         grad_gap = max(grad_gap, float(np.max(diff_a)))
-    diff_s = np.abs(grads_m.start - grads_r.start)[legal_start]
+    diff_s = np.abs(grads_m.start - grads_r.start)[~illegal_start]
     if diff_s.size:
         grad_gap = max(grad_gap, float(np.max(diff_s)))
     return loss_gap, grad_gap

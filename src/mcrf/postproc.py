@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .schemes import Scheme, Tagset, decompose_tag, is_legal_start, is_legal_transition
+from .schemes import Scheme, Tagset, canonical_run, decompose_tag, is_legal_start, is_legal_transition
 
 STRATEGIES = ("retain", "discard", "none")
 
@@ -100,22 +100,8 @@ def segments_to_tags(segments: list[Segment], length: int, tagset: Tagset) -> li
         if seg.start < last_end or seg.end > length:
             raise ValueError("segments overlap or exceed the sentence")
         last_end = seg.end
-        tags[seg.start : seg.end] = _canonical_run(tagset, seg)
+        tags[seg.start : seg.end] = canonical_run(tagset, seg.entity_type, seg.end - seg.start)
     return tags
-
-
-def _canonical_run(tagset: Tagset, seg: Segment) -> list[int]:
-    etype = seg.entity_type
-    n = seg.end - seg.start
-    if tagset.scheme is Scheme.BIO:
-        return [tagset.index_of(f"B-{etype}")] + [tagset.index_of(f"I-{etype}")] * (n - 1)
-    if n == 1:
-        return [tagset.index_of(f"S-{etype}")]
-    return (
-        [tagset.index_of(f"B-{etype}")]
-        + [tagset.index_of(f"I-{etype}")] * (n - 2)
-        + [tagset.index_of(f"E-{etype}")]
-    )
 
 
 def repair_tags(tags: list[int], tagset: Tagset, strategy: str) -> list[int]:

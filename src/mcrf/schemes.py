@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import ConfigurationError
 
 OUTSIDE = "O"
@@ -105,10 +107,37 @@ def is_legal_transition(tagset: Tagset, i: int, j: int) -> bool:
 
 @dataclass(frozen=True)
 class TransitionRuleSet:
-    """The illegal transition pairs (omega) and illegal start tags of a tagset."""
+    """The illegal transition pairs (omega) and illegal start tags of a tagset.
+
+    Both sets are compiled once, at construction, into sorted index arrays;
+    tables(d) expands them into the boolean lookup tables that masking,
+    training and the enumeration oracles read.
+    """
 
     omega: frozenset[tuple[int, int]]
     illegal_starts: frozenset[int]
+
+    def __post_init__(self) -> None:
+        pairs = np.array(sorted(self.omega), dtype=np.intp).reshape(-1, 2)
+        starts = np.array(sorted(self.illegal_starts), dtype=np.intp)
+        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_starts", starts)
+        object.__setattr__(self, "_tables", {})
+
+    def tables(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only boolean illegal_pair (d, d) and illegal_start (d,) tables
+        for d tags, expanded on first use for each d."""
+        if d not in self._tables:
+            for name, index in (("mask entry", self._pairs), ("illegal start", self._starts)):
+                if index.size and (index.min() < 0 or index.max() >= d):
+                    raise ValueError(f"{name} index out of range for {d} tags")
+            illegal_pair = np.zeros((d, d), dtype=bool)
+            illegal_pair[self._pairs[:, 0], self._pairs[:, 1]] = True
+            illegal_start = np.zeros(d, dtype=bool)
+            illegal_start[self._starts] = True
+            illegal_pair.flags.writeable = illegal_start.flags.writeable = False
+            self._tables[d] = (illegal_pair, illegal_start)
+        return self._tables[d]
 
     def without_start_rules(self) -> "TransitionRuleSet":
         return TransitionRuleSet(omega=self.omega, illegal_starts=frozenset())
@@ -122,6 +151,18 @@ def illegal_transition_set(tagset: Tagset) -> TransitionRuleSet:
     )
     starts = frozenset(i for i in range(d) if not is_legal_start(tagset, i))
     return TransitionRuleSet(omega=omega, illegal_starts=starts)
+
+
+def canonical_run(tagset: Tagset, entity_type: str, length: int) -> list[int]:
+    """Canonical legal tags for one entity of the given length: B-X I-X ...
+    for BIO; S-X alone or B-X I-X ... E-X for BIOES."""
+    begin = tagset.index_of(f"B-{entity_type}")
+    inside = tagset.index_of(f"I-{entity_type}")
+    if tagset.scheme is Scheme.BIO:
+        return [begin] + [inside] * (length - 1)
+    if length == 1:
+        return [tagset.index_of(f"S-{entity_type}")]
+    return [begin] + [inside] * (length - 2) + [tagset.index_of(f"E-{entity_type}")]
 
 
 def first_violation(

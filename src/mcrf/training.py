@@ -21,14 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crf import TransitionMatrix, loss_and_gradients, nll_loss, viterbi
+from .crf import TransitionMatrix, loss_and_gradients, nll_loss
+from .crf import viterbi  # noqa: F401  (module attribute that perfbench/selftest.py checks)
 from .data import TRAIN_MODES, LabeledSentence, ModelState
 from .encoder import EncoderWeights, Vocabulary, encode, encoder_backward
 from .errors import ConfigurationError, DataError, TrainingError
 from .evaluation import chunk_prf, illegal_stats
-from .masking import MaskSpec, constrained_viterbi, reapply_mask_in_place
+from .masking import MaskSpec, decode, mask_spec_for, reapply_mask_in_place
 from .postproc import extract_segments
-from .schemes import Tagset, first_violation, illegal_transition_set
+from .schemes import Tagset, first_violation
 
 
 @dataclass(frozen=True)
@@ -152,19 +153,16 @@ def initialize(
     tagset: Tagset,
     vocab: Vocabulary,
     rng: np.random.Generator | None = None,
+    spec: MaskSpec | None = None,
 ) -> tuple[EncoderWeights, TransitionMatrix, OptimizerState]:
-    """Seeded initial weights; in mcrf-train mode the mask is already applied."""
+    """Seeded initial weights; in mcrf-train mode the mask (spec, built
+    from config when not given) is already applied."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
     enc = EncoderWeights.init(vocab.size, config.embedding_dim, tagset.size, rng)
     trans = TransitionMatrix.zeros(tagset.size)
     if config.mode == "mcrf-train":
-        spec = MaskSpec(
-            rules=illegal_transition_set(tagset),
-            mask_value=config.mask_value,
-            enforce_start=config.enforce_start,
-        )
-        reapply_mask_in_place(trans, spec)
+        reapply_mask_in_place(trans, spec or mask_spec_for(config, tagset))
     params = _param_dict(enc, trans)
     return enc, trans, OptimizerState.for_params(params)
 
@@ -187,14 +185,6 @@ def _validate_gold(sentences: list[LabeledSentence], tagset: Tagset, name: str) 
             raise DataError(
                 f"{name} sentence {k + 1}, position {pos + 1}: illegal gold path ({rule})"
             )
-
-
-def _decode(
-    emissions: np.ndarray, trans: TransitionMatrix, spec: MaskSpec, mode: str
-) -> list[int]:
-    if mode == "crf":
-        return viterbi(emissions, trans)
-    return constrained_viterbi(emissions, trans, spec)
 
 
 def train(
@@ -246,20 +236,14 @@ def train(
             tok for sent in train_sentences for tok in sent.tokens
         )
     rng = np.random.default_rng(config.seed)
-    enc, trans, opt = initialize(config, tagset, vocab, rng)
+    spec = mask_spec_for(config, tagset)
+    enc, trans, opt = initialize(config, tagset, vocab, rng, spec)
     params = _param_dict(enc, trans)
-    spec = MaskSpec(
-        rules=illegal_transition_set(tagset),
-        mask_value=config.mask_value,
-        enforce_start=config.enforce_start,
-    )
     masked_training = config.mode == "mcrf-train"
     frozen = None
     if masked_training:
-        frozen = {
-            "transitions": _omega_matrix(spec, tagset.size),
-            "start": _start_mask(spec, tagset.size),
-        }
+        illegal_pair, illegal_start = spec.masked_tables(tagset.size)
+        frozen = {"transitions": illegal_pair, "start": illegal_start}
 
     train_ids = [vocab.lookup_all(s.tokens) for s in train_sentences]
     dev_ids = [vocab.lookup_all(s.tokens) for s in dev_sentences]
@@ -313,7 +297,7 @@ def train(
             if iteration % config.eval_every == 0 or iteration == target:
                 record = _evaluate(
                     iteration, loss, dev_sentences, dev_ids, dev_logits,
-                    enc, trans, spec, config.mode, tagset, gold_segments, external,
+                    enc, trans, spec, tagset, gold_segments, external,
                 )
                 report.records.append(record)
                 if on_checkpoint is not None:
@@ -331,21 +315,6 @@ def train(
     return state, report
 
 
-def _omega_matrix(spec: MaskSpec, d: int) -> np.ndarray:
-    out = np.zeros((d, d), dtype=bool)
-    for i, j in spec.rules.omega:
-        out[i, j] = True
-    return out
-
-
-def _start_mask(spec: MaskSpec, d: int) -> np.ndarray:
-    out = np.zeros(d, dtype=bool)
-    if spec.enforce_start:
-        for i in spec.rules.illegal_starts:
-            out[i] = True
-    return out
-
-
 def _evaluate(
     iteration: int,
     train_loss: float,
@@ -354,8 +323,7 @@ def _evaluate(
     dev_logits: list[np.ndarray] | None,
     enc: EncoderWeights,
     trans: TransitionMatrix,
-    spec: MaskSpec,
-    mode: str,
+    spec: MaskSpec | None,
     tagset: Tagset,
     gold_segments,
     external: bool,
@@ -365,7 +333,7 @@ def _evaluate(
     for k, sent in enumerate(dev_sentences):
         em = dev_logits[k] if external else encode(dev_ids[k], enc)
         dev_batch.append((em, sent.gold))
-        predictions.append(_decode(em, trans, spec, mode))
+        predictions.append(decode(em, trans, spec))
     # in mcrf-train mode the live matrix already carries the mask, so this
     # is the masked objective; in the other modes it is the plain NLL
     dev_nll = nll_loss(dev_batch, trans)

@@ -1,14 +1,18 @@
 """End-to-end command line behavior, one subcommand at a time."""
 
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mcrf import schemes
 from mcrf.cli import main
 from mcrf.data import ModelState, load_model, read_conll, save_model
 from mcrf.encoder import EncoderWeights, Vocabulary, write_logits
-from mcrf.schemes import Scheme, build_tagset, first_violation
+from mcrf.masking import MaskSpec, apply_mask
+from mcrf.schemes import Scheme, build_tagset, first_violation, illegal_transition_set
 from mcrf.crf import TransitionMatrix
 
 
@@ -271,6 +275,55 @@ class TestPredict:
                      "--out", str(out)])
         assert code == 0
         assert count_sentences(out) == count_sentences(Path(corpus["test"]))
+
+
+    def test_bad_model_file_fails_cleanly(self, data, tmp_path, capsys):
+        """A transition matrix too small for the tagset is an error line, not
+        an IndexError traceback from the decoder."""
+        model_path, _ = bias_model(tmp_path, "crf")
+        doc = json.loads(Path(model_path).read_text())
+        doc["transitions"] = [[0.0, 0.0], [0.0, 0.0]]
+        Path(model_path).write_text(json.dumps(doc))
+        code = main(["predict", "--model", model_path, "--data", data,
+                     "--out", str(tmp_path / "pred.conll")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "transitions" in err
+        assert "Traceback" not in err
+
+    def test_rule_set_is_built_once_per_command(self, tmp_path, monkeypatch):
+        """Predicting 12 sentences with a masked-training model derives the
+        illegal transition set once, not once per sentence."""
+        tagset = build_tagset(Scheme.BIO, ["LOC"])
+        vocab = Vocabulary.from_tokens(["a", "b"])
+        encoder = EncoderWeights.zeros(vocab.size, 2, tagset.size)
+        trans = apply_mask(TransitionMatrix.zeros(tagset.size),
+                           MaskSpec(illegal_transition_set(tagset)))
+        state = ModelState(
+            tagset=tagset, mode="mcrf-train", mask_value=-1e4, enforce_start=True,
+            trans=trans, encoder=encoder, vocab=vocab,
+        )
+        model_path = str(tmp_path / "model.json")
+        save_model(model_path, state)
+        data = tmp_path / "in.conll"
+        data.write_text("a\tO\nb\tB-LOC\n\n" * 12)
+
+        calls = []
+        original = schemes.illegal_transition_set
+
+        def counting(ts):
+            calls.append(ts)
+            return original(ts)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "mcrf" and getattr(module, "illegal_transition_set", None) is original:
+                monkeypatch.setattr(module, "illegal_transition_set", counting)
+        out = tmp_path / "pred.conll"
+        assert main(["predict", "--model", model_path, "--data", str(data),
+                     "--out", str(out)]) == 0
+        assert count_sentences(out) == 12
+        assert len(calls) == 1
 
 
 class TestEval:

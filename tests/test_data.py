@@ -1,5 +1,7 @@
 """Corpus reading and writing, model persistence, synthetic generation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from mcrf.schemes import Scheme, build_tagset, first_violation, illegal_transiti
 
 BIO1 = build_tagset(Scheme.BIO, ["PER"])
 BIO2 = build_tagset(Scheme.BIO, ["LOC", "PER"])
+BIO3 = build_tagset(Scheme.BIO, ["LOC", "ORG", "PER"])
 
 
 class TestReadConll:
@@ -199,6 +202,69 @@ class TestModelPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError):
             load_model(str(path))
+
+    @staticmethod
+    def _edited(tmp_path, state, edit):
+        """Save state, apply edit to the JSON document, return the path."""
+        path = tmp_path / "model.json"
+        save_model(str(path), state)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_transition_shape_checked_against_tagset(self, tmp_path):
+        """A 5x5 matrix for a 7-tag BIO set is refused at load time."""
+        rng = np.random.default_rng(0)
+        state = ModelState(
+            tagset=BIO3, mode="crf", mask_value=-1e4, enforce_start=True,
+            trans=TransitionMatrix.zeros(7), encoder=EncoderWeights.init(4, 2, 7, rng),
+            vocab=Vocabulary.from_tokens(["a", "b"]),
+        )
+
+        def shrink(doc):
+            doc["transitions"] = np.zeros((5, 5)).tolist()
+
+        with pytest.raises(FormatError, match="transitions"):
+            load_model(self._edited(tmp_path, state, shrink))
+
+    def test_encoder_shapes_checked_against_vocabulary_and_dim(self, tmp_path):
+        def drop_row(doc):
+            doc["encoder"]["embeddings"].pop()
+
+        def wrong_dim(doc):
+            doc["encoder"]["embedding_dim"] = 3
+
+        with pytest.raises(FormatError, match="encoder.embeddings"):
+            load_model(self._edited(tmp_path, small_state(), drop_row))
+        with pytest.raises(FormatError, match="encoder"):
+            load_model(self._edited(tmp_path, small_state(), wrong_dim))
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        def poison(doc):
+            doc["transitions"][1][1] = float("nan")
+
+        with pytest.raises(FormatError, match="transitions.*non-finite"):
+            load_model(self._edited(tmp_path, small_state(), poison))
+
+    def test_edited_masked_entry_rejected_in_masked_training_mode(self, tmp_path):
+        i_per = BIO1.index_of("I-PER")
+
+        def edit(doc):
+            doc["transitions"][0][i_per] = 0.5
+
+        with pytest.raises(FormatError, match="transitions.*mask_value"):
+            load_model(self._edited(tmp_path, small_state(mode="mcrf-train"), edit))
+        # the same entry is an ordinary weight in the other modes
+        loaded = load_model(self._edited(tmp_path, small_state(mode="mcrf-decode"), edit))
+        assert loaded.trans.scores[0, i_per] == 0.5
+
+    def test_edited_masked_start_rejected_in_masked_training_mode(self, tmp_path):
+        def edit(doc):
+            doc["start"][BIO1.index_of("I-PER")] = -1e4 + 1e-9
+
+        with pytest.raises(FormatError, match="start"):
+            load_model(self._edited(tmp_path, small_state(mode="mcrf-train"), edit))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError):

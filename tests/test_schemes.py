@@ -5,7 +5,9 @@ import pytest
 from mcrf.errors import ConfigurationError
 from mcrf.schemes import (
     Scheme,
+    TransitionRuleSet,
     build_tagset,
+    canonical_run,
     decompose_tag,
     first_violation,
     illegal_transition_set,
@@ -158,21 +160,62 @@ class TestRuleSet:
         assert starts == {"I-PER", "E-PER"}
 
     def test_omega_partitions_pairs_with_legality(self):
-        """Every ordered pair is either legal or a member of omega, never both."""
-        for scheme, k in ((Scheme.BIO, 3), (Scheme.BIOES, 2)):
-            ts = build_tagset(scheme, [f"T{i}" for i in range(k)])
-            rules = illegal_transition_set(ts)
-            for i in range(ts.size):
+        """Every ordered pair is either legal or a member of omega, never both,
+        and the compiled tables agree entry by entry, for BIO and BIOES with
+        1 to 10 entity types (d up to 41)."""
+        for scheme in (Scheme.BIO, Scheme.BIOES):
+            for k in range(1, 11):
+                ts = build_tagset(scheme, [f"T{i}" for i in range(k)])
+                rules = illegal_transition_set(ts)
+                illegal_pair, illegal_start = rules.tables(ts.size)
+                assert illegal_pair.shape == (ts.size, ts.size)
+                assert illegal_start.shape == (ts.size,)
+                for i in range(ts.size):
+                    for j in range(ts.size):
+                        legal = is_legal_transition(ts, i, j)
+                        assert ((i, j) in rules.omega) != legal
+                        assert bool(illegal_pair[i, j]) != legal
                 for j in range(ts.size):
-                    assert ((i, j) in rules.omega) != is_legal_transition(ts, i, j)
-            for j in range(ts.size):
-                assert (j in rules.illegal_starts) != is_legal_start(ts, j)
+                    assert (j in rules.illegal_starts) != is_legal_start(ts, j)
+                    assert bool(illegal_start[j]) != is_legal_start(ts, j)
+
+    def test_tables_reject_out_of_range_indices(self):
+        rules = illegal_transition_set(build_tagset(Scheme.BIO, ["LOC", "PER"]))
+        with pytest.raises(ValueError):
+            rules.tables(4)
+        starts_only = TransitionRuleSet(frozenset(), frozenset({3}))
+        with pytest.raises(ValueError):
+            starts_only.tables(3)
+        assert not starts_only.tables(4)[0].any()
+
+    def test_compiled_form_leaves_equality_and_hashing_to_the_sets(self):
+        ts = build_tagset(Scheme.BIOES, ["LOC"])
+        a, b = illegal_transition_set(ts), illegal_transition_set(ts)
+        assert a == b and hash(a) == hash(b)
+        assert a != a.without_start_rules()
 
     def test_without_start_rules(self):
         ts = build_tagset(Scheme.BIO, ["LOC"])
         rules = illegal_transition_set(ts).without_start_rules()
         assert rules.illegal_starts == frozenset()
         assert len(rules.omega) == 1
+
+
+class TestCanonicalRun:
+    def test_runs_by_scheme_and_length(self):
+        bio = build_tagset(Scheme.BIO, ["LOC"])
+        bioes = build_tagset(Scheme.BIOES, ["LOC"])
+        expected = {
+            (bio, 1): ["B-LOC"],
+            (bio, 3): ["B-LOC", "I-LOC", "I-LOC"],
+            (bioes, 1): ["S-LOC"],
+            (bioes, 2): ["B-LOC", "E-LOC"],
+            (bioes, 4): ["B-LOC", "I-LOC", "I-LOC", "E-LOC"],
+        }
+        for (ts, n), tags in expected.items():
+            run = canonical_run(ts, "LOC", n)
+            assert [ts.tag_of(i) for i in run] == tags
+            assert first_violation(ts, run) is None
 
 
 class TestFirstViolation:
