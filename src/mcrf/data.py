@@ -188,6 +188,10 @@ def load_model(path: str) -> ModelState:
         enc = doc["encoder"]
         vocab = Vocabulary(tokens=tuple(doc["vocabulary"]))
         d, e = tagset.size, int(enc["embedding_dim"])
+        if not isinstance(doc["enforce_start"], bool):
+            raise FormatError(
+                f"{path}: enforce_start must be true or false, got {doc['enforce_start']!r}"
+            )
 
         def array(field: str, value, shape: tuple[int, ...]) -> np.ndarray:
             out = np.asarray(value, dtype=np.float64)
@@ -201,7 +205,7 @@ def load_model(path: str) -> ModelState:
             tagset=tagset,
             mode=doc["mode"],
             mask_value=float(array("mask_value", doc["mask_value"], ())),
-            enforce_start=bool(doc["enforce_start"]),
+            enforce_start=doc["enforce_start"],
             trans=TransitionMatrix(
                 array("transitions", doc["transitions"], (d, d)),
                 array("start", doc["start"], (d,)),

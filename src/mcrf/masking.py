@@ -1,17 +1,18 @@
 """Transition masking: apply a large negative constant c to illegal entries.
 
 Masking replaces each illegal transition score (and, when start enforcement
-is on, each illegal start score) with a finite constant c << 0. Decoding
-with the masked matrix can then never prefer an illegal path, and the masked
-NLL converges to the NLL computed over legal paths only as c decreases, with
-error on the order of e^c. c stays finite so every dynamic program remains
+is on, each illegal start score) with a finite constant c << 0. Constrained
+decoding lowers c further for an instance whose scores could outweigh it, so
+it never prefers an illegal path at any length. The masked NLL converges to
+the NLL computed over legal paths only as c decreases, with error on the
+order of e^c. c stays finite so every dynamic program remains
 ordinary float arithmetic; the default -1e4 makes e^c underflow to zero in
 float64, which is as good as -inf without the NaN hazards.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,8 +25,8 @@ from .crf import (
     path_score,
     viterbi,
 )
-from .errors import ConfigurationError, DataError
-from .schemes import Tagset, TransitionRuleSet, first_violation, illegal_transition_set
+from .errors import ConfigurationError
+from .schemes import Tagset, TransitionRuleSet, illegal_transition_set, validate_gold_paths
 
 DEFAULT_MASK_VALUE = -1e4
 _GUARD_MARGIN = 1e3
@@ -103,23 +104,15 @@ def guard_threshold(emissions_list: list[np.ndarray], trans: TransitionMatrix, s
     return -(2.0 * t_max * (max_l + max_a + max_s) + _GUARD_MARGIN)
 
 
-def _check_guard(emissions: np.ndarray, trans: TransitionMatrix, spec: MaskSpec) -> None:
-    bound = guard_threshold([emissions], trans, spec)
-    if spec.mask_value > bound:
-        raise ConfigurationError(
-            f"mask value {spec.mask_value} is not negative enough for this "
-            f"instance; need <= {bound:.1f} to guarantee masked paths score "
-            f"below every legal path"
-        )
-
-
 def constrained_viterbi(
     emissions: np.ndarray, trans: TransitionMatrix, spec: MaskSpec
 ) -> list[int]:
-    """Best path under the masked matrix; never outputs a masked transition
-    or (with enforce_start) a masked start, provided the guard holds."""
-    _check_guard(emissions, trans, spec)
-    return viterbi(emissions, apply_mask(trans, spec))
+    """Best legal path (lexicographic tie-break) at any length: Viterbi
+    under the mask, deepened to this instance's guard threshold when
+    spec.mask_value does not clear it, so that every masked path scores
+    strictly below every legal one."""
+    mask_value = min(spec.mask_value, guard_threshold([emissions], trans, spec))
+    return viterbi(emissions, apply_mask(trans, replace(spec, mask_value=mask_value)))
 
 
 def decode(
@@ -132,24 +125,13 @@ def decode(
     return constrained_viterbi(emissions, trans, spec)
 
 
-def validate_gold_paths(batch: Batch, tagset: Tagset, spec: MaskSpec) -> None:
-    """Reject any gold path the mask would make unreachable."""
-    for k, (_, gold) in enumerate(batch):
-        hit = first_violation(tagset, list(gold), enforce_start=spec.enforce_start)
-        if hit is not None:
-            pos, rule = hit
-            raise DataError(
-                f"sentence {k + 1}: illegal gold path at position {pos + 1}: {rule}"
-            )
-
-
 def masked_nll(batch: Batch, trans: TransitionMatrix, tagset: Tagset, spec: MaskSpec) -> float:
     """Mean NLL through the masked transition matrix.
 
     Gold paths must be legal; otherwise their score would carry the mask
     penalty and the loss would be meaningless.
     """
-    validate_gold_paths(batch, tagset, spec)
+    validate_gold_paths(tagset, [gold for _, gold in batch], spec.enforce_start)
     return nll_loss(batch, apply_mask(trans, spec))
 
 

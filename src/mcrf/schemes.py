@@ -15,12 +15,13 @@ tag that cannot open a sentence (I-* for BIO; I-* and E-* for BIOES).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DataError
 
 OUTSIDE = "O"
 
@@ -182,3 +183,17 @@ def first_violation(
             a, b = tagset.tag_of(path[t - 1]), tagset.tag_of(path[t])
             return t, f"{a} -> {b} is not a legal transition"
     return None
+
+
+def validate_gold_paths(
+    tagset: Tagset, paths: Iterable[list[int]], enforce_start: bool = True, name: str = ""
+) -> None:
+    """Raise DataError at the first illegal gold path, naming the 1-based
+    sentence and position; name (e.g. "dev ") prefixes the message."""
+    for k, path in enumerate(paths):
+        hit = first_violation(tagset, path, enforce_start=enforce_start)
+        if hit is not None:
+            pos, rule = hit
+            raise DataError(
+                f"{name}sentence {k + 1}, position {pos + 1}: illegal gold path ({rule})"
+            )

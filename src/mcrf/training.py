@@ -29,7 +29,7 @@ from .errors import ConfigurationError, DataError, TrainingError
 from .evaluation import chunk_prf, illegal_stats
 from .masking import MaskSpec, decode, mask_spec_for, reapply_mask_in_place
 from .postproc import extract_segments
-from .schemes import Tagset, first_violation
+from .schemes import Tagset, validate_gold_paths
 
 
 @dataclass(frozen=True)
@@ -177,16 +177,6 @@ def _param_dict(enc: EncoderWeights, trans: TransitionMatrix) -> dict[str, np.nd
     }
 
 
-def _validate_gold(sentences: list[LabeledSentence], tagset: Tagset, name: str) -> None:
-    for k, sent in enumerate(sentences):
-        hit = first_violation(tagset, sent.gold, enforce_start=True)
-        if hit is not None:
-            pos, rule = hit
-            raise DataError(
-                f"{name} sentence {k + 1}, position {pos + 1}: illegal gold path ({rule})"
-            )
-
-
 def train(
     train_sentences: list[LabeledSentence],
     dev_sentences: list[LabeledSentence],
@@ -208,8 +198,8 @@ def train(
         raise DataError("empty training corpus")
     if not dev_sentences:
         raise DataError("empty dev corpus")
-    _validate_gold(train_sentences, tagset, "train")
-    _validate_gold(dev_sentences, tagset, "dev")
+    validate_gold_paths(tagset, (s.gold for s in train_sentences), name="train ")
+    validate_gold_paths(tagset, (s.gold for s in dev_sentences), name="dev ")
     if train_logits is not None and len(train_logits) != len(train_sentences):
         raise DataError(
             f"got {len(train_logits)} emission sequences for "

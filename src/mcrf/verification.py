@@ -94,34 +94,29 @@ def _relative_error(analytic: np.ndarray, fd: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - fd) / denom))
 
 
+def _central_difference(f, arr: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central finite differences of f() with respect to every entry of arr,
+    which is perturbed in place and restored after each entry."""
+    fd = np.zeros_like(arr)
+    for idx in np.ndindex(arr.shape):
+        for sign in (1.0, -1.0):
+            arr[idx] += sign * h
+            fd[idx] += sign * f()
+            arr[idx] -= sign * h
+    return fd / (2 * h)
+
+
 def _fd_crf(batch, trans, h: float = 1e-5) -> float:
     """Worst relative error of the analytic CRF gradients against central
     finite differences over emissions, transitions, and start."""
     _, grads = loss_and_gradients(batch, trans)
-    worst = 0.0
-    for s, (emissions, _) in enumerate(batch):
-        fd = np.zeros_like(emissions)
-        for t in range(emissions.shape[0]):
-            for j in range(emissions.shape[1]):
-                for sign in (1.0, -1.0):
-                    emissions[t, j] += sign * h
-                    fd[t, j] += sign * nll_loss(batch, trans)
-                    emissions[t, j] -= sign * h
-        fd /= 2 * h
-        worst = max(worst, _relative_error(grads.emissions[s], fd))
-    for arr, g in ((trans.scores, grads.transitions), (trans.start, grads.start)):
-        fd = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            for sign in (1.0, -1.0):
-                arr[idx] += sign * h
-                fd[idx] += sign * nll_loss(batch, trans)
-                arr[idx] -= sign * h
-            it.iternext()
-        fd /= 2 * h
-        worst = max(worst, _relative_error(g, fd))
-    return worst
+
+    def loss() -> float:
+        return nll_loss(batch, trans)
+
+    pairs = [(emissions, g) for (emissions, _), g in zip(batch, grads.emissions)]
+    pairs += [(trans.scores, grads.transitions), (trans.start, grads.start)]
+    return max(_relative_error(g, _central_difference(loss, arr, h)) for arr, g in pairs)
 
 
 def check_gradients(seed: int = 2, instances: int = 20, masked: bool = False) -> CheckResult:
@@ -152,7 +147,6 @@ def check_gradients(seed: int = 2, instances: int = 20, masked: bool = False) ->
 def check_encoder_gradients(seed: int = 3, instances: int = 10) -> CheckResult:
     """Finite-difference check through encode -> NLL for every weight class."""
     rng = np.random.default_rng(seed)
-    h = 1e-5
     worst = 0.0
     for _ in range(instances):
         V, e, d, T = 7, 3, 3, int(rng.integers(2, 5))
@@ -174,17 +168,7 @@ def check_encoder_gradients(seed: int = 3, instances: int = 10) -> CheckResult:
             (weights.projection, analytic.projection),
             (weights.bias, analytic.bias),
         ):
-            fd = np.zeros_like(arr)
-            it = np.nditer(arr, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                for sign in (1.0, -1.0):
-                    arr[idx] += sign * h
-                    fd[idx] += sign * loss()
-                    arr[idx] -= sign * h
-                it.iternext()
-            fd /= 2 * h
-            worst = max(worst, _relative_error(g, fd))
+            worst = max(worst, _relative_error(g, _central_difference(loss, arr)))
     return CheckResult(
         name="encoder gradients vs finite differences",
         observed=worst,

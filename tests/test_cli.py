@@ -2,6 +2,7 @@
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +10,11 @@ import pytest
 
 from mcrf import schemes
 from mcrf.cli import main
-from mcrf.data import ModelState, load_model, read_conll, save_model
-from mcrf.encoder import EncoderWeights, Vocabulary, write_logits
-from mcrf.masking import MaskSpec, apply_mask
+from mcrf.data import LabeledSentence, ModelState, load_model, read_conll, save_model, write_conll
+from mcrf.encoder import EncoderWeights, Vocabulary, encode, write_logits
+from mcrf.masking import MaskSpec, apply_mask, guard_threshold
 from mcrf.schemes import Scheme, build_tagset, first_violation, illegal_transition_set
-from mcrf.crf import TransitionMatrix
+from mcrf.crf import TransitionMatrix, viterbi
 
 
 def count_sentences(path):
@@ -324,6 +325,43 @@ class TestPredict:
                      "--out", str(out)]) == 0
         assert count_sentences(out) == 12
         assert len(calls) == 1
+
+
+class TestLongSentence:
+    def test_thousand_tokens_decode_to_the_best_legal_path(self, tmp_path):
+        """At 1000 tokens the default c = -1e4 no longer clears the guard of
+        a briefly trained masked model; predict and eval still decode the
+        exact legal argmax: Viterbi under a mask far below every path score."""
+        prefix = str(tmp_path / "s")
+        main(["gen-synth", "--sentences", "40", "--types", "2", "--scheme", "bioes",
+              "--seed", "5", "--out-prefix", prefix])
+        model_path = str(tmp_path / "model.json")
+        assert main([
+            "train", "--data", f"{prefix}_train.conll", "--dev", f"{prefix}_dev.conll",
+            "--scheme", "bioes", "--types", "2", "--mode", "mcrf-train", "--lr", "0.1",
+            "--batch-size", "8", "--epochs", "1", "--max-iterations", "30",
+            "--eval-every", "10", "--embedding-dim", "8", "--out", model_path,
+        ]) == 0
+        model = load_model(model_path)
+        tagset, spec = model.tagset, model.mask_spec
+        # legal BIOES sentences concatenate into a legal sentence
+        rows = [(tok, tag) for sent in read_conll(f"{prefix}_train.conll", tagset)
+                for tok, tag in zip(sent.tokens, sent.gold)]
+        rows = (rows * (1000 // len(rows) + 1))[:1000]
+        long_path = str(tmp_path / "long.conll")
+        write_conll(long_path, [LabeledSentence([t for t, _ in rows], [g for _, g in rows])], tagset)
+        emissions = encode(model.vocab.lookup_all(t for t, _ in rows), model.encoder)
+        assert spec.mask_value > guard_threshold([emissions], model.trans, spec)
+
+        out = tmp_path / "pred.conll"
+        assert main(["predict", "--model", model_path, "--data", long_path,
+                     "--strategy", "none", "--out", str(out)]) == 0
+        raw = [tagset.index_of(line.split("\t")[2]) for line in out.read_text().splitlines() if line]
+        assert len(raw) == 1000
+        assert first_violation(tagset, raw) is None
+        deep = apply_mask(model.trans, replace(spec, mask_value=-1e12))
+        assert raw == viterbi(emissions, deep)
+        assert main(["eval", "--model", model_path, "--data", long_path]) == 0
 
 
 class TestEval:

@@ -266,6 +266,21 @@ class TestModelPersistence:
         with pytest.raises(FormatError, match="start"):
             load_model(self._edited(tmp_path, small_state(mode="mcrf-train"), edit))
 
+    def test_enforce_start_must_be_a_json_boolean(self, tmp_path):
+        """The string "false" is truthy; it must not load as start enforcement on."""
+        for value in ("false", 0, None):
+
+            def edit(doc):
+                doc["enforce_start"] = value
+
+            with pytest.raises(FormatError, match="enforce_start"):
+                load_model(self._edited(tmp_path, small_state(), edit))
+
+        def switch_off(doc):
+            doc["enforce_start"] = False
+
+        assert load_model(self._edited(tmp_path, small_state(), switch_off)).enforce_start is False
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             small_state(mode="bogus")

@@ -22,7 +22,6 @@ from mcrf.masking import (
     mask_convergence_gap,
     reapply_mask_in_place,
     restricted_nll,
-    validate_gold_paths,
 )
 from mcrf.schemes import (
     Scheme,
@@ -30,6 +29,7 @@ from mcrf.schemes import (
     build_tagset,
     first_violation,
     illegal_transition_set,
+    validate_gold_paths,
 )
 
 BIO1 = build_tagset(Scheme.BIO, ["PER"])
@@ -195,13 +195,25 @@ class TestConstrainedViterbi:
         assert on[0] != BIO1.index_of("I-PER")
         assert off[0] == BIO1.index_of("I-PER")
 
-    def test_guard_rejects_insufficient_mask(self):
-        """Emission scale near |c| can let masked paths outscore legal ones."""
-        emissions = np.full((5, 3), 4000.0)
+    def test_insufficient_mask_still_decodes_the_best_legal_path(self):
+        """c = -1e4 does not clear the guard of these instances, so the
+        decoder lowers the mask for them. In the first every legal path
+        ties, so the tie-break must match the oracle's too; in the second a
+        masked start outscores every legal path under c itself."""
+        i_per = BIO1.index_of("I-PER")
+        tied = np.full((5, 3), 4000.0)
+        pulled = np.zeros((5, 3))
+        pulled[:, i_per] = 2e4
         trans = TransitionMatrix.zeros(3)
-        with pytest.raises(ConfigurationError) as err:
-            constrained_viterbi(emissions, trans, spec_for(BIO1, mask_value=-1e4))
-        assert "mask value" in str(err.value)
+        spec = spec_for(BIO1, mask_value=-1e4)
+        assert viterbi(pulled, apply_mask(trans, spec))[0] == i_per
+        for emissions in (tied, pulled):
+            assert spec.mask_value > guard_threshold([emissions], trans, spec)
+            path = constrained_viterbi(emissions, trans, spec)
+            oracle, _ = brute_force_best(
+                emissions, trans, restrict_to_legal=True, rules=spec.rules
+            )
+            assert path == oracle
 
     def test_guard_threshold_scales_with_instance(self):
         spec = spec_for(BIO1)
@@ -231,8 +243,8 @@ class TestMaskedNll:
     def test_illegal_start_rejected_only_when_enforced(self):
         batch = [(np.zeros((1, 3)), [BIO1.index_of("I-PER")])]
         with pytest.raises(DataError):
-            validate_gold_paths(batch, BIO1, spec_for(BIO1))
-        validate_gold_paths(batch, BIO1, spec_for(BIO1, enforce_start=False))
+            validate_gold_paths(BIO1, [gold for _, gold in batch], enforce_start=True)
+        validate_gold_paths(BIO1, [gold for _, gold in batch], enforce_start=False)
 
     def test_empty_rule_set_equals_plain_nll(self):
         rng = np.random.default_rng(6)
