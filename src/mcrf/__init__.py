@@ -37,7 +37,7 @@ from .errors import (
     SizeError,
     TrainingError,
 )
-from .evaluation import ChunkMetrics, IllegalStats, chunk_prf, illegal_stats
+from .evaluation import ChunkMetrics, IllegalStats, chunk_prf, illegal_stats, score_paths
 from .masking import (
     MaskSpec,
     apply_mask,
@@ -112,6 +112,7 @@ __all__ = [
     "reapply_mask_in_place",
     "repair_tags",
     "save_model",
+    "score_paths",
     "split_corpus",
     "train",
     "viterbi",

@@ -20,8 +20,8 @@ from .data import (
     write_conll,
 )
 from .encoder import encode, load_external_logits
-from .errors import DataError, McrfError
-from .evaluation import chunk_prf, format_report, illegal_stats
+from .errors import ConfigurationError, DataError, McrfError
+from .evaluation import format_report, score_paths
 from .masking import decode
 from .postproc import STRATEGIES, extract_segments, repair_tags
 from .schemes import Scheme, build_tagset
@@ -51,6 +51,8 @@ def _model_emissions(model: ModelState, sentences, logits_path: str | None):
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise ConfigurationError(f"--seeds must be >= 1, got {args.seeds}")
     tagset = build_tagset(Scheme(args.scheme), _entity_types(args.types))
     train_sentences = read_conll(args.data, tagset)
     dev_sentences = read_conll(args.dev, tagset)
@@ -137,24 +139,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
                     f"sentence {k + 1}: gold has {len(g.tokens)} tokens, "
                     f"prediction has {len(p.tokens)}"
                 )
-        gold = [s.gold for s in gold_sents]
         raw = [s.gold for s in pred_sents]
     else:
         if not (args.model and args.data):
             raise DataError("eval needs --model and --data (or --gold and --pred)")
         model = load_model(args.model)
         tagset = model.tagset
-        sentences = read_conll(args.data, tagset)
-        emissions = _model_emissions(model, sentences, args.emissions)
-        gold = [s.gold for s in sentences]
+        gold_sents = read_conll(args.data, tagset)
+        emissions = _model_emissions(model, gold_sents, args.emissions)
         raw = [decode(em, model.trans, model.mask_spec) for em in emissions]
-    predictions = [repair_tags(p, tagset, args.strategy) for p in raw]
-    gold_segments = [extract_segments(g, tagset) for g in gold]
-    raw_segments = [extract_segments(p, tagset) for p in raw]
-    pred_segments = [extract_segments(p, tagset) for p in predictions]
-    metrics = chunk_prf(gold_segments, pred_segments)
-    stats = illegal_stats(gold_segments, raw_segments)
-    print(format_report(metrics, stats))
+    gold_segments = [extract_segments(s.gold, tagset) for s in gold_sents]
+    print(format_report(*score_paths(gold_segments, raw, tagset, args.strategy)))
     return 0
 
 

@@ -267,6 +267,9 @@ class SyntheticConfig:
             raise ConfigurationError("noise_rate must lie in [0, 1]")
         if self.sentences < 1:
             raise ConfigurationError("need at least one sentence")
+        for name in ("vocab_size", "tokens_per_type", "max_entity_length"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def generate_synthetic(

@@ -18,9 +18,9 @@ from .crf import TransitionMatrix, brute_force_best, viterbi
 from .data import LabeledSentence
 from .encoder import encode
 from .errors import ConfigurationError
-from .evaluation import ChunkMetrics, IllegalStats, chunk_prf, illegal_stats
+from .evaluation import ChunkMetrics, IllegalStats, score_paths
 from .masking import MaskSpec, constrained_viterbi, decode
-from .postproc import extract_segments, repair_tags
+from .postproc import extract_segments
 from .schemes import Scheme, Tagset, first_violation, illegal_transition_set
 from .training import TrainConfig, train
 
@@ -133,11 +133,7 @@ def compare_systems(
     mcrf_train_raw = decode_all(mcrf_model, mcrf_model.trans, spec)
 
     def row(label: str, raw: list[list[int]], strategy: str) -> SystemRow:
-        stats = illegal_stats(gold_segments, [extract_segments(p, tagset) for p in raw])
-        repaired = [repair_tags(p, tagset, strategy) for p in raw]
-        metrics = chunk_prf(
-            gold_segments, [extract_segments(p, tagset) for p in repaired]
-        )
+        metrics, stats = score_paths(gold_segments, raw, tagset, strategy)
         return SystemRow(label=label, metrics=metrics, stats=stats)
 
     rows = [

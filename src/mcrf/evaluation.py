@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .postproc import Segment
+from .postproc import Segment, extract_segments, repair_tags
+from .schemes import Tagset
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,24 @@ def illegal_stats(gold: list[list[Segment]], pred: list[list[Segment]]) -> Illeg
         legal_fp=counts[(True, False)],
         illegal_fp=counts[(False, False)],
     )
+
+
+def score_paths(
+    gold_segments: list[list[Segment]],
+    raw_paths: list[list[int]],
+    tagset: Tagset,
+    strategy: str,
+) -> tuple[ChunkMetrics, IllegalStats]:
+    """Score one decode: P/R/F1 of the paths after the repair strategy,
+    illegal-segment counts of the raw paths (which repair would hide)."""
+    raw_segments = [extract_segments(p, tagset) for p in raw_paths]
+    if strategy == "none":
+        pred_segments = raw_segments
+    else:
+        pred_segments = [
+            extract_segments(repair_tags(p, tagset, strategy), tagset) for p in raw_paths
+        ]
+    return chunk_prf(gold_segments, pred_segments), illegal_stats(gold_segments, raw_segments)
 
 
 def format_report(metrics: ChunkMetrics, stats: IllegalStats | None = None) -> str:

@@ -42,9 +42,9 @@ class MaskSpec:
     enforce_start: bool = True
 
     def __post_init__(self) -> None:
-        if not self.mask_value < 0:
+        if not (np.isfinite(self.mask_value) and self.mask_value < 0):
             raise ConfigurationError(
-                f"mask value must be negative, got {self.mask_value}"
+                f"mask value must be finite and negative, got {self.mask_value}"
             )
 
     def restriction_rules(self) -> TransitionRuleSet:

@@ -3,10 +3,10 @@
   crf         - plain training, plain decoding
   mcrf-decode - plain training; the transition mask is applied only when
                 decoding, so the training trajectory is bit-identical to crf
-  mcrf-train  - the mask is applied at initialization, masked entries get
-                zero gradient (their Adam moments stay zero), and the mask
-                value is reassigned after every update, so masked entries
-                hold exactly c at every point of training
+  mcrf-train  - the mask is applied at initialization and reassigned after
+                every Adam update, so masked entries hold exactly c at
+                every point of training; Adam moves each entry by its own
+                gradient history only, so the other entries never see it
 
 The budget rule is max(epochs, iteration floor): training runs for
 max(max_epochs * batches_per_epoch, max_iterations) iterations. Everything
@@ -26,7 +26,7 @@ from .crf import viterbi  # noqa: F401  (module attribute that perfbench/selftes
 from .data import TRAIN_MODES, LabeledSentence, ModelState
 from .encoder import EncoderWeights, Vocabulary, encode, encoder_backward
 from .errors import ConfigurationError, DataError, TrainingError
-from .evaluation import chunk_prf, illegal_stats
+from .evaluation import score_paths
 from .masking import MaskSpec, decode, mask_spec_for, reapply_mask_in_place
 from .postproc import extract_segments
 from .schemes import Tagset, validate_gold_paths
@@ -63,6 +63,8 @@ class TrainConfig:
             raise ConfigurationError("eval_every must be >= 1")
         if self.embedding_dim < 1:
             raise ConfigurationError("embedding dimension must be >= 1")
+        if not math.isfinite(self.mask_value):
+            raise ConfigurationError(f"mask value must be finite, got {self.mask_value}")
 
 
 @dataclass
@@ -87,13 +89,8 @@ def adam_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     config: TrainConfig,
-    frozen: dict[str, np.ndarray] | None = None,
 ) -> None:
-    """One bias-corrected Adam update, in place.
-
-    frozen maps a parameter name to a boolean array; gradients there are
-    treated as zero, so the corresponding moments never move.
-    """
+    """One bias-corrected Adam update, in place."""
     if set(params) != set(grads):
         raise ValueError("params and grads must hold the same parameter names")
     state.step += 1
@@ -102,8 +99,6 @@ def adam_step(
         g = grads[name]
         if g.shape != p.shape:
             raise ValueError(f"gradient shape mismatch for {name!r}")
-        if frozen is not None and name in frozen:
-            g = np.where(frozen[name], 0.0, g)
         m = state.m[name]
         v = state.v[name]
         m *= config.beta1
@@ -200,21 +195,19 @@ def train(
         raise DataError("empty dev corpus")
     validate_gold_paths(tagset, (s.gold for s in train_sentences), name="train ")
     validate_gold_paths(tagset, (s.gold for s in dev_sentences), name="dev ")
-    if train_logits is not None and len(train_logits) != len(train_sentences):
-        raise DataError(
-            f"got {len(train_logits)} emission sequences for "
-            f"{len(train_sentences)} training sentences"
-        )
-    if dev_logits is not None and len(dev_logits) != len(dev_sentences):
-        raise DataError(
-            f"got {len(dev_logits)} emission sequences for "
-            f"{len(dev_sentences)} dev sentences"
-        )
     external = train_logits is not None
     if external != (dev_logits is not None):
         raise ConfigurationError("external emissions must cover both train and dev")
     if external:
-        for name, seqs in (("train", train_logits), ("dev", dev_logits)):
+        for name, noun, seqs, sentences in (
+            ("train", "training", train_logits, train_sentences),
+            ("dev", "dev", dev_logits, dev_sentences),
+        ):
+            if len(seqs) != len(sentences):
+                raise DataError(
+                    f"got {len(seqs)} emission sequences for "
+                    f"{len(sentences)} {noun} sentences"
+                )
             for k, em in enumerate(seqs):
                 if not np.all(np.isfinite(em)):
                     raise TrainingError(
@@ -229,11 +222,6 @@ def train(
     spec = mask_spec_for(config, tagset)
     enc, trans, opt = initialize(config, tagset, vocab, rng, spec)
     params = _param_dict(enc, trans)
-    masked_training = config.mode == "mcrf-train"
-    frozen = None
-    if masked_training:
-        illegal_pair, illegal_start = spec.masked_tables(tagset.size)
-        frozen = {"transitions": illegal_pair, "start": illegal_start}
 
     train_ids = [vocab.lookup_all(s.tokens) for s in train_sentences]
     dev_ids = [vocab.lookup_all(s.tokens) for s in dev_sentences]
@@ -246,52 +234,39 @@ def train(
         raise ConfigurationError("training budget is zero iterations")
 
     report = TrainReport()
-    iteration = 0
-    d = tagset.size
-    while iteration < target:
-        order = rng.permutation(n)
-        for b in range(batches_per_epoch):
-            if iteration >= target:
-                break
-            picked = order[b * config.batch_size : (b + 1) * config.batch_size]
-            batch = []
-            for k in picked:
-                em = train_logits[k] if external else encode(train_ids[k], enc)
-                batch.append((em, train_sentences[k].gold))
-            loss, grads = loss_and_gradients(batch, trans)
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite loss {loss} at iteration {iteration + 1}; "
-                    f"check emissions and learning rate"
-                )
-            g_trans = grads.transitions
-            g_start = grads.start
-            g_enc = EncoderWeights.zeros(vocab.size, config.embedding_dim, d)
-            if not external:
-                for idx, k in enumerate(picked):
-                    g = encoder_backward(train_ids[k], grads.emissions[idx], enc)
-                    g_enc.embeddings += g.embeddings
-                    g_enc.projection += g.projection
-                    g_enc.bias += g.bias
-            grad_dict = {
-                "embeddings": g_enc.embeddings,
-                "projection": g_enc.projection,
-                "bias": g_enc.bias,
-                "transitions": g_trans,
-                "start": g_start,
-            }
-            adam_step(opt, params, grad_dict, config, frozen=frozen)
-            if masked_training:
-                reapply_mask_in_place(trans, spec)
-            iteration += 1
-            if iteration % config.eval_every == 0 or iteration == target:
-                record = _evaluate(
-                    iteration, loss, dev_sentences, dev_ids, dev_logits,
-                    enc, trans, spec, tagset, gold_segments, external,
-                )
-                report.records.append(record)
-                if on_checkpoint is not None:
-                    on_checkpoint(iteration, trans)
+    for iteration in range(1, target + 1):
+        b = (iteration - 1) % batches_per_epoch
+        if b == 0:
+            order = rng.permutation(n)
+        picked = order[b * config.batch_size : (b + 1) * config.batch_size]
+        batch = []
+        for k in picked:
+            em = train_logits[k] if external else encode(train_ids[k], enc)
+            batch.append((em, train_sentences[k].gold))
+        loss, grads = loss_and_gradients(batch, trans)
+        if not np.isfinite(loss):
+            raise TrainingError(
+                f"non-finite loss {loss} at iteration {iteration}; "
+                f"check emissions and learning rate"
+            )
+        g_enc = EncoderWeights.zeros(vocab.size, config.embedding_dim, tagset.size)
+        if not external:
+            for idx, k in enumerate(picked):
+                g = encoder_backward(train_ids[k], grads.emissions[idx], enc)
+                g_enc.embeddings += g.embeddings
+                g_enc.projection += g.projection
+                g_enc.bias += g.bias
+        grads_by_name = _param_dict(g_enc, TransitionMatrix(grads.transitions, grads.start))
+        adam_step(opt, params, grads_by_name, config)
+        if config.mode == "mcrf-train":
+            reapply_mask_in_place(trans, spec)
+        if iteration % config.eval_every == 0 or iteration == target:
+            report.records.append(_evaluate(
+                iteration, loss, dev_sentences, dev_ids, dev_logits,
+                enc, trans, spec, tagset, gold_segments,
+            ))
+            if on_checkpoint is not None:
+                on_checkpoint(iteration, trans)
 
     state = ModelState(
         tagset=tagset,
@@ -316,20 +291,17 @@ def _evaluate(
     spec: MaskSpec | None,
     tagset: Tagset,
     gold_segments,
-    external: bool,
 ) -> EvalRecord:
     dev_batch = []
     predictions = []
     for k, sent in enumerate(dev_sentences):
-        em = dev_logits[k] if external else encode(dev_ids[k], enc)
+        em = encode(dev_ids[k], enc) if dev_logits is None else dev_logits[k]
         dev_batch.append((em, sent.gold))
         predictions.append(decode(em, trans, spec))
     # in mcrf-train mode the live matrix already carries the mask, so this
     # is the masked objective; in the other modes it is the plain NLL
     dev_nll = nll_loss(dev_batch, trans)
-    pred_segments = [extract_segments(p, tagset) for p in predictions]
-    metrics = chunk_prf(gold_segments, pred_segments)
-    stats = illegal_stats(gold_segments, pred_segments)
+    metrics, stats = score_paths(gold_segments, predictions, tagset, "none")
     return EvalRecord(
         iteration=iteration,
         train_nll=float(train_loss),

@@ -103,6 +103,15 @@ class TestGenSynth:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_empty_vocabulary_fails_cleanly(self, tmp_path, capsys):
+        code = main(["gen-synth", "--sentences", "10", "--vocab-size", "0",
+                     "--out-prefix", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "vocab_size" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestTrain:
     def test_writes_model_and_report(self, corpus, tmp_path, capsys):
@@ -158,6 +167,31 @@ class TestTrain:
         assert "seed 1:" in out
         assert "best seed" in out
         assert "mean dev_f1=" in out
+
+    def test_zero_seeds_fails_cleanly(self, corpus, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        code = main([
+            "train", "--data", corpus["train"], "--dev", corpus["dev"],
+            "--seeds", "0", "--out", str(model_path), *FAST_TRAIN,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--seeds" in err
+        assert "Traceback" not in err
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("mode", ["crf", "mcrf-decode", "mcrf-train"])
+    @pytest.mark.parametrize("value", ["-inf", "nan"])
+    def test_non_finite_mask_value_fails_cleanly(self, corpus, tmp_path, capsys, mode, value):
+        model_path = tmp_path / "m.json"
+        code = main([
+            "train", "--data", corpus["train"], "--dev", corpus["dev"],
+            "--mode", mode, f"--mask-value={value}", "--out", str(model_path), *FAST_TRAIN,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "mask value must be finite" in err
+        assert not model_path.exists()
 
     def test_external_emissions_route(self, corpus, tmp_path):
         tagset = build_tagset(Scheme.BIO, ["LOC", "ORG"])

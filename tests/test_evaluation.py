@@ -9,8 +9,9 @@ from mcrf.evaluation import (
     chunk_prf,
     format_report,
     illegal_stats,
+    score_paths,
 )
-from mcrf.postproc import Segment, extract_segments
+from mcrf.postproc import Segment, extract_segments, repair_tags
 from mcrf.schemes import Scheme, build_tagset
 
 
@@ -135,6 +136,43 @@ class TestIllegalStats:
         m = chunk_prf(gold, pred)
         assert stats.legal_tp + stats.illegal_tp == m.tp
         assert stats.legal_fp + stats.illegal_fp == m.fp
+
+
+class TestScorePaths:
+    TAGSET = build_tagset(Scheme.BIO, ["LOC", "PER"])
+
+    def _paths(self):
+        t = self.TAGSET.index_of
+        gold = [[t("O"), t("B-PER"), t("O"), t("B-LOC"), t("O")]]
+        raw = [[t("O"), t("I-PER"), t("O"), t("B-LOC"), t("I-PER")]]
+        return [extract_segments(g, self.TAGSET) for g in gold], raw
+
+    def test_repair_scores_the_repaired_paths_and_counts_the_raw_ones(self):
+        gold_segments, raw = self._paths()
+        raw_segments = [extract_segments(p, self.TAGSET) for p in raw]
+        for strategy in ("retain", "discard", "none"):
+            repaired = [
+                extract_segments(repair_tags(p, self.TAGSET, strategy), self.TAGSET)
+                for p in raw
+            ]
+            metrics, stats = score_paths(gold_segments, raw, self.TAGSET, strategy)
+            assert metrics == chunk_prf(gold_segments, repaired)
+            assert stats == illegal_stats(gold_segments, raw_segments)
+
+    def test_hand_counts(self):
+        """The raw path holds an illegal PER at 1 (a TP), a legal LOC at 3 (a
+        TP) and an illegal PER at 4 (an FP); discard keeps only the LOC."""
+        gold_segments, raw = self._paths()
+        metrics, stats = score_paths(gold_segments, raw, self.TAGSET, "discard")
+        assert (metrics.tp, metrics.fp, metrics.fn) == (1, 0, 1)
+        assert (stats.legal_tp, stats.illegal_tp, stats.legal_fp, stats.illegal_fp) == (
+            1, 1, 0, 1,
+        )
+
+    def test_unknown_strategy_rejected(self):
+        gold_segments, raw = self._paths()
+        with pytest.raises(ValueError):
+            score_paths(gold_segments, raw, self.TAGSET, "mend")
 
 
 class TestFormatReport:

@@ -71,6 +71,11 @@ class TestMaskSpec:
         with pytest.raises(ConfigurationError):
             MaskSpec(rules, mask_value=3.0)
 
+    @pytest.mark.parametrize("value", [-math.inf, math.nan])
+    def test_non_finite_mask_value_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="finite and negative"):
+            MaskSpec(illegal_transition_set(BIO1), mask_value=value)
+
     def test_restriction_rules_track_start_enforcement(self):
         spec = spec_for(BIO1, enforce_start=False)
         assert spec.restriction_rules().illegal_starts == frozenset()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mcrf.crf import TransitionMatrix, nll_loss
+from mcrf.crf import loss_and_gradients, nll_loss
 from mcrf.data import LabeledSentence, SyntheticConfig, generate_synthetic, split_corpus
 from mcrf.encoder import Vocabulary, encode
 from mcrf.errors import ConfigurationError, DataError, TrainingError
@@ -52,6 +52,12 @@ class TestTrainConfig:
     def test_zero_learning_rate_is_allowed(self):
         TrainConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("mode", ["crf", "mcrf-decode", "mcrf-train"])
+    @pytest.mark.parametrize("value", [-np.inf, np.nan, np.inf])
+    def test_non_finite_mask_value_rejected(self, mode, value):
+        with pytest.raises(ConfigurationError, match="mask value must be finite"):
+            TrainConfig(mode=mode, mask_value=value)
+
 
 class TestAdam:
     def _single(self, value=0.0):
@@ -91,19 +97,6 @@ class TestAdam:
         state, params = self._single(1.25)
         adam_step(state, params, {"w": np.zeros(1)}, TrainConfig())
         assert params["w"][0] == 1.25
-
-    def test_frozen_entries_never_move(self):
-        params = {"w": np.array([1.0, 2.0])}
-        state = OptimizerState.for_params(params)
-        frozen = {"w": np.array([False, True])}
-        for _ in range(5):
-            adam_step(
-                state, params, {"w": np.array([0.5, 0.5])}, TrainConfig(), frozen=frozen
-            )
-        assert params["w"][1] == 2.0
-        assert params["w"][0] != 1.0
-        assert state.m["w"][1] == 0.0
-        assert state.v["w"][1] == 0.0
 
     def test_updates_happen_in_place(self):
         params = {"w": np.zeros(2)}
@@ -222,6 +215,42 @@ class TestTrainLoop:
         # Legal entries did move.
         assert state.trans.scores[0, 0] != 0.0
 
+    def test_reassignment_pins_entries_whose_gradient_is_not_zero(self):
+        """At c = -5 the masked entries get a gradient of about 5e-3, so Adam
+        moves them on every step; only the reassignment after each update
+        keeps them at c. BIOES with start enforcement covers both tables."""
+        c = -5.0
+        config = SyntheticConfig(
+            entity_types=("PER", "LOC"), scheme=Scheme.BIOES, sentences=24,
+            min_length=3, max_length=6, vocab_size=12, tokens_per_type=4,
+        )
+        tagset, sents = generate_synthetic(config, seed=2)
+        train_s, dev_s = split_corpus(sents, dev_fraction=0.25, seed=2)
+        config = TrainConfig(
+            mode="mcrf-train", mask_value=c, batch_size=4, max_epochs=0,
+            max_iterations=30, eval_every=10, embedding_dim=4, seed=9,
+        )
+        illegal_pair, illegal_start = MaskSpec(
+            illegal_transition_set(tagset), mask_value=c
+        ).masked_tables(tagset.size)
+        assert illegal_pair.any() and illegal_start.any()
+        seen = []
+
+        def checkpoint(iteration, trans):
+            seen.append(iteration)
+            assert np.all(trans.scores[illegal_pair] == c)
+            assert np.all(trans.start[illegal_start] == c)
+
+        state, _ = train(train_s, dev_s, config, tagset, on_checkpoint=checkpoint)
+        assert seen == [10, 20, 30]
+        batch = [
+            (encode(state.vocab.lookup_all(s.tokens), state.encoder), s.gold)
+            for s in train_s
+        ]
+        _, grads = loss_and_gradients(batch, state.trans)
+        assert np.max(np.abs(grads.transitions[illegal_pair])) > 1e-4
+        assert np.max(np.abs(grads.start[illegal_start])) > 1e-4
+
     def test_loss_decreases_on_tiny_problem(self):
         tagset, (train_s, dev_s) = tiny_corpus(sentences=32)
         config = TrainConfig(
@@ -278,14 +307,19 @@ class TestTrainLoop:
 
     def test_non_finite_external_emissions_fail_fast(self):
         tagset, (train_s, dev_s) = tiny_corpus()
-        logits = [np.zeros((len(s.tokens), tagset.size)) for s in train_s]
-        logits[0] = np.full_like(logits[0], np.inf)
-        dev_logits = [np.zeros((len(s.tokens), tagset.size)) for s in dev_s]
         config = TrainConfig(batch_size=len(train_s), max_epochs=1, max_iterations=0,
                              eval_every=1)
-        with pytest.raises(TrainingError):
-            train(train_s, dev_s, config, tagset,
-                  train_logits=logits, dev_logits=dev_logits)
+        for side in ("train", "dev"):
+            logits = [np.zeros((len(s.tokens), tagset.size)) for s in train_s]
+            dev_logits = [np.zeros((len(s.tokens), tagset.size)) for s in dev_s]
+            poisoned = logits if side == "train" else dev_logits
+            poisoned[2] = np.full_like(poisoned[2], np.inf)
+            with pytest.raises(TrainingError) as err:
+                train(train_s, dev_s, config, tagset,
+                      train_logits=logits, dev_logits=dev_logits)
+            assert str(err.value) == (
+                f"non-finite value in external {side} emissions, sentence 3"
+            )
 
     def test_external_emissions_train_transitions_only(self):
         tagset, (train_s, dev_s) = tiny_corpus()
@@ -305,16 +339,24 @@ class TestTrainLoop:
     def test_external_emissions_must_cover_both_sides(self):
         tagset, (train_s, dev_s) = tiny_corpus()
         logits = [np.zeros((len(s.tokens), tagset.size)) for s in train_s]
-        with pytest.raises(ConfigurationError):
-            train(train_s, dev_s, TrainConfig(max_epochs=1), tagset, train_logits=logits)
+        dev_logits = [np.zeros((len(s.tokens), tagset.size)) for s in dev_s]
+        for one_side in ({"train_logits": logits}, {"dev_logits": dev_logits}):
+            with pytest.raises(ConfigurationError) as err:
+                train(train_s, dev_s, TrainConfig(max_epochs=1), tagset, **one_side)
+            assert str(err.value) == "external emissions must cover both train and dev"
 
     def test_external_emission_count_mismatch_rejected(self):
         tagset, (train_s, dev_s) = tiny_corpus()
-        logits = [np.zeros((len(s.tokens), tagset.size)) for s in train_s[:-1]]
+        logits = [np.zeros((len(s.tokens), tagset.size)) for s in train_s]
         dev_logits = [np.zeros((len(s.tokens), tagset.size)) for s in dev_s]
-        with pytest.raises(DataError):
+        with pytest.raises(DataError) as err:
             train(train_s, dev_s, TrainConfig(max_epochs=1), tagset,
-                  train_logits=logits, dev_logits=dev_logits)
+                  train_logits=logits[:-1], dev_logits=dev_logits)
+        assert str(err.value) == "got 17 emission sequences for 18 training sentences"
+        with pytest.raises(DataError) as err:
+            train(train_s, dev_s, TrainConfig(max_epochs=1), tagset,
+                  train_logits=logits, dev_logits=dev_logits + dev_logits)
+        assert str(err.value) == "got 12 emission sequences for 6 dev sentences"
 
     def test_mcrf_train_decodes_legally_during_eval(self):
         tagset, (train_s, dev_s) = tiny_corpus()
