@@ -45,7 +45,7 @@ def _entity_types(count: int) -> tuple[str, ...]:
 def _model_emissions(model: ModelState, sentences, logits_path: str | None):
     if logits_path is not None:
         return load_external_logits(
-            logits_path, tags=model.tagset.tags, expected_sentences=len(sentences)
+            logits_path, tags=model.tagset.tags, lengths=[len(s.tokens) for s in sentences]
         )
     return [encode(model.vocab.lookup_all(s.tokens), model.encoder) for s in sentences]
 
@@ -73,10 +73,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         if not args.dev_emissions:
             raise DataError("--emissions requires --dev-emissions for the dev corpus")
         train_logits = load_external_logits(
-            args.emissions, tags=tagset.tags, expected_sentences=len(train_sentences)
+            args.emissions, tags=tagset.tags, lengths=[len(s.tokens) for s in train_sentences]
         )
         dev_logits = load_external_logits(
-            args.dev_emissions, tags=tagset.tags, expected_sentences=len(dev_sentences)
+            args.dev_emissions, tags=tagset.tags, lengths=[len(s.tokens) for s in dev_sentences]
         )
 
     runs = []
@@ -112,8 +112,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     sentences = read_conll(args.data, model.tagset)
     emissions = _model_emissions(model, sentences, args.emissions)
     predictions = [
-        repair_tags(decode(em, model.trans, model.mask_spec), model.tagset, args.strategy)
-        for em in emissions
+        repair_tags(path, model.tagset, args.strategy)
+        for path in decode(emissions, model.trans, model.mask_spec)
     ]
     write_conll(args.out, sentences, model.tagset, predictions=predictions)
     print(f"predictions written to {args.out}")
@@ -147,7 +147,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         tagset = model.tagset
         gold_sents = read_conll(args.data, tagset)
         emissions = _model_emissions(model, gold_sents, args.emissions)
-        raw = [decode(em, model.trans, model.mask_spec) for em in emissions]
+        raw = decode(emissions, model.trans, model.mask_spec)
     gold_segments = [extract_segments(s.gold, tagset) for s in gold_sents]
     print(format_report(*score_paths(gold_segments, raw, tagset, args.strategy)))
     return 0

@@ -236,20 +236,17 @@ def _check_enumerable(T: int, d: int) -> None:
 def _iter_scored_chunks(
     emissions: np.ndarray,
     trans: TransitionMatrix,
-    restrict_to_legal: bool,
     rules: TransitionRuleSet | None,
 ):
     """Yield (paths, scores) chunks over all paths in lexicographic order.
 
-    With restrict_to_legal, paths containing an omega pair or an illegal
-    start are dropped from the chunk.
+    With rules, paths containing an omega pair or an illegal start are
+    dropped from the chunk.
     """
     emissions = _check_emissions(emissions)
     T, d = emissions.shape
     _check_enumerable(T, d)
-    if restrict_to_legal:
-        if rules is None:
-            raise ValueError("restrict_to_legal requires a TransitionRuleSet")
+    if rules is not None:
         illegal_pair, illegal_start = rules.tables(d)
     total = d**T
     positions = np.arange(T)
@@ -261,7 +258,7 @@ def _iter_scored_chunks(
         scores = emissions[positions[None, :], paths].sum(axis=1) + trans.start[paths[:, 0]]
         if T > 1:
             scores += trans.scores[paths[:, :-1], paths[:, 1:]].sum(axis=1)
-        if restrict_to_legal:
+        if rules is not None:
             keep = ~illegal_start[paths[:, 0]]
             if T > 1:
                 keep &= ~illegal_pair[paths[:, :-1], paths[:, 1:]].any(axis=1)
@@ -273,13 +270,12 @@ def _iter_scored_chunks(
 def brute_force_log_partition(
     emissions: np.ndarray,
     trans: TransitionMatrix,
-    restrict_to_legal: bool = False,
     rules: TransitionRuleSet | None = None,
 ) -> float:
     """Exact log Z by explicit enumeration (oracle for log_partition)."""
     parts = [
         logsumexp(scores)
-        for _, scores in _iter_scored_chunks(emissions, trans, restrict_to_legal, rules)
+        for _, scores in _iter_scored_chunks(emissions, trans, rules)
     ]
     if not parts:
         raise ValueError("no legal paths exist for this instance")
@@ -289,7 +285,6 @@ def brute_force_log_partition(
 def brute_force_best(
     emissions: np.ndarray,
     trans: TransitionMatrix,
-    restrict_to_legal: bool = False,
     rules: TransitionRuleSet | None = None,
 ) -> tuple[list[int], float]:
     """Exact argmax path by enumeration (oracle for viterbi).
@@ -301,7 +296,7 @@ def brute_force_best(
     """
     best_path: list[int] | None = None
     best_score = -np.inf
-    for paths, scores in _iter_scored_chunks(emissions, trans, restrict_to_legal, rules):
+    for paths, scores in _iter_scored_chunks(emissions, trans, rules):
         k = int(np.argmax(scores))
         if scores[k] > best_score:
             best_score = float(scores[k])
@@ -314,7 +309,6 @@ def brute_force_best(
 def brute_force_loss_and_gradients(
     batch: Batch,
     trans: TransitionMatrix,
-    restrict_to_legal: bool = False,
     rules: TransitionRuleSet | None = None,
 ) -> tuple[float, CrfGradients]:
     """Batch NLL and gradients by explicit enumeration (oracle for loss_and_gradients).
@@ -335,10 +329,10 @@ def brute_force_loss_and_gradients(
         emissions = _check_emissions(emissions)
         T = emissions.shape[0]
         tags = np.asarray(gold, dtype=np.intp)
-        log_z = brute_force_log_partition(emissions, trans, restrict_to_legal, rules)
+        log_z = brute_force_log_partition(emissions, trans, rules)
         total += log_z - path_score(emissions, trans, gold)
         d_em = np.zeros((T, d))
-        for paths, scores in _iter_scored_chunks(emissions, trans, restrict_to_legal, rules):
+        for paths, scores in _iter_scored_chunks(emissions, trans, rules):
             w = np.exp(scores - log_z)
             for t in range(T):
                 np.add.at(d_em[t], paths[:, t], w)

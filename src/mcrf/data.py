@@ -223,7 +223,7 @@ def load_model(path: str) -> ModelState:
         raise FormatError(f"{path}: invalid model file ({exc})") from None
     if state.mode == "mcrf-train":
         # masked training pins every masked entry to exactly mask_value
-        illegal_pair, illegal_start = state.mask_spec.masked_tables(d)
+        illegal_pair, illegal_start = state.mask_spec.rules.tables(d)
         want = np.float64(state.mask_value).tobytes()
         for field, masked in (
             ("transitions", state.trans.scores[illegal_pair]),

@@ -21,7 +21,7 @@ from .errors import ConfigurationError
 from .evaluation import ChunkMetrics, IllegalStats, score_paths
 from .masking import MaskSpec, constrained_viterbi, decode
 from .postproc import extract_segments
-from .schemes import Scheme, Tagset, first_violation, illegal_transition_set
+from .schemes import Scheme, Tagset, first_violation
 from .training import TrainConfig, train
 
 
@@ -55,15 +55,13 @@ def build_adversarial_instance(tagset: Tagset) -> AdversarialInstance:
     emissions[2, i] = 10.0
     emissions[2, b] = 1.0
     trans = TransitionMatrix.zeros(tagset.size)
-    spec = MaskSpec(rules=illegal_transition_set(tagset))
+    spec = MaskSpec(rules=tagset.rules)
     expected_illegal = [o, o, i, o, o]
     expected_legal = [o, o, b, o, o]
     checked, _ = brute_force_best(emissions, trans)
     if checked != expected_illegal or viterbi(emissions, trans) != expected_illegal:
         raise AssertionError("fixture lost its unconstrained optimum")
-    checked, _ = brute_force_best(
-        emissions, trans, restrict_to_legal=True, rules=spec.restriction_rules()
-    )
+    checked, _ = brute_force_best(emissions, trans, rules=spec.rules)
     if checked != expected_legal or constrained_viterbi(emissions, trans, spec) != expected_legal:
         raise AssertionError("fixture lost its constrained optimum")
     if first_violation(tagset, expected_illegal) is None:
@@ -120,17 +118,14 @@ def compare_systems(
     spec = mcrf_model.mask_spec
     gold_segments = [extract_segments(s.gold, tagset) for s in dev_sentences]
 
-    def emissions_for(model, sent):
-        return encode(model.vocab.lookup_all(sent.tokens), model.encoder)
+    def emissions_for(model) -> list[np.ndarray]:
+        return [encode(model.vocab.lookup_all(s.tokens), model.encoder) for s in dev_sentences]
 
-    zero_trans = TransitionMatrix.zeros(tagset.size)
-    def decode_all(model, trans, spec) -> list[list[int]]:
-        return [decode(emissions_for(model, s), trans, spec) for s in dev_sentences]
-
-    tagger_raw = decode_all(crf_model, zero_trans, None)
-    crf_raw = decode_all(crf_model, crf_model.trans, None)
-    mcrf_decode_raw = decode_all(crf_model, crf_model.trans, spec)
-    mcrf_train_raw = decode_all(mcrf_model, mcrf_model.trans, spec)
+    crf_emissions = emissions_for(crf_model)
+    tagger_raw = decode(crf_emissions, TransitionMatrix.zeros(tagset.size), None)
+    crf_raw = decode(crf_emissions, crf_model.trans, None)
+    mcrf_decode_raw = decode(crf_emissions, crf_model.trans, spec)
+    mcrf_train_raw = decode(emissions_for(mcrf_model), mcrf_model.trans, spec)
 
     def row(label: str, raw: list[list[int]], strategy: str) -> SystemRow:
         metrics, stats = score_paths(gold_segments, raw, tagset, strategy)

@@ -190,9 +190,11 @@ def write_logits(path: str, sequences: list[np.ndarray], tags: tuple[str, ...]) 
 def load_external_logits(
     path: str,
     tags: tuple[str, ...] | None = None,
-    expected_sentences: int | None = None,
+    lengths: list[int] | None = None,
 ) -> list[np.ndarray]:
-    """Read a logits file; validates width, tag names, and sentence count.
+    """Read a logits file; validates width, tag names, and, given the
+    companion corpus's sentence lengths, the sentence count and each
+    sentence's length.
 
     Every failure names the offending line number.
     """
@@ -219,6 +221,7 @@ def load_external_logits(
             f"tagset {list(tags)}"
         )
     sequences: list[np.ndarray] = []
+    first_lines: list[int] = []
     rows: list[list[float]] = []
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.rstrip("\r")
@@ -227,6 +230,8 @@ def load_external_logits(
                 sequences.append(np.asarray(rows, dtype=np.float64))
                 rows = []
             continue
+        if not rows:
+            first_lines.append(lineno)
         fields = line.split("\t")
         if len(fields) != d:
             raise FormatError(
@@ -241,9 +246,17 @@ def load_external_logits(
         rows.append(values)
     if rows:
         sequences.append(np.asarray(rows, dtype=np.float64))
-    if expected_sentences is not None and len(sequences) != expected_sentences:
+    if lengths is None:
+        return sequences
+    if len(sequences) != len(lengths):
         raise FormatError(
             f"{path}: holds {len(sequences)} sentences but the companion "
-            f"corpus has {expected_sentences}"
+            f"corpus has {len(lengths)}"
         )
+    for k, (seq, lineno, length) in enumerate(zip(sequences, first_lines, lengths)):
+        if len(seq) != length:
+            raise FormatError(
+                f"{path}:{lineno}: sentence {k + 1} has {len(seq)} rows but the "
+                f"companion corpus sentence has {length} tokens"
+            )
     return sequences

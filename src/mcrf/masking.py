@@ -2,7 +2,7 @@
 
 Masking replaces each illegal transition score (and, when start enforcement
 is on, each illegal start score) with a finite constant c << 0. Constrained
-decoding lowers c further for an instance whose scores could outweigh it, so
+decoding lowers c further for a corpus whose scores could outweigh it, so
 it never prefers an illegal path at any length. The masked NLL converges to
 the NLL computed over legal paths only as c decreases, with error on the
 order of e^c. c stays finite so every dynamic program remains
@@ -26,7 +26,7 @@ from .crf import (
     viterbi,
 )
 from .errors import ConfigurationError
-from .schemes import Tagset, TransitionRuleSet, illegal_transition_set, validate_gold_paths
+from .schemes import Tagset, TransitionRuleSet, validate_gold_paths
 
 DEFAULT_MASK_VALUE = -1e4
 _GUARD_MARGIN = 1e3
@@ -35,7 +35,9 @@ _GUARD_MARGIN = 1e3
 @dataclass(frozen=True)
 class MaskSpec:
     """Which entries to mask (rules), with what value (mask_value), and
-    whether illegal start tags are masked too (enforce_start)."""
+    whether illegal start tags are masked too (enforce_start). With start
+    enforcement off the start rules are dropped at construction, so rules
+    is exactly the set of entries the mask touches."""
 
     rules: TransitionRuleSet
     mask_value: float = DEFAULT_MASK_VALUE
@@ -46,18 +48,8 @@ class MaskSpec:
             raise ConfigurationError(
                 f"mask value must be finite and negative, got {self.mask_value}"
             )
-
-    def restriction_rules(self) -> TransitionRuleSet:
-        """Rules matching what the mask actually touches: start rules are
-        dropped when start enforcement is off."""
-        return self.rules if self.enforce_start else self.rules.without_start_rules()
-
-    def masked_tables(self, d: int) -> tuple[np.ndarray, np.ndarray]:
-        """Boolean (d, d) and (d,) tables of the entries the mask overwrites."""
-        illegal_pair, illegal_start = self.rules.tables(d)
-        if not self.enforce_start:
-            illegal_start = np.zeros(d, dtype=bool)
-        return illegal_pair, illegal_start
+        if not self.enforce_start and self.rules.illegal_starts:
+            object.__setattr__(self, "rules", self.rules.without_start_rules())
 
 
 def mask_spec_for(settings, tagset: Tagset) -> MaskSpec | None:
@@ -66,7 +58,7 @@ def mask_spec_for(settings, tagset: Tagset) -> MaskSpec | None:
     if settings.mode == "crf":
         return None
     return MaskSpec(
-        rules=illegal_transition_set(tagset),
+        rules=tagset.rules,
         mask_value=settings.mask_value,
         enforce_start=settings.enforce_start,
     )
@@ -81,7 +73,7 @@ def apply_mask(trans: TransitionMatrix, spec: MaskSpec) -> TransitionMatrix:
 
 def reapply_mask_in_place(trans: TransitionMatrix, spec: MaskSpec) -> None:
     """Overwrite masked entries with spec.mask_value (idempotent)."""
-    illegal_pair, illegal_start = spec.masked_tables(trans.num_tags)
+    illegal_pair, illegal_start = spec.rules.tables(trans.num_tags)
     trans.scores[illegal_pair] = spec.mask_value
     trans.start[illegal_start] = spec.mask_value
 
@@ -96,7 +88,7 @@ def guard_threshold(emissions_list: list[np.ndarray], trans: TransitionMatrix, s
     """
     t_max = max(e.shape[0] for e in emissions_list)
     max_l = max(float(np.max(np.abs(e))) for e in emissions_list)
-    illegal_pair, illegal_start = spec.masked_tables(trans.num_tags)
+    illegal_pair, illegal_start = spec.rules.tables(trans.num_tags)
     legal_a = np.abs(trans.scores[~illegal_pair])
     legal_s = np.abs(trans.start[~illegal_start])
     max_a = float(np.max(legal_a)) if legal_a.size else 0.0
@@ -104,25 +96,25 @@ def guard_threshold(emissions_list: list[np.ndarray], trans: TransitionMatrix, s
     return -(2.0 * t_max * (max_l + max_a + max_s) + _GUARD_MARGIN)
 
 
+def decode(
+    emissions_list: list[np.ndarray], trans: TransitionMatrix, spec: MaskSpec | None
+) -> list[list[int]]:
+    """The decode entry point, one path per sentence of a corpus: plain
+    Viterbi without a spec; under it, Viterbi through one mask, deepened to
+    the corpus's guard threshold when spec.mask_value does not clear it, so
+    that every masked path scores strictly below every legal one and each
+    path is the best legal one (lexicographic tie-break) at any length."""
+    if spec is not None and emissions_list:
+        mask_value = min(spec.mask_value, guard_threshold(emissions_list, trans, spec))
+        trans = apply_mask(trans, replace(spec, mask_value=mask_value))
+    return [viterbi(emissions, trans) for emissions in emissions_list]
+
+
 def constrained_viterbi(
     emissions: np.ndarray, trans: TransitionMatrix, spec: MaskSpec
 ) -> list[int]:
-    """Best legal path (lexicographic tie-break) at any length: Viterbi
-    under the mask, deepened to this instance's guard threshold when
-    spec.mask_value does not clear it, so that every masked path scores
-    strictly below every legal one."""
-    mask_value = min(spec.mask_value, guard_threshold([emissions], trans, spec))
-    return viterbi(emissions, apply_mask(trans, replace(spec, mask_value=mask_value)))
-
-
-def decode(
-    emissions: np.ndarray, trans: TransitionMatrix, spec: MaskSpec | None
-) -> list[int]:
-    """The decode entry point: plain Viterbi without a spec, constrained
-    Viterbi under it otherwise."""
-    if spec is None:
-        return viterbi(emissions, trans)
-    return constrained_viterbi(emissions, trans, spec)
+    """Best legal path of one sentence: decode([emissions], trans, spec)[0]."""
+    return decode([emissions], trans, spec)[0]
 
 
 def masked_nll(batch: Batch, trans: TransitionMatrix, tagset: Tagset, spec: MaskSpec) -> float:
@@ -138,10 +130,9 @@ def masked_nll(batch: Batch, trans: TransitionMatrix, tagset: Tagset, spec: Mask
 def restricted_nll(batch: Batch, trans: TransitionMatrix, spec: MaskSpec) -> float:
     """Exact NLL with the partition function summed over legal paths only
     (enumeration oracle; small instances only)."""
-    rules = spec.restriction_rules()
     total = 0.0
     for emissions, gold in batch:
-        log_z = brute_force_log_partition(emissions, trans, restrict_to_legal=True, rules=rules)
+        log_z = brute_force_log_partition(emissions, trans, rules=spec.rules)
         total += log_z - path_score(emissions, trans, gold)
     return total / len(batch)
 
@@ -160,11 +151,9 @@ def mask_convergence_gap(
     """
     masked = apply_mask(trans, spec)
     loss_m, grads_m = brute_force_loss_and_gradients(batch, masked)
-    loss_r, grads_r = brute_force_loss_and_gradients(
-        batch, trans, restrict_to_legal=True, rules=spec.restriction_rules()
-    )
+    loss_r, grads_r = brute_force_loss_and_gradients(batch, trans, rules=spec.rules)
     loss_gap = abs(loss_m - loss_r)
-    illegal_pair, illegal_start = spec.masked_tables(trans.num_tags)
+    illegal_pair, illegal_start = spec.rules.tables(trans.num_tags)
     grad_gap = 0.0
     for em_m, em_r in zip(grads_m.emissions, grads_r.emissions):
         grad_gap = max(grad_gap, float(np.max(np.abs(em_m - em_r))))

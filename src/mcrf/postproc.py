@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .schemes import Scheme, Tagset, canonical_run, decompose_tag, is_legal_start, is_legal_transition
+from .schemes import Scheme, Tagset, canonical_run, decompose_tag
 
 STRATEGIES = ("retain", "discard", "none")
 
@@ -57,10 +57,12 @@ def extract_segments(tags: list[int], tagset: Tagset) -> list[Segment]:
             )
             open_type = None
 
+    illegal_pair, illegal_start = tagset.rules.tables(tagset.size)
+
     def opening_is_legal(pos: int, tag: int) -> bool:
         if pos == 0:
-            return is_legal_start(tagset, tag)
-        return is_legal_transition(tagset, tags[pos - 1], tag)
+            return not illegal_start[tag]
+        return not illegal_pair[tags[pos - 1], tag]
 
     bioes = tagset.scheme is Scheme.BIOES
     for t, tag in enumerate(tags):

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,12 @@ class Tagset:
         if not 0 <= index < len(self.tags):
             raise ValueError(f"tag index {index} out of range [0, {len(self.tags)})")
         return self.tags[index]
+
+    @cached_property
+    def rules(self) -> "TransitionRuleSet":
+        """The compiled illegal transitions and starts, built on first use:
+        the one run-time answer to whether a path is legal."""
+        return illegal_transition_set(self)
 
 
 def build_tagset(scheme: Scheme | str, entity_types: list[str] | tuple[str, ...]) -> Tagset:
@@ -112,7 +119,7 @@ class TransitionRuleSet:
 
     Both sets are compiled once, at construction, into sorted index arrays;
     tables(d) expands them into the boolean lookup tables that masking,
-    training and the enumeration oracles read.
+    training, the enumeration oracles and every legality check read.
     """
 
     omega: frozenset[tuple[int, int]]
@@ -145,7 +152,8 @@ class TransitionRuleSet:
 
 
 def illegal_transition_set(tagset: Tagset) -> TransitionRuleSet:
-    """Enumerate every illegal (from, to) pair and every illegal start tag."""
+    """Enumerate every illegal (from, to) pair and every illegal start tag.
+    Use tagset.rules, which builds this once per tagset."""
     d = tagset.size
     omega = frozenset(
         (i, j) for i in range(d) for j in range(d) if not is_legal_transition(tagset, i, j)
@@ -176,10 +184,13 @@ def first_violation(
     """
     if len(path) == 0:
         raise ValueError("empty path")
-    if enforce_start and not is_legal_start(tagset, path[0]):
+    for tag in path:
+        tagset.tag_of(tag)  # ValueError for an index outside [0, d)
+    illegal_pair, illegal_start = tagset.rules.tables(tagset.size)
+    if enforce_start and illegal_start[path[0]]:
         return 0, f"{tagset.tag_of(path[0])} cannot start a sentence"
     for t in range(1, len(path)):
-        if not is_legal_transition(tagset, path[t - 1], path[t]):
+        if illegal_pair[path[t - 1], path[t]]:
             a, b = tagset.tag_of(path[t - 1]), tagset.tag_of(path[t])
             return t, f"{a} -> {b} is not a legal transition"
     return None

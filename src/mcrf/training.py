@@ -53,8 +53,12 @@ class TrainConfig:
             raise ConfigurationError(f"unknown mode {self.mode!r}, expected {TRAIN_MODES}")
         if self.batch_size < 1:
             raise ConfigurationError("batch size must be >= 1")
-        if self.learning_rate < 0:
-            raise ConfigurationError("learning rate must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigurationError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}"
+            )
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigurationError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
             raise ConfigurationError("Adam betas must lie in [0, 1)")
         if self.max_epochs < 0 or self.max_iterations < 0:
@@ -208,7 +212,12 @@ def train(
                     f"got {len(seqs)} emission sequences for "
                     f"{len(sentences)} {noun} sentences"
                 )
-            for k, em in enumerate(seqs):
+            for k, (em, sent) in enumerate(zip(seqs, sentences)):
+                if np.shape(em) != (len(sent.tokens), tagset.size):
+                    raise DataError(
+                        f"external {name} emissions, sentence {k + 1}: shape "
+                        f"{np.shape(em)}, expected ({len(sent.tokens)}, {tagset.size})"
+                    )
                 if not np.all(np.isfinite(em)):
                     raise TrainingError(
                         f"non-finite value in external {name} emissions, sentence {k + 1}"
@@ -292,15 +301,11 @@ def _evaluate(
     tagset: Tagset,
     gold_segments,
 ) -> EvalRecord:
-    dev_batch = []
-    predictions = []
-    for k, sent in enumerate(dev_sentences):
-        em = encode(dev_ids[k], enc) if dev_logits is None else dev_logits[k]
-        dev_batch.append((em, sent.gold))
-        predictions.append(decode(em, trans, spec))
+    emissions = dev_logits if dev_logits is not None else [encode(ids, enc) for ids in dev_ids]
+    predictions = decode(emissions, trans, spec)
     # in mcrf-train mode the live matrix already carries the mask, so this
     # is the masked objective; in the other modes it is the plain NLL
-    dev_nll = nll_loss(dev_batch, trans)
+    dev_nll = nll_loss([(em, s.gold) for em, s in zip(emissions, dev_sentences)], trans)
     metrics, stats = score_paths(gold_segments, predictions, tagset, "none")
     return EvalRecord(
         iteration=iteration,

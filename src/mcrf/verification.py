@@ -22,7 +22,7 @@ from .crf import (
 )
 from .encoder import EncoderWeights, Vocabulary, encode, encoder_backward
 from .masking import MaskSpec, apply_mask, mask_convergence_gap
-from .schemes import TransitionRuleSet, build_tagset, illegal_transition_set
+from .schemes import TransitionRuleSet, build_tagset
 
 
 @dataclass(frozen=True)
@@ -121,18 +121,19 @@ def _fd_crf(batch, trans, h: float = 1e-5) -> float:
 
 def check_gradients(seed: int = 2, instances: int = 20, masked: bool = False) -> CheckResult:
     rng = np.random.default_rng(seed)
+    tagset = build_tagset("bio", ["A"])
+    spec = MaskSpec(rules=tagset.rules)
+    d = tagset.size
     worst = 0.0
     for _ in range(instances):
         T = int(rng.integers(2, 5))
-        tagset = build_tagset("bio", ["A"])
-        d = tagset.size
         emissions = rng.uniform(-2.0, 2.0, size=(T, d))
         trans = TransitionMatrix(
             rng.uniform(-2.0, 2.0, size=(d, d)), rng.uniform(-2.0, 2.0, size=d)
         )
         gold = [0] * T
         if masked:
-            trans = apply_mask(trans, MaskSpec(rules=illegal_transition_set(tagset)))
+            trans = apply_mask(trans, spec)
         worst = max(worst, _fd_crf([(emissions, gold)], trans))
     label = "masked" if masked else "unmasked"
     return CheckResult(
@@ -183,7 +184,6 @@ def check_mask_convergence(seed: int = 4, instances: int = 8) -> CheckResult:
     at c = -30; with no illegal entries both gaps are exactly zero."""
     rng = np.random.default_rng(seed)
     tagset = build_tagset("bio", ["A", "B"])
-    rules = illegal_transition_set(tagset)
     d = tagset.size
     values = (-5.0, -10.0, -20.0, -30.0)
     per_value = {c: 0.0 for c in values}
@@ -196,7 +196,7 @@ def check_mask_convergence(seed: int = 4, instances: int = 8) -> CheckResult:
         gold = [0] * T
         for c in values:
             loss_gap, grad_gap = mask_convergence_gap(
-                [(emissions, gold)], trans, MaskSpec(rules=rules, mask_value=c)
+                [(emissions, gold)], trans, MaskSpec(rules=tagset.rules, mask_value=c)
             )
             per_value[c] = max(per_value[c], max(loss_gap, grad_gap))
     monotone = all(
@@ -221,8 +221,7 @@ def check_legal_scores_unchanged(seed: int = 5, instances: int = 100) -> CheckRe
     """Masking must leave the score of every legal path bitwise unchanged."""
     rng = np.random.default_rng(seed)
     tagset = build_tagset("bio", ["A", "B"])
-    rules = illegal_transition_set(tagset)
-    spec = MaskSpec(rules=rules)
+    spec = MaskSpec(rules=tagset.rules)
     d = tagset.size
     worst = 0.0
     for _ in range(instances):
@@ -250,7 +249,7 @@ def check_mask_idempotence(seed: int = 6, instances: int = 50) -> CheckResult:
     """apply_mask twice must equal apply_mask once, bitwise."""
     rng = np.random.default_rng(seed)
     tagset = build_tagset("bioes", ["A", "B"])
-    spec = MaskSpec(rules=illegal_transition_set(tagset))
+    spec = MaskSpec(rules=tagset.rules)
     d = tagset.size
     mismatches = 0
     for _ in range(instances):
@@ -274,14 +273,10 @@ def check_mask_idempotence(seed: int = 6, instances: int = 50) -> CheckResult:
 
 
 def _random_legal_path(rng: np.random.Generator, tagset, T: int) -> list[int]:
-    from .schemes import is_legal_start, is_legal_transition
-
-    d = tagset.size
-    starts = [i for i in range(d) if is_legal_start(tagset, i)]
-    path = [int(rng.choice(starts))]
+    illegal_pair, illegal_start = tagset.rules.tables(tagset.size)
+    path = [int(rng.choice(np.flatnonzero(~illegal_start)))]
     for _ in range(T - 1):
-        nxt = [j for j in range(d) if is_legal_transition(tagset, path[-1], j)]
-        path.append(int(rng.choice(nxt)))
+        path.append(int(rng.choice(np.flatnonzero(~illegal_pair[path[-1]]))))
     return path
 
 

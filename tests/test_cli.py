@@ -12,7 +12,7 @@ from mcrf import schemes
 from mcrf.cli import main
 from mcrf.data import LabeledSentence, ModelState, load_model, read_conll, save_model, write_conll
 from mcrf.encoder import EncoderWeights, Vocabulary, encode, write_logits
-from mcrf.masking import MaskSpec, apply_mask, guard_threshold
+from mcrf.masking import MaskSpec, apply_mask, constrained_viterbi, decode, guard_threshold
 from mcrf.schemes import Scheme, build_tagset, first_violation, illegal_transition_set
 from mcrf.crf import TransitionMatrix, viterbi
 
@@ -193,6 +193,40 @@ class TestTrain:
         assert err.startswith("error:") and "mask value must be finite" in err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_learning_rate_fails_cleanly(self, corpus, tmp_path, capsys, value):
+        model_path = tmp_path / "m.json"
+        code = main([
+            "train", "--data", corpus["train"], "--dev", corpus["dev"],
+            "--mode", "mcrf-train", "--lr", value, "--out", str(model_path), *FAST_TRAIN,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "learning_rate must be finite" in err
+        assert "Traceback" not in err
+        assert not model_path.exists()
+
+    def test_external_emissions_length_mismatch_fails_cleanly(self, corpus, tmp_path, capsys):
+        tagset = build_tagset(Scheme.BIO, ["LOC", "ORG"])
+        paths = {}
+        for side in ("train", "dev"):
+            lengths = [len(s.tokens) for s in read_conll(corpus[side], tagset)]
+            if side == "dev":
+                lengths[1] += 1
+            paths[side] = str(tmp_path / f"{side}.logits")
+            write_logits(paths[side], [np.zeros((n, tagset.size)) for n in lengths], tagset.tags)
+        model_path = tmp_path / "m.json"
+        code = main([
+            "train", "--data", corpus["train"], "--dev", corpus["dev"],
+            "--emissions", paths["train"], "--dev-emissions", paths["dev"],
+            "--out", str(model_path), *FAST_TRAIN,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {paths['dev']}:") and ": sentence 2 has " in err
+        assert "Traceback" not in err
+        assert not model_path.exists()
+
     def test_external_emissions_route(self, corpus, tmp_path):
         tagset = build_tagset(Scheme.BIO, ["LOC", "ORG"])
         train_sents = read_conll(corpus["train"], tagset)
@@ -301,6 +335,39 @@ class TestPredict:
         assert decoded == [tagset.index_of("B-LOC"), tagset.index_of("I-LOC")]
         assert pred[0].tokens == ["a", "b"]
 
+    @pytest.mark.parametrize("mode", ["crf", "mcrf-decode"])
+    def test_empty_corpus_predicts_and_evaluates(self, tmp_path, capsys, mode):
+        model_path, _ = bias_model(tmp_path, mode)
+        empty = tmp_path / "empty.conll"
+        empty.write_text("")
+        out = tmp_path / "pred.conll"
+        assert main(["predict", "--model", model_path, "--data", str(empty),
+                     "--out", str(out)]) == 0
+        assert out.read_text() == ""
+        assert main(["eval", "--model", model_path, "--data", str(empty)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delta", [-1, 2])
+    def test_logits_of_the_wrong_length_fail_cleanly(self, tmp_path, capsys, delta):
+        """Logits one token short used to crash with an IndexError and leave
+        a partial file; two tokens long were silently truncated."""
+        model_path, tagset = bias_model(tmp_path, "mcrf-decode")
+        two = tmp_path / "two.conll"
+        two.write_text("a\tO\nb\tO\n\na\tO\nb\tO\n\n")
+        logits = str(tmp_path / "x.logits")
+        write_logits(logits, [np.zeros((2, tagset.size)), np.zeros((2 + delta, tagset.size))],
+                     tagset.tags)
+        message = (f"error: {logits}:5: sentence 2 has {2 + delta} rows but the "
+                   f"companion corpus sentence has 2 tokens")
+        out = tmp_path / "pred.conll"
+        assert main(["predict", "--model", model_path, "--data", str(two),
+                     "--emissions", logits, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == message
+        assert not out.exists()
+        assert main(["eval", "--model", model_path, "--data", str(two),
+                     "--emissions", logits]) == 1
+        assert capsys.readouterr().err.strip() == message
+
     def test_trained_model_round_trip(self, corpus, tmp_path):
         model_path = str(tmp_path / "model.json")
         main(["train", "--data", corpus["train"], "--dev", corpus["dev"],
@@ -362,10 +429,11 @@ class TestPredict:
 
 
 class TestLongSentence:
-    def test_thousand_tokens_decode_to_the_best_legal_path(self, tmp_path):
-        """At 1000 tokens the default c = -1e4 no longer clears the guard of
-        a briefly trained masked model; predict and eval still decode the
-        exact legal argmax: Viterbi under a mask far below every path score."""
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        """A briefly trained BIOES mcrf-train model, and the rows of one
+        1000-token sentence made of its legal training sentences."""
+        tmp_path = tmp_path_factory.mktemp("long")
         prefix = str(tmp_path / "s")
         main(["gen-synth", "--sentences", "40", "--types", "2", "--scheme", "bioes",
               "--seed", "5", "--out-prefix", prefix])
@@ -377,11 +445,19 @@ class TestLongSentence:
             "--eval-every", "10", "--embedding-dim", "8", "--out", model_path,
         ]) == 0
         model = load_model(model_path)
-        tagset, spec = model.tagset, model.mask_spec
         # legal BIOES sentences concatenate into a legal sentence
-        rows = [(tok, tag) for sent in read_conll(f"{prefix}_train.conll", tagset)
+        rows = [(tok, tag) for sent in read_conll(f"{prefix}_train.conll", model.tagset)
                 for tok, tag in zip(sent.tokens, sent.gold)]
         rows = (rows * (1000 // len(rows) + 1))[:1000]
+        return model_path, prefix, rows
+
+    def test_thousand_tokens_decode_to_the_best_legal_path(self, trained, tmp_path):
+        """At 1000 tokens the default c = -1e4 no longer clears the guard of
+        a briefly trained masked model; predict and eval still decode the
+        exact legal argmax: Viterbi under a mask far below every path score."""
+        model_path, _, rows = trained
+        model = load_model(model_path)
+        tagset, spec = model.tagset, model.mask_spec
         long_path = str(tmp_path / "long.conll")
         write_conll(long_path, [LabeledSentence([t for t, _ in rows], [g for _, g in rows])], tagset)
         emissions = encode(model.vocab.lookup_all(t for t, _ in rows), model.encoder)
@@ -396,6 +472,24 @@ class TestLongSentence:
         deep = apply_mask(model.trans, replace(spec, mask_value=-1e12))
         assert raw == viterbi(emissions, deep)
         assert main(["eval", "--model", model_path, "--data", long_path]) == 0
+
+    def test_mixed_corpus_decodes_each_sentence_as_it_decodes_alone(self, trained):
+        """One mask, deepened for the 1000-token sentence, serves the whole
+        corpus: the short sentences, which clear the guard at c alone, get
+        the same paths as when each is decoded on its own."""
+        model_path, prefix, rows = trained
+        model = load_model(model_path)
+        spec = model.mask_spec
+        short = [encode(model.vocab.lookup_all(s.tokens), model.encoder)
+                 for s in read_conll(f"{prefix}_dev.conll", model.tagset)]
+        long = encode(model.vocab.lookup_all(t for t, _ in rows), model.encoder)
+        corpus = short[:2] + [long] + short[2:]
+        assert spec.mask_value > guard_threshold([long], model.trans, spec)
+        assert spec.mask_value < guard_threshold(short, model.trans, spec)
+        paths = decode(corpus, model.trans, spec)
+        assert paths == [constrained_viterbi(e, model.trans, spec) for e in corpus]
+        deep = apply_mask(model.trans, replace(spec, mask_value=-1e12))
+        assert paths == [viterbi(e, deep) for e in corpus]
 
 
 class TestEval:

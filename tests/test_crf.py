@@ -321,7 +321,7 @@ class TestBruteForceRestriction:
         ts = build_tagset(Scheme.BIO, ["PER"])
         rules = illegal_transition_set(ts)
         value = brute_force_log_partition(
-            np.zeros((2, 3)), TransitionMatrix.zeros(3), restrict_to_legal=True, rules=rules
+            np.zeros((2, 3)), TransitionMatrix.zeros(3), rules=rules
         )
         assert value == pytest.approx(math.log(5.0), abs=1e-12)
 
@@ -332,7 +332,7 @@ class TestBruteForceRestriction:
         emissions, trans = random_instance(rng, T=3, d=3)
         empty = TransitionRuleSet(frozenset(), frozenset())
         assert brute_force_log_partition(
-            emissions, trans, restrict_to_legal=True, rules=empty
+            emissions, trans, rules=empty
         ) == pytest.approx(brute_force_log_partition(emissions, trans), abs=1e-12)
 
     def test_restricted_best_avoids_illegal_paths(self):
@@ -345,7 +345,7 @@ class TestBruteForceRestriction:
         trans = TransitionMatrix.zeros(3)
         free_path, _ = brute_force_best(emissions, trans)
         assert free_path == [ts.index_of("I-PER")] * 3
-        legal_path, _ = brute_force_best(emissions, trans, restrict_to_legal=True, rules=rules)
+        legal_path, _ = brute_force_best(emissions, trans, rules=rules)
         from mcrf.schemes import first_violation
 
         assert first_violation(ts, legal_path) is None
@@ -357,7 +357,7 @@ class TestBruteForceRestriction:
         emissions = np.zeros((1, 3))
         emissions[0, ts.index_of("I-PER")] = 5.0
         path, _ = brute_force_best(
-            emissions, TransitionMatrix.zeros(3), restrict_to_legal=True, rules=rules
+            emissions, TransitionMatrix.zeros(3), rules=rules
         )
         assert path == [0]
 

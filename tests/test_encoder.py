@@ -182,7 +182,7 @@ class TestLogitsFile:
         sequences = [rng.normal(size=(3, 3)), rng.normal(size=(5, 3))]
         path = str(tmp_path / "logits.tsv")
         write_logits(path, sequences, self.TAGS)
-        loaded = load_external_logits(path, tags=self.TAGS, expected_sentences=2)
+        loaded = load_external_logits(path, tags=self.TAGS, lengths=[3, 5])
         assert len(loaded) == 2
         np.testing.assert_array_equal(loaded[0], sequences[0])
         np.testing.assert_array_equal(loaded[1], sequences[1])
@@ -231,8 +231,20 @@ class TestLogitsFile:
         path = str(tmp_path / "logits.tsv")
         write_logits(path, [np.zeros((2, 3))], self.TAGS)
         with pytest.raises(FormatError) as err:
-            load_external_logits(str(path), expected_sentences=3)
+            load_external_logits(str(path), lengths=[2, 2, 2])
         assert "3" in str(err.value)
+
+    def test_sentence_length_mismatch_names_file_line_and_sentence(self, tmp_path):
+        path = str(tmp_path / "logits.tsv")
+        write_logits(path, [np.zeros((2, 3)), np.zeros((3, 3)), np.zeros((1, 3))], self.TAGS)
+        assert len(load_external_logits(path, lengths=[2, 3, 1])) == 3
+        for lengths in ([2, 4, 1], [2, 2, 1]):
+            with pytest.raises(FormatError) as err:
+                load_external_logits(path, lengths=lengths)
+            assert str(err.value) == (
+                f"{path}:5: sentence 2 has 3 rows but the companion corpus "
+                f"sentence has {lengths[1]} tokens"
+            )
 
     def test_missing_trailing_blank_line_tolerated(self, tmp_path):
         path = tmp_path / "logits.tsv"

@@ -17,6 +17,7 @@ from mcrf.masking import (
     MaskSpec,
     apply_mask,
     constrained_viterbi,
+    decode,
     guard_threshold,
     masked_nll,
     mask_convergence_gap,
@@ -78,8 +79,8 @@ class TestMaskSpec:
 
     def test_restriction_rules_track_start_enforcement(self):
         spec = spec_for(BIO1, enforce_start=False)
-        assert spec.restriction_rules().illegal_starts == frozenset()
-        assert spec_for(BIO1).restriction_rules().illegal_starts != frozenset()
+        assert spec.rules.illegal_starts == frozenset()
+        assert spec_for(BIO1).rules.illegal_starts != frozenset()
 
 
 class TestApplyMask:
@@ -153,6 +154,13 @@ class TestApplyMask:
             apply_mask(TransitionMatrix.zeros(3), MaskSpec(rules))
 
 
+class TestDecode:
+    def test_empty_corpus_decodes_to_no_paths(self):
+        trans = TransitionMatrix.zeros(3)
+        assert decode([], trans, None) == []
+        assert decode([], trans, spec_for(BIO1)) == []
+
+
 class TestConstrainedViterbi:
     def test_never_emits_masked_transitions(self):
         rng = np.random.default_rng(3)
@@ -187,7 +195,7 @@ class TestConstrainedViterbi:
             )
             path = constrained_viterbi(emissions, trans, spec)
             oracle, _ = brute_force_best(
-                emissions, trans, restrict_to_legal=True, rules=spec.rules
+                emissions, trans, rules=spec.rules
             )
             assert path == oracle
 
@@ -216,7 +224,7 @@ class TestConstrainedViterbi:
             assert spec.mask_value > guard_threshold([emissions], trans, spec)
             path = constrained_viterbi(emissions, trans, spec)
             oracle, _ = brute_force_best(
-                emissions, trans, restrict_to_legal=True, rules=spec.rules
+                emissions, trans, rules=spec.rules
             )
             assert path == oracle
 

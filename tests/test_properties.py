@@ -1,5 +1,6 @@
-"""Property tests over random BIO/BIOES tagsets: constrained decoding against
-the restricted enumeration oracle, and the repair rules.
+"""Property tests over random BIO/BIOES tagsets: constrained decoding of one
+sentence and of a corpus against the restricted enumeration oracle, and the
+repair rules.
 
 Scores are integer-valued so that the dynamic program and the enumeration
 sum every path exactly; with decimal scores the two can order a near-tie
@@ -11,14 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcrf.crf import TransitionMatrix, brute_force_best
-from mcrf.masking import MaskSpec, constrained_viterbi
+from mcrf.masking import MaskSpec, constrained_viterbi, decode
 from mcrf.postproc import extract_segments, repair_tags
 from mcrf.schemes import (
     Scheme,
     build_tagset,
     canonical_run,
     first_violation,
-    illegal_transition_set,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=150, derandomize=True, deadline=None)
@@ -39,17 +39,19 @@ def _scores(draw, shape, bound):
 
 
 @st.composite
-def instances(draw):
-    """(tagset, emissions, trans, spec) small enough to enumerate."""
+def corpora(draw, max_sentences):
+    """(tagset, emissions list, trans, spec), each sentence small enough to
+    enumerate."""
     tagset = draw(tagsets())
     d = tagset.size
     t_max = max(t for t in range(1, 8) if d**t <= MAX_PATHS)
-    T = draw(st.integers(1, t_max))
-    bound = draw(st.sampled_from([1, 3, 100, 100_000]))
-    emissions = _scores(draw, (T, d), bound)
+    lengths = draw(st.lists(st.integers(1, t_max), min_size=1, max_size=max_sentences))
+    bounds = st.sampled_from([1, 3, 100, 100_000])
+    emissions = [_scores(draw, (T, d), draw(bounds)) for T in lengths]
+    bound = draw(bounds)
     trans = TransitionMatrix(_scores(draw, (d, d), bound), _scores(draw, (d,), bound))
     spec = MaskSpec(
-        rules=illegal_transition_set(tagset),
+        rules=tagset.rules,
         mask_value=draw(st.sampled_from([-1.0, -1e4, -1e9])),
         enforce_start=draw(st.booleans()),
     )
@@ -81,15 +83,23 @@ def legal_paths(draw):
 
 
 @PROPERTY_SETTINGS
-@given(instances())
-def test_constrained_viterbi_is_the_restricted_oracle_argmax(instance):
-    tagset, emissions, trans, spec = instance
+@given(corpora(max_sentences=1))
+def test_constrained_viterbi_is_the_restricted_oracle_argmax(corpus):
+    tagset, [emissions], trans, spec = corpus
     path = constrained_viterbi(emissions, trans, spec)
-    oracle, _ = brute_force_best(
-        emissions, trans, restrict_to_legal=True, rules=spec.restriction_rules()
-    )
+    oracle, _ = brute_force_best(emissions, trans, rules=spec.rules)
     assert path == oracle
     assert first_violation(tagset, path, enforce_start=spec.enforce_start) is None
+
+
+@PROPERTY_SETTINGS
+@given(corpora(max_sentences=3))
+def test_decode_gives_each_sentence_its_restricted_oracle_argmax(corpus):
+    """One mask serves the corpus even where one sentence needs it deeper
+    than another."""
+    _, emissions, trans, spec = corpus
+    oracle = [brute_force_best(em, trans, rules=spec.rules)[0] for em in emissions]
+    assert decode(emissions, trans, spec) == oracle
 
 
 @PROPERTY_SETTINGS

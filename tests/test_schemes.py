@@ -200,6 +200,11 @@ class TestRuleSet:
         assert rules.illegal_starts == frozenset()
         assert len(rules.omega) == 1
 
+    def test_tagset_builds_its_rule_set_once(self):
+        ts = build_tagset(Scheme.BIOES, ["LOC", "ORG"])
+        assert ts.rules is ts.rules
+        assert ts.rules == illegal_transition_set(ts)
+
 
 class TestCanonicalRun:
     def test_runs_by_scheme_and_length(self):
@@ -246,3 +251,11 @@ class TestFirstViolation:
         pos, rule = first_violation(ts, [ts.index_of("E-PER")])
         assert pos == 0
         assert rule == "E-PER cannot start a sentence"
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_out_of_range_index_raises(self, scheme):
+        ts = build_tagset(scheme, ["PER"])
+        for bad in (-1, ts.size):
+            for path in ([bad], [0, bad], [0, 0, bad]):
+                with pytest.raises(ValueError, match="out of range"):
+                    first_violation(ts, path)

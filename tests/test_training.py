@@ -52,6 +52,16 @@ class TestTrainConfig:
     def test_zero_learning_rate_is_allowed(self):
         TrainConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_learning_rate_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="learning_rate must be finite"):
+            TrainConfig(learning_rate=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1e-8, np.nan, np.inf])
+    def test_non_positive_or_non_finite_epsilon_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="epsilon must be finite and > 0"):
+            TrainConfig(epsilon=value)
+
     @pytest.mark.parametrize("mode", ["crf", "mcrf-decode", "mcrf-train"])
     @pytest.mark.parametrize("value", [-np.inf, np.nan, np.inf])
     def test_non_finite_mask_value_rejected(self, mode, value):
@@ -232,7 +242,7 @@ class TestTrainLoop:
         )
         illegal_pair, illegal_start = MaskSpec(
             illegal_transition_set(tagset), mask_value=c
-        ).masked_tables(tagset.size)
+        ).rules.tables(tagset.size)
         assert illegal_pair.any() and illegal_start.any()
         seen = []
 
@@ -357,6 +367,28 @@ class TestTrainLoop:
             train(train_s, dev_s, TrainConfig(max_epochs=1), tagset,
                   train_logits=logits, dev_logits=dev_logits + dev_logits)
         assert str(err.value) == "got 12 emission sequences for 6 dev sentences"
+
+    def test_external_emission_shape_mismatch_rejected(self):
+        tagset, (train_s, dev_s) = tiny_corpus()
+        logits = [np.zeros((len(s.tokens), tagset.size)) for s in train_s]
+        dev_logits = [np.zeros((len(s.tokens), tagset.size)) for s in dev_s]
+        T = len(train_s[1].tokens)
+        for bad in (np.zeros((T + 1, tagset.size)), np.zeros((T, tagset.size + 1)), np.zeros(T)):
+            poisoned = list(logits)
+            poisoned[1] = bad
+            with pytest.raises(DataError) as err:
+                train(train_s, dev_s, TrainConfig(max_epochs=1), tagset,
+                      train_logits=poisoned, dev_logits=dev_logits)
+            assert str(err.value) == (
+                f"external train emissions, sentence 2: shape {bad.shape}, "
+                f"expected ({T}, {tagset.size})"
+            )
+        T = len(dev_s[0].tokens)
+        poisoned = list(dev_logits)
+        poisoned[0] = np.zeros((T - 1, tagset.size))
+        with pytest.raises(DataError, match=r"external dev emissions, sentence 1: shape"):
+            train(train_s, dev_s, TrainConfig(max_epochs=1), tagset,
+                  train_logits=logits, dev_logits=poisoned)
 
     def test_mcrf_train_decodes_legally_during_eval(self):
         tagset, (train_s, dev_s) = tiny_corpus()
