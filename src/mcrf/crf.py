@@ -7,7 +7,19 @@ A path p = (n_1 .. n_T) over d tags scores
 
 where l is the (T, d) emission matrix and a the (d, d) transition matrix.
 The start vector defaults to zero, in which case it contributes nothing.
-All dynamic programs run in log space with float64.
+
+One float64 engine runs forward-backward over a left-aligned padded (B, T, d)
+batch; one sentence is a batch of one. The forward pass is a scaled
+log-matmul-exp: with r the row maxima of a and K = exp(a - r[:, None]) (entries
+<= 1, masked ones exact zeros), m = max_i(alpha_{t-1,i} + r_i), u_t =
+exp(alpha_{t-1} + r - m), v_t = u_t @ K, alpha_t = l_t + m + log v_t. Its
+adjoint gives the marginals gamma_{t-1} = u_t * (K @ w_t) and the expected
+counts K * sum_t u_t^T w_t, with w_t = gamma_t / v_t; no (d, d) tensor is built
+per position. v_t sums nonnegative terms, each rounded by at most 2^-1074, so
+while it stays above 2^52 times the smallest normal float (~1e-292) a step keeps
+relative precision near machine epsilon at any score magnitude and no sum of
+w_t overflows. A row whose v_t falls below that (at score gaps of ~670 or more)
+redoes the step in log space over its (rows, d, d) scores, forward and backward.
 
 The brute-force routines enumerate all d^T paths (optionally restricted to
 the legal subset defined by a TransitionRuleSet) in lexicographic order and
@@ -25,6 +37,7 @@ from .schemes import TransitionRuleSet
 
 MAX_BRUTE_FORCE_PATHS = 10_000_000
 _CHUNK = 1 << 16
+_UNDERFLOW = np.finfo(np.float64).tiny * 2.0**52  # v_t below this takes the log-space step
 
 Batch = list[tuple[np.ndarray, list[int]]]  # (emissions, gold path) pairs
 
@@ -112,61 +125,88 @@ def path_score(emissions: np.ndarray, trans: TransitionMatrix, path: list[int]) 
     return float(score)
 
 
-def forward_log_alphas(emissions: np.ndarray, trans: TransitionMatrix) -> np.ndarray:
-    """Forward messages: alpha[t, j] = log sum over prefixes ending in j at t."""
-    emissions = _check_emissions(emissions)
-    T, d = emissions.shape
-    alpha = np.empty((T, d))
-    alpha[0] = trans.start + emissions[0]
+def _forward_backward(
+    emissions: np.ndarray, lengths: np.ndarray, trans: TransitionMatrix, gradients: bool
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """log Z (B,) of a padded batch and, with gradients, the position marginals
+    (B, T, d) and expected transition counts. Steps past a sentence's end run
+    on unused: log Z is read at the end, and the backward pass starts there."""
+    B, T, d = emissions.shape
+    r = trans.scores.max(axis=1)
+    K = np.exp(trans.scores - r[:, None])
+    alpha, u, v = np.empty((3, B, T, d))
+    alpha[:, 0] = trans.start + emissions[:, 0]
+    guarded = {}  # step -> (rows redone in log space, their log-sum-exp over i)
     for t in range(1, T):
-        alpha[t] = emissions[t] + logsumexp(alpha[t - 1][:, None] + trans.scores, axis=0)
-    return alpha
+        x = alpha[:, t - 1] + r
+        m = x.max(axis=1, keepdims=True)
+        np.matmul(np.exp(np.subtract(x, m, out=x), out=u[:, t]), K, out=v[:, t])
+        if v[:, t].min() < _UNDERFLOW:
+            low = (v[:, t] < _UNDERFLOW).any(axis=1)
+            v[low, t] = np.inf  # zero weight in the product-form adjoint
+            guarded[t] = low, logsumexp(alpha[low, t - 1, :, None] + trans.scores, axis=1)
+        alpha[:, t] = np.log(v[:, t]) + m + emissions[:, t]
+        if t in guarded:
+            alpha[low, t] = emissions[low, t] + guarded[t][1]
+    ends = np.arange(B), lengths - 1
+    top = alpha[ends].max(axis=1, keepdims=True)
+    p = np.exp(alpha[ends] - top)
+    log_z = top[:, 0] + np.log(p.sum(axis=1))
+    if not gradients:
+        return log_z, None, None
+    gamma, w, counts = np.zeros((B, T, d)), np.zeros((B, T, d)), np.zeros((d, d))
+    gamma[ends] = p / p.sum(axis=1, keepdims=True)
+    for t in range(T - 1, 0, -1):
+        np.divide(gamma[:, t], v[:, t], out=w[:, t])
+        gamma[:, t - 1] += u[:, t] * (w[:, t] @ K.T)
+        if t in guarded:
+            low, lse = guarded[t]
+            pair = np.exp(alpha[low, t - 1, :, None] + trans.scores - lse[:, None])
+            pair *= gamma[low, t, None]
+            gamma[low, t - 1] += pair.sum(axis=2)
+            counts += pair.sum(axis=0)
+    counts += K * (u[:, 1:].reshape(-1, d).T @ w[:, 1:].reshape(-1, d))
+    return log_z, gamma, counts
 
 
-def backward_log_betas(emissions: np.ndarray, trans: TransitionMatrix) -> np.ndarray:
-    """Backward messages: beta[t, i] = log sum over suffixes starting after (t, i)."""
-    emissions = _check_emissions(emissions)
-    T, d = emissions.shape
-    beta = np.zeros((T, d))
-    for t in range(T - 2, -1, -1):
-        beta[t] = logsumexp(trans.scores + (emissions[t + 1] + beta[t + 1])[None, :], axis=1)
-    return beta
+def _batch_nll(batch: Batch, trans: TransitionMatrix, gradients: bool):
+    """Mean NLL and, with gradients, CrfGradients, over the padded batch."""
+    if not batch:
+        raise ValueError("empty batch")
+    d, n = trans.num_tags, len(batch)
+    lengths = np.array([len(gold) for _, gold in batch])
+    T = lengths.max()
+    emissions, tags = np.zeros((n, T, d)), np.zeros((n, T), dtype=np.intp)
+    for k, (em, gold) in enumerate(batch):
+        if np.shape(em) != (len(gold), d) or not len(gold):
+            shape = f"({len(gold) or 'T >= 1'}, {d})"
+            raise ValueError(f"sentence {k + 1}: emissions of shape {np.shape(em)}, need {shape}")
+        emissions[k, : len(gold)], tags[k, : len(gold)] = em, gold
+    if tags.min() < 0 or tags.max() >= d:
+        raise ValueError("gold path contains a tag index out of range")
+    log_z, d_em, counts = _forward_backward(emissions, lengths, trans, gradients)
+    rows, cols = np.arange(n)[:, None], np.arange(T)
+    moves = (tags[:, :-1] * d + tags[:, 1:])[cols[1:] < lengths[:, None]]
+    gold = emissions[rows, cols, tags].sum() + trans.scores.ravel()[moves].sum()
+    loss = float((log_z.sum() - gold - trans.start[tags[:, 0]].sum()) / n)
+    if not gradients:
+        return loss, None
+    d_em[rows, cols, tags] -= 1.0
+    d_em /= n
+    d_trans = (counts - np.bincount(moves, minlength=d * d).reshape(d, d)) / n
+    per_sentence = [em[:length] for em, length in zip(d_em, lengths)]
+    return loss, CrfGradients(per_sentence, d_trans, d_em[:, 0].sum(axis=0))
 
 
 def log_partition(emissions: np.ndarray, trans: TransitionMatrix) -> float:
-    """log Z: log-sum-exp of all d^T path scores, computed by the forward pass."""
-    alpha = forward_log_alphas(emissions, trans)
-    return float(logsumexp(alpha[-1]))
-
-
-def posterior_marginals(
-    emissions: np.ndarray, trans: TransitionMatrix
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Position marginals P(y_t = j), pairwise marginals P(y_t = i, y_{t+1} = j), log Z."""
-    emissions = _check_emissions(emissions)
-    T, d = emissions.shape
-    alpha = forward_log_alphas(emissions, trans)
-    beta = backward_log_betas(emissions, trans)
-    log_z = float(logsumexp(alpha[-1]))
-    unary = np.exp(alpha + beta - log_z)
-    pairwise = np.empty((max(T - 1, 0), d, d))
-    for t in range(T - 1):
-        pairwise[t] = np.exp(
-            alpha[t][:, None] + trans.scores + (emissions[t + 1] + beta[t + 1])[None, :] - log_z
-        )
-    return unary, pairwise, log_z
-
-
-def sequence_nll(emissions: np.ndarray, trans: TransitionMatrix, gold: list[int]) -> float:
-    """Negative log-likelihood of one gold path: log Z - s(gold)."""
-    return log_partition(emissions, trans) - path_score(emissions, trans, gold)
+    """log Z: log-sum-exp of all d^T path scores, the engine at B = 1."""
+    emissions = _check_emissions(emissions)[None]
+    return float(_forward_backward(emissions, np.array([emissions.shape[1]]), trans, False)[0][0])
 
 
 def nll_loss(batch: Batch, trans: TransitionMatrix) -> float:
-    """Mean NLL over a batch of (emissions, gold) pairs."""
-    if not batch:
-        raise ValueError("empty batch")
-    return float(np.mean([sequence_nll(e, trans, g) for e, g in batch]))
+    """Mean NLL over a batch of (emissions, gold) pairs: log Z - s(gold)."""
+    return _batch_nll(batch, trans, gradients=False)[0]
 
 
 def loss_and_gradients(batch: Batch, trans: TransitionMatrix) -> tuple[float, CrfGradients]:
@@ -178,31 +218,7 @@ def loss_and_gradients(batch: Batch, trans: TransitionMatrix) -> tuple[float, Cr
 
     all averaged over the batch.
     """
-    if not batch:
-        raise ValueError("empty batch")
-    d = trans.num_tags
-    n = len(batch)
-    d_trans = np.zeros((d, d))
-    d_start = np.zeros(d)
-    d_emissions: list[np.ndarray] = []
-    total = 0.0
-    for emissions, gold in batch:
-        emissions = _check_emissions(emissions)
-        T = emissions.shape[0]
-        tags = np.asarray(gold, dtype=np.intp)
-        unary, pairwise, log_z = posterior_marginals(emissions, trans)
-        total += log_z - path_score(emissions, trans, gold)
-        d_em = unary.copy()
-        d_em[np.arange(T), tags] -= 1.0
-        d_emissions.append(d_em / n)
-        if T > 1:
-            d_trans += pairwise.sum(axis=0)
-            np.add.at(d_trans, (tags[:-1], tags[1:]), -1.0)
-        d_start += unary[0]
-        d_start[tags[0]] -= 1.0
-    return total / n, CrfGradients(
-        emissions=d_emissions, transitions=d_trans / n, start=d_start / n
-    )
+    return _batch_nll(batch, trans, gradients=True)
 
 
 def viterbi(emissions: np.ndarray, trans: TransitionMatrix) -> list[int]:

@@ -168,6 +168,20 @@ def encoder_backward(
     return EncoderWeights(embeddings=d_embeddings, projection=d_projection, bias=d_bias)
 
 
+def join_sentences(id_lists: list[list[int]]) -> tuple[list[int], list[slice]]:
+    """One id sequence for a batch of sentences, PAD_INDEX between them, and
+    each sentence's rows in it. PAD_INDEX is the out-of-sentence neighbour
+    every sentence has on its own, so encode on the joined ids gives each
+    sentence its own logits, and encoder_backward with zero d_logits on the
+    separator rows gives the sum of the sentences' gradients."""
+    ids: list[int] = []
+    rows = []
+    for seq in id_lists:
+        rows.append(slice(len(ids), len(ids) + len(seq)))
+        ids += [*seq, PAD_INDEX]
+    return ids[:-1], rows
+
+
 def write_logits(path: str, sequences: list[np.ndarray], tags: tuple[str, ...]) -> None:
     """Write per-position emission scores in the external logits format.
 

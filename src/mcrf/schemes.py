@@ -152,13 +152,22 @@ class TransitionRuleSet:
 
 
 def illegal_transition_set(tagset: Tagset) -> TransitionRuleSet:
-    """Enumerate every illegal (from, to) pair and every illegal start tag.
-    Use tagset.rules, which builds this once per tagset."""
-    d = tagset.size
-    omega = frozenset(
-        (i, j) for i in range(d) for j in range(d) if not is_legal_transition(tagset, i, j)
-    )
-    starts = frozenset(i for i in range(d) if not is_legal_start(tagset, i))
+    """Compile every illegal (from, to) pair and every illegal start tag:
+    each tag decomposes once, into prefix and type codes, and the rules of
+    is_legal_transition and is_legal_start apply to all pairs at once by
+    broadcasting. Use tagset.rules, which builds this once per tagset."""
+    parts = [decompose_tag(tagset, i) for i in range(tagset.size)]
+    prefix = np.array([p for p, _ in parts])
+    etype = np.array([-1 if t is None else tagset.entity_types.index(t) for _, t in parts])
+    bioes = tagset.scheme is Scheme.BIOES
+    continues = np.isin(prefix, ("I", "E") if bioes else ("I",))  # needs an open chunk
+    opened = np.isin(prefix, ("B", "I"))  # leaves its chunk open
+    joins = opened[:, None] & (etype[:, None] == etype[None, :])
+    # a continuation must join the chunk before it (so cannot open a
+    # sentence); in BIOES nothing else may follow an open chunk
+    illegal = np.where(continues[None, :], ~joins, opened[:, None] & bioes)
+    omega = frozenset(map(tuple, np.argwhere(illegal).tolist()))
+    starts = frozenset(np.flatnonzero(continues).tolist())
     return TransitionRuleSet(omega=omega, illegal_starts=starts)
 
 

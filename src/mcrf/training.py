@@ -24,7 +24,7 @@ import numpy as np
 from .crf import TransitionMatrix, loss_and_gradients, nll_loss
 from .crf import viterbi  # noqa: F401  (module attribute that perfbench/selftest.py checks)
 from .data import TRAIN_MODES, LabeledSentence, ModelState
-from .encoder import EncoderWeights, Vocabulary, encode, encoder_backward
+from .encoder import EncoderWeights, Vocabulary, encode, encoder_backward, join_sentences
 from .errors import ConfigurationError, DataError, TrainingError
 from .evaluation import score_paths
 from .masking import MaskSpec, decode, mask_spec_for, reapply_mask_in_place
@@ -248,23 +248,26 @@ def train(
         if b == 0:
             order = rng.permutation(n)
         picked = order[b * config.batch_size : (b + 1) * config.batch_size]
-        batch = []
-        for k in picked:
-            em = train_logits[k] if external else encode(train_ids[k], enc)
-            batch.append((em, train_sentences[k].gold))
+        golds = [train_sentences[k].gold for k in picked]
+        if external:
+            batch = [(train_logits[k], gold) for k, gold in zip(picked, golds)]
+        else:
+            ids, rows = join_sentences([train_ids[k] for k in picked])
+            logits = encode(ids, enc)
+            batch = [(logits[r], gold) for r, gold in zip(rows, golds)]
         loss, grads = loss_and_gradients(batch, trans)
         if not np.isfinite(loss):
             raise TrainingError(
                 f"non-finite loss {loss} at iteration {iteration}; "
                 f"check emissions and learning rate"
             )
-        g_enc = EncoderWeights.zeros(vocab.size, config.embedding_dim, tagset.size)
-        if not external:
-            for idx, k in enumerate(picked):
-                g = encoder_backward(train_ids[k], grads.emissions[idx], enc)
-                g_enc.embeddings += g.embeddings
-                g_enc.projection += g.projection
-                g_enc.bias += g.bias
+        if external:
+            g_enc = EncoderWeights.zeros(vocab.size, config.embedding_dim, tagset.size)
+        else:
+            d_logits = np.zeros_like(logits)  # separator rows stay zero
+            for r, g in zip(rows, grads.emissions):
+                d_logits[r] = g
+            g_enc = encoder_backward(ids, d_logits, enc)
         grads_by_name = _param_dict(g_enc, TransitionMatrix(grads.transitions, grads.start))
         adam_step(opt, params, grads_by_name, config)
         if config.mode == "mcrf-train":
@@ -272,7 +275,7 @@ def train(
         if iteration % config.eval_every == 0 or iteration == target:
             report.records.append(_evaluate(
                 iteration, loss, dev_sentences, dev_ids, dev_logits,
-                enc, trans, spec, tagset, gold_segments,
+                enc, trans, spec, tagset, gold_segments, config.batch_size,
             ))
             if on_checkpoint is not None:
                 on_checkpoint(iteration, trans)
@@ -300,12 +303,24 @@ def _evaluate(
     spec: MaskSpec | None,
     tagset: Tagset,
     gold_segments,
+    batch_size: int,
 ) -> EvalRecord:
-    emissions = dev_logits if dev_logits is not None else [encode(ids, enc) for ids in dev_ids]
+    emissions: list[np.ndarray] = []
+    total_nll = 0.0
+    for lo in range(0, len(dev_sentences), batch_size):  # chunks bound the padded arrays
+        if dev_logits is None:
+            ids, rows = join_sentences(dev_ids[lo : lo + batch_size])
+            logits = encode(ids, enc)
+            chunk = [logits[r] for r in rows]
+        else:
+            chunk = dev_logits[lo : lo + batch_size]
+        golds = [s.gold for s in dev_sentences[lo : lo + batch_size]]
+        # in mcrf-train mode the live matrix already carries the mask, so this
+        # is the masked objective; in the other modes it is the plain NLL
+        total_nll += len(chunk) * nll_loss(list(zip(chunk, golds)), trans)
+        emissions += chunk
     predictions = decode(emissions, trans, spec)
-    # in mcrf-train mode the live matrix already carries the mask, so this
-    # is the masked objective; in the other modes it is the plain NLL
-    dev_nll = nll_loss([(em, s.gold) for em, s in zip(emissions, dev_sentences)], trans)
+    dev_nll = total_nll / len(dev_sentences)
     metrics, stats = score_paths(gold_segments, predictions, tagset, "none")
     return EvalRecord(
         iteration=iteration,

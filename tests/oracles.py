@@ -26,6 +26,22 @@ def python_log_partition(emissions, scores, start) -> float:
     return math.log(total)
 
 
+def python_log_forward(emissions, scores, start) -> float:
+    """log Z by the forward recursion in log space with math.exp/math.log
+    loops only: the referee for sentences too long to enumerate."""
+    d = len(emissions[0])
+    alpha = [start[j] + emissions[0][j] for j in range(d)]
+    for row in emissions[1:]:
+        nxt = []
+        for j in range(d):
+            terms = [alpha[i] + scores[i][j] for i in range(d)]
+            top = max(terms)
+            nxt.append(row[j] + top + math.log(sum(math.exp(x - top) for x in terms)))
+        alpha = nxt
+    top = max(alpha)
+    return top + math.log(sum(math.exp(a - top) for a in alpha))
+
+
 def python_best_path(emissions, scores, start):
     """Pure-python argmax with lexicographic tie-break (strict improvement)."""
     T, d = len(emissions), len(emissions[0])

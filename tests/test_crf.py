@@ -9,11 +9,13 @@ from oracles import (
     central_difference,
     max_relative_error,
     python_best_path,
+    python_log_forward,
     python_log_partition,
 )
 
 from mcrf.crf import (
     TransitionMatrix,
+    _forward_backward,
     brute_force_best,
     brute_force_log_partition,
     brute_force_loss_and_gradients,
@@ -22,11 +24,10 @@ from mcrf.crf import (
     loss_and_gradients,
     nll_loss,
     path_score,
-    posterior_marginals,
-    sequence_nll,
     viterbi,
 )
 from mcrf.errors import SizeError
+from mcrf.masking import MaskSpec, apply_mask
 from mcrf.schemes import Scheme, build_tagset, illegal_transition_set
 
 
@@ -38,6 +39,19 @@ def random_instance(rng, T=None, d=None, scale=2.0):
         rng.uniform(-scale, scale, size=(d, d)), rng.uniform(-scale, scale, size=d)
     )
     return emissions, trans
+
+
+def marginals(emissions, trans):
+    """The engine on one sentence: position marginals (T, d), expected
+    transition counts (d, d) summed over positions, and log Z."""
+    lengths = np.array([len(emissions)])
+    log_z, unary, counts = _forward_backward(emissions[None], lengths, trans, True)
+    return unary[0], counts, float(log_z[0])
+
+
+def sequence_nll(emissions, trans, gold):
+    """One sentence's NLL, log Z - s(gold), apart from nll_loss's gold scoring."""
+    return log_partition(emissions, trans) - path_score(emissions, trans, gold)
 
 
 class TestPathScore:
@@ -153,22 +167,38 @@ class TestMarginals:
         rng = np.random.default_rng(17)
         for _ in range(20):
             emissions, trans = random_instance(rng)
-            unary, pairwise, _ = posterior_marginals(emissions, trans)
+            unary, counts, _ = marginals(emissions, trans)
             np.testing.assert_allclose(unary.sum(axis=1), 1.0, atol=1e-10)
             assert np.all(unary >= 0)
-            if len(pairwise):
-                np.testing.assert_allclose(pairwise.sum(axis=(1, 2)), 1.0, atol=1e-10)
+            # one pairwise distribution per adjacent pair, summed over pairs
+            assert counts.sum() == pytest.approx(len(emissions) - 1, abs=1e-10)
+            assert np.all(counts >= 0)
 
     def test_pairwise_margins_match_unary(self):
         rng = np.random.default_rng(19)
         emissions, trans = random_instance(rng, T=5, d=4)
-        unary, pairwise, _ = posterior_marginals(emissions, trans)
-        for t in range(4):
-            np.testing.assert_allclose(pairwise[t].sum(axis=1), unary[t], atol=1e-10)
-            np.testing.assert_allclose(pairwise[t].sum(axis=0), unary[t + 1], atol=1e-10)
+        unary, counts, _ = marginals(emissions, trans)
+        # the per-pair margins, summed over the 4 adjacent pairs
+        np.testing.assert_allclose(counts.sum(axis=1), unary[:4].sum(axis=0), atol=1e-10)
+        np.testing.assert_allclose(counts.sum(axis=0), unary[1:].sum(axis=0), atol=1e-10)
+
+    def test_marginals_match_brute_force_per_position(self):
+        """With one sentence and no gold term, the oracle's emission gradient
+        is the position marginals and its transition gradient the counts."""
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            emissions, trans = random_instance(rng, T=4, d=3)
+            unary, counts, log_z = marginals(emissions, trans)
+            gold = [0, 0, 0, 0]
+            _, bf = brute_force_loss_and_gradients([(emissions, gold)], trans)
+            bf.emissions[0][:, 0] += 1.0
+            bf.transitions[0, 0] += 3.0
+            np.testing.assert_allclose(unary, bf.emissions[0], atol=1e-10)
+            np.testing.assert_allclose(counts, bf.transitions, atol=1e-10)
+            assert log_z == pytest.approx(brute_force_log_partition(emissions, trans), abs=1e-10)
 
     def test_uniform_instance_is_uniform(self):
-        unary, _, log_z = posterior_marginals(np.zeros((3, 4)), TransitionMatrix.zeros(4))
+        unary, _, log_z = marginals(np.zeros((3, 4)), TransitionMatrix.zeros(4))
         np.testing.assert_allclose(unary, 0.25, atol=1e-12)
         assert log_z == pytest.approx(3 * math.log(4.0))
 
@@ -262,6 +292,100 @@ class TestGradients:
         _, doubled = loss_and_gradients([(emissions, gold), (emissions, gold)], trans)
         np.testing.assert_allclose(doubled.transitions, single.transitions, atol=1e-12)
         np.testing.assert_allclose(doubled.emissions[0], single.emissions[0] / 2, atol=1e-12)
+
+
+class TestBatches:
+    def test_width_mismatch_names_the_sentence(self):
+        trans = TransitionMatrix.zeros(3)
+        batch = [(np.zeros((2, 3)), [0, 1]), (np.zeros((2, 4)), [0, 1])]
+        for fn in (nll_loss, loss_and_gradients):
+            message = r"sentence 2: emissions of shape \(2, 4\), need \(2, 3\)"
+            with pytest.raises(ValueError, match=message):
+                fn(batch, trans)
+
+    def test_gold_length_mismatch_and_empty_sentence_rejected(self):
+        trans = TransitionMatrix.zeros(2)
+        with pytest.raises(ValueError, match="sentence 1: "):
+            nll_loss([(np.zeros((3, 2)), [0, 1])], trans)
+        with pytest.raises(ValueError, match=r"sentence 2: .*need \(T >= 1, 2\)"):
+            loss_and_gradients([(np.zeros((1, 2)), [0]), (np.zeros((0, 2)), [])], trans)
+        with pytest.raises(ValueError, match="out of range"):
+            loss_and_gradients([(np.zeros((2, 2)), [0, 2])], trans)
+
+
+class TestUnderflowGuard:
+    """Score gaps of ~670 or more underflow the scaled forward recursion;
+    the steps they hit must fall back to log space. Without the fallback the
+    wide instance, the narrow one with -800 on moves into tag 1 and the
+    32-copy batch at gap 707.7 give a wrong log Z or NaN gradients; -800 on
+    moves out of tag 1 is absorbed by the row shift, and stays so."""
+
+    @staticmethod
+    def wide_masked_instance():
+        """BIOES with 10 types (d = 41) masked at -1e4, T = 200, scores x1000."""
+        tagset = build_tagset(Scheme.BIOES, [f"T{k}" for k in range(10)])
+        rng = np.random.default_rng(0)
+        d = tagset.size
+        trans = TransitionMatrix(1000 * rng.normal(size=(d, d)), 1000 * rng.normal(size=d))
+        return 1000 * rng.normal(size=(200, d)), apply_mask(trans, MaskSpec(tagset.rules))
+
+    @staticmethod
+    def narrow_instance(into_tag_1):
+        """d = 3, T = 4, emission 900 on tag 1 everywhere, -800 on every move
+        into tag 1 (or, which the row shift absorbs, out of it): log Z = 1200."""
+        scores = np.zeros((3, 3))
+        if into_tag_1:
+            scores[:, 1] = -800.0
+        else:
+            scores[1, :] = -800.0
+        emissions = np.zeros((4, 3))
+        emissions[:, 1] = 900.0
+        return emissions, TransitionMatrix(scores, np.zeros(3))
+
+    def test_long_masked_sentence_matches_the_log_space_referee(self):
+        emissions, trans = self.wide_masked_instance()
+        expected = python_log_forward(
+            emissions.tolist(), trans.scores.tolist(), trans.start.tolist()
+        )
+        assert log_partition(emissions, trans) == pytest.approx(expected, rel=1e-9)
+        gold = [0] * len(emissions)
+        loss, grads = loss_and_gradients([(emissions, gold)], trans)
+        assert loss == pytest.approx(expected - path_score(emissions, trans, gold), rel=1e-9)
+        assert np.all(np.isfinite(grads.emissions[0])) and np.all(np.isfinite(grads.transitions))
+        np.testing.assert_allclose(grads.emissions[0].sum(axis=1), 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("into_tag_1", [True, False])
+    def test_narrow_instance_matches_referee_and_brute_force(self, into_tag_1):
+        emissions, trans = self.narrow_instance(into_tag_1)
+        expected = python_log_forward(
+            emissions.tolist(), trans.scores.tolist(), trans.start.tolist()
+        )
+        assert expected == pytest.approx(1200.0, abs=1e-9)
+        assert log_partition(emissions, trans) == pytest.approx(expected, rel=1e-9)
+        batch = [(emissions, [1, 1, 0, 1])]
+        loss, grads = loss_and_gradients(batch, trans)
+        bf_loss, bf = brute_force_loss_and_gradients(batch, trans)
+        assert loss == pytest.approx(bf_loss, abs=1e-9)
+        np.testing.assert_allclose(grads.emissions[0], bf.emissions[0], atol=1e-9)
+        np.testing.assert_allclose(grads.transitions, bf.transitions, atol=1e-9)
+        np.testing.assert_allclose(grads.start, bf.start, atol=1e-9)
+
+    @pytest.mark.parametrize("gap", [671.0, 707.7])
+    def test_many_near_threshold_steps_sum_without_overflow(self, gap):
+        """One step of each copy reaches tag 1 only through a masked move or
+        from a predecessor e^-gap behind. At 671, just above the threshold,
+        w_t is ~1e291 in each of 32 copies and their sum stays finite. At
+        707.7 (e^-gap ~1e-307, still a normal float) the step is redone in
+        log space; a threshold at the smallest normal float would let its
+        32 terms of ~1e307 overflow the count sum to inf and NaN."""
+        emissions = np.array([[0.0, -gap], [0.0, 2000.0]])
+        trans = TransitionMatrix(np.array([[0.0, -1e4], [0.0, 0.0]]), np.zeros(2))
+        batch = [(emissions, [1, 1])] * 32
+        loss, grads = loss_and_gradients(batch, trans)
+        bf_loss, bf = brute_force_loss_and_gradients(batch, trans)
+        assert loss == pytest.approx(bf_loss, rel=1e-12)
+        np.testing.assert_allclose(grads.transitions, bf.transitions, atol=1e-9)
+        np.testing.assert_allclose(grads.emissions[0], bf.emissions[0], atol=1e-9)
 
 
 class TestViterbi:

@@ -14,6 +14,7 @@ from mcrf.encoder import (
     Vocabulary,
     encode,
     encoder_backward,
+    join_sentences,
     load_external_logits,
     write_logits,
 )
@@ -162,6 +163,30 @@ class TestEncoderBackward:
         weights = EncoderWeights.zeros(5, 2, 3)
         with pytest.raises(ValueError):
             encoder_backward([2, 3], np.zeros((3, 3)), weights)
+
+
+class TestJoinSentences:
+    def test_joined_sentences_encode_and_backpropagate_like_each_alone(self):
+        rng = np.random.default_rng(3)
+        enc = EncoderWeights.init(9, 4, 5, rng)
+        id_lists = [[2, 3, 4], [5], [0, 8, 1, 6], [7, 7]]
+        ids, rows = join_sentences(id_lists)
+        assert len(ids) == sum(map(len, id_lists)) + len(id_lists) - 1
+        assert [ids[r.stop] for r in rows[:-1]] == [PAD_INDEX] * 3
+        logits = encode(ids, enc)
+        total = EncoderWeights.zeros(9, 4, 5)
+        d_logits = np.zeros_like(logits)
+        for seq, r in zip(id_lists, rows):
+            np.testing.assert_allclose(logits[r], encode(seq, enc), rtol=0, atol=1e-15)
+            g = rng.normal(size=(len(seq), 5))
+            d_logits[r] = g
+            one = encoder_backward(seq, g, enc)
+            total.embeddings += one.embeddings
+            total.projection += one.projection
+            total.bias += one.bias
+        joined = encoder_backward(ids, d_logits, enc)
+        for got, want in zip(vars(joined).values(), vars(total).values()):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestWeightsValidation:

@@ -1,6 +1,6 @@
 """Property tests over random BIO/BIOES tagsets: constrained decoding of one
-sentence and of a corpus against the restricted enumeration oracle, and the
-repair rules.
+sentence and of a corpus against the restricted enumeration oracle, the
+repair rules, and the batched forward-backward engine on ragged batches.
 
 Scores are integer-valued so that the dynamic program and the enumeration
 sum every path exactly; with decimal scores the two can order a near-tie
@@ -11,8 +11,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcrf.crf import TransitionMatrix, brute_force_best
-from mcrf.masking import MaskSpec, constrained_viterbi, decode
+from mcrf.crf import (
+    TransitionMatrix,
+    brute_force_best,
+    brute_force_loss_and_gradients,
+    loss_and_gradients,
+    nll_loss,
+)
+from mcrf.masking import MaskSpec, apply_mask, constrained_viterbi, decode
 from mcrf.postproc import extract_segments, repair_tags
 from mcrf.schemes import (
     Scheme,
@@ -118,3 +124,49 @@ def test_retain_leaves_a_legal_path_unchanged(tagged):
     tagset, path = tagged
     assert first_violation(tagset, path) is None
     assert repair_tags(path, tagset, "retain") == path
+
+
+@st.composite
+def ragged_batches(draw):
+    """(batch, trans): 1-4 sentences of mixed lengths with any gold paths,
+    the transitions unmasked or masked at c in {-1, -1e4}. Scores up to 1000
+    reach the engine's log-space fallback."""
+    tagset = draw(tagsets())
+    d = tagset.size
+    t_max = max(t for t in range(1, 8) if d**t <= MAX_PATHS)
+    bounds = st.sampled_from([1, 3, 100, 1000])
+    batch = []
+    for T in draw(st.lists(st.integers(1, t_max), min_size=1, max_size=4)):
+        gold = draw(st.lists(st.integers(0, d - 1), min_size=T, max_size=T))
+        batch.append((_scores(draw, (T, d), draw(bounds)), gold))
+    bound = draw(bounds)
+    trans = TransitionMatrix(_scores(draw, (d, d), bound), _scores(draw, (d,), bound))
+    mask_value = draw(st.sampled_from([None, -1.0, -1e4]))
+    if mask_value is not None:
+        trans = apply_mask(trans, MaskSpec(rules=tagset.rules, mask_value=mask_value))
+    return batch, trans
+
+
+def _close(got, want) -> bool:
+    """Within 1e-9, relative to the magnitude where that exceeds one."""
+    got, want = np.asarray(got), np.asarray(want)
+    return bool(np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want))))
+
+
+@PROPERTY_SETTINGS
+@given(ragged_batches())
+def test_ragged_batch_equals_its_sentences_and_the_oracle(case):
+    batch, trans = case
+    n = len(batch)
+    loss, grads = loss_and_gradients(batch, trans)
+    singles = [loss_and_gradients([pair], trans) for pair in batch]
+    oracle_loss, oracle = brute_force_loss_and_gradients(batch, trans)
+    for value in (loss, nll_loss(batch, trans), np.mean([nll_loss([p], trans) for p in batch])):
+        assert _close(value, oracle_loss)
+    assert _close(loss, np.mean([single_loss for single_loss, _ in singles]))
+    for k, (_, single) in enumerate(singles):
+        assert _close(grads.emissions[k], single.emissions[0] / n)
+        assert _close(grads.emissions[k], oracle.emissions[k])
+    for name in ("transitions", "start"):
+        assert _close(getattr(grads, name), np.mean([getattr(s, name) for _, s in singles], axis=0))
+        assert _close(getattr(grads, name), getattr(oracle, name))

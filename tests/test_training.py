@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mcrf import training
 from mcrf.crf import loss_and_gradients, nll_loss
 from mcrf.data import LabeledSentence, SyntheticConfig, generate_synthetic, split_corpus
 from mcrf.encoder import Vocabulary, encode
@@ -396,6 +397,25 @@ class TestTrainLoop:
                              max_iterations=20, eval_every=10, embedding_dim=4, seed=6)
         _, report = train(train_s, dev_s, config, tagset)
         assert all(r.illegal_pct == 0.0 for r in report.records)
+
+
+class TestBatchedEncoder:
+    def test_one_encoder_and_engine_call_per_iteration(self, monkeypatch):
+        """A per-sentence loop around encode, encoder_backward or
+        loss_and_gradients would multiply these counts by the batch size."""
+        tagset, (train_sents, dev_sents) = tiny_corpus(sentences=40)
+        assert len(train_sents) > 8 and 8 < len(dev_sents) <= 16
+        calls = []
+        for name in ("encode", "encoder_backward", "loss_and_gradients"):
+            def counting(*args, _name=name, _original=getattr(training, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(training, name, counting)
+        config = TrainConfig(batch_size=8, max_epochs=0, max_iterations=3, eval_every=3)
+        train(train_sents, dev_sents, config, tagset)
+        # three iterations, then one evaluation that encodes dev in two chunks
+        step = ["encode", "loss_and_gradients", "encoder_backward"]
+        assert calls == step * 3 + ["encode"] * 2
 
 
 class TestTrainReport:
