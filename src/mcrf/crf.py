@@ -21,6 +21,21 @@ relative precision near machine epsilon at any score magnitude and no sum of
 w_t overflows. A row whose v_t falls below that (at score gaps of ~670 or more)
 redoes the step in log space over its (rows, d, d) scores, forward and backward.
 
+One max-product engine, viterbi_batch, decodes a corpus; viterbi is its batch
+of one. It sorts the sentences longest first and right-aligns them, so every
+sentence ends at the last column and the ones still running at a column are a
+prefix of the rows: each backward step computes
+tail[:k, t] = l[:k, t] + max_j(a[i, j] + tail[:k, t+1, j]) for those k rows
+only, and no padded cell is computed. The forward read-off takes
+first-occurrence argmax of start + tail at a sentence's first column and of
+a[prev] + tail after it. Every cell sees the same float operations as a
+one-sentence recursion, so the paths do not depend on the batch, and the
+tie-break argument holds row by row: fixing earlier positions first, each to
+its smallest best tag, gives the lexicographically smallest best path. The
+corpus runs in chunks of at most _DECODE_CELLS float64 cells, counting the
+(b, T, d) table and the (b, d, d) step temporary, so memory stays bounded
+however large the corpus is.
+
 The brute-force routines enumerate all d^T paths (optionally restricted to
 the legal subset defined by a TransitionRuleSet) in lexicographic order and
 exist purely as independent oracles for the dynamic programs.
@@ -28,6 +43,7 @@ exist purely as independent oracles for the dynamic programs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +53,7 @@ from .schemes import TransitionRuleSet
 
 MAX_BRUTE_FORCE_PATHS = 10_000_000
 _CHUNK = 1 << 16
+_DECODE_CELLS = 1 << 16  # float64 cells per decode chunk: (b, T, d) table + (b, d, d) step
 _UNDERFLOW = np.finfo(np.float64).tiny * 2.0**52  # v_t below this takes the log-space step
 
 Batch = list[tuple[np.ndarray, list[int]]]  # (emissions, gold path) pairs
@@ -221,24 +238,49 @@ def loss_and_gradients(batch: Batch, trans: TransitionMatrix) -> tuple[float, Cr
     return _batch_nll(batch, trans, gradients=True)
 
 
-def viterbi(emissions: np.ndarray, trans: TransitionMatrix) -> list[int]:
-    """Highest-scoring path; ties resolve to the lexicographically smallest path.
+def viterbi_batch(emissions_list: list[np.ndarray], trans: TransitionMatrix) -> list[list[int]]:
+    """Highest-scoring path of each sentence, in input order; ties resolve to
+    the lexicographically smallest path.
 
-    The max-product recursion runs backward (tail[t, j] = best score of a
-    completion starting at position t with tag j), then the path is read off
-    forward with first-occurrence argmax. Fixing earlier positions first is
-    what makes the tie-break lexicographic.
+    tail[k, t, j] is the best score of sentence k's completion from column t
+    with tag j; the recursion runs backward, then the paths are read off
+    forward (module docstring).
     """
-    emissions = _check_emissions(emissions)
-    T, d = emissions.shape
-    tail = np.empty((T, d))
-    tail[T - 1] = emissions[T - 1]
-    for t in range(T - 2, -1, -1):
-        tail[t] = emissions[t] + np.max(trans.scores + tail[t + 1][None, :], axis=1)
-    path = [int(np.argmax(trans.start + tail[0]))]
-    for t in range(1, T):
-        path.append(int(np.argmax(trans.scores[path[-1]] + tail[t])))
-    return path
+    d = trans.num_tags
+    emissions_list = [np.asarray(em, dtype=np.float64) for em in emissions_list]
+    for k, em in enumerate(emissions_list):
+        if em.ndim != 2 or em.shape[1] != d or not len(em):
+            raise ValueError(f"sentence {k + 1}: emissions of shape {em.shape}, need (T >= 1, {d})")
+    order = sorted(range(len(emissions_list)), key=lambda k: -len(emissions_list[k]))
+    paths: list[list[int]] = [[] for _ in order]
+    lo = 0
+    while lo < len(order):
+        T = len(emissions_list[order[lo]])
+        chunk = order[lo : lo + max(1, _DECODE_CELLS // (T * d + d * d))]
+        lo += len(chunk)
+        starts = [T - len(emissions_list[k]) for k in chunk]  # right-aligned: all end at T - 1
+        tail = np.empty((len(chunk), T, d))
+        for row, k, start in zip(tail, chunk, starts):
+            row[start:] = emissions_list[k]
+        running = [bisect_right(starts, t) for t in range(T)]  # rows covering column t
+        for t in range(T - 2, -1, -1):
+            n = running[t]
+            tail[:n, t] += (trans.scores + tail[:n, t + 1, None, :]).max(axis=2)
+        tags = np.empty((len(chunk), T), dtype=np.intp)
+        for t in range(T):
+            n0, n = (running[t - 1] if t else 0), running[t]  # rows [n0, n) start at t
+            if n0:
+                tags[:n0, t] = (trans.scores[tags[:n0, t - 1]] + tail[:n0, t]).argmax(axis=1)
+            if n > n0:
+                tags[n0:n, t] = (trans.start + tail[n0:n, t]).argmax(axis=1)
+        for k, row, start in zip(chunk, tags.tolist(), starts):
+            paths[k] = row[start:]
+    return paths
+
+
+def viterbi(emissions: np.ndarray, trans: TransitionMatrix) -> list[int]:
+    """Highest-scoring path of one sentence: the engine at B = 1."""
+    return viterbi_batch([emissions], trans)[0]
 
 
 def _check_enumerable(T: int, d: int) -> None:

@@ -161,10 +161,17 @@ def encoder_backward(
     d_bias = d_logits.sum(axis=0)
     d_projection = x.T @ d_logits
     d_x = d_logits @ weights.projection.T
-    d_embeddings = np.zeros_like(weights.embeddings)
-    np.add.at(d_embeddings, prev_ids, d_x[:, :e])
-    np.add.at(d_embeddings, ids, d_x[:, e : 2 * e])
-    np.add.at(d_embeddings, next_ids, d_x[:, 2 * e :])
+    d_embeddings = np.zeros(weights.embeddings.shape)
+    # One flat scatter per window slot into the cells of the C-ordered table:
+    # np.add.at takes its fast path on 1-D indices and values, and adds to
+    # each cell in the same order as a scatter of whole rows would.
+    cells = np.arange(e)
+    for slot, rows in enumerate((prev_ids, ids, next_ids)):
+        np.add.at(
+            d_embeddings.reshape(-1),
+            (rows[:, None] * e + cells).ravel(),
+            d_x[:, slot * e : (slot + 1) * e].ravel(),
+        )
     return EncoderWeights(embeddings=d_embeddings, projection=d_projection, bias=d_bias)
 
 

@@ -24,6 +24,7 @@ from .crf import (
     nll_loss,
     path_score,
     viterbi,
+    viterbi_batch,
 )
 from .errors import ConfigurationError
 from .schemes import Tagset, TransitionRuleSet, validate_gold_paths
@@ -87,7 +88,7 @@ def guard_threshold(emissions_list: list[np.ndarray], trans: TransitionMatrix, s
     sets therefore needs c below twice that range, plus a fixed margin.
     """
     t_max = max(e.shape[0] for e in emissions_list)
-    max_l = max(float(np.max(np.abs(e))) for e in emissions_list)
+    max_l = max(float(np.max(np.abs(e), initial=0.0)) for e in emissions_list)
     illegal_pair, illegal_start = spec.rules.tables(trans.num_tags)
     legal_a = np.abs(trans.scores[~illegal_pair])
     legal_s = np.abs(trans.start[~illegal_start])
@@ -96,25 +97,35 @@ def guard_threshold(emissions_list: list[np.ndarray], trans: TransitionMatrix, s
     return -(2.0 * t_max * (max_l + max_a + max_s) + _GUARD_MARGIN)
 
 
+def _decoding_matrix(
+    emissions_list: list[np.ndarray], trans: TransitionMatrix, spec: MaskSpec | None
+) -> TransitionMatrix:
+    """trans as the decoder sees it: as given without a spec; under it,
+    through one mask, deepened to the corpus's guard threshold when
+    spec.mask_value does not clear it, so that every masked path scores
+    strictly below every legal one at any length."""
+    if spec is None or not emissions_list:
+        return trans
+    mask_value = min(spec.mask_value, guard_threshold(emissions_list, trans, spec))
+    return apply_mask(trans, replace(spec, mask_value=mask_value))
+
+
 def decode(
     emissions_list: list[np.ndarray], trans: TransitionMatrix, spec: MaskSpec | None
 ) -> list[list[int]]:
     """The decode entry point, one path per sentence of a corpus: plain
-    Viterbi without a spec; under it, Viterbi through one mask, deepened to
-    the corpus's guard threshold when spec.mask_value does not clear it, so
-    that every masked path scores strictly below every legal one and each
-    path is the best legal one (lexicographic tie-break) at any length."""
-    if spec is not None and emissions_list:
-        mask_value = min(spec.mask_value, guard_threshold(emissions_list, trans, spec))
-        trans = apply_mask(trans, replace(spec, mask_value=mask_value))
-    return [viterbi(emissions, trans) for emissions in emissions_list]
+    Viterbi without a spec; under it, the best legal path of each sentence
+    (lexicographic tie-break) at any length. The corpus runs through one
+    mask and one batched Viterbi."""
+    return viterbi_batch(emissions_list, _decoding_matrix(emissions_list, trans, spec))
 
 
 def constrained_viterbi(
     emissions: np.ndarray, trans: TransitionMatrix, spec: MaskSpec
 ) -> list[int]:
-    """Best legal path of one sentence: decode([emissions], trans, spec)[0]."""
-    return decode([emissions], trans, spec)[0]
+    """Best legal path of one sentence, the path decode([emissions], trans,
+    spec) gives it, through crf.viterbi."""
+    return viterbi(emissions, _decoding_matrix([emissions], trans, spec))
 
 
 def masked_nll(batch: Batch, trans: TransitionMatrix, tagset: Tagset, spec: MaskSpec) -> float:

@@ -106,13 +106,20 @@ def segments_to_tags(segments: list[Segment], length: int, tagset: Tagset) -> li
     return tags
 
 
-def repair_tags(tags: list[int], tagset: Tagset, strategy: str) -> list[int]:
-    """Apply a repair strategy to a (possibly illegal) predicted path."""
+def repair_segments(segments: list[Segment], strategy: str) -> list[Segment]:
+    """The segments a repair strategy keeps: every one for retain and none,
+    the legal ones for discard. For retain and discard their spans are
+    exactly the spans of the repaired path's segments."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+    if strategy == "discard":
+        return [s for s in segments if s.legal]
+    return segments
+
+
+def repair_tags(tags: list[int], tagset: Tagset, strategy: str) -> list[int]:
+    """Apply a repair strategy to a (possibly illegal) predicted path."""
     if strategy == "none":
         return list(tags)
-    segments = extract_segments(tags, tagset)
-    if strategy == "discard":
-        segments = [s for s in segments if s.legal]
+    segments = repair_segments(extract_segments(tags, tagset), strategy)
     return segments_to_tags(segments, len(tags), tagset)

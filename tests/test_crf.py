@@ -1,6 +1,7 @@
 """Linear-chain CRF core: scores, partition, gradients, Viterbi, oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from mcrf.crf import (
     nll_loss,
     path_score,
     viterbi,
+    viterbi_batch,
 )
 from mcrf.errors import SizeError
 from mcrf.masking import MaskSpec, apply_mask
@@ -436,6 +438,17 @@ class TestViterbi:
         trans = TransitionMatrix.zeros(3)
         assert viterbi(emissions, trans) == [1]
         assert brute_force_best(emissions, trans) == ([1], 3.0)
+
+    def test_malformed_sentence_is_named(self):
+        trans = TransitionMatrix.zeros(3)
+        good = np.zeros((2, 3))
+        for bad in (np.zeros((2, 4)), np.zeros((0, 3)), np.zeros(3), np.zeros((1, 1, 3))):
+            message = f"sentence 2: emissions of shape {bad.shape}, need (T >= 1, 3)"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                viterbi_batch([good, bad, good], trans)
+
+    def test_empty_corpus_decodes_to_no_paths(self):
+        assert viterbi_batch([], TransitionMatrix.zeros(3)) == []
 
 
 class TestBruteForceRestriction:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import central_difference, max_relative_error
+from oracles import central_difference, max_relative_error, row_scatter_embedding_gradient
 
 from mcrf.encoder import (
     PAD_INDEX,
@@ -158,6 +158,18 @@ class TestEncoderBackward:
 
         fd = central_difference(loss, weights.embeddings)
         assert max_relative_error(grads.embeddings, fd) < 1e-6
+
+    def test_flat_scatter_matches_row_scatter_byte_for_byte(self):
+        """A joined batch with PAD_INDEX separators and repeated ids, so many
+        windows add into the same rows, in the same order as a row scatter."""
+        rng = np.random.default_rng(7)
+        weights = EncoderWeights.init(12, 5, 4, rng)
+        ids, _ = join_sentences([[2, 3, 2, 2], [11], [3, 3, 9, 2, 0], [4, 11, 4]])
+        d_logits = rng.normal(size=(len(ids), 4))
+        got = encoder_backward(ids, d_logits, weights).embeddings
+        want = row_scatter_embedding_gradient(ids, d_logits, weights)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_shape_mismatch_rejected(self):
         weights = EncoderWeights.zeros(5, 2, 3)

@@ -160,6 +160,15 @@ class TestDecode:
         assert decode([], trans, None) == []
         assert decode([], trans, spec_for(BIO1)) == []
 
+    def test_malformed_sentence_is_named_with_or_without_a_mask(self):
+        """The guard threshold runs before the engine; it must not fail
+        first on an empty sentence with an error that names none."""
+        trans = TransitionMatrix.zeros(3)
+        for bad in (np.zeros((0, 3)), np.zeros((2, 4))):
+            for spec in (None, spec_for(BIO1)):
+                with pytest.raises(ValueError, match="sentence 2: emissions of shape"):
+                    decode([np.zeros((2, 3)), bad], trans, spec)
+
 
 class TestConstrainedViterbi:
     def test_never_emits_masked_transitions(self):

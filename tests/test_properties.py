@@ -1,16 +1,20 @@
 """Property tests over random BIO/BIOES tagsets: constrained decoding of one
 sentence and of a corpus against the restricted enumeration oracle, the
-repair rules, and the batched forward-backward engine on ragged batches.
+batched Viterbi engine on ragged corpora, the repair rules, and the batched
+forward-backward engine on ragged batches.
 
 Scores are integer-valued so that the dynamic program and the enumeration
 sum every path exactly; with decimal scores the two can order a near-tie
 differently. Magnitudes reach 1e5, far beyond what c = -1e4 separates.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcrf import crf
 from mcrf.crf import (
     TransitionMatrix,
     brute_force_best,
@@ -19,7 +23,7 @@ from mcrf.crf import (
     nll_loss,
 )
 from mcrf.masking import MaskSpec, apply_mask, constrained_viterbi, decode
-from mcrf.postproc import extract_segments, repair_tags
+from mcrf.postproc import extract_segments, repair_segments, repair_tags
 from mcrf.schemes import (
     Scheme,
     build_tagset,
@@ -45,12 +49,12 @@ def _scores(draw, shape, bound):
 
 
 @st.composite
-def corpora(draw, max_sentences):
+def corpora(draw, max_sentences, max_length=7):
     """(tagset, emissions list, trans, spec), each sentence small enough to
     enumerate."""
     tagset = draw(tagsets())
     d = tagset.size
-    t_max = max(t for t in range(1, 8) if d**t <= MAX_PATHS)
+    t_max = max(t for t in range(1, max_length + 1) if d**t <= MAX_PATHS)
     lengths = draw(st.lists(st.integers(1, t_max), min_size=1, max_size=max_sentences))
     bounds = st.sampled_from([1, 3, 100, 100_000])
     emissions = [_scores(draw, (T, d), draw(bounds)) for T in lengths]
@@ -106,6 +110,31 @@ def test_decode_gives_each_sentence_its_restricted_oracle_argmax(corpus):
     _, emissions, trans, spec = corpus
     oracle = [brute_force_best(em, trans, rules=spec.rules)[0] for em in emissions]
     assert decode(emissions, trans, spec) == oracle
+
+
+@PROPERTY_SETTINGS
+@given(corpora(max_sentences=6, max_length=5), st.booleans())
+def test_batched_viterbi_gives_each_sentence_its_oracle_argmax(corpus, masked):
+    """Ragged corpora with integer scores, so ties occur: each path, in input
+    order, is the oracle's lexicographically first argmax, whether the
+    corpus runs as one chunk or one sentence per chunk."""
+    _, emissions, trans, spec = corpus
+    spec = spec if masked else None  # without a spec, decode is viterbi_batch
+    oracle = [brute_force_best(em, trans, rules=spec and spec.rules)[0] for em in emissions]
+    for cells in (crf._DECODE_CELLS, 1):
+        with mock.patch.object(crf, "_DECODE_CELLS", cells):
+            assert decode(emissions, trans, spec) == oracle
+
+
+@PROPERTY_SETTINGS
+@given(paths(), st.sampled_from(["retain", "discard"]))
+def test_repaired_path_has_exactly_the_kept_segments(tagged, strategy):
+    """Scoring a repair reads the kept segments off the raw extraction
+    instead of extracting the repaired path again; this is why it may."""
+    tagset, path = tagged
+    kept = repair_segments(extract_segments(path, tagset), strategy)
+    repaired = extract_segments(repair_tags(path, tagset, strategy), tagset)
+    assert [s.span for s in repaired] == [s.span for s in kept]
 
 
 @PROPERTY_SETTINGS
