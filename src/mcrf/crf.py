@@ -21,20 +21,28 @@ relative precision near machine epsilon at any score magnitude and no sum of
 w_t overflows. A row whose v_t falls below that (at score gaps of ~670 or more)
 redoes the step in log space over its (rows, d, d) scores, forward and backward.
 
-One max-product engine, viterbi_batch, decodes a corpus; viterbi is its batch
-of one. It sorts the sentences longest first and right-aligns them, so every
-sentence ends at the last column and the ones still running at a column are a
-prefix of the rows: each backward step computes
-tail[:k, t] = l[:k, t] + max_j(a[i, j] + tail[:k, t+1, j]) for those k rows
-only, and no padded cell is computed. The forward read-off takes
-first-occurrence argmax of start + tail at a sentence's first column and of
-a[prev] + tail after it. Every cell sees the same float operations as a
-one-sentence recursion, so the paths do not depend on the batch, and the
-tie-break argument holds row by row: fixing earlier positions first, each to
-its smallest best tag, gives the lexicographically smallest best path. The
-corpus runs in chunks of at most _DECODE_CELLS float64 cells, counting the
-(b, T, d) table and the (b, d, d) step temporary, so memory stays bounded
-however large the corpus is.
+One max-product engine, viterbi_batch(emissions_list, trans, rules), decodes a
+corpus; viterbi is its batch of one. It maximises over the legal moves (i, j)
+and starts of rules only, all d^2 and d of them without rules; rules.moves(d)
+lists the moves in row-major order (481 of 1681 at BIOES with 10 types). It
+sorts the sentences longest first and right-aligns them, so every sentence
+ends at the last column and the ones still running at a column are a prefix
+of the rows: each backward step computes
+tail[:k, t] = l[:k, t] + max_{legal j}(a[i, j] + tail[:k, t+1, j]) for those
+k rows only, as one gather of tail at the moves' successors, one add of their
+scores and one maximum.reduceat at each i's first move, and no padded cell is
+computed. The forward read-off takes first-occurrence argmax over the legal
+starts of start + tail at a sentence's first column and over the legal
+successors of a[prev] + tail after it; illegal entries are never read. Every
+cell sees the same float operations as a one-sentence recursion, so the paths
+do not depend on the batch, and the tie-break argument holds row by row:
+fixing earlier positions first, each to its smallest best tag, gives the
+lexicographically smallest best path. On a matrix masked below the guard
+threshold (masking.guard_threshold) every masked move loses to a legal one,
+so max is the same selection as over all d^2 moves and the paths are those
+of the dense recursion, ties included. The corpus runs in chunks of at most
+_DECODE_CELLS float64 cells, counting the (b, T, d) table and the (b, moves)
+step temporary, so memory stays bounded however large the corpus is.
 
 The brute-force routines enumerate all d^T paths (optionally restricted to
 the legal subset defined by a TransitionRuleSet) in lexicographic order and
@@ -53,8 +61,10 @@ from .schemes import TransitionRuleSet
 
 MAX_BRUTE_FORCE_PATHS = 10_000_000
 _CHUNK = 1 << 16
-_DECODE_CELLS = 1 << 16  # float64 cells per decode chunk: (b, T, d) table + (b, d, d) step
+_DECODE_CELLS = 1 << 16  # float64 cells per decode chunk: (b, T, d) table + (b, moves) step
 _UNDERFLOW = np.finfo(np.float64).tiny * 2.0**52  # v_t below this takes the log-space step
+
+_ALL_MOVES = TransitionRuleSet(frozenset(), frozenset())  # viterbi_batch without rules
 
 Batch = list[tuple[np.ndarray, list[int]]]  # (emissions, gold path) pairs
 
@@ -238,9 +248,15 @@ def loss_and_gradients(batch: Batch, trans: TransitionMatrix) -> tuple[float, Cr
     return _batch_nll(batch, trans, gradients=True)
 
 
-def viterbi_batch(emissions_list: list[np.ndarray], trans: TransitionMatrix) -> list[list[int]]:
-    """Highest-scoring path of each sentence, in input order; ties resolve to
-    the lexicographically smallest path.
+def viterbi_batch(
+    emissions_list: list[np.ndarray],
+    trans: TransitionMatrix,
+    rules: TransitionRuleSet | None = None,
+) -> list[list[int]]:
+    """Highest-scoring path of each sentence, in input order, over the legal
+    moves and starts of rules (all of them without rules); ties resolve to
+    the lexicographically smallest path. The scores of illegal entries are
+    never read.
 
     tail[k, t, j] is the best score of sentence k's completion from column t
     with tag j; the recursion runs backward, then the paths are read off
@@ -251,36 +267,47 @@ def viterbi_batch(emissions_list: list[np.ndarray], trans: TransitionMatrix) -> 
     for k, em in enumerate(emissions_list):
         if em.ndim != 2 or em.shape[1] != d or not len(em):
             raise ValueError(f"sentence {k + 1}: emissions of shape {em.shape}, need (T >= 1, {d})")
-    order = sorted(range(len(emissions_list)), key=lambda k: -len(emissions_list[k]))
+    lengths = [len(em) for em in emissions_list]
+    rules = _ALL_MOVES if rules is None else rules
+    cells, successors, firsts = rules.moves(d)
+    move_scores = trans.scores.take(cells)
+    illegal_pair, illegal_start = rules.tables(d)  # illegal entries win no read-off argmax
+    nexts = np.where(illegal_pair, -np.inf, trans.scores) if rules.omega else trans.scores
+    opens = np.where(illegal_start, -np.inf, trans.start) if rules.illegal_starts else trans.start
+    order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)  # stable
     paths: list[list[int]] = [[] for _ in order]
     lo = 0
     while lo < len(order):
-        T = len(emissions_list[order[lo]])
-        chunk = order[lo : lo + max(1, _DECODE_CELLS // (T * d + d * d))]
+        T = lengths[order[lo]]
+        chunk = order[lo : lo + max(1, _DECODE_CELLS // (T * d + cells.size))]
         lo += len(chunk)
-        starts = [T - len(emissions_list[k]) for k in chunk]  # right-aligned: all end at T - 1
+        starts = [T - lengths[k] for k in chunk]  # right-aligned: all end at T - 1
         tail = np.empty((len(chunk), T, d))
         for row, k, start in zip(tail, chunk, starts):
             row[start:] = emissions_list[k]
         running = [bisect_right(starts, t) for t in range(T)]  # rows covering column t
         for t in range(T - 2, -1, -1):
             n = running[t]
-            tail[:n, t] += (trans.scores + tail[:n, t + 1, None, :]).max(axis=2)
+            step = tail[:n, t + 1].take(successors, axis=1)
+            step += move_scores
+            tail[:n, t] += np.maximum.reduceat(step, firsts, axis=1)
         tags = np.empty((len(chunk), T), dtype=np.intp)
         for t in range(T):
             n0, n = (running[t - 1] if t else 0), running[t]  # rows [n0, n) start at t
             if n0:
-                tags[:n0, t] = (trans.scores[tags[:n0, t - 1]] + tail[:n0, t]).argmax(axis=1)
+                tags[:n0, t] = (nexts[tags[:n0, t - 1]] + tail[:n0, t]).argmax(axis=1)
             if n > n0:
-                tags[n0:n, t] = (trans.start + tail[n0:n, t]).argmax(axis=1)
+                tags[n0:n, t] = (opens + tail[n0:n, t]).argmax(axis=1)
         for k, row, start in zip(chunk, tags.tolist(), starts):
             paths[k] = row[start:]
     return paths
 
 
-def viterbi(emissions: np.ndarray, trans: TransitionMatrix) -> list[int]:
+def viterbi(
+    emissions: np.ndarray, trans: TransitionMatrix, rules: TransitionRuleSet | None = None
+) -> list[int]:
     """Highest-scoring path of one sentence: the engine at B = 1."""
-    return viterbi_batch([emissions], trans)[0]
+    return viterbi_batch([emissions], trans, rules)[0]
 
 
 def _check_enumerable(T: int, d: int) -> None:

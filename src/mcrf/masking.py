@@ -116,8 +116,9 @@ def decode(
     """The decode entry point, one path per sentence of a corpus: plain
     Viterbi without a spec; under it, the best legal path of each sentence
     (lexicographic tie-break) at any length. The corpus runs through one
-    mask and one batched Viterbi."""
-    return viterbi_batch(emissions_list, _decoding_matrix(emissions_list, trans, spec))
+    mask and one batched Viterbi over the legal moves of spec.rules."""
+    rules = spec and spec.rules
+    return viterbi_batch(emissions_list, _decoding_matrix(emissions_list, trans, spec), rules)
 
 
 def constrained_viterbi(
@@ -125,7 +126,7 @@ def constrained_viterbi(
 ) -> list[int]:
     """Best legal path of one sentence, the path decode([emissions], trans,
     spec) gives it, through crf.viterbi."""
-    return viterbi(emissions, _decoding_matrix([emissions], trans, spec))
+    return viterbi(emissions, _decoding_matrix([emissions], trans, spec), spec.rules)
 
 
 def masked_nll(batch: Batch, trans: TransitionMatrix, tagset: Tagset, spec: MaskSpec) -> float:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .schemes import Scheme, Tagset, canonical_run, decompose_tag
+from .schemes import Scheme, Tagset, canonical_run
 
 STRATEGIES = ("retain", "discard", "none")
 
@@ -57,6 +57,8 @@ def extract_segments(tags: list[int], tagset: Tagset) -> list[Segment]:
             )
             open_type = None
 
+    tagset.check_indices(tags)
+    parts = tagset.parts
     illegal_pair, illegal_start = tagset.rules.tables(tagset.size)
 
     def opening_is_legal(pos: int, tag: int) -> bool:
@@ -66,7 +68,7 @@ def extract_segments(tags: list[int], tagset: Tagset) -> list[Segment]:
 
     bioes = tagset.scheme is Scheme.BIOES
     for t, tag in enumerate(tags):
-        prefix, etype = decompose_tag(tagset, tag)
+        prefix, etype = parts[tag]
         if prefix == "O":
             close(t, force_illegal=bioes)
         elif prefix == "B":

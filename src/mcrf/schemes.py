@@ -16,7 +16,7 @@ tag that cannot open a sentence (I-* for BIO; I-* and E-* for BIOES).
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -49,14 +49,32 @@ class Tagset:
 
     def index_of(self, tag: str) -> int:
         try:
-            return self.tags.index(tag)
-        except ValueError:
+            return self._indices[tag]
+        except KeyError:
             raise ValueError(f"unknown tag {tag!r} for scheme {self.scheme.value}") from None
 
     def tag_of(self, index: int) -> str:
         if not 0 <= index < len(self.tags):
             raise ValueError(f"tag index {index} out of range [0, {len(self.tags)})")
         return self.tags[index]
+
+    def check_indices(self, path: list[int] | tuple[int, ...]) -> None:
+        """Raise tag_of's ValueError for the first index of a nonempty path
+        outside [0, d); one min and one max when there is none."""
+        if min(path) < 0 or max(path) >= len(self.tags):
+            for index in path:
+                self.tag_of(index)
+
+    @cached_property
+    def _indices(self) -> dict[str, int]:
+        return {tag: i for i, tag in enumerate(self.tags)}
+
+    @cached_property
+    def parts(self) -> tuple[tuple[str, str | None], ...]:
+        """(prefix, entity type) of every tag, by index; O is ("O", None)."""
+        return tuple(
+            (OUTSIDE, None) if tag == OUTSIDE else tuple(tag.split("-", 1)) for tag in self.tags
+        )
 
     @cached_property
     def rules(self) -> "TransitionRuleSet":
@@ -84,11 +102,8 @@ def build_tagset(scheme: Scheme | str, entity_types: list[str] | tuple[str, ...]
 
 def decompose_tag(tagset: Tagset, index: int) -> tuple[str, str | None]:
     """Return (prefix, entity_type) for a tag index; O decomposes to ("O", None)."""
-    tag = tagset.tag_of(index)
-    if tag == OUTSIDE:
-        return OUTSIDE, None
-    prefix, _, etype = tag.partition("-")
-    return prefix, etype
+    tagset.tag_of(index)  # ValueError for an index outside [0, d)
+    return tagset.parts[index]
 
 
 def is_legal_start(tagset: Tagset, index: int) -> bool:
@@ -117,20 +132,28 @@ def is_legal_transition(tagset: Tagset, i: int, j: int) -> bool:
 class TransitionRuleSet:
     """The illegal transition pairs (omega) and illegal start tags of a tagset.
 
-    Both sets are compiled once, at construction, into sorted index arrays;
-    tables(d) expands them into the boolean lookup tables that masking,
-    training, the enumeration oracles and every legality check read.
+    Both sets are held, from construction, as sorted index arrays; a caller
+    that already has them passes them as pairs and starts, which must list
+    exactly omega and illegal_starts in sorted order. tables(d) expands them
+    into the boolean lookup tables that masking, training, the enumeration
+    oracles and every legality check read, and moves(d) lists the legal
+    moves the decoder maximises over.
     """
 
     omega: frozenset[tuple[int, int]]
     illegal_starts: frozenset[int]
+    pairs: InitVar[np.ndarray | None] = None
+    starts: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self) -> None:
-        pairs = np.array(sorted(self.omega), dtype=np.intp).reshape(-1, 2)
-        starts = np.array(sorted(self.illegal_starts), dtype=np.intp)
+    def __post_init__(self, pairs: np.ndarray | None, starts: np.ndarray | None) -> None:
+        if pairs is None:
+            pairs = np.array(sorted(self.omega), dtype=np.intp).reshape(-1, 2)
+        if starts is None:
+            starts = np.array(sorted(self.illegal_starts), dtype=np.intp)
         object.__setattr__(self, "_pairs", pairs)
         object.__setattr__(self, "_starts", starts)
         object.__setattr__(self, "_tables", {})
+        object.__setattr__(self, "_moves", {})
 
     def tables(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only boolean illegal_pair (d, d) and illegal_start (d,) tables
@@ -147,8 +170,28 @@ class TransitionRuleSet:
             self._tables[d] = (illegal_pair, illegal_start)
         return self._tables[d]
 
+    def moves(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The legal moves (i, j) for d tags in row-major order, compiled on
+        first use for each d: their cells i * d + j, their successors j and
+        the first move of each i. ValueError names a tag that no legal move
+        leaves, or says that no tag may start a sentence."""
+        if d not in self._moves:
+            illegal_pair, illegal_start = self.tables(d)
+            cells = np.flatnonzero(~illegal_pair)
+            firsts = np.searchsorted(cells, np.arange(d) * d)
+            stuck = np.flatnonzero(np.diff(firsts, append=cells.size) == 0)
+            if stuck.size:
+                raise ValueError(f"tag {stuck[0]} has no legal successor")
+            if illegal_start.all():
+                raise ValueError("no tag is a legal start")
+            compiled = cells, cells % d, firsts
+            for array in compiled:
+                array.flags.writeable = False
+            self._moves[d] = compiled
+        return self._moves[d]
+
     def without_start_rules(self) -> "TransitionRuleSet":
-        return TransitionRuleSet(omega=self.omega, illegal_starts=frozenset())
+        return TransitionRuleSet(self.omega, frozenset(), self._pairs, self._starts[:0])
 
 
 def illegal_transition_set(tagset: Tagset) -> TransitionRuleSet:
@@ -156,9 +199,8 @@ def illegal_transition_set(tagset: Tagset) -> TransitionRuleSet:
     each tag decomposes once, into prefix and type codes, and the rules of
     is_legal_transition and is_legal_start apply to all pairs at once by
     broadcasting. Use tagset.rules, which builds this once per tagset."""
-    parts = [decompose_tag(tagset, i) for i in range(tagset.size)]
-    prefix = np.array([p for p, _ in parts])
-    etype = np.array([-1 if t is None else tagset.entity_types.index(t) for _, t in parts])
+    prefix = np.array([p for p, _ in tagset.parts])
+    etype = np.array([-1 if t is None else tagset.entity_types.index(t) for _, t in tagset.parts])
     bioes = tagset.scheme is Scheme.BIOES
     continues = np.isin(prefix, ("I", "E") if bioes else ("I",))  # needs an open chunk
     opened = np.isin(prefix, ("B", "I"))  # leaves its chunk open
@@ -166,9 +208,10 @@ def illegal_transition_set(tagset: Tagset) -> TransitionRuleSet:
     # a continuation must join the chunk before it (so cannot open a
     # sentence); in BIOES nothing else may follow an open chunk
     illegal = np.where(continues[None, :], ~joins, opened[:, None] & bioes)
-    omega = frozenset(map(tuple, np.argwhere(illegal).tolist()))
-    starts = frozenset(np.flatnonzero(continues).tolist())
-    return TransitionRuleSet(omega=omega, illegal_starts=starts)
+    pairs, starts = np.argwhere(illegal), np.flatnonzero(continues)
+    return TransitionRuleSet(
+        frozenset(map(tuple, pairs.tolist())), frozenset(starts.tolist()), pairs, starts
+    )
 
 
 def canonical_run(tagset: Tagset, entity_type: str, length: int) -> list[int]:
@@ -193,8 +236,7 @@ def first_violation(
     """
     if len(path) == 0:
         raise ValueError("empty path")
-    for tag in path:
-        tagset.tag_of(tag)  # ValueError for an index outside [0, d)
+    tagset.check_indices(path)
     illegal_pair, illegal_start = tagset.rules.tables(tagset.size)
     if enforce_start and illegal_start[path[0]]:
         return 0, f"{tagset.tag_of(path[0])} cannot start a sentence"

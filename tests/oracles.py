@@ -94,3 +94,18 @@ def row_scatter_embedding_gradient(token_ids, d_logits, weights):
     for slot, rows in enumerate((prev_ids, ids, next_ids)):
         np.add.at(out, rows, d_x[:, slot * e : (slot + 1) * e])
     return out
+
+
+def dense_viterbi(emissions, scores, start):
+    """The max-product recursion over all d^2 moves of one sentence, as the
+    decoder ran before it read legal moves only: tail[t] = l[t] +
+    max_j(a[:, j] + tail[t + 1, j]) backward, then a forward read-off by
+    first-occurrence argmax of start + tail[0] and of a[prev] + tail[t]. On a
+    guarded masked matrix the legal-moves decoder must return its path."""
+    tail = np.array(emissions, dtype=np.float64)
+    for t in range(len(tail) - 2, -1, -1):
+        tail[t] += (scores + tail[t + 1][None, :]).max(axis=1)
+    path = [int((start + tail[0]).argmax())]
+    for t in range(1, len(tail)):
+        path.append(int((scores[path[-1]] + tail[t]).argmax()))
+    return path

@@ -30,7 +30,7 @@ from mcrf.crf import (
 )
 from mcrf.errors import SizeError
 from mcrf.masking import MaskSpec, apply_mask
-from mcrf.schemes import Scheme, build_tagset, illegal_transition_set
+from mcrf.schemes import Scheme, TransitionRuleSet, build_tagset, illegal_transition_set
 
 
 def random_instance(rng, T=None, d=None, scale=2.0):
@@ -450,6 +450,33 @@ class TestViterbi:
     def test_empty_corpus_decodes_to_no_paths(self):
         assert viterbi_batch([], TransitionMatrix.zeros(3)) == []
 
+    def test_rule_set_without_a_legal_path_is_refused(self):
+        """The legal-moves step needs a legal successor for every tag and a
+        legal start; a rule set without one is named, not decoded."""
+        trans, emissions = TransitionMatrix.zeros(3), [np.zeros((2, 3))]
+        stuck = TransitionRuleSet(frozenset({(1, 0), (1, 1), (1, 2)}), frozenset())
+        with pytest.raises(ValueError, match="tag 1 has no legal successor"):
+            viterbi_batch(emissions, trans, stuck)
+        closed = TransitionRuleSet(frozenset(), frozenset({0, 1, 2}))
+        with pytest.raises(ValueError, match="no tag is a legal start"):
+            viterbi_batch(emissions, trans, closed)
+
+    def test_illegal_entries_are_never_read(self):
+        """Under rules, NaN in every illegal entry leaves the paths as they
+        are with the entries at any finite value."""
+        rng = np.random.default_rng(61)
+        tagset = build_tagset(Scheme.BIOES, ["LOC", "PER"])
+        rules, d = tagset.rules, tagset.size
+        illegal_pair, illegal_start = rules.tables(d)
+        emissions = [rng.normal(size=(T, d)) for T in (1, 2, 5, 9)]
+        trans = TransitionMatrix(rng.normal(size=(d, d)), rng.normal(size=d))
+        expected = viterbi_batch(emissions, trans, rules)
+        for value in (np.nan, 1e300, -1e300):
+            poisoned = trans.copy()
+            poisoned.scores[illegal_pair] = value
+            poisoned.start[illegal_start] = value
+            assert viterbi_batch(emissions, poisoned, rules) == expected
+
 
 class TestBruteForceRestriction:
     def test_restricted_partition_hand_value(self):
@@ -463,8 +490,6 @@ class TestBruteForceRestriction:
         assert value == pytest.approx(math.log(5.0), abs=1e-12)
 
     def test_empty_rule_set_equals_unrestricted(self):
-        from mcrf.schemes import TransitionRuleSet
-
         rng = np.random.default_rng(61)
         emissions, trans = random_instance(rng, T=3, d=3)
         empty = TransitionRuleSet(frozenset(), frozenset())

@@ -1,5 +1,7 @@
 """Segment extraction from broken tag paths and post-hoc repair."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,13 @@ class TestExtractBio:
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
             extract_segments([], BIO)
+
+    def test_out_of_range_tag_is_named(self):
+        """The first index outside [0, d) is named, wherever it stands."""
+        for path, bad in (([0, BIO.size], BIO.size), ([-1, 0], -1), ([1, 9, -3], 9)):
+            message = f"tag index {bad} out of range [0, {BIO.size})"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                extract_segments(path, BIO)
 
 
 class TestExtractBioes:

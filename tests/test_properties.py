@@ -1,18 +1,22 @@
 """Property tests over random BIO/BIOES tagsets: constrained decoding of one
 sentence and of a corpus against the restricted enumeration oracle, the
-batched Viterbi engine on ragged corpora, the repair rules, and the batched
-forward-backward engine on ragged batches.
+batched Viterbi engine on ragged corpora and against the dense recursion over
+all d^2 moves, the repair rules, and the batched forward-backward engine on
+ragged batches.
 
 Scores are integer-valued so that the dynamic program and the enumeration
 sum every path exactly; with decimal scores the two can order a near-tie
 differently. Magnitudes reach 1e5, far beyond what c = -1e4 separates.
 """
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from oracles import dense_viterbi
 
 from mcrf import crf
 from mcrf.crf import (
@@ -21,8 +25,9 @@ from mcrf.crf import (
     brute_force_loss_and_gradients,
     loss_and_gradients,
     nll_loss,
+    viterbi_batch,
 )
-from mcrf.masking import MaskSpec, apply_mask, constrained_viterbi, decode
+from mcrf.masking import MaskSpec, apply_mask, constrained_viterbi, decode, guard_threshold
 from mcrf.postproc import extract_segments, repair_segments, repair_tags
 from mcrf.schemes import (
     Scheme,
@@ -124,6 +129,43 @@ def test_batched_viterbi_gives_each_sentence_its_oracle_argmax(corpus, masked):
     for cells in (crf._DECODE_CELLS, 1):
         with mock.patch.object(crf, "_DECODE_CELLS", cells):
             assert decode(emissions, trans, spec) == oracle
+
+
+@PROPERTY_SETTINGS
+@given(corpora(max_sentences=6, max_length=5), st.booleans())
+def test_legal_moves_engine_returns_the_dense_recursion_path(corpus, masked):
+    """With rules, the engine on the guarded masked matrix returns the path
+    of the dense recursion over all d^2 moves of that matrix, which is the
+    restricted oracle's; without rules, the dense recursion's on trans. Both
+    as one chunk and one sentence per chunk."""
+    _, emissions, trans, spec = corpus
+    rules, seen = None, trans
+    if masked:
+        rules = spec.rules
+        guard = guard_threshold(emissions, trans, spec)
+        seen = apply_mask(trans, replace(spec, mask_value=min(spec.mask_value, guard)))
+    dense = [dense_viterbi(em, seen.scores, seen.start) for em in emissions]
+    if masked:
+        assert dense == [brute_force_best(em, trans, rules=rules)[0] for em in emissions]
+    for cells in (crf._DECODE_CELLS, 1):
+        with mock.patch.object(crf, "_DECODE_CELLS", cells):
+            assert viterbi_batch(emissions, seen, rules) == dense
+
+
+@PROPERTY_SETTINGS
+@given(corpora(max_sentences=4, max_length=5))
+def test_nan_in_every_masked_entry_gives_the_same_paths(corpus):
+    """The engine never reads an illegal entry: with rules it returns the
+    restricted oracle's paths from a matrix whose masked entries are NaN,
+    with no mask applied, and so does decode."""
+    _, emissions, trans, spec = corpus
+    oracle = [brute_force_best(em, trans, rules=spec.rules)[0] for em in emissions]
+    illegal_pair, illegal_start = spec.rules.tables(trans.num_tags)
+    poisoned = trans.copy()
+    poisoned.scores[illegal_pair] = np.nan
+    poisoned.start[illegal_start] = np.nan
+    assert viterbi_batch(emissions, poisoned, spec.rules) == oracle
+    assert decode(emissions, poisoned, spec) == oracle
 
 
 @PROPERTY_SETTINGS

@@ -1,5 +1,6 @@
 """Tag scheme construction, transition legality, and rule-set derivation."""
 
+import numpy as np
 import pytest
 
 from mcrf.errors import ConfigurationError
@@ -75,6 +76,16 @@ class TestBuildTagset:
 
 
 class TestDecompose:
+    def test_table_matches_the_tag_names(self):
+        for scheme in (Scheme.BIO, Scheme.BIOES):
+            ts = build_tagset(scheme, ["LOC", "ORG"])
+            for i, tag in enumerate(ts.tags):
+                prefix, _, etype = tag.partition("-")
+                assert decompose_tag(ts, i) == ts.parts[i] == (prefix, etype or None)
+            for bad in (-1, ts.size):
+                with pytest.raises(ValueError, match=f"tag index {bad} out of range"):
+                    decompose_tag(ts, bad)
+
     def test_outside(self):
         ts = build_tagset(Scheme.BIO, ["LOC"])
         assert decompose_tag(ts, 0) == ("O", None)
@@ -200,6 +211,31 @@ class TestRuleSet:
         assert rules.illegal_starts == frozenset()
         assert len(rules.omega) == 1
 
+    def test_handed_index_arrays_compile_what_the_sets_compile(self):
+        """illegal_transition_set hands over the index arrays it computed;
+        they expand to the tables the frozensets alone expand to, for BIO and
+        BIOES with 1 to 10 entity types, with and without start rules."""
+        for scheme in (Scheme.BIO, Scheme.BIOES):
+            for k in range(1, 11):
+                ts = build_tagset(scheme, [f"T{i}" for i in range(k)])
+                for rules in (ts.rules, ts.rules.without_start_rules()):
+                    from_sets = TransitionRuleSet(rules.omega, rules.illegal_starts)
+                    for got, want in zip(rules.tables(ts.size), from_sets.tables(ts.size)):
+                        assert np.array_equal(got, want)
+                    for got, want in zip(rules.moves(ts.size), from_sets.moves(ts.size)):
+                        assert np.array_equal(got, want)
+
+    def test_moves_are_the_legal_pairs_in_row_major_order(self):
+        for scheme, k, count in ((Scheme.BIO, 3, 34), (Scheme.BIOES, 10, 481)):
+            ts = build_tagset(scheme, [f"T{i}" for i in range(k)])
+            d = ts.size
+            cells, successors, firsts = ts.rules.moves(d)
+            assert cells.size == count
+            assert np.array_equal(cells, np.flatnonzero(~ts.rules.tables(d)[0]))
+            assert np.array_equal(successors, cells % d)
+            assert np.array_equal(cells[firsts] // d, np.arange(d))
+            assert ts.rules.moves(d) is ts.rules.moves(d)
+
     def test_tagset_builds_its_rule_set_once(self):
         ts = build_tagset(Scheme.BIOES, ["LOC", "ORG"])
         assert ts.rules is ts.rules
@@ -257,5 +293,5 @@ class TestFirstViolation:
         ts = build_tagset(scheme, ["PER"])
         for bad in (-1, ts.size):
             for path in ([bad], [0, bad], [0, 0, bad]):
-                with pytest.raises(ValueError, match="out of range"):
+                with pytest.raises(ValueError, match=f"tag index {bad} out of range"):
                     first_violation(ts, path)
