@@ -19,7 +19,7 @@ from .data import (
     save_model,
     write_conll,
 )
-from .encoder import encode, load_external_logits
+from .encoder import load_external_logits
 from .errors import ConfigurationError, DataError, McrfError
 from .evaluation import format_report, score_paths
 from .masking import decode
@@ -47,7 +47,7 @@ def _model_emissions(model: ModelState, sentences, logits_path: str | None):
         return load_external_logits(
             logits_path, tags=model.tagset.tags, lengths=[len(s.tokens) for s in sentences]
         )
-    return [encode(model.vocab.lookup_all(s.tokens), model.encoder) for s in sentences]
+    return model.emissions(sentences)
 
 
 def cmd_train(args: argparse.Namespace) -> int:

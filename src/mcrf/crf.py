@@ -128,18 +128,19 @@ def logsumexp(x: np.ndarray, axis: int | None = None) -> np.ndarray | float:
     return np.squeeze(out, axis=axis)
 
 
-def _check_emissions(emissions: np.ndarray) -> np.ndarray:
-    emissions = np.asarray(emissions, dtype=np.float64)
-    if emissions.ndim != 2:
-        raise ValueError(f"emissions must be (T, d), got shape {emissions.shape}")
-    if emissions.shape[0] == 0:
-        raise ValueError("empty sequence: T must be >= 1")
-    return emissions
+def _sentence(emissions: np.ndarray, d: int, k: int = 0, length: int | None = None) -> np.ndarray:
+    """Sentence k of a batch as a float64 (T, d) array with T >= 1, and
+    T = length when given: the one emissions check of every entry point."""
+    em = np.asarray(emissions, dtype=np.float64)
+    if em.ndim != 2 or em.shape[1] != d or not len(em) or length not in (None, len(em)):
+        need = f"({length or 'T >= 1'}, {d})"
+        raise ValueError(f"sentence {k + 1}: emissions of shape {em.shape}, need {need}")
+    return em
 
 
 def path_score(emissions: np.ndarray, trans: TransitionMatrix, path: list[int]) -> float:
     """Score of one path: start + emissions along the path + transitions."""
-    emissions = _check_emissions(emissions)
+    emissions = _sentence(emissions, trans.num_tags)
     T, d = emissions.shape
     tags = np.asarray(path, dtype=np.intp)
     if tags.shape != (T,):
@@ -205,10 +206,7 @@ def _batch_nll(batch: Batch, trans: TransitionMatrix, gradients: bool):
     T = lengths.max()
     emissions, tags = np.zeros((n, T, d)), np.zeros((n, T), dtype=np.intp)
     for k, (em, gold) in enumerate(batch):
-        if np.shape(em) != (len(gold), d) or not len(gold):
-            shape = f"({len(gold) or 'T >= 1'}, {d})"
-            raise ValueError(f"sentence {k + 1}: emissions of shape {np.shape(em)}, need {shape}")
-        emissions[k, : len(gold)], tags[k, : len(gold)] = em, gold
+        emissions[k, : len(gold)], tags[k, : len(gold)] = _sentence(em, d, k, len(gold)), gold
     if tags.min() < 0 or tags.max() >= d:
         raise ValueError("gold path contains a tag index out of range")
     log_z, d_em, counts = _forward_backward(emissions, lengths, trans, gradients)
@@ -227,7 +225,7 @@ def _batch_nll(batch: Batch, trans: TransitionMatrix, gradients: bool):
 
 def log_partition(emissions: np.ndarray, trans: TransitionMatrix) -> float:
     """log Z: log-sum-exp of all d^T path scores, the engine at B = 1."""
-    emissions = _check_emissions(emissions)[None]
+    emissions = _sentence(emissions, trans.num_tags)[None]
     return float(_forward_backward(emissions, np.array([emissions.shape[1]]), trans, False)[0][0])
 
 
@@ -263,17 +261,14 @@ def viterbi_batch(
     forward (module docstring).
     """
     d = trans.num_tags
-    emissions_list = [np.asarray(em, dtype=np.float64) for em in emissions_list]
-    for k, em in enumerate(emissions_list):
-        if em.ndim != 2 or em.shape[1] != d or not len(em):
-            raise ValueError(f"sentence {k + 1}: emissions of shape {em.shape}, need (T >= 1, {d})")
+    emissions_list = [_sentence(em, d, k) for k, em in enumerate(emissions_list)]
     lengths = [len(em) for em in emissions_list]
     rules = _ALL_MOVES if rules is None else rules
     cells, successors, firsts = rules.moves(d)
     move_scores = trans.scores.take(cells)
     illegal_pair, illegal_start = rules.tables(d)  # illegal entries win no read-off argmax
-    nexts = np.where(illegal_pair, -np.inf, trans.scores) if rules.omega else trans.scores
-    opens = np.where(illegal_start, -np.inf, trans.start) if rules.illegal_starts else trans.start
+    nexts = np.where(illegal_pair, -np.inf, trans.scores)
+    opens = np.where(illegal_start, -np.inf, trans.start)
     order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)  # stable
     paths: list[list[int]] = [[] for _ in order]
     lo = 0
@@ -328,7 +323,7 @@ def _iter_scored_chunks(
     With rules, paths containing an omega pair or an illegal start are
     dropped from the chunk.
     """
-    emissions = _check_emissions(emissions)
+    emissions = _sentence(emissions, trans.num_tags)
     T, d = emissions.shape
     _check_enumerable(T, d)
     if rules is not None:
@@ -410,8 +405,8 @@ def brute_force_loss_and_gradients(
     d_start = np.zeros(d)
     d_emissions: list[np.ndarray] = []
     total = 0.0
-    for emissions, gold in batch:
-        emissions = _check_emissions(emissions)
+    for k, (emissions, gold) in enumerate(batch):
+        emissions = _sentence(emissions, d, k, len(gold))
         T = emissions.shape[0]
         tags = np.asarray(gold, dtype=np.intp)
         log_z = brute_force_log_partition(emissions, trans, rules)

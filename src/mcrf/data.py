@@ -7,7 +7,8 @@ corpus is a data error, not something to repair silently.
 
 The model file is a single JSON document (format tag "mcrf-model-v1") whose
 floats round-trip exactly through repr, so save/load is bit-faithful. Loading
-checks array shapes, finiteness and, in mcrf-train mode, the masked entries.
+checks array shapes, finiteness, the mode and the mask value and, in
+mcrf-train mode, the masked entries.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from functools import cached_property
 import numpy as np
 
 from .crf import TransitionMatrix
-from .encoder import EncoderWeights, Vocabulary
+from .encoder import EncoderWeights, Vocabulary, encode
 from .errors import ConfigurationError, DataError, FormatError
-from .masking import MaskSpec, mask_spec_for
+from .masking import MaskSpec, apply_mask, mask_spec_for
 from .schemes import Scheme, Tagset, build_tagset, canonical_run, first_violation
 
 MODEL_FORMAT = "mcrf-model-v1"
@@ -142,6 +143,11 @@ class ModelState:
         """The mask this model decodes under (None for crf), built on first use."""
         return mask_spec_for(self, self.tagset)
 
+    def emissions(self, sentences: list[LabeledSentence]) -> list[np.ndarray]:
+        """The encoder's (T, d) emissions for each sentence, encoded one
+        sentence at a time."""
+        return [encode(self.vocab.lookup_all(s.tokens), self.encoder) for s in sentences]
+
 
 def save_model(path: str, state: ModelState) -> None:
     doc = {
@@ -217,19 +223,19 @@ def load_model(path: str) -> ModelState:
             ),
             vocab=vocab,
         )
+        spec = state.mask_spec  # refuses an unknown mode or an unusable mask value
     except FormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: invalid model file ({exc})") from None
     if state.mode == "mcrf-train":
         # masked training pins every masked entry to exactly mask_value
-        illegal_pair, illegal_start = state.mask_spec.rules.tables(d)
-        want = np.float64(state.mask_value).tobytes()
-        for field, masked in (
-            ("transitions", state.trans.scores[illegal_pair]),
-            ("start", state.trans.start[illegal_start]),
+        pinned = apply_mask(state.trans, spec)
+        for field, stored, want in (
+            ("transitions", state.trans.scores, pinned.scores),
+            ("start", state.trans.start, pinned.start),
         ):
-            if masked.tobytes() != want * masked.size:
+            if stored.tobytes() != want.tobytes():
                 raise FormatError(
                     f"{path}: {field} has a masked entry that differs from "
                     f"mask_value {state.mask_value!r} in mcrf-train mode"

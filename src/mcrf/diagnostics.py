@@ -16,7 +16,6 @@ import numpy as np
 
 from .crf import TransitionMatrix, brute_force_best, viterbi
 from .data import LabeledSentence
-from .encoder import encode
 from .errors import ConfigurationError
 from .evaluation import ChunkMetrics, IllegalStats, score_paths
 from .masking import MaskSpec, constrained_viterbi, decode
@@ -117,15 +116,11 @@ def compare_systems(
     mcrf_model, _ = train(train_sentences, dev_sentences, mcrf_config, tagset)
     spec = mcrf_model.mask_spec
     gold_segments = [extract_segments(s.gold, tagset) for s in dev_sentences]
-
-    def emissions_for(model) -> list[np.ndarray]:
-        return [encode(model.vocab.lookup_all(s.tokens), model.encoder) for s in dev_sentences]
-
-    crf_emissions = emissions_for(crf_model)
+    crf_emissions = crf_model.emissions(dev_sentences)
     tagger_raw = decode(crf_emissions, TransitionMatrix.zeros(tagset.size), None)
     crf_raw = decode(crf_emissions, crf_model.trans, None)
     mcrf_decode_raw = decode(crf_emissions, crf_model.trans, spec)
-    mcrf_train_raw = decode(emissions_for(mcrf_model), mcrf_model.trans, spec)
+    mcrf_train_raw = decode(mcrf_model.emissions(dev_sentences), mcrf_model.trans, spec)
 
     def row(label: str, raw: list[list[int]], strategy: str) -> SystemRow:
         metrics, stats = score_paths(gold_segments, raw, tagset, strategy)

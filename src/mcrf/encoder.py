@@ -113,11 +113,6 @@ class EncoderWeights:
             bias=np.zeros(num_tags),
         )
 
-    def copy(self) -> "EncoderWeights":
-        return EncoderWeights(
-            self.embeddings.copy(), self.projection.copy(), self.bias.copy()
-        )
-
 
 def _window_ids(token_ids: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ids = np.asarray(token_ids, dtype=np.intp)

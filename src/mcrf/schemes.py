@@ -16,9 +16,10 @@ tag that cannot open a sentence (I-* for BIO; I-* and E-* for BIOES).
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -132,26 +133,17 @@ def is_legal_transition(tagset: Tagset, i: int, j: int) -> bool:
 class TransitionRuleSet:
     """The illegal transition pairs (omega) and illegal start tags of a tagset.
 
-    Both sets are held, from construction, as sorted index arrays; a caller
-    that already has them passes them as pairs and starts, which must list
-    exactly omega and illegal_starts in sorted order. tables(d) expands them
-    into the boolean lookup tables that masking, training, the enumeration
-    oracles and every legality check read, and moves(d) lists the legal
-    moves the decoder maximises over.
+    The two sets are the whole rule set: equality and hashing read them
+    only. tables(d) expands them into the boolean lookup tables that masking,
+    training, the enumeration oracles and every legality check read, and
+    moves(d) lists the legal moves the decoder maximises over; both are
+    built on first use for each d and kept.
     """
 
     omega: frozenset[tuple[int, int]]
     illegal_starts: frozenset[int]
-    pairs: InitVar[np.ndarray | None] = None
-    starts: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, pairs: np.ndarray | None, starts: np.ndarray | None) -> None:
-        if pairs is None:
-            pairs = np.array(sorted(self.omega), dtype=np.intp).reshape(-1, 2)
-        if starts is None:
-            starts = np.array(sorted(self.illegal_starts), dtype=np.intp)
-        object.__setattr__(self, "_pairs", pairs)
-        object.__setattr__(self, "_starts", starts)
+    def __post_init__(self) -> None:
         object.__setattr__(self, "_tables", {})
         object.__setattr__(self, "_moves", {})
 
@@ -159,13 +151,15 @@ class TransitionRuleSet:
         """Read-only boolean illegal_pair (d, d) and illegal_start (d,) tables
         for d tags, expanded on first use for each d."""
         if d not in self._tables:
-            for name, index in (("mask entry", self._pairs), ("illegal start", self._starts)):
+            pairs = np.fromiter(chain.from_iterable(self.omega), np.intp).reshape(-1, 2)
+            starts = np.fromiter(self.illegal_starts, np.intp)
+            for name, index in (("mask entry", pairs), ("illegal start", starts)):
                 if index.size and (index.min() < 0 or index.max() >= d):
                     raise ValueError(f"{name} index out of range for {d} tags")
             illegal_pair = np.zeros((d, d), dtype=bool)
-            illegal_pair[self._pairs[:, 0], self._pairs[:, 1]] = True
+            illegal_pair[pairs[:, 0], pairs[:, 1]] = True
             illegal_start = np.zeros(d, dtype=bool)
-            illegal_start[self._starts] = True
+            illegal_start[starts] = True
             illegal_pair.flags.writeable = illegal_start.flags.writeable = False
             self._tables[d] = (illegal_pair, illegal_start)
         return self._tables[d]
@@ -191,7 +185,7 @@ class TransitionRuleSet:
         return self._moves[d]
 
     def without_start_rules(self) -> "TransitionRuleSet":
-        return TransitionRuleSet(self.omega, frozenset(), self._pairs, self._starts[:0])
+        return TransitionRuleSet(self.omega, frozenset())
 
 
 def illegal_transition_set(tagset: Tagset) -> TransitionRuleSet:
@@ -208,9 +202,9 @@ def illegal_transition_set(tagset: Tagset) -> TransitionRuleSet:
     # a continuation must join the chunk before it (so cannot open a
     # sentence); in BIOES nothing else may follow an open chunk
     illegal = np.where(continues[None, :], ~joins, opened[:, None] & bioes)
-    pairs, starts = np.argwhere(illegal), np.flatnonzero(continues)
     return TransitionRuleSet(
-        frozenset(map(tuple, pairs.tolist())), frozenset(starts.tolist()), pairs, starts
+        frozenset(zip(*(index.tolist() for index in np.nonzero(illegal)))),
+        frozenset(np.flatnonzero(continues).tolist()),
     )
 
 

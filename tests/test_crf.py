@@ -298,12 +298,30 @@ class TestGradients:
 
 class TestBatches:
     def test_width_mismatch_names_the_sentence(self):
+        """Every entry point, the enumeration oracles included, refuses
+        emissions narrower or wider than trans instead of scoring a corner of
+        the matrix (or failing inside numpy)."""
         trans = TransitionMatrix.zeros(3)
         batch = [(np.zeros((2, 3)), [0, 1]), (np.zeros((2, 4)), [0, 1])]
-        for fn in (nll_loss, loss_and_gradients):
+        for fn in (nll_loss, loss_and_gradients, brute_force_loss_and_gradients):
             message = r"sentence 2: emissions of shape \(2, 4\), need \(2, 3\)"
             with pytest.raises(ValueError, match=message):
                 fn(batch, trans)
+        for width in (2, 4):
+            bad = np.zeros((4, width))
+            for call in (
+                lambda: path_score(bad, trans, [0, 1, 1, 0]),
+                lambda: log_partition(bad, trans),
+                lambda: viterbi(bad, trans),
+                lambda: brute_force_log_partition(bad, trans),
+                lambda: brute_force_best(bad, trans),
+            ):
+                message = f"sentence 1: emissions of shape (4, {width}), need (T >= 1, 3)"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    call()
+            message = f"sentence 1: emissions of shape (4, {width}), need (4, 3)"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                brute_force_loss_and_gradients([(bad, [0, 1, 1, 0])], trans)
 
     def test_gold_length_mismatch_and_empty_sentence_rejected(self):
         trans = TransitionMatrix.zeros(2)

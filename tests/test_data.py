@@ -1,6 +1,7 @@
 """Corpus reading and writing, model persistence, synthetic generation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -265,6 +266,26 @@ class TestModelPersistence:
 
         with pytest.raises(FormatError, match="start"):
             load_model(self._edited(tmp_path, small_state(mode="mcrf-train"), edit))
+
+    def test_unusable_mask_value_rejected_naming_the_file(self, tmp_path):
+        """A masked model file whose mask value the decoder would refuse fails
+        at load time, naming the file; crf mode never reads the value."""
+
+        def edit(doc):
+            doc["mask_value"] = 5.0
+
+        for mode in ("mcrf-decode", "mcrf-train"):
+            path = self._edited(tmp_path, small_state(mode=mode), edit)
+            with pytest.raises(FormatError, match=f"{re.escape(path)}: .*mask value"):
+                load_model(path)
+        assert load_model(self._edited(tmp_path, small_state(), edit)).mask_value == 5.0
+
+        def unknown_mode(doc):
+            doc["mode"] = "bogus"
+
+        path = self._edited(tmp_path, small_state(), unknown_mode)
+        with pytest.raises(FormatError, match=f"{re.escape(path)}: .*unknown mode"):
+            load_model(path)
 
     def test_enforce_start_must_be_a_json_boolean(self, tmp_path):
         """The string "false" is truthy; it must not load as start enforcement on."""

@@ -211,20 +211,6 @@ class TestRuleSet:
         assert rules.illegal_starts == frozenset()
         assert len(rules.omega) == 1
 
-    def test_handed_index_arrays_compile_what_the_sets_compile(self):
-        """illegal_transition_set hands over the index arrays it computed;
-        they expand to the tables the frozensets alone expand to, for BIO and
-        BIOES with 1 to 10 entity types, with and without start rules."""
-        for scheme in (Scheme.BIO, Scheme.BIOES):
-            for k in range(1, 11):
-                ts = build_tagset(scheme, [f"T{i}" for i in range(k)])
-                for rules in (ts.rules, ts.rules.without_start_rules()):
-                    from_sets = TransitionRuleSet(rules.omega, rules.illegal_starts)
-                    for got, want in zip(rules.tables(ts.size), from_sets.tables(ts.size)):
-                        assert np.array_equal(got, want)
-                    for got, want in zip(rules.moves(ts.size), from_sets.moves(ts.size)):
-                        assert np.array_equal(got, want)
-
     def test_moves_are_the_legal_pairs_in_row_major_order(self):
         for scheme, k, count in ((Scheme.BIO, 3, 34), (Scheme.BIOES, 10, 481)):
             ts = build_tagset(scheme, [f"T{i}" for i in range(k)])
