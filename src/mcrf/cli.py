@@ -11,6 +11,7 @@ import numpy as np
 
 from .crf import viterbi  # noqa: F401  (module attribute that perfbench/selftest.py checks)
 from .data import (
+    TRAIN_MODES,
     ModelState,
     SyntheticConfig,
     generate_synthetic,
@@ -205,20 +206,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev", required=True, help="dev corpus (CoNLL)")
     p.add_argument("--scheme", choices=[s.value for s in Scheme], default="bio")
     p.add_argument("--types", type=int, default=3, help="number of entity types")
-    p.add_argument("--mode", choices=["crf", "mcrf-decode", "mcrf-train"], default="crf")
-    p.add_argument("--mask-value", type=float, default=-1e4)
+    p.add_argument("--mode", choices=TRAIN_MODES, default=TrainConfig.mode)
+    p.add_argument("--mask-value", type=float, default=TrainConfig.mask_value)
     p.add_argument(
         "--no-enforce-start",
         action="store_true",
         help="do not mask tags that cannot open a sentence",
     )
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--max-iterations", type=int, default=1000)
-    p.add_argument("--eval-every", type=int, default=50)
-    p.add_argument("--embedding-dim", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--max-iterations", type=int, default=TrainConfig.max_iterations)
+    p.add_argument("--eval-every", type=int, default=TrainConfig.eval_every)
+    p.add_argument("--embedding-dim", type=int, default=TrainConfig.embedding_dim)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--seeds", type=int, default=1, help="number of seeded trials")
     p.add_argument("--emissions", help="external logits file for the training corpus")
     p.add_argument("--dev-emissions", help="external logits file for the dev corpus")
@@ -253,12 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sentences", type=int, default=200)
     p.add_argument("--types", type=int, default=3)
-    p.add_argument("--scheme", choices=[s.value for s in Scheme], default="bio")
-    p.add_argument("--min-length", type=int, default=5)
-    p.add_argument("--max-length", type=int, default=15)
-    p.add_argument("--vocab-size", type=int, default=60)
-    p.add_argument("--entity-density", type=float, default=0.2)
-    p.add_argument("--noise-rate", type=float, default=0.02)
+    p.add_argument(
+        "--scheme", choices=[s.value for s in Scheme], default=SyntheticConfig.scheme.value
+    )
+    p.add_argument("--min-length", type=int, default=SyntheticConfig.min_length)
+    p.add_argument("--max-length", type=int, default=SyntheticConfig.max_length)
+    p.add_argument("--vocab-size", type=int, default=SyntheticConfig.vocab_size)
+    p.add_argument("--entity-density", type=float, default=SyntheticConfig.entity_density)
+    p.add_argument("--noise-rate", type=float, default=SyntheticConfig.noise_rate)
     p.add_argument("--sample-fraction", type=float, default=1.0)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_gen_synth)

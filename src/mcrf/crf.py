@@ -138,15 +138,31 @@ def _sentence(emissions: np.ndarray, d: int, k: int = 0, length: int | None = No
     return em
 
 
+def _gold(paths: list, lengths: list[int], d: int) -> np.ndarray:
+    """The gold paths of a batch, each of its sentence's length and of integer
+    tags in [0, d), left-aligned in a zero-padded (B, max T) array: the one
+    gold check of every entry point that scores a given path."""
+    tags = np.zeros((len(paths), max(lengths)), dtype=np.intp)
+    for k, (path, T) in enumerate(zip(paths, lengths)):
+        path = np.asarray(path)
+        if path.shape != (T,) or path.dtype.kind not in "iu":
+            raise ValueError(
+                f"sentence {k + 1}: gold path of shape {path.shape} and dtype {path.dtype}, "
+                f"need ({T},) integer tags"
+            )
+        tags[k, :T] = path
+    wrapped = tags.view(np.uintp)  # a negative tag wraps to a huge unsigned one
+    if wrapped.max() >= d:
+        k = int((wrapped >= d).any(axis=1).argmax())
+        raise ValueError(f"sentence {k + 1}: gold path has a tag index out of range [0, {d})")
+    return tags
+
+
 def path_score(emissions: np.ndarray, trans: TransitionMatrix, path: list[int]) -> float:
     """Score of one path: start + emissions along the path + transitions."""
     emissions = _sentence(emissions, trans.num_tags)
-    T, d = emissions.shape
-    tags = np.asarray(path, dtype=np.intp)
-    if tags.shape != (T,):
-        raise ValueError(f"path length {tags.shape} does not match T={T}")
-    if tags.min() < 0 or tags.max() >= d:
-        raise ValueError("path contains a tag index out of range")
+    T = len(emissions)
+    tags = _gold([path], [T], trans.num_tags)[0]
     score = np.sum(emissions[np.arange(T), tags])
     score += np.sum(trans.scores[tags[:-1], tags[1:]])
     score += trans.start[tags[0]]
@@ -204,11 +220,10 @@ def _batch_nll(batch: Batch, trans: TransitionMatrix, gradients: bool):
     d, n = trans.num_tags, len(batch)
     lengths = np.array([len(gold) for _, gold in batch])
     T = lengths.max()
-    emissions, tags = np.zeros((n, T, d)), np.zeros((n, T), dtype=np.intp)
+    emissions = np.zeros((n, T, d))
     for k, (em, gold) in enumerate(batch):
-        emissions[k, : len(gold)], tags[k, : len(gold)] = _sentence(em, d, k, len(gold)), gold
-    if tags.min() < 0 or tags.max() >= d:
-        raise ValueError("gold path contains a tag index out of range")
+        emissions[k, : len(gold)] = _sentence(em, d, k, len(gold))
+    tags = _gold([gold for _, gold in batch], lengths, d)
     log_z, d_em, counts = _forward_backward(emissions, lengths, trans, gradients)
     rows, cols = np.arange(n)[:, None], np.arange(T)
     moves = (tags[:, :-1] * d + tags[:, 1:])[cols[1:] < lengths[:, None]]
@@ -405,12 +420,13 @@ def brute_force_loss_and_gradients(
     d_start = np.zeros(d)
     d_emissions: list[np.ndarray] = []
     total = 0.0
+    golds = _gold([gold for _, gold in batch], [len(gold) for _, gold in batch], d)
     for k, (emissions, gold) in enumerate(batch):
         emissions = _sentence(emissions, d, k, len(gold))
         T = emissions.shape[0]
-        tags = np.asarray(gold, dtype=np.intp)
+        tags = golds[k, :T]
         log_z = brute_force_log_partition(emissions, trans, rules)
-        total += log_z - path_score(emissions, trans, gold)
+        total += log_z - path_score(emissions, trans, tags)
         d_em = np.zeros((T, d))
         for paths, scores in _iter_scored_chunks(emissions, trans, rules):
             w = np.exp(scores - log_z)

@@ -3,7 +3,9 @@
 CoNLL format: one token per line, columns separated by whitespace, token in
 the first column and tag in the last, sentences separated by blank lines.
 Gold paths are validated for scheme legality at load time; an illegal gold
-corpus is a data error, not something to repair silently.
+corpus is a data error, not something to repair silently. Corpora and model
+files are read through errors.read_text, so a byte that is not UTF-8 is a
+FormatError naming the file and line.
 
 The model file is a single JSON document (format tag "mcrf-model-v1") whose
 floats round-trip exactly through repr, so save/load is bit-faithful. Loading
@@ -21,13 +23,15 @@ import numpy as np
 
 from .crf import TransitionMatrix
 from .encoder import EncoderWeights, Vocabulary, encode
-from .errors import ConfigurationError, DataError, FormatError
+from .errors import ConfigurationError, DataError, FormatError, read_text
 from .masking import MaskSpec, apply_mask, mask_spec_for
 from .schemes import Scheme, Tagset, build_tagset, canonical_run, first_violation
 
 MODEL_FORMAT = "mcrf-model-v1"
 
 TRAIN_MODES = ("crf", "mcrf-decode", "mcrf-train")
+
+MAX_ENTITY_LENGTH = 3  # longest entity run the synthetic generator draws
 
 
 @dataclass
@@ -50,8 +54,7 @@ def read_conll(path: str, tagset: Tagset, validate: bool = True) -> list[Labeled
     an unconstrained decoder may legitimately be illegal; read those with
     validate=False.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = read_text(path).split("\n")
     sentences: list[LabeledSentence] = []
     tokens: list[str] = []
     tags: list[int] = []
@@ -175,8 +178,7 @@ def save_model(path: str, state: ModelState) -> None:
 
 def load_model(path: str) -> ModelState:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: corrupted model file ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
@@ -250,7 +252,8 @@ class SyntheticConfig:
     Each entity type gets its own small pool of surface tokens, so emission
     windows genuinely predict the type; fillers come from a shared pool.
     noise_rate randomly swaps a token for one drawn from the global pool
-    without touching the gold tags.
+    without touching the gold tags. Entity runs are 1 to MAX_ENTITY_LENGTH
+    tokens long, cut short at the sentence end.
     """
 
     entity_types: tuple[str, ...] = ("LOC", "ORG", "PER")
@@ -261,7 +264,6 @@ class SyntheticConfig:
     vocab_size: int = 60  # size of the filler pool; entity pools add tokens_per_type each
     tokens_per_type: int = 12
     entity_density: float = 0.2
-    max_entity_length: int = 3
     noise_rate: float = 0.02
 
     def __post_init__(self) -> None:
@@ -273,7 +275,7 @@ class SyntheticConfig:
             raise ConfigurationError("noise_rate must lie in [0, 1]")
         if self.sentences < 1:
             raise ConfigurationError("need at least one sentence")
-        for name in ("vocab_size", "tokens_per_type", "max_entity_length"):
+        for name in ("vocab_size", "tokens_per_type"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -301,7 +303,7 @@ def generate_synthetic(
             remaining = length - t
             if remaining >= 1 and rng.random() < config.entity_density:
                 etype = str(rng.choice(list(config.entity_types)))
-                span = int(rng.integers(1, min(config.max_entity_length, remaining) + 1))
+                span = int(rng.integers(1, min(MAX_ENTITY_LENGTH, remaining) + 1))
                 pool = pools[etype]
                 tokens.extend(str(rng.choice(pool)) for _ in range(span))
                 gold.extend(canonical_run(tagset, etype, span))

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, read_text
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -214,8 +214,7 @@ def load_external_logits(
 
     Every failure names the offending line number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = read_text(path).split("\n")
     if not lines or not lines[0].strip():
         raise FormatError(f"{path}:1: missing header line")
     header = lines[0].rstrip("\r")

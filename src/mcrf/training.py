@@ -9,9 +9,11 @@
                 gradient history only, so the other entries never see it
 
 The budget rule is max(epochs, iteration floor): training runs for
-max(max_epochs * batches_per_epoch, max_iterations) iterations. Everything
-is seeded; two runs with the same config and data produce byte-identical
-reports.
+max(max_epochs * batches_per_epoch, max_iterations) iterations. Adam's
+betas and epsilon are the module constants BETA1, BETA2 and EPSILON; only
+the learning rate is a setting. The vocabulary is built from the training
+tokens in first-occurrence order. Everything is seeded; two runs with the
+same config and data produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -27,20 +29,21 @@ from .data import TRAIN_MODES, LabeledSentence, ModelState
 from .encoder import EncoderWeights, Vocabulary, encode, encoder_backward, join_sentences
 from .errors import ConfigurationError, DataError, TrainingError
 from .evaluation import score_paths
-from .masking import MaskSpec, decode, mask_spec_for, reapply_mask_in_place
+from .masking import DEFAULT_MASK_VALUE, MaskSpec, decode, mask_spec_for, reapply_mask_in_place
 from .postproc import extract_segments
 from .schemes import Tagset, validate_gold_paths
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     mode: str = "crf"
-    mask_value: float = -1e4
+    mask_value: float = DEFAULT_MASK_VALUE
     enforce_start: bool = True
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 32
     max_epochs: int = 5
     max_iterations: int = 1000
@@ -57,10 +60,6 @@ class TrainConfig:
             raise ConfigurationError(
                 f"learning_rate must be finite and >= 0, got {self.learning_rate}"
             )
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ConfigurationError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ConfigurationError("Adam betas must lie in [0, 1)")
         if self.max_epochs < 0 or self.max_iterations < 0:
             raise ConfigurationError("epoch and iteration budgets must be >= 0")
         if self.eval_every < 1:
@@ -105,13 +104,13 @@ def adam_step(
             raise ValueError(f"gradient shape mismatch for {name!r}")
         m = state.m[name]
         v = state.v[name]
-        m *= config.beta1
-        m += (1 - config.beta1) * g
-        v *= config.beta2
-        v += (1 - config.beta2) * g * g
-        m_hat = m / (1 - config.beta1**t)
-        v_hat = v / (1 - config.beta2**t)
-        p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        m *= BETA1
+        m += (1 - BETA1) * g
+        v *= BETA2
+        v += (1 - BETA2) * g * g
+        m_hat = m / (1 - BETA1**t)
+        v_hat = v / (1 - BETA2**t)
+        p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
 
 
 @dataclass(frozen=True)
@@ -152,28 +151,24 @@ def initialize(
     tagset: Tagset,
     vocab: Vocabulary,
     rng: np.random.Generator | None = None,
-    spec: MaskSpec | None = None,
 ) -> tuple[EncoderWeights, TransitionMatrix, OptimizerState]:
-    """Seeded initial weights; in mcrf-train mode the mask (spec, built
-    from config when not given) is already applied."""
+    """Seeded initial weights; in mcrf-train mode the mask is already applied."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
     enc = EncoderWeights.init(vocab.size, config.embedding_dim, tagset.size, rng)
     trans = TransitionMatrix.zeros(tagset.size)
     if config.mode == "mcrf-train":
-        reapply_mask_in_place(trans, spec or mask_spec_for(config, tagset))
+        reapply_mask_in_place(trans, mask_spec_for(config, tagset))
     params = _param_dict(enc, trans)
     return enc, trans, OptimizerState.for_params(params)
 
 
-def _param_dict(enc: EncoderWeights, trans: TransitionMatrix) -> dict[str, np.ndarray]:
-    return {
-        "embeddings": enc.embeddings,
-        "projection": enc.projection,
-        "bias": enc.bias,
-        "transitions": trans.scores,
-        "start": trans.start,
-    }
+def _param_dict(enc: EncoderWeights | None, trans: TransitionMatrix) -> dict[str, np.ndarray]:
+    """The arrays Adam steps, by name; without enc, the transition scores only."""
+    params = {"transitions": trans.scores, "start": trans.start}
+    if enc is not None:
+        params.update(embeddings=enc.embeddings, projection=enc.projection, bias=enc.bias)
+    return params
 
 
 def train(
@@ -181,7 +176,6 @@ def train(
     dev_sentences: list[LabeledSentence],
     config: TrainConfig,
     tagset: Tagset,
-    vocab: Vocabulary | None = None,
     train_logits: list[np.ndarray] | None = None,
     dev_logits: list[np.ndarray] | None = None,
     on_checkpoint=None,
@@ -189,7 +183,8 @@ def train(
     """Run the configured training and return the model plus its report.
 
     When train_logits/dev_logits are given, emissions are frozen to those
-    arrays and only the transition matrix and start vector are optimized.
+    arrays and Adam steps only the transition matrix and start vector; the
+    encoder keeps its initial weights.
     on_checkpoint, if given, is called as on_checkpoint(iteration, trans)
     at every evaluation point.
     """
@@ -223,16 +218,14 @@ def train(
                         f"non-finite value in external {name} emissions, sentence {k + 1}"
                     )
 
-    if vocab is None:
-        vocab = Vocabulary.from_tokens(
-            tok for sent in train_sentences for tok in sent.tokens
-        )
+    vocab = Vocabulary.from_tokens(tok for sent in train_sentences for tok in sent.tokens)
     rng = np.random.default_rng(config.seed)
     spec = mask_spec_for(config, tagset)
-    enc, trans, opt = initialize(config, tagset, vocab, rng, spec)
-    params = _param_dict(enc, trans)
+    enc, trans, opt = initialize(config, tagset, vocab, rng)
+    params = _param_dict(None if external else enc, trans)
 
     train_ids = [vocab.lookup_all(s.tokens) for s in train_sentences]
+    train_golds = [np.asarray(s.gold) for s in train_sentences]  # arrays pass the gold check fast
     dev_ids = [vocab.lookup_all(s.tokens) for s in dev_sentences]
     gold_segments = [extract_segments(s.gold, tagset) for s in dev_sentences]
 
@@ -248,7 +241,7 @@ def train(
         if b == 0:
             order = rng.permutation(n)
         picked = order[b * config.batch_size : (b + 1) * config.batch_size]
-        golds = [train_sentences[k].gold for k in picked]
+        golds = [train_golds[k] for k in picked]
         if external:
             batch = [(train_logits[k], gold) for k, gold in zip(picked, golds)]
         else:
@@ -261,9 +254,8 @@ def train(
                 f"non-finite loss {loss} at iteration {iteration}; "
                 f"check emissions and learning rate"
             )
-        if external:
-            g_enc = EncoderWeights.zeros(vocab.size, config.embedding_dim, tagset.size)
-        else:
+        g_enc = None
+        if not external:
             d_logits = np.zeros_like(logits)  # separator rows stay zero
             for r, g in zip(rows, grads.emissions):
                 d_logits[r] = g

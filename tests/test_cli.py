@@ -8,13 +8,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcrf import schemes
+from mcrf import cli, schemes
 from mcrf.cli import main
-from mcrf.data import LabeledSentence, ModelState, load_model, read_conll, save_model, write_conll
+from mcrf.data import (
+    LabeledSentence,
+    ModelState,
+    SyntheticConfig,
+    load_model,
+    read_conll,
+    save_model,
+    write_conll,
+)
 from mcrf.encoder import EncoderWeights, Vocabulary, encode, write_logits
 from mcrf.masking import MaskSpec, apply_mask, constrained_viterbi, decode, guard_threshold
 from mcrf.schemes import Scheme, build_tagset, first_violation, illegal_transition_set
 from mcrf.crf import TransitionMatrix, viterbi
+from mcrf.training import TrainConfig
 
 
 def count_sentences(path):
@@ -270,6 +279,30 @@ class TestTrain:
         assert code == 1
         assert "illegal gold path" in capsys.readouterr().err
 
+    def test_defaults_are_the_configs(self, monkeypatch):
+        """`mcrf train` with no settings trains TrainConfig(), and
+        `mcrf gen-synth` draws from SyntheticConfig() but for its own
+        sentence count; the benchmark's train-bio3 relies on both."""
+        built = []
+
+        class Stop(Exception):
+            pass
+
+        def stop(config, *rest, **kwargs):
+            built.append(config)
+            raise Stop
+
+        monkeypatch.setattr(cli, "read_conll", lambda path, tagset: [])
+        monkeypatch.setattr(cli, "train", lambda train_s, dev_s, config, *rest, **kw: stop(config))
+        monkeypatch.setattr(cli, "generate_synthetic", stop)
+        for argv in (["train", "--data", "a", "--dev", "b", "--out", "c"],
+                     ["gen-synth", "--out-prefix", "x"]):
+            args = cli.build_parser().parse_args(argv)
+            with pytest.raises(Stop):
+                args.func(args)
+        assert built[0] == TrainConfig()
+        assert built[1] == replace(SyntheticConfig(), sentences=200)
+
 
 def bias_model(tmp_path, mode):
     """A hand-built model whose every position prefers I-LOC: in crf mode the
@@ -393,6 +426,21 @@ class TestPredict:
         assert err.startswith("error: ")
         assert "transitions" in err
         assert "Traceback" not in err
+
+    def test_non_utf8_model_file_fails_cleanly(self, data, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_bytes(b'{"format":\n"\xff"}\n')
+        assert main(["predict", "--model", str(model_path), "--data", data,
+                     "--out", str(tmp_path / "pred.conll")]) == 1
+        assert capsys.readouterr().err == f"error: {model_path}:2: not UTF-8 text (byte 0xff)\n"
+
+    def test_non_utf8_logits_fail_cleanly(self, data, tmp_path, capsys):
+        model_path, tagset = bias_model(tmp_path, "crf")
+        logits = tmp_path / "x.logits"
+        logits.write_bytes(f"d=3\ttags={','.join(tagset.tags)}\n0\t0\t0\n".encode() + b"\xfe\n")
+        assert main(["predict", "--model", model_path, "--data", data,
+                     "--emissions", str(logits), "--out", str(tmp_path / "pred.conll")]) == 1
+        assert capsys.readouterr().err == f"error: {logits}:3: not UTF-8 text (byte 0xfe)\n"
 
     def test_rule_set_is_built_once_per_command(self, tmp_path, monkeypatch):
         """Predicting 12 sentences with a masked-training model derives the
@@ -545,6 +593,12 @@ class TestEval:
         out = capsys.readouterr().out
         assert "precision=" in out
         assert "illegal/total=0.0%" in out
+
+    def test_non_utf8_corpus_fails_cleanly(self, tmp_path, capsys):
+        bad = tmp_path / "bad.conll"
+        bad.write_bytes(b"a\tO\n\nb\tO\n\xffc\tO\n\n")
+        assert main(["eval", "--gold", str(bad), "--pred", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}:4: not UTF-8 text (byte 0xff)\n"
 
     def test_alignment_mismatch_fails(self, tmp_path, capsys):
         gold = tmp_path / "gold.conll"

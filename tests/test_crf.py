@@ -323,6 +323,24 @@ class TestBatches:
             with pytest.raises(ValueError, match=re.escape(message)):
                 brute_force_loss_and_gradients([(bad, [0, 1, 1, 0])], trans)
 
+    def test_non_integer_gold_names_the_sentence(self):
+        """Gold tags are indices: a float path is refused, not truncated to
+        the tags below it (which once scored [0.7, 1.9] as [0, 1]), and a tag
+        outside [0, d) names its sentence too."""
+        trans = TransitionMatrix.zeros(3)
+        message = r"sentence 2: gold path of shape \(2,\) and dtype float64, need \(2,\) integer"
+        batch = [(np.zeros((2, 3)), [0, 1]), (np.zeros((2, 3)), [0.7, 1.9])]
+        for fn in (nll_loss, loss_and_gradients, brute_force_loss_and_gradients):
+            with pytest.raises(ValueError, match=message):
+                fn(batch, trans)
+        with pytest.raises(ValueError, match=message.replace("sentence 2", "sentence 1")):
+            path_score(np.zeros((2, 3)), trans, [0.7, 1.9])
+        for bad in (-1, 3):
+            batch[1] = (np.zeros((2, 3)), [0, bad])
+            for fn in (nll_loss, loss_and_gradients, brute_force_loss_and_gradients):
+                with pytest.raises(ValueError, match=r"sentence 2: .* out of range \[0, 3\)"):
+                    fn(batch, trans)
+
     def test_gold_length_mismatch_and_empty_sentence_rejected(self):
         trans = TransitionMatrix.zeros(2)
         with pytest.raises(ValueError, match="sentence 1: "):

@@ -44,8 +44,6 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError):
             TrainConfig(learning_rate=-1e-3)
         with pytest.raises(ConfigurationError):
-            TrainConfig(beta1=1.0)
-        with pytest.raises(ConfigurationError):
             TrainConfig(eval_every=0)
         with pytest.raises(ConfigurationError):
             TrainConfig(embedding_dim=0)
@@ -57,11 +55,6 @@ class TestTrainConfig:
     def test_non_finite_learning_rate_rejected(self, value):
         with pytest.raises(ConfigurationError, match="learning_rate must be finite"):
             TrainConfig(learning_rate=value)
-
-    @pytest.mark.parametrize("value", [0.0, -1e-8, np.nan, np.inf])
-    def test_non_positive_or_non_finite_epsilon_rejected(self, value):
-        with pytest.raises(ConfigurationError, match="epsilon must be finite and > 0"):
-            TrainConfig(epsilon=value)
 
     @pytest.mark.parametrize("mode", ["crf", "mcrf-decode", "mcrf-train"])
     @pytest.mark.parametrize("value", [-np.inf, np.nan, np.inf])
@@ -94,11 +87,11 @@ class TestAdam:
         # Hand-rolled reference following the standard bias-corrected update.
         w, m, v = 0.5, 0.0, 0.0
         for t, g in enumerate(g_seq, start=1):
-            m = config.beta1 * m + (1 - config.beta1) * g
-            v = config.beta2 * v + (1 - config.beta2) * g * g
-            m_hat = m / (1 - config.beta1**t)
-            v_hat = v / (1 - config.beta2**t)
-            w -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+            m = training.BETA1 * m + (1 - training.BETA1) * g
+            v = training.BETA2 * v + (1 - training.BETA2) * g * g
+            m_hat = m / (1 - training.BETA1**t)
+            v_hat = v / (1 - training.BETA2**t)
+            w -= config.learning_rate * m_hat / (np.sqrt(v_hat) + training.EPSILON)
         for g in g_seq:
             adam_step(state, params, {"w": np.array([g])}, config)
         assert params["w"][0] == pytest.approx(w, abs=1e-15)
@@ -188,7 +181,7 @@ class TestTrainLoop:
         )
         vocab = Vocabulary.from_tokens(t for s in train_s for t in s.tokens)
         init_enc, init_trans, _ = initialize(config, tagset, vocab)
-        state, _ = train(train_s, dev_s, config, tagset, vocab=vocab)
+        state, _ = train(train_s, dev_s, config, tagset)
         np.testing.assert_array_equal(state.trans.scores, init_trans.scores)
         np.testing.assert_array_equal(state.trans.start, init_trans.start)
         np.testing.assert_array_equal(state.encoder.embeddings, init_enc.embeddings)
@@ -274,7 +267,7 @@ class TestTrainLoop:
         before = nll_loss(
             [(encode(vocab.lookup_all(s.tokens), enc0), s.gold) for s in dev_s], init_trans
         )
-        state, report = train(train_s, dev_s, config, tagset, vocab=vocab)
+        state, report = train(train_s, dev_s, config, tagset)
         assert report.final.dev_nll < before
 
     def test_budget_is_max_of_epochs_and_floor(self):
@@ -332,7 +325,14 @@ class TestTrainLoop:
                 f"non-finite value in external {side} emissions, sentence 3"
             )
 
-    def test_external_emissions_train_transitions_only(self):
+    def test_external_emissions_train_transitions_only(self, monkeypatch):
+        stepped = []
+
+        def spy(state, params, grads, config):
+            stepped.append(sorted(params))
+            adam_step(state, params, grads, config)
+
+        monkeypatch.setattr(training, "adam_step", spy)
         tagset, (train_s, dev_s) = tiny_corpus()
         logits = [np.random.default_rng(0).normal(size=(len(s.tokens), tagset.size))
                   for s in train_s]
@@ -342,10 +342,11 @@ class TestTrainLoop:
                              eval_every=3, embedding_dim=4, seed=4)
         vocab = Vocabulary.from_tokens(t for s in train_s for t in s.tokens)
         init_enc, _, _ = initialize(config, tagset, vocab)
-        state, _ = train(train_s, dev_s, config, tagset, vocab=vocab,
+        state, _ = train(train_s, dev_s, config, tagset,
                          train_logits=logits, dev_logits=dev_logits)
         np.testing.assert_array_equal(state.encoder.embeddings, init_enc.embeddings)
         assert state.trans.scores.any()
+        assert stepped == [["start", "transitions"]] * 3  # Adam never sees the encoder
 
     def test_external_emissions_must_cover_both_sides(self):
         tagset, (train_s, dev_s) = tiny_corpus()
