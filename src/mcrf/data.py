@@ -195,7 +195,9 @@ def load_model(path: str) -> ModelState:
             )
         enc = doc["encoder"]
         vocab = Vocabulary(tokens=tuple(doc["vocabulary"]))
-        d, e = tagset.size, int(enc["embedding_dim"])
+        d, e = tagset.size, enc["embedding_dim"]
+        if type(e) is not int or e < 1:  # refuses bool, float and str
+            raise FormatError(f"{path}: encoder.embedding_dim must be an integer >= 1, got {e!r}")
         if not isinstance(doc["enforce_start"], bool):
             raise FormatError(
                 f"{path}: enforce_start must be true or false, got {doc['enforce_start']!r}"

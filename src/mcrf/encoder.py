@@ -3,10 +3,11 @@ embeddings.
 
 logits[t] = concat(E[tok_{t-1}], E[tok_t], E[tok_{t+1}]) @ P + b
 
-Out-of-sentence neighbors use the padding embedding (row 0). The point is a
-trainable, fully differentiable emission source that keeps every experiment
-runnable on a desk; emissions can also come from a logits file produced by
-any external model (load_external_logits / write_logits).
+Out-of-sentence neighbors use the padding embedding (row 0). A batch is its
+sentences' window_ids concatenated. The point is a trainable, fully
+differentiable emission source that keeps every experiment runnable on a
+desk; emissions can also come from a logits file produced by any external
+model (load_external_logits / write_logits).
 """
 
 from __future__ import annotations
@@ -114,74 +115,67 @@ class EncoderWeights:
         )
 
 
-def _window_ids(token_ids: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    ids = np.asarray(token_ids, dtype=np.intp)
-    if ids.ndim != 1 or ids.shape[0] == 0:
-        raise ValueError("token id sequence must be non-empty and one-dimensional")
-    prev_ids = np.concatenate(([PAD_INDEX], ids[:-1]))
-    next_ids = np.concatenate((ids[1:], [PAD_INDEX]))
-    return prev_ids, ids, next_ids
+def window_ids(token_ids: list[int]) -> np.ndarray:
+    """The (T, 3) window ids of one sentence: row t holds the ids of tokens
+    t-1, t and t+1, with PAD_INDEX outside the sentence."""
+    ids = np.asarray(token_ids)
+    if ids.ndim != 1 or ids.shape[0] == 0 or ids.dtype.kind not in "iu":
+        raise ValueError("token ids must be a non-empty one-dimensional integer sequence")
+    windows = np.zeros((len(ids), 3), dtype=np.intp)  # PAD_INDEX is 0
+    windows[1:, 0] = ids[:-1]
+    windows[:, 1] = ids
+    windows[:-1, 2] = ids[1:]
+    return windows
 
 
-def encode(token_ids: list[int], weights: EncoderWeights) -> np.ndarray:
-    """Emission logits (T, d) for one sentence of token ids."""
-    prev_ids, ids, next_ids = _window_ids(token_ids)
-    if ids.max() >= weights.embeddings.shape[0]:
-        raise ValueError("token id out of range for the embedding table")
-    x = np.hstack(
-        (weights.embeddings[prev_ids], weights.embeddings[ids], weights.embeddings[next_ids])
-    )
+def _windows(token_ids: list[int] | np.ndarray, weights: EncoderWeights) -> np.ndarray:
+    """The window ids of one sentence's ids, or the given (N, 3) window ids,
+    each id checked against the embedding table."""
+    windows = np.asarray(token_ids)
+    windows = window_ids(windows) if windows.ndim == 1 else windows.astype(np.intp, copy=False)
+    vocab_size = weights.embeddings.shape[0]
+    if windows.view(np.uintp).max() >= vocab_size:  # a negative id wraps to a huge one
+        bad = windows[(windows < 0) | (windows >= vocab_size)][0]
+        raise ValueError(f"token id {bad} out of range [0, {vocab_size}) for the embedding table")
+    return windows
+
+
+def encode(token_ids: list[int] | np.ndarray, weights: EncoderWeights) -> np.ndarray:
+    """Emission logits (N, d), one row per token: token_ids is one sentence's
+    ids, or a batch's (N, 3) window ids."""
+    windows = _windows(token_ids, weights)
+    x = weights.embeddings[windows].reshape(len(windows), -1)
     return x @ weights.projection + weights.bias
 
 
 def encoder_backward(
-    token_ids: list[int], d_logits: np.ndarray, weights: EncoderWeights
+    token_ids: list[int] | np.ndarray, d_logits: np.ndarray, weights: EncoderWeights
 ) -> EncoderWeights:
-    """Chain-rule gradients for encode, given d loss / d logits.
-
-    Embedding rows of tokens absent from the sentence (and its pad
-    neighbors) receive exactly zero gradient.
-    """
-    prev_ids, ids, next_ids = _window_ids(token_ids)
+    """Chain-rule gradients for encode of the same token_ids, given d loss /
+    d logits. Embedding rows absent from every window get exactly zero."""
+    windows = _windows(token_ids, weights)
+    n = len(windows)
     d_logits = np.asarray(d_logits, dtype=np.float64)
-    if d_logits.shape != (len(ids), weights.num_tags):
+    if d_logits.shape != (n, weights.num_tags):
         raise ValueError(
-            f"d_logits shape {d_logits.shape} does not match "
-            f"({len(ids)}, {weights.num_tags})"
+            f"d_logits shape {d_logits.shape} does not match ({n}, {weights.num_tags})"
         )
     e = weights.embedding_dim
-    x = np.hstack(
-        (weights.embeddings[prev_ids], weights.embeddings[ids], weights.embeddings[next_ids])
-    )
+    x = weights.embeddings[windows].reshape(n, -1)
     d_bias = d_logits.sum(axis=0)
     d_projection = x.T @ d_logits
-    d_x = d_logits @ weights.projection.T
+    d_x = (d_logits @ weights.projection.T).reshape(n, 3, e)
     d_embeddings = np.zeros(weights.embeddings.shape)
-    # One flat scatter per window slot into the cells of the C-ordered table:
+    # One flat scatter into the cells of the C-ordered table, slot-major
+    # (every prev slot, then every self slot, then every next slot):
     # np.add.at takes its fast path on 1-D indices and values, and adds to
-    # each cell in the same order as a scatter of whole rows would.
-    cells = np.arange(e)
-    for slot, rows in enumerate((prev_ids, ids, next_ids)):
-        np.add.at(
-            d_embeddings.reshape(-1),
-            (rows[:, None] * e + cells).ravel(),
-            d_x[:, slot * e : (slot + 1) * e].ravel(),
-        )
+    # each cell in the same order as three scatters of whole rows would.
+    np.add.at(
+        d_embeddings.reshape(-1),
+        (windows.T.reshape(-1, 1) * e + np.arange(e)).ravel(),
+        d_x.transpose(1, 0, 2).ravel(),
+    )
     return EncoderWeights(embeddings=d_embeddings, projection=d_projection, bias=d_bias)
-
-
-def join_sentences(id_lists: list[list[int]]) -> tuple[list[int], list[slice]]:
-    """One id sequence for a batch of sentences, PAD_INDEX between them, and
-    each sentence's rows in it. PAD_INDEX is the out-of-sentence neighbour
-    every sentence has on its own, so encode on the joined ids gives each
-    sentence its own logits, and encoder_backward with zero d_logits on the
-    separator rows gives the sum of the sentences' gradients."""
-    ids: list[int] = []
-    rows = []
-    for seq in id_lists:
-        rows.append(slice(len(ids), len(ids) + len(seq)))
-        ids += [*seq, PAD_INDEX]
-    return ids[:-1], rows
 
 
 def write_logits(path: str, sequences: list[np.ndarray], tags: tuple[str, ...]) -> None:

@@ -15,6 +15,7 @@ tag that cannot open a sentence (I-* for BIO; I-* and E-* for BIOES).
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -60,8 +61,12 @@ class Tagset:
         return self.tags[index]
 
     def check_indices(self, path: list[int] | tuple[int, ...]) -> None:
-        """Raise tag_of's ValueError for the first index of a nonempty path
-        outside [0, d); one min and one max when there is none."""
+        """Raise ValueError for a non-integer tag of a nonempty path, or
+        tag_of's for the first index outside [0, d)."""
+        try:
+            path = list(map(operator.index, path))
+        except TypeError as exc:
+            raise ValueError(f"non-integer tag index ({exc})") from None
         if min(path) < 0 or max(path) >= len(self.tags):
             for index in path:
                 self.tag_of(index)
@@ -244,10 +249,13 @@ def first_violation(
 def validate_gold_paths(
     tagset: Tagset, paths: Iterable[list[int]], enforce_start: bool = True, name: str = ""
 ) -> None:
-    """Raise DataError at the first illegal gold path, naming the 1-based
-    sentence and position; name (e.g. "dev ") prefixes the message."""
+    """Raise DataError at the first illegal or unusable gold path, naming the
+    1-based sentence (and position); name (e.g. "dev ") prefixes it."""
     for k, path in enumerate(paths):
-        hit = first_violation(tagset, path, enforce_start=enforce_start)
+        try:
+            hit = first_violation(tagset, path, enforce_start=enforce_start)
+        except ValueError as exc:
+            raise DataError(f"{name}sentence {k + 1}: {exc}") from None
         if hit is not None:
             pos, rule = hit
             raise DataError(

@@ -12,8 +12,9 @@ The budget rule is max(epochs, iteration floor): training runs for
 max(max_epochs * batches_per_epoch, max_iterations) iterations. Adam's
 betas and epsilon are the module constants BETA1, BETA2 and EPSILON; only
 the learning rate is a setting. The vocabulary is built from the training
-tokens in first-occurrence order. Everything is seeded; two runs with the
-same config and data produce byte-identical reports.
+tokens in first-occurrence order, and each sentence's window ids once.
+Everything is seeded; two runs with the same config and data produce
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .crf import TransitionMatrix, loss_and_gradients, nll_loss
 from .crf import viterbi  # noqa: F401  (module attribute that perfbench/selftest.py checks)
 from .data import TRAIN_MODES, LabeledSentence, ModelState
-from .encoder import EncoderWeights, Vocabulary, encode, encoder_backward, join_sentences
+from .encoder import EncoderWeights, Vocabulary, encode, encoder_backward, window_ids
 from .errors import ConfigurationError, DataError, TrainingError
 from .evaluation import score_paths
 from .masking import DEFAULT_MASK_VALUE, MaskSpec, decode, mask_spec_for, reapply_mask_in_place
@@ -151,7 +152,7 @@ def initialize(
     tagset: Tagset,
     vocab: Vocabulary,
     rng: np.random.Generator | None = None,
-) -> tuple[EncoderWeights, TransitionMatrix, OptimizerState]:
+) -> tuple[EncoderWeights, TransitionMatrix]:
     """Seeded initial weights; in mcrf-train mode the mask is already applied."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
@@ -159,8 +160,7 @@ def initialize(
     trans = TransitionMatrix.zeros(tagset.size)
     if config.mode == "mcrf-train":
         reapply_mask_in_place(trans, mask_spec_for(config, tagset))
-    params = _param_dict(enc, trans)
-    return enc, trans, OptimizerState.for_params(params)
+    return enc, trans
 
 
 def _param_dict(enc: EncoderWeights | None, trans: TransitionMatrix) -> dict[str, np.ndarray]:
@@ -221,12 +221,13 @@ def train(
     vocab = Vocabulary.from_tokens(tok for sent in train_sentences for tok in sent.tokens)
     rng = np.random.default_rng(config.seed)
     spec = mask_spec_for(config, tagset)
-    enc, trans, opt = initialize(config, tagset, vocab, rng)
+    enc, trans = initialize(config, tagset, vocab, rng)
     params = _param_dict(None if external else enc, trans)
+    opt = OptimizerState.for_params(params)
 
-    train_ids = [vocab.lookup_all(s.tokens) for s in train_sentences]
+    train_windows = [window_ids(vocab.lookup_all(s.tokens)) for s in train_sentences]
     train_golds = [np.asarray(s.gold) for s in train_sentences]  # arrays pass the gold check fast
-    dev_ids = [vocab.lookup_all(s.tokens) for s in dev_sentences]
+    dev_windows = [window_ids(vocab.lookup_all(s.tokens)) for s in dev_sentences]
     gold_segments = [extract_segments(s.gold, tagset) for s in dev_sentences]
 
     n = len(train_sentences)
@@ -243,30 +244,24 @@ def train(
         picked = order[b * config.batch_size : (b + 1) * config.batch_size]
         golds = [train_golds[k] for k in picked]
         if external:
-            batch = [(train_logits[k], gold) for k, gold in zip(picked, golds)]
+            emissions = [train_logits[k] for k in picked]
         else:
-            ids, rows = join_sentences([train_ids[k] for k in picked])
-            logits = encode(ids, enc)
-            batch = [(logits[r], gold) for r, gold in zip(rows, golds)]
-        loss, grads = loss_and_gradients(batch, trans)
+            windows = np.concatenate([train_windows[k] for k in picked])
+            emissions = np.split(encode(windows, enc), np.cumsum([len(g) for g in golds])[:-1])
+        loss, grads = loss_and_gradients(list(zip(emissions, golds)), trans)
         if not np.isfinite(loss):
             raise TrainingError(
                 f"non-finite loss {loss} at iteration {iteration}; "
                 f"check emissions and learning rate"
             )
-        g_enc = None
-        if not external:
-            d_logits = np.zeros_like(logits)  # separator rows stay zero
-            for r, g in zip(rows, grads.emissions):
-                d_logits[r] = g
-            g_enc = encoder_backward(ids, d_logits, enc)
+        g_enc = None if external else encoder_backward(windows, np.vstack(grads.emissions), enc)
         grads_by_name = _param_dict(g_enc, TransitionMatrix(grads.transitions, grads.start))
         adam_step(opt, params, grads_by_name, config)
         if config.mode == "mcrf-train":
             reapply_mask_in_place(trans, spec)
         if iteration % config.eval_every == 0 or iteration == target:
             report.records.append(_evaluate(
-                iteration, loss, dev_sentences, dev_ids, dev_logits,
+                iteration, loss, dev_sentences, dev_windows, dev_logits,
                 enc, trans, spec, tagset, gold_segments, config.batch_size,
             ))
             if on_checkpoint is not None:
@@ -288,7 +283,7 @@ def _evaluate(
     iteration: int,
     train_loss: float,
     dev_sentences: list[LabeledSentence],
-    dev_ids: list[list[int]],
+    dev_windows: list[np.ndarray],
     dev_logits: list[np.ndarray] | None,
     enc: EncoderWeights,
     trans: TransitionMatrix,
@@ -301,9 +296,9 @@ def _evaluate(
     total_nll = 0.0
     for lo in range(0, len(dev_sentences), batch_size):  # chunks bound the padded arrays
         if dev_logits is None:
-            ids, rows = join_sentences(dev_ids[lo : lo + batch_size])
-            logits = encode(ids, enc)
-            chunk = [logits[r] for r in rows]
+            windows = dev_windows[lo : lo + batch_size]
+            logits = encode(np.concatenate(windows), enc)
+            chunk = np.split(logits, np.cumsum([len(w) for w in windows])[:-1])
         else:
             chunk = dev_logits[lo : lo + batch_size]
         golds = [s.gold for s in dev_sentences[lo : lo + batch_size]]

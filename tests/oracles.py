@@ -81,18 +81,16 @@ def max_relative_error(analytic, fd, floor=1e-2) -> float:
     return float(np.max(np.abs(analytic - fd) / denom))
 
 
-def row_scatter_embedding_gradient(token_ids, d_logits, weights):
-    """The encoder's embedding gradient by three 2-D np.add.at scatters of
-    whole rows, one per window slot, in slot order: the reference for the
-    flat scatter, which must match it byte for byte."""
-    ids = np.asarray(token_ids, dtype=np.intp)
-    prev_ids = np.concatenate(([0], ids[:-1]))  # PAD_INDEX outside the sentence
-    next_ids = np.concatenate((ids[1:], [0]))
+def row_scatter_embedding_gradient(windows, d_logits, weights):
+    """The encoder's embedding gradient for (N, 3) window ids by three 2-D
+    np.add.at scatters of whole rows, one per window slot, in slot order:
+    the reference for the flat scatter, which must match it byte for byte."""
+    windows = np.asarray(windows, dtype=np.intp)
     e = weights.embeddings.shape[1]
     d_x = np.asarray(d_logits, dtype=np.float64) @ weights.projection.T
     out = np.zeros_like(weights.embeddings)
-    for slot, rows in enumerate((prev_ids, ids, next_ids)):
-        np.add.at(out, rows, d_x[:, slot * e : (slot + 1) * e])
+    for slot in range(3):
+        np.add.at(out, windows[:, slot], d_x[:, slot * e : (slot + 1) * e])
     return out
 
 

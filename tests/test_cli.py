@@ -427,6 +427,23 @@ class TestPredict:
         assert "transitions" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(float("inf"), "inf"), (float("nan"), "nan"), ("2", "'2'"), (True, "True"),
+         (2.0, "2.0"), (0, "0")],
+    )
+    def test_bad_embedding_dim_fails_cleanly(self, data, tmp_path, capsys, value, shown):
+        model_path, _ = bias_model(tmp_path, "crf")  # embedding_dim 2
+        doc = json.loads(Path(model_path).read_text())
+        doc["encoder"]["embedding_dim"] = value
+        Path(model_path).write_text(json.dumps(doc))
+        assert main(["predict", "--model", model_path, "--data", data,
+                     "--out", str(tmp_path / "pred.conll")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {model_path}: encoder.embedding_dim must be an integer >= 1, "
+            f"got {shown}\n"
+        )
+
     def test_non_utf8_model_file_fails_cleanly(self, data, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         model_path.write_bytes(b'{"format":\n"\xff"}\n')

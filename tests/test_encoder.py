@@ -14,8 +14,8 @@ from mcrf.encoder import (
     Vocabulary,
     encode,
     encoder_backward,
-    join_sentences,
     load_external_logits,
+    window_ids,
     write_logits,
 )
 from mcrf.errors import FormatError
@@ -103,6 +103,23 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode([4], EncoderWeights.zeros(4, 2, 3))
 
+    @pytest.mark.parametrize("bad", [-1, 5, 7])
+    def test_both_directions_refuse_a_bad_id_in_ids_or_windows(self, bad):
+        """A negative id would wrap to the last embedding row, and one past
+        the table would end in numpy's IndexError."""
+        weights = EncoderWeights.zeros(5, 2, 3)
+        for ids in ([bad, 2], window_ids([2, bad])):
+            with pytest.raises(ValueError, match=f"token id {bad} out of range"):
+                encode(ids, weights)
+            with pytest.raises(ValueError, match=f"token id {bad} out of range"):
+                encoder_backward(ids, np.zeros((2, 3)), weights)
+
+    @pytest.mark.parametrize("ids", [[1.5, 2.0], [True, False]])
+    def test_non_integer_ids_rejected(self, ids):
+        """A float id would be truncated to a row index."""
+        with pytest.raises(ValueError, match="integer sequence"):
+            encode(ids, EncoderWeights.zeros(5, 2, 3))
+
     def test_init_uses_given_generator(self):
         a = EncoderWeights.init(5, 2, 3, np.random.default_rng(123))
         b = EncoderWeights.init(5, 2, 3, np.random.default_rng(123))
@@ -160,14 +177,15 @@ class TestEncoderBackward:
         assert max_relative_error(grads.embeddings, fd) < 1e-6
 
     def test_flat_scatter_matches_row_scatter_byte_for_byte(self):
-        """A joined batch with PAD_INDEX separators and repeated ids, so many
-        windows add into the same rows, in the same order as a row scatter."""
+        """A batch of concatenated windows with repeated ids, so many windows
+        add into the same rows, in the same order as a row scatter."""
         rng = np.random.default_rng(7)
         weights = EncoderWeights.init(12, 5, 4, rng)
-        ids, _ = join_sentences([[2, 3, 2, 2], [11], [3, 3, 9, 2, 0], [4, 11, 4]])
-        d_logits = rng.normal(size=(len(ids), 4))
-        got = encoder_backward(ids, d_logits, weights).embeddings
-        want = row_scatter_embedding_gradient(ids, d_logits, weights)
+        sentences = [[2, 3, 2, 2], [11], [3, 3, 9, 2, 0], [4, 11, 4]]
+        windows = np.concatenate([window_ids(ids) for ids in sentences])
+        d_logits = rng.normal(size=(len(windows), 4))
+        got = encoder_backward(windows, d_logits, weights).embeddings
+        want = row_scatter_embedding_gradient(windows, d_logits, weights)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -177,27 +195,37 @@ class TestEncoderBackward:
             encoder_backward([2, 3], np.zeros((3, 3)), weights)
 
 
-class TestJoinSentences:
-    def test_joined_sentences_encode_and_backpropagate_like_each_alone(self):
+class TestWindowBatch:
+    def test_window_ids_pad_each_sentence_on_its_own(self):
+        np.testing.assert_array_equal(window_ids([2, 3, 4]), [[0, 2, 3], [2, 3, 4], [3, 4, 0]])
+        np.testing.assert_array_equal(window_ids([5]), [[PAD_INDEX, 5, PAD_INDEX]])
+        assert window_ids([5]).dtype == np.intp
+
+    def test_ids_and_their_windows_encode_byte_for_byte_alike(self):
+        enc = EncoderWeights.init(9, 4, 5, np.random.default_rng(5))
+        for ids in ([2, 3, 4], [5], [0, 8, 1, 6, 8]):
+            assert encode(ids, enc).tobytes() == encode(window_ids(ids), enc).tobytes()
+
+    def test_concatenated_windows_encode_and_backpropagate_like_each_alone(self):
         rng = np.random.default_rng(3)
         enc = EncoderWeights.init(9, 4, 5, rng)
         id_lists = [[2, 3, 4], [5], [0, 8, 1, 6], [7, 7]]
-        ids, rows = join_sentences(id_lists)
-        assert len(ids) == sum(map(len, id_lists)) + len(id_lists) - 1
-        assert [ids[r.stop] for r in rows[:-1]] == [PAD_INDEX] * 3
-        logits = encode(ids, enc)
+        windows = np.concatenate([window_ids(ids) for ids in id_lists])
+        assert len(windows) == sum(map(len, id_lists))
+        logits = encode(windows, enc)
         total = EncoderWeights.zeros(9, 4, 5)
-        d_logits = np.zeros_like(logits)
-        for seq, r in zip(id_lists, rows):
-            np.testing.assert_allclose(logits[r], encode(seq, enc), rtol=0, atol=1e-15)
-            g = rng.normal(size=(len(seq), 5))
-            d_logits[r] = g
-            one = encoder_backward(seq, g, enc)
+        d_logits = rng.normal(size=logits.shape)
+        lo = 0
+        for seq in id_lists:
+            rows = slice(lo, lo + len(seq))
+            lo = rows.stop
+            np.testing.assert_allclose(logits[rows], encode(seq, enc), rtol=0, atol=1e-15)
+            one = encoder_backward(seq, d_logits[rows], enc)
             total.embeddings += one.embeddings
             total.projection += one.projection
             total.bias += one.bias
-        joined = encoder_backward(ids, d_logits, enc)
-        for got, want in zip(vars(joined).values(), vars(total).values()):
+        batch = encoder_backward(windows, d_logits, enc)
+        for got, want in zip(vars(batch).values(), vars(total).values()):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 

@@ -262,6 +262,18 @@ class TestMaskedNll:
         assert "sentence 2" in str(err.value)
         assert "position 2" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [([0.7, 1.9], "non-integer tag index"), ([0, 3], "tag index 3 out of range"),
+         ([-1, 0], "tag index -1 out of range")],
+    )
+    def test_unusable_gold_tag_names_the_sentence(self, bad, message):
+        batch = [(np.zeros((2, 3)), [0, 0]), (np.zeros((2, 3)), bad)]
+        with pytest.raises(DataError, match=f"^sentence 2: {message}"):
+            masked_nll(batch, TransitionMatrix.zeros(3), BIO1, spec_for(BIO1))
+        with pytest.raises(DataError, match=f"^dev sentence 2: {message}"):
+            validate_gold_paths(BIO1, [gold for _, gold in batch], name="dev ")
+
     def test_illegal_start_rejected_only_when_enforced(self):
         batch = [(np.zeros((1, 3)), [BIO1.index_of("I-PER")])]
         with pytest.raises(DataError):

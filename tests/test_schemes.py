@@ -281,3 +281,11 @@ class TestFirstViolation:
             for path in ([bad], [0, bad], [0, 0, bad]):
                 with pytest.raises(ValueError, match=f"tag index {bad} out of range"):
                     first_violation(ts, path)
+
+    def test_non_integer_index_raises(self):
+        """A float tag would index the rule tables as numpy's bare IndexError."""
+        ts = build_tagset(Scheme.BIO, ["PER"])
+        for path in ([0.7, 1.9], [0, 1.0], np.array([0.0, 1.0]), [0, "1"]):
+            with pytest.raises(ValueError, match="non-integer tag index"):
+                first_violation(ts, path)
+        assert first_violation(ts, np.array([0, 1])) is None

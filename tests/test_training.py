@@ -125,29 +125,30 @@ class TestInitialize:
     def test_seeded_and_deterministic(self):
         vocab = Vocabulary.from_tokens(["a", "b", "c"])
         config = TrainConfig(embedding_dim=4, seed=11)
-        enc1, trans1, _ = initialize(config, BIO1, vocab)
-        enc2, trans2, _ = initialize(config, BIO1, vocab)
+        enc1, trans1 = initialize(config, BIO1, vocab)
+        enc2, trans2 = initialize(config, BIO1, vocab)
         np.testing.assert_array_equal(enc1.embeddings, enc2.embeddings)
         np.testing.assert_array_equal(trans1.scores, trans2.scores)
 
     def test_plain_mode_starts_at_zero_transitions(self):
         vocab = Vocabulary.from_tokens(["a"])
-        _, trans, _ = initialize(TrainConfig(mode="crf"), BIO1, vocab)
+        _, trans = initialize(TrainConfig(mode="crf"), BIO1, vocab)
         np.testing.assert_array_equal(trans.scores, np.zeros((3, 3)))
         np.testing.assert_array_equal(trans.start, np.zeros(3))
 
     def test_masked_mode_starts_with_mask_applied(self):
         vocab = Vocabulary.from_tokens(["a"])
         config = TrainConfig(mode="mcrf-train", mask_value=-1e4)
-        _, trans, _ = initialize(config, BIO1, vocab)
+        _, trans = initialize(config, BIO1, vocab)
         i_per = BIO1.index_of("I-PER")
         assert trans.scores[0, i_per] == -1e4
         assert trans.start[i_per] == -1e4
         assert trans.scores[0, 0] == 0.0
 
     def test_optimizer_moments_start_at_zero(self):
-        vocab = Vocabulary.from_tokens(["a"])
-        _, _, opt = initialize(TrainConfig(), BIO1, vocab)
+        enc, trans = initialize(TrainConfig(), BIO1, Vocabulary.from_tokens(["a"]))
+        opt = OptimizerState.for_params(training._param_dict(enc, trans))
+        assert sorted(opt.m) == ["bias", "embeddings", "projection", "start", "transitions"]
         assert opt.step == 0
         assert all(not m.any() for m in opt.m.values())
         assert all(not v.any() for v in opt.v.values())
@@ -180,7 +181,7 @@ class TestTrainLoop:
             eval_every=5, embedding_dim=4, seed=7,
         )
         vocab = Vocabulary.from_tokens(t for s in train_s for t in s.tokens)
-        init_enc, init_trans, _ = initialize(config, tagset, vocab)
+        init_enc, init_trans = initialize(config, tagset, vocab)
         state, _ = train(train_s, dev_s, config, tagset)
         np.testing.assert_array_equal(state.trans.scores, init_trans.scores)
         np.testing.assert_array_equal(state.trans.start, init_trans.start)
@@ -262,8 +263,8 @@ class TestTrainLoop:
             eval_every=60, embedding_dim=8, seed=2,
         )
         vocab = Vocabulary.from_tokens(t for s in train_s for t in s.tokens)
-        _, init_trans, _ = initialize(config, tagset, vocab)
-        enc0, _, _ = initialize(config, tagset, vocab)
+        _, init_trans = initialize(config, tagset, vocab)
+        enc0, _ = initialize(config, tagset, vocab)
         before = nll_loss(
             [(encode(vocab.lookup_all(s.tokens), enc0), s.gold) for s in dev_s], init_trans
         )
@@ -301,6 +302,15 @@ class TestTrainLoop:
         with pytest.raises(DataError) as err:
             train(train_s + [bad], dev_s, TrainConfig(max_epochs=1), tagset)
         assert "illegal gold path" in str(err.value)
+
+    def test_unusable_gold_tag_names_the_sentence(self):
+        tagset, (train_s, dev_s) = tiny_corpus()
+        k = len(train_s) + 1
+        for gold, message in (([0.0, 1.0], "non-integer tag index"),
+                              ([0, 9], "tag index 9 out of range")):
+            bad = LabeledSentence(["x", "y"], gold)
+            with pytest.raises(DataError, match=f"^train sentence {k}: {message}"):
+                train(train_s + [bad], dev_s, TrainConfig(max_epochs=1), tagset)
 
     def test_empty_corpora_rejected(self):
         tagset, (train_s, dev_s) = tiny_corpus()
@@ -341,12 +351,33 @@ class TestTrainLoop:
         config = TrainConfig(batch_size=6, max_epochs=1, max_iterations=0,
                              eval_every=3, embedding_dim=4, seed=4)
         vocab = Vocabulary.from_tokens(t for s in train_s for t in s.tokens)
-        init_enc, _, _ = initialize(config, tagset, vocab)
+        init_enc, _ = initialize(config, tagset, vocab)
         state, _ = train(train_s, dev_s, config, tagset,
                          train_logits=logits, dev_logits=dev_logits)
         np.testing.assert_array_equal(state.encoder.embeddings, init_enc.embeddings)
         assert state.trans.scores.any()
         assert stepped == [["start", "transitions"]] * 3  # Adam never sees the encoder
+
+    def test_adam_moments_only_for_the_arrays_it_steps(self, monkeypatch):
+        """On external emissions the encoder is frozen, so Adam keeps no
+        moments for it."""
+        built = []
+        for_params = OptimizerState.for_params
+
+        def spy(params):
+            built.append(sorted(params))
+            return for_params(params)
+
+        monkeypatch.setattr(OptimizerState, "for_params", spy)
+        tagset, (train_s, dev_s) = tiny_corpus()
+        logits = [np.zeros((len(s.tokens), tagset.size)) for s in train_s]
+        dev_logits = [np.zeros((len(s.tokens), tagset.size)) for s in dev_s]
+        config = TrainConfig(max_epochs=0, max_iterations=1)
+        train(train_s, dev_s, config, tagset, train_logits=logits, dev_logits=dev_logits)
+        assert built == [["start", "transitions"]]
+        built.clear()
+        train(train_s, dev_s, config, tagset)
+        assert built == [["bias", "embeddings", "projection", "start", "transitions"]]
 
     def test_external_emissions_must_cover_both_sides(self):
         tagset, (train_s, dev_s) = tiny_corpus()
