@@ -12,7 +12,7 @@ import numpy as np
 from .crf import viterbi  # noqa: F401  (module attribute that perfbench/selftest.py checks)
 from .data import (
     TRAIN_MODES,
-    ModelState,
+    LabeledSentence,
     SyntheticConfig,
     generate_synthetic,
     load_model,
@@ -25,7 +25,7 @@ from .errors import ConfigurationError, DataError, McrfError
 from .evaluation import format_report, score_paths
 from .masking import decode
 from .postproc import STRATEGIES, extract_segments, repair_tags
-from .schemes import Scheme, build_tagset
+from .schemes import Scheme, Tagset, build_tagset
 from .training import TrainConfig, train
 from .verification import run_verification
 
@@ -43,12 +43,21 @@ def _entity_types(count: int) -> tuple[str, ...]:
     return DEFAULT_TYPE_NAMES + extra
 
 
-def _model_emissions(model: ModelState, sentences, logits_path: str | None):
-    if logits_path is not None:
-        return load_external_logits(
-            logits_path, tags=model.tagset.tags, lengths=[len(s.tokens) for s in sentences]
-        )
-    return model.emissions(sentences)
+def _logits(path: str, tagset: Tagset, sentences: list[LabeledSentence]) -> list[np.ndarray]:
+    """The external logits file for a corpus, checked against its tagset and lengths."""
+    return load_external_logits(path, tags=tagset.tags, lengths=[len(s.tokens) for s in sentences])
+
+
+def _decode_data(args: argparse.Namespace):
+    """Load --model, read --data and decode it, from --emissions if given:
+    (model, sentences, raw paths)."""
+    model = load_model(args.model)
+    sentences = read_conll(args.data, model.tagset)
+    if args.emissions is not None:
+        emissions = _logits(args.emissions, model.tagset, sentences)
+    else:
+        emissions = model.emissions(sentences)
+    return model, sentences, decode(emissions, model.trans, model.mask_spec)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -73,12 +82,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.emissions:
         if not args.dev_emissions:
             raise DataError("--emissions requires --dev-emissions for the dev corpus")
-        train_logits = load_external_logits(
-            args.emissions, tags=tagset.tags, lengths=[len(s.tokens) for s in train_sentences]
-        )
-        dev_logits = load_external_logits(
-            args.dev_emissions, tags=tagset.tags, lengths=[len(s.tokens) for s in dev_sentences]
-        )
+        train_logits = _logits(args.emissions, tagset, train_sentences)
+        dev_logits = _logits(args.dev_emissions, tagset, dev_sentences)
 
     runs = []
     for k in range(args.seeds):
@@ -109,13 +114,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
-    sentences = read_conll(args.data, model.tagset)
-    emissions = _model_emissions(model, sentences, args.emissions)
-    predictions = [
-        repair_tags(path, model.tagset, args.strategy)
-        for path in decode(emissions, model.trans, model.mask_spec)
-    ]
+    model, sentences, paths = _decode_data(args)
+    predictions = [repair_tags(path, model.tagset, args.strategy) for path in paths]
     write_conll(args.out, sentences, model.tagset, predictions=predictions)
     print(f"predictions written to {args.out}")
     return 0
@@ -144,11 +144,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         if not (args.model and args.data):
             raise DataError("eval needs --model and --data (or --gold and --pred)")
-        model = load_model(args.model)
+        model, gold_sents, raw = _decode_data(args)
         tagset = model.tagset
-        gold_sents = read_conll(args.data, tagset)
-        emissions = _model_emissions(model, gold_sents, args.emissions)
-        raw = decode(emissions, model.trans, model.mask_spec)
     gold_segments = [extract_segments(s.gold, tagset) for s in gold_sents]
     print(format_report(*score_paths(gold_segments, raw, tagset, args.strategy)))
     return 0

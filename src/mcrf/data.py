@@ -1,16 +1,17 @@
 """Corpus and model I/O plus a seeded synthetic corpus generator.
 
 CoNLL format: one token per line, columns separated by whitespace, token in
-the first column and tag in the last, sentences separated by blank lines.
-Gold paths are validated for scheme legality at load time; an illegal gold
-corpus is a data error, not something to repair silently. Corpora and model
-files are read through errors.read_text, so a byte that is not UTF-8 is a
+the first column and tag in the last; each block of errors.read_blocks is a
+sentence. Gold paths are validated for scheme legality at load time; an
+illegal gold corpus is a data error, not something to repair silently. Every
+file is read through errors.read_text, so a byte that is not UTF-8 is a
 FormatError naming the file and line.
 
 The model file is a single JSON document (format tag "mcrf-model-v1") whose
 floats round-trip exactly through repr, so save/load is bit-faithful. Loading
-checks array shapes, finiteness, the mode and the mask value and, in
-mcrf-train mode, the masked entries.
+checks that numbers are JSON numbers, array shapes, finiteness, the mode and
+the mask value and, in mcrf-train mode, the masked entries; JSON that is
+nested too deeply or holds an integer too long to read is a FormatError too.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .crf import TransitionMatrix
 from .encoder import EncoderWeights, Vocabulary, encode
-from .errors import ConfigurationError, DataError, FormatError, read_text
+from .errors import ConfigurationError, DataError, FormatError, read_blocks, read_text
 from .masking import MaskSpec, apply_mask, mask_spec_for
 from .schemes import Scheme, Tagset, build_tagset, canonical_run, first_violation
 
@@ -54,56 +55,34 @@ def read_conll(path: str, tagset: Tagset, validate: bool = True) -> list[Labeled
     an unconstrained decoder may legitimately be illegal; read those with
     validate=False.
     """
-    lines = read_text(path).split("\n")
     sentences: list[LabeledSentence] = []
-    tokens: list[str] = []
-    tags: list[int] = []
-    first_line = 0
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r")
-        if not line.strip():
-            if tokens:
-                _finish_sentence(path, tagset, sentences, tokens, tags, first_line, validate)
-                tokens, tags = [], []
-            continue
-        if not tokens:
-            first_line = lineno
-        cols = line.split()
-        if len(cols) < 2:
-            raise FormatError(
-                f"{path}:{lineno}: need at least token and tag columns, got {line!r}"
-            )
-        tag = cols[-1]
-        try:
-            tags.append(tagset.index_of(tag))
-        except ValueError:
-            raise FormatError(
-                f"{path}:{lineno}: unknown tag {tag!r} (tagset: {list(tagset.tags)})"
-            ) from None
-        tokens.append(cols[0])
-    if tokens:
-        _finish_sentence(path, tagset, sentences, tokens, tags, first_line, validate)
+    for first, lines in read_blocks(path):
+        tokens: list[str] = []
+        tags: list[int] = []
+        for lineno, line in enumerate(lines, start=first):
+            cols = line.split()
+            if len(cols) < 2:
+                raise FormatError(
+                    f"{path}:{lineno}: need at least token and tag columns, got {line!r}"
+                )
+            tag = cols[-1]
+            try:
+                tags.append(tagset.index_of(tag))
+            except ValueError:
+                raise FormatError(
+                    f"{path}:{lineno}: unknown tag {tag!r} (tagset: {list(tagset.tags)})"
+                ) from None
+            tokens.append(cols[0])
+        if validate:
+            hit = first_violation(tagset, tags, enforce_start=True)
+            if hit is not None:
+                pos, rule = hit
+                raise DataError(
+                    f"{path}:{first + pos}: sentence {len(sentences) + 1}, "
+                    f"position {pos + 1}: illegal gold path ({rule})"
+                )
+        sentences.append(LabeledSentence(tokens=tokens, gold=tags))
     return sentences
-
-
-def _finish_sentence(
-    path: str,
-    tagset: Tagset,
-    sentences: list[LabeledSentence],
-    tokens: list[str],
-    tags: list[int],
-    first_line: int,
-    validate: bool,
-) -> None:
-    if validate:
-        hit = first_violation(tagset, tags, enforce_start=True)
-        if hit is not None:
-            pos, rule = hit
-            raise DataError(
-                f"{path}:{first_line + pos}: sentence {len(sentences) + 1}, "
-                f"position {pos + 1}: illegal gold path ({rule})"
-            )
-    sentences.append(LabeledSentence(tokens=tokens, gold=tags))
 
 
 def write_conll(
@@ -179,8 +158,10 @@ def save_model(path: str, state: ModelState) -> None:
 def load_model(path: str) -> ModelState:
     try:
         doc = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
         raise FormatError(f"{path}: corrupted model file ({exc})") from None
+    except RecursionError:
+        raise FormatError(f"{path}: corrupted model file (JSON nested too deeply)") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise FormatError(
             f"{path}: unsupported model format {doc.get('format') if isinstance(doc, dict) else doc!r}, "
@@ -204,7 +185,11 @@ def load_model(path: str) -> ModelState:
             )
 
         def array(field: str, value, shape: tuple[int, ...]) -> np.ndarray:
-            out = np.asarray(value, dtype=np.float64)
+            out = np.asarray(value)
+            # astype would parse "-1e4" as a number
+            if out.dtype.kind in "OU" and any(isinstance(v, str) for v in out.flat):
+                raise FormatError(f"{path}: {field} must hold JSON numbers, not strings")
+            out = out.astype(np.float64, copy=False)
             if out.shape != shape:
                 raise FormatError(f"{path}: {field} has shape {out.shape}, expected {shape}")
             if not np.all(np.isfinite(out)):
@@ -230,7 +215,7 @@ def load_model(path: str) -> ModelState:
         spec = state.mask_spec  # refuses an unknown mode or an unusable mask value
     except FormatError:
         raise
-    except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
+    except (ConfigurationError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: invalid model file ({exc})") from None
     if state.mode == "mcrf-train":
         # masked training pins every masked entry to exactly mask_value

@@ -4,10 +4,11 @@ embeddings.
 logits[t] = concat(E[tok_{t-1}], E[tok_t], E[tok_{t+1}]) @ P + b
 
 Out-of-sentence neighbors use the padding embedding (row 0). A batch is its
-sentences' window_ids concatenated. The point is a trainable, fully
-differentiable emission source that keeps every experiment runnable on a
-desk; emissions can also come from a logits file produced by any external
-model (load_external_logits / write_logits).
+sentences' window_ids concatenated; encode and encoder_backward refuse ids
+that are not integers or fall outside the embedding table. The point is a
+trainable, fully differentiable emission source that keeps every experiment
+runnable on a desk; emissions can also come from a logits file produced by
+any external model (load_external_logits / write_logits).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import FormatError, read_text
+from .errors import FormatError, read_blocks
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -132,7 +133,11 @@ def _windows(token_ids: list[int] | np.ndarray, weights: EncoderWeights) -> np.n
     """The window ids of one sentence's ids, or the given (N, 3) window ids,
     each id checked against the embedding table."""
     windows = np.asarray(token_ids)
-    windows = window_ids(windows) if windows.ndim == 1 else windows.astype(np.intp, copy=False)
+    if windows.ndim == 1:
+        windows = window_ids(windows)
+    elif windows.dtype.kind not in "iu":  # astype would truncate 2.7 to 2
+        raise ValueError(f"window ids must be integers, got dtype {windows.dtype}")
+    windows = windows.astype(np.intp, copy=False)
     vocab_size = weights.embeddings.shape[0]
     if windows.view(np.uintp).max() >= vocab_size:  # a negative id wraps to a huge one
         bad = windows[(windows < 0) | (windows >= vocab_size)][0]
@@ -206,12 +211,14 @@ def load_external_logits(
     companion corpus's sentence lengths, the sentence count and each
     sentence's length.
 
-    Every failure names the offending line number.
+    The header is line 1, and each sentence is one block of
+    errors.read_blocks after it. Every failure names the offending line
+    number.
     """
-    lines = read_text(path).split("\n")
-    if not lines or not lines[0].strip():
+    blocks = list(read_blocks(path))
+    if not blocks or blocks[0][0] != 1:
         raise FormatError(f"{path}:1: missing header line")
-    header = lines[0].rstrip("\r")
+    header, *rows = blocks[0][1]
     parts = header.split("\t")
     if len(parts) != 2 or not parts[0].startswith("d=") or not parts[1].startswith("tags="):
         raise FormatError(f"{path}:1: header must be 'd=<int>\\ttags=<names>', got {header!r}")
@@ -229,32 +236,25 @@ def load_external_logits(
             f"{path}:1: tag names {list(file_tags)} do not match the active "
             f"tagset {list(tags)}"
         )
+    # rows right after the header make a sentence that starts at line 2
+    blocks = [(2, rows)] + blocks[1:] if rows else blocks[1:]
     sequences: list[np.ndarray] = []
-    first_lines: list[int] = []
-    rows: list[list[float]] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.rstrip("\r")
-        if not line.strip():
-            if rows:
-                sequences.append(np.asarray(rows, dtype=np.float64))
-                rows = []
-            continue
-        if not rows:
-            first_lines.append(lineno)
-        fields = line.split("\t")
-        if len(fields) != d:
-            raise FormatError(
-                f"{path}:{lineno}: expected {d} fields, found {len(fields)}"
-            )
-        try:
-            values = [float(f) for f in fields]
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: non-numeric field in {line!r}") from None
-        if not all(np.isfinite(values)):
-            raise FormatError(f"{path}:{lineno}: non-finite value in {line!r}")
-        rows.append(values)
-    if rows:
-        sequences.append(np.asarray(rows, dtype=np.float64))
+    for first, lines in blocks:
+        values = []
+        for lineno, line in enumerate(lines, start=first):
+            fields = line.split("\t")
+            if len(fields) != d:
+                raise FormatError(
+                    f"{path}:{lineno}: expected {d} fields, found {len(fields)}"
+                )
+            try:
+                row = [float(f) for f in fields]
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: non-numeric field in {line!r}") from None
+            if not all(np.isfinite(row)):
+                raise FormatError(f"{path}:{lineno}: non-finite value in {line!r}")
+            values.append(row)
+        sequences.append(np.asarray(values, dtype=np.float64))
     if lengths is None:
         return sequences
     if len(sequences) != len(lengths):
@@ -262,10 +262,10 @@ def load_external_logits(
             f"{path}: holds {len(sequences)} sentences but the companion "
             f"corpus has {len(lengths)}"
         )
-    for k, (seq, lineno, length) in enumerate(zip(sequences, first_lines, lengths)):
-        if len(seq) != length:
+    for k, ((first, lines), length) in enumerate(zip(blocks, lengths)):
+        if len(lines) != length:
             raise FormatError(
-                f"{path}:{lineno}: sentence {k + 1} has {len(seq)} rows but the "
+                f"{path}:{first}: sentence {k + 1} has {len(lines)} rows but the "
                 f"companion corpus sentence has {length} tokens"
             )
     return sequences

@@ -1,6 +1,8 @@
 """End-to-end command line behavior, one subcommand at a time."""
 
 import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -444,6 +446,53 @@ class TestPredict:
             f"got {shown}\n"
         )
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("mask_value", "-1e4", "mask_value must hold JSON numbers, not strings"),
+            ("start", ["0", "0", "-1e4"], "start must hold JSON numbers, not strings"),
+            ("bias", [10**30, "0", 0], "encoder.bias must hold JSON numbers, not strings"),
+            ("start", [10**400, 0, 0],
+             "invalid model file (int too large to convert to float)"),
+        ],
+        ids=["mask_value", "start", "bias", "401-digit-start"],
+    )
+    def test_string_or_overlong_model_number_fails_cleanly(
+        self, data, tmp_path, capsys, field, value, message
+    ):
+        """np.asarray used to parse a string as a number, and a 401-digit
+        integer ended in a bare OverflowError."""
+        model_path, _ = bias_model(tmp_path, "crf")
+        doc = json.loads(Path(model_path).read_text())
+        (doc["encoder"] if field == "bias" else doc)[field] = value
+        Path(model_path).write_text(json.dumps(doc))
+        assert main(["predict", "--model", model_path, "--data", data,
+                     "--out", str(tmp_path / "pred.conll")]) == 1
+        assert capsys.readouterr().err == f"error: {model_path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "json_text, message",
+        [
+            ("[" * 200_000 + "]" * 200_000, "corrupted model file (JSON nested too deeply)\n"),
+            ('{"embedding_dim": 1' + "0" * 4400 + "}",
+             "corrupted model file (Exceeds the limit (4300 digits)"),
+        ],
+        ids=["deep", "long-integer"],
+    )
+    def test_json_python_cannot_read_fails_cleanly(
+        self, data, tmp_path, capsys, json_text, message
+    ):
+        """Deep nesting used to end in a bare RecursionError, and an integer
+        of over 4300 digits in a bare ValueError (whose wording, after the
+        prefix, is Python's)."""
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json_text)
+        assert main(["predict", "--model", str(model_path), "--data", data,
+                     "--out", str(tmp_path / "pred.conll")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model_path}: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_non_utf8_model_file_fails_cleanly(self, data, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         model_path.write_bytes(b'{"format":\n"\xff"}\n')
@@ -657,3 +706,22 @@ class TestVerify:
         assert "8/8 checks passed" in out
         assert "[FAIL]" not in out
         assert out.count("[PASS]") == 8
+
+
+class TestEntryPoints:
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-m", "mcrf", "verify", "--seed", "0"],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert sum(line.startswith("[PASS]") for line in lines) == 8
+        assert lines[-1].startswith("8/8 checks passed")
+
+    def test_console_script_names_cli_main(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            assert tomllib.load(fh)["project"]["scripts"] == {"mcrf": "mcrf.cli:main"}

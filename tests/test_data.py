@@ -18,8 +18,8 @@ from mcrf.data import (
     split_corpus,
     write_conll,
 )
-from mcrf.encoder import EncoderWeights, Vocabulary
-from mcrf.errors import ConfigurationError, DataError, FormatError
+from mcrf.encoder import EncoderWeights, Vocabulary, load_external_logits
+from mcrf.errors import ConfigurationError, DataError, FormatError, read_blocks
 from mcrf.masking import MaskSpec, apply_mask
 from mcrf.schemes import Scheme, build_tagset, first_violation, illegal_transition_set
 
@@ -98,6 +98,59 @@ class TestReadConll:
         path.write_text("a\tO\nb\tI-PER\n")
         sentences = read_conll(str(path), BIO1, validate=False)
         assert sentences[0].gold == [0, BIO1.index_of("I-PER")]
+
+
+class TestReadBlocks:
+    """The one block splitter under corpora and logits files."""
+
+    def test_blocks_and_their_first_lines(self, tmp_path):
+        """Separators of spaces, tabs or a form feed; "\\n", "\\r\\n" and
+        lone "\\r" line ends; leading blank lines; no final newline."""
+        path = tmp_path / "blocks.txt"
+        path.write_bytes(b"\n \r\na\r\nb c\rd\n\t\n\r\ne \n \t\x0c\r\n\rf\tg")
+        assert list(read_blocks(str(path))) == [
+            (3, ["a", "b c", "d"]), (8, ["e "]), (11, ["f\tg"]),
+        ]
+
+    def test_empty_and_blank_files_have_no_blocks(self, tmp_path):
+        path = tmp_path / "blank.txt"
+        for data in (b"", b"\n", b" \r\n\t", b"\r\r"):
+            path.write_bytes(data)
+            assert list(read_blocks(str(path))) == []
+
+    def test_non_utf8_byte_is_named_on_its_line(self, tmp_path):
+        """A lone "\\r" ends a line for read_blocks, so it does for the
+        UTF-8 error too."""
+        path = tmp_path / "corpus.conll"
+        path.write_bytes(b"a\tO\rb\tO\r\n\xff\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:3: not UTF-8"):
+            read_conll(str(path), BIO1)
+
+    def test_corpus_and_logits_split_at_the_same_lines(self, tmp_path):
+        """Line 1 is the logits header and blank in the corpus; after it,
+        logits row k sits on the line of corpus token k, between the same
+        separator lines."""
+        lengths, separators = [2, 1, 3, 1], [" ", "\t", "", " \t\x0c"]
+        lines, firsts = [""], []
+        for n, sep in zip(lengths, separators):
+            firsts.append(len(lines) + 1)
+            lines += ["x\tO"] * n + [sep]
+        # an empty line after a lone "\r" must end in "\r\n": "\r\n" is one line end
+        ends = ["\n", "\r\n", "\r"]
+        text = "".join(line + (ends[i % 3] if line else "\r\n") for i, line in enumerate(lines))
+        corpus, logits = tmp_path / "c.conll", tmp_path / "c.logits"
+        corpus.write_text(text, newline="")
+        logits.write_text("d=1\ttags=O" + text.replace("x\tO", "0.5"), newline="")
+        assert [first for first, _ in read_blocks(str(corpus))] == firsts
+        assert [len(s.tokens) for s in read_conll(str(corpus), BIO1)] == lengths
+        assert [len(seq) for seq in load_external_logits(str(logits), lengths=lengths)] == lengths
+        for k, first in enumerate(firsts):
+            wrong = lengths[:k] + [lengths[k] + 1] + lengths[k + 1:]
+            with pytest.raises(FormatError, match=f"{logits}:{first}: sentence {k + 1} has"):
+                load_external_logits(str(logits), lengths=wrong)
+        corpus.write_text(text.replace("x\tO", "x\tI-PER", 1), newline="")
+        with pytest.raises(DataError, match=f"{corpus}:{firsts[0]}: sentence 1"):
+            read_conll(str(corpus), BIO1)
 
 
 class TestWriteConll:

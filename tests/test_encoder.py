@@ -120,6 +120,15 @@ class TestEncode:
         with pytest.raises(ValueError, match="integer sequence"):
             encode(ids, EncoderWeights.zeros(5, 2, 3))
 
+    @pytest.mark.parametrize("windows", [[[0.0, 2.7, 0.0]], [[False, True, False]]])
+    def test_non_integer_windows_rejected(self, windows):
+        """A float window would be truncated: [0, 2.7, 0] read row 2."""
+        weights = EncoderWeights.zeros(5, 2, 3)
+        with pytest.raises(ValueError, match="window ids must be integers"):
+            encode(np.array(windows), weights)
+        with pytest.raises(ValueError, match="window ids must be integers"):
+            encoder_backward(np.array(windows), np.zeros((1, 3)), weights)
+
     def test_init_uses_given_generator(self):
         a = EncoderWeights.init(5, 2, 3, np.random.default_rng(123))
         b = EncoderWeights.init(5, 2, 3, np.random.default_rng(123))

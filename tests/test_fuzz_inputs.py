@@ -1,0 +1,227 @@
+"""Fuzzing every file the command line reads, through cli.main.
+
+CoNLL corpora and logits files are built line by line from small fragment
+alphabets (tags, tabs, spaces, carriage returns, a BOM, NUL, whitespace-only
+lines, nan, 1e400, bad headers, bytes that are not UTF-8). Model files are
+valid files with one mutation: a deleted key, a value of another JSON type,
+or a non-finite, huge-integer, deeply nested or string number.
+
+A run must exit 0, or exit 1 with exactly one stderr line that starts
+"error:"; an exception that escapes cli.main fails the test. Every mutated
+model file breaks an invariant of the format, so its run must exit 1. The
+generators lean towards valid lines so that a real share of the corpus and
+logits runs succeeds, and each test checks that share.
+"""
+
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mcrf.cli import main
+from mcrf.crf import TransitionMatrix
+from mcrf.data import ModelState, save_model
+from mcrf.encoder import EncoderWeights, Vocabulary
+from mcrf.schemes import Scheme, build_tagset
+
+FUZZ_SETTINGS = settings(max_examples=80, derandomize=True, deadline=None, database=None)
+
+TAGSET = build_tagset(Scheme.BIO, ["LOC"])  # what --scheme bio --types 1 builds
+HEADER = f"d={TAGSET.size}\ttags={','.join(TAGSET.tags)}"
+
+NOT_UTF8 = [b"\xff", b"\xc3(", b"\x80", b"\xed\xa0\x80"]
+BOM = "\ufeff"
+SEPARATORS = ["", " ", "\t", "\r", " \t\r", "\x0b"]
+LINE_ENDS = ["\n", "\n", "\n", "\r\n"]
+TOKENS = ["w", "x1", BOM + "w", "a\x00b", "nan", "1e400"]
+COLUMN_SEPARATORS = ["\t", " ", "\t\t", "", "\x00"]
+TAG_FRAGMENTS = ["O", "B-LOC", "I-LOC", "B-XYZ", "b-loc", "", "O\x00", "I-LOC\r"]
+FIELDS = ["0", "1.5", "-2", "nan", "1e400", "-inf", "1e-400", "", " ", "x", "0\x00", BOM + "1"]
+BAD_HEADERS = [
+    "", BOM + HEADER, "d=x\ttags=O,B-LOC,I-LOC", "d=3 tags=O,B-LOC,I-LOC",
+    "d=2\ttags=O,B-LOC", "d=3\ttags=O,I-LOC,B-LOC", "d=3\ttags=O,B-LOC,I-LOC\t",
+]
+HUGE_INT = "1" + "0" * 5000  # over the 4300 digits Python turns into an int
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+def _run(argv: list[str]) -> int:
+    """cli.main(argv)'s exit code, after checking its stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == [], lines
+    else:
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("error: "), (code, lines)
+    return code
+
+
+def _file(draw, lines: list[str]) -> bytes:
+    """The lines joined with drawn line ends, maybe without the last one,
+    maybe with a BOM in front and maybe with bytes that are not UTF-8."""
+    text = "".join(line + draw(st.sampled_from(LINE_ENDS)) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if draw(st.integers(0, 9)) == 9:
+        text = BOM + text
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 5)) == 5:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(NOT_UTF8)) + data[at:]
+    return data
+
+
+fragment_row = st.builds(
+    lambda token, sep, tag: token + sep + tag,
+    st.sampled_from(TOKENS), st.sampled_from(COLUMN_SEPARATORS), st.sampled_from(TAG_FRAGMENTS),
+)
+conll_line = st.one_of(
+    st.sampled_from(["w\tO", "w\tO", "w\tB-LOC", "x1 B-LOC"]),
+    st.sampled_from(SEPARATORS),
+    fragment_row,
+)
+
+
+@st.composite
+def conll_files(draw) -> bytes:
+    return _file(draw, draw(st.lists(conll_line, max_size=10)))
+
+
+@st.composite
+def logits_and_corpus(draw) -> tuple[bytes, bytes]:
+    """A logits file and its companion corpus, laid out line for line: each
+    logits row is a corpus row and each separator the same separator, so
+    the two agree on their sentences unless a fragment breaks a row."""
+    layout = draw(st.lists(st.one_of(st.just(None), st.sampled_from(SEPARATORS)), max_size=10))
+    rows = []
+    for sep in layout:
+        if sep is not None:
+            rows.append(sep)
+        elif draw(st.integers(0, 5)) == 5:
+            rows.append("\t".join(draw(st.lists(st.sampled_from(FIELDS), min_size=1, max_size=4))))
+        else:
+            rows.append("\t".join(draw(st.sampled_from(["0", "1.5", "-2"])) for _ in TAGSET.tags))
+    header = draw(st.sampled_from(BAD_HEADERS)) if draw(st.integers(0, 4)) == 4 else HEADER
+    corpus = [""] + [sep if sep is not None else "w\tO" for sep in layout]  # "" faces the header
+    return _file(draw, [header, *rows]), "\n".join(corpus).encode("utf-8")
+
+
+def _model_state() -> ModelState:
+    rng = np.random.default_rng(0)
+    vocab = Vocabulary.from_tokens(["w", "x1"])
+    return ModelState(
+        tagset=TAGSET, mode="crf", mask_value=-1e4, enforce_start=True,
+        trans=TransitionMatrix(rng.normal(size=(3, 3)), rng.normal(size=3)),
+        encoder=EncoderWeights.init(vocab.size, 2, TAGSET.size, rng), vocab=vocab,
+    )
+
+
+NUMERIC_FIELDS = [
+    ("mask_value",), ("transitions",), ("start",),
+    ("encoder", "embedding_dim"), ("encoder", "embeddings"), ("encoder", "projection"),
+    ("encoder", "bias"),
+]
+OTHER_FIELDS = [
+    ("format",), ("scheme",), ("entity_types",), ("tags",), ("mode",), ("enforce_start",),
+    ("encoder",), ("vocabulary",),
+]
+# values of another JSON type than each field's
+TYPE_SWAPS = {str: [0, [], None], list: ["x", 0, {}], bool: ["true", 0, None], dict: [[], "x"]}
+# what replaces one number of the file; "@..." marks raw JSON text
+BAD_NUMBERS = {
+    "Infinity": "@Infinity", "NaN": "@NaN", "1e400": "@1e400", "5001-digit-int": "@" + HUGE_INT,
+    "401-digit-int": 10**400, "deep": "@" + DEEP, "null": None, "object": {}, "array": [],
+}
+
+
+@st.composite
+def model_mutations(draw, doc: dict, mutation: str) -> str:
+    """The JSON text of doc after one mutation that makes it invalid:
+    "delete" a key, "swap" a value for one of another type, write a number
+    as a "string", or put one of BAD_NUMBERS in place of a number."""
+    doc = json.loads(json.dumps(doc))
+    if mutation == "delete":
+        *parents, key = draw(st.sampled_from(NUMERIC_FIELDS + OTHER_FIELDS))
+        del (doc["encoder"] if parents else doc)[key]
+        return json.dumps(doc)
+    if mutation == "swap":
+        (key,) = draw(st.sampled_from(OTHER_FIELDS))
+        doc[key] = draw(st.sampled_from(TYPE_SWAPS[type(doc[key])]))
+        return json.dumps(doc)
+    *parents, key = draw(st.sampled_from(NUMERIC_FIELDS))
+    holder = doc["encoder"] if parents else doc
+    while isinstance(holder[key], list):  # descend to one number of the array
+        holder, key = holder[key], draw(st.integers(0, len(holder[key]) - 1))
+    value = json.dumps(holder[key]) if mutation == "string" else BAD_NUMBERS[mutation]
+    if isinstance(value, str) and value.startswith("@"):
+        holder[key] = "@@RAW@@"
+        return json.dumps(doc).replace('"@@RAW@@"', value[1:])
+    holder[key] = value
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def model(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz-model")
+    path = str(root / "model.json")
+    save_model(path, _model_state())
+    return path
+
+
+def test_corpus_files(model, tmp_path):
+    """Fuzzed corpora through predict --data and eval --gold/--pred."""
+    gold, pred, out = tmp_path / "gold.conll", tmp_path / "pred.conll", tmp_path / "out.conll"
+    codes = []
+
+    @FUZZ_SETTINGS
+    @given(conll_files(), st.one_of(st.none(), conll_files()))
+    def run(gold_bytes, pred_bytes):
+        gold.write_bytes(gold_bytes)
+        pred.write_bytes(gold_bytes if pred_bytes is None else pred_bytes)
+        codes.append(_run(["predict", "--model", model, "--data", str(gold), "--out", str(out)]))
+        codes.append(_run(["eval", "--gold", str(gold), "--pred", str(pred),
+                           "--scheme", "bio", "--types", "1"]))
+
+    run()
+    assert codes.count(0) >= len(codes) // 3, (codes.count(0), len(codes))
+
+
+def test_logits_files(model, tmp_path):
+    """Fuzzed logits files through predict --emissions, each with a
+    companion corpus of the same layout."""
+    corpus, logits, out = tmp_path / "in.conll", tmp_path / "in.logits", tmp_path / "out.conll"
+    codes = []
+
+    @FUZZ_SETTINGS
+    @given(logits_and_corpus())
+    def run(files):
+        logits.write_bytes(files[0])
+        corpus.write_bytes(files[1])
+        codes.append(_run(["predict", "--model", model, "--data", str(corpus),
+                           "--emissions", str(logits), "--out", str(out)]))
+
+    run()
+    assert codes.count(0) >= len(codes) // 3, (codes.count(0), len(codes))
+
+
+@pytest.mark.parametrize("mutation", ["delete", "swap", "string", *BAD_NUMBERS])
+def test_model_files(model, tmp_path, mutation):
+    """Mutated model files through predict --model: each is an error line."""
+    corpus, mutated = tmp_path / "in.conll", tmp_path / "model.json"
+    corpus.write_text("w\tO\nx1\tB-LOC\n\nw\tO\n")
+    doc = json.loads(open(model, encoding="utf-8").read())
+
+    @settings(FUZZ_SETTINGS, max_examples=15)
+    @given(model_mutations(doc, mutation))
+    def run(text):
+        mutated.write_text(text, encoding="utf-8")
+        assert _run(["predict", "--model", str(mutated), "--data", str(corpus),
+                     "--out", str(tmp_path / "out.conll")]) == 1
+
+    run()
