@@ -4,19 +4,23 @@ CoNLL format: one token per line, columns separated by whitespace, token in
 the first column and tag in the last; each block of errors.read_blocks is a
 sentence. Gold paths are validated for scheme legality at load time; an
 illegal gold corpus is a data error, not something to repair silently. Every
-file is read through errors.read_text, so a byte that is not UTF-8 is a
-FormatError naming the file and line.
+file is read through errors.read_text, so a leading byte-order mark is
+dropped and a byte that is not UTF-8 is a FormatError naming the file and
+line.
 
 The model file is a single JSON document (format tag "mcrf-model-v1") whose
 floats round-trip exactly through repr, so save/load is bit-faithful. Loading
-checks that numbers are JSON numbers, array shapes, finiteness, the mode and
-the mask value and, in mcrf-train mode, the masked entries; JSON that is
-nested too deeply or holds an integer too long to read is a FormatError too.
+checks that numbers are JSON numbers, that the vocabulary is a list of
+strings, array shapes, finiteness, the mode and the mask value and, in
+mcrf-train mode, the masked entries; JSON that is nested too deeply or holds
+an integer too long to read is a FormatError too. Error lines quote a value
+of the file in short, so a huge field gives a short line.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -164,24 +168,31 @@ def load_model(path: str) -> ModelState:
         raise FormatError(f"{path}: corrupted model file (JSON nested too deeply)") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise FormatError(
-            f"{path}: unsupported model format {doc.get('format') if isinstance(doc, dict) else doc!r}, "
+            f"{path}: unsupported model format "
+            f"{reprlib.repr(doc.get('format') if isinstance(doc, dict) else doc)}, "
             f"expected {MODEL_FORMAT!r}"
         )
     try:
         tagset = build_tagset(Scheme(doc["scheme"]), doc["entity_types"])
         if tuple(doc["tags"]) != tagset.tags:
             raise FormatError(
-                f"{path}: stored tag order {doc['tags']} does not match the "
-                f"canonical order {list(tagset.tags)}"
+                f"{path}: stored tag order {reprlib.repr(doc['tags'])} does not match "
+                f"the canonical order {reprlib.repr(list(tagset.tags))}"
             )
         enc = doc["encoder"]
-        vocab = Vocabulary(tokens=tuple(doc["vocabulary"]))
+        tokens = doc["vocabulary"]
+        if type(tokens) is not list or not all(type(token) is str for token in tokens):
+            raise FormatError(f"{path}: vocabulary must be a list of strings")
+        vocab = Vocabulary(tokens=tuple(tokens))
         d, e = tagset.size, enc["embedding_dim"]
         if type(e) is not int or e < 1:  # refuses bool, float and str
-            raise FormatError(f"{path}: encoder.embedding_dim must be an integer >= 1, got {e!r}")
+            raise FormatError(
+                f"{path}: encoder.embedding_dim must be an integer >= 1, got {reprlib.repr(e)}"
+            )
         if not isinstance(doc["enforce_start"], bool):
             raise FormatError(
-                f"{path}: enforce_start must be true or false, got {doc['enforce_start']!r}"
+                f"{path}: enforce_start must be true or false, "
+                f"got {reprlib.repr(doc['enforce_start'])}"
             )
 
         def array(field: str, value, shape: tuple[int, ...]) -> np.ndarray:
@@ -216,7 +227,10 @@ def load_model(path: str) -> ModelState:
     except FormatError:
         raise
     except (ConfigurationError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: invalid model file ({exc})") from None
+        text = str(exc)  # may quote a whole field of the file, so it is cut short
+        if len(text) > 200:
+            text = text[:197] + "..."
+        raise FormatError(f"{path}: invalid model file ({text})") from None
     if state.mode == "mcrf-train":
         # masked training pins every masked entry to exactly mask_value
         pinned = apply_mask(state.trans, spec)

@@ -5,10 +5,14 @@ logits[t] = concat(E[tok_{t-1}], E[tok_t], E[tok_{t+1}]) @ P + b
 
 Out-of-sentence neighbors use the padding embedding (row 0). A batch is its
 sentences' window_ids concatenated; encode and encoder_backward refuse ids
-that are not integers or fall outside the embedding table. The point is a
-trainable, fully differentiable emission source that keeps every experiment
-runnable on a desk; emissions can also come from a logits file produced by
-any external model (load_external_logits / write_logits).
+that are not integers or fall outside the embedding table. encode gathers a
+batch's embeddings in one step. encoder_backward forms x.T @ d_logits and
+d_logits @ P.T as whole products and then scatters the embedding gradient
+in three flat np.add.at calls, one per window slot (prev, self, next), so at
+most one (N, 3e) array is alive at a time. The point is a trainable, fully
+differentiable emission source that keeps every experiment runnable on a
+desk; emissions can also come from a logits file produced by any external
+model (load_external_logits / write_logits).
 """
 
 from __future__ import annotations
@@ -166,20 +170,20 @@ def encoder_backward(
             f"d_logits shape {d_logits.shape} does not match ({n}, {weights.num_tags})"
         )
     e = weights.embedding_dim
-    x = weights.embeddings[windows].reshape(n, -1)
     d_bias = d_logits.sum(axis=0)
-    d_projection = x.T @ d_logits
+    # Both products stay whole: split by window slot, BLAS would block them
+    # differently and move their last bits. The gathered x is freed once its
+    # product is formed, so at most one (N, 3e) array is alive at a time.
+    d_projection = weights.embeddings[windows].reshape(n, -1).T @ d_logits
     d_x = (d_logits @ weights.projection.T).reshape(n, 3, e)
     d_embeddings = np.zeros(weights.embeddings.shape)
-    # One flat scatter into the cells of the C-ordered table, slot-major
-    # (every prev slot, then every self slot, then every next slot):
-    # np.add.at takes its fast path on 1-D indices and values, and adds to
-    # each cell in the same order as three scatters of whole rows would.
-    np.add.at(
-        d_embeddings.reshape(-1),
-        (windows.T.reshape(-1, 1) * e + np.arange(e)).ravel(),
-        d_x.transpose(1, 0, 2).ravel(),
-    )
+    # One flat scatter per window slot (prev, self, next) into the cells of
+    # the C-ordered table: np.add.at takes its fast path on 1-D indices and
+    # values, and each cell gets its additions in slot order, then row order.
+    cells = d_embeddings.reshape(-1)
+    columns = np.arange(e)
+    for slot in range(3):
+        np.add.at(cells, (windows[:, slot, None] * e + columns).ravel(), d_x[:, slot].ravel())
     return EncoderWeights(embeddings=d_embeddings, projection=d_projection, bias=d_bias)
 
 

@@ -35,14 +35,15 @@ class TrainingError(McrfError):
 
 
 def read_text(path: str) -> str:
-    """The whole of a UTF-8 text file, read as open() reads text; a byte that
-    does not decode is a FormatError naming the file and its line."""
+    """The whole of a UTF-8 text file, read as open() reads text, without a
+    leading byte-order mark; a byte that does not decode is a FormatError
+    naming the file and its line."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        # read() decodes the file in one piece, so exc.object is all of it;
-        # bytes.splitlines ends lines where universal newlines do
+        # read() decodes the file in one piece, so exc.object is all of it
+        # after any BOM; bytes.splitlines ends lines where universal newlines do
         line = len((exc.object[: exc.start] + b".").splitlines())
         raise FormatError(
             f"{path}:{line}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"

@@ -446,6 +446,44 @@ class TestPredict:
             f"got {shown}\n"
         )
 
+    def test_non_string_vocabulary_entry_fails_cleanly(self, data, tmp_path, capsys):
+        model_path, _ = bias_model(tmp_path, "crf")
+        doc = json.loads(Path(model_path).read_text())
+        doc["vocabulary"] = ["<pad>", "<unk>", 0, 5]
+        Path(model_path).write_text(json.dumps(doc))
+        assert main(["predict", "--model", model_path, "--data", data,
+                     "--out", str(tmp_path / "pred.conll")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {model_path}: vocabulary must be a list of strings\n"
+        )
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: list(range(200_000)),
+            lambda doc: {**doc, "format": "x" * 200_000},
+            lambda doc: {**doc, "tags": list(range(200_000))},
+            lambda doc: {**doc, "scheme": list(range(200_000))},
+            lambda doc: {**doc, "mode": "x" * 200_000},
+            lambda doc: {**doc, "entity_types": ["LOC"] * 200_000},
+            lambda doc: {**doc, "enforce_start": list(range(200_000))},
+            lambda doc: {**doc, "encoder": {**doc["encoder"], "embedding_dim": [0] * 200_000}},
+        ],
+        ids=["document", "format", "tags", "scheme", "mode", "entity_types", "enforce_start",
+             "embedding_dim"],
+    )
+    def test_error_line_quotes_a_huge_value_in_short(self, data, tmp_path, capsys, edit):
+        """A model document or field of megabytes is named by a bounded repr,
+        not echoed whole into the error line."""
+        model_path, _ = bias_model(tmp_path, "crf")
+        doc = json.loads(Path(model_path).read_text())
+        Path(model_path).write_text(json.dumps(edit(doc)))
+        assert main(["predict", "--model", model_path, "--data", data,
+                     "--out", str(tmp_path / "pred.conll")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model_path}: ") and err.count("\n") == 1
+        assert len(err) - len(model_path) < 300
+
     @pytest.mark.parametrize(
         "field, value, message",
         [

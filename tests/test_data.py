@@ -152,6 +152,23 @@ class TestReadBlocks:
         with pytest.raises(DataError, match=f"{corpus}:{firsts[0]}: sentence 1"):
             read_conll(str(corpus), BIO1)
 
+    def test_byte_order_mark_is_not_part_of_the_text(self, tmp_path):
+        """A file saved with a BOM reads as it would without one: the BOM is
+        neither glued to the first token nor in front of the logits header."""
+        corpus, logits = tmp_path / "bom.conll", tmp_path / "bom.logits"
+        corpus.write_bytes(b"\xef\xbb\xbfParis\tB-PER\nx\tO\n")
+        assert read_conll(str(corpus), BIO1)[0].tokens == ["Paris", "x"]
+        logits.write_bytes(b"\xef\xbb\xbfd=1\ttags=O\n0.5\n0.25\n")
+        (seq,) = load_external_logits(str(logits), lengths=[2])
+        assert seq.tolist() == [[0.5], [0.25]]
+
+    def test_non_utf8_byte_after_a_byte_order_mark_is_named_on_its_line(self, tmp_path):
+        path = tmp_path / "bom.conll"
+        path.write_bytes(b"\xef\xbb\xbfParis\tB-PER\nx\tO\n\xff\n")
+        with pytest.raises(FormatError) as err:
+            read_conll(str(path), BIO1)
+        assert str(err.value) == f"{path}:3: not UTF-8 text (byte 0xff)"
+
 
 class TestWriteConll:
     def test_round_trip(self, tmp_path):
@@ -354,6 +371,22 @@ class TestModelPersistence:
             doc["enforce_start"] = False
 
         assert load_model(self._edited(tmp_path, small_state(), switch_off)).enforce_start is False
+
+    def test_model_file_with_a_byte_order_mark_loads(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(str(path), small_state())
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_model(str(path)).vocab.tokens == small_state().vocab.tokens
+
+    def test_vocabulary_must_be_a_list_of_strings(self, tmp_path):
+        for value in (["<pad>", "<unk>", 0, 5], {"<pad>": 0, "<unk>": 1, "a": 2, "b": 3, "c": 4}):
+
+            def edit(doc):
+                doc["vocabulary"] = value
+
+            path = self._edited(tmp_path, small_state(), edit)
+            with pytest.raises(FormatError, match=f"^{re.escape(path)}: vocabulary must be"):
+                load_model(path)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,5 +1,7 @@
 """Window-3 linear encoder, its gradients, and the external logits format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,42 @@ class TestEncoderBackward:
         want = row_scatter_embedding_gradient(windows, d_logits, weights)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("num_tags", [3, 7, 41])
+    @pytest.mark.parametrize("dim", [1, 32, 64])
+    def test_gradients_match_whole_products_byte_for_byte(self, num_tags, dim):
+        """BLAS blocks a product by its shape, so a product split by window
+        slot can move the last bits; across these shapes every gradient must
+        equal the whole products and the row scatter exactly."""
+        rng = np.random.default_rng(num_tags * 100 + dim)
+        weights = EncoderWeights.init(60, dim, num_tags, rng)
+        for n in (8, 120, 460, 800):
+            windows = rng.integers(0, 60, size=(n, 3))
+            d_logits = rng.normal(size=(n, num_tags))
+            got = encoder_backward(windows, d_logits, weights)
+            x = weights.embeddings[windows].reshape(n, -1)
+            want_embeddings = row_scatter_embedding_gradient(windows, d_logits, weights)
+            assert got.projection.tobytes() == (x.T @ d_logits).tobytes()
+            assert got.bias.tobytes() == d_logits.sum(0).tobytes()
+            assert got.embeddings.tobytes() == want_embeddings.tobytes()
+
+    def test_peak_memory_of_a_training_batch(self):
+        """One backward pass over a 32-sentence batch holds at most about two
+        (N, 3e) arrays at once: the gathered windows are freed before d_x is
+        formed, and the scatter goes one window slot at a time."""
+        rng = np.random.default_rng(17)
+        weights = EncoderWeights.init(100, 32, 7, rng)
+        windows = np.concatenate(
+            [window_ids(rng.integers(2, 100, size=int(rng.integers(5, 16)))) for _ in range(32)]
+        )
+        d_logits = rng.normal(size=(len(windows), 7))
+        tracemalloc.start()
+        try:
+            encoder_backward(windows, d_logits, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(windows) * 3 * 32 * 8
 
     def test_shape_mismatch_rejected(self):
         weights = EncoderWeights.zeros(5, 2, 3)
