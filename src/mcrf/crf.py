@@ -52,7 +52,7 @@ exist purely as independent oracles for the dynamic programs.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,9 +112,9 @@ class CrfGradients:
     batch size.
     """
 
-    emissions: list[np.ndarray] = field(default_factory=list)
-    transitions: np.ndarray | None = None
-    start: np.ndarray | None = None
+    emissions: list[np.ndarray]
+    transitions: np.ndarray
+    start: np.ndarray
 
 
 def logsumexp(x: np.ndarray, axis: int | None = None) -> np.ndarray | float:

@@ -67,14 +67,16 @@ def read_conll(path: str, tagset: Tagset, validate: bool = True) -> list[Labeled
             cols = line.split()
             if len(cols) < 2:
                 raise FormatError(
-                    f"{path}:{lineno}: need at least token and tag columns, got {line!r}"
+                    f"{path}:{lineno}: need at least token and tag columns, "
+                    f"got {reprlib.repr(line)}"
                 )
             tag = cols[-1]
             try:
                 tags.append(tagset.index_of(tag))
             except ValueError:
                 raise FormatError(
-                    f"{path}:{lineno}: unknown tag {tag!r} (tagset: {list(tagset.tags)})"
+                    f"{path}:{lineno}: unknown tag {reprlib.repr(tag)} "
+                    f"(tagset: {reprlib.repr(list(tagset.tags))})"
                 ) from None
             tokens.append(cols[0])
         if validate:

@@ -17,6 +17,7 @@ model (load_external_logits / write_logits).
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -206,14 +207,10 @@ def write_logits(path: str, sequences: list[np.ndarray], tags: tuple[str, ...]) 
             fh.write("\n")
 
 
-def load_external_logits(
-    path: str,
-    tags: tuple[str, ...] | None = None,
-    lengths: list[int] | None = None,
-) -> list[np.ndarray]:
-    """Read a logits file; validates width, tag names, and, given the
-    companion corpus's sentence lengths, the sentence count and each
-    sentence's length.
+def load_external_logits(path: str, tags: tuple[str, ...], lengths: list[int]) -> list[np.ndarray]:
+    """Read a logits file; validates its width and tag names against tags,
+    the active tagset's names, and its sentence count and each sentence's
+    length against lengths, the companion corpus's sentence lengths.
 
     The header is line 1, and each sentence is one block of
     errors.read_blocks after it. Every failure names the offending line
@@ -225,20 +222,24 @@ def load_external_logits(
     header, *rows = blocks[0][1]
     parts = header.split("\t")
     if len(parts) != 2 or not parts[0].startswith("d=") or not parts[1].startswith("tags="):
-        raise FormatError(f"{path}:1: header must be 'd=<int>\\ttags=<names>', got {header!r}")
+        raise FormatError(
+            f"{path}:1: header must be 'd=<int>\\ttags=<names>', got {reprlib.repr(header)}"
+        )
     try:
         d = int(parts[0][2:])
     except ValueError:
-        raise FormatError(f"{path}:1: non-integer width in header: {parts[0]!r}") from None
+        raise FormatError(
+            f"{path}:1: non-integer width in header: {reprlib.repr(parts[0])}"
+        ) from None
     file_tags = tuple(parts[1][5:].split(","))
     if len(file_tags) != d:
         raise FormatError(
-            f"{path}:1: header declares d={d} but lists {len(file_tags)} tag names"
+            f"{path}:1: header declares d={reprlib.repr(d)} but lists {len(file_tags)} tag names"
         )
-    if tags is not None and file_tags != tuple(tags):
+    if file_tags != tuple(tags):
         raise FormatError(
-            f"{path}:1: tag names {list(file_tags)} do not match the active "
-            f"tagset {list(tags)}"
+            f"{path}:1: tag names {reprlib.repr(list(file_tags))} do not match the "
+            f"active tagset {reprlib.repr(list(tags))}"
         )
     # rows right after the header make a sentence that starts at line 2
     blocks = [(2, rows)] + blocks[1:] if rows else blocks[1:]
@@ -254,13 +255,15 @@ def load_external_logits(
             try:
                 row = [float(f) for f in fields]
             except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-numeric field in {line!r}") from None
+                raise FormatError(
+                    f"{path}:{lineno}: non-numeric field in {reprlib.repr(line)}"
+                ) from None
             if not all(np.isfinite(row)):
-                raise FormatError(f"{path}:{lineno}: non-finite value in {line!r}")
+                raise FormatError(
+                    f"{path}:{lineno}: non-finite value in {reprlib.repr(line)}"
+                )
             values.append(row)
         sequences.append(np.asarray(values, dtype=np.float64))
-    if lengths is None:
-        return sequences
     if len(sequences) != len(lengths):
         raise FormatError(
             f"{path}: holds {len(sequences)} sentences but the companion "

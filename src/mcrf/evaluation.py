@@ -116,23 +116,18 @@ def score_paths(
     return chunk_prf(gold_segments, pred_segments), illegal_stats(gold_segments, raw_segments)
 
 
-def format_report(metrics: ChunkMetrics, stats: IllegalStats | None = None) -> str:
+def format_report(metrics: ChunkMetrics, stats: IllegalStats) -> str:
     """Human-readable key=value report; percentages carry one decimal."""
     lines = [
         f"tp={metrics.tp} fp={metrics.fp} fn={metrics.fn}",
         f"precision={100 * metrics.precision:.1f}%",
         f"recall={100 * metrics.recall:.1f}%",
         f"f1={100 * metrics.f1:.1f}%",
+        "segments"
+        f" legal_tp={stats.legal_tp} illegal_tp={stats.illegal_tp}"
+        f" legal_fp={stats.legal_fp} illegal_fp={stats.illegal_fp}",
+        f"illegal_tp/illegal={100 * stats.ratio_illegal_tp_over_illegal:.1f}%",
+        f"illegal_fp/fp={100 * stats.ratio_illegal_fp_over_fp:.1f}%",
+        f"illegal/total={100 * stats.ratio_illegal_over_total:.1f}%",
     ]
-    if stats is not None:
-        lines.append(
-            "segments"
-            f" legal_tp={stats.legal_tp} illegal_tp={stats.illegal_tp}"
-            f" legal_fp={stats.legal_fp} illegal_fp={stats.illegal_fp}"
-        )
-        lines.append(
-            f"illegal_tp/illegal={100 * stats.ratio_illegal_tp_over_illegal:.1f}%"
-        )
-        lines.append(f"illegal_fp/fp={100 * stats.ratio_illegal_fp_over_fp:.1f}%")
-        lines.append(f"illegal/total={100 * stats.ratio_illegal_over_total:.1f}%")
     return "\n".join(lines)

@@ -61,9 +61,11 @@ class Tagset:
         return self.tags[index]
 
     def check_indices(self, path: list[int] | tuple[int, ...]) -> None:
-        """Raise ValueError for a non-integer tag of a nonempty path, or
-        tag_of's for the first index outside [0, d)."""
+        """Raise ValueError for a non-integer or bool tag of a nonempty path,
+        or tag_of's for the first index outside [0, d)."""
         try:
+            if bool in map(type, path):  # operator.index reads True as 1
+                raise TypeError("a bool is not a tag index")
             path = list(map(operator.index, path))
         except TypeError as exc:
             raise ValueError(f"non-integer tag index ({exc})") from None

@@ -148,14 +148,10 @@ class TrainReport:
 
 
 def initialize(
-    config: TrainConfig,
-    tagset: Tagset,
-    vocab: Vocabulary,
-    rng: np.random.Generator | None = None,
+    config: TrainConfig, tagset: Tagset, vocab: Vocabulary, rng: np.random.Generator
 ) -> tuple[EncoderWeights, TransitionMatrix]:
-    """Seeded initial weights; in mcrf-train mode the mask is already applied."""
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    """Initial weights drawn from rng; in mcrf-train mode the mask is already
+    applied."""
     enc = EncoderWeights.init(vocab.size, config.embedding_dim, tagset.size, rng)
     trans = TransitionMatrix.zeros(tagset.size)
     if config.mode == "mcrf-train":

@@ -24,6 +24,8 @@ from .encoder import EncoderWeights, Vocabulary, encode, encoder_backward
 from .masking import MaskSpec, apply_mask, mask_convergence_gap
 from .schemes import TransitionRuleSet, build_tagset
 
+_FD_STEP = 1e-5  # central-difference step of every finite-difference check
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -39,9 +41,9 @@ class CheckResult:
         return f"[{status}] {self.name}: observed {self.observed:.3e} vs {self.threshold:.3e}{extra}"
 
 
-def _random_instance(rng: np.random.Generator, t_max: int = 6, d_max: int = 5):
-    T = int(rng.integers(1, t_max + 1))
-    d = int(rng.integers(2, d_max + 1))
+def _random_instance(rng: np.random.Generator):
+    T = int(rng.integers(1, 7))
+    d = int(rng.integers(2, 6))
     emissions = rng.uniform(-2.0, 2.0, size=(T, d))
     trans = TransitionMatrix(
         rng.uniform(-2.0, 2.0, size=(d, d)), rng.uniform(-2.0, 2.0, size=d)
@@ -50,10 +52,10 @@ def _random_instance(rng: np.random.Generator, t_max: int = 6, d_max: int = 5):
     return emissions, trans, gold
 
 
-def check_log_partition(seed: int = 0, instances: int = 200) -> CheckResult:
+def check_log_partition(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(200):
         emissions, trans, _ = _random_instance(rng)
         worst = max(
             worst,
@@ -64,15 +66,15 @@ def check_log_partition(seed: int = 0, instances: int = 200) -> CheckResult:
         observed=worst,
         threshold=1e-9,
         passed=worst <= 1e-9,
-        detail=f"{instances} instances",
+        detail="200 instances",
     )
 
 
-def check_viterbi(seed: int = 1, instances: int = 200) -> CheckResult:
+def check_viterbi(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     mismatched_paths = 0
-    for _ in range(instances):
+    for _ in range(200):
         emissions, trans, _ = _random_instance(rng)
         best_path, best_score = brute_force_best(emissions, trans)
         decoded = viterbi(emissions, trans)
@@ -85,7 +87,7 @@ def check_viterbi(seed: int = 1, instances: int = 200) -> CheckResult:
         observed=worst,
         threshold=0.0,
         passed=passed,
-        detail=f"{instances} instances, {mismatched_paths} path mismatches",
+        detail=f"200 instances, {mismatched_paths} path mismatches",
     )
 
 
@@ -94,19 +96,19 @@ def _relative_error(analytic: np.ndarray, fd: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - fd) / denom))
 
 
-def _central_difference(f, arr: np.ndarray, h: float = 1e-5) -> np.ndarray:
+def _central_difference(f, arr: np.ndarray) -> np.ndarray:
     """Central finite differences of f() with respect to every entry of arr,
     which is perturbed in place and restored after each entry."""
     fd = np.zeros_like(arr)
     for idx in np.ndindex(arr.shape):
         for sign in (1.0, -1.0):
-            arr[idx] += sign * h
+            arr[idx] += sign * _FD_STEP
             fd[idx] += sign * f()
-            arr[idx] -= sign * h
-    return fd / (2 * h)
+            arr[idx] -= sign * _FD_STEP
+    return fd / (2 * _FD_STEP)
 
 
-def _fd_crf(batch, trans, h: float = 1e-5) -> float:
+def _fd_crf(batch, trans) -> float:
     """Worst relative error of the analytic CRF gradients against central
     finite differences over emissions, transitions, and start."""
     _, grads = loss_and_gradients(batch, trans)
@@ -116,16 +118,16 @@ def _fd_crf(batch, trans, h: float = 1e-5) -> float:
 
     pairs = [(emissions, g) for (emissions, _), g in zip(batch, grads.emissions)]
     pairs += [(trans.scores, grads.transitions), (trans.start, grads.start)]
-    return max(_relative_error(g, _central_difference(loss, arr, h)) for arr, g in pairs)
+    return max(_relative_error(g, _central_difference(loss, arr)) for arr, g in pairs)
 
 
-def check_gradients(seed: int = 2, instances: int = 20, masked: bool = False) -> CheckResult:
+def check_gradients(seed: int, masked: bool) -> CheckResult:
     rng = np.random.default_rng(seed)
     tagset = build_tagset("bio", ["A"])
     spec = MaskSpec(rules=tagset.rules)
     d = tagset.size
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(20):
         T = int(rng.integers(2, 5))
         emissions = rng.uniform(-2.0, 2.0, size=(T, d))
         trans = TransitionMatrix(
@@ -141,15 +143,15 @@ def check_gradients(seed: int = 2, instances: int = 20, masked: bool = False) ->
         observed=worst,
         threshold=1e-4,
         passed=worst <= 1e-4,
-        detail=f"{instances} instances",
+        detail="20 instances",
     )
 
 
-def check_encoder_gradients(seed: int = 3, instances: int = 10) -> CheckResult:
+def check_encoder_gradients(seed: int) -> CheckResult:
     """Finite-difference check through encode -> NLL for every weight class."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(10):
         V, e, d, T = 7, 3, 3, int(rng.integers(2, 5))
         vocab = Vocabulary(tuple(["<pad>", "<unk>"] + [f"t{i}" for i in range(V - 2)]))
         weights = EncoderWeights.init(vocab.size, e, d, rng)
@@ -175,11 +177,11 @@ def check_encoder_gradients(seed: int = 3, instances: int = 10) -> CheckResult:
         observed=worst,
         threshold=1e-4,
         passed=worst <= 1e-4,
-        detail=f"{instances} instances",
+        detail="10 instances",
     )
 
 
-def check_mask_convergence(seed: int = 4, instances: int = 8) -> CheckResult:
+def check_mask_convergence(seed: int) -> CheckResult:
     """Masked-vs-restricted gaps must shrink monotonically in |c| and be tiny
     at c = -30; with no illegal entries both gaps are exactly zero."""
     rng = np.random.default_rng(seed)
@@ -187,7 +189,7 @@ def check_mask_convergence(seed: int = 4, instances: int = 8) -> CheckResult:
     d = tagset.size
     values = (-5.0, -10.0, -20.0, -30.0)
     per_value = {c: 0.0 for c in values}
-    for _ in range(instances):
+    for _ in range(8):
         T = int(rng.integers(2, 5))
         emissions = rng.uniform(-1.5, 1.5, size=(T, d))
         trans = TransitionMatrix(
@@ -217,14 +219,14 @@ def check_mask_convergence(seed: int = 4, instances: int = 8) -> CheckResult:
     )
 
 
-def check_legal_scores_unchanged(seed: int = 5, instances: int = 100) -> CheckResult:
+def check_legal_scores_unchanged(seed: int) -> CheckResult:
     """Masking must leave the score of every legal path bitwise unchanged."""
     rng = np.random.default_rng(seed)
     tagset = build_tagset("bio", ["A", "B"])
     spec = MaskSpec(rules=tagset.rules)
     d = tagset.size
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(100):
         T = int(rng.integers(1, 7))
         emissions = rng.uniform(-2.0, 2.0, size=(T, d))
         trans = TransitionMatrix(
@@ -241,18 +243,18 @@ def check_legal_scores_unchanged(seed: int = 5, instances: int = 100) -> CheckRe
         observed=worst,
         threshold=0.0,
         passed=worst == 0.0,
-        detail=f"{instances} paths",
+        detail="100 paths",
     )
 
 
-def check_mask_idempotence(seed: int = 6, instances: int = 50) -> CheckResult:
+def check_mask_idempotence(seed: int) -> CheckResult:
     """apply_mask twice must equal apply_mask once, bitwise."""
     rng = np.random.default_rng(seed)
     tagset = build_tagset("bioes", ["A", "B"])
     spec = MaskSpec(rules=tagset.rules)
     d = tagset.size
     mismatches = 0
-    for _ in range(instances):
+    for _ in range(50):
         trans = TransitionMatrix(
             rng.uniform(-3.0, 3.0, size=(d, d)), rng.uniform(-3.0, 3.0, size=d)
         )
@@ -268,7 +270,7 @@ def check_mask_idempotence(seed: int = 6, instances: int = 50) -> CheckResult:
         observed=float(mismatches),
         threshold=0.0,
         passed=mismatches == 0,
-        detail=f"{instances} matrices",
+        detail="50 matrices",
     )
 
 

@@ -485,6 +485,42 @@ class TestPredict:
         assert len(err) - len(model_path) < 300
 
     @pytest.mark.parametrize(
+        "corpus_text, logits_text",
+        [
+            ("X" * 200_000 + "\n", None),
+            ("w\t" + "X" * 200_000 + "\n", None),
+            ("a\tO\n", "d=3 " + "x" * 200_000 + "\n"),
+            ("a\tO\n", "d=" + "9" * 200_000 + "\ttags=O\n"),
+            ("a\tO\n", "d=" + "9" * 4_000 + "\ttags=O\n"),
+            ("a\tO\n", "d=200000\ttags=" + ",".join(["O"] * 200_000) + "\n"),
+            ("a\tO\n", "d={d}\ttags={tags}\n0\t" + "x" * 200_000 + "\t0\n"),
+            ("a\tO\n", "d={d}\ttags={tags}\nnan\t0\t" + "0" * 200_000 + "\n"),
+        ],
+        ids=["one-column-row", "unknown-tag", "header", "header-width", "declared-width",
+             "tag-names", "non-numeric-field", "non-finite-value"],
+    )
+    def test_error_line_quotes_a_huge_field_in_short(
+        self, tmp_path, capsys, corpus_text, logits_text
+    ):
+        """The corpus and logits readers name a field of megabytes by a
+        bounded repr, not echoed whole into the error line."""
+        model_path, tagset = bias_model(tmp_path, "crf")
+        data = tmp_path / "in.conll"
+        data.write_text(corpus_text)
+        argv = ["predict", "--model", model_path, "--data", str(data),
+                "--out", str(tmp_path / "pred.conll")]
+        bad = str(data)
+        if logits_text is not None:
+            bad = str(tmp_path / "x.logits")
+            Path(bad).write_text(logits_text.replace("{d}", str(tagset.size), 1)
+                                 .replace("{tags}", ",".join(tagset.tags), 1))
+            argv += ["--emissions", bad]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:") and err.count("\n") == 1
+        assert len(err) - len(bad) < 300
+
+    @pytest.mark.parametrize(
         "field, value, message",
         [
             ("mask_value", "-1e4", "mask_value must hold JSON numbers, not strings"),

@@ -143,11 +143,11 @@ class TestReadBlocks:
         logits.write_text("d=1\ttags=O" + text.replace("x\tO", "0.5"), newline="")
         assert [first for first, _ in read_blocks(str(corpus))] == firsts
         assert [len(s.tokens) for s in read_conll(str(corpus), BIO1)] == lengths
-        assert [len(seq) for seq in load_external_logits(str(logits), lengths=lengths)] == lengths
+        assert [len(seq) for seq in load_external_logits(str(logits), ("O",), lengths)] == lengths
         for k, first in enumerate(firsts):
             wrong = lengths[:k] + [lengths[k] + 1] + lengths[k + 1:]
             with pytest.raises(FormatError, match=f"{logits}:{first}: sentence {k + 1} has"):
-                load_external_logits(str(logits), lengths=wrong)
+                load_external_logits(str(logits), ("O",), wrong)
         corpus.write_text(text.replace("x\tO", "x\tI-PER", 1), newline="")
         with pytest.raises(DataError, match=f"{corpus}:{firsts[0]}: sentence 1"):
             read_conll(str(corpus), BIO1)
@@ -159,7 +159,7 @@ class TestReadBlocks:
         corpus.write_bytes(b"\xef\xbb\xbfParis\tB-PER\nx\tO\n")
         assert read_conll(str(corpus), BIO1)[0].tokens == ["Paris", "x"]
         logits.write_bytes(b"\xef\xbb\xbfd=1\ttags=O\n0.5\n0.25\n")
-        (seq,) = load_external_logits(str(logits), lengths=[2])
+        (seq,) = load_external_logits(str(logits), ("O",), [2])
         assert seq.tolist() == [[0.5], [0.25]]
 
     def test_non_utf8_byte_after_a_byte_order_mark_is_named_on_its_line(self, tmp_path):

@@ -303,56 +303,56 @@ class TestLogitsFile:
         path = tmp_path / "bad.tsv"
         path.write_text("\n1.0\t2.0\t3.0\n")
         with pytest.raises(FormatError) as err:
-            load_external_logits(str(path))
+            load_external_logits(str(path), self.TAGS, [1])
         assert ":1:" in str(err.value)
 
     def test_tag_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "logits.tsv")
         write_logits(path, [np.zeros((1, 3))], self.TAGS)
         with pytest.raises(FormatError):
-            load_external_logits(path, tags=("O", "B-LOC", "I-LOC"))
+            load_external_logits(path, ("O", "B-LOC", "I-LOC"), [1])
 
     def test_header_width_must_match_tag_count(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("d=2\ttags=O,B-PER,I-PER\n")
         with pytest.raises(FormatError) as err:
-            load_external_logits(str(path))
+            load_external_logits(str(path), self.TAGS, [])
         assert "d=2" in str(err.value)
 
     def test_row_width_error_names_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("d=3\ttags=O,B-PER,I-PER\n0.0\t0.0\t0.0\n0.0\t0.0\n")
         with pytest.raises(FormatError) as err:
-            load_external_logits(str(path))
+            load_external_logits(str(path), self.TAGS, [2])
         assert ":3:" in str(err.value)
 
     def test_non_numeric_field_names_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("d=3\ttags=O,B-PER,I-PER\n0.0\tabc\t0.0\n")
         with pytest.raises(FormatError) as err:
-            load_external_logits(str(path))
+            load_external_logits(str(path), self.TAGS, [1])
         assert ":2:" in str(err.value)
 
     def test_non_finite_value_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("d=3\ttags=O,B-PER,I-PER\n0.0\tnan\t0.0\n")
         with pytest.raises(FormatError):
-            load_external_logits(str(path))
+            load_external_logits(str(path), self.TAGS, [1])
 
     def test_sentence_count_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "logits.tsv")
         write_logits(path, [np.zeros((2, 3))], self.TAGS)
         with pytest.raises(FormatError) as err:
-            load_external_logits(str(path), lengths=[2, 2, 2])
+            load_external_logits(str(path), self.TAGS, [2, 2, 2])
         assert "3" in str(err.value)
 
     def test_sentence_length_mismatch_names_file_line_and_sentence(self, tmp_path):
         path = str(tmp_path / "logits.tsv")
         write_logits(path, [np.zeros((2, 3)), np.zeros((3, 3)), np.zeros((1, 3))], self.TAGS)
-        assert len(load_external_logits(path, lengths=[2, 3, 1])) == 3
+        assert len(load_external_logits(path, self.TAGS, [2, 3, 1])) == 3
         for lengths in ([2, 4, 1], [2, 2, 1]):
             with pytest.raises(FormatError) as err:
-                load_external_logits(path, lengths=lengths)
+                load_external_logits(path, self.TAGS, lengths)
             assert str(err.value) == (
                 f"{path}:5: sentence 2 has 3 rows but the companion corpus "
                 f"sentence has {lengths[1]} tokens"
@@ -361,6 +361,6 @@ class TestLogitsFile:
     def test_missing_trailing_blank_line_tolerated(self, tmp_path):
         path = tmp_path / "logits.tsv"
         path.write_text("d=2\ttags=O,B-X\n1.0\t2.0\n3.0\t4.0")
-        loaded = load_external_logits(str(path))
+        loaded = load_external_logits(str(path), ("O", "B-X"), [2])
         assert len(loaded) == 1
         np.testing.assert_array_equal(loaded[0], [[1.0, 2.0], [3.0, 4.0]])

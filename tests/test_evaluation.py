@@ -176,20 +176,19 @@ class TestScorePaths:
 
 
 class TestFormatReport:
-    def test_metrics_only(self):
-        text = format_report(ChunkMetrics(tp=2, fp=1, fn=1))
-        lines = text.splitlines()
-        assert lines[0] == "tp=2 fp=1 fn=1"
-        assert "precision=66.7%" in lines
-        assert "recall=66.7%" in lines
-        assert "f1=66.7%" in lines
-
     def test_with_stats(self):
         stats = IllegalStats(legal_tp=1, illegal_tp=1, legal_fp=1, illegal_fp=1)
         text = format_report(ChunkMetrics(tp=2, fp=2, fn=0), stats)
-        assert "illegal_tp/illegal=50.0%" in text
-        assert "illegal_fp/fp=50.0%" in text
-        assert "illegal/total=50.0%" in text
+        assert text.splitlines() == [
+            "tp=2 fp=2 fn=0",
+            "precision=50.0%",
+            "recall=100.0%",
+            "f1=66.7%",
+            "segments legal_tp=1 illegal_tp=1 legal_fp=1 illegal_fp=1",
+            "illegal_tp/illegal=50.0%",
+            "illegal_fp/fp=50.0%",
+            "illegal/total=50.0%",
+        ]
 
     def test_zero_counts_do_not_divide_by_zero(self):
         text = format_report(ChunkMetrics(0, 0, 0), IllegalStats(0, 0, 0, 0))

@@ -265,7 +265,7 @@ class TestMaskedNll:
     @pytest.mark.parametrize(
         "bad, message",
         [([0.7, 1.9], "non-integer tag index"), ([0, 3], "tag index 3 out of range"),
-         ([-1, 0], "tag index -1 out of range")],
+         ([-1, 0], "tag index -1 out of range"), ([True, False], "non-integer tag index")],
     )
     def test_unusable_gold_tag_names_the_sentence(self, bad, message):
         batch = [(np.zeros((2, 3)), [0, 0]), (np.zeros((2, 3)), bad)]

@@ -68,6 +68,12 @@ class TestExtractBio:
             with pytest.raises(ValueError, match=re.escape(message)):
                 extract_segments(path, BIO)
 
+    def test_bool_tags_are_refused(self):
+        """operator.index reads True as 1: [True, False] was read as tags [1, 0]."""
+        for path in ([True, False], [0, True]):
+            with pytest.raises(ValueError, match="non-integer tag index"):
+                extract_segments(path, BIO)
+
 
 class TestExtractBioes:
     def test_well_formed_path(self):

@@ -283,9 +283,11 @@ class TestFirstViolation:
                     first_violation(ts, path)
 
     def test_non_integer_index_raises(self):
-        """A float tag would index the rule tables as numpy's bare IndexError."""
+        """A float tag would index the rule tables as numpy's bare IndexError,
+        and a bool one as numpy's ambiguous truth value."""
         ts = build_tagset(Scheme.BIO, ["PER"])
-        for path in ([0.7, 1.9], [0, 1.0], np.array([0.0, 1.0]), [0, "1"]):
+        for path in ([0.7, 1.9], [0, 1.0], np.array([0.0, 1.0]), [0, "1"],
+                     [True, False], [False, True], [0, True], np.array([True, False])):
             with pytest.raises(ValueError, match="non-integer tag index"):
                 first_violation(ts, path)
         assert first_violation(ts, np.array([0, 1])) is None

@@ -125,28 +125,30 @@ class TestInitialize:
     def test_seeded_and_deterministic(self):
         vocab = Vocabulary.from_tokens(["a", "b", "c"])
         config = TrainConfig(embedding_dim=4, seed=11)
-        enc1, trans1 = initialize(config, BIO1, vocab)
-        enc2, trans2 = initialize(config, BIO1, vocab)
+        enc1, trans1 = initialize(config, BIO1, vocab, np.random.default_rng(config.seed))
+        enc2, trans2 = initialize(config, BIO1, vocab, np.random.default_rng(config.seed))
         np.testing.assert_array_equal(enc1.embeddings, enc2.embeddings)
         np.testing.assert_array_equal(trans1.scores, trans2.scores)
 
     def test_plain_mode_starts_at_zero_transitions(self):
         vocab = Vocabulary.from_tokens(["a"])
-        _, trans = initialize(TrainConfig(mode="crf"), BIO1, vocab)
+        _, trans = initialize(TrainConfig(mode="crf"), BIO1, vocab, np.random.default_rng(0))
         np.testing.assert_array_equal(trans.scores, np.zeros((3, 3)))
         np.testing.assert_array_equal(trans.start, np.zeros(3))
 
     def test_masked_mode_starts_with_mask_applied(self):
         vocab = Vocabulary.from_tokens(["a"])
         config = TrainConfig(mode="mcrf-train", mask_value=-1e4)
-        _, trans = initialize(config, BIO1, vocab)
+        _, trans = initialize(config, BIO1, vocab, np.random.default_rng(0))
         i_per = BIO1.index_of("I-PER")
         assert trans.scores[0, i_per] == -1e4
         assert trans.start[i_per] == -1e4
         assert trans.scores[0, 0] == 0.0
 
     def test_optimizer_moments_start_at_zero(self):
-        enc, trans = initialize(TrainConfig(), BIO1, Vocabulary.from_tokens(["a"]))
+        enc, trans = initialize(
+            TrainConfig(), BIO1, Vocabulary.from_tokens(["a"]), np.random.default_rng(0)
+        )
         opt = OptimizerState.for_params(training._param_dict(enc, trans))
         assert sorted(opt.m) == ["bias", "embeddings", "projection", "start", "transitions"]
         assert opt.step == 0
@@ -181,7 +183,7 @@ class TestTrainLoop:
             eval_every=5, embedding_dim=4, seed=7,
         )
         vocab = Vocabulary.from_tokens(t for s in train_s for t in s.tokens)
-        init_enc, init_trans = initialize(config, tagset, vocab)
+        init_enc, init_trans = initialize(config, tagset, vocab, np.random.default_rng(config.seed))
         state, _ = train(train_s, dev_s, config, tagset)
         np.testing.assert_array_equal(state.trans.scores, init_trans.scores)
         np.testing.assert_array_equal(state.trans.start, init_trans.start)
@@ -263,8 +265,7 @@ class TestTrainLoop:
             eval_every=60, embedding_dim=8, seed=2,
         )
         vocab = Vocabulary.from_tokens(t for s in train_s for t in s.tokens)
-        _, init_trans = initialize(config, tagset, vocab)
-        enc0, _ = initialize(config, tagset, vocab)
+        enc0, init_trans = initialize(config, tagset, vocab, np.random.default_rng(config.seed))
         before = nll_loss(
             [(encode(vocab.lookup_all(s.tokens), enc0), s.gold) for s in dev_s], init_trans
         )
@@ -307,6 +308,7 @@ class TestTrainLoop:
         tagset, (train_s, dev_s) = tiny_corpus()
         k = len(train_s) + 1
         for gold, message in (([0.0, 1.0], "non-integer tag index"),
+                              ([True, False], "non-integer tag index"),
                               ([0, 9], "tag index 9 out of range")):
             bad = LabeledSentence(["x", "y"], gold)
             with pytest.raises(DataError, match=f"^train sentence {k}: {message}"):
@@ -351,7 +353,7 @@ class TestTrainLoop:
         config = TrainConfig(batch_size=6, max_epochs=1, max_iterations=0,
                              eval_every=3, embedding_dim=4, seed=4)
         vocab = Vocabulary.from_tokens(t for s in train_s for t in s.tokens)
-        init_enc, _ = initialize(config, tagset, vocab)
+        init_enc, _ = initialize(config, tagset, vocab, np.random.default_rng(config.seed))
         state, _ = train(train_s, dev_s, config, tagset,
                          train_logits=logits, dev_logits=dev_logits)
         np.testing.assert_array_equal(state.encoder.embeddings, init_enc.embeddings)

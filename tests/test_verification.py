@@ -32,12 +32,12 @@ class TestChecks:
         assert line.startswith("[FAIL] demo:")
 
     def test_checks_are_seed_stable(self):
-        a = check_log_partition(seed=0, instances=50)
-        b = check_log_partition(seed=0, instances=50)
+        a = check_log_partition(seed=0)
+        b = check_log_partition(seed=0)
         assert a.observed == b.observed
 
     def test_masked_gradient_check_runs_with_mask(self):
-        result = check_gradients(seed=2, instances=5, masked=True)
+        result = check_gradients(seed=2, masked=True)
         assert result.passed
 
     def test_runtime_is_desk_scale(self):
