@@ -13,8 +13,9 @@ floats round-trip exactly through repr, so save/load is bit-faithful. Loading
 checks that numbers are JSON numbers, that the vocabulary is a list of
 strings, array shapes, finiteness, the mode and the mask value and, in
 mcrf-train mode, the masked entries; JSON that is nested too deeply or holds
-an integer too long to read is a FormatError too. Error lines quote a value
-of the file in short, so a huge field gives a short line.
+an integer too long to read is a FormatError too. Error lines, of corpora and
+model files alike, quote a value of the file in short, so a huge field gives
+a short line.
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ in three flat np.add.at calls, one per window slot (prev, self, next), so at
 most one (N, 3e) array is alive at a time. The point is a trainable, fully
 differentiable emission source that keeps every experiment runnable on a
 desk; emissions can also come from a logits file produced by any external
-model (load_external_logits / write_logits).
+model (load_external_logits / write_logits). A logits file is read against
+the active tagset's names and its companion corpus's sentence lengths, both
+required, and its error lines quote a field of the file in short.
 """
 
 from __future__ import annotations

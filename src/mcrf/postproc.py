@@ -42,7 +42,7 @@ class Segment:
 
 def extract_segments(tags: list[int], tagset: Tagset) -> list[Segment]:
     """Single left-to-right pass collecting typed segments from a tag path."""
-    if not tags:
+    if len(tags) == 0:  # `not tags` raises on a numpy path, or reads array([0]) as empty
         raise ValueError("empty path")
     segments: list[Segment] = []
     open_type: str | None = None

@@ -1,6 +1,11 @@
 """Self-contained correctness checks pitting the dynamic programs against
 independent oracles. Used by the `verify` CLI subcommand; the test suite
 runs the same checks with its own tolerances.
+
+Each check draws a fixed number of random instances, which its detail
+text names, from a generator of the seed it is given; run_verification
+gives check k the seed seed + k, so one seed fixes the whole battery. The
+finite-difference checks share one central-difference step, _FD_STEP.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ class CheckResult:
 
 
 def _random_instance(rng: np.random.Generator):
+    """Emissions, transitions and a gold path of 1 to 6 positions and 2 to 5 tags."""
     T = int(rng.integers(1, 7))
     d = int(rng.integers(2, 6))
     emissions = rng.uniform(-2.0, 2.0, size=(T, d))

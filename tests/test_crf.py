@@ -323,6 +323,20 @@ class TestBatches:
             with pytest.raises(ValueError, match=re.escape(message)):
                 brute_force_loss_and_gradients([(bad, [0, 1, 1, 0])], trans)
 
+    def test_bool_or_ragged_gold_names_the_sentence(self):
+        """numpy reads [0, True] as the tags [0, 1], and refuses a ragged
+        nested list in words of its own: both are refused naming the
+        sentence."""
+        trans = TransitionMatrix.zeros(3)
+        for bad, shown in (([0, True], "holds a bool"), ([np.True_, 0], "holds a bool"),
+                           ([[0], [0, 1]], "is a ragged sequence")):
+            batch = [(np.zeros((2, 3)), [0, 1]), (np.zeros((2, 3)), bad)]
+            for fn in (nll_loss, loss_and_gradients, brute_force_loss_and_gradients):
+                with pytest.raises(ValueError, match=f"^sentence 2: gold path {shown}"):
+                    fn(batch, trans)
+            with pytest.raises(ValueError, match=f"^sentence 1: gold path {shown}"):
+                path_score(np.zeros((2, 3)), trans, bad)
+
     def test_non_integer_gold_names_the_sentence(self):
         """Gold tags are indices: a float path is refused, not truncated to
         the tags below it (which once scored [0.7, 1.9] as [0, 1]), and a tag

@@ -16,6 +16,7 @@ logits runs succeeds, and each test checks that share.
 import contextlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -23,10 +24,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcrf.cli import main
-from mcrf.crf import TransitionMatrix
-from mcrf.data import ModelState, save_model
+from mcrf.crf import TransitionMatrix, loss_and_gradients, nll_loss, path_score
+from mcrf.data import LabeledSentence, ModelState, save_model
 from mcrf.encoder import EncoderWeights, Vocabulary
-from mcrf.schemes import Scheme, build_tagset
+from mcrf.errors import McrfError
+from mcrf.masking import MaskSpec, masked_nll
+from mcrf.postproc import extract_segments
+from mcrf.schemes import Scheme, build_tagset, first_violation, validate_gold_paths
+from mcrf.training import TrainConfig, train
 
 FUZZ_SETTINGS = settings(max_examples=80, derandomize=True, deadline=None, database=None)
 
@@ -225,3 +230,127 @@ def test_model_files(model, tmp_path, mutation):
                      "--out", str(tmp_path / "out.conll")]) == 1
 
     run()
+
+
+# Library gold paths. Every entry point that takes a gold path must refuse an
+# unusable one with the error it owes, naming the sentence, and accept a
+# usable one: a nonempty flat sequence of integer tags (Python ints or numpy
+# integers, never bools) in [0, d).
+GOLD_TAGSET = build_tagset(Scheme.BIO, ["PER"])  # O, B-PER, I-PER
+D = GOLD_TAGSET.size
+HUGE_TAGS = [-(2**63), 2**63, 2**64 - 1, 2**70]
+TAG_DTYPES = [np.int64, np.int32, np.uint8, np.uint64, np.float64, np.bool_]
+TAG_PATH_ERRORS = r"^(empty path|non-integer tag index|tag index -?\d+ out of range)"
+
+
+def _usable(path) -> bool:
+    """Whether path is a usable gold path, decided from the values alone."""
+    if not len(path):
+        return False
+    if isinstance(path, np.ndarray):
+        return path.ndim == 1 and path.dtype.kind in "iu" and all(0 <= int(t) < D for t in path)
+    return all(
+        isinstance(t, (int, np.integer)) and not isinstance(t, bool) and 0 <= t < D for t in path
+    )
+
+
+in_range = st.integers(0, D - 1)
+ODD_TAGS = [
+    -1, -3, D, D + 2, *HUGE_TAGS, np.int64(1), np.uint8(2), 0.0, 1.0, 0.5, np.float64(1.0),
+    True, False, np.True_, np.False_,
+]
+
+
+@st.composite
+def gold_paths(draw):
+    """A gold path of one of many shapes and types, usable or not: tags in
+    range, maybe with one or two of ODD_TAGS among them, all bools, an
+    array of any of TAG_DTYPES, a nested list, or an empty path."""
+    kind = draw(st.sampled_from(
+        ["list", "list", "odd", "odd", "bools", "array", "array", "nested", "empty"]
+    ))
+    values = draw(st.lists(in_range, min_size=1, max_size=5))
+    if kind in ("odd", "array"):
+        for _ in range(draw(st.integers(1 if kind == "odd" else 0, 2))):
+            values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(ODD_TAGS))
+    if kind in ("list", "odd"):
+        return values
+    if kind == "bools":
+        return draw(st.lists(st.booleans(), min_size=1, max_size=5))
+    if kind == "array":
+        dtype = draw(st.sampled_from(TAG_DTYPES))
+        if dtype == np.float64:
+            return np.array([float(v) for v in values], dtype=np.float64)
+        # wrapped to 64 bits, then cast as numpy casts: -1 becomes 255 as uint8
+        return np.array([int(v) % 2**64 for v in values], dtype=np.uint64).astype(dtype)
+    if kind == "nested":
+        return [values, draw(st.lists(in_range, min_size=1, max_size=5))]
+    return draw(st.sampled_from([[], np.array([], dtype=np.int64)]))
+
+
+def _entry_points(path, usable: bool) -> bool:
+    """Call every library entry point on path and check each refusal;
+    returns whether the path is legal under the scheme."""
+    T = max(len(path), 1)
+    emissions = np.zeros((T, D))
+    trans = TransitionMatrix.zeros(D)
+    first = (np.zeros((1, D)), [0])  # a usable first sentence, so the bad one is sentence 2
+    try:
+        legal = first_violation(GOLD_TAGSET, path) is None
+    except ValueError as exc:
+        legal = False
+        assert not usable, path
+        assert re.match(TAG_PATH_ERRORS, str(exc)), exc
+        with pytest.raises(ValueError, match=TAG_PATH_ERRORS):
+            extract_segments(path, GOLD_TAGSET)
+    else:
+        assert usable, path
+        extract_segments(path, GOLD_TAGSET)
+    for call in (
+        lambda: validate_gold_paths(GOLD_TAGSET, [[0], path]),
+        lambda: masked_nll([first, (emissions, path)], trans, GOLD_TAGSET,
+                           MaskSpec(GOLD_TAGSET.rules)),
+    ):
+        if legal:
+            call()
+        else:
+            with pytest.raises(McrfError, match=r"^sentence 2\b"):
+                call()
+    if len(path):
+        train_sentences = [LabeledSentence(["x"], [0]), LabeledSentence(["x"] * len(path), path)]
+        config = TrainConfig(batch_size=2, max_epochs=0, max_iterations=1, eval_every=1,
+                             embedding_dim=2)
+        if legal:
+            train(train_sentences, train_sentences[:1], config, GOLD_TAGSET)
+        else:
+            with pytest.raises(McrfError, match=r"^train sentence 2\b"):
+                train(train_sentences, train_sentences[:1], config, GOLD_TAGSET)
+    for call, k in (
+        (lambda: path_score(emissions, trans, path), 1),
+        (lambda: nll_loss([first, (emissions, path)], trans), 2),
+        (lambda: loss_and_gradients([first, (emissions, path)], trans), 2),
+    ):
+        if usable:
+            call()
+        else:
+            with pytest.raises(ValueError, match=rf"^sentence {k}\b"):
+                call()
+    return legal
+
+
+def test_library_gold_paths():
+    """Fuzzed gold paths into first_violation, extract_segments,
+    validate_gold_paths, masked_nll, train, path_score, nll_loss and
+    loss_and_gradients."""
+    outcomes = []
+
+    @settings(FUZZ_SETTINGS, max_examples=150)
+    @given(gold_paths())
+    def run(path):
+        usable = _usable(path)
+        outcomes.append((usable, _entry_points(path, usable)))
+
+    run()
+    # unusable, usable but illegal, and legal paths each take a real share
+    counts = [outcomes.count(kind) for kind in ((False, False), (True, False), (True, True))]
+    assert min(counts) >= 10, counts

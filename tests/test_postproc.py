@@ -68,6 +68,12 @@ class TestExtractBio:
             with pytest.raises(ValueError, match=re.escape(message)):
                 extract_segments(path, BIO)
 
+    def test_numpy_path_is_read_as_its_tags(self):
+        """`not tags` read array([0]) as an empty path and refused longer arrays."""
+        assert extract_segments(np.array([0]), BIO) == []
+        segs = extract_segments(np.array(bio("O", "B-PER", "I-PER")), BIO)
+        assert [s.span for s in segs] == [("PER", 1, 3)]
+
     def test_bool_tags_are_refused(self):
         """operator.index reads True as 1: [True, False] was read as tags [1, 0]."""
         for path in ([True, False], [0, True]):
