@@ -144,17 +144,21 @@ def _gold(paths: list, lengths: list[int], d: int) -> np.ndarray:
     gold check of every entry point that scores a given path."""
     tags = np.zeros((len(paths), max(lengths)), dtype=np.intp)
     for k, (path, T) in enumerate(zip(paths, lengths)):
-        need = f"need ({T},) integer tags"
         # asarray reads a list of ints and bools as ints, and refuses a ragged one
         if isinstance(path, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, path)):
-            raise ValueError(f"sentence {k + 1}: gold path holds a bool, {need}")
+            raise ValueError(
+                f"sentence {k + 1}: gold path holds a bool, need ({T},) integer tags"
+            )
         try:
             path = np.asarray(path)
         except ValueError:
-            raise ValueError(f"sentence {k + 1}: gold path is a ragged sequence, {need}") from None
+            raise ValueError(
+                f"sentence {k + 1}: gold path is a ragged sequence, need ({T},) integer tags"
+            ) from None
         if path.shape != (T,) or path.dtype.kind not in "iu":
             raise ValueError(
-                f"sentence {k + 1}: gold path of shape {path.shape} and dtype {path.dtype}, {need}"
+                f"sentence {k + 1}: gold path of shape {path.shape} and dtype {path.dtype}, "
+                f"need ({T},) integer tags"
             )
         tags[k, :T] = path
     wrapped = tags.view(np.uintp)  # a negative tag wraps to a huge unsigned one
