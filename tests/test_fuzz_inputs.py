@@ -11,6 +11,10 @@ A run must exit 0, or exit 1 with exactly one stderr line that starts
 model file breaks an invariant of the format, so its run must exit 1. The
 generators lean towards valid lines so that a real share of the corpus and
 logits runs succeeds, and each test checks that share.
+
+The library's gold paths are fuzzed the same way, without the command line:
+each entry point that takes a gold path must accept a usable one and refuse
+any other with the error it owes, naming the sentence.
 """
 
 import contextlib
