@@ -8,6 +8,7 @@ segment repair strategies, chunk evaluation, and a small CLI round it out.
 
 from .crf import (
     CrfGradients,
+    TokenBatch,
     TransitionMatrix,
     brute_force_best,
     brute_force_log_partition,
@@ -79,6 +80,7 @@ __all__ = [
     "SizeError",
     "SyntheticConfig",
     "Tagset",
+    "TokenBatch",
     "TrainConfig",
     "TrainReport",
     "TrainingError",

@@ -8,8 +8,13 @@ A path p = (n_1 .. n_T) over d tags scores
 where l is the (T, d) emission matrix and a the (d, d) transition matrix.
 The start vector defaults to zero, in which case it contributes nothing.
 
-One float64 engine runs forward-backward over a left-aligned padded (B, T, d)
-batch; one sentence is a batch of one. The forward pass is a scaled
+One float64 engine runs forward-backward over a left-aligned, zero-padded,
+time-major (T, B, d) batch, so each step works on one contiguous (B, d)
+block; one sentence is a batch of one. A list of (emissions, gold) pairs is
+padded by a loop over its sentences and gets one (T_k, d) gradient per
+sentence; a TokenBatch, as training draws it, is checked and padded by a
+fixed number of numpy calls and gets one (N, d) gradient. Both give the same
+bits. The forward pass is a scaled
 log-matmul-exp: with r the row maxima of a and K = exp(a - r[:, None]) (entries
 <= 1, masked ones exact zeros), m = max_i(alpha_{t-1,i} + r_i), u_t =
 exp(alpha_{t-1} + r - m), v_t = u_t @ K, alpha_t = l_t + m + log v_t. Its
@@ -107,14 +112,77 @@ class TransitionMatrix:
 class CrfGradients:
     """Gradients of the batch-averaged NLL.
 
-    emissions holds one (T_i, d) array per batch sentence; transitions and
-    start match TransitionMatrix. Every array is already divided by the
-    batch size.
+    emissions holds one (T_i, d) array per sentence of a list batch, or one
+    (N, d) array, row for row, for a TokenBatch; transitions and start match
+    TransitionMatrix. Every array is already divided by the batch size.
     """
 
-    emissions: list[np.ndarray]
+    emissions: list[np.ndarray] | np.ndarray
     transitions: np.ndarray
     start: np.ndarray
+
+
+@dataclass
+class TokenBatch:
+    """A token-major batch: the sentences' emissions concatenated (N, d),
+    their lengths (B,) and their gold tags concatenated (N,). It iterates as
+    its (emissions, gold) pairs, so the oracles read it too."""
+
+    emissions: np.ndarray
+    lengths: np.ndarray
+    tags: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.emissions = np.asarray(self.emissions, dtype=np.float64)
+        self.lengths = np.asarray(self.lengths)
+        self.tags = np.asarray(self.tags)
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __iter__(self):
+        bounds = np.cumsum(self.lengths)[:-1]
+        return zip(np.split(self.emissions, bounds), np.split(self.tags, bounds))
+
+    def _padded(self, d: int) -> tuple[np.ndarray, ...]:
+        """Checked against d tags, in numpy calls whose number does not
+        grow with the batch: the padded (T, B, d) emissions, (B, T) tags,
+        gold moves i * d + j in sentence order, and each token's padded row."""
+        lengths, tags, emissions = self.lengths, self.tags, self.emissions
+        if lengths.ndim != 1 or lengths.dtype.kind not in "iu":
+            raise ValueError(
+                f"lengths of shape {lengths.shape} and dtype {lengths.dtype}, need (B,) integers"
+            )
+        if lengths.min() < 1:
+            k = int((lengths < 1).argmax())
+            raise ValueError(f"sentence {k + 1}: gold path of length {lengths[k]}, need T >= 1")
+        ends = np.cumsum(lengths)
+        B, T, N = len(lengths), int(lengths.max()), int(ends[-1])
+        if emissions.shape != (N, d):
+            raise ValueError(
+                f"emissions of shape {emissions.shape}, need ({N}, {d}) for {B} sentences"
+            )
+        if tags.shape != (N,) or tags.dtype.kind not in "iu":
+            raise ValueError(
+                f"gold tags of shape {tags.shape} and dtype {tags.dtype}, "
+                f"need ({N},) integer tags"
+            )
+        tags = tags.astype(np.intp, copy=False)
+        wrapped = tags.view(np.uintp)  # a negative tag wraps to a huge unsigned one
+        if wrapped.max() >= d:
+            k = int(np.searchsorted(ends, (wrapped >= d).argmax(), side="right"))
+            raise ValueError(f"sentence {k + 1}: gold path has a tag index out of range [0, {d})")
+        sentence = np.repeat(np.arange(B), lengths)
+        position = np.arange(N) - (ends - lengths)[sentence]
+        rows = position * B + sentence
+        padded = np.zeros((T * B, d))  # pad cells stay exactly 0.0
+        padded[rows] = emissions
+        grid = np.zeros(B * T, dtype=np.intp)
+        grid[sentence * T + position] = tags
+        keep = np.ones(N - 1, dtype=bool)
+        keep[ends[:-1] - 1] = False  # no move across a sentence boundary
+        moves = (tags[:-1] * d + tags[1:])[keep]
+        return padded.reshape(T, B, d), grid.reshape(B, T), moves, rows
 
 
 def logsumexp(x: np.ndarray, axis: int | None = None) -> np.ndarray | float:
@@ -182,85 +250,109 @@ def path_score(emissions: np.ndarray, trans: TransitionMatrix, path: list[int]) 
 def _forward_backward(
     emissions: np.ndarray, lengths: np.ndarray, trans: TransitionMatrix, gradients: bool
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """log Z (B,) of a padded batch and, with gradients, the position marginals
-    (B, T, d) and expected transition counts. Steps past a sentence's end run
-    on unused: log Z is read at the end, and the backward pass starts there."""
-    B, T, d = emissions.shape
+    """log Z (B,) of a zero-padded time-major (T, B, d) batch and, with
+    gradients, the position marginals (T, B, d) and expected transition
+    counts. Steps past a sentence's end run on unused: log Z is read at the
+    end, and the backward pass starts there."""
+    T, B, d = emissions.shape
     r = trans.scores.max(axis=1)
     K = np.exp(trans.scores - r[:, None])
-    alpha, u, v = np.empty((3, B, T, d))
-    alpha[:, 0] = trans.start + emissions[:, 0]
+    KT = K.T
+    alpha, u, v = np.empty((3, T, B, d))
+    alpha[0] = trans.start + emissions[0]
     guarded = {}  # step -> (rows redone in log space, their log-sum-exp over i)
     for t in range(1, T):
-        x = alpha[:, t - 1] + r
+        x = alpha[t - 1] + r
         m = x.max(axis=1, keepdims=True)
-        np.matmul(np.exp(np.subtract(x, m, out=x), out=u[:, t]), K, out=v[:, t])
-        if v[:, t].min() < _UNDERFLOW:
-            low = (v[:, t] < _UNDERFLOW).any(axis=1)
-            v[low, t] = np.inf  # zero weight in the product-form adjoint
-            guarded[t] = low, logsumexp(alpha[low, t - 1, :, None] + trans.scores, axis=1)
-        alpha[:, t] = np.log(v[:, t]) + m + emissions[:, t]
+        np.matmul(np.exp(np.subtract(x, m, out=x), out=u[t]), K, out=v[t])
+        if v[t].min() < _UNDERFLOW:
+            low = (v[t] < _UNDERFLOW).any(axis=1)
+            v[t, low] = np.inf  # zero weight in the product-form adjoint
+            guarded[t] = low, logsumexp(alpha[t - 1, low, :, None] + trans.scores, axis=1)
+        np.log(v[t], out=alpha[t])
+        alpha[t] += m
+        alpha[t] += emissions[t]
         if t in guarded:
-            alpha[low, t] = emissions[low, t] + guarded[t][1]
-    ends = np.arange(B), lengths - 1
+            alpha[t, low] = emissions[t, low] + guarded[t][1]
+    ends = lengths - 1, np.arange(B)
     top = alpha[ends].max(axis=1, keepdims=True)
     p = np.exp(alpha[ends] - top)
     log_z = top[:, 0] + np.log(p.sum(axis=1))
     if not gradients:
         return log_z, None, None
-    gamma, w, counts = np.zeros((B, T, d)), np.zeros((B, T, d)), np.zeros((d, d))
+    gamma, w, counts = np.zeros((T, B, d)), np.zeros((T, B, d)), np.zeros((d, d))
     gamma[ends] = p / p.sum(axis=1, keepdims=True)
     for t in range(T - 1, 0, -1):
-        np.divide(gamma[:, t], v[:, t], out=w[:, t])
-        gamma[:, t - 1] += u[:, t] * (w[:, t] @ K.T)
+        np.divide(gamma[t], v[t], out=w[t])
+        gamma[t - 1] += u[t] * (w[t] @ KT)
         if t in guarded:
             low, lse = guarded[t]
-            pair = np.exp(alpha[low, t - 1, :, None] + trans.scores - lse[:, None])
-            pair *= gamma[low, t, None]
-            gamma[low, t - 1] += pair.sum(axis=2)
+            pair = np.exp(alpha[t - 1, low, :, None] + trans.scores - lse[:, None])
+            pair *= gamma[t, low, None]
+            gamma[t - 1, low] += pair.sum(axis=2)
             counts += pair.sum(axis=0)
-    counts += K * (u[:, 1:].reshape(-1, d).T @ w[:, 1:].reshape(-1, d))
+    # rows in sentence order, as the (B, T) layout had them: the counts keep their bits
+    counts += K * (
+        u[1:].transpose(1, 0, 2).reshape(-1, d).T @ w[1:].transpose(1, 0, 2).reshape(-1, d)
+    )
     return log_z, gamma, counts
 
 
-def _batch_nll(batch: Batch, trans: TransitionMatrix, gradients: bool):
-    """Mean NLL and, with gradients, CrfGradients, over the padded batch."""
+def _batch_nll(batch: Batch | TokenBatch, trans: TransitionMatrix, gradients: bool):
+    """Mean NLL and, with gradients, CrfGradients, over the padded batch. Its
+    gold tags are a C-ordered, zero-padded (B, T) array: the gold emissions
+    are summed in that order, and another order moves the loss's last bit."""
     if not batch:
         raise ValueError("empty batch")
     d, n = trans.num_tags, len(batch)
-    lengths = np.array([len(gold) for _, gold in batch])
-    T = lengths.max()
-    emissions = np.zeros((n, T, d))
-    for k, (em, gold) in enumerate(batch):
-        emissions[k, : len(gold)] = _sentence(em, d, k, len(gold))
-    tags = _gold([gold for _, gold in batch], lengths, d)
+    tokens = isinstance(batch, TokenBatch)
+    if tokens:
+        lengths = batch.lengths
+        emissions, tags, moves, rows = batch._padded(d)
+    else:
+        # an empty gold path gives no length, so its emissions are checked
+        # alone and the gold check names the path
+        sentences = [_sentence(em, d, k, len(gold) or None) for k, (em, gold) in enumerate(batch)]
+        sizes = [len(em) for em in sentences]  # a list: max and zip over it are cheap at B = 1
+        T, lengths = max(sizes), np.array(sizes)
+        emissions = np.zeros((T, n, d))
+        for k, em in enumerate(sentences):
+            emissions[: sizes[k], k] = em
+        tags = _gold([gold for _, gold in batch], sizes, d)
+        moves = (tags[:, :-1] * d + tags[:, 1:])[np.arange(1, T) < lengths[:, None]]
     log_z, d_em, counts = _forward_backward(emissions, lengths, trans, gradients)
-    rows, cols = np.arange(n)[:, None], np.arange(T)
-    moves = (tags[:, :-1] * d + tags[:, 1:])[cols[1:] < lengths[:, None]]
-    gold = emissions[rows, cols, tags].sum() + trans.scores.ravel()[moves].sum()
+    cells = np.arange(tags.shape[1]), np.arange(n)[:, None], tags  # (B, T) gold cells
+    gold = emissions[cells].sum() + trans.scores.ravel()[moves].sum()
     loss = float((log_z.sum() - gold - trans.start[tags[:, 0]].sum()) / n)
     if not gradients:
         return loss, None
-    d_em[rows, cols, tags] -= 1.0
+    d_em[cells] -= 1.0
     d_em /= n
     d_trans = (counts - np.bincount(moves, minlength=d * d).reshape(d, d)) / n
-    per_sentence = [em[:length] for em, length in zip(d_em, lengths)]
-    return loss, CrfGradients(per_sentence, d_trans, d_em[:, 0].sum(axis=0))
+    if tokens:
+        d_emissions = d_em.reshape(-1, d)[rows]
+    else:
+        d_emissions = [d_em[:size, k] for k, size in enumerate(sizes)]
+    return loss, CrfGradients(d_emissions, d_trans, d_em[0].sum(axis=0))
 
 
 def log_partition(emissions: np.ndarray, trans: TransitionMatrix) -> float:
     """log Z: log-sum-exp of all d^T path scores, the engine at B = 1."""
-    emissions = _sentence(emissions, trans.num_tags)[None]
-    return float(_forward_backward(emissions, np.array([emissions.shape[1]]), trans, False)[0][0])
+    emissions = _sentence(emissions, trans.num_tags)[:, None]
+    return float(_forward_backward(emissions, np.array([len(emissions)]), trans, False)[0][0])
 
 
-def nll_loss(batch: Batch, trans: TransitionMatrix) -> float:
-    """Mean NLL over a batch of (emissions, gold) pairs: log Z - s(gold)."""
+def nll_loss(batch: Batch | TokenBatch, trans: TransitionMatrix) -> float:
+    """Mean NLL over a batch of (emissions, gold) pairs or a TokenBatch:
+    log Z - s(gold)."""
     return _batch_nll(batch, trans, gradients=False)[0]
 
 
-def loss_and_gradients(batch: Batch, trans: TransitionMatrix) -> tuple[float, CrfGradients]:
-    """Batch NLL and its analytic gradients.
+def loss_and_gradients(
+    batch: Batch | TokenBatch, trans: TransitionMatrix
+) -> tuple[float, CrfGradients]:
+    """Batch NLL and its analytic gradients, for a list of (emissions, gold)
+    pairs or a TokenBatch (see CrfGradients for the emission gradient).
 
     d l[t, j] = P(y_t = j) - 1{gold_t = j}
     d a[i, j] = sum_t P(y_t = i, y_{t+1} = j) - #(gold transitions i -> j)
@@ -288,12 +380,14 @@ def viterbi_batch(
     d = trans.num_tags
     emissions_list = [_sentence(em, d, k) for k, em in enumerate(emissions_list)]
     lengths = [len(em) for em in emissions_list]
-    rules = _ALL_MOVES if rules is None else rules
+    if rules is None:
+        rules, nexts, opens = _ALL_MOVES, trans.scores, trans.start
+    else:
+        illegal_pair, illegal_start = rules.tables(d)  # illegal entries win no read-off argmax
+        nexts = np.where(illegal_pair, -np.inf, trans.scores)
+        opens = np.where(illegal_start, -np.inf, trans.start)
     cells, successors, firsts = rules.moves(d)
     move_scores = trans.scores.take(cells)
-    illegal_pair, illegal_start = rules.tables(d)  # illegal entries win no read-off argmax
-    nexts = np.where(illegal_pair, -np.inf, trans.scores)
-    opens = np.where(illegal_start, -np.inf, trans.start)
     order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)  # stable
     paths: list[list[int]] = [[] for _ in order]
     lo = 0
@@ -412,7 +506,7 @@ def brute_force_best(
 
 
 def brute_force_loss_and_gradients(
-    batch: Batch,
+    batch: Batch | TokenBatch,
     trans: TransitionMatrix,
     rules: TransitionRuleSet | None = None,
 ) -> tuple[float, CrfGradients]:

@@ -31,6 +31,9 @@ from .schemes import Tagset, TransitionRuleSet, validate_gold_paths
 
 DEFAULT_MASK_VALUE = -1e4
 _GUARD_MARGIN = 1e3
+# guard_threshold reads max|l| over this many sentences at a time: one copy of
+# a whole corpus would raise peak memory, and at d = 41 fault in its pages
+_GUARD_SENTENCES = 32
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,11 @@ def guard_threshold(emissions_list: list[np.ndarray], trans: TransitionMatrix, s
     sets therefore needs c below twice that range, plus a fixed margin.
     """
     t_max = max(e.shape[0] for e in emissions_list)
-    max_l = max(float(np.max(np.abs(e), initial=0.0)) for e in emissions_list)
+    max_l = 0.0
+    for lo in range(0, len(emissions_list), _GUARD_SENTENCES):
+        # flat whatever the shapes, so viterbi_batch still names a bad sentence
+        flat = np.concatenate(emissions_list[lo : lo + _GUARD_SENTENCES], axis=None)
+        max_l = max(max_l, float(np.abs(flat, out=flat).max(initial=0.0)))
     illegal_pair, illegal_start = spec.rules.tables(trans.num_tags)
     legal_a = np.abs(trans.scores[~illegal_pair])
     legal_s = np.abs(trans.start[~illegal_start])

@@ -12,7 +12,11 @@ The budget rule is max(epochs, iteration floor): training runs for
 max(max_epochs * batches_per_epoch, max_iterations) iterations. Adam's
 betas and epsilon are the module constants BETA1, BETA2 and EPSILON; only
 the learning rate is a setting. The vocabulary is built from the training
-tokens in first-occurrence order, and each sentence's window ids once.
+tokens in first-occurrence order, and each sentence's window ids and gold
+tags once. An iteration's batch is one crf.TokenBatch: the drawn sentences'
+logits in one (N, d) array, as encode returns them, with their lengths and
+concatenated tags; its (N, d) emission gradient goes to encoder_backward as
+it comes. The dev NLL runs through TokenBatch chunks too.
 Everything is seeded; two runs with the same config and data produce
 byte-identical reports.
 """
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crf import TransitionMatrix, loss_and_gradients, nll_loss
+from .crf import TokenBatch, TransitionMatrix, loss_and_gradients, nll_loss
 from .crf import viterbi  # noqa: F401  (module attribute that perfbench/selftest.py checks)
 from .data import TRAIN_MODES, LabeledSentence, ModelState
 from .encoder import EncoderWeights, Vocabulary, encode, encoder_backward, window_ids
@@ -222,8 +226,10 @@ def train(
     opt = OptimizerState.for_params(params)
 
     train_windows = [window_ids(vocab.lookup_all(s.tokens)) for s in train_sentences]
-    train_golds = [np.asarray(s.gold) for s in train_sentences]  # arrays pass the gold check fast
+    train_tags = [np.asarray(s.gold, dtype=np.intp) for s in train_sentences]  # checked above
+    train_lengths = np.array([len(tags) for tags in train_tags])
     dev_windows = [window_ids(vocab.lookup_all(s.tokens)) for s in dev_sentences]
+    dev_tags = [np.asarray(s.gold, dtype=np.intp) for s in dev_sentences]
     gold_segments = [extract_segments(s.gold, tagset) for s in dev_sentences]
 
     n = len(train_sentences)
@@ -238,26 +244,26 @@ def train(
         if b == 0:
             order = rng.permutation(n)
         picked = order[b * config.batch_size : (b + 1) * config.batch_size]
-        golds = [train_golds[k] for k in picked]
         if external:
-            emissions = [train_logits[k] for k in picked]
+            emissions = np.concatenate([train_logits[k] for k in picked])
         else:
             windows = np.concatenate([train_windows[k] for k in picked])
-            emissions = np.split(encode(windows, enc), np.cumsum([len(g) for g in golds])[:-1])
-        loss, grads = loss_and_gradients(list(zip(emissions, golds)), trans)
+            emissions = encode(windows, enc)
+        tags = np.concatenate([train_tags[k] for k in picked])
+        loss, grads = loss_and_gradients(TokenBatch(emissions, train_lengths[picked], tags), trans)
         if not np.isfinite(loss):
             raise TrainingError(
                 f"non-finite loss {loss} at iteration {iteration}; "
                 f"check emissions and learning rate"
             )
-        g_enc = None if external else encoder_backward(windows, np.vstack(grads.emissions), enc)
+        g_enc = None if external else encoder_backward(windows, grads.emissions, enc)
         grads_by_name = _param_dict(g_enc, TransitionMatrix(grads.transitions, grads.start))
         adam_step(opt, params, grads_by_name, config)
         if config.mode == "mcrf-train":
             reapply_mask_in_place(trans, spec)
         if iteration % config.eval_every == 0 or iteration == target:
             report.records.append(_evaluate(
-                iteration, loss, dev_sentences, dev_windows, dev_logits,
+                iteration, loss, dev_tags, dev_windows, dev_logits,
                 enc, trans, spec, tagset, gold_segments, config.batch_size,
             ))
             if on_checkpoint is not None:
@@ -278,7 +284,7 @@ def train(
 def _evaluate(
     iteration: int,
     train_loss: float,
-    dev_sentences: list[LabeledSentence],
+    dev_tags: list[np.ndarray],
     dev_windows: list[np.ndarray],
     dev_logits: list[np.ndarray] | None,
     enc: EncoderWeights,
@@ -290,20 +296,22 @@ def _evaluate(
 ) -> EvalRecord:
     emissions: list[np.ndarray] = []
     total_nll = 0.0
-    for lo in range(0, len(dev_sentences), batch_size):  # chunks bound the padded arrays
+    for lo in range(0, len(dev_tags), batch_size):  # chunks bound the padded arrays
+        tags = dev_tags[lo : lo + batch_size]
+        lengths = np.array([len(t) for t in tags])
         if dev_logits is None:
-            windows = dev_windows[lo : lo + batch_size]
-            logits = encode(np.concatenate(windows), enc)
-            chunk = np.split(logits, np.cumsum([len(w) for w in windows])[:-1])
+            logits = encode(np.concatenate(dev_windows[lo : lo + batch_size]), enc)
+            chunk = np.split(logits, np.cumsum(lengths)[:-1])
         else:
             chunk = dev_logits[lo : lo + batch_size]
-        golds = [s.gold for s in dev_sentences[lo : lo + batch_size]]
+            logits = np.concatenate(chunk)
         # in mcrf-train mode the live matrix already carries the mask, so this
         # is the masked objective; in the other modes it is the plain NLL
-        total_nll += len(chunk) * nll_loss(list(zip(chunk, golds)), trans)
+        batch = TokenBatch(logits, lengths, np.concatenate(tags))
+        total_nll += len(chunk) * nll_loss(batch, trans)
         emissions += chunk
     predictions = decode(emissions, trans, spec)
-    dev_nll = total_nll / len(dev_sentences)
+    dev_nll = total_nll / len(dev_tags)
     metrics, stats = score_paths(gold_segments, predictions, tagset, "none")
     return EvalRecord(
         iteration=iteration,

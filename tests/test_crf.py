@@ -14,7 +14,9 @@ from oracles import (
     python_log_partition,
 )
 
+import mcrf.crf
 from mcrf.crf import (
+    TokenBatch,
     TransitionMatrix,
     _forward_backward,
     brute_force_best,
@@ -47,8 +49,8 @@ def marginals(emissions, trans):
     """The engine on one sentence: position marginals (T, d), expected
     transition counts (d, d) summed over positions, and log Z."""
     lengths = np.array([len(emissions)])
-    log_z, unary, counts = _forward_backward(emissions[None], lengths, trans, True)
-    return unary[0], counts, float(log_z[0])
+    log_z, unary, counts = _forward_backward(emissions[:, None], lengths, trans, True)
+    return unary[:, 0], counts, float(log_z[0])
 
 
 def sequence_nll(emissions, trans, gold):
@@ -364,6 +366,21 @@ class TestBatches:
         with pytest.raises(ValueError, match="out of range"):
             loss_and_gradients([(np.zeros((2, 2)), [0, 2])], trans)
 
+    def test_empty_gold_path_is_named(self):
+        """An empty gold path under one-token emissions is the gold path's
+        fault, and both batch forms say so."""
+        trans = TransitionMatrix.zeros(3)
+        batch = [(np.zeros((1, 3)), [0]), (np.zeros((1, 3)), [])]
+        message = r"^sentence 2: gold path of shape \(0,\) .*need \(1,\) integer tags"
+        for fn in (nll_loss, loss_and_gradients):
+            with pytest.raises(ValueError, match=message):
+                fn(batch, trans)
+        tokens = TokenBatch(np.zeros((1, 3)), [1, 0], [0])
+        message = r"^sentence 2: gold path of length 0, need T >= 1"
+        for fn in (nll_loss, loss_and_gradients):
+            with pytest.raises(ValueError, match=message):
+                fn(tokens, trans)
+
 
 class TestUnderflowGuard:
     """Score gaps of ~670 or more underflow the scaled forward recursion;
@@ -438,6 +455,93 @@ class TestUnderflowGuard:
         assert loss == pytest.approx(bf_loss, rel=1e-12)
         np.testing.assert_allclose(grads.transitions, bf.transitions, atol=1e-9)
         np.testing.assert_allclose(grads.emissions[0], bf.emissions[0], atol=1e-9)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def random_token_batch(rng):
+    """A TokenBatch of up to 39 sentences of up to 29 tokens over d in {3, 7,
+    13, 41}, at score scales up to 800 and sometimes with -1e6 on moves, so
+    that some rows take the log-space step."""
+    d = int(rng.choice([3, 7, 13, 41]))
+    lengths = rng.integers(1, int(rng.integers(1, 30)) + 1, size=int(rng.integers(1, 40)))
+    scale = float(rng.choice([1.0, 30.0, 800.0]))
+    trans = TransitionMatrix(rng.normal(scale=scale / 10, size=(d, d)), rng.normal(size=d))
+    if rng.random() < 0.3:
+        trans.scores[rng.random((d, d)) < 0.3] = -1e6
+    n = int(lengths.sum())
+    return TokenBatch(rng.normal(scale=scale, size=(n, d)), lengths, rng.integers(0, d, n)), trans
+
+
+class TestTokenBatch:
+    def test_is_the_sequence_of_its_sentences(self):
+        batch = TokenBatch(np.arange(12.0).reshape(4, 3), [1, 3], [2, 0, 1, 1])
+        assert len(batch) == 2
+        (em1, gold1), (em2, gold2) = batch
+        assert same_bits(em1, np.array([[0.0, 1.0, 2.0]])) and gold1.tolist() == [2]
+        assert same_bits(em2, np.arange(3.0, 12.0).reshape(3, 3)) and gold2.tolist() == [0, 1, 1]
+
+    def test_equals_the_list_batch_bit_for_bit(self, monkeypatch):
+        """Loss, transition and start gradients are the list batch's to the
+        last bit, and the (N, d) emission gradient is its stacked per-sentence
+        gradients, on random batches some of whose rows take the log-space
+        step. The gold emissions must be summed as a C-ordered (B, T) array:
+        in another order the loss moves in its last bit."""
+        log_space_steps = []
+
+        def counting(x, axis=None):
+            log_space_steps.append(len(x))
+            return logsumexp(x, axis)
+
+        monkeypatch.setattr(mcrf.crf, "logsumexp", counting)
+        rng = np.random.default_rng(15)
+        for _ in range(400):
+            batch, trans = random_token_batch(rng)
+            pairs = [(em, gold.tolist()) for em, gold in batch]
+            loss, grads = loss_and_gradients(batch, trans)
+            list_loss, list_grads = loss_and_gradients(pairs, trans)
+            assert same_bits(loss, list_loss)
+            assert same_bits(nll_loss(batch, trans), nll_loss(pairs, trans))
+            assert same_bits(grads.emissions, np.vstack(list_grads.emissions))
+            assert same_bits(grads.transitions, list_grads.transitions)
+            assert same_bits(grads.start, list_grads.start)
+        assert len(log_space_steps) > 100
+
+    def test_matches_the_oracle(self):
+        rng = np.random.default_rng(16)
+        lengths = np.array([3, 1, 4, 2])
+        trans = TransitionMatrix(rng.normal(size=(3, 3)), rng.normal(size=3))
+        batch = TokenBatch(rng.normal(size=(10, 3)), lengths, rng.integers(0, 3, 10))
+        loss, grads = loss_and_gradients(batch, trans)
+        bf_loss, bf = brute_force_loss_and_gradients(batch, trans)
+        assert loss == pytest.approx(bf_loss, abs=1e-12)
+        np.testing.assert_allclose(grads.emissions, np.vstack(bf.emissions), atol=1e-12)
+        np.testing.assert_allclose(grads.transitions, bf.transitions, atol=1e-12)
+        np.testing.assert_allclose(grads.start, bf.start, atol=1e-12)
+
+    def test_bad_batch_is_refused_naming_the_sentence(self):
+        trans = TransitionMatrix.zeros(3)
+        em = np.zeros((4, 3))
+        for batch, message in (
+            (TokenBatch(em, [2, 2], [0, 1, 3, 0]),
+             r"^sentence 2: gold path has a tag index out of range \[0, 3\)"),
+            (TokenBatch(em, [1, 3], [0, -1, 0, 0]),
+             r"^sentence 2: gold path has a tag index out of range \[0, 3\)"),
+            (TokenBatch(em, [2, -1, 3], [0] * 4), r"^sentence 2: gold path of length -1"),
+            (TokenBatch(em, [2, 2], [0.0] * 4), r"^gold tags of shape \(4,\) and dtype float64"),
+            (TokenBatch(em, [2, 2], [0, 0, 0]), r"^gold tags of shape \(3,\)"),
+            (TokenBatch(em, [2, 3], [0] * 5), r"^emissions of shape \(4, 3\), need \(5, 3\)"),
+            (TokenBatch(np.zeros((4, 2)), [2, 2], [0] * 4), r"need \(4, 3\)"),
+            (TokenBatch(em, [2.0, 2.0], [0] * 4), r"^lengths of shape \(2,\) and dtype float64"),
+        ):
+            for fn in (nll_loss, loss_and_gradients):
+                with pytest.raises(ValueError, match=message):
+                    fn(batch, trans)
+        with pytest.raises(ValueError, match="empty batch"):
+            nll_loss(TokenBatch(np.zeros((0, 3)), [], []), trans)
 
 
 class TestViterbi:

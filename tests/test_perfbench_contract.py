@@ -9,15 +9,20 @@ The self-test's tracer and check tests run here too, loaded read-only from
 perfbench/selftest.py: they catch a change under src/ that breaks the
 tracer's span nesting (constrained_viterbi must call guard_threshold and
 crf.viterbi) or the tag-bioes10 legality check. Its BenchmarkTests, which
-spawn whole benchmark runs, stay in the self-test alone.
+spawn whole benchmark runs, stay in the self-test alone; the training-step
+counts they assert on train-bio3 are checked here on a tiny training.
 """
 
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
+import mcrf.training
 from mcrf import crf
+from mcrf.data import SyntheticConfig, generate_synthetic
+from mcrf.training import TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -34,11 +39,11 @@ def _load(name: str, path: Path):
 _selftest = _load("perfbench_selftest", PERFBENCH / "selftest.py")
 TracerTests = _selftest.TracerTests
 CheckTests = _selftest.CheckTests
+_tracer = _load("perfbench_tracer", TRACER)
 
 
 def _traced_functions() -> list[str]:
-    tracer = _load("perfbench_tracer", TRACER)
-    return [name for layer in tracer.MCRF_LAYERS for name in layer.functions]
+    return [name for layer in _tracer.MCRF_LAYERS for name in layer.functions]
 
 
 def test_every_traced_function_and_viterbi_reexport_is_a_module_attribute():
@@ -52,3 +57,24 @@ def test_every_traced_function_and_viterbi_reexport_is_a_module_attribute():
         if getattr(module, "viterbi", None) is not crf.viterbi:
             missing.append(f"{module_name}.viterbi")
     assert missing == []
+
+
+def test_training_calls_the_engine_once_per_iteration_with_the_batch_it_drew():
+    """The benchmark's train-bio3 counts crf.loss_and_gradients calls,
+    sentences and tokens: one call per iteration, and over whole epochs
+    every training sentence and token once per epoch."""
+    tagset, sentences = generate_synthetic(
+        SyntheticConfig(entity_types=("PER",), sentences=30, min_length=2, max_length=7), 0
+    )
+    train_sentences, dev_sentences = sentences[:22], sentences[22:]
+    epochs, batch_size = 3, 5
+    config = TrainConfig(batch_size=batch_size, max_epochs=epochs, max_iterations=0,
+                         eval_every=4, embedding_dim=4)
+    with _tracer.Tracer() as tracer:
+        mcrf.training.train(train_sentences, dev_sentences, config, tagset)
+    metrics = tracer.metrics()
+    assert metrics["training.train.calls"] == 1
+    assert metrics["crf.loss_and_gradients.calls"] == epochs * math.ceil(22 / batch_size)
+    assert metrics["crf.loss_and_gradients.sentences"] == epochs * 22
+    tokens = sum(len(s.tokens) for s in train_sentences)
+    assert metrics["crf.loss_and_gradients.tokens"] == epochs * tokens
