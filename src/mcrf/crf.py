@@ -68,6 +68,7 @@ MAX_BRUTE_FORCE_PATHS = 10_000_000
 _CHUNK = 1 << 16
 _DECODE_CELLS = 1 << 16  # float64 cells per decode chunk: (b, T, d) table + (b, moves) step
 _UNDERFLOW = np.finfo(np.float64).tiny * 2.0**52  # v_t below this takes the log-space step
+_MAX_INTP = int(np.iinfo(np.intp).max)
 
 _ALL_MOVES = TransitionRuleSet(frozenset(), frozenset())  # viterbi_batch without rules
 
@@ -138,24 +139,28 @@ class TokenBatch:
         self.tags = np.asarray(self.tags)
 
     def __len__(self) -> int:
-        return len(self.lengths)
+        return self.lengths.size  # _padded names lengths that are not (B,)
 
     def __iter__(self):
         bounds = np.cumsum(self.lengths)[:-1]
         return zip(np.split(self.emissions, bounds), np.split(self.tags, bounds))
 
     def _padded(self, d: int) -> tuple[np.ndarray, ...]:
-        """Checked against d tags, in numpy calls whose number does not
-        grow with the batch: the padded (T, B, d) emissions, (B, T) tags,
-        gold moves i * d + j in sentence order, and each token's padded row."""
+        """Checked against d tags, before any allocation and in numpy calls
+        whose number does not grow with the batch: the padded (T, B, d)
+        emissions, (B, T) tags, gold moves i * d + j in sentence order, each
+        token's padded row, and the (B,) intp lengths."""
         lengths, tags, emissions = self.lengths, self.tags, self.emissions
-        if lengths.ndim != 1 or lengths.dtype.kind not in "iu":
+        # the sum is a Python int: an intp one can wrap to N (and crash np.repeat)
+        if lengths.ndim != 1 or lengths.dtype.kind not in "iu" or sum(lengths.tolist()) > _MAX_INTP:
             raise ValueError(
-                f"lengths of shape {lengths.shape} and dtype {lengths.dtype}, need (B,) integers"
+                f"lengths of shape {lengths.shape} and dtype {lengths.dtype}, "
+                f"need (B,) integers with an intp sum"
             )
         if lengths.min() < 1:
             k = int((lengths < 1).argmax())
             raise ValueError(f"sentence {k + 1}: gold path of length {lengths[k]}, need T >= 1")
+        lengths = lengths.astype(np.intp, copy=False)  # exact: each is at most the sum
         ends = np.cumsum(lengths)
         B, T, N = len(lengths), int(lengths.max()), int(ends[-1])
         if emissions.shape != (N, d):
@@ -182,7 +187,7 @@ class TokenBatch:
         keep = np.ones(N - 1, dtype=bool)
         keep[ends[:-1] - 1] = False  # no move across a sentence boundary
         moves = (tags[:-1] * d + tags[1:])[keep]
-        return padded.reshape(T, B, d), grid.reshape(B, T), moves, rows
+        return padded.reshape(T, B, d), grid.reshape(B, T), moves, rows, lengths
 
 
 def logsumexp(x: np.ndarray, axis: int | None = None) -> np.ndarray | float:
@@ -204,6 +209,23 @@ def _sentence(emissions: np.ndarray, d: int, k: int = 0, length: int | None = No
         need = f"({length or 'T >= 1'}, {d})"
         raise ValueError(f"sentence {k + 1}: emissions of shape {em.shape}, need {need}")
     return em
+
+
+def _length(path) -> int | None:
+    """len(path), or None for a path without one (empty, a scalar or None):
+    its sentence's emissions are then checked alone, and _gold names it."""
+    try:
+        return len(path) or None
+    except TypeError:
+        return None
+
+
+def _pairs(batch: Batch, d: int) -> tuple[list[np.ndarray], list[int], np.ndarray]:
+    """A list batch's (T_k, d) emissions, their lengths and its padded gold
+    tags, checked as every entry point that takes a list batch checks them."""
+    sentences = [_sentence(em, d, k, _length(gold)) for k, (em, gold) in enumerate(batch)]
+    sizes = [len(em) for em in sentences]  # a list: max and zip over it are cheap at B = 1
+    return sentences, sizes, _gold([gold for _, gold in batch], sizes, d)
 
 
 def _gold(paths: list, lengths: list[int], d: int) -> np.ndarray:
@@ -307,18 +329,13 @@ def _batch_nll(batch: Batch | TokenBatch, trans: TransitionMatrix, gradients: bo
     d, n = trans.num_tags, len(batch)
     tokens = isinstance(batch, TokenBatch)
     if tokens:
-        lengths = batch.lengths
-        emissions, tags, moves, rows = batch._padded(d)
+        emissions, tags, moves, rows, lengths = batch._padded(d)
     else:
-        # an empty gold path gives no length, so its emissions are checked
-        # alone and the gold check names the path
-        sentences = [_sentence(em, d, k, len(gold) or None) for k, (em, gold) in enumerate(batch)]
-        sizes = [len(em) for em in sentences]  # a list: max and zip over it are cheap at B = 1
+        sentences, sizes, tags = _pairs(batch, d)
         T, lengths = max(sizes), np.array(sizes)
         emissions = np.zeros((T, n, d))
         for k, em in enumerate(sentences):
             emissions[: sizes[k], k] = em
-        tags = _gold([gold for _, gold in batch], sizes, d)
         moves = (tags[:, :-1] * d + tags[:, 1:])[np.arange(1, T) < lengths[:, None]]
     log_z, d_em, counts = _forward_backward(emissions, lengths, trans, gradients)
     cells = np.arange(tags.shape[1]), np.arange(n)[:, None], tags  # (B, T) gold cells
@@ -519,15 +536,15 @@ def brute_force_loss_and_gradients(
     if not batch:
         raise ValueError("empty batch")
     d = trans.num_tags
+    if isinstance(batch, TokenBatch):
+        batch._padded(d)  # the engine's checks, before the batch is read as its pairs
     n = len(batch)
     d_trans = np.zeros((d, d))
     d_start = np.zeros(d)
     d_emissions: list[np.ndarray] = []
     total = 0.0
-    golds = _gold([gold for _, gold in batch], [len(gold) for _, gold in batch], d)
-    for k, (emissions, gold) in enumerate(batch):
-        emissions = _sentence(emissions, d, k, len(gold))
-        T = emissions.shape[0]
+    sentences, sizes, golds = _pairs(batch, d)
+    for k, (emissions, T) in enumerate(zip(sentences, sizes)):
         tags = golds[k, :T]
         log_z = brute_force_log_partition(emissions, trans, rules)
         total += log_z - path_score(emissions, trans, tags)
@@ -536,14 +553,12 @@ def brute_force_loss_and_gradients(
             w = np.exp(scores - log_z)
             for t in range(T):
                 np.add.at(d_em[t], paths[:, t], w)
-            if T > 1:
-                for t in range(T - 1):
-                    np.add.at(d_trans, (paths[:, t], paths[:, t + 1]), w)
+            for t in range(T - 1):
+                np.add.at(d_trans, (paths[:, t], paths[:, t + 1]), w)
             np.add.at(d_start, paths[:, 0], w)
         d_em[np.arange(T), tags] -= 1.0
         d_emissions.append(d_em / n)
-        if T > 1:
-            np.add.at(d_trans, (tags[:-1], tags[1:]), -1.0)
+        np.add.at(d_trans, (tags[:-1], tags[1:]), -1.0)
         d_start[tags[0]] -= 1.0
     return total / n, CrfGradients(
         emissions=d_emissions, transitions=d_trans / n, start=d_start / n

@@ -42,8 +42,7 @@ class Segment:
 
 def extract_segments(tags: list[int], tagset: Tagset) -> list[Segment]:
     """Single left-to-right pass collecting typed segments from a tag path."""
-    if len(tags) == 0:  # `not tags` raises on a numpy path, or reads array([0]) as empty
-        raise ValueError("empty path")
+    tagset.check_indices(tags)
     segments: list[Segment] = []
     open_type: str | None = None
     open_start = 0
@@ -57,7 +56,6 @@ def extract_segments(tags: list[int], tagset: Tagset) -> list[Segment]:
             )
             open_type = None
 
-    tagset.check_indices(tags)
     parts = tagset.parts
     illegal_pair, illegal_start = tagset.rules.tables(tagset.size)
 

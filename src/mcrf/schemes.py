@@ -61,8 +61,14 @@ class Tagset:
         return self.tags[index]
 
     def check_indices(self, path: list[int] | tuple[int, ...]) -> None:
-        """Raise ValueError for a non-integer or bool tag of a nonempty path,
-        or tag_of's for the first index outside [0, d)."""
+        """Raise ValueError for a path that is empty or no sequence (a scalar
+        or None), a non-integer or bool tag, or tag_of's for the first index
+        outside [0, d)."""
+        try:
+            if len(path) == 0:  # `not path` raises on a numpy path, or reads array([0]) as empty
+                raise ValueError("empty path")
+        except TypeError:
+            raise ValueError(f"not a sequence of tags ({type(path).__name__})") from None
         try:
             if bool in map(type, path):  # operator.index reads True as 1
                 raise TypeError("a bool is not a tag index")
@@ -235,8 +241,6 @@ def first_violation(
     Returns (position, human-readable rule) or None for a legal path.
     Positions are 0-based; a start violation reports position 0.
     """
-    if len(path) == 0:
-        raise ValueError("empty path")
     tagset.check_indices(path)
     illegal_pair, illegal_start = tagset.rules.tables(tagset.size)
     if enforce_start and illegal_start[path[0]]:

@@ -11,19 +11,22 @@
 The budget rule is max(epochs, iteration floor): training runs for
 max(max_epochs * batches_per_epoch, max_iterations) iterations. Adam's
 betas and epsilon are the module constants BETA1, BETA2 and EPSILON; only
-the learning rate is a setting. The vocabulary is built from the training
-tokens in first-occurrence order, and each sentence's window ids and gold
-tags once. An iteration's batch is one crf.TokenBatch: the drawn sentences'
-logits in one (N, d) array, as encode returns them, with their lengths and
-concatenated tags; its (N, d) emission gradient goes to encoder_backward as
-it comes. The dev NLL runs through TokenBatch chunks too.
-Everything is seeded; two runs with the same config and data produce
-byte-identical reports.
+the learning rate is a setting. Adam steps one vector, the stepped arrays
+concatenated: its operations are elementwise, so each array gets the bits
+of an Adam state of its own. The vocabulary is built from the training
+tokens in first-occurrence order, and each sentence's gold tags and input
+once: its window ids, or its external logits, for which the step has no
+encoder. An iteration's batch is one crf.TokenBatch: the drawn inputs
+concatenated, and encoded into one (N, d) array, with their lengths and
+tags; its (N, d) emission gradient goes to encoder_backward as it comes.
+The dev NLL runs the same way, in chunks. Everything is seeded; two runs
+with the same config and data produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +45,8 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
 
+_COUNTS = ("batch_size", "max_epochs", "max_iterations", "eval_every", "embedding_dim", "seed")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -59,6 +64,15 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.mode not in TRAIN_MODES:
             raise ConfigurationError(f"unknown mode {self.mode!r}, expected {TRAIN_MODES}")
+        # numpy's integers and floats register as Integral and Real; bool is an int
+        for names, kind, noun in (
+            (_COUNTS, numbers.Integral, "an integer"),
+            (("learning_rate", "mask_value"), numbers.Real, "a number"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if not isinstance(value, kind) or isinstance(value, bool):
+                    raise ConfigurationError(f"{name} must be {noun}, got {value!r}")
         if self.batch_size < 1:
             raise ConfigurationError("batch size must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
@@ -67,6 +81,8 @@ class TrainConfig:
             )
         if self.max_epochs < 0 or self.max_iterations < 0:
             raise ConfigurationError("epoch and iteration budgets must be >= 0")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.eval_every < 1:
             raise ConfigurationError("eval_every must be >= 1")
         if self.embedding_dim < 1:
@@ -77,45 +93,45 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """Adam first/second moments per named parameter, plus the step count."""
+    """Adam's first and second moments over the stepped arrays, flattened and
+    concatenated in the order adam_step gets them, plus the step count."""
 
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray]) -> "OptimizerState":
-        return cls(
-            step=0,
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+    def for_params(cls, params: list[np.ndarray]) -> "OptimizerState":
+        size = sum(p.size for p in params)
+        return cls(np.zeros(size), np.zeros(size))
 
 
 def adam_step(
     state: OptimizerState,
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    params: list[np.ndarray],
+    grads: list[np.ndarray],
     config: TrainConfig,
 ) -> None:
-    """One bias-corrected Adam update, in place."""
-    if set(params) != set(grads):
-        raise ValueError("params and grads must hold the same parameter names")
+    """One bias-corrected Adam update of params, in place, from grads in the
+    same order. Each operation runs once over the concatenated gradient; being
+    elementwise, it rounds as it would array by array."""
+    if [p.shape for p in params] != [g.shape for g in grads]:
+        raise ValueError("grads must match params in number and shape")
     state.step += 1
     t = state.step
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape mismatch for {name!r}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= BETA1
-        m += (1 - BETA1) * g
-        v *= BETA2
-        v += (1 - BETA2) * g * g
-        m_hat = m / (1 - BETA1**t)
-        v_hat = v / (1 - BETA2**t)
-        p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
+    g = np.concatenate(grads, axis=None)
+    m, v = state.m, state.v
+    m *= BETA1
+    m += (1 - BETA1) * g
+    v *= BETA2
+    v += (1 - BETA2) * g * g
+    m_hat = m / (1 - BETA1**t)
+    v_hat = v / (1 - BETA2**t)
+    update = config.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
+    lo = 0
+    for p in params:
+        p -= update[lo : lo + p.size].reshape(p.shape)
+        lo += p.size
 
 
 @dataclass(frozen=True)
@@ -161,14 +177,6 @@ def initialize(
     if config.mode == "mcrf-train":
         reapply_mask_in_place(trans, mask_spec_for(config, tagset))
     return enc, trans
-
-
-def _param_dict(enc: EncoderWeights | None, trans: TransitionMatrix) -> dict[str, np.ndarray]:
-    """The arrays Adam steps, by name; without enc, the transition scores only."""
-    params = {"transitions": trans.scores, "start": trans.start}
-    if enc is not None:
-        params.update(embeddings=enc.embeddings, projection=enc.projection, bias=enc.bias)
-    return params
 
 
 def train(
@@ -222,13 +230,19 @@ def train(
     rng = np.random.default_rng(config.seed)
     spec = mask_spec_for(config, tagset)
     enc, trans = initialize(config, tagset, vocab, rng)
-    params = _param_dict(None if external else enc, trans)
+    encoder = None if external else enc  # frozen on external emissions
+    params = [trans.scores, trans.start]  # Adam's order; the encoder's arrays follow
+    if encoder is not None:
+        params += [enc.embeddings, enc.projection, enc.bias]
     opt = OptimizerState.for_params(params)
 
-    train_windows = [window_ids(vocab.lookup_all(s.tokens)) for s in train_sentences]
+    # one input per sentence: window ids for the encoder, or the external logits
+    train_inputs, dev_inputs = (train_logits, dev_logits) if external else (
+        [window_ids(vocab.lookup_all(s.tokens)) for s in sentences]
+        for sentences in (train_sentences, dev_sentences)
+    )
     train_tags = [np.asarray(s.gold, dtype=np.intp) for s in train_sentences]  # checked above
     train_lengths = np.array([len(tags) for tags in train_tags])
-    dev_windows = [window_ids(vocab.lookup_all(s.tokens)) for s in dev_sentences]
     dev_tags = [np.asarray(s.gold, dtype=np.intp) for s in dev_sentences]
     gold_segments = [extract_segments(s.gold, tagset) for s in dev_sentences]
 
@@ -244,11 +258,8 @@ def train(
         if b == 0:
             order = rng.permutation(n)
         picked = order[b * config.batch_size : (b + 1) * config.batch_size]
-        if external:
-            emissions = np.concatenate([train_logits[k] for k in picked])
-        else:
-            windows = np.concatenate([train_windows[k] for k in picked])
-            emissions = encode(windows, enc)
+        x = np.concatenate([train_inputs[k] for k in picked])
+        emissions = x if encoder is None else encode(x, encoder)
         tags = np.concatenate([train_tags[k] for k in picked])
         loss, grads = loss_and_gradients(TokenBatch(emissions, train_lengths[picked], tags), trans)
         if not np.isfinite(loss):
@@ -256,15 +267,17 @@ def train(
                 f"non-finite loss {loss} at iteration {iteration}; "
                 f"check emissions and learning rate"
             )
-        g_enc = None if external else encoder_backward(windows, grads.emissions, enc)
-        grads_by_name = _param_dict(g_enc, TransitionMatrix(grads.transitions, grads.start))
-        adam_step(opt, params, grads_by_name, config)
+        step_grads = [grads.transitions, grads.start]
+        if encoder is not None:
+            g_enc = encoder_backward(x, grads.emissions, encoder)
+            step_grads += [g_enc.embeddings, g_enc.projection, g_enc.bias]
+        adam_step(opt, params, step_grads, config)
         if config.mode == "mcrf-train":
             reapply_mask_in_place(trans, spec)
         if iteration % config.eval_every == 0 or iteration == target:
             report.records.append(_evaluate(
-                iteration, loss, dev_tags, dev_windows, dev_logits,
-                enc, trans, spec, tagset, gold_segments, config.batch_size,
+                iteration, loss, dev_inputs, dev_tags, encoder,
+                trans, spec, tagset, gold_segments, config.batch_size,
             ))
             if on_checkpoint is not None:
                 on_checkpoint(iteration, trans)
@@ -284,10 +297,9 @@ def train(
 def _evaluate(
     iteration: int,
     train_loss: float,
+    dev_inputs: list[np.ndarray],
     dev_tags: list[np.ndarray],
-    dev_windows: list[np.ndarray],
-    dev_logits: list[np.ndarray] | None,
-    enc: EncoderWeights,
+    encoder: EncoderWeights | None,
     trans: TransitionMatrix,
     spec: MaskSpec | None,
     tagset: Tagset,
@@ -299,17 +311,13 @@ def _evaluate(
     for lo in range(0, len(dev_tags), batch_size):  # chunks bound the padded arrays
         tags = dev_tags[lo : lo + batch_size]
         lengths = np.array([len(t) for t in tags])
-        if dev_logits is None:
-            logits = encode(np.concatenate(dev_windows[lo : lo + batch_size]), enc)
-            chunk = np.split(logits, np.cumsum(lengths)[:-1])
-        else:
-            chunk = dev_logits[lo : lo + batch_size]
-            logits = np.concatenate(chunk)
+        x = np.concatenate(dev_inputs[lo : lo + batch_size])
+        logits = x if encoder is None else encode(x, encoder)
         # in mcrf-train mode the live matrix already carries the mask, so this
         # is the masked objective; in the other modes it is the plain NLL
         batch = TokenBatch(logits, lengths, np.concatenate(tags))
-        total_nll += len(chunk) * nll_loss(batch, trans)
-        emissions += chunk
+        total_nll += len(tags) * nll_loss(batch, trans)
+        emissions += np.split(logits, np.cumsum(lengths)[:-1])
     predictions = decode(emissions, trans, spec)
     dev_nll = total_nll / len(dev_tags)
     metrics, stats = score_paths(gold_segments, predictions, tagset, "none")

@@ -1,7 +1,11 @@
 """Linear-chain CRF core: scores, partition, gradients, Viterbi, oracles."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,6 +370,20 @@ class TestBatches:
         with pytest.raises(ValueError, match="out of range"):
             loss_and_gradients([(np.zeros((2, 2)), [0, 2])], trans)
 
+    @pytest.mark.parametrize("gold", [0, np.int64(0), np.array(0), None, 1.0])
+    def test_scalar_gold_path_is_named(self, gold):
+        """A gold path without a length gets the gold check's message from
+        every entry point, as path_score gave it."""
+        trans = TransitionMatrix.zeros(3)
+        dtype = np.asarray(gold).dtype
+        message = rf"^sentence 2: gold path of shape \(\) and dtype {dtype}, need \(1,\) integer"
+        batch = [(np.zeros((1, 3)), [0]), (np.zeros((1, 3)), gold)]
+        for fn in (nll_loss, loss_and_gradients, brute_force_loss_and_gradients):
+            with pytest.raises(ValueError, match=message):
+                fn(batch, trans)
+        with pytest.raises(ValueError, match=message.replace("sentence 2", "sentence 1")):
+            path_score(np.zeros((1, 3)), trans, gold)
+
     def test_empty_gold_path_is_named(self):
         """An empty gold path under one-token emissions is the gold path's
         fault, and both batch forms say so."""
@@ -523,6 +541,8 @@ class TestTokenBatch:
         np.testing.assert_allclose(grads.start, bf.start, atol=1e-12)
 
     def test_bad_batch_is_refused_naming_the_sentence(self):
+        """The engine and the enumeration oracle refuse each bad batch with
+        the same message."""
         trans = TransitionMatrix.zeros(3)
         em = np.zeros((4, 3))
         for batch, message in (
@@ -536,12 +556,56 @@ class TestTokenBatch:
             (TokenBatch(em, [2, 3], [0] * 5), r"^emissions of shape \(4, 3\), need \(5, 3\)"),
             (TokenBatch(np.zeros((4, 2)), [2, 2], [0] * 4), r"need \(4, 3\)"),
             (TokenBatch(em, [2.0, 2.0], [0] * 4), r"^lengths of shape \(2,\) and dtype float64"),
+            (TokenBatch(em, 4, [0] * 4), r"^lengths of shape \(\) and dtype int64"),
+            (TokenBatch(em, [[2, 2]], [0] * 4), r"^lengths of shape \(1, 2\) and dtype int64"),
+            (TokenBatch(em, np.array([2**64 - 1, 5], dtype=np.uint64), [0] * 4),
+             r"^lengths of shape \(2,\) and dtype uint64, need \(B,\) integers with an intp sum$"),
+            (TokenBatch(np.zeros((5, 3)), [2, 2], [0] * 5),
+             r"^emissions of shape \(5, 3\), need \(4, 3\) for 2 sentences$"),
         ):
-            for fn in (nll_loss, loss_and_gradients):
+            for fn in (nll_loss, loss_and_gradients, brute_force_loss_and_gradients):
                 with pytest.raises(ValueError, match=message):
                     fn(batch, trans)
         with pytest.raises(ValueError, match="empty batch"):
             nll_loss(TokenBatch(np.zeros((0, 3)), [], []), trans)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_unsigned_lengths_give_the_signed_bits(self, dtype):
+        rng = np.random.default_rng(17)
+        trans = TransitionMatrix(rng.normal(size=(3, 3)), rng.normal(size=3))
+        em, tags = rng.normal(size=(6, 3)), rng.integers(0, 3, 6)
+        signed = TokenBatch(em, [2, 1, 3], tags)
+        unsigned = TokenBatch(em, np.array([2, 1, 3], dtype=dtype), tags)
+        loss, grads = loss_and_gradients(signed, trans)
+        u_loss, u_grads = loss_and_gradients(unsigned, trans)
+        assert same_bits(loss, u_loss) and same_bits(nll_loss(unsigned, trans), loss)
+        for a, b in ((grads.emissions, u_grads.emissions), (grads.transitions, u_grads.transitions),
+                     (grads.start, u_grads.start)):
+            assert same_bits(a, b)
+        assert brute_force_loss_and_gradients(unsigned, trans)[0] == pytest.approx(loss, abs=1e-12)
+
+    def test_lengths_whose_sum_wraps_to_n_are_refused(self):
+        """[2**63 - 1, 2**63 - 1, 4] sums to 2 in int64, the number of
+        emission rows, so it once passed every check and np.repeat crashed
+        the interpreter; it runs in a child process for that reason."""
+        code = (
+            "import numpy as np\n"
+            "from mcrf.crf import TokenBatch, TransitionMatrix, nll_loss\n"
+            "batch = TokenBatch(np.zeros((2, 3)), [2**63 - 1, 2**63 - 1, 4], [0, 0])\n"
+            "try:\n"
+            "    nll_loss(batch, TransitionMatrix.zeros(3))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(mcrf.crf.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, (done.returncode, done.stderr)
+        assert done.stdout == (
+            "lengths of shape (3,) and dtype int64, need (B,) integers with an intp sum\n"
+        )
 
 
 class TestViterbi:

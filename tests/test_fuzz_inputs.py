@@ -14,7 +14,9 @@ logits runs succeeds, and each test checks that share.
 
 The library's gold paths are fuzzed the same way, without the command line:
 each entry point that takes a gold path must accept a usable one and refuse
-any other with the error it owes, naming the sentence.
+any other with the error it owes, naming the sentence. So are the parts of
+a crf.TokenBatch: the engine must score a well-formed one as the
+enumeration oracle does, and both must refuse any other with one ValueError.
 """
 
 import contextlib
@@ -28,7 +30,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcrf.cli import main
-from mcrf.crf import TransitionMatrix, loss_and_gradients, nll_loss, path_score
+from mcrf.crf import (
+    TokenBatch,
+    TransitionMatrix,
+    brute_force_loss_and_gradients,
+    loss_and_gradients,
+    nll_loss,
+    path_score,
+)
 from mcrf.data import LabeledSentence, ModelState, save_model
 from mcrf.encoder import EncoderWeights, Vocabulary
 from mcrf.errors import McrfError
@@ -244,16 +253,26 @@ GOLD_TAGSET = build_tagset(Scheme.BIO, ["PER"])  # O, B-PER, I-PER
 D = GOLD_TAGSET.size
 HUGE_TAGS = [-(2**63), 2**63, 2**64 - 1, 2**70]
 TAG_DTYPES = [np.int64, np.int32, np.uint8, np.uint64, np.float64, np.bool_]
-TAG_PATH_ERRORS = r"^(empty path|non-integer tag index|tag index -?\d+ out of range)"
+TAG_PATH_ERRORS = (
+    r"^(empty path|not a sequence of tags|non-integer tag index|tag index -?\d+ out of range)"
+)
+SCALAR_PATHS = [
+    0, 1, -1, D, None, 0.0, True, np.True_, np.int64(0), np.uint8(1),
+    np.array(0), np.array(2, dtype=np.uint8), np.array(1.0),
+]
+
+
+def _length(path) -> int:
+    """len(path), and 0 for a scalar path (None and 0-d arrays too)."""
+    return len(path) if isinstance(path, list) or np.ndim(path) else 0
 
 
 def _usable(path) -> bool:
     """Whether path is a usable gold path, decided from the values alone."""
-    if not len(path):
-        return False
     if isinstance(path, np.ndarray):
-        return path.ndim == 1 and path.dtype.kind in "iu" and all(0 <= int(t) < D for t in path)
-    return all(
+        return (path.ndim == 1 and len(path) > 0 and path.dtype.kind in "iu"
+                and all(0 <= int(t) < D for t in path))
+    return isinstance(path, list) and len(path) > 0 and all(
         isinstance(t, (int, np.integer)) and not isinstance(t, bool) and 0 <= t < D for t in path
     )
 
@@ -269,10 +288,14 @@ ODD_TAGS = [
 def gold_paths(draw):
     """A gold path of one of many shapes and types, usable or not: tags in
     range, maybe with one or two of ODD_TAGS among them, all bools, an
-    array of any of TAG_DTYPES, a nested list, or an empty path."""
+    array of any of TAG_DTYPES, a nested list, an empty path, or one of
+    SCALAR_PATHS."""
     kind = draw(st.sampled_from(
-        ["list", "list", "odd", "odd", "bools", "array", "array", "nested", "empty"]
+        ["list", "list", "odd", "odd", "bools", "array", "array", "nested", "empty", "scalar",
+         "scalar"]
     ))
+    if kind == "scalar":
+        return draw(st.sampled_from(SCALAR_PATHS))
     values = draw(st.lists(in_range, min_size=1, max_size=5))
     if kind in ("odd", "array"):
         for _ in range(draw(st.integers(1 if kind == "odd" else 0, 2))):
@@ -295,7 +318,7 @@ def gold_paths(draw):
 def _entry_points(path, usable: bool) -> bool:
     """Call every library entry point on path and check each refusal;
     returns whether the path is legal under the scheme."""
-    T = max(len(path), 1)
+    T = max(_length(path), 1)
     emissions = np.zeros((T, D))
     trans = TransitionMatrix.zeros(D)
     first = (np.zeros((1, D)), [0])  # a usable first sentence, so the bad one is sentence 2
@@ -320,8 +343,8 @@ def _entry_points(path, usable: bool) -> bool:
         else:
             with pytest.raises(McrfError, match=r"^sentence 2\b"):
                 call()
-    if len(path):
-        train_sentences = [LabeledSentence(["x"], [0]), LabeledSentence(["x"] * len(path), path)]
+    if _length(path):
+        train_sentences = [LabeledSentence(["x"], [0]), LabeledSentence(["x"] * T, path)]
         config = TrainConfig(batch_size=2, max_epochs=0, max_iterations=1, eval_every=1,
                              embedding_dim=2)
         if legal:
@@ -347,14 +370,115 @@ def test_library_gold_paths():
     validate_gold_paths, masked_nll, train, path_score, nll_loss and
     loss_and_gradients."""
     outcomes = []
+    scalars = []
 
-    @settings(FUZZ_SETTINGS, max_examples=150)
+    @settings(FUZZ_SETTINGS, max_examples=200)
     @given(gold_paths())
     def run(path):
         usable = _usable(path)
         outcomes.append((usable, _entry_points(path, usable)))
+        scalars.append(not isinstance(path, list) and np.ndim(path) == 0)
 
     run()
     # unusable, usable but illegal, and legal paths each take a real share
     counts = [outcomes.count(kind) for kind in ((False, False), (True, False), (True, True))]
     assert min(counts) >= 10, counts
+    assert sum(scalars) >= 5, sum(scalars)
+
+
+# Library token batches. A crf.TokenBatch is (N, d) float emissions, (B,)
+# integer lengths >= 1 that sum to N, and (N,) integer tags in [0, d). The
+# engine must score a batch that is all of these, as the enumeration oracle
+# does, and the engine and the oracle must refuse any other with one
+# ValueError. Lengths whose int64 sum wraps to exactly N crashed numpy, so
+# that case runs in a child process in test_crf.py; here sums wrap to N +- 1.
+BATCH_FAULTS = [
+    "scalar lengths", "2-d lengths", "float lengths", "bool lengths", "unsigned lengths",
+    "huge unsigned length", "zero length", "negative length", "lengths off by one",
+    "wrapping lengths", "2-d tags", "bool tags", "float tags", "negative tag", "tag >= d",
+    "1-d emissions", "wrong width", "numeric string emissions", "text emissions",
+]
+VALID_BATCH_FAULTS = {None, "unsigned lengths", "numeric string emissions"}
+BATCH_TRANS = TransitionMatrix(np.arange(D * D).reshape(D, D) / 10.0, np.arange(D) / 5.0)
+
+
+@st.composite
+def token_batches(draw):
+    """(fault, emissions, lengths, tags) of a batch over D tags: valid, or
+    with one fault of BATCH_FAULTS."""
+    lengths = np.array(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    n = int(lengths.sum())
+    tags = np.array(draw(st.lists(in_range, min_size=n, max_size=n)))
+    emissions = (np.arange(n * D) % 5).reshape(n, D) * 0.5
+    fault = draw(st.sampled_from([None] * 6 + BATCH_FAULTS))
+    k, j = draw(st.integers(0, len(lengths) - 1)), draw(st.integers(0, n - 1))
+    if fault == "scalar lengths":
+        lengths = draw(st.sampled_from([n, np.int64(n), np.array(n)]))
+    elif fault == "2-d lengths":
+        lengths = lengths[None] if draw(st.booleans()) else lengths[:, None]
+    elif fault == "float lengths":
+        lengths = lengths.astype(np.float64)
+    elif fault == "bool lengths":
+        lengths = lengths.astype(bool)
+    elif fault == "unsigned lengths":
+        lengths = lengths.astype(draw(st.sampled_from([np.uint8, np.uint16, np.uint32, np.uint64])))
+    elif fault == "huge unsigned length":
+        big = draw(st.sampled_from([2**63, 2**64 - 1]))
+        lengths = np.array([*lengths.tolist(), big], dtype=np.uint64)
+    elif fault in ("zero length", "negative length", "lengths off by one"):
+        change = {"zero length": [-lengths[k]], "negative length": [-lengths[k] - 1, -(2**62)],
+                  "lengths off by one": [-1, 1]}[fault]
+        lengths[k] += draw(st.sampled_from(change))
+    elif fault == "wrapping lengths":
+        lengths = np.append(lengths, [2**63 - 1, 2**63 - 1, draw(st.sampled_from([1, 3]))])
+    elif fault == "2-d tags":
+        tags = tags[None]
+    elif fault == "bool tags":
+        tags = tags.astype(bool)
+    elif fault == "float tags":
+        tags = tags.astype(np.float64)
+    elif fault in ("negative tag", "tag >= d"):
+        tags[j] = -1 if fault == "negative tag" else D
+    elif fault == "1-d emissions":
+        emissions = emissions.ravel()
+    elif fault == "wrong width":
+        emissions = emissions[:, :-1] if draw(st.booleans()) else np.hstack([emissions] * 2)
+    elif fault == "numeric string emissions":
+        emissions = emissions.astype(str)
+    elif fault == "text emissions":
+        emissions = np.full((n, D), "x")
+    return fault, emissions, lengths, tags
+
+
+def _batch_call(fn, emissions, lengths, tags):
+    """fn on the TokenBatch of the parts, or the message of its ValueError."""
+    try:
+        return fn(TokenBatch(emissions, lengths, tags), BATCH_TRANS)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_library_token_batches():
+    """Fuzzed TokenBatch parts into nll_loss, loss_and_gradients and
+    brute_force_loss_and_gradients."""
+    drawn = []
+
+    @settings(FUZZ_SETTINGS, max_examples=200)
+    @given(token_batches())
+    def run(case):
+        fault, *parts = case
+        drawn.append(fault)
+        nll, engine, oracle = (
+            _batch_call(fn, *parts)
+            for fn in (nll_loss, loss_and_gradients, brute_force_loss_and_gradients)
+        )
+        if fault in VALID_BATCH_FAULTS:
+            assert nll == engine[0] == pytest.approx(oracle[0], abs=1e-12), (fault, nll, oracle)
+            np.testing.assert_allclose(engine[1].emissions, np.vstack(oracle[1].emissions),
+                                       atol=1e-12)
+            np.testing.assert_allclose(engine[1].transitions, oracle[1].transitions, atol=1e-12)
+        else:
+            assert isinstance(nll, str) and nll == engine == oracle, (fault, nll, engine, oracle)
+
+    run()
+    assert set(drawn) == {None, *BATCH_FAULTS}

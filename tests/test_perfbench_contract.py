@@ -61,8 +61,9 @@ def test_every_traced_function_and_viterbi_reexport_is_a_module_attribute():
 
 def test_training_calls_the_engine_once_per_iteration_with_the_batch_it_drew():
     """The benchmark's train-bio3 counts crf.loss_and_gradients calls,
-    sentences and tokens: one call per iteration, and over whole epochs
-    every training sentence and token once per epoch."""
+    sentences and tokens, and adam_step calls: one engine call and one Adam
+    step per iteration, and over whole epochs every training sentence and
+    token once per epoch."""
     tagset, sentences = generate_synthetic(
         SyntheticConfig(entity_types=("PER",), sentences=30, min_length=2, max_length=7), 0
     )
@@ -74,7 +75,9 @@ def test_training_calls_the_engine_once_per_iteration_with_the_batch_it_drew():
         mcrf.training.train(train_sentences, dev_sentences, config, tagset)
     metrics = tracer.metrics()
     assert metrics["training.train.calls"] == 1
-    assert metrics["crf.loss_and_gradients.calls"] == epochs * math.ceil(22 / batch_size)
+    iterations = epochs * math.ceil(22 / batch_size)
+    assert metrics["crf.loss_and_gradients.calls"] == iterations
+    assert metrics["training.adam_step.calls"] == iterations
     assert metrics["crf.loss_and_gradients.sentences"] == epochs * 22
     tokens = sum(len(s.tokens) for s in train_sentences)
     assert metrics["crf.loss_and_gradients.tokens"] == epochs * tokens

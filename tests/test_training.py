@@ -47,6 +47,39 @@ class TestTrainConfig:
             TrainConfig(eval_every=0)
         with pytest.raises(ConfigurationError):
             TrainConfig(embedding_dim=0)
+        # numpy's generator refused it inside train(), in a bare ValueError
+        with pytest.raises(ConfigurationError, match=r"^seed must be >= 0, got -1$"):
+            TrainConfig(seed=-1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 2.5), ("max_iterations", 2.5), ("embedding_dim", 2.5), ("seed", 1.5),
+        ("batch_size", "4"), ("max_epochs", 1.5), ("eval_every", 1.5), ("batch_size", True),
+        ("seed", np.float64(3.0)), ("max_epochs", None),
+    ])
+    def test_non_integer_count_rejected(self, field, value):
+        """These once ended in a bare TypeError inside train(), or ran with
+        a fractional epoch count or evaluation period."""
+        overrides = {field: value, **({"max_epochs": 0} if field == "max_iterations" else {})}
+        with pytest.raises(ConfigurationError) as err:
+            TrainConfig(**overrides)
+        assert str(err.value) == f"{field} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("field", ["learning_rate", "mask_value"])
+    @pytest.mark.parametrize("value", ["0.1", None, True, [0.1]])
+    def test_non_numeric_rate_or_mask_value_rejected(self, field, value):
+        with pytest.raises(ConfigurationError) as err:
+            TrainConfig(**{field: value})
+        assert str(err.value) == f"{field} must be a number, got {value!r}"
+
+    def test_numpy_numbers_are_accepted(self):
+        config = TrainConfig(
+            batch_size=np.int64(4), max_epochs=np.uint8(1), max_iterations=np.int32(0),
+            eval_every=np.int16(2), embedding_dim=np.int64(3), seed=np.uint64(5),
+            learning_rate=np.float32(0.01), mask_value=np.int64(-50),
+        )
+        tagset, (train_s, dev_s) = tiny_corpus()
+        _, report = train(train_s, dev_s, config, tagset)
+        assert [r.iteration for r in report.records] == [2, 4, 5]
 
     def test_zero_learning_rate_is_allowed(self):
         TrainConfig(learning_rate=0.0)
@@ -65,7 +98,7 @@ class TestTrainConfig:
 
 class TestAdam:
     def _single(self, value=0.0):
-        params = {"w": np.array([value])}
+        params = [np.array([value])]
         state = OptimizerState.for_params(params)
         return state, params
 
@@ -74,11 +107,11 @@ class TestAdam:
         update is lr * g / (|g| + eps) which is lr up to eps."""
         state, params = self._single(0.0)
         config = TrainConfig(learning_rate=1e-3)
-        adam_step(state, params, {"w": np.array([1.0])}, config)
-        assert params["w"][0] == pytest.approx(-1e-3, rel=1e-6)
+        adam_step(state, params, [np.array([1.0])], config)
+        assert params[0][0] == pytest.approx(-1e-3, rel=1e-6)
         state, params = self._single(0.0)
-        adam_step(state, params, {"w": np.array([-4.0])}, config)
-        assert params["w"][0] == pytest.approx(1e-3, rel=1e-6)
+        adam_step(state, params, [np.array([-4.0])], config)
+        assert params[0][0] == pytest.approx(1e-3, rel=1e-6)
 
     def test_two_steps_match_hand_rolled_adam(self):
         config = TrainConfig(learning_rate=0.01)
@@ -93,32 +126,52 @@ class TestAdam:
             v_hat = v / (1 - training.BETA2**t)
             w -= config.learning_rate * m_hat / (np.sqrt(v_hat) + training.EPSILON)
         for g in g_seq:
-            adam_step(state, params, {"w": np.array([g])}, config)
-        assert params["w"][0] == pytest.approx(w, abs=1e-15)
+            adam_step(state, params, [np.array([g])], config)
+        assert params[0][0] == pytest.approx(w, abs=1e-15)
         assert state.step == 2
 
     def test_zero_gradient_leaves_parameter_alone(self):
         state, params = self._single(1.25)
-        adam_step(state, params, {"w": np.zeros(1)}, TrainConfig())
-        assert params["w"][0] == 1.25
+        adam_step(state, params, [np.zeros(1)], TrainConfig())
+        assert params[0][0] == 1.25
 
     def test_updates_happen_in_place(self):
-        params = {"w": np.zeros(2)}
-        alias = params["w"]
+        params = [np.zeros(2)]
+        alias = params[0]
         state = OptimizerState.for_params(params)
-        adam_step(state, params, {"w": np.ones(2)}, TrainConfig())
-        assert alias is params["w"]
+        adam_step(state, params, [np.ones(2)], TrainConfig())
+        assert alias is params[0]
         assert alias[0] != 0.0
 
-    def test_name_mismatch_rejected(self):
+    def test_array_count_mismatch_rejected(self):
         state, params = self._single()
-        with pytest.raises(ValueError):
-            adam_step(state, params, {"other": np.zeros(1)}, TrainConfig())
+        for grads in ([], [np.zeros(1), np.zeros(1)]):
+            with pytest.raises(ValueError, match="grads must match params in number and shape"):
+                adam_step(state, params, grads, TrainConfig())
+        assert state.step == 0
 
     def test_shape_mismatch_rejected(self):
         state, params = self._single()
-        with pytest.raises(ValueError):
-            adam_step(state, params, {"w": np.zeros(3)}, TrainConfig())
+        with pytest.raises(ValueError, match="grads must match params in number and shape"):
+            adam_step(state, params, [np.zeros(3)], TrainConfig())
+
+    def test_each_array_takes_its_own_slice_of_the_moments(self):
+        """Arrays of several shapes step as if each had its own Adam state,
+        to the last bit."""
+        rng = np.random.default_rng(0)
+        shapes = [(3, 3), (3,), (5, 2), (6, 3), (3,)]
+        params = [rng.normal(size=shape) for shape in shapes]
+        alone = [[p.copy()] for p in params]
+        state = OptimizerState.for_params(params)
+        states = [OptimizerState.for_params(p) for p in alone]
+        config = TrainConfig(learning_rate=0.05)
+        for _ in range(5):
+            grads = [rng.normal(size=shape) for shape in shapes]
+            adam_step(state, params, grads, config)
+            for s, p, g in zip(states, alone, grads):
+                adam_step(s, p, [g], config)
+        for p, (q,) in zip(params, alone):
+            assert p.tobytes() == q.tobytes()
 
 
 class TestInitialize:
@@ -149,11 +202,11 @@ class TestInitialize:
         enc, trans = initialize(
             TrainConfig(), BIO1, Vocabulary.from_tokens(["a"]), np.random.default_rng(0)
         )
-        opt = OptimizerState.for_params(training._param_dict(enc, trans))
-        assert sorted(opt.m) == ["bias", "embeddings", "projection", "start", "transitions"]
+        params = [trans.scores, trans.start, enc.embeddings, enc.projection, enc.bias]
+        opt = OptimizerState.for_params(params)
+        assert opt.m.shape == opt.v.shape == (sum(p.size for p in params),)
         assert opt.step == 0
-        assert all(not m.any() for m in opt.m.values())
-        assert all(not v.any() for v in opt.v.values())
+        assert not opt.m.any() and not opt.v.any()
 
 
 class TestTrainLoop:
@@ -341,7 +394,7 @@ class TestTrainLoop:
         stepped = []
 
         def spy(state, params, grads, config):
-            stepped.append(sorted(params))
+            stepped.append(params)
             adam_step(state, params, grads, config)
 
         monkeypatch.setattr(training, "adam_step", spy)
@@ -358,7 +411,10 @@ class TestTrainLoop:
                          train_logits=logits, dev_logits=dev_logits)
         np.testing.assert_array_equal(state.encoder.embeddings, init_enc.embeddings)
         assert state.trans.scores.any()
-        assert stepped == [["start", "transitions"]] * 3  # Adam never sees the encoder
+        assert len(stepped) == 3
+        for params in stepped:  # Adam never sees the encoder
+            assert len(params) == 2
+            assert params[0] is state.trans.scores and params[1] is state.trans.start
 
     def test_adam_moments_only_for_the_arrays_it_steps(self, monkeypatch):
         """On external emissions the encoder is frozen, so Adam keeps no
@@ -367,19 +423,26 @@ class TestTrainLoop:
         for_params = OptimizerState.for_params
 
         def spy(params):
-            built.append(sorted(params))
-            return for_params(params)
+            opt = for_params(params)
+            built.append(([p.shape for p in params], opt.m.size, opt.v.size))
+            return opt
 
         monkeypatch.setattr(OptimizerState, "for_params", spy)
         tagset, (train_s, dev_s) = tiny_corpus()
         logits = [np.zeros((len(s.tokens), tagset.size)) for s in train_s]
         dev_logits = [np.zeros((len(s.tokens), tagset.size)) for s in dev_s]
         config = TrainConfig(max_epochs=0, max_iterations=1)
-        train(train_s, dev_s, config, tagset, train_logits=logits, dev_logits=dev_logits)
-        assert built == [["start", "transitions"]]
+        d = tagset.size
+        state, _ = train(train_s, dev_s, config, tagset,
+                         train_logits=logits, dev_logits=dev_logits)
+        assert built == [([(d, d), (d,)], d * d + d, d * d + d)]  # trans.scores and trans.start
         built.clear()
-        train(train_s, dev_s, config, tagset)
-        assert built == [["bias", "embeddings", "projection", "start", "transitions"]]
+        state, _ = train(train_s, dev_s, config, tagset)
+        enc = state.encoder
+        size = d * d + d + enc.embeddings.size + enc.projection.size + d
+        assert built == [
+            ([(d, d), (d,), enc.embeddings.shape, enc.projection.shape, (d,)], size, size)
+        ]
 
     def test_external_emissions_must_cover_both_sides(self):
         tagset, (train_s, dev_s) = tiny_corpus()
