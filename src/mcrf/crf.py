@@ -49,6 +49,11 @@ of the dense recursion, ties included. The corpus runs in chunks of at most
 _DECODE_CELLS float64 cells, counting the (b, T, d) table and the (b, moves)
 step temporary, so memory stays bounded however large the corpus is.
 
+No entry point returns a loss or log Z that is not finite, or reads a path
+off NaN or +inf scores: the loss, log Z or decode table it computes anyway
+is checked, and the inputs are scanned only to name the sentence in the
+ValueError.
+
 The brute-force routines enumerate all d^T paths (optionally restricted to
 the legal subset defined by a TransitionRuleSet) in lexicographic order and
 exist purely as independent oracles for the dynamic programs.
@@ -56,6 +61,7 @@ exist purely as independent oracles for the dynamic programs.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -142,7 +148,10 @@ class TokenBatch:
         return self.lengths.size  # _padded names lengths that are not (B,)
 
     def __iter__(self):
-        bounds = np.cumsum(self.lengths)[:-1]
+        # _padded's checks at the emissions' own width: split would cut rows
+        # that disagree with the lengths into pairs silently
+        *_, lengths = self._padded(self.emissions.shape[1] if self.emissions.ndim == 2 else 0)
+        bounds = np.cumsum(lengths)[:-1]
         return zip(np.split(self.emissions, bounds), np.split(self.tags, bounds))
 
     def _padded(self, d: int) -> tuple[np.ndarray, ...]:
@@ -258,6 +267,12 @@ def _gold(paths: list, lengths: list[int], d: int) -> np.ndarray:
     return tags
 
 
+def _not_finite(k: int, what: str) -> ValueError:
+    """The ValueError for a non-finite loss, log Z or path score, naming
+    sentence k."""
+    return ValueError(f"sentence {k + 1}: {what}, need finite emissions and transition scores")
+
+
 def path_score(emissions: np.ndarray, trans: TransitionMatrix, path: list[int]) -> float:
     """Score of one path: start + emissions along the path + transitions."""
     emissions = _sentence(emissions, trans.num_tags)
@@ -341,6 +356,9 @@ def _batch_nll(batch: Batch | TokenBatch, trans: TransitionMatrix, gradients: bo
     cells = np.arange(tags.shape[1]), np.arange(n)[:, None], tags  # (B, T) gold cells
     gold = emissions[cells].sum() + trans.scores.ravel()[moves].sum()
     loss = float((log_z.sum() - gold - trans.start[tags[:, 0]].sum()) / n)
+    if not math.isfinite(loss):  # so is every log Z: their sum is in it
+        finite = np.isfinite(emissions).all(axis=(0, 2)) & np.isfinite(log_z)
+        raise _not_finite(int(finite.argmin()), f"loss of {loss}")
     if not gradients:
         return loss, None
     d_em[cells] -= 1.0
@@ -356,7 +374,10 @@ def _batch_nll(batch: Batch | TokenBatch, trans: TransitionMatrix, gradients: bo
 def log_partition(emissions: np.ndarray, trans: TransitionMatrix) -> float:
     """log Z: log-sum-exp of all d^T path scores, the engine at B = 1."""
     emissions = _sentence(emissions, trans.num_tags)[:, None]
-    return float(_forward_backward(emissions, np.array([len(emissions)]), trans, False)[0][0])
+    log_z = float(_forward_backward(emissions, np.array([len(emissions)]), trans, False)[0][0])
+    if not math.isfinite(log_z):
+        raise _not_finite(0, f"log Z of {log_z}")
+    return log_z
 
 
 def nll_loss(batch: Batch | TokenBatch, trans: TransitionMatrix) -> float:
@@ -403,6 +424,8 @@ def viterbi_batch(
         illegal_pair, illegal_start = rules.tables(d)  # illegal entries win no read-off argmax
         nexts = np.where(illegal_pair, -np.inf, trans.scores)
         opens = np.where(illegal_start, -np.inf, trans.start)
+    if not opens.max() < np.inf and emissions_list:  # nan or inf: see below
+        raise _not_finite(0, f"a start score is {opens.max()}")
     cells, successors, firsts = rules.moves(d)
     move_scores = trans.scores.take(cells)
     order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)  # stable
@@ -413,7 +436,7 @@ def viterbi_batch(
         chunk = order[lo : lo + max(1, _DECODE_CELLS // (T * d + cells.size))]
         lo += len(chunk)
         starts = [T - lengths[k] for k in chunk]  # right-aligned: all end at T - 1
-        tail = np.empty((len(chunk), T, d))
+        tail = np.zeros((len(chunk), T, d))  # cells before a row's start stay 0.0
         for row, k, start in zip(tail, chunk, starts):
             row[start:] = emissions_list[k]
         running = [bisect_right(starts, t) for t in range(T)]  # rows covering column t
@@ -422,6 +445,11 @@ def viterbi_batch(
             step = tail[:n, t + 1].take(successors, axis=1)
             step += move_scores
             tail[:n, t] += np.maximum.reduceat(step, firsts, axis=1)
+        # a nan wins every argmax it meets, and an inf makes one beside an
+        # illegal entry's -inf; -inf scores are fine
+        if not tail.max() < np.inf:
+            k, top = min((k, row.max()) for k, row in zip(chunk, tail) if not row.max() < np.inf)
+            raise _not_finite(k, f"a path score is {top}")
         tags = np.empty((len(chunk), T), dtype=np.intp)
         for t in range(T):
             n0, n = (running[t - 1] if t else 0), running[t]  # rows [n0, n) start at t

@@ -29,7 +29,7 @@ import numpy as np
 
 from .crf import TransitionMatrix
 from .encoder import EncoderWeights, Vocabulary, encode
-from .errors import ConfigurationError, DataError, FormatError, read_blocks, read_text
+from .errors import ConfigurationError, DataError, FormatError, check_seed, read_blocks, read_text
 from .masking import MaskSpec, apply_mask, mask_spec_for
 from .schemes import Scheme, Tagset, build_tagset, canonical_run, first_violation
 
@@ -288,6 +288,7 @@ def generate_synthetic(
     config: SyntheticConfig, seed: int
 ) -> tuple[Tagset, list[LabeledSentence]]:
     """Deterministically sample a legal labeled corpus."""
+    check_seed(seed)
     tagset = build_tagset(config.scheme, config.entity_types)
     rng = np.random.default_rng(seed)
     fillers = [f"w{i}" for i in range(config.vocab_size)]
@@ -334,6 +335,7 @@ def split_corpus(
         raise ConfigurationError("dev_fraction must lie strictly between 0 and 1")
     if len(sentences) < 2:
         raise DataError("need at least two sentences to split")
+    check_seed(seed)
     order = np.random.default_rng(seed).permutation(len(sentences))
     n_dev = max(1, round(dev_fraction * len(sentences)))
     if n_dev >= len(sentences):

@@ -1,6 +1,6 @@
-"""Exception types shared across the package, and the one reader of text
-files (corpora, logits and model files) with the one splitter of the
-blank-line-separated ones (corpora and logits files).
+"""Exception types shared across the package, the one seed check, and the
+one reader of text files (corpora, logits and model files) with the one
+splitter of the blank-line-separated ones (corpora and logits files).
 
 Plain contract violations (bad shapes, out-of-range indices, empty
 sequences) raise ValueError; these classes cover recoverable,
@@ -32,6 +32,12 @@ class SizeError(McrfError):
 
 class TrainingError(McrfError):
     """Training aborted: non-finite loss or similar unrecoverable state."""
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a seed that numpy's generators refuse (with a bare traceback)."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
 
 
 def read_text(path: str) -> str:

@@ -19,6 +19,7 @@ import numpy as np
 from .crf import (
     Batch,
     TransitionMatrix,
+    _sentence,
     brute_force_log_partition,
     brute_force_loss_and_gradients,
     nll_loss,
@@ -89,11 +90,12 @@ def guard_threshold(emissions_list: list[np.ndarray], trans: TransitionMatrix, s
     Any path score lies within +-(T*max|l| + (T-1)*max|a| + max|start|) over
     legal entries; one masked entry contributes c once. Separating the two
     sets therefore needs c below twice that range, plus a fixed margin.
+    Each sentence is checked first, as viterbi_batch checks it.
     """
-    t_max = max(e.shape[0] for e in emissions_list)
+    emissions_list = [_sentence(em, trans.num_tags, k) for k, em in enumerate(emissions_list)]
+    t_max = max(len(e) for e in emissions_list)
     max_l = 0.0
     for lo in range(0, len(emissions_list), _GUARD_SENTENCES):
-        # flat whatever the shapes, so viterbi_batch still names a bad sentence
         flat = np.concatenate(emissions_list[lo : lo + _GUARD_SENTENCES], axis=None)
         max_l = max(max_l, float(np.abs(flat, out=flat).max(initial=0.0)))
     illegal_pair, illegal_start = spec.rules.tables(trans.num_tags)

@@ -1,10 +1,14 @@
 """Segment extraction and post-hoc repair of predicted tag paths.
 
-Extraction follows the conlleval reading of broken sequences: an I-X that
-cannot continue the open chunk closes that chunk where it stands and opens
-a new segment flagged illegal; a segment's legality is the legality of its
-opening transition (for BIOES, an unclosed B/I run is also illegal). Repair
-rebuilds the path from the segment list in canonical form:
+Extraction follows the conlleval reading of broken sequences, in one rule:
+I-X or E-X after an open chunk of type X continues that chunk, and E-X
+closes it; any other tag closes the open chunk and, unless it is O, opens
+its own, which S-X and E-X close at once. A segment is legal when the rule
+tables (tagset.rules) allow the move into its first tag, or that tag to
+start the sentence, and allow an O after its last tag: the sentence end
+behaves like O, as in AllenNLP's allowed_transitions. For BIOES that is
+"a chunk needs its E"; for BIO it always holds. Repair rebuilds the path
+from the segment list in canonical form:
 
   retain  - keep every segment, legal or not, re-emitting it canonically
   discard - keep only legal segments
@@ -17,14 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .schemes import Scheme, Tagset, canonical_run
+from .schemes import OUTSIDE, Tagset, canonical_run
 
 STRATEGIES = ("retain", "discard", "none")
 
 
 @dataclass(frozen=True)
 class Segment:
-    """Typed span [start, end) with the legality of how it was opened."""
+    """Typed span [start, end), legal when the rule tables allow its first
+    move and an O after it."""
 
     entity_type: str
     start: int
@@ -41,56 +46,35 @@ class Segment:
 
 
 def extract_segments(tags: list[int], tagset: Tagset) -> list[Segment]:
-    """Single left-to-right pass collecting typed segments from a tag path."""
+    """Single left-to-right pass collecting typed segments from a tag path
+    (module docstring): every verdict is read from tagset.rules.tables."""
     tagset.check_indices(tags)
-    segments: list[Segment] = []
-    open_type: str | None = None
-    open_start = 0
-    open_legal = True
-
-    def close(end: int, force_illegal: bool = False) -> None:
-        nonlocal open_type
-        if open_type is not None:
-            segments.append(
-                Segment(open_type, open_start, end, open_legal and not force_illegal)
-            )
-            open_type = None
-
     parts = tagset.parts
     illegal_pair, illegal_start = tagset.rules.tables(tagset.size)
+    illegal_end = illegal_pair[:, tagset.index_of(OUTSIDE)]  # END behaves like O
+    segments: list[Segment] = []
+    open_type: str | None = None
+    open_start, open_legal = 0, True
 
-    def opening_is_legal(pos: int, tag: int) -> bool:
-        if pos == 0:
-            return not illegal_start[tag]
-        return not illegal_pair[tags[pos - 1], tag]
+    def close(end: int) -> None:
+        legal = open_legal and not illegal_end[tags[end - 1]]
+        segments.append(Segment(open_type, open_start, end, legal))
 
-    bioes = tagset.scheme is Scheme.BIOES
     for t, tag in enumerate(tags):
         prefix, etype = parts[tag]
-        if prefix == "O":
-            close(t, force_illegal=bioes)
-        elif prefix == "B":
-            close(t, force_illegal=bioes)
-            open_type, open_start = etype, t
-            open_legal = opening_is_legal(t, tag)
-        elif prefix == "S":
-            close(t, force_illegal=True)
-            segments.append(Segment(etype, t, t + 1, opening_is_legal(t, tag)))
-        elif prefix == "E":
-            if open_type == etype:
-                close(t + 1)
-            else:
-                close(t, force_illegal=True)
-                segments.append(Segment(etype, t, t + 1, False))
-        else:  # I
-            if open_type == etype:
+        if etype != open_type or prefix not in ("I", "E"):  # no continuation
+            if open_type is not None:
+                close(t)
+            open_type = etype
+            if etype is None:
                 continue
-            close(t, force_illegal=bioes)
-            open_type, open_start = etype, t
-            open_legal = False
-    # BIO runs end naturally at the sentence boundary; BIOES runs left open
-    # at the boundary never saw their E and are illegal.
-    close(len(tags), force_illegal=bioes)
+            open_start = t
+            open_legal = not (illegal_pair[tags[t - 1], tag] if t else illegal_start[tag])
+        if prefix in ("E", "S"):
+            close(t + 1)
+            open_type = None
+    if open_type is not None:
+        close(len(tags))
     return segments
 
 

@@ -35,7 +35,7 @@ from .crf import TokenBatch, TransitionMatrix, loss_and_gradients, nll_loss
 from .crf import viterbi  # noqa: F401  (module attribute that perfbench/selftest.py checks)
 from .data import TRAIN_MODES, LabeledSentence, ModelState
 from .encoder import EncoderWeights, Vocabulary, encode, encoder_backward, window_ids
-from .errors import ConfigurationError, DataError, TrainingError
+from .errors import ConfigurationError, DataError, TrainingError, check_seed
 from .evaluation import score_paths
 from .masking import DEFAULT_MASK_VALUE, MaskSpec, decode, mask_spec_for, reapply_mask_in_place
 from .postproc import extract_segments
@@ -81,8 +81,7 @@ class TrainConfig:
             )
         if self.max_epochs < 0 or self.max_iterations < 0:
             raise ConfigurationError("epoch and iteration budgets must be >= 0")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
         if self.eval_every < 1:
             raise ConfigurationError("eval_every must be >= 1")
         if self.embedding_dim < 1:
@@ -261,12 +260,12 @@ def train(
         x = np.concatenate([train_inputs[k] for k in picked])
         emissions = x if encoder is None else encode(x, encoder)
         tags = np.concatenate([train_tags[k] for k in picked])
-        loss, grads = loss_and_gradients(TokenBatch(emissions, train_lengths[picked], tags), trans)
-        if not np.isfinite(loss):
+        try:
+            loss, grads = loss_and_gradients(TokenBatch(emissions, train_lengths[picked], tags), trans)
+        except ValueError:  # the batch was checked above: its loss is not finite
             raise TrainingError(
-                f"non-finite loss {loss} at iteration {iteration}; "
-                f"check emissions and learning rate"
-            )
+                f"non-finite loss at iteration {iteration}; check emissions and learning rate"
+            ) from None
         step_grads = [grads.transitions, grads.start]
         if encoder is not None:
             g_enc = encoder_backward(x, grads.emissions, encoder)
@@ -275,10 +274,16 @@ def train(
         if config.mode == "mcrf-train":
             reapply_mask_in_place(trans, spec)
         if iteration % config.eval_every == 0 or iteration == target:
-            report.records.append(_evaluate(
-                iteration, loss, dev_inputs, dev_tags, encoder,
-                trans, spec, tagset, gold_segments, config.batch_size,
-            ))
+            try:
+                report.records.append(_evaluate(
+                    iteration, loss, dev_inputs, dev_tags, encoder,
+                    trans, spec, tagset, gold_segments, config.batch_size,
+                ))
+            except ValueError:  # the dev corpus was checked above: its scores are not finite
+                raise TrainingError(
+                    f"non-finite dev scores at iteration {iteration}; "
+                    f"check emissions and learning rate"
+                ) from None
             if on_checkpoint is not None:
                 on_checkpoint(iteration, trans)
 

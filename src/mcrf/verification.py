@@ -26,6 +26,7 @@ from .crf import (
     viterbi,
 )
 from .encoder import EncoderWeights, Vocabulary, encode, encoder_backward
+from .errors import check_seed
 from .masking import MaskSpec, apply_mask, mask_convergence_gap
 from .schemes import TransitionRuleSet, build_tagset
 
@@ -290,6 +291,7 @@ def _random_legal_path(rng: np.random.Generator, tagset, T: int) -> list[int]:
 
 def run_verification(seed: int = 0) -> tuple[list[CheckResult], float]:
     """Run every check; returns the results and the elapsed wall time."""
+    check_seed(seed)
     t0 = time.perf_counter()
     results = [
         check_log_partition(seed),

@@ -5,13 +5,17 @@ run the tier-1 command and the benchmark self-test.
 checks it against the code before then. Local modules (the package, the
 test helpers, the benchmark's own files) and the standard library need no
 install; every other top-level module that src/, tests/ or perfbench/
-imports must be named in the workflow's pip install line.
+imports must be named in the workflow's pip install line. The last test
+checks that the pytest settings in pyproject.toml are in force.
 """
 
 import ast
 import re
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
@@ -58,6 +62,13 @@ def test_runs_the_tier1_command():
     roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
     (command,) = re.findall(r"^\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap, re.MULTILINE)
     assert command in _run_lines()
+
+
+def test_runtime_warnings_fail_a_test():
+    """pyproject.toml turns a RuntimeWarning (a silent overflow or nan) into
+    an error in every test."""
+    with pytest.raises(RuntimeWarning):
+        np.log(np.zeros(1))
 
 
 def test_runs_the_benchmark_self_test():

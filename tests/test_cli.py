@@ -782,6 +782,16 @@ class TestVerify:
         assert out.count("[PASS]") == 8
 
 
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command", [["gen-synth", "--out-prefix", "x"], ["verify"]])
+    def test_is_an_error_line(self, command, tmp_path, monkeypatch, capsys):
+        """numpy refused it with a bare traceback."""
+        monkeypatch.chdir(tmp_path)
+        assert main([*command, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestEntryPoints:
     def test_python_dash_m_runs_the_cli(self):
         src = str(Path(cli.__file__).resolve().parents[1])

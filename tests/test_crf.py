@@ -502,6 +502,17 @@ class TestTokenBatch:
         assert same_bits(em1, np.array([[0.0, 1.0, 2.0]])) and gold1.tolist() == [2]
         assert same_bits(em2, np.arange(3.0, 12.0).reshape(3, 3)) and gold2.tolist() == [0, 1, 1]
 
+    def test_iteration_refuses_what_the_engine_refuses(self):
+        """Iteration split the rows by the lengths unchecked: 5 rows under
+        lengths [2, 2] gave a (2, 3) and a (3, 3) sentence."""
+        message = "emissions of shape (5, 3), need (4, 3) for 2 sentences"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            list(TokenBatch(np.zeros((5, 3)), [2, 2], [0] * 5))
+        with pytest.raises(ValueError, match="gold path of length 0"):
+            list(TokenBatch(np.zeros((2, 3)), [2, 0], [0] * 2))
+        with pytest.raises(ValueError, match="emissions of shape"):
+            list(TokenBatch(np.zeros(4), [2, 2], [0] * 4))
+
     def test_equals_the_list_batch_bit_for_bit(self, monkeypatch):
         """Loss, transition and start gradients are the list batch's to the
         last bit, and the (N, d) emission gradient is its stacked per-sentence
@@ -606,6 +617,76 @@ class TestTokenBatch:
         assert done.stdout == (
             "lengths of shape (3,) and dtype int64, need (B,) integers with an intp sum\n"
         )
+
+
+class TestNonFinite:
+    """No entry point returns a NaN or infinite loss or log Z, or a path
+    chosen among NaN scores: each raises a ValueError naming the sentence."""
+
+    TRANS = TransitionMatrix.zeros(3)
+
+    def test_nan_loss_names_the_sentence(self):
+        emissions = np.zeros((4, 3))
+        emissions[3, 1] = np.nan
+        batches = (
+            TokenBatch(emissions, [2, 2], [0] * 4),
+            [(emissions[:2], [0, 0]), (emissions[2:], [0, 0])],
+        )
+        for batch in batches:
+            for fn in (nll_loss, loss_and_gradients):
+                with pytest.raises(ValueError, match="^sentence 2: loss of nan"):
+                    fn(batch, self.TRANS)
+
+    def test_infinite_loss_and_log_z_are_refused(self):
+        emissions = np.zeros((2, 3))
+        emissions[1] = -np.inf  # no path has a finite score
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="^sentence 1: loss of nan"):
+                nll_loss([(emissions, [0, 0])], self.TRANS)
+            with pytest.raises(ValueError, match="^sentence 1: log Z of nan"):
+                log_partition(emissions, self.TRANS)
+        gold_cut = TransitionMatrix(np.array([[-np.inf, 0, 0], [0, 0, 0], [0, 0, 0]]), np.zeros(3))
+        with pytest.raises(ValueError, match="^sentence 1: loss of inf"):
+            nll_loss([(np.zeros((2, 3)), [0, 0])], gold_cut)
+        assert math.isfinite(nll_loss([(np.zeros((2, 3)), [0, 1])], gold_cut))
+
+    def test_nan_path_scores_name_the_sentence(self):
+        """viterbi returned [0, 0] for all-nan emissions."""
+        with pytest.raises(ValueError, match="^sentence 1: a path score is nan"):
+            viterbi(np.full((2, 3), np.nan), self.TRANS)
+        corpus = [np.zeros((3, 3)), np.zeros((1, 3)), np.zeros((2, 3))]
+        corpus[2][0, 2] = np.nan  # at a first position no backward step carries it
+        with pytest.raises(ValueError, match="^sentence 3: a path score is nan"):
+            viterbi_batch(corpus, self.TRANS)
+        scores = np.zeros((3, 3))
+        scores[0, 2] = np.nan
+        with pytest.raises(ValueError, match="^sentence 1: a path score is nan"):
+            viterbi_batch(corpus[:1], TransitionMatrix(scores, np.zeros(3)))
+        start = np.array([0.0, np.nan, 0.0])
+        with pytest.raises(ValueError, match="^sentence 1: a start score is nan"):
+            viterbi(np.zeros((1, 3)), TransitionMatrix(np.zeros((3, 3)), start))
+
+    def test_infinite_path_scores_are_refused(self):
+        """Under rules an illegal start reads -inf, and -inf + inf is nan:
+        an inf emission on I-A gave the illegal path [I-A, I-A]."""
+        rules = build_tagset(Scheme.BIO, ["A"]).rules
+        emissions = np.array([[5.0, 0.0, 0.0], [0.0, 0.0, np.inf]])
+        with pytest.raises(ValueError, match="^sentence 1: a path score is inf"):
+            viterbi(emissions, self.TRANS, rules)
+        with pytest.raises(ValueError, match="^sentence 1: a start score is inf"):
+            viterbi(np.zeros((1, 3)), TransitionMatrix(np.zeros((3, 3)), np.array([np.inf, 0, 0])))
+        emissions[1, 2] = -np.inf  # a tag ruled out: fine
+        assert viterbi(emissions, self.TRANS, rules) == [0, 0]
+
+    def test_nan_entries_the_decoder_never_reads_are_ignored(self):
+        """Under rules an illegal entry is never read, and a sentence of one
+        position reads no transition."""
+        rules = TransitionRuleSet(frozenset({(0, 2)}), frozenset({1}))
+        scores = np.zeros((3, 3))
+        scores[0, 2] = np.nan
+        trans = TransitionMatrix(scores, np.array([0.0, np.nan, 0.0]))
+        assert viterbi(np.zeros((3, 3)), trans, rules) == [0, 0, 0]
+        assert viterbi(np.zeros((1, 3)), TransitionMatrix(scores, np.zeros(3))) == [0]
 
 
 class TestViterbi:

@@ -443,6 +443,11 @@ class TestSynthetic:
         back = read_conll(path, tagset)
         assert [s.gold for s in back] == [s.gold for s in sentences]
 
+    def test_negative_seed_rejected(self):
+        """numpy's generators end in a bare ValueError traceback on it."""
+        with pytest.raises(ConfigurationError, match="^seed must be >= 0, got -1$"):
+            generate_synthetic(SyntheticConfig(sentences=3), seed=-1)
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigurationError):
             SyntheticConfig(min_length=5, max_length=4)
@@ -472,6 +477,10 @@ class TestSplitCorpus:
         a = split_corpus(corpus, 0.2, seed=9)
         b = split_corpus(corpus, 0.2, seed=9)
         assert [s.tokens for s in a[0]] == [s.tokens for s in b[0]]
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="^seed must be >= 0, got -1$"):
+            split_corpus(self._corpus(10), 0.2, seed=-1)
 
     def test_dev_never_empty_or_full(self):
         train, dev = split_corpus(self._corpus(3), dev_fraction=0.01, seed=0)

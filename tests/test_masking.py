@@ -10,6 +10,7 @@ from mcrf.crf import (
     brute_force_best,
     nll_loss,
     viterbi,
+    viterbi_batch,
 )
 from mcrf.errors import ConfigurationError, DataError
 from mcrf.masking import (
@@ -168,6 +169,40 @@ class TestDecode:
             for spec in (None, spec_for(BIO1)):
                 with pytest.raises(ValueError, match="sentence 2: emissions of shape"):
                     decode([np.zeros((2, 3)), bad], trans, spec)
+
+    def test_a_mask_reads_each_sentence_as_plain_decoding_does(self):
+        """The guard threshold read e.shape before any check: a nested list
+        decoded without a spec and raised AttributeError under one. Under a
+        spec each corpus gives what the engine gives it under the rules."""
+        trans = TransitionMatrix.zeros(3)
+        spec = spec_for(BIO1)
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except Exception as exc:  # the kind and text, whatever they are
+                return type(exc), str(exc)
+
+        corpora = (
+            [[[1.0, 2.0, 3.0]]],
+            [None],
+            [np.zeros((2, 3)), "x"],
+            [np.array([["a", "b", "c"]])],
+            [np.array([["1", "2", "3"]])],
+            [np.zeros((2, 3)), np.full((2, 3), np.nan)],
+        )
+        for corpus in corpora:
+            engine = outcome(viterbi_batch, corpus, trans, spec.rules)
+            assert outcome(decode, corpus, trans, spec) == engine, corpus
+            if isinstance(engine, tuple):
+                assert outcome(decode, corpus, trans, None) == engine, corpus
+            path = outcome(constrained_viterbi, corpus[-1], trans, spec)
+            assert path == outcome(viterbi, corpus[-1], trans, spec.rules), corpus
+        assert outcome(decode, corpora[0], trans, spec) == [[1]]  # I-PER may not start
+        assert outcome(decode, corpora[1], trans, spec) == (
+            ValueError, "sentence 1: emissions of shape (), need (T >= 1, 3)")
+        assert outcome(decode, corpora[-1], trans, spec)[1].startswith(
+            "sentence 2: a path score is nan")
 
 
 class TestConstrainedViterbi:

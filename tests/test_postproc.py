@@ -1,5 +1,6 @@
 """Segment extraction from broken tag paths and post-hoc repair."""
 
+import itertools
 import re
 
 import numpy as np
@@ -125,6 +126,45 @@ class TestExtractBioes:
     def test_full_width_legal_entity(self):
         segs = extract_segments(bioes("B-LOC", "E-LOC"), BIOES)
         assert segs == [Segment("LOC", 0, 2, True)]
+
+
+class TestOneLegalityDefinition:
+    """extract_segments' verdicts and first_violation read the same rule
+    tables, so on every path they agree, but for the sentence end."""
+
+    @pytest.mark.parametrize("scheme", [Scheme.BIO, Scheme.BIOES])
+    @pytest.mark.parametrize("types", [["A"], ["A", "B"]])
+    def test_segments_are_legal_exactly_when_the_path_is(self, scheme, types):
+        """Every path of length 1-5. A path whose last tag may not be followed
+        by O (BIOES ending on B- or I-) has no sentence-end rule in the
+        tables yet, so first_violation passes some of them; its segments
+        are illegal all the same."""
+        tagset = build_tagset(scheme, types)
+        illegal_pair, _ = tagset.rules.tables(tagset.size)
+        ends_open = illegal_pair[:, tagset.index_of("O")]
+        unended = 0
+        for length in range(1, 6):
+            for path in itertools.product(range(tagset.size), repeat=length):
+                all_legal = all(s.legal for s in extract_segments(path, tagset))
+                if ends_open[path[-1]]:
+                    unended += 1
+                    assert not all_legal, path
+                else:
+                    assert all_legal == (first_violation(tagset, path) is None), path
+        assert (unended > 0) == (scheme is Scheme.BIOES)
+
+    def test_verdicts_follow_the_tables(self):
+        """Without start rules a BIO I-X or a BIOES E-X may open a sentence,
+        so the segment it opens there is legal; the other rules still hold."""
+        for tagset, opening, closed in ((BIO, "I-LOC", True), (BIOES, "E-LOC", True),
+                                        (BIOES, "I-LOC", False)):
+            free = build_tagset(tagset.scheme, tagset.entity_types)
+            free.__dict__["rules"] = tagset.rules.without_start_rules()  # the cached property
+            path = [tagset.index_of(opening), tagset.index_of("O")]
+            assert extract_segments(path, free) == [Segment("LOC", 0, 1, closed)]
+            assert extract_segments(path, tagset) == [Segment("LOC", 0, 1, False)]
+            path = [tagset.index_of("O"), tagset.index_of(opening)]
+            assert extract_segments(path, free) == [Segment("LOC", 1, 2, False)]
 
 
 class TestSegmentsToTags:

@@ -374,6 +374,21 @@ class TestTrainLoop:
         with pytest.raises(DataError):
             train(train_s, [], TrainConfig(), tagset)
 
+    def test_divergence_is_a_training_error(self):
+        """A learning rate of 1e300 overflows the parameters in one step. The
+        engine now refuses a non-finite loss with a ValueError; train turns
+        it into a TrainingError, on the training batch and on the dev set
+        (where a nan dev NLL used to be recorded without a word)."""
+        tagset, (train_s, dev_s) = tiny_corpus()
+        for iterations, eval_every, message in (
+            (30, 50, "non-finite loss at iteration 2;"),
+            (1, 1, "non-finite dev scores at iteration 1;"),
+        ):
+            config = TrainConfig(learning_rate=1e300, max_epochs=0,
+                                 max_iterations=iterations, eval_every=eval_every)
+            with np.errstate(all="ignore"), pytest.raises(TrainingError, match=message):
+                train(train_s, dev_s, config, tagset)
+
     def test_non_finite_external_emissions_fail_fast(self):
         tagset, (train_s, dev_s) = tiny_corpus()
         config = TrainConfig(batch_size=len(train_s), max_epochs=1, max_iterations=0,

@@ -2,6 +2,9 @@
 
 import time
 
+import pytest
+
+from mcrf.errors import ConfigurationError
 from mcrf.verification import (
     CheckResult,
     check_gradients,
@@ -17,6 +20,10 @@ class TestChecks:
         assert failed == []
         assert len(results) == 8
         assert elapsed < 60.0
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="^seed must be >= 0, got -1$"):
+            run_verification(seed=-1)
 
     def test_check_names_are_unique(self):
         results, _ = run_verification(seed=0)
