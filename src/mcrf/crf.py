@@ -56,7 +56,9 @@ ValueError.
 
 The brute-force routines enumerate all d^T paths (optionally restricted to
 the legal subset defined by a TransitionRuleSet) in lexicographic order and
-exist purely as independent oracles for the dynamic programs.
+exist purely as independent oracles for the dynamic programs. They and
+path_score refuse a result that is not finite as the engine does, with one
+check per result or per enumerated chunk.
 """
 
 from __future__ import annotations
@@ -157,8 +159,8 @@ class TokenBatch:
     def _padded(self, d: int) -> tuple[np.ndarray, ...]:
         """Checked against d tags, before any allocation and in numpy calls
         whose number does not grow with the batch: the padded (T, B, d)
-        emissions, (B, T) tags, gold moves i * d + j in sentence order, each
-        token's padded row, and the (B,) intp lengths."""
+        emissions, (B, T) tags, each token's padded row, and the (B,) intp
+        lengths."""
         lengths, tags, emissions = self.lengths, self.tags, self.emissions
         # the sum is a Python int: an intp one can wrap to N (and crash np.repeat)
         if lengths.ndim != 1 or lengths.dtype.kind not in "iu" or sum(lengths.tolist()) > _MAX_INTP:
@@ -193,10 +195,7 @@ class TokenBatch:
         padded[rows] = emissions
         grid = np.zeros(B * T, dtype=np.intp)
         grid[sentence * T + position] = tags
-        keep = np.ones(N - 1, dtype=bool)
-        keep[ends[:-1] - 1] = False  # no move across a sentence boundary
-        moves = (tags[:-1] * d + tags[1:])[keep]
-        return padded.reshape(T, B, d), grid.reshape(B, T), moves, rows, lengths
+        return padded.reshape(T, B, d), grid.reshape(B, T), rows, lengths
 
 
 def logsumexp(x: np.ndarray, axis: int | None = None) -> np.ndarray | float:
@@ -276,9 +275,15 @@ def _not_finite(k: int, what: str) -> ValueError:
 def path_score(emissions: np.ndarray, trans: TransitionMatrix, path: list[int]) -> float:
     """Score of one path: start + emissions along the path + transitions."""
     emissions = _sentence(emissions, trans.num_tags)
-    T = len(emissions)
-    tags = _gold([path], [T], trans.num_tags)[0]
-    score = np.sum(emissions[np.arange(T), tags])
+    score = _score(emissions, trans, _gold([path], [len(emissions)], trans.num_tags)[0])
+    if not math.isfinite(score):
+        raise _not_finite(0, f"path score of {score}")
+    return score
+
+
+def _score(emissions: np.ndarray, trans: TransitionMatrix, tags: np.ndarray) -> float:
+    """path_score of checked (T, d) emissions and (T,) tags, unchecked."""
+    score = np.sum(emissions[np.arange(len(tags)), tags])
     score += np.sum(trans.scores[tags[:-1], tags[1:]])
     score += trans.start[tags[0]]
     return float(score)
@@ -336,34 +341,46 @@ def _forward_backward(
 
 
 def _batch_nll(batch: Batch | TokenBatch, trans: TransitionMatrix, gradients: bool):
-    """Mean NLL and, with gradients, CrfGradients, over the padded batch. Its
-    gold tags are a C-ordered, zero-padded (B, T) array: the gold emissions
-    are summed in that order, and another order moves the loss's last bit."""
+    """Mean NLL over the padded batch and, with gradients, CrfGradients;
+    without them, the (B,) per-sentence NLLs log Z_k - s(gold_k). Its gold
+    tags are a C-ordered, zero-padded (B, T) array: the gold emissions are
+    summed in that order, and another order moves the loss's last bit; so
+    the mean is not summed from the per-sentence NLLs either.
+
+    Sentence k's NLL has the bits nll_loss gives it alone when the batch is
+    padded to fewer than 8 positions (numpy sums 8 or more terms pairwise)
+    and row k of the engine's (B, d) @ (d, d) products has the bits of a
+    (1, d) product. On OpenBLAS 0.3.31 that holds at d = 2 and 3; at d >= 4
+    the rows differ in their last bits."""
     if not batch:
         raise ValueError("empty batch")
     d, n = trans.num_tags, len(batch)
     tokens = isinstance(batch, TokenBatch)
     if tokens:
-        emissions, tags, moves, rows, lengths = batch._padded(d)
+        emissions, tags, rows, lengths = batch._padded(d)
     else:
         sentences, sizes, tags = _pairs(batch, d)
-        T, lengths = max(sizes), np.array(sizes)
-        emissions = np.zeros((T, n, d))
+        lengths = np.array(sizes)
+        emissions = np.zeros((max(sizes), n, d))
         for k, em in enumerate(sentences):
             emissions[: sizes[k], k] = em
-        moves = (tags[:, :-1] * d + tags[:, 1:])[np.arange(1, T) < lengths[:, None]]
     log_z, d_em, counts = _forward_backward(emissions, lengths, trans, gradients)
     cells = np.arange(tags.shape[1]), np.arange(n)[:, None], tags  # (B, T) gold cells
-    gold = emissions[cells].sum() + trans.scores.ravel()[moves].sum()
-    loss = float((log_z.sum() - gold - trans.start[tags[:, 0]].sum()) / n)
+    steps = np.arange(1, tags.shape[1]) < lengths[:, None]  # (B, T - 1) moves in a sentence
+    moves = tags[:, :-1] * d + tags[:, 1:]  # i * d + j
+    gold_em, move_scores = emissions[cells], trans.scores.ravel()[moves]
+    starts = trans.start[tags[:, 0]]
+    gold = gold_em.sum() + move_scores[steps].sum()
+    loss = float((log_z.sum() - gold - starts.sum()) / n)
     if not math.isfinite(loss):  # so is every log Z: their sum is in it
         finite = np.isfinite(emissions).all(axis=(0, 2)) & np.isfinite(log_z)
         raise _not_finite(int(finite.argmin()), f"loss of {loss}")
     if not gradients:
-        return loss, None
+        gold_moves = np.where(steps, move_scores, 0.0).sum(axis=1)
+        return loss, log_z - (gold_em.sum(axis=1) + gold_moves) - starts
     d_em[cells] -= 1.0
     d_em /= n
-    d_trans = (counts - np.bincount(moves, minlength=d * d).reshape(d, d)) / n
+    d_trans = (counts - np.bincount(moves[steps], minlength=d * d).reshape(d, d)) / n
     if tokens:
         d_emissions = d_em.reshape(-1, d)[rows]
     else:
@@ -517,10 +534,17 @@ def brute_force_log_partition(
     rules: TransitionRuleSet | None = None,
 ) -> float:
     """Exact log Z by explicit enumeration (oracle for log_partition)."""
-    parts = [
-        logsumexp(scores)
-        for _, scores in _iter_scored_chunks(emissions, trans, rules)
-    ]
+    log_z = _enumerated_log_z(emissions, trans, rules)
+    if not math.isfinite(log_z):
+        raise _not_finite(0, f"log Z of {log_z}")
+    return log_z
+
+
+def _enumerated_log_z(
+    emissions: np.ndarray, trans: TransitionMatrix, rules: TransitionRuleSet | None
+) -> float:
+    """brute_force_log_partition, not checked for a finite result."""
+    parts = [logsumexp(scores) for _, scores in _iter_scored_chunks(emissions, trans, rules)]
     if not parts:
         raise ValueError("no legal paths exist for this instance")
     return float(logsumexp(np.asarray(parts)))
@@ -541,7 +565,9 @@ def brute_force_best(
     best_path: list[int] | None = None
     best_score = -np.inf
     for paths, scores in _iter_scored_chunks(emissions, trans, rules):
-        k = int(np.argmax(scores))
+        k = int(np.argmax(scores))  # the first nan if there is one: no comparison takes it
+        if not scores[k] < np.inf:
+            raise _not_finite(0, f"a path score is {scores[k]}")
         if scores[k] > best_score:
             best_score = float(scores[k])
             best_path = [int(v) for v in paths[k]]
@@ -574,8 +600,11 @@ def brute_force_loss_and_gradients(
     sentences, sizes, golds = _pairs(batch, d)
     for k, (emissions, T) in enumerate(zip(sentences, sizes)):
         tags = golds[k, :T]
-        log_z = brute_force_log_partition(emissions, trans, rules)
-        total += log_z - path_score(emissions, trans, tags)
+        log_z = _enumerated_log_z(emissions, trans, rules)
+        loss = log_z - _score(emissions, trans, tags)
+        if not math.isfinite(loss):  # so are log Z and every path score under it
+            raise _not_finite(k, f"loss of {loss}")
+        total += loss
         d_em = np.zeros((T, d))
         for paths, scores in _iter_scored_chunks(emissions, trans, rules):
             w = np.exp(scores - log_z)

@@ -112,11 +112,15 @@ def _decoding_matrix(
     """trans as the decoder sees it: as given without a spec; under it,
     through one mask, deepened to the corpus's guard threshold when
     spec.mask_value does not clear it, so that every masked path scores
-    strictly below every legal one at any length."""
+    strictly below every legal one at any length. An infinite or nan score
+    makes the threshold -inf or nan; the mask then keeps spec.mask_value
+    (the rules keep the paths legal), and the engine refuses nan and +inf."""
     if spec is None or not emissions_list:
         return trans
-    mask_value = min(spec.mask_value, guard_threshold(emissions_list, trans, spec))
-    return apply_mask(trans, replace(spec, mask_value=mask_value))
+    threshold = guard_threshold(emissions_list, trans, spec)
+    if -np.inf < threshold < spec.mask_value:
+        spec = replace(spec, mask_value=threshold)
+    return apply_mask(trans, spec)
 
 
 def decode(

@@ -22,6 +22,7 @@ import mcrf.crf
 from mcrf.crf import (
     TokenBatch,
     TransitionMatrix,
+    _batch_nll,
     _forward_backward,
     brute_force_best,
     brute_force_log_partition,
@@ -494,6 +495,35 @@ def random_token_batch(rng):
     return TokenBatch(rng.normal(scale=scale, size=(n, d)), lengths, rng.integers(0, d, n)), trans
 
 
+class TestPerSentenceLosses:
+    """_batch_nll's (B,) vector: the finite-difference checks read their
+    losses from it, one engine call per perturbed array."""
+
+    def test_each_is_nll_loss_on_its_sentence(self):
+        """Bitwise at d <= 3, where a row of the batch's (B, d) @ (d, d)
+        product has the bits of the (1, d) product; within 1e-12 relative
+        above, where it differs in the last bits. Padded lengths stay under
+        8, the length from which numpy's sum adds in another order."""
+        rng = np.random.default_rng(18)
+        for d in (2, 3, 4, 7, 13, 41):
+            for _ in range(20):
+                lengths = rng.integers(1, 8, size=int(rng.integers(1, 30)))
+                trans = TransitionMatrix(rng.uniform(-2, 2, (d, d)), rng.uniform(-2, 2, d))
+                pairs = [(rng.uniform(-2, 2, (T, d)), list(rng.integers(0, d, T))) for T in lengths]
+                alone = np.array([nll_loss([pair], trans) for pair in pairs])
+                tokens = TokenBatch(
+                    np.concatenate([em for em, _ in pairs]), lengths,
+                    np.concatenate([gold for _, gold in pairs]),
+                )
+                for batch in (pairs, tokens):
+                    loss, losses = _batch_nll(batch, trans, gradients=False)
+                    assert loss == loss_and_gradients(batch, trans)[0]
+                    if d <= 3:
+                        assert same_bits(losses, alone), d
+                    else:
+                        np.testing.assert_allclose(losses, alone, rtol=1e-12, atol=0)
+
+
 class TestTokenBatch:
     def test_is_the_sequence_of_its_sentences(self):
         batch = TokenBatch(np.arange(12.0).reshape(4, 3), [1, 3], [2, 0, 1, 1])
@@ -677,6 +707,44 @@ class TestNonFinite:
             viterbi(np.zeros((1, 3)), TransitionMatrix(np.zeros((3, 3)), np.array([np.inf, 0, 0])))
         emissions[1, 2] = -np.inf  # a tag ruled out: fine
         assert viterbi(emissions, self.TRANS, rules) == [0, 0]
+
+    def test_oracles_refuse_non_finite_results(self):
+        """The enumeration oracles and path_score returned nan (and inf)
+        without a word."""
+        for value in (np.nan, np.inf):
+            emissions = np.zeros((2, 3))
+            emissions[1, 2] = value
+            with pytest.raises(ValueError, match=f"^sentence 1: log Z of {value}"):
+                brute_force_log_partition(emissions, self.TRANS)
+            with pytest.raises(ValueError, match=f"^sentence 1: a path score is {value}"):
+                brute_force_best(emissions, self.TRANS)
+            with pytest.raises(ValueError, match=f"^sentence 1: path score of {value}"):
+                path_score(emissions, self.TRANS, [0, 2])
+            batch = [(np.zeros((2, 3)), [0, 0]), (emissions, [0, 0])]
+            with pytest.raises(ValueError, match=f"^sentence 2: loss of {value}"):
+                brute_force_loss_and_gradients(batch, self.TRANS)
+        gold_cut = TransitionMatrix(np.array([[-np.inf, 0, 0], [0, 0, 0], [0, 0, 0]]), np.zeros(3))
+        with pytest.raises(ValueError, match="^sentence 1: path score of -inf"):
+            path_score(np.zeros((2, 3)), gold_cut, [0, 0])
+        with pytest.raises(ValueError, match="^sentence 1: loss of inf"):
+            brute_force_loss_and_gradients([(np.zeros((2, 3)), [0, 0])], gold_cut)
+        assert path_score(np.zeros((2, 3)), gold_cut, [0, 1]) == 0.0
+        rules = TransitionRuleSet(frozenset(), frozenset({2}))
+        emissions = np.zeros((2, 3))
+        emissions[0, 2] = np.nan  # only an illegal start reads it
+        assert brute_force_log_partition(emissions, self.TRANS, rules) == math.log(6)
+        assert brute_force_best(emissions, self.TRANS, rules) == ([0, 0], 0.0)
+
+    def test_brute_force_best_does_not_skip_a_nan_chunk(self):
+        """argmax picks a chunk's nan, which never beat the incumbent: one
+        chunk raised 'no legal paths', and of 3^11 paths in three chunks the
+        best of the first came back though the last two hold nan."""
+        with pytest.raises(ValueError, match="^sentence 1: a path score is nan"):
+            brute_force_best(np.full((2, 3), np.nan), self.TRANS)
+        emissions = np.zeros((11, 3))
+        emissions[0, 2] = np.nan  # paths from 2 * 3^10 on: past the first 2^16
+        with pytest.raises(ValueError, match="^sentence 1: a path score is nan"):
+            brute_force_best(emissions, self.TRANS)
 
     def test_nan_entries_the_decoder_never_reads_are_ignored(self):
         """Under rules an illegal entry is never read, and a sentence of one

@@ -190,6 +190,8 @@ class TestDecode:
             [np.array([["a", "b", "c"]])],
             [np.array([["1", "2", "3"]])],
             [np.zeros((2, 3)), np.full((2, 3), np.nan)],
+            [np.zeros((2, 3)), np.array([[0.0, np.inf, 0.0], [0.0, 0.0, 0.0]])],
+            [np.zeros((2, 3)), np.array([[0.0, 0.0, 0.0], [2.0, -np.inf, 1.0]])],
         )
         for corpus in corpora:
             engine = outcome(viterbi_batch, corpus, trans, spec.rules)
@@ -201,8 +203,13 @@ class TestDecode:
         assert outcome(decode, corpora[0], trans, spec) == [[1]]  # I-PER may not start
         assert outcome(decode, corpora[1], trans, spec) == (
             ValueError, "sentence 1: emissions of shape (), need (T >= 1, 3)")
-        assert outcome(decode, corpora[-1], trans, spec)[1].startswith(
+        assert outcome(decode, corpora[5], trans, spec)[1].startswith(
             "sentence 2: a path score is nan")
+        # an infinite emission made the guard threshold -inf, and the mask
+        # built from it a ConfigurationError
+        assert outcome(decode, corpora[6], trans, spec)[1].startswith(
+            "sentence 2: a path score is inf")
+        assert outcome(decode, corpora[7], trans, spec) == [[0, 0], [0, 0]]
 
 
 class TestConstrainedViterbi:

@@ -10,7 +10,8 @@ perfbench/selftest.py: they catch a change under src/ that breaks the
 tracer's span nesting (constrained_viterbi must call guard_threshold and
 crf.viterbi) or the tag-bioes10 legality check. Its BenchmarkTests, which
 spawn whole benchmark runs, stay in the self-test alone; the training-step
-counts they assert on train-bio3 are checked here on a tiny training.
+counts they assert on train-bio3 are checked here on a tiny training, and
+the crf.nll_loss count of one verify battery here alone.
 """
 
 import importlib
@@ -20,6 +21,7 @@ import sys
 from pathlib import Path
 
 import mcrf.training
+import mcrf.verification
 from mcrf import crf
 from mcrf.data import SyntheticConfig, generate_synthetic
 from mcrf.training import TrainConfig
@@ -81,3 +83,13 @@ def test_training_calls_the_engine_once_per_iteration_with_the_batch_it_drew():
     assert metrics["crf.loss_and_gradients.sentences"] == epochs * 22
     tokens = sum(len(s.tokens) for s in train_sentences)
     assert metrics["crf.loss_and_gradients.tokens"] == epochs * tokens
+
+
+def test_verify_calls_nll_loss_only_for_the_transition_differences():
+    """The benchmark's verify workload traces crf.nll_loss. The emission and
+    encoder differences take one untraced engine call per perturbed array;
+    the transition and start differences make one nll_loss call per
+    perturbed copy of trans: 2 checks x 20 instances x 2 x (3^2 + 3)."""
+    with _tracer.Tracer() as tracer:
+        mcrf.verification.run_verification(seed=0)
+    assert tracer.metrics()["crf.nll_loss.calls"] == 960
