@@ -42,17 +42,17 @@ successors of a[prev] + tail after it; illegal entries are never read. Every
 cell sees the same float operations as a one-sentence recursion, so the paths
 do not depend on the batch, and the tie-break argument holds row by row:
 fixing earlier positions first, each to its smallest best tag, gives the
-lexicographically smallest best path. On a matrix masked below the guard
-threshold (masking.guard_threshold) every masked move loses to a legal one,
-so max is the same selection as over all d^2 moves and the paths are those
-of the dense recursion, ties included. The corpus runs in chunks of at most
+lexicographically smallest best path. The corpus runs in chunks of at most
 _DECODE_CELLS float64 cells, counting the (b, T, d) table and the (b, moves)
 step temporary, so memory stays bounded however large the corpus is.
 
 No entry point returns a loss or log Z that is not finite, or reads a path
-off NaN or +inf scores: the loss, log Z or decode table it computes anyway
-is checked, and the inputs are scanned only to name the sentence in the
-ValueError.
+off NaN or +inf scores, or off a sentence whose every (legal) path scores
+-inf: the loss, log Z or decode table it computes anyway is checked, and
+the inputs are scanned only to name the sentence in the ValueError. A
+sentence whose every path is -inf gets log Z = -inf without a warning: the
+forward step's shift is floored at the lowest finite float, so its rows stay
+-inf rather than -inf - -inf.
 
 The brute-force routines enumerate all d^T paths (optionally restricted to
 the legal subset defined by a TransitionRuleSet) in lexicographic order and
@@ -76,6 +76,7 @@ MAX_BRUTE_FORCE_PATHS = 10_000_000
 _CHUNK = 1 << 16
 _DECODE_CELLS = 1 << 16  # float64 cells per decode chunk: (b, T, d) table + (b, moves) step
 _UNDERFLOW = np.finfo(np.float64).tiny * 2.0**52  # v_t below this takes the log-space step
+_LOWEST = float(np.finfo(np.float64).min)  # floors the forward shift: max of a row of -inf
 _MAX_INTP = int(np.iinfo(np.intp).max)
 
 _ALL_MOVES = TransitionRuleSet(frozenset(), frozenset())  # viterbi_batch without rules
@@ -203,7 +204,8 @@ def logsumexp(x: np.ndarray, axis: int | None = None) -> np.ndarray | float:
     x = np.asarray(x, dtype=np.float64)
     m = np.max(x, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    out = np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True)) + m
+    with np.errstate(divide="ignore"):  # log 0 = -inf: every term is -inf
+        out = np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True)) + m
     if axis is None:
         return float(out.reshape(()))
     return np.squeeze(out, axis=axis)
@@ -272,6 +274,9 @@ def _not_finite(k: int, what: str) -> ValueError:
     return ValueError(f"sentence {k + 1}: {what}, need finite emissions and transition scores")
 
 
+_NO_FINITE_PATH = "the best path score is -inf"  # every (legal) path of a decode is -inf
+
+
 def path_score(emissions: np.ndarray, trans: TransitionMatrix, path: list[int]) -> float:
     """Score of one path: start + emissions along the path + transitions."""
     emissions = _sentence(emissions, trans.num_tags)
@@ -289,15 +294,21 @@ def _score(emissions: np.ndarray, trans: TransitionMatrix, tags: np.ndarray) -> 
     return float(score)
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _forward_backward(
     emissions: np.ndarray, lengths: np.ndarray, trans: TransitionMatrix, gradients: bool
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """log Z (B,) of a zero-padded time-major (T, B, d) batch and, with
     gradients, the position marginals (T, B, d) and expected transition
     counts. Steps past a sentence's end run on unused: log Z is read at the
-    end, and the backward pass starts there."""
+    end, and the backward pass starts there.
+
+    A row whose alpha is all -inf gets the shift _LOWEST, not -inf, so it
+    takes the log-space step and its log Z is -inf; its marginals are nan,
+    and every caller refuses a log Z that is not finite, so numpy's
+    warnings on the way there are silenced."""
     T, B, d = emissions.shape
-    r = trans.scores.max(axis=1)
+    r = trans.scores.max(axis=1, initial=_LOWEST)  # a row of -inf: K's row is 0, not nan
     K = np.exp(trans.scores - r[:, None])
     KT = K.T
     alpha, u, v = np.empty((3, T, B, d))
@@ -305,7 +316,7 @@ def _forward_backward(
     guarded = {}  # step -> (rows redone in log space, their log-sum-exp over i)
     for t in range(1, T):
         x = alpha[t - 1] + r
-        m = x.max(axis=1, keepdims=True)
+        m = x.max(axis=1, keepdims=True, initial=_LOWEST)
         np.matmul(np.exp(np.subtract(x, m, out=x), out=u[t]), K, out=v[t])
         if v[t].min() < _UNDERFLOW:
             low = (v[t] < _UNDERFLOW).any(axis=1)
@@ -317,7 +328,7 @@ def _forward_backward(
         if t in guarded:
             alpha[t, low] = emissions[t, low] + guarded[t][1]
     ends = lengths - 1, np.arange(B)
-    top = alpha[ends].max(axis=1, keepdims=True)
+    top = alpha[ends].max(axis=1, keepdims=True, initial=_LOWEST)
     p = np.exp(alpha[ends] - top)
     log_z = top[:, 0] + np.log(p.sum(axis=1))
     if not gradients:
@@ -371,7 +382,8 @@ def _batch_nll(batch: Batch | TokenBatch, trans: TransitionMatrix, gradients: bo
     gold_em, move_scores = emissions[cells], trans.scores.ravel()[moves]
     starts = trans.start[tags[:, 0]]
     gold = gold_em.sum() + move_scores[steps].sum()
-    loss = float((log_z.sum() - gold - starts.sum()) / n)
+    # Python floats: -inf - -inf is nan without a warning
+    loss = (float(log_z.sum()) - float(gold) - float(starts.sum())) / n
     if not math.isfinite(loss):  # so is every log Z: their sum is in it
         finite = np.isfinite(emissions).all(axis=(0, 2)) & np.isfinite(log_z)
         raise _not_finite(int(finite.argmin()), f"loss of {loss}")
@@ -426,7 +438,8 @@ def viterbi_batch(
     """Highest-scoring path of each sentence, in input order, over the legal
     moves and starts of rules (all of them without rules); ties resolve to
     the lexicographically smallest path. The scores of illegal entries are
-    never read.
+    never read. A sentence with no path above -inf has no best path and is
+    refused, as brute_force_best refuses it.
 
     tail[k, t, j] is the best score of sentence k's completion from column t
     with tag j; the recursion runs backward, then the paths are read off
@@ -467,6 +480,9 @@ def viterbi_batch(
         if not tail.max() < np.inf:
             k, top = min((k, row.max()) for k, row in zip(chunk, tail) if not row.max() < np.inf)
             raise _not_finite(k, f"a path score is {top}")
+        best = (tail[np.arange(len(chunk)), starts] + opens).max(axis=1)
+        if not best.min() > -np.inf:
+            raise _not_finite(min(k for k, b in zip(chunk, best) if b == -np.inf), _NO_FINITE_PATH)
         tags = np.empty((len(chunk), T), dtype=np.intp)
         for t in range(T):
             n0, n = (running[t - 1] if t else 0), running[t]  # rows [n0, n) start at t
@@ -568,11 +584,13 @@ def brute_force_best(
         k = int(np.argmax(scores))  # the first nan if there is one: no comparison takes it
         if not scores[k] < np.inf:
             raise _not_finite(0, f"a path score is {scores[k]}")
-        if scores[k] > best_score:
+        if best_path is None or scores[k] > best_score:
             best_score = float(scores[k])
             best_path = [int(v) for v in paths[k]]
     if best_path is None:
         raise ValueError("no legal paths exist for this instance")
+    if best_score == -np.inf:
+        raise _not_finite(0, _NO_FINITE_PATH)
     return best_path, path_score(emissions, trans, best_path)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from .crf import TransitionMatrix
 from .encoder import EncoderWeights, Vocabulary, encode
 from .errors import ConfigurationError, DataError, FormatError, check_seed, read_blocks, read_text
-from .masking import MaskSpec, apply_mask, mask_spec_for
+from .masking import MaskSpec, mask_spec_for
 from .schemes import Scheme, Tagset, build_tagset, canonical_run, first_violation
 
 MODEL_FORMAT = "mcrf-model-v1"
@@ -98,9 +98,17 @@ def write_conll(
     tagset: Tagset,
     predictions: list[list[int]] | None = None,
 ) -> None:
-    """Write token/gold (or token/gold/predicted) columns, tab separated."""
-    if predictions is not None and len(predictions) != len(sentences):
-        raise ValueError("predictions do not align with the sentences")
+    """Write token/gold (or token/gold/predicted) columns, tab separated.
+    Predictions are checked against the sentences before the file opens."""
+    if predictions is not None:
+        if len(predictions) != len(sentences):
+            raise ValueError("predictions do not align with the sentences")
+        for k, (sent, pred) in enumerate(zip(sentences, predictions)):
+            if len(pred) != len(sent.tokens):
+                raise ValueError(
+                    f"sentence {k + 1}: prediction of {len(pred)} tags "
+                    f"for {len(sent.tokens)} tokens"
+                )
     with open(path, "w", encoding="utf-8") as fh:
         for k, sent in enumerate(sentences):
             for t, (token, gold) in enumerate(zip(sent.tokens, sent.gold)):
@@ -235,13 +243,13 @@ def load_model(path: str) -> ModelState:
             text = text[:197] + "..."
         raise FormatError(f"{path}: invalid model file ({text})") from None
     if state.mode == "mcrf-train":
-        # masked training pins every masked entry to exactly mask_value
-        pinned = apply_mask(state.trans, spec)
-        for field, stored, want in (
-            ("transitions", state.trans.scores, pinned.scores),
-            ("start", state.trans.start, pinned.start),
+        # masked training pins every masked entry to exactly mask_value (< 0,
+        # so == compares the bits)
+        tables = spec.rules.tables(state.trans.num_tags)
+        for field, stored, masked in zip(
+            ("transitions", "start"), (state.trans.scores, state.trans.start), tables
         ):
-            if stored.tobytes() != want.tobytes():
+            if not (stored[masked] == spec.mask_value).all():
                 raise FormatError(
                     f"{path}: {field} has a masked entry that differs from "
                     f"mask_value {state.mask_value!r} in mcrf-train mode"

@@ -1,13 +1,15 @@
 """Transition masking: apply a large negative constant c to illegal entries.
 
 Masking replaces each illegal transition score (and, when start enforcement
-is on, each illegal start score) with a finite constant c << 0. Constrained
-decoding lowers c further for a corpus whose scores could outweigh it, so
-it never prefers an illegal path at any length. The masked NLL converges to
-the NLL computed over legal paths only as c decreases, with error on the
-order of e^c. c stays finite so every dynamic program remains
+is on, each illegal start score) with a finite constant c << 0. The masked
+NLL converges to the NLL computed over legal paths only as c decreases, with
+error on the order of e^c. c stays finite so every dynamic program remains
 ordinary float arithmetic; the default -1e4 makes e^c underflow to zero in
 float64, which is as good as -inf without the NaN hazards.
+
+Decoding reads the rules, not c: decode runs crf.viterbi_batch over the
+legal moves of spec.rules alone. constrained_viterbi, the paper's masked
+decode over all d^2 moves, is the reference that decode is checked against.
 """
 
 from __future__ import annotations
@@ -17,8 +19,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .crf import (
+    _LOWEST,
+    _NO_FINITE_PATH,
     Batch,
     TransitionMatrix,
+    _not_finite,
     _sentence,
     brute_force_log_partition,
     brute_force_loss_and_gradients,
@@ -32,9 +37,6 @@ from .schemes import Tagset, TransitionRuleSet, validate_gold_paths
 
 DEFAULT_MASK_VALUE = -1e4
 _GUARD_MARGIN = 1e3
-# guard_threshold reads max|l| over this many sentences at a time: one copy of
-# a whole corpus would raise peak memory, and at d = 41 fault in its pages
-_GUARD_SENTENCES = 32
 
 
 @dataclass(frozen=True)
@@ -85,42 +87,24 @@ def reapply_mask_in_place(trans: TransitionMatrix, spec: MaskSpec) -> None:
 
 def guard_threshold(emissions_list: list[np.ndarray], trans: TransitionMatrix, spec: MaskSpec) -> float:
     """Largest mask value guaranteed to keep every masked path below every
-    legal path, for the given instances.
+    legal path of finite score, for the given instances.
 
-    Any path score lies within +-(T*max|l| + (T-1)*max|a| + max|start|) over
-    legal entries; one masked entry contributes c once. Separating the two
-    sets therefore needs c below twice that range, plus a fixed margin.
-    Each sentence is checked first, as viterbi_batch checks it.
+    Any finite path score lies within +-(T*max|l| + (T-1)*max|a| + max|start|)
+    over the finite legal entries (a path through any other is not finite);
+    one masked entry contributes c once. Separating the two sets therefore
+    needs c below twice that range, plus a fixed margin. Each sentence is
+    checked first, as viterbi_batch checks it.
     """
     emissions_list = [_sentence(em, trans.num_tags, k) for k, em in enumerate(emissions_list)]
     t_max = max(len(e) for e in emissions_list)
-    max_l = 0.0
-    for lo in range(0, len(emissions_list), _GUARD_SENTENCES):
-        flat = np.concatenate(emissions_list[lo : lo + _GUARD_SENTENCES], axis=None)
-        max_l = max(max_l, float(np.abs(flat, out=flat).max(initial=0.0)))
     illegal_pair, illegal_start = spec.rules.tables(trans.num_tags)
-    legal_a = np.abs(trans.scores[~illegal_pair])
-    legal_s = np.abs(trans.start[~illegal_start])
-    max_a = float(np.max(legal_a)) if legal_a.size else 0.0
-    max_s = float(np.max(legal_s)) if legal_s.size else 0.0
+    def finite_max_abs(arrays):  # one array at a time: no copy of a whole corpus
+        return max(float(np.abs(x[np.isfinite(x)]).max(initial=0.0)) for x in arrays)
+
+    max_l = finite_max_abs(emissions_list)
+    max_a = finite_max_abs([trans.scores[~illegal_pair]])
+    max_s = finite_max_abs([trans.start[~illegal_start]])
     return -(2.0 * t_max * (max_l + max_a + max_s) + _GUARD_MARGIN)
-
-
-def _decoding_matrix(
-    emissions_list: list[np.ndarray], trans: TransitionMatrix, spec: MaskSpec | None
-) -> TransitionMatrix:
-    """trans as the decoder sees it: as given without a spec; under it,
-    through one mask, deepened to the corpus's guard threshold when
-    spec.mask_value does not clear it, so that every masked path scores
-    strictly below every legal one at any length. An infinite or nan score
-    makes the threshold -inf or nan; the mask then keeps spec.mask_value
-    (the rules keep the paths legal), and the engine refuses nan and +inf."""
-    if spec is None or not emissions_list:
-        return trans
-    threshold = guard_threshold(emissions_list, trans, spec)
-    if -np.inf < threshold < spec.mask_value:
-        spec = replace(spec, mask_value=threshold)
-    return apply_mask(trans, spec)
 
 
 def decode(
@@ -128,18 +112,33 @@ def decode(
 ) -> list[list[int]]:
     """The decode entry point, one path per sentence of a corpus: plain
     Viterbi without a spec; under it, the best legal path of each sentence
-    (lexicographic tie-break) at any length. The corpus runs through one
-    mask and one batched Viterbi over the legal moves of spec.rules."""
-    rules = spec and spec.rules
-    return viterbi_batch(emissions_list, _decoding_matrix(emissions_list, trans, spec), rules)
+    (lexicographic tie-break) at any length, from one batched Viterbi over
+    the legal moves of spec.rules. The mask value is never read."""
+    return viterbi_batch(emissions_list, trans, spec and spec.rules)
 
 
 def constrained_viterbi(
     emissions: np.ndarray, trans: TransitionMatrix, spec: MaskSpec
 ) -> list[int]:
-    """Best legal path of one sentence, the path decode([emissions], trans,
-    spec) gives it, through crf.viterbi."""
-    return viterbi(emissions, _decoding_matrix([emissions], trans, spec), spec.rules)
+    """Best legal path of one sentence by the paper's own decode, the
+    reference that decode is checked against: mask at spec.mask_value,
+    deepened to the sentence's guard_threshold when c does not clear it,
+    then plain crf.viterbi over all d^2 moves.
+
+    Under the guard every masked path scores strictly below every legal one
+    of finite score, so the max over all moves selects what decode's max
+    over the legal moves selects: the same paths, ties included. A masked
+    entry wins only when no legal path is finite; that path is refused
+    with the engine's error.
+    """
+    threshold = guard_threshold([emissions], trans, spec)
+    if threshold < spec.mask_value:  # floored: past the float range it is -inf
+        spec = replace(spec, mask_value=max(threshold, _LOWEST))
+    path = viterbi(emissions, apply_mask(trans, spec))
+    illegal_pair, illegal_start = spec.rules.tables(trans.num_tags)
+    if illegal_start[path[0]] or illegal_pair[path[:-1], path[1:]].any():
+        raise _not_finite(0, _NO_FINITE_PATH)
+    return path
 
 
 def masked_nll(batch: Batch, trans: TransitionMatrix, tagset: Tagset, spec: MaskSpec) -> float:

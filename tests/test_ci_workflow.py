@@ -5,8 +5,10 @@ run the tier-1 command and the benchmark self-test.
 checks it against the code before then. Local modules (the package, the
 test helpers, the benchmark's own files) and the standard library need no
 install; every other top-level module that src/, tests/ or perfbench/
-imports must be named in the workflow's pip install line. The last test
-checks that the pytest settings in pyproject.toml are in force.
+imports must be named in the workflow's pip install line. The workflow runs
+one Python version, so another test parses every file at the oldest one
+that pyproject.toml declares. The last test checks that the pytest settings
+in pyproject.toml are in force.
 """
 
 import ast
@@ -62,6 +64,15 @@ def test_runs_the_tier1_command():
     roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
     (command,) = re.findall(r"^\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap, re.MULTILINE)
     assert command in _run_lines()
+
+
+def test_every_file_parses_at_the_oldest_declared_python():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    (oldest,) = re.findall(r'^requires-python = ">=3\.(\d+)"$', pyproject, re.MULTILINE)
+    paths = sorted(p for d in SOURCE_DIRS for p in d.rglob("*.py"))
+    assert len(paths) > 30  # the scan sees the files
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, int(oldest)))
 
 
 def test_runtime_warnings_fail_a_test():

@@ -662,9 +662,9 @@ class TestLongSentence:
         assert main(["eval", "--model", model_path, "--data", long_path]) == 0
 
     def test_mixed_corpus_decodes_each_sentence_as_it_decodes_alone(self, trained):
-        """One mask, deepened for the 1000-token sentence, serves the whole
-        corpus: the short sentences, which clear the guard at c alone, get
-        the same paths as when each is decoded on its own."""
+        """decode reads the rules, not the mask: every sentence, the short
+        ones that clear the guard at c and the 1000-token one that does not,
+        gets the path that the masked reference decode gives it alone."""
         model_path, prefix, rows = trained
         model = load_model(model_path)
         spec = model.mask_spec

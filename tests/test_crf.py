@@ -670,15 +670,71 @@ class TestNonFinite:
     def test_infinite_loss_and_log_z_are_refused(self):
         emissions = np.zeros((2, 3))
         emissions[1] = -np.inf  # no path has a finite score
-        with np.errstate(all="ignore"):
-            with pytest.raises(ValueError, match="^sentence 1: loss of nan"):
-                nll_loss([(emissions, [0, 0])], self.TRANS)
-            with pytest.raises(ValueError, match="^sentence 1: log Z of nan"):
-                log_partition(emissions, self.TRANS)
+        with pytest.raises(ValueError, match="^sentence 1: loss of nan"):
+            nll_loss([(emissions, [0, 0])], self.TRANS)
+        with pytest.raises(ValueError, match="^sentence 1: log Z of -inf"):
+            log_partition(emissions, self.TRANS)
         gold_cut = TransitionMatrix(np.array([[-np.inf, 0, 0], [0, 0, 0], [0, 0, 0]]), np.zeros(3))
         with pytest.raises(ValueError, match="^sentence 1: loss of inf"):
             nll_loss([(np.zeros((2, 3)), [0, 0])], gold_cut)
         assert math.isfinite(nll_loss([(np.zeros((2, 3)), [0, 1])], gold_cut))
+
+    def test_log_z_of_no_finite_path_is_minus_inf_without_a_warning(self):
+        """The engine gave log Z of nan after a RuntimeWarning (-inf - -inf
+        in its forward shift), and the enumeration -inf after another (log 0
+        in logsumexp). RuntimeWarnings are errors in these tests."""
+        dead = np.zeros((3, 3))
+        dead[1] = -np.inf  # every path passes position 1
+        for fn in (log_partition, brute_force_log_partition):
+            with pytest.raises(ValueError, match="^sentence 1: log Z of -inf, need finite"):
+                fn(dead, self.TRANS)
+            with pytest.raises(ValueError, match="^sentence 1: log Z of nan"):
+                fn(np.where(dead == 0, np.nan, dead), self.TRANS)
+        cut = TransitionMatrix(np.full((3, 3), -np.inf), np.zeros(3))  # no move
+        for fn in (log_partition, brute_force_log_partition):
+            assert fn(np.zeros((1, 3)), cut) == pytest.approx(math.log(3))
+            with pytest.raises(ValueError, match="^sentence 1: log Z of -inf"):
+                fn(np.zeros((2, 3)), cut)
+        cut.scores[1:] = 0.0  # tag 0 has no successor: its row of K was nan, and so was log Z
+        emissions = np.random.default_rng(0).normal(size=(3, 3))
+        assert log_partition(emissions, cut) == pytest.approx(
+            brute_force_log_partition(emissions, cut), abs=1e-12)
+        batches = (
+            [(np.zeros((2, 3)), [0, 0]), (dead, [0, 0, 0])],
+            TokenBatch(np.vstack([np.zeros((2, 3)), dead]), [2, 3], [0] * 5),
+        )
+        for batch in batches:
+            for fn in (nll_loss, loss_and_gradients, brute_force_loss_and_gradients):
+                with pytest.raises(ValueError, match="^sentence 2: loss of nan, need finite"):
+                    fn(batch, self.TRANS)
+
+    def test_every_path_at_minus_inf_has_no_best_path(self):
+        """viterbi returned [0, 0] where brute_force_best raised 'no legal
+        paths exist'; both now name the sentence with one message, which a
+        legal set that is empty does not get."""
+        message = "the best path score is -inf, need finite"
+        dead = np.full((2, 3), -np.inf)
+        with pytest.raises(ValueError, match=f"^sentence 1: {message}"):
+            viterbi(dead, self.TRANS)
+        with pytest.raises(ValueError, match=f"^sentence 1: {message}"):
+            brute_force_best(dead, self.TRANS)
+        corpus = [np.zeros((3, 3)), np.zeros((1, 3)), dead, dead[:1]]
+        with pytest.raises(ValueError, match=f"^sentence 3: {message}"):
+            viterbi_batch(corpus, self.TRANS)
+        with pytest.raises(ValueError, match=f"^sentence 3: {message}"):
+            viterbi_batch(corpus[:2] + corpus[3:], self.TRANS)  # one position, a later chunk
+        rules = TransitionRuleSet(frozenset(), frozenset({2}))
+        only_illegal = np.array([[-np.inf, -np.inf, 5.0]])  # its best path starts illegally
+        assert viterbi(only_illegal, self.TRANS) == [2]
+        with pytest.raises(ValueError, match=f"^sentence 1: {message}"):
+            viterbi(only_illegal, self.TRANS, rules)
+        with pytest.raises(ValueError, match=f"^sentence 1: {message}"):
+            brute_force_best(only_illegal, self.TRANS, rules)
+        no_start = TransitionRuleSet(frozenset(), frozenset({0, 1, 2}))
+        with pytest.raises(ValueError, match="^no legal paths exist"):
+            brute_force_best(np.zeros((2, 3)), self.TRANS, no_start)
+        partly = np.array([[-np.inf, 0.0, -np.inf], [1.0, -np.inf, -np.inf]])
+        assert viterbi(partly, self.TRANS) == brute_force_best(partly, self.TRANS)[0] == [1, 0]
 
     def test_nan_path_scores_name_the_sentence(self):
         """viterbi returned [0, 0] for all-nan emissions."""

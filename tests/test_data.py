@@ -196,6 +196,16 @@ class TestWriteConll:
         with pytest.raises(ValueError):
             write_conll(str(tmp_path / "out.conll"), sentences, BIO1, predictions=[[0], [0]])
 
+    def test_prediction_of_the_wrong_length_is_refused_before_writing(self, tmp_path):
+        """A short prediction raised a bare IndexError after the sentences
+        before it were written; a long one was cut silently."""
+        sentences = [LabeledSentence(["a", "b"], [0, 0]), LabeledSentence(["c", "d"], [0, 0])]
+        path = tmp_path / "out.conll"
+        for bad, size in (([0], 1), ([0, 0, 0], 3)):
+            with pytest.raises(ValueError, match=f"^sentence 2: prediction of {size} tags for 2 tokens$"):
+                write_conll(str(path), sentences, BIO1, predictions=[[0, 0], bad])
+            assert not path.exists()
+
 
 class TestLabeledSentence:
     def test_length_mismatch_rejected(self):

@@ -279,6 +279,46 @@ class TestConstrainedViterbi:
             )
             assert path == oracle
 
+    def test_an_infinite_score_or_threshold_does_not_undo_the_guard(self):
+        """A guard threshold of -inf from an emission of -inf would leave c
+        at -1e4, and a dense decode under it takes the masked start to
+        I-PER, [I-PER, I-PER], over the legal [B-PER, I-PER]."""
+        emissions = np.zeros((2, 3))
+        emissions[:, BIO1.index_of("I-PER")] = 2e4
+        emissions[0, BIO1.index_of("O")] = -np.inf
+        trans = TransitionMatrix.zeros(3)
+        spec = spec_for(BIO1, mask_value=-1e4)
+        expected = [BIO1.index_of("B-PER"), BIO1.index_of("I-PER")]
+        assert brute_force_best(emissions, trans, rules=spec.rules)[0] == expected
+        assert constrained_viterbi(emissions, trans, spec) == expected
+        assert decode([emissions], trans, spec) == [expected]
+        huge = np.full((1, 3), 1e308)  # a threshold past the float range: -inf
+        assert constrained_viterbi(huge, trans, spec) == decode([huge], trans, spec)[0] == [0]
+
+    def test_no_finite_legal_path_is_refused_by_both_decoders(self):
+        """Every legal path of [[-inf, -inf, 5]] is -inf: the engine returned
+        [O] for it, and a masked dense decode the illegal [I-PER], whose
+        masked start is finite."""
+        emissions = np.array([[-np.inf, -np.inf, 5.0]])
+        trans = TransitionMatrix.zeros(3)
+        spec = spec_for(BIO1)
+        message = "^sentence 1: the best path score is -inf, need finite"
+        with pytest.raises(ValueError, match=message) as referee:
+            constrained_viterbi(emissions, trans, spec)
+        with pytest.raises(ValueError, match=message) as engine:
+            decode([emissions], trans, spec)
+        assert str(referee.value) == str(engine.value)
+        assert decode([emissions], trans, None) == [[2]]
+
+    def test_guard_threshold_bounds_the_finite_scores_only(self):
+        """An infinite or nan score made the threshold -inf or nan."""
+        spec = spec_for(BIO1)
+        emissions = np.array([[1.0, -np.inf, 2.0], [np.nan, 3.0, np.inf]])
+        trans = TransitionMatrix(np.array([[1.0, -np.inf, np.nan]] * 3), np.array([-2.0, 0.0, np.inf]))
+        finite = TransitionMatrix(np.array([[1.0, 0.0, 0.0]] * 3), np.array([-2.0, 0.0, 0.0]))
+        expected = guard_threshold([np.nan_to_num(emissions, posinf=0.0, neginf=0.0)], finite, spec)
+        assert guard_threshold([emissions], trans, spec) == expected == -(2 * 2 * (3 + 1 + 2) + 1e3)
+
     def test_guard_threshold_scales_with_instance(self):
         spec = spec_for(BIO1)
         small = guard_threshold([np.ones((2, 3))], TransitionMatrix.zeros(3), spec)

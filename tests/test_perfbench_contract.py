@@ -7,11 +7,14 @@ would otherwise surface only when the benchmark runs.
 
 The self-test's tracer and check tests run here too, loaded read-only from
 perfbench/selftest.py: they catch a change under src/ that breaks the
-tracer's span nesting (constrained_viterbi must call guard_threshold and
-crf.viterbi) or the tag-bioes10 legality check. Its BenchmarkTests, which
-spawn whole benchmark runs, stay in the self-test alone; the training-step
-counts they assert on train-bio3 are checked here on a tiny training, and
-the crf.nll_loss count of one verify battery here alone.
+tracer's span nesting or the tag-bioes10 legality check. The nesting test
+needs constrained_viterbi to call guard_threshold and crf.viterbi, and it
+does: it is the paper's masked decode, kept as the reference that decode
+(rules only, no mask) is checked against, and tag-bioes10 compares the two.
+Its BenchmarkTests, which spawn whole benchmark runs, stay in the self-test
+alone; the training-step counts they assert on train-bio3 are checked here
+on a tiny training, and the crf.nll_loss count of one verify battery here
+alone.
 """
 
 import importlib
@@ -20,10 +23,11 @@ import math
 import sys
 from pathlib import Path
 
+import mcrf.cli
 import mcrf.training
 import mcrf.verification
 from mcrf import crf
-from mcrf.data import SyntheticConfig, generate_synthetic
+from mcrf.data import SyntheticConfig, generate_synthetic, save_model, write_conll
 from mcrf.training import TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -93,3 +97,26 @@ def test_verify_calls_nll_loss_only_for_the_transition_differences():
     with _tracer.Tracer() as tracer:
         mcrf.verification.run_verification(seed=0)
     assert tracer.metrics()["crf.nll_loss.calls"] == 960
+
+
+def test_predict_decodes_without_the_mask(tmp_path):
+    """mcrf predict decodes over the rules alone: for an mcrf-train model it
+    computes no guard threshold and masks no copy of the matrix, neither to
+    decode nor to check the model file's masked entries."""
+    tagset, sentences = generate_synthetic(
+        SyntheticConfig(entity_types=("PER",), sentences=12, min_length=2, max_length=7), 0
+    )
+    config = TrainConfig(mode="mcrf-train", max_epochs=0, max_iterations=2, eval_every=2,
+                         embedding_dim=4)
+    model, _ = mcrf.training.train(sentences[:8], sentences[8:], config, tagset)
+    model_path, data_path = tmp_path / "model.json", tmp_path / "test.conll"
+    save_model(model_path, model)
+    write_conll(data_path, sentences[8:], tagset)
+    argv = ["predict", "--model", str(model_path), "--data", str(data_path),
+            "--out", str(tmp_path / "pred.conll")]
+    with _tracer.Tracer() as tracer:
+        assert mcrf.cli.main(argv) == 0
+    metrics = tracer.metrics()
+    assert metrics["cli.main.calls"] == 1
+    assert metrics["masking.guard_threshold.calls"] == 0
+    assert metrics["masking.apply_mask.calls"] == 0

@@ -110,8 +110,8 @@ def test_constrained_viterbi_is_the_restricted_oracle_argmax(corpus):
 @PROPERTY_SETTINGS
 @given(corpora(max_sentences=3))
 def test_decode_gives_each_sentence_its_restricted_oracle_argmax(corpus):
-    """One mask serves the corpus even where one sentence needs it deeper
-    than another."""
+    """decode reads the rules, not the mask, so this holds where one
+    sentence would need a deeper mask than another."""
     _, emissions, trans, spec = corpus
     oracle = [brute_force_best(em, trans, rules=spec.rules)[0] for em in emissions]
     assert decode(emissions, trans, spec) == oracle
