@@ -6,7 +6,7 @@ A path p = (n_1 .. n_T) over d tags scores
     s(p, x) = start[n_1] + sum_t l[t, n_t] + sum_t a[n_t, n_{t+1}]
 
 where l is the (T, d) emission matrix and a the (d, d) transition matrix.
-The start vector defaults to zero, in which case it contributes nothing.
+TransitionMatrix.zeros gives a zero start vector, which contributes nothing.
 
 One float64 engine runs forward-backward over a left-aligned, zero-padded,
 time-major (T, B, d) batch, so each step works on one contiguous (B, d)
@@ -48,8 +48,10 @@ step temporary, so memory stays bounded however large the corpus is.
 
 No entry point returns a loss or log Z that is not finite, or reads a path
 off NaN or +inf scores, or off a sentence whose every (legal) path scores
--inf: the loss, log Z or decode table it computes anyway is checked, and
-the inputs are scanned only to name the sentence in the ValueError. A
+-inf: the loss, log Z or decode table it computes anyway is checked. A
+refused batch loss names the first sentence whose own NLL is not finite. A
+refused log Z or loss whose sentence's inputs hold +inf reads "a path score
+is inf", as the decoders do, from the engine and the enumeration alike. A
 sentence whose every path is -inf gets log Z = -inf without a warning: the
 forward step's shift is floored at the lowest finite float, so its rows stay
 -inf rather than -inf - -inf.
@@ -268,9 +270,14 @@ def _gold(paths: list, lengths: list[int], d: int) -> np.ndarray:
     return tags
 
 
-def _not_finite(k: int, what: str) -> ValueError:
+def _not_finite(k: int, what: str, *inputs: np.ndarray) -> ValueError:
     """The ValueError for a non-finite loss, log Z or path score, naming
-    sentence k."""
+    sentence k. A refused log Z or loss passes its sentence's emissions,
+    transition and start scores as inputs: if they hold +inf it reads "a path
+    score is inf", as the decoders do, whatever the sums made of it (the
+    engine's shifted recursion gives nan, the enumeration inf)."""
+    if any(np.isposinf(a).any() for a in inputs):
+        what = "a path score is inf"
     return ValueError(f"sentence {k + 1}: {what}, need finite emissions and transition scores")
 
 
@@ -384,12 +391,14 @@ def _batch_nll(batch: Batch | TokenBatch, trans: TransitionMatrix, gradients: bo
     gold = gold_em.sum() + move_scores[steps].sum()
     # Python floats: -inf - -inf is nan without a warning
     loss = (float(log_z.sum()) - float(gold) - float(starts.sum())) / n
-    if not math.isfinite(loss):  # so is every log Z: their sum is in it
-        finite = np.isfinite(emissions).all(axis=(0, 2)) & np.isfinite(log_z)
-        raise _not_finite(int(finite.argmin()), f"loss of {loss}")
-    if not gradients:
-        gold_moves = np.where(steps, move_scores, 0.0).sum(axis=1)
-        return loss, log_z - (gold_em.sum(axis=1) + gold_moves) - starts
+    if not gradients or not math.isfinite(loss):
+        with np.errstate(invalid="ignore"):  # inf - inf: a sentence refused below
+            gold_moves = np.where(steps, move_scores, 0.0).sum(axis=1)
+            nlls = log_z - (gold_em.sum(axis=1) + gold_moves) - starts
+        if not math.isfinite(loss):
+            k = int(np.isfinite(nlls).argmin())  # the first sentence whose own NLL is not finite
+            raise _not_finite(k, f"loss of {loss}", emissions[:, k], trans.scores, trans.start)
+        return loss, nlls
     d_em[cells] -= 1.0
     d_em /= n
     d_trans = (counts - np.bincount(moves[steps], minlength=d * d).reshape(d, d)) / n
@@ -405,7 +414,7 @@ def log_partition(emissions: np.ndarray, trans: TransitionMatrix) -> float:
     emissions = _sentence(emissions, trans.num_tags)[:, None]
     log_z = float(_forward_backward(emissions, np.array([len(emissions)]), trans, False)[0][0])
     if not math.isfinite(log_z):
-        raise _not_finite(0, f"log Z of {log_z}")
+        raise _not_finite(0, f"log Z of {log_z}", emissions, trans.scores, trans.start)
     return log_z
 
 
@@ -532,13 +541,11 @@ def _iter_scored_chunks(
         paths = np.stack(
             np.unravel_index(np.arange(lo, hi), (d,) * T), axis=1
         )  # lexicographic: position 0 is the most significant digit
+        moves = paths[:, :-1], paths[:, 1:]  # (n, T - 1) each: empty at T = 1
         scores = emissions[positions[None, :], paths].sum(axis=1) + trans.start[paths[:, 0]]
-        if T > 1:
-            scores += trans.scores[paths[:, :-1], paths[:, 1:]].sum(axis=1)
+        scores += trans.scores[moves].sum(axis=1)
         if rules is not None:
-            keep = ~illegal_start[paths[:, 0]]
-            if T > 1:
-                keep &= ~illegal_pair[paths[:, :-1], paths[:, 1:]].any(axis=1)
+            keep = ~(illegal_start[paths[:, 0]] | illegal_pair[moves].any(axis=1))
             paths, scores = paths[keep], scores[keep]
         if len(paths):
             yield paths, scores
@@ -552,7 +559,7 @@ def brute_force_log_partition(
     """Exact log Z by explicit enumeration (oracle for log_partition)."""
     log_z = _enumerated_log_z(emissions, trans, rules)
     if not math.isfinite(log_z):
-        raise _not_finite(0, f"log Z of {log_z}")
+        raise _not_finite(0, f"log Z of {log_z}", emissions, trans.scores, trans.start)
     return log_z
 
 
@@ -621,7 +628,7 @@ def brute_force_loss_and_gradients(
         log_z = _enumerated_log_z(emissions, trans, rules)
         loss = log_z - _score(emissions, trans, tags)
         if not math.isfinite(loss):  # so are log Z and every path score under it
-            raise _not_finite(k, f"loss of {loss}")
+            raise _not_finite(k, f"loss of {loss}", emissions, trans.scores, trans.start)
         total += loss
         d_em = np.zeros((T, d))
         for paths, scores in _iter_scored_chunks(emissions, trans, rules):

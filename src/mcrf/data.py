@@ -314,7 +314,7 @@ def generate_synthetic(
         t = 0
         while t < length:
             remaining = length - t
-            if remaining >= 1 and rng.random() < config.entity_density:
+            if rng.random() < config.entity_density:
                 etype = str(rng.choice(list(config.entity_types)))
                 span = int(rng.integers(1, min(MAX_ENTITY_LENGTH, remaining) + 1))
                 pool = pools[etype]

@@ -178,13 +178,7 @@ def mask_convergence_gap(
     loss_r, grads_r = brute_force_loss_and_gradients(batch, trans, rules=spec.rules)
     loss_gap = abs(loss_m - loss_r)
     illegal_pair, illegal_start = spec.rules.tables(trans.num_tags)
-    grad_gap = 0.0
-    for em_m, em_r in zip(grads_m.emissions, grads_r.emissions):
-        grad_gap = max(grad_gap, float(np.max(np.abs(em_m - em_r))))
-    diff_a = np.abs(grads_m.transitions - grads_r.transitions)[~illegal_pair]
-    if diff_a.size:
-        grad_gap = max(grad_gap, float(np.max(diff_a)))
-    diff_s = np.abs(grads_m.start - grads_r.start)[~illegal_start]
-    if diff_s.size:
-        grad_gap = max(grad_gap, float(np.max(diff_s)))
-    return loss_gap, grad_gap
+    diffs = [em_m - em_r for em_m, em_r in zip(grads_m.emissions, grads_r.emissions)]
+    diffs.append((grads_m.transitions - grads_r.transitions)[~illegal_pair])
+    diffs.append((grads_m.start - grads_r.start)[~illegal_start])
+    return loss_gap, max(float(np.abs(diff).max(initial=0.0)) for diff in diffs)

@@ -4,10 +4,12 @@ runs the same checks with its own tolerances.
 
 Each check draws a fixed number of random instances, which its detail
 text names, from a generator of the seed it is given; run_verification
-gives check k the seed seed + k, so one seed fixes the whole battery. The
-finite-difference checks share one central-difference step, _FD_STEP, and
-one helper, _central_difference, which collects every perturbed input of
-an array before it asks for their losses.
+gives check k the seed seed + k, so one seed fixes the whole battery. One
+helper, _random_scores, draws every random transition matrix but the
+zero-start one of check_mask_convergence: the (d, d) scores, then the start
+vector. The finite-difference checks share one central-difference step,
+_FD_STEP, and one helper, _central_difference, which collects every
+perturbed input of an array before it asks for their losses.
 
 A perturbation of the emissions (or of the encoder weights, through
 encode) leaves trans as it is, so all 2 x (entries) perturbed sentences of
@@ -61,14 +63,18 @@ class CheckResult:
         return f"[{status}] {self.name}: observed {self.observed:.3e} vs {self.threshold:.3e}{extra}"
 
 
+def _random_scores(rng: np.random.Generator, d: int, bound: float) -> TransitionMatrix:
+    """(d, d) transition scores, then d start scores, uniform in [-bound, bound)."""
+    scores = rng.uniform(-bound, bound, size=(d, d))
+    return TransitionMatrix(scores, rng.uniform(-bound, bound, size=d))
+
+
 def _random_instance(rng: np.random.Generator):
     """Emissions, transitions and a gold path of 1 to 6 positions and 2 to 5 tags."""
     T = int(rng.integers(1, 7))
     d = int(rng.integers(2, 6))
     emissions = rng.uniform(-2.0, 2.0, size=(T, d))
-    trans = TransitionMatrix(
-        rng.uniform(-2.0, 2.0, size=(d, d)), rng.uniform(-2.0, 2.0, size=d)
-    )
+    trans = _random_scores(rng, d, 2.0)
     gold = [int(v) for v in rng.integers(0, d, size=T)]
     return emissions, trans, gold
 
@@ -172,9 +178,7 @@ def check_gradients(seed: int, masked: bool) -> CheckResult:
     for _ in range(20):
         T = int(rng.integers(2, 5))
         emissions = rng.uniform(-2.0, 2.0, size=(T, d))
-        trans = TransitionMatrix(
-            rng.uniform(-2.0, 2.0, size=(d, d)), rng.uniform(-2.0, 2.0, size=d)
-        )
+        trans = _random_scores(rng, d, 2.0)
         gold = [0] * T
         if masked:
             trans = apply_mask(trans, spec)
@@ -197,9 +201,7 @@ def check_encoder_gradients(seed: int) -> CheckResult:
         V, e, d, T = 7, 3, 3, int(rng.integers(2, 5))
         vocab = Vocabulary(tuple(["<pad>", "<unk>"] + [f"t{i}" for i in range(V - 2)]))
         weights = EncoderWeights.init(vocab.size, e, d, rng)
-        trans = TransitionMatrix(
-            rng.uniform(-1.0, 1.0, size=(d, d)), rng.uniform(-1.0, 1.0, size=d)
-        )
+        trans = _random_scores(rng, d, 1.0)
         ids = [int(v) for v in rng.integers(0, V, size=T)]
         gold = [int(v) for v in rng.integers(0, d, size=T)]
 
@@ -233,9 +235,7 @@ def check_mask_convergence(seed: int) -> CheckResult:
     for _ in range(8):
         T = int(rng.integers(2, 5))
         emissions = rng.uniform(-1.5, 1.5, size=(T, d))
-        trans = TransitionMatrix(
-            rng.uniform(-1.5, 1.5, size=(d, d)), rng.uniform(-1.5, 1.5, size=d)
-        )
+        trans = _random_scores(rng, d, 1.5)
         gold = [0] * T
         for c in values:
             loss_gap, grad_gap = mask_convergence_gap(
@@ -270,9 +270,7 @@ def check_legal_scores_unchanged(seed: int) -> CheckResult:
     for _ in range(100):
         T = int(rng.integers(1, 7))
         emissions = rng.uniform(-2.0, 2.0, size=(T, d))
-        trans = TransitionMatrix(
-            rng.uniform(-2.0, 2.0, size=(d, d)), rng.uniform(-2.0, 2.0, size=d)
-        )
+        trans = _random_scores(rng, d, 2.0)
         masked = apply_mask(trans, spec)
         path = _random_legal_path(rng, tagset, T)
         worst = max(
@@ -296,9 +294,7 @@ def check_mask_idempotence(seed: int) -> CheckResult:
     d = tagset.size
     mismatches = 0
     for _ in range(50):
-        trans = TransitionMatrix(
-            rng.uniform(-3.0, 3.0, size=(d, d)), rng.uniform(-3.0, 3.0, size=d)
-        )
+        trans = _random_scores(rng, d, 3.0)
         once = apply_mask(trans, spec)
         twice = apply_mask(once, spec)
         if not (

@@ -7,8 +7,9 @@ test helpers, the benchmark's own files) and the standard library need no
 install; every other top-level module that src/, tests/ or perfbench/
 imports must be named in the workflow's pip install line. The workflow runs
 one Python version, so another test parses every file at the oldest one
-that pyproject.toml declares. The last test checks that the pytest settings
-in pyproject.toml are in force.
+that pyproject.toml declares, and another that no module of the package
+imports a name it does not use, since CI runs no linter. The last test
+checks that the pytest settings in pyproject.toml are in force.
 """
 
 import ast
@@ -73,6 +74,30 @@ def test_every_file_parses_at_the_oldest_declared_python():
     assert len(paths) > 30  # the scan sees the files
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, int(oldest)))
+
+
+def test_package_modules_use_every_name_they_import():
+    """An import left behind when a helper moves fails here. cli and
+    training re-export crf.viterbi, which the benchmark's self-test
+    requires as their module attribute."""
+    re_exports = {("cli.py", "viterbi"), ("training.py", "viterbi")}
+    paths = sorted((ROOT / "src" / "mcrf").glob("*.py"))
+    assert len(paths) > 10  # the scan sees the modules
+    unused = []
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used and (path.name, name) not in re_exports:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []
 
 
 def test_runtime_warnings_fail_a_test():

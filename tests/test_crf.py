@@ -656,15 +656,42 @@ class TestNonFinite:
     TRANS = TransitionMatrix.zeros(3)
 
     def test_nan_loss_names_the_sentence(self):
+        """The culprit was guessed from the emissions and log Z, so a -inf
+        emission in sentence 1, whose own loss is finite, took the blame for
+        the nan in sentence 2; the first non-finite per-sentence NLL names it."""
         emissions = np.zeros((4, 3))
         emissions[3, 1] = np.nan
+        blameless = emissions.copy()
+        blameless[0, 2] = -np.inf
+        blameless[3] = np.nan
         batches = (
             TokenBatch(emissions, [2, 2], [0] * 4),
             [(emissions[:2], [0, 0]), (emissions[2:], [0, 0])],
+            TokenBatch(blameless, [2, 2], [0] * 4),
+            [(blameless[:2], [0, 0]), (blameless[2:], [0, 0])],
         )
         for batch in batches:
             for fn in (nll_loss, loss_and_gradients):
                 with pytest.raises(ValueError, match="^sentence 2: loss of nan"):
+                    fn(batch, self.TRANS)
+
+    def test_plus_inf_gets_one_verdict_from_engine_and_enumeration(self):
+        """The engine's shifted recursion read +inf as nan (log Z of nan,
+        loss of nan) and the enumeration as inf (log Z of inf, loss of inf);
+        both now name it as viterbi and brute_force_best do."""
+        message = "a path score is inf, need finite emissions and transition scores"
+        for fn in (log_partition, brute_force_log_partition):
+            with pytest.raises(ValueError, match=f"^sentence 1: {message}$"):
+                fn(np.full((2, 3), np.inf), self.TRANS)
+        emissions = np.zeros((2, 3))
+        emissions[1, 2] = np.inf
+        batches = (
+            [(np.zeros((2, 3)), [0, 0]), (emissions, [0, 0])],
+            TokenBatch(np.vstack([np.zeros((2, 3)), emissions]), [2, 2], [0] * 4),
+        )
+        for batch in batches:
+            for fn in (nll_loss, loss_and_gradients, brute_force_loss_and_gradients):
+                with pytest.raises(ValueError, match=f"^sentence 2: {message}$"):
                     fn(batch, self.TRANS)
 
     def test_infinite_loss_and_log_z_are_refused(self):
@@ -767,17 +794,21 @@ class TestNonFinite:
     def test_oracles_refuse_non_finite_results(self):
         """The enumeration oracles and path_score returned nan (and inf)
         without a word."""
-        for value in (np.nan, np.inf):
+        # a +inf input gave log Z of inf and loss of inf; it now gets the decoders' words
+        for value, log_z, loss in (
+            (np.nan, "log Z of nan", "loss of nan"),
+            (np.inf, "a path score is inf", "a path score is inf"),
+        ):
             emissions = np.zeros((2, 3))
             emissions[1, 2] = value
-            with pytest.raises(ValueError, match=f"^sentence 1: log Z of {value}"):
+            with pytest.raises(ValueError, match=f"^sentence 1: {log_z}"):
                 brute_force_log_partition(emissions, self.TRANS)
             with pytest.raises(ValueError, match=f"^sentence 1: a path score is {value}"):
                 brute_force_best(emissions, self.TRANS)
             with pytest.raises(ValueError, match=f"^sentence 1: path score of {value}"):
                 path_score(emissions, self.TRANS, [0, 2])
             batch = [(np.zeros((2, 3)), [0, 0]), (emissions, [0, 0])]
-            with pytest.raises(ValueError, match=f"^sentence 2: loss of {value}"):
+            with pytest.raises(ValueError, match=f"^sentence 2: {loss}"):
                 brute_force_loss_and_gradients(batch, self.TRANS)
         gold_cut = TransitionMatrix(np.array([[-np.inf, 0, 0], [0, 0, 0], [0, 0, 0]]), np.zeros(3))
         with pytest.raises(ValueError, match="^sentence 1: path score of -inf"):

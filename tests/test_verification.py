@@ -15,6 +15,7 @@ from mcrf.verification import (
     check_encoder_gradients,
     check_gradients,
     check_log_partition,
+    check_mask_convergence,
     run_verification,
 )
 
@@ -62,10 +63,14 @@ class TestChecks:
         """The emission and encoder differences read their losses from one
         engine call per perturbed array; at d = 3 each loss has the bits of
         its own nll_loss call, so the observed values are those of the
-        per-perturbation calls."""
+        per-perturbation calls. The log-partition and mask-convergence values
+        pin the draws of _random_scores to the instances the checks drew when
+        each built its matrices by hand."""
+        assert check_log_partition(0).observed == 3.552713678800501e-15
         assert check_gradients(2, masked=False).observed == 1.1558926859252791e-08
         assert check_gradients(3, masked=True).observed == 6.908370403513331e-09
         assert check_encoder_gradients(4).observed == 8.419767227180186e-09
+        assert check_mask_convergence(5).observed == 7.123190925995004e-13
 
 
 class TestCentralDifference:
