@@ -24,7 +24,7 @@ from .encoder import load_external_logits
 from .errors import ConfigurationError, DataError, McrfError
 from .evaluation import format_report, score_paths
 from .masking import decode
-from .postproc import STRATEGIES, extract_segments, repair_tags
+from .postproc import STRATEGIES, extract_segments_batch, repair_tags_batch
 from .schemes import Scheme, Tagset, build_tagset
 from .training import TrainConfig, train
 from .verification import run_verification
@@ -115,7 +115,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     model, sentences, paths = _decode_data(args)
-    predictions = [repair_tags(path, model.tagset, args.strategy) for path in paths]
+    predictions = repair_tags_batch(paths, model.tagset, args.strategy)
     write_conll(args.out, sentences, model.tagset, predictions=predictions)
     print(f"predictions written to {args.out}")
     return 0
@@ -146,7 +146,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise DataError("eval needs --model and --data (or --gold and --pred)")
         model, gold_sents, raw = _decode_data(args)
         tagset = model.tagset
-    gold_segments = [extract_segments(s.gold, tagset) for s in gold_sents]
+    gold_segments = extract_segments_batch([s.gold for s in gold_sents], tagset)
     print(format_report(*score_paths(gold_segments, raw, tagset, args.strategy)))
     return 0
 

@@ -31,7 +31,7 @@ from .crf import TransitionMatrix
 from .encoder import EncoderWeights, Vocabulary, encode
 from .errors import ConfigurationError, DataError, FormatError, check_seed, read_blocks, read_text
 from .masking import MaskSpec, mask_spec_for
-from .schemes import Scheme, Tagset, build_tagset, canonical_run, first_violation
+from .schemes import Scheme, Tagset, _first_illegal, build_tagset, canonical_run, first_violation
 
 MODEL_FORMAT = "mcrf-model-v1"
 
@@ -58,37 +58,44 @@ def read_conll(path: str, tagset: Tagset, validate: bool = True) -> list[Labeled
     With validate (the default), every gold path is checked against the
     tagset and an illegal path is a DataError. Prediction files written by
     an unconstrained decoder may legitimately be illegal; read those with
-    validate=False.
+    validate=False. The first error in file order wins.
     """
     sentences: list[LabeledSentence] = []
-    for first, lines in read_blocks(path):
-        tokens: list[str] = []
-        tags: list[int] = []
-        for lineno, line in enumerate(lines, start=first):
-            cols = line.split()
-            if len(cols) < 2:
-                raise FormatError(
-                    f"{path}:{lineno}: need at least token and tag columns, "
-                    f"got {reprlib.repr(line)}"
-                )
-            tag = cols[-1]
-            try:
-                tags.append(tagset.index_of(tag))
-            except ValueError:
-                raise FormatError(
-                    f"{path}:{lineno}: unknown tag {reprlib.repr(tag)} "
-                    f"(tagset: {reprlib.repr(list(tagset.tags))})"
-                ) from None
-            tokens.append(cols[0])
-        if validate:
-            hit = first_violation(tagset, tags, enforce_start=True)
-            if hit is not None:
-                pos, rule = hit
-                raise DataError(
-                    f"{path}:{first + pos}: sentence {len(sentences) + 1}, "
-                    f"position {pos + 1}: illegal gold path ({rule})"
-                )
-        sentences.append(LabeledSentence(tokens=tokens, gold=tags))
+    firsts: list[int] = []  # the line of each sentence's first token
+    unreadable = None  # an illegal gold path before the bad line comes first
+    try:
+        for first, lines in read_blocks(path):
+            tokens: list[str] = []
+            tags: list[int] = []
+            for lineno, line in enumerate(lines, start=first):
+                cols = line.split()
+                if len(cols) < 2:
+                    raise FormatError(
+                        f"{path}:{lineno}: need at least token and tag columns, "
+                        f"got {reprlib.repr(line)}"
+                    )
+                tag = cols[-1]
+                try:
+                    tags.append(tagset.index_of(tag))
+                except ValueError:
+                    raise FormatError(
+                        f"{path}:{lineno}: unknown tag {reprlib.repr(tag)} "
+                        f"(tagset: {reprlib.repr(list(tagset.tags))})"
+                    ) from None
+                tokens.append(cols[0])
+            sentences.append(LabeledSentence(tokens=tokens, gold=tags))
+            firsts.append(first)
+    except FormatError as exc:
+        unreadable = exc
+    k = _first_illegal(tagset, [s.gold for s in sentences], True) if validate else len(sentences)
+    if k < len(sentences):
+        pos, rule = first_violation(tagset, sentences[k].gold, enforce_start=True)
+        raise DataError(
+            f"{path}:{firsts[k] + pos}: sentence {k + 1}, "
+            f"position {pos + 1}: illegal gold path ({rule})"
+        )
+    if unreadable is not None:
+        raise unreadable
     return sentences
 
 
@@ -99,7 +106,9 @@ def write_conll(
     predictions: list[list[int]] | None = None,
 ) -> None:
     """Write token/gold (or token/gold/predicted) columns, tab separated.
-    Predictions are checked against the sentences before the file opens."""
+    Every tag index, and the predictions' alignment, is checked before the
+    file opens, so a refused corpus leaves an existing file as it was."""
+    columns = [[sent.gold for sent in sentences]]
     if predictions is not None:
         if len(predictions) != len(sentences):
             raise ValueError("predictions do not align with the sentences")
@@ -109,14 +118,15 @@ def write_conll(
                     f"sentence {k + 1}: prediction of {len(pred)} tags "
                     f"for {len(sent.tokens)} tokens"
                 )
+        columns.append(predictions)
+    tagset.concatenate([tags for row in zip(*columns) for tags in row])  # in file order
+    lines = []
+    for k, sent in enumerate(sentences):
+        tag_columns = ([tagset.tags[i] for i in column[k]] for column in columns)
+        lines.extend(map("\t".join, zip(sent.tokens, *tag_columns)))
+        lines.append("")
     with open(path, "w", encoding="utf-8") as fh:
-        for k, sent in enumerate(sentences):
-            for t, (token, gold) in enumerate(zip(sent.tokens, sent.gold)):
-                cols = [token, tagset.tag_of(gold)]
-                if predictions is not None:
-                    cols.append(tagset.tag_of(predictions[k][t]))
-                fh.write("\t".join(cols) + "\n")
-            fh.write("\n")
+        fh.write("".join(f"{line}\n" for line in lines))
 
 
 @dataclass

@@ -19,7 +19,7 @@ from .data import LabeledSentence
 from .errors import ConfigurationError
 from .evaluation import ChunkMetrics, IllegalStats, score_paths
 from .masking import MaskSpec, constrained_viterbi, decode
-from .postproc import extract_segments
+from .postproc import extract_segments_batch
 from .schemes import Scheme, Tagset, first_violation
 from .training import TrainConfig, train
 
@@ -115,7 +115,7 @@ def compare_systems(
     crf_model, _ = train(train_sentences, dev_sentences, crf_config, tagset)
     mcrf_model, _ = train(train_sentences, dev_sentences, mcrf_config, tagset)
     spec = mcrf_model.mask_spec
-    gold_segments = [extract_segments(s.gold, tagset) for s in dev_sentences]
+    gold_segments = extract_segments_batch([s.gold for s in dev_sentences], tagset)
     crf_emissions = crf_model.emissions(dev_sentences)
     tagger_raw = decode(crf_emissions, TransitionMatrix.zeros(tagset.size), None)
     crf_raw = decode(crf_emissions, crf_model.trans, None)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .postproc import Segment, extract_segments, repair_segments
+from .postproc import Segment, extract_segments_batch, repair_segments
 from .schemes import Tagset
 
 
@@ -111,7 +111,7 @@ def score_paths(
 ) -> tuple[ChunkMetrics, IllegalStats]:
     """Score one decode: P/R/F1 of the paths after the repair strategy,
     illegal-segment counts of the raw paths (which repair would hide)."""
-    raw_segments = [extract_segments(p, tagset) for p in raw_paths]
+    raw_segments = extract_segments_batch(raw_paths, tagset)
     pred_segments = [repair_segments(segments, strategy) for segments in raw_segments]
     return chunk_prf(gold_segments, pred_segments), illegal_stats(gold_segments, raw_segments)
 

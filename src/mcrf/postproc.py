@@ -14,14 +14,18 @@ from the segment list in canonical form:
   discard - keep only legal segments
   none    - return the input unchanged
 
-retain and discard always produce a legal path.
+retain and discard always produce a legal path. Both run on a whole corpus
+at once, over its concatenated tags: extract_segments_batch and
+repair_tags_batch, which extract_segments and repair_tags run at B = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .schemes import OUTSIDE, Tagset, canonical_run
+import numpy as np
+
+from .schemes import OUTSIDE, Tagset, canonical_run, illegal_steps
 
 STRATEGIES = ("retain", "discard", "none")
 
@@ -45,49 +49,65 @@ class Segment:
         return (self.entity_type, self.start, self.end)
 
 
-def extract_segments(tags: list[int], tagset: Tagset) -> list[Segment]:
-    """Single left-to-right pass collecting typed segments from a tag path
-    (module docstring): every verdict is read from tagset.rules.tables."""
-    tagset.check_indices(tags)
-    parts = tagset.parts
-    illegal_pair, illegal_start = tagset.rules.tables(tagset.size)
-    illegal_end = illegal_pair[:, tagset.index_of(OUTSIDE)]  # END behaves like O
-    segments: list[Segment] = []
-    open_type: str | None = None
-    open_start, open_legal = 0, True
+def _chunks(paths: list, tagset: Tagset) -> tuple[np.ndarray, ...]:
+    """One pass over a corpus' concatenated tags (module docstring): the flat
+    tags, each path's first position, and every chunk's start, end and
+    legality, in order. An I-X or E-X continues the chunk before it exactly
+    when the rule tables allow the move into it."""
+    flat, firsts, illegal_step = illegal_steps(tagset, paths)
+    outside = tagset.index_of(OUTSIDE)
+    continuing = np.array([prefix in ("I", "E") for prefix, _ in tagset.parts])
+    joins = np.append(continuing[flat] & ~illegal_step, False)  # the tag joins the chunk before it
+    joins[firsts] = False
+    starts = np.flatnonzero((flat != outside) & ~joins[:-1])
+    ends = np.flatnonzero((flat != outside) & ~joins[1:]) + 1
+    illegal_end = tagset.rules.tables(tagset.size)[0][:, outside]  # END behaves like O
+    return flat, firsts, starts, ends, ~illegal_step[starts] & ~illegal_end[flat[ends - 1]]
 
-    def close(end: int) -> None:
-        legal = open_legal and not illegal_end[tags[end - 1]]
-        segments.append(Segment(open_type, open_start, end, legal))
 
-    for t, tag in enumerate(tags):
-        prefix, etype = parts[tag]
-        if etype != open_type or prefix not in ("I", "E"):  # no continuation
-            if open_type is not None:
-                close(t)
-            open_type = etype
-            if etype is None:
-                continue
-            open_start = t
-            open_legal = not (illegal_pair[tags[t - 1], tag] if t else illegal_start[tag])
-        if prefix in ("E", "S"):
-            close(t + 1)
-            open_type = None
-    if open_type is not None:
-        close(len(tags))
+def extract_segments_batch(paths: list, tagset: Tagset) -> list[list[Segment]]:
+    """The typed segments of every path of a corpus, read in one pass over
+    the concatenated tags; only the Segment objects are built one by one."""
+    flat, firsts, starts, ends, legal = _chunks(paths, tagset)
+    sentence = np.searchsorted(firsts, starts, side="right") - 1
+    columns = (sentence, flat[starts], starts - firsts[sentence], ends - firsts[sentence], legal)
+    segments: list[list[Segment]] = [[] for _ in range(len(firsts))]
+    for k, tag, start, end, ok in zip(*(column.tolist() for column in columns)):
+        segments[k].append(Segment(tagset.parts[tag][1], start, end, ok))
     return segments
+
+
+def extract_segments(tags: list[int], tagset: Tagset) -> list[Segment]:
+    """The typed segments of one tag path: extract_segments_batch at B = 1."""
+    return extract_segments_batch([tags], tagset)[0]
+
+
+def _canonical_tags(size: int, starts, ends, heads, tagset: Tagset) -> np.ndarray:
+    """An O-filled path of size tags with each span [start, end) re-emitted
+    as canonical_run emits a run of the entity type of its tag in heads."""
+    outside = tagset.index_of(OUTSIDE)
+    runs = {t: canonical_run(tagset, t, 3) + canonical_run(tagset, t, 1) for t in tagset.entity_types}
+    codes = np.array([runs.get(t, [outside] * 4) for _, t in tagset.parts], dtype=np.intp)
+    begin, inside, last, single = codes[heads].T
+    lengths = ends - starts
+    out = np.full(size, outside, dtype=np.intp)
+    covered = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+    out[covered] = np.repeat(inside, lengths)
+    out[starts] = begin
+    out[ends - 1] = last
+    out[starts[lengths == 1]] = single[lengths == 1]
+    return out
 
 
 def segments_to_tags(segments: list[Segment], length: int, tagset: Tagset) -> list[int]:
     """Canonical tag path realizing the given (non-overlapping) segments."""
-    tags = [tagset.index_of("O")] * length
-    last_end = 0
+    spans = []  # start, end and a tag of the type of each segment, in order
     for seg in sorted(segments, key=lambda s: s.start):
-        if seg.start < last_end or seg.end > length:
+        if seg.start < (spans[-1][1] if spans else 0) or seg.end > length:
             raise ValueError("segments overlap or exceed the sentence")
-        last_end = seg.end
-        tags[seg.start : seg.end] = canonical_run(tagset, seg.entity_type, seg.end - seg.start)
-    return tags
+        spans.append((seg.start, seg.end, canonical_run(tagset, seg.entity_type, 1)[0]))
+    starts, ends, heads = np.array(spans, dtype=np.intp).reshape(-1, 3).T
+    return _canonical_tags(length, starts, ends, heads, tagset).tolist()
 
 
 def repair_segments(segments: list[Segment], strategy: str) -> list[Segment]:
@@ -101,9 +121,19 @@ def repair_segments(segments: list[Segment], strategy: str) -> list[Segment]:
     return segments
 
 
-def repair_tags(tags: list[int], tagset: Tagset, strategy: str) -> list[int]:
-    """Apply a repair strategy to a (possibly illegal) predicted path."""
+def repair_tags_batch(paths: list, tagset: Tagset, strategy: str) -> list[list[int]]:
+    """Apply a repair strategy to every (possibly illegal) predicted path of a
+    corpus: the kept segments are re-emitted into one O-filled array."""
     if strategy == "none":
-        return list(tags)
-    segments = repair_segments(extract_segments(tags, tagset), strategy)
-    return segments_to_tags(segments, len(tags), tagset)
+        return [list(tags) for tags in paths]
+    flat, firsts, starts, ends, legal = _chunks(paths, tagset)
+    repair_segments([], strategy)  # ValueError for an unknown strategy
+    kept = legal | (strategy != "discard")
+    out = _canonical_tags(flat.size, starts[kept], ends[kept], flat[starts[kept]], tagset).tolist()
+    bounds = [*firsts.tolist(), flat.size]
+    return [out[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def repair_tags(tags: list[int], tagset: Tagset, strategy: str) -> list[int]:
+    """Apply a repair strategy to one predicted path: repair_tags_batch at B = 1."""
+    return repair_tags_batch([tags], tagset, strategy)[0]

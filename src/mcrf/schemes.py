@@ -79,6 +79,22 @@ class Tagset:
             for index in path:
                 self.tag_of(index)
 
+    def concatenate(self, paths: list) -> tuple[np.ndarray, np.ndarray]:
+        """Every path's tags end to end in one intp array, and the position of
+        each path's first tag, after check_indices' checks (the first path
+        they refuse raises); a corpus of int lists is checked in one pass."""
+        try:
+            plain = all(map(len, paths)) and {int}.issuperset(map(type, chain.from_iterable(paths)))
+            flat = np.fromiter(chain.from_iterable(paths), np.intp) if plain else None
+        except (TypeError, OverflowError):  # a path that is no sequence, or a huge index
+            flat = None
+        if flat is None or ((flat < 0) | (flat >= len(self.tags))).any():
+            for path in paths:
+                self.check_indices(path)
+            flat = np.fromiter(map(operator.index, chain.from_iterable(paths)), np.intp)
+        lengths = np.fromiter(map(len, paths), np.intp, len(paths))
+        return flat, np.cumsum(lengths) - lengths
+
     @cached_property
     def _indices(self) -> dict[str, int]:
         return {tag: i for i, tag in enumerate(self.tags)}
@@ -239,17 +255,35 @@ def first_violation(
     """Locate the first illegality in a path.
 
     Returns (position, human-readable rule) or None for a legal path.
-    Positions are 0-based; a start violation reports position 0.
+    Positions are 0-based; a start violation reports position 0. This is
+    illegal_steps at B = 1.
     """
-    tagset.check_indices(path)
+    flat, _, illegal = illegal_steps(tagset, [path], enforce_start)
+    if not illegal.any():
+        return None
+    t = int(illegal.argmax())
+    if t == 0:
+        return 0, f"{tagset.tags[flat[0]]} cannot start a sentence"
+    return t, f"{tagset.tags[flat[t - 1]]} -> {tagset.tags[flat[t]]} is not a legal transition"
+
+
+def illegal_steps(tagset: Tagset, paths: list, enforce_start: bool = True) -> tuple[np.ndarray, ...]:
+    """Tagset.concatenate's tags and first positions of a corpus, and for each
+    tag whether the move into it (at a path's first tag, its start) is illegal."""
+    flat, firsts = tagset.concatenate(paths)
     illegal_pair, illegal_start = tagset.rules.tables(tagset.size)
-    if enforce_start and illegal_start[path[0]]:
-        return 0, f"{tagset.tag_of(path[0])} cannot start a sentence"
-    for t in range(1, len(path)):
-        if illegal_pair[path[t - 1], path[t]]:
-            a, b = tagset.tag_of(path[t - 1]), tagset.tag_of(path[t])
-            return t, f"{a} -> {b} is not a legal transition"
-    return None
+    bad = np.zeros(flat.size, dtype=bool)
+    bad[1:] = illegal_pair[flat[:-1], flat[1:]]
+    bad[firsts] = illegal_start[flat[firsts]] & enforce_start
+    return flat, firsts, bad
+
+
+def _first_illegal(tagset: Tagset, paths: list, enforce_start: bool) -> int:
+    """Index of the first illegal path of a corpus (len(paths) when all are
+    legal); first_violation then words what is wrong with that one path."""
+    _, firsts, bad = illegal_steps(tagset, paths, enforce_start)
+    hits = np.flatnonzero(bad)
+    return int(np.searchsorted(firsts, hits[0], "right")) - 1 if hits.size else len(paths)
 
 
 def validate_gold_paths(
@@ -257,9 +291,14 @@ def validate_gold_paths(
 ) -> None:
     """Raise DataError at the first illegal or unusable gold path, naming the
     1-based sentence (and position); name (e.g. "dev ") prefixes it."""
-    for k, path in enumerate(paths):
+    paths = list(paths)
+    try:
+        start = _first_illegal(tagset, paths, enforce_start)
+    except ValueError:  # some path is unusable: an illegal one before it still comes first
+        start = 0
+    for k in range(start, len(paths)):
         try:
-            hit = first_violation(tagset, path, enforce_start=enforce_start)
+            hit = first_violation(tagset, paths[k], enforce_start=enforce_start)
         except ValueError as exc:
             raise DataError(f"{name}sentence {k + 1}: {exc}") from None
         if hit is not None:

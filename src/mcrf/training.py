@@ -38,7 +38,7 @@ from .encoder import EncoderWeights, Vocabulary, encode, encoder_backward, windo
 from .errors import ConfigurationError, DataError, TrainingError, check_seed
 from .evaluation import score_paths
 from .masking import DEFAULT_MASK_VALUE, MaskSpec, decode, mask_spec_for, reapply_mask_in_place
-from .postproc import extract_segments
+from .postproc import extract_segments_batch
 from .schemes import Tagset, validate_gold_paths
 
 BETA1 = 0.9
@@ -243,7 +243,7 @@ def train(
     train_tags = [np.asarray(s.gold, dtype=np.intp) for s in train_sentences]  # checked above
     train_lengths = np.array([len(tags) for tags in train_tags])
     dev_tags = [np.asarray(s.gold, dtype=np.intp) for s in dev_sentences]
-    gold_segments = [extract_segments(s.gold, tagset) for s in dev_sentences]
+    gold_segments = extract_segments_batch([s.gold for s in dev_sentences], tagset)
 
     n = len(train_sentences)
     batches_per_epoch = math.ceil(n / config.batch_size)

@@ -107,3 +107,56 @@ def dense_viterbi(emissions, scores, start):
     for t in range(1, len(tail)):
         path.append(int((scores[path[-1]] + tail[t]).argmax()))
     return path
+
+
+def python_extract_segments(tags, tagset):
+    """The conlleval reading of one tag path by a left-to-right pass over its
+    tags, one tag at a time: (entity type, start, end, legal) per segment.
+    I-X or E-X after an open chunk of type X continues it; E-X and S-X close
+    their chunk; any other tag closes the open chunk and, unless it is O,
+    opens its own. A segment is legal when the rule tables allow the move
+    into its first tag (or its start) and an O after its last tag. The
+    referee for the package's corpus-at-once extraction."""
+    parts = tagset.parts
+    illegal_pair, illegal_start = tagset.rules.tables(tagset.size)
+    illegal_end = illegal_pair[:, tagset.index_of("O")]
+    segments = []
+    open_type, open_start, open_legal = None, 0, True
+
+    def close(end):
+        legal = open_legal and not illegal_end[tags[end - 1]]
+        segments.append((open_type, open_start, end, bool(legal)))
+
+    for t, tag in enumerate(tags):
+        prefix, etype = parts[tag]
+        if etype != open_type or prefix not in ("I", "E"):  # no continuation
+            if open_type is not None:
+                close(t)
+            open_type = etype
+            if etype is None:
+                continue
+            open_start = t
+            open_legal = not (illegal_pair[tags[t - 1], tag] if t else illegal_start[tag])
+        if prefix in ("E", "S"):
+            close(t + 1)
+            open_type = None
+    if open_type is not None:
+        close(len(tags))
+    return segments
+
+
+def python_repair(tags, tagset, strategy):
+    """A repair strategy applied one segment at a time: every segment the
+    strategy keeps (all for retain, the legal ones for discard) is written
+    over an all-O path as B-X I-X ... (BIO) or S-X / B-X I-X ... E-X (BIOES);
+    none returns the tags."""
+    if strategy == "none":
+        return list(tags)
+    out = [tagset.index_of("O")] * len(tags)
+    for etype, start, end, legal in python_extract_segments(tags, tagset):
+        if legal or strategy == "retain":
+            names = ["B"] + ["I"] * (end - start - 1)
+            if tagset.scheme.value == "bioes":
+                names = ["S"] if end - start == 1 else names[:-1] + ["E"]
+            out[start:end] = [tagset.index_of(f"{p}-{etype}") for p in names]
+    return out

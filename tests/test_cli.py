@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcrf import cli, schemes
+from mcrf import cli, postproc, schemes
 from mcrf.cli import main
 from mcrf.data import (
     LabeledSentence,
@@ -306,10 +306,10 @@ class TestTrain:
         assert built[1] == replace(SyntheticConfig(), sentences=200)
 
 
-def bias_model(tmp_path, mode):
+def bias_model(tmp_path, mode, scheme=Scheme.BIO):
     """A hand-built model whose every position prefers I-LOC: in crf mode the
     raw decode is illegal, under masking it cannot be."""
-    tagset = build_tagset(Scheme.BIO, ["LOC"])
+    tagset = build_tagset(scheme, ["LOC"])
     vocab = Vocabulary.from_tokens(["a", "b"])
     encoder = EncoderWeights.zeros(vocab.size, 2, tagset.size)
     encoder.bias[tagset.index_of("I-LOC")] = 1.0
@@ -678,6 +678,42 @@ class TestLongSentence:
         assert paths == [constrained_viterbi(e, model.trans, spec) for e in corpus]
         deep = apply_mask(model.trans, replace(spec, mask_value=-1e12))
         assert paths == [viterbi(e, deep) for e in corpus]
+
+
+class TestCorpusAtOnce:
+    def test_predict_and_eval_make_no_per_sentence_calls(self, tmp_path, monkeypatch):
+        """On a corpus whose every gold path is legal, predict --strategy
+        retain and eval --gold/--pred extract, repair and check legality once
+        per corpus: no call of the one-path extract_segments, repair_tags or
+        first_violation, where there used to be one per sentence."""
+        model_path, _ = bias_model(tmp_path, "crf", Scheme.BIOES)
+        data = tmp_path / "in.conll"
+        data.write_text("a\tB-LOC\nb\tE-LOC\n\nb\tS-LOC\n\na\tO\nb\tB-LOC\na\tE-LOC\n\n" * 4)
+        calls = {}
+        for module_name, name in (("postproc", "extract_segments"), ("postproc", "repair_tags"),
+                                  ("schemes", "first_violation")):
+            original = getattr(sys.modules[f"mcrf.{module_name}"], name)
+            calls[name] = 0
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module_key, module in list(sys.modules.items()):
+                if module_key.split(".")[0] == "mcrf" and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+        pred = tmp_path / "pred.conll"
+        assert main(["predict", "--model", model_path, "--data", str(data),
+                     "--strategy", "retain", "--out", str(pred)]) == 0
+        assert main(["eval", "--gold", str(data), "--pred", str(pred), "--scheme", "bioes",
+                     "--types", "1", "--strategy", "retain"]) == 0
+        assert calls == {"extract_segments": 0, "repair_tags": 0, "first_violation": 0}
+        assert "B-LOC\tB-LOC\nb\tE-LOC\tE-LOC" in pred.read_text()  # the raw I-LOC path, repaired
+        tagset = build_tagset(Scheme.BIO, ["LOC"])  # the counters are live
+        postproc.extract_segments([0], tagset)
+        postproc.repair_tags([0], tagset, "retain")
+        schemes.first_violation(tagset, [0])
+        assert calls == {"extract_segments": 1, "repair_tags": 1, "first_violation": 1}
 
 
 class TestEval:

@@ -93,6 +93,32 @@ class TestReadConll:
         with pytest.raises(DataError):
             read_conll(str(path), BIO1)
 
+    def test_first_error_in_file_order_wins(self, tmp_path):
+        """Gold paths are checked once the whole file is read; an illegal
+        path before an unreadable line is still the error, and the other
+        way round."""
+        path = tmp_path / "bad.conll"
+        path.write_text("a\tI-PER\n\nb\tB-ORG\n")
+        with pytest.raises(DataError) as err:
+            read_conll(str(path), BIO1)
+        assert str(err.value) == (
+            f"{path}:1: sentence 1, position 1: illegal gold path (I-PER cannot start a sentence)"
+        )
+        path.write_text("a\tB-ORG\n\nb\tI-PER\n")
+        with pytest.raises(FormatError) as err:
+            read_conll(str(path), BIO1)
+        assert str(err.value) == f"{path}:1: unknown tag 'B-ORG' (tagset: ['O', 'B-PER', 'I-PER'])"
+
+    def test_violation_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.conll"
+        path.write_text("a\tO\nb\tB-PER\n\nc\tO\n\n \t\nd\tO\ne\tB-PER\nf\tO\ng\tI-PER\n")
+        with pytest.raises(DataError) as err:
+            read_conll(str(path), BIO1)
+        assert str(err.value) == (
+            f"{path}:10: sentence 3, position 4: illegal gold path "
+            "(O -> I-PER is not a legal transition)"
+        )
+
     def test_validate_false_admits_illegal_paths(self, tmp_path):
         path = tmp_path / "pred.conll"
         path.write_text("a\tO\nb\tI-PER\n")
@@ -205,6 +231,29 @@ class TestWriteConll:
             with pytest.raises(ValueError, match=f"^sentence 2: prediction of {size} tags for 2 tokens$"):
                 write_conll(str(path), sentences, BIO1, predictions=[[0, 0], bad])
             assert not path.exists()
+
+
+    def test_bad_tag_index_is_refused_before_the_file_opens(self, tmp_path):
+        """Prediction [7] for sentence 2 overwrote the file with sentence 1,
+        then raised; [1.0] did the same ending in a bare TypeError, and
+        [True] was written as B-PER."""
+        sentences = [LabeledSentence(["a"], [0]), LabeledSentence(["b"], [0])]
+        path = tmp_path / "out.conll"
+        path.write_text("old\n")
+        for bad, message in (
+            ([7], "tag index 7 out of range [0, 3)"),
+            ([1.0], "non-integer tag index ('float' object cannot be interpreted as an integer)"),
+            ([True], "non-integer tag index (a bool is not a tag index)"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                write_conll(str(path), sentences, BIO1, predictions=[[0], bad])
+            assert path.read_text() == "old\n"
+        broken = [LabeledSentence(["a"], [0]), LabeledSentence(["b"], [5])]
+        with pytest.raises(ValueError, match=r"^tag index 5 out of range"):
+            write_conll(str(path), broken, BIO1)
+        with pytest.raises(ValueError, match=r"^non-integer tag index"):  # file order
+            write_conll(str(path), broken, BIO1, predictions=[[0.5], [0]])
+        assert path.read_text() == "old\n"
 
 
 class TestLabeledSentence:

@@ -6,8 +6,18 @@ import re
 import numpy as np
 import pytest
 
-from mcrf.postproc import Segment, extract_segments, repair_tags, segments_to_tags
+from mcrf.data import SyntheticConfig, generate_synthetic
+from mcrf.postproc import (
+    STRATEGIES,
+    Segment,
+    extract_segments,
+    extract_segments_batch,
+    repair_tags,
+    repair_tags_batch,
+    segments_to_tags,
+)
 from mcrf.schemes import Scheme, build_tagset, first_violation
+from oracles import python_extract_segments, python_repair
 
 BIO = build_tagset(Scheme.BIO, ["LOC", "MISC", "PER"])
 BIOES = build_tagset(Scheme.BIOES, ["LOC", "PER"])
@@ -244,3 +254,87 @@ class TestRepair:
             legal_before = [s.span for s in extract_segments(tags, BIO) if s.legal]
             after = extract_segments(repair_tags(tags, BIO, "discard"), BIO)
             assert [s.span for s in after] == legal_before
+
+
+def every_short_path(tagset, seed):
+    """Every path of length 1-6 while d^T stays within 30,000 (so 1-5 at
+    d = 7, 1-4 at d = 9 and 13), in seeded order: a corpus whose sentences of
+    every length, 1-token ones included, stand side by side."""
+    lengths = [n for n in range(1, 7) if tagset.size**n <= 30_000]
+    paths = [list(path) for n in lengths
+             for path in itertools.product(range(tagset.size), repeat=n)]
+    return [paths[i] for i in np.random.default_rng(seed).permutation(len(paths))]
+
+
+def assert_matches_the_referee(corpus, tagset):
+    """Batch extraction and every repair strategy over the whole corpus at
+    once give, sentence by sentence, what the per-token referee gives."""
+    expected = [python_extract_segments(path, tagset) for path in corpus]
+    got = extract_segments_batch(corpus, tagset)
+    assert [[(s.entity_type, s.start, s.end, s.legal) for s in segs] for segs in got] == expected
+    for strategy in STRATEGIES:
+        assert repair_tags_batch(corpus, tagset, strategy) == [
+            python_repair(path, tagset, strategy) for path in corpus
+        ], strategy
+
+
+class TestCorpusAtOnce:
+    """The corpus-at-once extraction and repair against the per-token
+    referee in tests/oracles.py."""
+
+    @pytest.mark.parametrize("scheme", [Scheme.BIO, Scheme.BIOES])
+    @pytest.mark.parametrize("types", [1, 2, 3])
+    def test_every_short_path(self, scheme, types):
+        tagset = build_tagset(scheme, ["A", "B", "C"][:types])
+        assert_matches_the_referee(every_short_path(tagset, types), tagset)
+
+    def test_random_corpora_at_41_tags(self):
+        """BIOES with 10 types: tag soup of lengths 1-60, and synthetic gold
+        paths with a tenth of their tags redrawn."""
+        config = SyntheticConfig(
+            entity_types=tuple(f"T{i}" for i in range(10)), scheme=Scheme.BIOES,
+            sentences=300, min_length=1, max_length=60,
+        )
+        tagset, sentences = generate_synthetic(config, 3)
+        assert tagset.size == 41
+        rng = np.random.default_rng(5)
+        soup = [rng.integers(0, 41, size=int(rng.integers(1, 61))).tolist() for _ in range(300)]
+        noisy = []
+        for sent in sentences:
+            path = np.array(sent.gold)
+            redraw = rng.random(path.size) < 0.1
+            path[redraw] = rng.integers(0, 41, size=int(redraw.sum()))
+            noisy.append(path.tolist())
+        for corpus in (soup, noisy, [s.gold for s in sentences]):
+            assert_matches_the_referee(corpus, tagset)
+
+    def test_single_path_forms_are_the_batch_at_one(self):
+        rng = np.random.default_rng(11)
+        for tagset in (BIO, BIOES):
+            corpus = [rng.integers(0, tagset.size, size=int(rng.integers(1, 9))).tolist()
+                      for _ in range(50)]
+            assert [extract_segments(p, tagset) for p in corpus] == extract_segments_batch(
+                corpus, tagset)
+            for strategy in STRATEGIES:
+                assert [repair_tags(p, tagset, strategy) for p in corpus] == repair_tags_batch(
+                    corpus, tagset, strategy)
+
+    def test_empty_corpus(self):
+        assert extract_segments_batch([], BIOES) == []
+        for strategy in STRATEGIES:
+            assert repair_tags_batch([], BIOES, strategy) == []
+
+    def test_first_bad_path_raises_its_own_message(self):
+        """The first path in order that check_indices refuses raises its
+        message, unchanged."""
+        for corpus, message in (
+            ([[0], [0, BIO.size], [-1]], f"tag index {BIO.size} out of range"),
+            ([[0], [], [True]], "empty path"),
+            ([[0], [1.0], []], "non-integer tag index"),
+            ([[0], 3, [0]], "not a sequence of tags (int)"),
+            ([[0], [2**70]], "tag index 1180591620717411303424 out of range"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                extract_segments_batch(corpus, BIO)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                repair_tags_batch(corpus, BIO, "retain")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mcrf.errors import ConfigurationError
+from mcrf.errors import ConfigurationError, DataError
 from mcrf.schemes import (
     Scheme,
     TransitionRuleSet,
@@ -14,6 +14,7 @@ from mcrf.schemes import (
     illegal_transition_set,
     is_legal_start,
     is_legal_transition,
+    validate_gold_paths,
 )
 
 
@@ -291,3 +292,37 @@ class TestFirstViolation:
             with pytest.raises(ValueError, match="non-integer tag index"):
                 first_violation(ts, path)
         assert first_violation(ts, np.array([0, 1])) is None
+
+
+class TestValidateGoldPaths:
+    """One gather over the concatenated paths finds the first bad sentence;
+    first_violation words it, so each message is the sentence's own."""
+
+    BIO1 = build_tagset(Scheme.BIO, ["PER"])
+
+    @pytest.mark.parametrize("bad, message", [
+        ([], "dev sentence 2: empty path"),
+        ([0, 0.5], "dev sentence 2: non-integer tag index "
+                   "('float' object cannot be interpreted as an integer)"),
+        ([0, 5], "dev sentence 2: tag index 5 out of range [0, 3)"),
+        (7, "dev sentence 2: not a sequence of tags (int)"),
+        ([0, 2], "dev sentence 2, position 2: illegal gold path "
+                 "(O -> I-PER is not a legal transition)"),
+        ([2], "dev sentence 2, position 1: illegal gold path (I-PER cannot start a sentence)"),
+    ])
+    def test_messages(self, bad, message):
+        for paths in ([[0, 1], bad, [0]], ([0, 1], bad, [0, 5])):
+            with pytest.raises(DataError) as err:
+                validate_gold_paths(self.BIO1, iter(paths), name="dev ")
+            assert str(err.value) == message
+
+    def test_first_bad_sentence_in_order_wins(self):
+        illegal, unusable = [0, 2], [0, 9]
+        with pytest.raises(DataError, match=r"^sentence 2, position 2: illegal gold path"):
+            validate_gold_paths(self.BIO1, [[0], illegal, [1], unusable])
+        with pytest.raises(DataError, match=r"^sentence 2: tag index 9 out of range"):
+            validate_gold_paths(self.BIO1, [[0], unusable, [1], illegal])
+
+    def test_start_rule_only_when_enforced(self):
+        validate_gold_paths(self.BIO1, [[0], [2, 2]], enforce_start=False)
+        validate_gold_paths(self.BIO1, [])
