@@ -57,7 +57,11 @@ def _decode_data(args: argparse.Namespace):
         emissions = _logits(args.emissions, model.tagset, sentences)
     else:
         emissions = model.emissions(sentences)
-    return model, sentences, decode(emissions, model.trans, model.mask_spec)
+    try:
+        return model, sentences, decode(emissions, model.trans, model.mask_spec)
+    except ValueError as exc:  # finite scores whose sums leave the float range: name the files
+        files = " and ".join(f for f in (args.model, args.emissions) if f is not None)
+        raise DataError(f"{files}: {exc}") from None
 
 
 def cmd_train(args: argparse.Namespace) -> int:

@@ -10,11 +10,11 @@ TransitionMatrix.zeros gives a zero start vector, which contributes nothing.
 
 One float64 engine runs forward-backward over a left-aligned, zero-padded,
 time-major (T, B, d) batch, so each step works on one contiguous (B, d)
-block; one sentence is a batch of one. A list of (emissions, gold) pairs is
-padded by a loop over its sentences and gets one (T_k, d) gradient per
-sentence; a TokenBatch, as training draws it, is checked and padded by a
-fixed number of numpy calls and gets one (N, d) gradient. Both give the same
-bits. The forward pass is a scaled
+block; one sentence is a batch of one, already in that layout. Both batch
+forms, a list of (emissions, gold) pairs and a TokenBatch as training draws
+it, are read as their checked token batch (_tokens) and padded by one
+function (_padded); a list's (N, d) emission gradient is split per sentence.
+The forward pass is a scaled
 log-matmul-exp: with r the row maxima of a and K = exp(a - r[:, None]) (entries
 <= 1, masked ones exact zeros), m = max_i(alpha_{t-1,i} + r_i), u_t =
 exp(alpha_{t-1} + r - m), v_t = u_t @ K, alpha_t = l_t + m + log v_t. Its
@@ -124,8 +124,8 @@ class TransitionMatrix:
 class CrfGradients:
     """Gradients of the batch-averaged NLL.
 
-    emissions holds one (T_i, d) array per sentence of a list batch, or one
-    (N, d) array, row for row, for a TokenBatch; transitions and start match
+    emissions is a TokenBatch's (N, d) gradient, row for row, split into one
+    (T_k, d) array per sentence for a list batch; transitions and start match
     TransitionMatrix. Every array is already divided by the batch size.
     """
 
@@ -137,8 +137,9 @@ class CrfGradients:
 @dataclass
 class TokenBatch:
     """A token-major batch: the sentences' emissions concatenated (N, d),
-    their lengths (B,) and their gold tags concatenated (N,). It iterates as
-    its (emissions, gold) pairs, so the oracles read it too."""
+    their lengths (B,) and their gold tags concatenated (N,), the form in
+    which the engine and the oracles read every batch. It iterates as its
+    (emissions, gold) pairs."""
 
     emissions: np.ndarray
     lengths: np.ndarray
@@ -150,55 +151,14 @@ class TokenBatch:
         self.tags = np.asarray(self.tags)
 
     def __len__(self) -> int:
-        return self.lengths.size  # _padded names lengths that are not (B,)
+        return self.lengths.size  # _tokens names lengths that are not (B,)
 
     def __iter__(self):
-        # _padded's checks at the emissions' own width: split would cut rows
+        # the engine's checks at the emissions' own width: split would cut rows
         # that disagree with the lengths into pairs silently
-        *_, lengths = self._padded(self.emissions.shape[1] if self.emissions.ndim == 2 else 0)
+        _, lengths, _ = _tokens(self, self.emissions.shape[1] if self.emissions.ndim == 2 else 0)
         bounds = np.cumsum(lengths)[:-1]
         return zip(np.split(self.emissions, bounds), np.split(self.tags, bounds))
-
-    def _padded(self, d: int) -> tuple[np.ndarray, ...]:
-        """Checked against d tags, before any allocation and in numpy calls
-        whose number does not grow with the batch: the padded (T, B, d)
-        emissions, (B, T) tags, each token's padded row, and the (B,) intp
-        lengths."""
-        lengths, tags, emissions = self.lengths, self.tags, self.emissions
-        # the sum is a Python int: an intp one can wrap to N (and crash np.repeat)
-        if lengths.ndim != 1 or lengths.dtype.kind not in "iu" or sum(lengths.tolist()) > _MAX_INTP:
-            raise ValueError(
-                f"lengths of shape {lengths.shape} and dtype {lengths.dtype}, "
-                f"need (B,) integers with an intp sum"
-            )
-        if lengths.min() < 1:
-            k = int((lengths < 1).argmax())
-            raise ValueError(f"sentence {k + 1}: gold path of length {lengths[k]}, need T >= 1")
-        lengths = lengths.astype(np.intp, copy=False)  # exact: each is at most the sum
-        ends = np.cumsum(lengths)
-        B, T, N = len(lengths), int(lengths.max()), int(ends[-1])
-        if emissions.shape != (N, d):
-            raise ValueError(
-                f"emissions of shape {emissions.shape}, need ({N}, {d}) for {B} sentences"
-            )
-        if tags.shape != (N,) or tags.dtype.kind not in "iu":
-            raise ValueError(
-                f"gold tags of shape {tags.shape} and dtype {tags.dtype}, "
-                f"need ({N},) integer tags"
-            )
-        tags = tags.astype(np.intp, copy=False)
-        wrapped = tags.view(np.uintp)  # a negative tag wraps to a huge unsigned one
-        if wrapped.max() >= d:
-            k = int(np.searchsorted(ends, (wrapped >= d).argmax(), side="right"))
-            raise ValueError(f"sentence {k + 1}: gold path has a tag index out of range [0, {d})")
-        sentence = np.repeat(np.arange(B), lengths)
-        position = np.arange(N) - (ends - lengths)[sentence]
-        rows = position * B + sentence
-        padded = np.zeros((T * B, d))  # pad cells stay exactly 0.0
-        padded[rows] = emissions
-        grid = np.zeros(B * T, dtype=np.intp)
-        grid[sentence * T + position] = tags
-        return padded.reshape(T, B, d), grid.reshape(B, T), rows, lengths
 
 
 def logsumexp(x: np.ndarray, axis: int | None = None) -> np.ndarray | float:
@@ -232,19 +192,50 @@ def _length(path) -> int | None:
         return None
 
 
-def _pairs(batch: Batch, d: int) -> tuple[list[np.ndarray], list[int], np.ndarray]:
-    """A list batch's (T_k, d) emissions, their lengths and its padded gold
-    tags, checked as every entry point that takes a list batch checks them."""
-    sentences = [_sentence(em, d, k, _length(gold)) for k, (em, gold) in enumerate(batch)]
-    sizes = [len(em) for em in sentences]  # a list: max and zip over it are cheap at B = 1
-    return sentences, sizes, _gold([gold for _, gold in batch], sizes, d)
+def _tokens(batch: Batch | TokenBatch, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Either batch form as its checked token batch: the (N, d) emissions,
+    (B,) intp lengths and (N,) intp gold tags. A list batch is checked pair
+    by pair, a TokenBatch before any allocation and in numpy calls whose
+    number does not grow with the batch."""
+    if not batch:
+        raise ValueError("empty batch")
+    if not isinstance(batch, TokenBatch):
+        sentences = [_sentence(em, d, k, _length(gold)) for k, (em, gold) in enumerate(batch)]
+        sizes = [len(em) for em in sentences]  # a list: sum and zip over it are cheap at B = 1
+        gold = _gold([gold for _, gold in batch], sizes, d)
+        return np.concatenate(sentences), np.array(sizes, dtype=np.intp), gold
+    lengths, tags, emissions = batch.lengths, batch.tags, batch.emissions
+    # the sum is a Python int: an intp one can wrap to N (and crash np.repeat)
+    if lengths.ndim != 1 or lengths.dtype.kind not in "iu" or sum(lengths.tolist()) > _MAX_INTP:
+        raise ValueError(
+            f"lengths of shape {lengths.shape} and dtype {lengths.dtype}, "
+            f"need (B,) integers with an intp sum"
+        )
+    if lengths.min() < 1:
+        k = int((lengths < 1).argmax())
+        raise ValueError(f"sentence {k + 1}: gold path of length {lengths[k]}, need T >= 1")
+    lengths = lengths.astype(np.intp, copy=False)  # exact: each is at most the sum
+    B, N = len(lengths), int(lengths.sum())
+    if emissions.shape != (N, d):
+        raise ValueError(
+            f"emissions of shape {emissions.shape}, need ({N}, {d}) for {B} sentences"
+        )
+    if tags.shape != (N,) or tags.dtype.kind not in "iu":
+        raise ValueError(
+            f"gold tags of shape {tags.shape} and dtype {tags.dtype}, "
+            f"need ({N},) integer tags"
+        )
+    tags = tags.astype(np.intp, copy=False)
+    _check_range(tags, lengths, d)
+    return emissions, lengths, tags
 
 
 def _gold(paths: list, lengths: list[int], d: int) -> np.ndarray:
     """The gold paths of a batch, each of its sentence's length and of integer
-    tags in [0, d), left-aligned in a zero-padded (B, max T) array: the one
-    gold check of every entry point that scores a given path."""
-    tags = np.zeros((len(paths), max(lengths)), dtype=np.intp)
+    tags in [0, d), concatenated into one (N,) intp array: the one gold check
+    of every entry point that scores a given path."""
+    tags = np.empty(sum(lengths), dtype=np.intp)
+    lo = 0
     for k, (path, T) in enumerate(zip(paths, lengths)):
         # asarray reads a list of ints and bools as ints, and refuses a ragged one
         if isinstance(path, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, path)):
@@ -262,12 +253,36 @@ def _gold(paths: list, lengths: list[int], d: int) -> np.ndarray:
                 f"sentence {k + 1}: gold path of shape {path.shape} and dtype {path.dtype}, "
                 f"need ({T},) integer tags"
             )
-        tags[k, :T] = path
+        tags[lo : lo + T] = path
+        lo += T
+    _check_range(tags, lengths, d)
+    return tags
+
+
+def _check_range(tags: np.ndarray, lengths: list[int] | np.ndarray, d: int) -> None:
+    """Refuse the first sentence whose (N,) intp gold tags leave [0, d)."""
     wrapped = tags.view(np.uintp)  # a negative tag wraps to a huge unsigned one
     if wrapped.max() >= d:
-        k = int((wrapped >= d).any(axis=1).argmax())
+        k = int(np.searchsorted(np.cumsum(lengths), (wrapped >= d).argmax(), side="right"))
         raise ValueError(f"sentence {k + 1}: gold path has a tag index out of range [0, {d})")
-    return tags
+
+
+def _padded(emissions: np.ndarray, lengths: np.ndarray, tags: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A checked token batch as the engine reads it: the left-aligned,
+    zero-padded (T, B, d) emissions, the (B, T) gold tags and each token's
+    row of the (T * B, d) view, in numpy calls whose number does not grow
+    with the batch."""
+    if len(lengths) == 1:  # a batch of one is time-major as it stands
+        return emissions[:, None], tags[None], np.arange(len(tags))
+    (N, d), B, T = emissions.shape, len(lengths), int(lengths.max())
+    sentence = np.repeat(np.arange(B), lengths)
+    position = np.arange(N) - (np.cumsum(lengths) - lengths)[sentence]
+    rows = position * B + sentence
+    padded = np.zeros((T * B, d))  # pad cells stay exactly 0.0
+    padded[rows] = emissions
+    grid = np.zeros(B * T, dtype=np.intp)
+    grid[sentence * T + position] = tags
+    return padded.reshape(T, B, d), grid.reshape(B, T), rows
 
 
 def _not_finite(k: int, what: str, *inputs: np.ndarray) -> ValueError:
@@ -287,7 +302,7 @@ _NO_FINITE_PATH = "the best path score is -inf"  # every (legal) path of a decod
 def path_score(emissions: np.ndarray, trans: TransitionMatrix, path: list[int]) -> float:
     """Score of one path: start + emissions along the path + transitions."""
     emissions = _sentence(emissions, trans.num_tags)
-    score = _score(emissions, trans, _gold([path], [len(emissions)], trans.num_tags)[0])
+    score = _score(emissions, trans, _gold([path], [len(emissions)], trans.num_tags))
     if not math.isfinite(score):
         raise _not_finite(0, f"path score of {score}")
     return score
@@ -301,7 +316,6 @@ def _score(emissions: np.ndarray, trans: TransitionMatrix, tags: np.ndarray) -> 
     return float(score)
 
 
-@np.errstate(divide="ignore", invalid="ignore")
 def _forward_backward(
     emissions: np.ndarray, lengths: np.ndarray, trans: TransitionMatrix, gradients: bool
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
@@ -311,9 +325,10 @@ def _forward_backward(
     end, and the backward pass starts there.
 
     A row whose alpha is all -inf gets the shift _LOWEST, not -inf, so it
-    takes the log-space step and its log Z is -inf; its marginals are nan,
-    and every caller refuses a log Z that is not finite, so numpy's
-    warnings on the way there are silenced."""
+    takes the log-space step and its log Z is -inf; its marginals are nan.
+    Every caller refuses a log Z that is not finite, and silences numpy's
+    warnings on the way there (log 0, -inf - -inf, sums past the float
+    range)."""
     T, B, d = emissions.shape
     r = trans.scores.max(axis=1, initial=_LOWEST)  # a row of -inf: K's row is 0, not nan
     K = np.exp(trans.scores - r[:, None])
@@ -358,30 +373,23 @@ def _forward_backward(
     return log_z, gamma, counts
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a loss that is not finite: below
 def _batch_nll(batch: Batch | TokenBatch, trans: TransitionMatrix, gradients: bool):
     """Mean NLL over the padded batch and, with gradients, CrfGradients;
     without them, the (B,) per-sentence NLLs log Z_k - s(gold_k). Its gold
     tags are a C-ordered, zero-padded (B, T) array: the gold emissions are
     summed in that order, and another order moves the loss's last bit; so
-    the mean is not summed from the per-sentence NLLs either.
+    the mean is not summed from the per-sentence NLLs either, unless the
+    batch sums leave the float range while every NLL is finite.
 
     Sentence k's NLL has the bits nll_loss gives it alone when the batch is
     padded to fewer than 8 positions (numpy sums 8 or more terms pairwise)
     and row k of the engine's (B, d) @ (d, d) products has the bits of a
     (1, d) product. On OpenBLAS 0.3.31 that holds at d = 2 and 3; at d >= 4
     the rows differ in their last bits."""
-    if not batch:
-        raise ValueError("empty batch")
     d, n = trans.num_tags, len(batch)
-    tokens = isinstance(batch, TokenBatch)
-    if tokens:
-        emissions, tags, rows, lengths = batch._padded(d)
-    else:
-        sentences, sizes, tags = _pairs(batch, d)
-        lengths = np.array(sizes)
-        emissions = np.zeros((max(sizes), n, d))
-        for k, em in enumerate(sentences):
-            emissions[: sizes[k], k] = em
+    tokens, lengths, tags = _tokens(batch, d)
+    emissions, tags, rows = _padded(tokens, lengths, tags)
     log_z, d_em, counts = _forward_backward(emissions, lengths, trans, gradients)
     cells = np.arange(tags.shape[1]), np.arange(n)[:, None], tags  # (B, T) gold cells
     steps = np.arange(1, tags.shape[1]) < lengths[:, None]  # (B, T - 1) moves in a sentence
@@ -389,26 +397,27 @@ def _batch_nll(batch: Batch | TokenBatch, trans: TransitionMatrix, gradients: bo
     gold_em, move_scores = emissions[cells], trans.scores.ravel()[moves]
     starts = trans.start[tags[:, 0]]
     gold = gold_em.sum() + move_scores[steps].sum()
-    # Python floats: -inf - -inf is nan without a warning
     loss = (float(log_z.sum()) - float(gold) - float(starts.sum())) / n
     if not gradients or not math.isfinite(loss):
-        with np.errstate(invalid="ignore"):  # inf - inf: a sentence refused below
-            gold_moves = np.where(steps, move_scores, 0.0).sum(axis=1)
-            nlls = log_z - (gold_em.sum(axis=1) + gold_moves) - starts
-        if not math.isfinite(loss):
-            k = int(np.isfinite(nlls).argmin())  # the first sentence whose own NLL is not finite
-            raise _not_finite(k, f"loss of {loss}", emissions[:, k], trans.scores, trans.start)
+        gold_moves = np.where(steps, move_scores, 0.0).sum(axis=1)
+        nlls = log_z - (gold_em.sum(axis=1) + gold_moves) - starts
+        if not math.isfinite(loss) and np.isfinite(nlls).all():  # only the sums overflowed
+            loss = float((nlls / n).sum())
+    if not math.isfinite(loss):
+        k = int(np.isfinite(nlls).argmin())  # the first sentence whose own NLL is not finite
+        raise _not_finite(k, f"loss of {loss}", emissions[:, k], trans.scores, trans.start)
+    if not gradients:
         return loss, nlls
     d_em[cells] -= 1.0
     d_em /= n
     d_trans = (counts - np.bincount(moves[steps], minlength=d * d).reshape(d, d)) / n
-    if tokens:
-        d_emissions = d_em.reshape(-1, d)[rows]
-    else:
-        d_emissions = [d_em[:size, k] for k, size in enumerate(sizes)]
+    d_emissions = d_em.reshape(-1, d)[rows]
+    if not isinstance(batch, TokenBatch):
+        d_emissions = np.split(d_emissions, np.cumsum(lengths)[:-1])
     return loss, CrfGradients(d_emissions, d_trans, d_em[0].sum(axis=0))
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a log Z that is not finite: below
 def log_partition(emissions: np.ndarray, trans: TransitionMatrix) -> float:
     """log Z: log-sum-exp of all d^T path scores, the engine at B = 1."""
     emissions = _sentence(emissions, trans.num_tags)[:, None]
@@ -439,6 +448,7 @@ def loss_and_gradients(
     return _batch_nll(batch, trans, gradients=True)
 
 
+@np.errstate(over="ignore")  # a table past the float range is refused below
 def viterbi_batch(
     emissions_list: list[np.ndarray],
     trans: TransitionMatrix,
@@ -612,19 +622,16 @@ def brute_force_loss_and_gradients(
     are probability-weighted feature counts minus gold counts, exactly as in
     the analytic form but without any dynamic program.
     """
-    if not batch:
-        raise ValueError("empty batch")
     d = trans.num_tags
-    if isinstance(batch, TokenBatch):
-        batch._padded(d)  # the engine's checks, before the batch is read as its pairs
-    n = len(batch)
+    tokens, lengths, golds = _tokens(batch, d)
+    n = len(lengths)
     d_trans = np.zeros((d, d))
     d_start = np.zeros(d)
     d_emissions: list[np.ndarray] = []
     total = 0.0
-    sentences, sizes, golds = _pairs(batch, d)
-    for k, (emissions, T) in enumerate(zip(sentences, sizes)):
-        tags = golds[k, :T]
+    bounds = np.cumsum(lengths)[:-1]
+    for k, (emissions, tags) in enumerate(zip(np.split(tokens, bounds), np.split(golds, bounds))):
+        T = len(tags)
         log_z = _enumerated_log_z(emissions, trans, rules)
         loss = log_z - _score(emissions, trans, tags)
         if not math.isfinite(loss):  # so are log Z and every path score under it

@@ -90,6 +90,10 @@ def chunk_prf(gold: list[list[Segment]], pred: list[list[Segment]]) -> ChunkMetr
 def illegal_stats(gold: list[list[Segment]], pred: list[list[Segment]]) -> IllegalStats:
     """Cross-classify predicted segments: (legal vs illegal) x (TP vs FP)."""
     _check_sentences(gold, pred)
+    return _illegal_stats(gold, pred)
+
+
+def _illegal_stats(gold: list[list[Segment]], pred: list[list[Segment]]) -> IllegalStats:
     counts = {(True, True): 0, (True, False): 0, (False, True): 0, (False, False): 0}
     for gold_segs, pred_segs in zip(gold, pred):
         gold_spans = {s.span for s in gold_segs}
@@ -113,7 +117,8 @@ def score_paths(
     illegal-segment counts of the raw paths (which repair would hide)."""
     raw_segments = extract_segments_batch(raw_paths, tagset)
     pred_segments = [repair_segments(segments, strategy) for segments in raw_segments]
-    return chunk_prf(gold_segments, pred_segments), illegal_stats(gold_segments, raw_segments)
+    # one check, in chunk_prf: repair keeps some of each sentence's extracted segments
+    return chunk_prf(gold_segments, pred_segments), _illegal_stats(gold_segments, raw_segments)
 
 
 def format_report(metrics: ChunkMetrics, stats: IllegalStats) -> str:

@@ -580,6 +580,16 @@ class TestTokenBatch:
         np.testing.assert_allclose(grads.emissions, np.vstack(bf.emissions), atol=1e-12)
         np.testing.assert_allclose(grads.transitions, bf.transitions, atol=1e-12)
         np.testing.assert_allclose(grads.start, bf.start, atol=1e-12)
+        # the enumeration reads the list of the batch's sentences through the
+        # same conversion, to the same bits
+        pairs = [(em, gold.tolist()) for em, gold in batch]
+        list_loss, list_bf = brute_force_loss_and_gradients(pairs, trans)
+        assert same_bits(list_loss, bf_loss)
+        assert len(list_bf.emissions) == len(bf.emissions) == len(lengths)
+        for a, b in zip(list_bf.emissions, bf.emissions):
+            assert same_bits(a, b)
+        assert same_bits(list_bf.transitions, bf.transitions)
+        assert same_bits(list_bf.start, bf.start)
 
     def test_bad_batch_is_refused_naming_the_sentence(self):
         """The engine and the enumeration oracle refuse each bad batch with
@@ -674,6 +684,23 @@ class TestNonFinite:
             for fn in (nll_loss, loss_and_gradients):
                 with pytest.raises(ValueError, match="^sentence 2: loss of nan"):
                     fn(batch, self.TRANS)
+
+    def test_batch_sums_past_the_float_range_average_the_nlls(self):
+        """Two sentences of 1e308 emissions each have NLL 0.0, alone and by
+        enumeration, but the batch sums overflowed: a RuntimeWarning (an
+        error in these tests), then 'sentence 1: loss of nan'. When every
+        NLL is finite the loss is their mean, and so is the gradient."""
+        pair = (np.full((1, 3), 1e308), [0])
+        alone, alone_grads = loss_and_gradients([pair], self.TRANS)
+        assert alone == 0.0
+        for batch in ([pair, pair], TokenBatch(np.full((2, 3), 1e308), [1, 1], [0, 0])):
+            loss, grads = loss_and_gradients(batch, self.TRANS)
+            assert loss == nll_loss(batch, self.TRANS) == 0.0
+            assert brute_force_loss_and_gradients(batch, self.TRANS)[0] == 0.0
+            for row in np.vstack(grads.emissions):  # each half the batch's weight
+                assert same_bits(2 * row, alone_grads.emissions[0][0])
+            assert same_bits(grads.transitions, alone_grads.transitions)
+            assert same_bits(grads.start, alone_grads.start)
 
     def test_plus_inf_gets_one_verdict_from_engine_and_enumeration(self):
         """The engine's shifted recursion read +inf as nan (log Z of nan,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mcrf.evaluation
 from mcrf.evaluation import (
     ChunkMetrics,
     IllegalStats,
@@ -168,6 +169,24 @@ class TestScorePaths:
         assert (stats.legal_tp, stats.illegal_tp, stats.legal_fp, stats.illegal_fp) == (
             1, 1, 0, 1,
         )
+
+    def test_sentences_are_checked_once(self, monkeypatch):
+        """chunk_prf and illegal_stats each checked them, sorting every
+        sentence's spans twice per score_paths call."""
+        checks = []
+        original = mcrf.evaluation._check_sentences
+
+        def counting(gold, pred):
+            checks.append(len(pred))
+            return original(gold, pred)
+
+        monkeypatch.setattr(mcrf.evaluation, "_check_sentences", counting)
+        gold_segments, raw = self._paths()
+        for strategy in ("retain", "discard", "none"):
+            score_paths(gold_segments, raw, self.TAGSET, strategy)
+        assert len(checks) == 3
+        with pytest.raises(ValueError, match="^gold has 1 sentences, predictions have 2$"):
+            score_paths(gold_segments, raw * 2, self.TAGSET, "retain")
 
     def test_unknown_strategy_rejected(self):
         gold_segments, raw = self._paths()

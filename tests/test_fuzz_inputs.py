@@ -245,6 +245,36 @@ def test_model_files(model, tmp_path, mutation):
     run()
 
 
+@pytest.mark.parametrize("where", ["logits", "transition", "start and bias"])
+def test_huge_finite_scores(model, tmp_path, where):
+    """Finite scores whose path sums leave the float range, through predict:
+    the decode's refusal ended in a bare ValueError traceback, after an
+    overflow RuntimeWarning (an error in these tests). It is one error line
+    that names the files the scores came from."""
+    corpus, mutated, logits = tmp_path / "in.conll", tmp_path / "model.json", tmp_path / "in.logits"
+    corpus.write_text("w\tO\nx1\tB-LOC\nw\tO\n\nw\tO\n")
+    doc = json.loads(open(model, encoding="utf-8").read())
+    argv = ["predict", "--model", str(mutated), "--data", str(corpus),
+            "--out", str(tmp_path / "out.conll")]
+    sources = str(mutated)
+    if where == "logits":
+        logits.write_text("\n".join([HEADER, *["1e308\t0\t0"] * 3, "", "1e308\t0\t0", ""]))
+        argv += ["--emissions", str(logits)]
+        sources += f" and {logits}"
+    elif where == "transition":
+        doc["transitions"][0][0] = 1e308  # O -> O, twice in sentence 1
+    else:
+        doc["start"] = doc["encoder"]["bias"] = [1e308] * TAGSET.size
+    mutated.write_text(json.dumps(doc), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(argv) == 1
+    assert err.getvalue() == (
+        f"error: {sources}: sentence 1: a path score is inf, "
+        "need finite emissions and transition scores\n"
+    )
+
+
 # Library gold paths. Every entry point that takes a gold path must refuse an
 # unusable one with the error it owes, naming the sentence, and accept a
 # usable one: a nonempty flat sequence of integer tags (Python ints or numpy
