@@ -36,25 +36,25 @@ of the rows: each backward step computes
 tail[:k, t] = l[:k, t] + max_{legal j}(a[i, j] + tail[:k, t+1, j]) for those
 k rows only, as one gather of tail at the moves' successors, one add of their
 scores and one maximum.reduceat at each i's first move, and no padded cell is
-computed. The forward read-off takes first-occurrence argmax over the legal
-starts of start + tail at a sentence's first column and over the legal
-successors of a[prev] + tail after it; illegal entries are never read. Every
-cell sees the same float operations as a one-sentence recursion, so the paths
-do not depend on the batch, and the tie-break argument holds row by row:
-fixing earlier positions first, each to its smallest best tag, gives the
-lexicographically smallest best path. The corpus runs in chunks of at most
-_DECODE_CELLS float64 cells, counting the (b, T, d) table and the (b, moves)
-step temporary, so memory stays bounded however large the corpus is.
+computed. The forward read-off takes each running row's first-occurrence
+argmax of tail plus one row of a (d + 1, d) table: a[i] after tag i, the
+start scores (row d) before a sentence's first column, and -inf at every
+illegal entry, which is never read. Every cell sees the same float
+operations as a one-sentence recursion, so the paths do not depend on the
+batch, and the tie-break argument holds row by row: fixing earlier positions
+first, each to its smallest best tag, gives the lexicographically smallest
+best path. The corpus runs in chunks of at most _DECODE_CELLS float64 cells,
+counting the (b, T, d) table and the (b, moves) step: bounded memory.
 
 No entry point returns a loss or log Z that is not finite, or reads a path
-off NaN or +inf scores, or off a sentence whose every (legal) path scores
--inf: the loss, log Z or decode table it computes anyway is checked. A
-refused batch loss names the first sentence whose own NLL is not finite. A
-refused log Z or loss whose sentence's inputs hold +inf reads "a path score
-is inf", as the decoders do, from the engine and the enumeration alike. A
-sentence whose every path is -inf gets log Z = -inf without a warning: the
-forward step's shift is floored at the lowest finite float, so its rows stay
--inf rather than -inf - -inf.
+off NaN or +inf scores (a decoded sentence's table maximum or best score,
+start + first column), or off a sentence whose every (legal) path scores
+-inf. The first refused sentence in input order is named. A refused log Z,
+loss or path score reads "a path score is inf", as the decoders say it, when
+its sentence's inputs hold +inf, or are all finite and it is NaN or +inf
+(the sums left the float range). A sentence whose every path is -inf gets
+log Z = -inf without a warning: the forward step's shift is floored at the
+lowest finite float, so its rows stay -inf rather than -inf - -inf.
 
 The brute-force routines enumerate all d^T paths (optionally restricted to
 the legal subset defined by a TransitionRuleSet) in lexicographic order and
@@ -285,18 +285,20 @@ def _padded(emissions: np.ndarray, lengths: np.ndarray, tags: np.ndarray) -> tup
     return padded.reshape(T, B, d), grid.reshape(B, T), rows
 
 
-def _not_finite(k: int, what: str, *inputs: np.ndarray) -> ValueError:
-    """The ValueError for a non-finite loss, log Z or path score, naming
-    sentence k. A refused log Z or loss passes its sentence's emissions,
-    transition and start scores as inputs: if they hold +inf it reads "a path
-    score is inf", as the decoders do, whatever the sums made of it (the
-    engine's shifted recursion gives nan, the enumeration inf)."""
-    if any(np.isposinf(a).any() for a in inputs):
-        what = "a path score is inf"
-    return ValueError(f"sentence {k + 1}: {what}, need finite emissions and transition scores")
+def _not_finite(k: int, what: str, value: float, *inputs: np.ndarray) -> ValueError:
+    """The ValueError "{what} {value}" for sentence k's loss, log Z or path
+    score value, which is not finite. A refusal that passes its sentence's
+    emissions, transition and start scores as inputs reads "a path score is
+    inf", as the decoders do, if they hold +inf, whatever the sums made of it
+    (the engine's shifted recursion gives nan, the enumeration inf), or if
+    they are all finite and value is nan or +inf: its sums overflowed."""
+    overflow = value != -np.inf and all(np.isfinite(a).all() for a in inputs)
+    if inputs and (overflow or any(np.isposinf(a).any() for a in inputs)):
+        what, value = "a path score is", np.inf
+    return ValueError(f"sentence {k + 1}: {what} {value}, need finite emissions and transition scores")
 
 
-_NO_FINITE_PATH = "the best path score is -inf"  # every (legal) path of a decode is -inf
+_NO_FINITE_PATH = "the best path score is"  # -inf: every (legal) path of a decode scores -inf
 
 
 def path_score(emissions: np.ndarray, trans: TransitionMatrix, path: list[int]) -> float:
@@ -304,10 +306,11 @@ def path_score(emissions: np.ndarray, trans: TransitionMatrix, path: list[int]) 
     emissions = _sentence(emissions, trans.num_tags)
     score = _score(emissions, trans, _gold([path], [len(emissions)], trans.num_tags))
     if not math.isfinite(score):
-        raise _not_finite(0, f"path score of {score}")
+        raise _not_finite(0, "path score of", score, emissions, trans.scores, trans.start)
     return score
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a score that is not finite is refused by callers
 def _score(emissions: np.ndarray, trans: TransitionMatrix, tags: np.ndarray) -> float:
     """path_score of checked (T, d) emissions and (T,) tags, unchecked."""
     score = np.sum(emissions[np.arange(len(tags)), tags])
@@ -405,7 +408,7 @@ def _batch_nll(batch: Batch | TokenBatch, trans: TransitionMatrix, gradients: bo
             loss = float((nlls / n).sum())
     if not math.isfinite(loss):
         k = int(np.isfinite(nlls).argmin())  # the first sentence whose own NLL is not finite
-        raise _not_finite(k, f"loss of {loss}", emissions[:, k], trans.scores, trans.start)
+        raise _not_finite(k, "loss of", loss, emissions[:, k], trans.scores, trans.start)
     if not gradients:
         return loss, nlls
     d_em[cells] -= 1.0
@@ -423,7 +426,7 @@ def log_partition(emissions: np.ndarray, trans: TransitionMatrix) -> float:
     emissions = _sentence(emissions, trans.num_tags)[:, None]
     log_z = float(_forward_backward(emissions, np.array([len(emissions)]), trans, False)[0][0])
     if not math.isfinite(log_z):
-        raise _not_finite(0, f"log Z of {log_z}", emissions, trans.scores, trans.start)
+        raise _not_finite(0, "log Z of", log_z, emissions, trans.scores, trans.start)
     return log_z
 
 
@@ -448,7 +451,7 @@ def loss_and_gradients(
     return _batch_nll(batch, trans, gradients=True)
 
 
-@np.errstate(over="ignore")  # a table past the float range is refused below
+@np.errstate(over="ignore", invalid="ignore")  # scores that are not finite are refused below
 def viterbi_batch(
     emissions_list: list[np.ndarray],
     trans: TransitionMatrix,
@@ -457,8 +460,9 @@ def viterbi_batch(
     """Highest-scoring path of each sentence, in input order, over the legal
     moves and starts of rules (all of them without rules); ties resolve to
     the lexicographically smallest path. The scores of illegal entries are
-    never read. A sentence with no path above -inf has no best path and is
-    refused, as brute_force_best refuses it.
+    never read. A sentence whose best score is not finite, or whose table
+    holds a NaN or +inf, is refused as brute_force_best refuses it; the
+    first in input order is named.
 
     tail[k, t, j] is the best score of sentence k's completion from column t
     with tag j; the recursion runs backward, then the paths are read off
@@ -467,18 +471,15 @@ def viterbi_batch(
     d = trans.num_tags
     emissions_list = [_sentence(em, d, k) for k, em in enumerate(emissions_list)]
     lengths = [len(em) for em in emissions_list]
-    if rules is None:
-        rules, nexts, opens = _ALL_MOVES, trans.scores, trans.start
-    else:
-        illegal_pair, illegal_start = rules.tables(d)  # illegal entries win no read-off argmax
-        nexts = np.where(illegal_pair, -np.inf, trans.scores)
-        opens = np.where(illegal_start, -np.inf, trans.start)
-    if not opens.max() < np.inf and emissions_list:  # nan or inf: see below
-        raise _not_finite(0, f"a start score is {opens.max()}")
+    rules = _ALL_MOVES if rules is None else rules
+    illegal_pair, illegal_start = rules.tables(d)
+    reads = np.concatenate([trans.scores, trans.start[None]])  # read-off: row d holds the starts
+    reads[np.concatenate([illegal_pair, illegal_start[None]])] = -np.inf  # wins no argmax
     cells, successors, firsts = rules.moves(d)
     move_scores = trans.scores.take(cells)
     order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)  # stable
     paths: list[list[int]] = [[] for _ in order]
+    refused = []  # (sentence, its best score or its table's nan or inf) if not finite
     lo = 0
     while lo < len(order):
         T = lengths[order[lo]]
@@ -495,22 +496,19 @@ def viterbi_batch(
             step += move_scores
             tail[:n, t] += np.maximum.reduceat(step, firsts, axis=1)
         # a nan wins every argmax it meets, and an inf makes one beside an
-        # illegal entry's -inf; -inf scores are fine
-        if not tail.max() < np.inf:
-            k, top = min((k, row.max()) for k, row in zip(chunk, tail) if not row.max() < np.inf)
-            raise _not_finite(k, f"a path score is {top}")
-        best = (tail[np.arange(len(chunk)), starts] + opens).max(axis=1)
-        if not best.min() > -np.inf:
-            raise _not_finite(min(k for k, b in zip(chunk, best) if b == -np.inf), _NO_FINITE_PATH)
-        tags = np.empty((len(chunk), T), dtype=np.intp)
-        for t in range(T):
-            n0, n = (running[t - 1] if t else 0), running[t]  # rows [n0, n) start at t
-            if n0:
-                tags[:n0, t] = (nexts[tags[:n0, t - 1]] + tail[:n0, t]).argmax(axis=1)
-            if n > n0:
-                tags[n0:n, t] = (opens + tail[n0:n, t]).argmax(axis=1)
+        # illegal entry's -inf, wherever it is in a sentence's rows
+        top = tail.max(axis=(1, 2))
+        best = (tail[np.arange(len(chunk)), starts] + reads[d]).max(axis=1)
+        verdicts = np.where(top < np.inf, best, top).tolist()
+        refused += [(k, v) for k, v in zip(chunk, verdicts) if not math.isfinite(v)]
+        tags = np.full((len(chunk), T + 1), d)  # tags[:, t + 1] at column t; d: the starts row
+        for t, n in enumerate(running):
+            tags[:n, t + 1] = (reads[tags[:n, t]] + tail[:n, t]).argmax(axis=1)
         for k, row, start in zip(chunk, tags.tolist(), starts):
-            paths[k] = row[start:]
+            paths[k] = row[start + 1 :]
+    if refused:
+        k, v = min(refused)  # the first in input order
+        raise _not_finite(k, _NO_FINITE_PATH if v == -math.inf else "a path score is", v)
     return paths
 
 
@@ -552,8 +550,9 @@ def _iter_scored_chunks(
             np.unravel_index(np.arange(lo, hi), (d,) * T), axis=1
         )  # lexicographic: position 0 is the most significant digit
         moves = paths[:, :-1], paths[:, 1:]  # (n, T - 1) each: empty at T = 1
-        scores = emissions[positions[None, :], paths].sum(axis=1) + trans.start[paths[:, 0]]
-        scores += trans.scores[moves].sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # a result that is not finite is refused
+            scores = emissions[positions[None, :], paths].sum(axis=1) + trans.start[paths[:, 0]]
+            scores += trans.scores[moves].sum(axis=1)
         if rules is not None:
             keep = ~(illegal_start[paths[:, 0]] | illegal_pair[moves].any(axis=1))
             paths, scores = paths[keep], scores[keep]
@@ -569,7 +568,7 @@ def brute_force_log_partition(
     """Exact log Z by explicit enumeration (oracle for log_partition)."""
     log_z = _enumerated_log_z(emissions, trans, rules)
     if not math.isfinite(log_z):
-        raise _not_finite(0, f"log Z of {log_z}", emissions, trans.scores, trans.start)
+        raise _not_finite(0, "log Z of", log_z, emissions, trans.scores, trans.start)
     return log_z
 
 
@@ -600,14 +599,14 @@ def brute_force_best(
     for paths, scores in _iter_scored_chunks(emissions, trans, rules):
         k = int(np.argmax(scores))  # the first nan if there is one: no comparison takes it
         if not scores[k] < np.inf:
-            raise _not_finite(0, f"a path score is {scores[k]}")
+            raise _not_finite(0, "a path score is", scores[k], emissions, trans.scores, trans.start)
         if best_path is None or scores[k] > best_score:
             best_score = float(scores[k])
             best_path = [int(v) for v in paths[k]]
     if best_path is None:
         raise ValueError("no legal paths exist for this instance")
     if best_score == -np.inf:
-        raise _not_finite(0, _NO_FINITE_PATH)
+        raise _not_finite(0, _NO_FINITE_PATH, best_score)
     return best_path, path_score(emissions, trans, best_path)
 
 
@@ -635,7 +634,7 @@ def brute_force_loss_and_gradients(
         log_z = _enumerated_log_z(emissions, trans, rules)
         loss = log_z - _score(emissions, trans, tags)
         if not math.isfinite(loss):  # so are log Z and every path score under it
-            raise _not_finite(k, f"loss of {loss}", emissions, trans.scores, trans.start)
+            raise _not_finite(k, "loss of", loss, emissions, trans.scores, trans.start)
         total += loss
         d_em = np.zeros((T, d))
         for paths, scores in _iter_scored_chunks(emissions, trans, rules):

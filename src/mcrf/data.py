@@ -63,27 +63,27 @@ def read_conll(path: str, tagset: Tagset, validate: bool = True) -> list[Labeled
     sentences: list[LabeledSentence] = []
     firsts: list[int] = []  # the line of each sentence's first token
     unreadable = None  # an illegal gold path before the bad line comes first
+    index = {tag: i for i, tag in enumerate(tagset.tags)}
     try:
         for first, lines in read_blocks(path):
-            tokens: list[str] = []
-            tags: list[int] = []
-            for lineno, line in enumerate(lines, start=first):
-                cols = line.split()
-                if len(cols) < 2:
-                    raise FormatError(
-                        f"{path}:{lineno}: need at least token and tag columns, "
-                        f"got {reprlib.repr(line)}"
-                    )
-                tag = cols[-1]
-                try:
-                    tags.append(tagset.index_of(tag))
-                except ValueError:
-                    raise FormatError(
-                        f"{path}:{lineno}: unknown tag {reprlib.repr(tag)} "
-                        f"(tagset: {reprlib.repr(list(tagset.tags))})"
-                    ) from None
-                tokens.append(cols[0])
-            sentences.append(LabeledSentence(tokens=tokens, gold=tags))
+            rows = [line.split() for line in lines]  # a block's lines are not blank
+            try:
+                tags = [index[row[-1]] for row in rows] if min(map(len, rows)) > 1 else None
+            except KeyError:
+                tags = None
+            if tags is None:  # name the first bad line
+                for lineno, (line, cols) in enumerate(zip(lines, rows), start=first):
+                    if len(cols) < 2:
+                        raise FormatError(
+                            f"{path}:{lineno}: need at least token and tag columns, "
+                            f"got {reprlib.repr(line)}"
+                        )
+                    if cols[-1] not in index:
+                        raise FormatError(
+                            f"{path}:{lineno}: unknown tag {reprlib.repr(cols[-1])} "
+                            f"(tagset: {reprlib.repr(list(tagset.tags))})"
+                        )
+            sentences.append(LabeledSentence(tokens=[row[0] for row in rows], gold=tags))
             firsts.append(first)
     except FormatError as exc:
         unreadable = exc

@@ -137,7 +137,7 @@ def constrained_viterbi(
     path = viterbi(emissions, apply_mask(trans, spec))
     illegal_pair, illegal_start = spec.rules.tables(trans.num_tags)
     if illegal_start[path[0]] or illegal_pair[path[:-1], path[1:]].any():
-        raise _not_finite(0, _NO_FINITE_PATH)
+        raise _not_finite(0, _NO_FINITE_PATH, -np.inf)
     return path
 
 

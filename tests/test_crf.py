@@ -36,7 +36,7 @@ from mcrf.crf import (
     viterbi_batch,
 )
 from mcrf.errors import SizeError
-from mcrf.masking import MaskSpec, apply_mask
+from mcrf.masking import MaskSpec, apply_mask, constrained_viterbi, decode
 from mcrf.schemes import Scheme, TransitionRuleSet, build_tagset, illegal_transition_set
 
 
@@ -802,8 +802,8 @@ class TestNonFinite:
         scores[0, 2] = np.nan
         with pytest.raises(ValueError, match="^sentence 1: a path score is nan"):
             viterbi_batch(corpus[:1], TransitionMatrix(scores, np.zeros(3)))
-        start = np.array([0.0, np.nan, 0.0])
-        with pytest.raises(ValueError, match="^sentence 1: a start score is nan"):
+        start = np.array([0.0, np.nan, 0.0])  # reaches the best score
+        with pytest.raises(ValueError, match="^sentence 1: a path score is nan"):
             viterbi(np.zeros((1, 3)), TransitionMatrix(np.zeros((3, 3)), start))
 
     def test_infinite_path_scores_are_refused(self):
@@ -813,18 +813,73 @@ class TestNonFinite:
         emissions = np.array([[5.0, 0.0, 0.0], [0.0, 0.0, np.inf]])
         with pytest.raises(ValueError, match="^sentence 1: a path score is inf"):
             viterbi(emissions, self.TRANS, rules)
-        with pytest.raises(ValueError, match="^sentence 1: a start score is inf"):
+        with pytest.raises(ValueError, match="^sentence 1: a path score is inf"):
             viterbi(np.zeros((1, 3)), TransitionMatrix(np.zeros((3, 3)), np.array([np.inf, 0, 0])))
         emissions[1, 2] = -np.inf  # a tag ruled out: fine
         assert viterbi(emissions, self.TRANS, rules) == [0, 0]
 
+    def test_a_best_score_past_the_float_range_is_refused(self):
+        """The table's maximum was checked, not start + first column: one
+        token of 1e308 on a 1e308 start decoded to [0], where the
+        enumeration gets an overflowing path score."""
+        message = "^sentence 1: a path score is inf, need finite"
+        emissions = np.array([[1e308, 0.0, 0.0]])
+        trans = TransitionMatrix(np.zeros((3, 3)), np.array([1e308, 0.0, 0.0]))
+        spec = MaskSpec(build_tagset(Scheme.BIO, ["PER"]).rules)
+        for refused in (
+            lambda: brute_force_best(emissions, trans),
+            lambda: viterbi(emissions, trans),
+            lambda: decode([emissions], trans, spec),
+            lambda: constrained_viterbi(emissions, trans, spec),
+        ):
+            with pytest.raises(ValueError, match=message):
+                refused()
+
+    def test_the_first_refused_sentence_in_input_order_is_named(self, monkeypatch):
+        """The corpus decodes longest first, and the first chunk with a
+        refusal was named: of sentences 1 (6 tokens) and 4 (60 tokens),
+        both past the float range, sentence 4."""
+        tagset = build_tagset(Scheme.BIOES, [f"T{i}" for i in range(10)])
+        d, outside = tagset.size, tagset.index_of("O")
+        corpus = [np.zeros((6, d))] + [np.zeros((60, d)) for _ in range(30)]
+        for k in (0, 3):
+            corpus[k][:, outside] = 1e308
+        trans = TransitionMatrix.zeros(d)
+        for cells in (mcrf.crf._DECODE_CELLS, 1):  # one chunk per sentence at 1
+            monkeypatch.setattr(mcrf.crf, "_DECODE_CELLS", cells)
+            for rules in (None, tagset.rules):
+                with pytest.raises(ValueError, match="^sentence 1: a path score is inf"):
+                    viterbi_batch(corpus, trans, rules)
+
+    def test_finite_inputs_past_the_float_range_get_one_verdict(self):
+        """Zero transitions and 1e308 everywhere: log Z of nan from the
+        engine, log Z of inf from the enumeration, path score of inf, and
+        an overflow RuntimeWarning (an error in these tests) from the
+        enumeration and path_score. Every refusal now reads as the
+        decoders' does."""
+        emissions, gold = np.full((2, 3), 1e308), [0, 0]
+        message = "^sentence 1: a path score is inf, need finite emissions and transition scores$"
+        for refused in (
+            lambda: log_partition(emissions, self.TRANS),
+            lambda: nll_loss([(emissions, gold)], self.TRANS),
+            lambda: loss_and_gradients([(emissions, gold)], self.TRANS),
+            lambda: path_score(emissions, self.TRANS, gold),
+            lambda: viterbi(emissions, self.TRANS),
+            lambda: brute_force_log_partition(emissions, self.TRANS),
+            lambda: brute_force_best(emissions, self.TRANS),
+            lambda: brute_force_loss_and_gradients([(emissions, gold)], self.TRANS),
+        ):
+            with pytest.raises(ValueError, match=message):
+                refused()
+
     def test_oracles_refuse_non_finite_results(self):
         """The enumeration oracles and path_score returned nan (and inf)
         without a word."""
-        # a +inf input gave log Z of inf and loss of inf; it now gets the decoders' words
-        for value, log_z, loss in (
-            (np.nan, "log Z of nan", "loss of nan"),
-            (np.inf, "a path score is inf", "a path score is inf"),
+        # a +inf input gave log Z of inf, loss of inf and path score of inf;
+        # it now gets the decoders' words
+        for value, log_z, loss, score in (
+            (np.nan, "log Z of nan", "loss of nan", "path score of nan"),
+            (np.inf, "a path score is inf", "a path score is inf", "a path score is inf"),
         ):
             emissions = np.zeros((2, 3))
             emissions[1, 2] = value
@@ -832,7 +887,7 @@ class TestNonFinite:
                 brute_force_log_partition(emissions, self.TRANS)
             with pytest.raises(ValueError, match=f"^sentence 1: a path score is {value}"):
                 brute_force_best(emissions, self.TRANS)
-            with pytest.raises(ValueError, match=f"^sentence 1: path score of {value}"):
+            with pytest.raises(ValueError, match=f"^sentence 1: {score}"):
                 path_score(emissions, self.TRANS, [0, 2])
             batch = [(np.zeros((2, 3)), [0, 0]), (emissions, [0, 0])]
             with pytest.raises(ValueError, match=f"^sentence 2: {loss}"):
