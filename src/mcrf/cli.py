@@ -158,9 +158,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     results, elapsed = run_verification(seed=args.seed)
     for result in results:
-        print(result.line())
+        print(result.json_line() if args.json else result.line())
     failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed in {elapsed:.1f}s")
+    if not args.json:  # no clock in the JSON lines
+        print(f"{len(results) - len(failed)}/{len(results)} checks passed in {elapsed:.1f}s")
     return 0 if not failed else 1
 
 
@@ -249,6 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the oracle-based self checks")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--json", action="store_true", help="print one JSON object per check and no timing line"
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen-synth", help="generate a synthetic labeled corpus")

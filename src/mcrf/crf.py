@@ -9,17 +9,24 @@ where l is the (T, d) emission matrix and a the (d, d) transition matrix.
 TransitionMatrix.zeros gives a zero start vector, which contributes nothing.
 
 One float64 engine runs forward-backward over a left-aligned, zero-padded,
-time-major (T, B, d) batch, so each step works on one contiguous (B, d)
-block; one sentence is a batch of one, already in that layout. Both batch
+time-major (T, B, d) batch, so each step works on one contiguous block of
+rows; one sentence is a batch of one, already in that layout. Both batch
 forms, a list of (emissions, gold) pairs and a TokenBatch as training draws
 it, are read as their checked token batch (_tokens) and padded by one
-function (_padded); a list's (N, d) emission gradient is split per sentence.
-The forward pass is a scaled
-log-matmul-exp: with r the row maxima of a and K = exp(a - r[:, None]) (entries
-<= 1, masked ones exact zeros), m = max_i(alpha_{t-1,i} + r_i), u_t =
-exp(alpha_{t-1} + r - m), v_t = u_t @ K, alpha_t = l_t + m + log v_t. Its
-adjoint gives the marginals gamma_{t-1} = u_t * (K @ w_t) and the expected
-counts K * sum_t u_t^T w_t, with w_t = gamma_t / v_t; no (d, d) tensor is built
+function (_padded); a list's token-major emission gradient is split per
+sentence. The engine has a leading model axis: it runs N transition
+matrices (N, d, d) and start vectors (N, d) over one batch that they all
+read, as model-major blocks of B rows each, R = N * B rows per step. The
+public entry points run one model; verify's transition and start
+differences stack their perturbed copies as N models. Each model's log Z,
+marginals, counts and loss have the bits of a call with it alone.
+
+The forward pass is a scaled log-matmul-exp: with r the row maxima of a
+and K = exp(a - r[:, None]) (entries <= 1, masked ones exact zeros),
+m = max_i(alpha_{t-1,i} + r_i), u_t = exp(alpha_{t-1} + r - m),
+v_t = u_t @ K, alpha_t = l_t + m + log v_t, per model. Its adjoint gives the
+marginals gamma_{t-1} = u_t * (K @ w_t) and the expected counts
+K * sum_t u_t^T w_t, with w_t = gamma_t / v_t; no (d, d) tensor is built
 per position. v_t sums nonnegative terms, each rounded by at most 2^-1074, so
 while it stays above 2^52 times the smallest normal float (~1e-292) a step keeps
 relative precision near machine epsilon at any score magnitude and no sum of
@@ -54,7 +61,9 @@ loss or path score reads "a path score is inf", as the decoders say it, when
 its sentence's inputs hold +inf, or are all finite and it is NaN or +inf
 (the sums left the float range). A sentence whose every path is -inf gets
 log Z = -inf without a warning: the forward step's shift is floored at the
-lowest finite float, so its rows stay -inf rather than -inf - -inf.
+lowest finite float, so its rows stay -inf rather than -inf - -inf. Its
+loss is refused as log_partition refuses it, "log Z of -inf", whether its
+inputs hold -inf or their sums left the float range below.
 
 The brute-force routines enumerate all d^T paths (optionally restricted to
 the legal subset defined by a TransitionRuleSet) in lexicographic order and
@@ -320,12 +329,22 @@ def _score(emissions: np.ndarray, trans: TransitionMatrix, tags: np.ndarray) -> 
 
 
 def _forward_backward(
-    emissions: np.ndarray, lengths: np.ndarray, trans: TransitionMatrix, gradients: bool
+    emissions: np.ndarray,
+    lengths: np.ndarray,
+    scores: np.ndarray,
+    start: np.ndarray,
+    gradients: bool,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """log Z (B,) of a zero-padded time-major (T, B, d) batch and, with
-    gradients, the position marginals (T, B, d) and expected transition
-    counts. Steps past a sentence's end run on unused: log Z is read at the
-    end, and the backward pass starts there.
+    """log Z (N, B) of a zero-padded time-major (T, B, d) batch under each of
+    N models, transition scores (N, d, d) and starts (N, d), and, with
+    gradients, the position marginals (T, N, B, d) and expected transition
+    counts (N, d, d). Steps past a sentence's end run on unused: log Z is
+    read at the end, and the backward pass starts there.
+
+    Every model reads the same batch. Its rows are model-major blocks of the
+    batch's rows, R = N * B, so every step works on one (R, d) block and
+    the products on (T, N, B, d) views of it; each model's numbers have the
+    bits of a call with it alone.
 
     A row whose alpha is all -inf gets the shift _LOWEST, not -inf, so it
     takes the log-space step and its log Z is -inf; its marginals are nan.
@@ -333,98 +352,130 @@ def _forward_backward(
     warnings on the way there (log 0, -inf - -inf, sums past the float
     range)."""
     T, B, d = emissions.shape
-    r = trans.scores.max(axis=1, initial=_LOWEST)  # a row of -inf: K's row is 0, not nan
-    K = np.exp(trans.scores - r[:, None])
-    KT = K.T
-    alpha, u, v = np.empty((3, T, B, d))
-    alpha[0] = trans.start + emissions[0]
+    N, R = len(scores), len(scores) * B
+    r = scores.max(axis=2, initial=_LOWEST)  # a row of -inf: K's row is 0, not nan
+    K = np.exp(scores - r[:, :, None])
+    r = r.repeat(B, axis=0)  # (R, d): each row's model's maxima
+    alpha, u, v = np.empty((3, T, R, d))
+    alpha4, u4, v4 = alpha.reshape(T, N, B, d), u.reshape(T, N, B, d), v.reshape(T, N, B, d)
+    alpha4[0] = start[:, None] + emissions[0]
     guarded = {}  # step -> (rows redone in log space, their log-sum-exp over i)
     for t in range(1, T):
         x = alpha[t - 1] + r
         m = x.max(axis=1, keepdims=True, initial=_LOWEST)
-        np.matmul(np.exp(np.subtract(x, m, out=x), out=u[t]), K, out=v[t])
+        np.exp(np.subtract(x, m, out=x), out=u[t])
+        np.matmul(u4[t], K, out=v4[t])
         if v[t].min() < _UNDERFLOW:
-            low = (v[t] < _UNDERFLOW).any(axis=1)
+            low = np.flatnonzero((v[t] < _UNDERFLOW).any(axis=1))
             v[t, low] = np.inf  # zero weight in the product-form adjoint
-            guarded[t] = low, logsumexp(alpha[t - 1, low, :, None] + trans.scores, axis=1)
+            guarded[t] = low, logsumexp(alpha[t - 1, low, :, None] + scores[low // B], axis=1)
         np.log(v[t], out=alpha[t])
         alpha[t] += m
-        alpha[t] += emissions[t]
+        alpha4[t] += emissions[t]
         if t in guarded:
-            alpha[t, low] = emissions[t, low] + guarded[t][1]
-    ends = lengths - 1, np.arange(B)
-    top = alpha[ends].max(axis=1, keepdims=True, initial=_LOWEST)
-    p = np.exp(alpha[ends] - top)
-    log_z = top[:, 0] + np.log(p.sum(axis=1))
+            alpha[t, low] = emissions[t, low % B] + guarded[t][1]
+    ends = lengths - 1, np.arange(N)[:, None], np.arange(B)  # (N, B) cells of alpha4
+    top = alpha4[ends].max(axis=2, keepdims=True, initial=_LOWEST)
+    p = np.exp(alpha4[ends] - top)
+    log_z = top[..., 0] + np.log(p.sum(axis=2))
     if not gradients:
         return log_z, None, None
-    gamma, w, counts = np.zeros((T, B, d)), np.zeros((T, B, d)), np.zeros((d, d))
-    gamma[ends] = p / p.sum(axis=1, keepdims=True)
+    gamma4, w4 = np.zeros((2, T, N, B, d))
+    gamma, w, counts = gamma4.reshape(T, R, d), w4.reshape(T, R, d), np.zeros((N, d, d))
+    gamma4[ends] = p / p.sum(axis=2, keepdims=True)
+    KT, back4 = K.transpose(0, 2, 1), np.empty((N, B, d))
+    back = back4.reshape(R, d)  # w_t @ K^T of each model, step by step
     for t in range(T - 1, 0, -1):
         np.divide(gamma[t], v[t], out=w[t])
-        gamma[t - 1] += u[t] * (w[t] @ KT)
+        np.matmul(w4[t], KT, out=back4)
+        back *= u[t]
+        gamma[t - 1] += back
         if t in guarded:
             low, lse = guarded[t]
-            pair = np.exp(alpha[t - 1, low, :, None] + trans.scores - lse[:, None])
+            pair = np.exp(alpha[t - 1, low, :, None] + scores[low // B] - lse[:, None])
             pair *= gamma[t, low, None]
             gamma[t - 1, low] += pair.sum(axis=2)
-            counts += pair.sum(axis=0)
-    # rows in sentence order, as the (B, T) layout had them: the counts keep their bits
-    counts += K * (
-        u[1:].transpose(1, 0, 2).reshape(-1, d).T @ w[1:].transpose(1, 0, 2).reshape(-1, d)
-    )
-    return log_z, gamma, counts
+            for n in np.unique(low // B):  # each model's rows summed as its own call sums them
+                counts[n] += pair[low // B == n].sum(axis=0)
+    # each model's rows in sentence order, as a (B, T) layout has them: the counts keep their bits
+    pairs = B * (T - 1)
+    u_rows = u4[1:].transpose(1, 2, 0, 3).reshape(N, pairs, d)
+    w_rows = w4[1:].transpose(1, 2, 0, 3).reshape(N, pairs, d)
+    counts += K * (u_rows.transpose(0, 2, 1) @ w_rows)
+    return log_z, gamma4, counts
+
+
+def _refused_loss(k: int, loss: float, log_z: float, *inputs: np.ndarray) -> ValueError:
+    """The refusal of a loss that is not finite, named for sentence k: its
+    "log Z of -inf" when every path of that sentence scores -inf, as
+    log_partition says it, and the "loss of" text of _not_finite otherwise."""
+    if log_z == -np.inf:
+        return _not_finite(k, "log Z of", log_z, *inputs)
+    return _not_finite(k, "loss of", loss, *inputs)
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a loss that is not finite: below
-def _batch_nll(batch: Batch | TokenBatch, trans: TransitionMatrix, gradients: bool):
-    """Mean NLL over the padded batch and, with gradients, CrfGradients;
-    without them, the (B,) per-sentence NLLs log Z_k - s(gold_k). Its gold
-    tags are a C-ordered, zero-padded (B, T) array: the gold emissions are
-    summed in that order, and another order moves the loss's last bit; so
-    the mean is not summed from the per-sentence NLLs either, unless the
-    batch sums leave the float range while every NLL is finite.
+def _batch_nll(batch: Batch | TokenBatch, scores: np.ndarray, start: np.ndarray, gradients: bool):
+    """The mean NLL over the padded batch under each of N models, scores
+    (N, d, d) and start (N, d), from one engine call: the (N,) losses and,
+    with gradients (N = 1 only), CrfGradients; without them, the (N, B)
+    per-sentence NLLs log Z_k - s(gold_k). Its gold tags are a C-ordered,
+    zero-padded (B, T) array: the gold emissions are summed in that order,
+    and another order moves the loss's last bit; so each model's mean is
+    (sum of log Z - gold score - start scores) / B, not summed from its
+    per-sentence NLLs, unless the batch sums leave the float range while
+    every NLL is finite. So each model's loss has the bits of a call with it
+    alone, and the first model in input order whose loss is not finite is
+    refused with the text a call with it alone gives.
 
     Sentence k's NLL has the bits nll_loss gives it alone when the batch is
     padded to fewer than 8 positions (numpy sums 8 or more terms pairwise)
     and row k of the engine's (B, d) @ (d, d) products has the bits of a
     (1, d) product. On OpenBLAS 0.3.31 that holds at d = 2 and 3; at d >= 4
     the rows differ in their last bits."""
-    d, n = trans.num_tags, len(batch)
+    d, n = scores.shape[1], len(batch)
     tokens, lengths, tags = _tokens(batch, d)
     emissions, tags, rows = _padded(tokens, lengths, tags)
-    log_z, d_em, counts = _forward_backward(emissions, lengths, trans, gradients)
+    log_z, gamma, counts = _forward_backward(emissions, lengths, scores, start, gradients)
     cells = np.arange(tags.shape[1]), np.arange(n)[:, None], tags  # (B, T) gold cells
     steps = np.arange(1, tags.shape[1]) < lengths[:, None]  # (B, T - 1) moves in a sentence
     moves = tags[:, :-1] * d + tags[:, 1:]  # i * d + j
-    gold_em, move_scores = emissions[cells], trans.scores.ravel()[moves]
-    starts = trans.start[tags[:, 0]]
-    gold = gold_em.sum() + move_scores[steps].sum()
-    loss = (float(log_z.sum()) - float(gold) - float(starts.sum())) / n
-    if not gradients or not math.isfinite(loss):
-        gold_moves = np.where(steps, move_scores, 0.0).sum(axis=1)
-        nlls = log_z - (gold_em.sum(axis=1) + gold_moves) - starts
-        if not math.isfinite(loss) and np.isfinite(nlls).all():  # only the sums overflowed
-            loss = float((nlls / n).sum())
-    if not math.isfinite(loss):
-        k = int(np.isfinite(nlls).argmin())  # the first sentence whose own NLL is not finite
-        raise _not_finite(k, "loss of", loss, emissions[:, k], trans.scores, trans.start)
+    flat = scores.reshape(len(scores), d * d)
+    gold_em, gold_moves, starts = emissions[cells], moves[steps], start.take(tags[:, 0], axis=1)
+    gold = gold_em.sum() + flat.take(gold_moves, axis=1).sum(axis=1)
+    losses = (log_z.sum(axis=1) - gold - starts.sum(axis=1)) / n
+    finite = np.isfinite(losses)
+    all_finite = finite.all()
+    if not gradients or not all_finite:
+        move_scores = np.where(steps, flat.take(moves, axis=1), 0.0).sum(axis=2)
+        nlls = log_z - (gold_em.sum(axis=1) + move_scores) - starts
+    if not all_finite:
+        overflow = ~finite & np.isfinite(nlls).all(axis=1)  # only the batch sums left the range
+        losses[overflow] = (nlls[overflow] / n).sum(axis=1)
+        refused = ~(finite | overflow)
+        if refused.any():
+            m = int(refused.argmax())  # the first model refused
+            k = int(np.isfinite(nlls[m]).argmin())  # its first sentence whose own NLL is not finite
+            raise _refused_loss(k, losses[m], log_z[m, k], emissions[:, k], scores[m], start[m])
     if not gradients:
-        return loss, nlls
+        return losses, nlls
+    d_em = gamma[:, 0]
     d_em[cells] -= 1.0
     d_em /= n
-    d_trans = (counts - np.bincount(moves[steps], minlength=d * d).reshape(d, d)) / n
+    d_trans = (counts[0] - np.bincount(gold_moves, minlength=d * d).reshape(d, d)) / n
     d_emissions = d_em.reshape(-1, d)[rows]
     if not isinstance(batch, TokenBatch):
         d_emissions = np.split(d_emissions, np.cumsum(lengths)[:-1])
-    return loss, CrfGradients(d_emissions, d_trans, d_em[0].sum(axis=0))
+    return losses, CrfGradients(d_emissions, d_trans, d_em[0].sum(axis=0))
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a log Z that is not finite: below
 def log_partition(emissions: np.ndarray, trans: TransitionMatrix) -> float:
     """log Z: log-sum-exp of all d^T path scores, the engine at B = 1."""
     emissions = _sentence(emissions, trans.num_tags)[:, None]
-    log_z = float(_forward_backward(emissions, np.array([len(emissions)]), trans, False)[0][0])
+    lengths = np.array([len(emissions)])
+    log_z = _forward_backward(emissions, lengths, trans.scores[None], trans.start[None], False)[0]
+    log_z = float(log_z[0, 0])
     if not math.isfinite(log_z):
         raise _not_finite(0, "log Z of", log_z, emissions, trans.scores, trans.start)
     return log_z
@@ -433,7 +484,7 @@ def log_partition(emissions: np.ndarray, trans: TransitionMatrix) -> float:
 def nll_loss(batch: Batch | TokenBatch, trans: TransitionMatrix) -> float:
     """Mean NLL over a batch of (emissions, gold) pairs or a TokenBatch:
     log Z - s(gold)."""
-    return _batch_nll(batch, trans, gradients=False)[0]
+    return float(_batch_nll(batch, trans.scores[None], trans.start[None], False)[0][0])
 
 
 def loss_and_gradients(
@@ -448,7 +499,8 @@ def loss_and_gradients(
 
     all averaged over the batch.
     """
-    return _batch_nll(batch, trans, gradients=True)
+    losses, grads = _batch_nll(batch, trans.scores[None], trans.start[None], True)
+    return float(losses[0]), grads
 
 
 @np.errstate(over="ignore", invalid="ignore")  # scores that are not finite are refused below
@@ -634,7 +686,7 @@ def brute_force_loss_and_gradients(
         log_z = _enumerated_log_z(emissions, trans, rules)
         loss = log_z - _score(emissions, trans, tags)
         if not math.isfinite(loss):  # so are log Z and every path score under it
-            raise _not_finite(k, "loss of", loss, emissions, trans.scores, trans.start)
+            raise _refused_loss(k, loss, log_z, emissions, trans.scores, trans.start)
         total += loss
         d_em = np.zeros((T, d))
         for paths, scores in _iter_scored_chunks(emissions, trans, rules):

@@ -11,18 +11,21 @@ vector. The finite-difference checks share one central-difference step,
 _FD_STEP, and one helper, _central_difference, which collects every
 perturbed input of an array before it asks for their losses.
 
+Each perturbed array's losses come from one engine call (crf._batch_nll).
 A perturbation of the emissions (or of the encoder weights, through
 encode) leaves trans as it is, so all 2 x (entries) perturbed sentences of
-an array are one TokenBatch and one engine call, whose per-sentence NLLs
-(crf._batch_nll) are the losses. Both checks run at d = 3, where each of
-those NLLs has the bits of its own nll_loss call, so the observed values
-are those of one call per perturbation. A perturbation of the transition
-or start scores changes trans itself, and the engine takes one trans per
-call: those cost one nll_loss call per perturbed copy (960 per battery).
-"""
+an array are one TokenBatch, whose per-sentence NLLs are the losses; both
+checks run at d = 3, where each of those NLLs has the bits of its own
+nll_loss call. A perturbation of the transition or start scores changes
+trans itself, so its 2 x (entries) perturbed copies are the engine's model
+axis over the one sentence, and each model's loss has the bits of nll_loss
+under that copy. The observed values are those of one nll_loss call per
+perturbation, and one _fd_crf instance makes four engine calls: the
+analytic gradients and one per perturbed array."""
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -37,7 +40,6 @@ from .crf import (
     brute_force_log_partition,
     log_partition,
     loss_and_gradients,
-    nll_loss,
     path_score,
     viterbi,
 )
@@ -61,6 +63,18 @@ class CheckResult:
         status = "PASS" if self.passed else "FAIL"
         extra = f" ({self.detail})" if self.detail else ""
         return f"[{status}] {self.name}: observed {self.observed:.3e} vs {self.threshold:.3e}{extra}"
+
+    def json_line(self) -> str:
+        """The result as one JSON object, with the observed value's exact
+        bits as float.hex beside the number."""
+        return json.dumps({
+            "name": self.name,
+            "observed": self.observed,
+            "observed_hex": float(self.observed).hex(),
+            "threshold": self.threshold,
+            "passed": self.passed,
+            "detail": self.detail,
+        })
 
 
 def _random_scores(rng: np.random.Generator, d: int, bound: float) -> TransitionMatrix:
@@ -148,23 +162,30 @@ def _sentence_losses(
     nll_loss on its own sentence (see crf._batch_nll)."""
     n = len(sentences)
     batch = TokenBatch(np.concatenate(sentences), np.full(n, len(gold)), np.tile(gold, n))
-    return _batch_nll(batch, trans, gradients=False)[1]
+    return _batch_nll(batch, trans.scores[None], trans.start[None], gradients=False)[1][0]
 
 
 def _fd_crf(emissions: np.ndarray, gold: list[int], trans: TransitionMatrix) -> float:
     """Worst relative error of the analytic CRF gradients against central
-    finite differences over emissions, transitions, and start."""
+    finite differences over emissions, transitions, and start. The perturbed
+    transition and start copies are models of one engine call each."""
     batch = [(emissions, gold)]
     _, grads = loss_and_gradients(batch, trans)
+    d = trans.num_tags
 
-    def matrix_losses(copies: list[TransitionMatrix]) -> list[float]:
-        return [nll_loss(batch, copy) for copy in copies]
+    def scores_losses(copies: list[np.ndarray]) -> np.ndarray:
+        start = np.broadcast_to(trans.start, (len(copies), d))
+        return _batch_nll(batch, np.stack(copies), start, gradients=False)[0]
+
+    def start_losses(copies: list[np.ndarray]) -> np.ndarray:
+        scores = np.broadcast_to(trans.scores, (len(copies), d, d))
+        return _batch_nll(batch, scores, np.stack(copies), gradients=False)[0]
 
     sentence_losses = partial(_sentence_losses, gold=gold, trans=trans)
     fds = (
         (grads.emissions[0], _central_difference(emissions, emissions.copy, sentence_losses)),
-        (grads.transitions, _central_difference(trans.scores, trans.copy, matrix_losses)),
-        (grads.start, _central_difference(trans.start, trans.copy, matrix_losses)),
+        (grads.transitions, _central_difference(trans.scores, trans.scores.copy, scores_losses)),
+        (grads.start, _central_difference(trans.start, trans.start.copy, start_losses)),
     )
     return max(_relative_error(g, fd) for g, fd in fds)
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -26,6 +27,7 @@ from mcrf.masking import MaskSpec, apply_mask, constrained_viterbi, decode, guar
 from mcrf.schemes import Scheme, build_tagset, first_violation, illegal_transition_set
 from mcrf.crf import TransitionMatrix, viterbi
 from mcrf.training import TrainConfig
+from mcrf.verification import CheckResult, run_verification
 
 
 def count_sentences(path):
@@ -816,6 +818,42 @@ class TestVerify:
         assert "8/8 checks passed" in out
         assert "[FAIL]" not in out
         assert out.count("[PASS]") == 8
+
+    def test_text_lines_are_the_check_results(self, capsys):
+        assert main(["verify", "--seed", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        results, _ = run_verification(3)
+        assert lines[:-1] == [result.line() for result in results]
+        assert re.fullmatch(r"8/8 checks passed in \d+\.\ds", lines[-1])
+
+    def test_json_lines_are_the_check_results(self, capsys):
+        """One object per check, field by field its CheckResult, with the
+        observed value's bits as float.hex; no timing line."""
+        assert main(["verify", "--seed", "3", "--json"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        results, _ = run_verification(3)
+        assert len(lines) == len(results)
+        for line, result in zip(lines, results):
+            record = json.loads(line)
+            assert list(record) == [
+                "name", "observed", "observed_hex", "threshold", "passed", "detail"
+            ]
+            assert record["name"] == result.name
+            assert record["observed"] == result.observed
+            assert record["observed_hex"] == result.observed.hex()
+            assert float.fromhex(record["observed_hex"]) == result.observed
+            assert record["threshold"] == result.threshold
+            assert record["passed"] is result.passed
+            assert record["detail"] == result.detail
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_a_failed_check_exits_1(self, flags, monkeypatch, capsys):
+        failed = [CheckResult("demo", 2.0, 1.0, False, "1 instance")]
+        monkeypatch.setattr(cli, "run_verification", lambda seed: (failed, 0.0))
+        assert main(["verify", *flags]) == 1
+        out = capsys.readouterr().out
+        assert out == (failed[0].json_line() + "\n" if flags else
+                       failed[0].line() + "\n0/1 checks passed in 0.0s\n")
 
 
 class TestNegativeSeed:

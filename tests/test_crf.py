@@ -54,8 +54,10 @@ def marginals(emissions, trans):
     """The engine on one sentence: position marginals (T, d), expected
     transition counts (d, d) summed over positions, and log Z."""
     lengths = np.array([len(emissions)])
-    log_z, unary, counts = _forward_backward(emissions[:, None], lengths, trans, True)
-    return unary[:, 0], counts, float(log_z[0])
+    log_z, unary, counts = _forward_backward(
+        emissions[:, None], lengths, trans.scores[None], trans.start[None], True
+    )
+    return unary[:, 0, 0], counts[0], float(log_z[0, 0])
 
 
 def sequence_nll(emissions, trans, gold):
@@ -516,12 +518,121 @@ class TestPerSentenceLosses:
                     np.concatenate([gold for _, gold in pairs]),
                 )
                 for batch in (pairs, tokens):
-                    loss, losses = _batch_nll(batch, trans, gradients=False)
-                    assert loss == loss_and_gradients(batch, trans)[0]
+                    loss, losses = _batch_nll(batch, trans.scores[None], trans.start[None], False)
+                    assert loss[0] == loss_and_gradients(batch, trans)[0]
+                    losses = losses[0]
                     if d <= 3:
                         assert same_bits(losses, alone), d
                     else:
                         np.testing.assert_allclose(losses, alone, rtol=1e-12, atol=0)
+
+
+class TestModelAxis:
+    """The engine's leading model axis: N transition matrices over one batch,
+    as model-major blocks of rows. Each model's numbers keep the bits of a
+    call with it alone, so a stack of perturbed copies gives each copy's
+    nll_loss in one call (the verify battery's transition differences)."""
+
+    @staticmethod
+    def stacked_and_alone(emissions, lengths, scores, start):
+        stacked = _forward_backward(emissions, lengths, scores, start, True)
+        alone = [
+            _forward_backward(emissions, lengths, scores[n : n + 1], start[n : n + 1], True)
+            for n in range(len(scores))
+        ]
+        return stacked, alone
+
+    def test_each_model_has_the_bits_of_its_own_call(self):
+        """log Z (N, B), marginals (T, N, B, d) and counts (N, d, d) over
+        random shapes, batches padded past some sentences' ends."""
+        rng = np.random.default_rng(24)
+        for _ in range(150):
+            d, B, T, N = (int(rng.integers(lo, hi)) for lo, hi in ((2, 8), (1, 6), (1, 9), (1, 12)))
+            lengths = rng.integers(1, T + 1, size=B)
+            lengths[0] = T
+            emissions = rng.normal(scale=3.0, size=(T, B, d))
+            emissions[np.arange(T)[:, None] >= lengths] = 0.0  # zero-padded, as _padded pads
+            scores, start = rng.normal(size=(N, d, d)), rng.normal(size=(N, d))
+            (log_z, gamma, counts), alone = self.stacked_and_alone(emissions, lengths, scores, start)
+            assert log_z.shape == (N, B) and gamma.shape == (T, N, B, d) and counts.shape == (N, d, d)
+            for n, (one_z, one_gamma, one_counts) in enumerate(alone):
+                assert same_bits(log_z[n], one_z[0])
+                assert same_bits(gamma[:, n], one_gamma[:, 0])
+                assert same_bits(counts[n], one_counts[0])
+
+    def test_a_log_space_step_in_one_model_leaves_the_others_alone(self, monkeypatch):
+        """A column of -1e3 in model 2 underflows its v_t, so its rows alone
+        take the log-space step; every model keeps its own call's bits."""
+        guarded_rows = []
+        log_space = mcrf.crf.logsumexp
+
+        def spy(x, axis=None):
+            guarded_rows.append(len(x))
+            return log_space(x, axis)
+
+        monkeypatch.setattr(mcrf.crf, "logsumexp", spy)
+        rng = np.random.default_rng(7)
+        T, B, d, N = 5, 3, 4, 4
+        emissions = rng.normal(size=(T, B, d))
+        scores, start = rng.normal(size=(N, d, d)), rng.normal(size=(N, d))
+        scores[2, :, 1] = -1e3
+        emissions[:, :, 1] = 900.0  # tag 1 leads by far: the column's moves are all its mass
+        lengths = np.array([5, 3, 5])
+        (log_z, gamma, counts), alone = self.stacked_and_alone(emissions, lengths, scores, start)
+        # each step of the stacked call redoes one model's B rows, as model 2 alone does
+        assert guarded_rows == [B] * 2 * (T - 1)
+        for n, (one_z, one_gamma, one_counts) in enumerate(alone):
+            assert same_bits(log_z[n], one_z[0])
+            assert same_bits(gamma[:, n], one_gamma[:, 0])
+            assert same_bits(counts[n], one_counts[0])
+        assert np.isfinite(log_z).all() and np.isfinite(counts).all()
+
+    @staticmethod
+    def perturbed_copies(trans, h=1e-5):
+        """Each transition and start entry + h, then - h, as verify perturbs them."""
+        copies = []
+        for arr in ("scores", "start"):
+            for idx in np.ndindex(getattr(trans, arr).shape):
+                for step in (h, -h):
+                    copy = trans.copy()
+                    getattr(copy, arr)[idx] += step
+                    copies.append(copy)
+        return copies
+
+    def test_stacked_losses_are_nll_loss_per_copy_at_d_3(self):
+        """Random copies and perturbed ones, some masked at -1e4 (BIO with
+        one type), over batches of one to four sentences."""
+        spec = MaskSpec(build_tagset(Scheme.BIO, ["A"]).rules, mask_value=-1e4)
+        rng = np.random.default_rng(3)
+        for trial in range(40):
+            B = int(rng.integers(1, 5))
+            batch = [
+                (rng.uniform(-2, 2, (T, 3)), [int(v) for v in rng.integers(0, 3, T)])
+                for T in rng.integers(1, 7, size=B)
+            ]
+            trans = TransitionMatrix(rng.uniform(-2, 2, (3, 3)), rng.uniform(-2, 2, 3))
+            copies = self.perturbed_copies(apply_mask(trans, spec) if trial % 2 else trans)
+            copies += [apply_mask(copy, spec) for copy in copies[:6]]
+            scores = np.stack([c.scores for c in copies])
+            start = np.stack([c.start for c in copies])
+            losses, nlls = _batch_nll(batch, scores, start, False)
+            assert same_bits(losses, np.array([nll_loss(batch, c) for c in copies]))
+            for copy, row in zip(copies, nlls):
+                assert same_bits(row, _batch_nll(batch, copy.scores[None], copy.start[None], False)[1][0])
+
+    def test_the_first_refused_copy_is_refused_as_nll_loss_refuses_it(self):
+        rng = np.random.default_rng(5)
+        batch = [(rng.normal(size=(3, 3)), [0, 1, 2]), (rng.normal(size=(2, 3)), [2, 2])]
+        copies = [TransitionMatrix(rng.normal(size=(3, 3)), rng.normal(size=3)) for _ in range(6)]
+        copies[2].scores[1, 2] = np.inf
+        copies[4].start[0] = np.nan
+        with pytest.raises(ValueError) as alone:
+            nll_loss(batch, copies[2])
+        assert str(alone.value).startswith("sentence 1: a path score is inf")
+        scores, start = np.stack([c.scores for c in copies]), np.stack([c.start for c in copies])
+        with pytest.raises(ValueError) as stacked:
+            _batch_nll(batch, scores, start, False)
+        assert str(stacked.value) == str(alone.value)
 
 
 class TestTokenBatch:
@@ -723,8 +834,8 @@ class TestNonFinite:
 
     def test_infinite_loss_and_log_z_are_refused(self):
         emissions = np.zeros((2, 3))
-        emissions[1] = -np.inf  # no path has a finite score
-        with pytest.raises(ValueError, match="^sentence 1: loss of nan"):
+        emissions[1] = -np.inf  # no path has a finite score: the loss refusal names log Z
+        with pytest.raises(ValueError, match="^sentence 1: log Z of -inf, need finite"):
             nll_loss([(emissions, [0, 0])], self.TRANS)
         with pytest.raises(ValueError, match="^sentence 1: log Z of -inf"):
             log_partition(emissions, self.TRANS)
@@ -759,7 +870,21 @@ class TestNonFinite:
         )
         for batch in batches:
             for fn in (nll_loss, loss_and_gradients, brute_force_loss_and_gradients):
-                with pytest.raises(ValueError, match="^sentence 2: loss of nan, need finite"):
+                with pytest.raises(ValueError, match="^sentence 2: log Z of -inf, need finite"):
+                    fn(batch, self.TRANS)
+
+    def test_a_loss_whose_log_z_is_minus_inf_is_refused_as_log_partition_refuses_it(self):
+        """Finite emissions whose every path sums past -1e308 to -inf: log Z
+        is -inf, and so is the gold score. The three loss entry points called
+        their nan loss 'a path score is inf'; they now give log_partition's
+        text, for a list batch and a TokenBatch alike."""
+        message = "^sentence 1: log Z of -inf, need finite emissions and transition scores$"
+        emissions = np.full((2, 3), -1e308)
+        with pytest.raises(ValueError, match=message):
+            log_partition(emissions, self.TRANS)
+        for batch in ([(emissions, [0, 0])], TokenBatch(emissions, [2], [0, 0])):
+            for fn in (nll_loss, loss_and_gradients, brute_force_loss_and_gradients):
+                with pytest.raises(ValueError, match=message):
                     fn(batch, self.TRANS)
 
     def test_every_path_at_minus_inf_has_no_best_path(self):

@@ -89,14 +89,19 @@ def test_training_calls_the_engine_once_per_iteration_with_the_batch_it_drew():
     assert metrics["crf.loss_and_gradients.tokens"] == epochs * tokens
 
 
-def test_verify_calls_nll_loss_only_for_the_transition_differences():
-    """The benchmark's verify workload traces crf.nll_loss. The emission and
-    encoder differences take one untraced engine call per perturbed array;
-    the transition and start differences make one nll_loss call per
-    perturbed copy of trans: 2 checks x 20 instances x 2 x (3^2 + 3)."""
+def test_verify_takes_every_difference_from_untraced_engine_calls():
+    """The benchmark's verify workload traces crf.nll_loss. Every finite
+    difference takes one untraced engine call per perturbed array: the
+    emission and encoder differences as a batch of perturbed sentences, the
+    transition and start differences as a model axis of perturbed copies of
+    trans. So a battery makes no nll_loss call, and its analytic gradients
+    and oracles keep their counts."""
     with _tracer.Tracer() as tracer:
         mcrf.verification.run_verification(seed=0)
-    assert tracer.metrics()["crf.nll_loss.calls"] == 960
+    metrics = tracer.metrics()
+    assert metrics["crf.nll_loss.calls"] == 0
+    assert metrics["crf.loss_and_gradients.calls"] == 50
+    assert metrics["crf.brute_force.calls"] == 466
 
 
 def test_predict_decodes_without_the_mask(tmp_path):

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from mcrf import crf
 from mcrf.crf import TransitionMatrix
 from mcrf.errors import ConfigurationError
 from mcrf.verification import (
@@ -71,6 +72,51 @@ class TestChecks:
         assert check_gradients(3, masked=True).observed == 6.908370403513331e-09
         assert check_encoder_gradients(4).observed == 8.419767227180186e-09
         assert check_mask_convergence(5).observed == 7.123190925995004e-13
+
+
+class TestObservedBits:
+    """The float.hex of every observed value of the battery at four seeds,
+    recorded before the engine had a model axis, when every perturbed copy
+    of the transition and start scores was its own nll_loss call. A value
+    that moves in its last bit fails here."""
+
+    OBSERVED = {
+        0: ("0x1.0000000000000p-48", "0x0.0p+0", "0x1.8d2965591ae8ap-27",
+            "0x1.dabd566000000p-28", "0x1.214d0e4600000p-27", "0x1.9100000000000p-41",
+            "0x0.0p+0", "0x0.0p+0"),
+        3: ("0x1.0000000000000p-48", "0x0.0p+0", "0x1.aecd11bc00000p-27",
+            "0x1.3a22eee000000p-27", "0x1.231b0f2000000p-27", "0x1.1280000000000p-40",
+            "0x0.0p+0", "0x0.0p+0"),
+        7: ("0x1.0000000000000p-48", "0x0.0p+0", "0x1.51640d1e00000p-27",
+            "0x1.0f29ac0afab65p-27", "0x1.cca1af3d9c30ep-28", "0x1.2fb0000000000p-40",
+            "0x0.0p+0", "0x0.0p+0"),
+        101: ("0x1.0000000000000p-48", "0x0.0p+0", "0x1.c18d523c80000p-27",
+              "0x1.181cc0a000000p-27", "0x1.128fbf7a00000p-27", "0x1.3800000000000p-43",
+              "0x0.0p+0", "0x0.0p+0"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(OBSERVED))
+    def test_every_observed_value_keeps_its_bits(self, seed):
+        results, _ = run_verification(seed)
+        assert tuple(r.observed.hex() for r in results) == self.OBSERVED[seed]
+
+    def test_a_crf_instance_makes_four_engine_calls(self, monkeypatch):
+        """The analytic gradients, then one call per perturbed array: the
+        emissions as a batch of perturbed sentences, the transition scores
+        and the start as a model axis of perturbed copies (18 and 6 at d = 3)."""
+        calls = []
+        engine = crf._forward_backward
+
+        def counted(*args):
+            calls.append(args)
+            return engine(*args)
+
+        monkeypatch.setattr(crf, "_forward_backward", counted)
+        rng = np.random.default_rng(1)
+        trans = TransitionMatrix(rng.uniform(-2, 2, (3, 3)), rng.uniform(-2, 2, 3))
+        assert _fd_crf(rng.uniform(-2, 2, (4, 3)), [0, 1, 2, 0], trans) < 1e-4
+        assert len(calls) == 4
+        assert [len(scores) for _, _, scores, _, _ in calls] == [1, 1, 18, 6]
 
 
 class TestCentralDifference:
