@@ -67,6 +67,8 @@ def _decode_data(args: argparse.Namespace):
 def cmd_train(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ConfigurationError(f"--seeds must be >= 1, got {args.seeds}")
+    if bool(args.emissions) != bool(args.dev_emissions):
+        raise DataError("--emissions and --dev-emissions must be given together")
     tagset = build_tagset(Scheme(args.scheme), _entity_types(args.types))
     train_sentences = read_conll(args.data, tagset)
     dev_sentences = read_conll(args.dev, tagset)
@@ -84,8 +86,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     train_logits = dev_logits = None
     if args.emissions:
-        if not args.dev_emissions:
-            raise DataError("--emissions requires --dev-emissions for the dev corpus")
         train_logits = _logits(args.emissions, tagset, train_sentences)
         dev_logits = _logits(args.dev_emissions, tagset, dev_sentences)
 
@@ -131,6 +131,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise DataError("--gold and --pred must be given together")
         if args.model or args.data:
             raise DataError("use either --gold/--pred or --model/--data, not both")
+        if args.emissions:
+            raise DataError("--emissions goes with --model/--data, not --gold/--pred")
         tagset = build_tagset(Scheme(args.scheme), _entity_types(args.types))
         gold_sents = read_conll(args.gold, tagset)
         pred_sents = read_conll(args.pred, tagset, validate=False)

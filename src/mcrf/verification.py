@@ -8,20 +8,21 @@ gives check k the seed seed + k, so one seed fixes the whole battery. One
 helper, _random_scores, draws every random transition matrix but the
 zero-start one of check_mask_convergence: the (d, d) scores, then the start
 vector. The finite-difference checks share one central-difference step,
-_FD_STEP, and one helper, _central_difference, which collects every
-perturbed input of an array before it asks for their losses.
+_FD_STEP, and one helper, _worst_relative_error, which collects every
+perturbed input of one loss form before it asks for their losses.
 
-Each perturbed array's losses come from one engine call (crf._batch_nll).
-A perturbation of the emissions (or of the encoder weights, through
-encode) leaves trans as it is, so all 2 x (entries) perturbed sentences of
-an array are one TokenBatch, whose per-sentence NLLs are the losses; both
-checks run at d = 3, where each of those NLLs has the bits of its own
-nll_loss call. A perturbation of the transition or start scores changes
-trans itself, so its 2 x (entries) perturbed copies are the engine's model
-axis over the one sentence, and each model's loss has the bits of nll_loss
-under that copy. The observed values are those of one nll_loss call per
-perturbation, and one _fd_crf instance makes four engine calls: the
-analytic gradients and one per perturbed array."""
+Each loss form's losses come from one engine call (crf._batch_nll). A
+perturbation of the emissions (or of any encoder weight, through encode)
+leaves trans as it is, so all its perturbed sentences are one TokenBatch,
+whose per-sentence NLLs are the losses; both checks run at d = 3, where
+each of those NLLs has the bits of its own nll_loss call. A perturbation of
+the transition or start scores changes trans itself, so the 2 x (d^2 + d)
+perturbed (scores, start) copies are the engine's model axis over the one
+sentence, and each model's loss has the bits of nll_loss under that copy.
+The observed values are those of one nll_loss call per perturbation. One
+_fd_crf instance makes three engine calls: the analytic gradients, the
+emission differences and the (scores, start) differences; one
+check_encoder_gradients instance makes two."""
 
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from .crf import (
     path_score,
     viterbi,
 )
-from .encoder import EncoderWeights, Vocabulary, encode, encoder_backward
+from .encoder import EncoderWeights, encode, encoder_backward
 from .errors import check_seed
 from .masking import MaskSpec, apply_mask, mask_convergence_gap
 from .schemes import TransitionRuleSet, build_tagset
@@ -132,26 +133,26 @@ def check_viterbi(seed: int) -> CheckResult:
     )
 
 
-def _relative_error(analytic: np.ndarray, fd: np.ndarray) -> float:
+def _worst_relative_error(pairs, snapshot, losses) -> float:
+    """Worst relative error of analytic gradients against central finite
+    differences of one loss. pairs holds (array, analytic gradient) pairs;
+    every entry of every array, in np.ndindex order, is set to its value
+    + _FD_STEP, then - _FD_STEP, while snapshot() records the input that
+    perturbation makes, and gets its saved value back, since (x + h) - h is
+    not always x. One losses(inputs) call then gives the loss of every input."""
+    inputs = []
+    for arr, _ in pairs:
+        for idx in np.ndindex(arr.shape):
+            saved = arr[idx]
+            for step in (_FD_STEP, -_FD_STEP):
+                arr[idx] = saved + step
+                inputs.append(snapshot())
+            arr[idx] = saved
+    values = np.asarray(losses(inputs))
+    fd = (values[0::2] - values[1::2]) / (2 * _FD_STEP)
+    analytic = np.concatenate([g.ravel() for _, g in pairs])
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-2)
     return float(np.max(np.abs(analytic - fd) / denom))
-
-
-def _central_difference(arr: np.ndarray, snapshot, losses) -> np.ndarray:
-    """Central finite differences of a loss with respect to every entry of
-    arr. Each entry is set to its value + _FD_STEP, then - _FD_STEP, while
-    snapshot() records the input that perturbation makes; one losses(inputs)
-    call then gives the loss of every input. Each entry gets its saved value
-    back, since (x + h) - h is not always x."""
-    inputs = []
-    for idx in np.ndindex(arr.shape):
-        saved = arr[idx]
-        for step in (_FD_STEP, -_FD_STEP):
-            arr[idx] = saved + step
-            inputs.append(snapshot())
-        arr[idx] = saved
-    values = np.asarray(losses(inputs))
-    return (values[0::2] - values[1::2]).reshape(arr.shape) / (2 * _FD_STEP)
 
 
 def _sentence_losses(
@@ -168,26 +169,22 @@ def _sentence_losses(
 def _fd_crf(emissions: np.ndarray, gold: list[int], trans: TransitionMatrix) -> float:
     """Worst relative error of the analytic CRF gradients against central
     finite differences over emissions, transitions, and start. The perturbed
-    transition and start copies are models of one engine call each."""
+    (scores, start) copies are the models of one engine call."""
     batch = [(emissions, gold)]
     _, grads = loss_and_gradients(batch, trans)
-    d = trans.num_tags
 
-    def scores_losses(copies: list[np.ndarray]) -> np.ndarray:
-        start = np.broadcast_to(trans.start, (len(copies), d))
-        return _batch_nll(batch, np.stack(copies), start, gradients=False)[0]
-
-    def start_losses(copies: list[np.ndarray]) -> np.ndarray:
-        scores = np.broadcast_to(trans.scores, (len(copies), d, d))
-        return _batch_nll(batch, scores, np.stack(copies), gradients=False)[0]
+    def model_losses(copies: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+        scores, start = (np.stack(arrays) for arrays in zip(*copies))
+        return _batch_nll(batch, scores, start, gradients=False)[0]
 
     sentence_losses = partial(_sentence_losses, gold=gold, trans=trans)
-    fds = (
-        (grads.emissions[0], _central_difference(emissions, emissions.copy, sentence_losses)),
-        (grads.transitions, _central_difference(trans.scores, trans.scores.copy, scores_losses)),
-        (grads.start, _central_difference(trans.start, trans.start.copy, start_losses)),
+    trans_pairs = [(trans.scores, grads.transitions), (trans.start, grads.start)]
+    return max(
+        _worst_relative_error([(emissions, grads.emissions[0])], emissions.copy, sentence_losses),
+        _worst_relative_error(
+            trans_pairs, lambda: (trans.scores.copy(), trans.start.copy()), model_losses
+        ),
     )
-    return max(_relative_error(g, fd) for g, fd in fds)
 
 
 def check_gradients(seed: int, masked: bool) -> CheckResult:
@@ -220,22 +217,18 @@ def check_encoder_gradients(seed: int) -> CheckResult:
     worst = 0.0
     for _ in range(10):
         V, e, d, T = 7, 3, 3, int(rng.integers(2, 5))
-        vocab = Vocabulary(tuple(["<pad>", "<unk>"] + [f"t{i}" for i in range(V - 2)]))
-        weights = EncoderWeights.init(vocab.size, e, d, rng)
+        weights = EncoderWeights.init(V, e, d, rng)
         trans = _random_scores(rng, d, 1.0)
         ids = [int(v) for v in rng.integers(0, V, size=T)]
         gold = [int(v) for v in rng.integers(0, d, size=T)]
 
-        sentence_losses = partial(_sentence_losses, gold=gold, trans=trans)
         _, grads = loss_and_gradients([(encode(ids, weights), gold)], trans)
         analytic = encoder_backward(ids, grads.emissions[0], weights)
-        for arr, g in (
-            (weights.embeddings, analytic.embeddings),
-            (weights.projection, analytic.projection),
-            (weights.bias, analytic.bias),
-        ):
-            fd = _central_difference(arr, partial(encode, ids, weights), sentence_losses)
-            worst = max(worst, _relative_error(g, fd))
+        names = ("embeddings", "projection", "bias")
+        pairs = [(getattr(weights, name), getattr(analytic, name)) for name in names]
+        sentence_losses = partial(_sentence_losses, gold=gold, trans=trans)
+        error = _worst_relative_error(pairs, partial(encode, ids, weights), sentence_losses)
+        worst = max(worst, error)
     return CheckResult(
         name="encoder gradients vs finite differences",
         observed=worst,

@@ -8,10 +8,12 @@ install; every other top-level module that src/, tests/ or perfbench/
 imports must be named in the workflow's pip install line. The workflow runs
 one Python version, so another test parses every file at the oldest one
 that pyproject.toml declares, and another that no module of the package
-imports a name it does not use, since CI runs no linter. The last test
-checks that the pytest settings in pyproject.toml are in force.
+imports a name it does not use, since CI runs no linter. Another test
+checks that the pytest settings in pyproject.toml are in force, and the last
+that README's module map and command table list what the package has.
 """
 
+import argparse
 import ast
 import re
 import sys
@@ -19,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from mcrf import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
@@ -109,3 +113,20 @@ def test_runtime_warnings_fail_a_test():
 
 def test_runs_the_benchmark_self_test():
     assert "python3 perfbench/selftest.py" in _run_lines()
+
+
+def _readme_section(title: str) -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_lists_every_module_and_subcommand():
+    """A module or subcommand added without docs fails here."""
+    row = re.compile(r"^\| `mcrf(?:\.| )([\w-]+)` \|", re.MULTILINE)
+    documented = row.findall(_readme_section("Module map"))
+    modules = {p.stem for p in (ROOT / "src" / "mcrf").glob("*.py")} - {"__init__", "__main__"}
+    assert sorted(documented) == sorted(modules)
+    listed = row.findall(_readme_section("Command reference"))
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(listed) == sorted(sub.choices)

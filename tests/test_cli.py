@@ -110,6 +110,19 @@ class TestGenSynth:
         tagset = build_tagset(Scheme.BIOES, ["LOC", "ORG", "PER"])
         read_conll(f"{prefix}_train.conll", tagset)
 
+    def test_types_past_the_named_ten_are_numbered(self, tmp_path):
+        prefix = str(tmp_path / "data")
+        code = main(["gen-synth", "--types", "12", "--sentences", "30", "--out-prefix", prefix])
+        assert code == 0
+        lines = (tmp_path / "data_train.conll").read_text().splitlines()
+        types = {line.split("\t")[-1][2:] for line in lines if line and line[-1] != "O"}
+        assert {"TYPE10", "TYPE11"} <= types <= set(cli.DEFAULT_TYPE_NAMES) | {"TYPE10", "TYPE11"}
+
+    def test_zero_types_fails_cleanly(self, tmp_path, capsys):
+        assert main(["gen-synth", "--types", "0", "--out-prefix", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == "error: need at least one entity type\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_fraction_fails_cleanly(self, tmp_path, capsys):
         code = main(["gen-synth", "--sentences", "10", "--sample-fraction", "0",
                      "--out-prefix", str(tmp_path / "x")])
@@ -808,6 +821,68 @@ class TestEval:
         code = main(["eval", "--gold", gold])
         assert code == 1
         assert "--pred" in capsys.readouterr().err
+
+    def test_neither_flag_pair_fails(self, capsys):
+        assert main(["eval"]) == 1
+        assert capsys.readouterr().err == (
+            "error: eval needs --model and --data (or --gold and --pred)\n"
+        )
+
+
+class TestInputFiles:
+    """Every input-file flag is read or refused: pointed at a missing path on
+    an otherwise valid command, it ends the command with one error line."""
+
+    FLAGS = {
+        "train": ("--data", "--dev", "--emissions", "--dev-emissions"),
+        "predict": ("--model", "--data", "--emissions"),
+        "eval-model": ("--model", "--data", "--gold", "--pred", "--emissions"),
+        "eval-gold": ("--model", "--data", "--gold", "--pred", "--emissions"),
+    }
+
+    @pytest.fixture()
+    def commands(self, tmp_path):
+        model, _ = bias_model(tmp_path, "crf")
+        data = tmp_path / "in.conll"
+        data.write_text("a\tO\nb\tB-LOC\n\n")
+        data, out = str(data), str(tmp_path / "out")
+        return {
+            "train": ["train", "--data", data, "--dev", data, "--out", out, *FAST_TRAIN],
+            "predict": ["predict", "--model", model, "--data", data, "--out", out],
+            "eval-model": ["eval", "--model", model, "--data", data],
+            "eval-gold": ["eval", "--gold", data, "--pred", data],
+        }
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_the_commands_are_valid(self, commands, command, capsys):
+        assert main(commands[command]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command, flag", [(c, f) for c, flags in FLAGS.items() for f in flags])
+    def test_a_missing_file_is_one_error_line(self, commands, command, flag, tmp_path, capsys):
+        """--dev-emissions without --emissions, and --emissions with
+        --gold/--pred, were ignored: the command ran and exited 0."""
+        argv, missing = list(commands[command]), str(tmp_path / "missing")
+        if flag in argv:
+            argv[argv.index(flag) + 1] = missing
+        else:
+            argv += [flag, missing]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_the_refusals_name_the_flags(self, commands, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        for flag in ("--emissions", "--dev-emissions"):
+            assert main([*commands["train"], flag, missing]) == 1
+            assert capsys.readouterr().err == (
+                "error: --emissions and --dev-emissions must be given together\n"
+            )
+        assert main([*commands["eval-gold"], "--emissions", missing]) == 1
+        assert capsys.readouterr().err == (
+            "error: --emissions goes with --model/--data, not --gold/--pred\n"
+        )
 
 
 class TestVerify:

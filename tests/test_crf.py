@@ -912,6 +912,8 @@ class TestNonFinite:
         no_start = TransitionRuleSet(frozenset(), frozenset({0, 1, 2}))
         with pytest.raises(ValueError, match="^no legal paths exist"):
             brute_force_best(np.zeros((2, 3)), self.TRANS, no_start)
+        with pytest.raises(ValueError, match="^no legal paths exist"):
+            brute_force_log_partition(np.zeros((2, 3)), self.TRANS, no_start)
         partly = np.array([[-np.inf, 0.0, -np.inf], [1.0, -np.inf, -np.inf]])
         assert viterbi(partly, self.TRANS) == brute_force_best(partly, self.TRANS)[0] == [1, 0]
 

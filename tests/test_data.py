@@ -514,6 +514,9 @@ class TestSynthetic:
             SyntheticConfig(entity_density=1.5)
         with pytest.raises(ConfigurationError):
             SyntheticConfig(sentences=0)
+        for value in (-0.01, 1.5):
+            with pytest.raises(ConfigurationError, match=r"^noise_rate must lie in \[0, 1\]$"):
+                SyntheticConfig(noise_rate=value)
 
 
 class TestSplitCorpus:
@@ -546,6 +549,10 @@ class TestSplitCorpus:
         assert len(dev) == 1 and len(train) == 2
         train, dev = split_corpus(self._corpus(3), dev_fraction=0.99, seed=0)
         assert len(train) >= 1
+
+    def test_one_sentence_cannot_be_split(self):
+        with pytest.raises(DataError, match="^need at least two sentences to split$"):
+            split_corpus(self._corpus(1), 0.5, seed=0)
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ConfigurationError):

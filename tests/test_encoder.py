@@ -358,6 +358,13 @@ class TestLogitsFile:
                 f"sentence has {lengths[1]} tokens"
             )
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3,), (1, 4)])
+    def test_a_sequence_of_the_wrong_shape_is_not_written(self, tmp_path, shape):
+        path = str(tmp_path / "logits.tsv")
+        with pytest.raises(ValueError) as err:
+            write_logits(path, [np.zeros((2, 3)), np.zeros(shape)], self.TAGS)
+        assert str(err.value) == f"sequence 1 has shape {shape}, expected (T, 3)"
+
     def test_missing_trailing_blank_line_tolerated(self, tmp_path):
         path = tmp_path / "logits.tsv"
         path.write_text("d=2\ttags=O,B-X\n1.0\t2.0\n3.0\t4.0")

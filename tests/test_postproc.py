@@ -177,6 +177,17 @@ class TestOneLegalityDefinition:
             assert extract_segments(path, free) == [Segment("LOC", 1, 2, False)]
 
 
+    @pytest.mark.parametrize("scheme", [Scheme.BIO, Scheme.BIOES])
+    @pytest.mark.parametrize("count", range(1, 11))
+    def test_the_tags_that_continue_a_chunk_are_the_illegal_starts(self, scheme, count):
+        """Segment extraction reads which tags continue a chunk from the
+        start table: exactly the I- and E- tags may not start a sentence."""
+        tagset = build_tagset(scheme, [f"T{k}" for k in range(count)])
+        _, illegal_start = tagset.rules.tables(tagset.size)
+        continuing = [prefix in ("I", "E") for prefix, _ in tagset.parts]
+        assert illegal_start.tolist() == continuing
+
+
 class TestSegmentsToTags:
     def test_canonical_bio(self):
         tags = segments_to_tags([Segment("PER", 1, 3, True)], 4, BIO)
@@ -195,6 +206,11 @@ class TestSegmentsToTags:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             segments_to_tags([Segment("PER", 1, 4, True)], 3, BIO)
+
+    @pytest.mark.parametrize("start, end", [(0, 0), (2, 1), (-1, 2)])
+    def test_bad_span_rejected(self, start, end):
+        with pytest.raises(ValueError, match=rf"^bad span \[{start}, {end}\)$"):
+            Segment("PER", start, end, True)
 
 
 class TestRepair:

@@ -47,6 +47,9 @@ class TestTrainConfig:
             TrainConfig(eval_every=0)
         with pytest.raises(ConfigurationError):
             TrainConfig(embedding_dim=0)
+        for field in ("max_epochs", "max_iterations"):
+            with pytest.raises(ConfigurationError, match="^epoch and iteration budgets must be >= 0$"):
+                TrainConfig(**{field: -1})
         # numpy's generator refused it inside train(), in a bare ValueError
         with pytest.raises(ConfigurationError, match=r"^seed must be >= 0, got -1$"):
             TrainConfig(seed=-1)
@@ -80,6 +83,12 @@ class TestTrainConfig:
         tagset, (train_s, dev_s) = tiny_corpus()
         _, report = train(train_s, dev_s, config, tagset)
         assert [r.iteration for r in report.records] == [2, 4, 5]
+
+    def test_zero_iteration_budget_is_refused_by_train(self):
+        tagset, (train_s, dev_s) = tiny_corpus()
+        config = TrainConfig(max_epochs=0, max_iterations=0)
+        with pytest.raises(ConfigurationError, match="^training budget is zero iterations$"):
+            train(train_s, dev_s, config, tagset)
 
     def test_zero_learning_rate_is_allowed(self):
         TrainConfig(learning_rate=0.0)

@@ -5,18 +5,20 @@ import time
 import numpy as np
 import pytest
 
-from mcrf import crf
+from mcrf import crf, verification
 from mcrf.crf import TransitionMatrix
 from mcrf.errors import ConfigurationError
 from mcrf.verification import (
     _FD_STEP,
     CheckResult,
-    _central_difference,
     _fd_crf,
+    _worst_relative_error,
     check_encoder_gradients,
     check_gradients,
     check_log_partition,
     check_mask_convergence,
+    check_mask_idempotence,
+    check_viterbi,
     run_verification,
 )
 
@@ -54,6 +56,21 @@ class TestChecks:
     def test_masked_gradient_check_runs_with_mask(self):
         result = check_gradients(seed=2, masked=True)
         assert result.passed
+
+    def test_a_wrong_decoder_fails_the_viterbi_check(self, monkeypatch):
+        monkeypatch.setattr(verification, "viterbi", lambda emissions, trans: [0] * len(emissions))
+        result = check_viterbi(1)
+        assert not result.passed and result.line().startswith("[FAIL] viterbi vs enumeration:")
+        assert result.observed > 0.0 and " 0 path mismatches" not in result.detail
+
+    def test_a_mask_that_moves_again_fails_the_idempotence_check(self, monkeypatch):
+        def shifting(trans, spec):
+            return TransitionMatrix(trans.scores + 1.0, trans.start)
+
+        monkeypatch.setattr(verification, "apply_mask", shifting)
+        result = check_mask_idempotence(7)
+        assert not result.passed and result.observed == 50.0
+        assert result.line().startswith("[FAIL] mask idempotence:")
 
     def test_runtime_is_desk_scale(self):
         start = time.perf_counter()
@@ -100,10 +117,8 @@ class TestObservedBits:
         results, _ = run_verification(seed)
         assert tuple(r.observed.hex() for r in results) == self.OBSERVED[seed]
 
-    def test_a_crf_instance_makes_four_engine_calls(self, monkeypatch):
-        """The analytic gradients, then one call per perturbed array: the
-        emissions as a batch of perturbed sentences, the transition scores
-        and the start as a model axis of perturbed copies (18 and 6 at d = 3)."""
+    @staticmethod
+    def _count_engine_calls(monkeypatch) -> list:
         calls = []
         engine = crf._forward_backward
 
@@ -112,11 +127,30 @@ class TestObservedBits:
             return engine(*args)
 
         monkeypatch.setattr(crf, "_forward_backward", counted)
+        return calls
+
+    def test_a_crf_instance_makes_three_engine_calls(self, monkeypatch):
+        """The analytic gradients, the emissions as a batch of perturbed
+        sentences, and every perturbed (scores, start) copy as one model
+        axis (2 x (9 + 3) = 24 at d = 3)."""
+        calls = self._count_engine_calls(monkeypatch)
         rng = np.random.default_rng(1)
         trans = TransitionMatrix(rng.uniform(-2, 2, (3, 3)), rng.uniform(-2, 2, 3))
         assert _fd_crf(rng.uniform(-2, 2, (4, 3)), [0, 1, 2, 0], trans) < 1e-4
-        assert len(calls) == 4
-        assert [len(scores) for _, _, scores, _, _ in calls] == [1, 1, 18, 6]
+        assert [len(scores) for _, _, scores, _, _ in calls] == [1, 1, 24]
+
+    def test_an_encoder_instance_makes_two_engine_calls(self, monkeypatch):
+        """The analytic gradients, then every perturbed weight of the
+        embeddings, projection and bias as one batch of sentences."""
+        calls = self._count_engine_calls(monkeypatch)
+        check_encoder_gradients(4)
+        assert len(calls) == 2 * 10  # ten instances
+        assert [len(scores) for _, _, scores, _, _ in calls] == [1] * 20
+
+    def test_a_battery_makes_340_engine_calls(self, monkeypatch):
+        calls = self._count_engine_calls(monkeypatch)
+        run_verification(0)
+        assert len(calls) == 340
 
 
 class TestCentralDifference:
@@ -135,7 +169,7 @@ class TestCentralDifference:
             inputs.extend(snapshots)
             return [3.0 * s.sum() for s in snapshots]
 
-        fd = _central_difference(arr, arr.copy, losses)
+        error = _worst_relative_error([(arr, np.full(arr.shape, 3.0))], arr.copy, losses)
         assert arr.tobytes() == before.tobytes()
         assert len(inputs) == 2 * arr.size
         for k, idx in enumerate(np.ndindex(arr.shape)):
@@ -143,7 +177,29 @@ class TestCentralDifference:
                 expected = before.copy()
                 expected[idx] += sign * h
                 assert snapshot.tobytes() == expected.tobytes()
-        np.testing.assert_allclose(fd, 3.0, rtol=1e-6)
+        assert error < 1e-6
+
+    def test_perturbs_the_arrays_in_order_and_reports_the_worst_entry(self):
+        """Every entry of the first array, then of the second, from one
+        losses call; the error is the largest over every entry of both."""
+        first, second = np.array([0.5, -2.0]), np.array([[1.0], [4.0]])
+        inputs, calls = [], []
+
+        def snapshot():
+            return (first.copy(), second.copy())
+
+        def losses(snapshots):
+            calls.append(len(snapshots))
+            inputs.extend(snapshots)
+            return [a.sum() + 2.0 * b.sum() for a, b in snapshots]
+
+        analytic = [(first, np.array([1.0, 1.0])), (second, np.array([[2.0], [1.0]]))]
+        error = _worst_relative_error(analytic, snapshot, losses)
+        assert calls == [2 * (first.size + second.size)]
+        changed = [int(np.flatnonzero(np.concatenate([a - first, (b - second).ravel()]))[0])
+                   for a, b in inputs]
+        assert changed == [0, 0, 1, 1, 2, 2, 3, 3]
+        assert error == pytest.approx(0.5, rel=1e-6)  # |1 - 2| / 2 at second[1]
 
     def test_a_crf_check_leaves_its_arrays_unchanged(self):
         rng = np.random.default_rng(0)
