@@ -54,10 +54,7 @@ from .schemes import (
     Tagset,
     TransitionRuleSet,
     build_tagset,
-    decompose_tag,
     illegal_transition_set,
-    is_legal_start,
-    is_legal_transition,
 )
 from .training import TrainConfig, TrainReport, train
 
@@ -94,15 +91,12 @@ __all__ = [
     "chunk_prf",
     "constrained_viterbi",
     "decode",
-    "decompose_tag",
     "encode",
     "encoder_backward",
     "extract_segments",
     "generate_synthetic",
     "illegal_stats",
     "illegal_transition_set",
-    "is_legal_start",
-    "is_legal_transition",
     "load_model",
     "log_partition",
     "loss_and_gradients",

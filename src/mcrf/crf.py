@@ -671,7 +671,8 @@ def brute_force_loss_and_gradients(
 
     Path probabilities are the softmax of the enumerated scores; gradients
     are probability-weighted feature counts minus gold counts, exactly as in
-    the analytic form but without any dynamic program.
+    the analytic form but without any dynamic program. A sentence whose log Z
+    lost its log n to rounding has its weighted counts divided by their sum.
     """
     d = trans.num_tags
     tokens, lengths, golds = _tokens(batch, d)
@@ -689,13 +690,21 @@ def brute_force_loss_and_gradients(
             raise _refused_loss(k, loss, log_z, emissions, trans.scores, trans.start)
         total += loss
         d_em = np.zeros((T, d))
+        before = d_trans.copy(), d_start.copy()
+        mass = count = 0
         for paths, scores in _iter_scored_chunks(emissions, trans, rules):
             w = np.exp(scores - log_z)
+            mass += w.sum()
+            count += w.size
             for t in range(T):
                 np.add.at(d_em[t], paths[:, t], w)
             for t in range(T - 1):
                 np.add.at(d_trans, (paths[:, t], paths[:, t + 1]), w)
             np.add.at(d_start, paths[:, 0], w)
+        if abs(mass - 1.0) > 4 * count * np.finfo(np.float64).eps:  # more than rounding
+            d_em /= mass
+            for counts, old in zip((d_trans, d_start), before):
+                counts[...] = old + (counts - old) / mass
         d_em[np.arange(T), tags] -= 1.0
         d_emissions.append(d_em / n)
         np.add.at(d_trans, (tags[:-1], tags[1:]), -1.0)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .postproc import Segment, extract_segments_batch, repair_segments
+import numpy as np
+
+from .postproc import Segment, extract_segments_batch, keeps
 from .schemes import Tagset
 
 
@@ -116,7 +118,8 @@ def score_paths(
     """Score one decode: P/R/F1 of the paths after the repair strategy,
     illegal-segment counts of the raw paths (which repair would hide)."""
     raw_segments = extract_segments_batch(raw_paths, tagset)
-    pred_segments = [repair_segments(segments, strategy) for segments in raw_segments]
+    kept = keeps(np.array([False, True]), strategy).tolist()  # by legality, checked once
+    pred_segments = [[s for s in segments if kept[s.legal]] for segments in raw_segments]
     # one check, in chunk_prf: repair keeps some of each sentence's extracted segments
     return chunk_prf(gold_segments, pred_segments), _illegal_stats(gold_segments, raw_segments)
 

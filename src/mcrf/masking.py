@@ -25,10 +25,8 @@ from .crf import (
     TransitionMatrix,
     _not_finite,
     _sentence,
-    brute_force_log_partition,
     brute_force_loss_and_gradients,
     nll_loss,
-    path_score,
     viterbi,
     viterbi_batch,
 )
@@ -154,11 +152,7 @@ def masked_nll(batch: Batch, trans: TransitionMatrix, tagset: Tagset, spec: Mask
 def restricted_nll(batch: Batch, trans: TransitionMatrix, spec: MaskSpec) -> float:
     """Exact NLL with the partition function summed over legal paths only
     (enumeration oracle; small instances only)."""
-    total = 0.0
-    for emissions, gold in batch:
-        log_z = brute_force_log_partition(emissions, trans, rules=spec.rules)
-        total += log_z - path_score(emissions, trans, gold)
-    return total / len(batch)
+    return brute_force_loss_and_gradients(batch, trans, spec.rules)[0]
 
 
 def mask_convergence_gap(

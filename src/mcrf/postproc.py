@@ -101,26 +101,13 @@ def _canonical_tags(size: int, starts, ends, heads, tagset: Tagset) -> np.ndarra
     return out
 
 
-def segments_to_tags(segments: list[Segment], length: int, tagset: Tagset) -> list[int]:
-    """Canonical tag path realizing the given (non-overlapping) segments."""
-    spans = []  # start, end and a tag of the type of each segment, in order
-    for seg in sorted(segments, key=lambda s: s.start):
-        if seg.start < (spans[-1][1] if spans else 0) or seg.end > length:
-            raise ValueError("segments overlap or exceed the sentence")
-        spans.append((seg.start, seg.end, canonical_run(tagset, seg.entity_type, 1)[0]))
-    starts, ends, heads = np.array(spans, dtype=np.intp).reshape(-1, 3).T
-    return _canonical_tags(length, starts, ends, heads, tagset).tolist()
-
-
-def repair_segments(segments: list[Segment], strategy: str) -> list[Segment]:
-    """The segments a repair strategy keeps: every one for retain and none,
-    the legal ones for discard. For retain and discard their spans are
-    exactly the spans of the repaired path's segments."""
+def keeps(legal, strategy: str):
+    """Whether a repair strategy keeps segments of this legality (a bool or a
+    bool array): none and retain keep all, discard the legal ones; retain's
+    and discard's kept spans are the repaired path's. ValueError if unknown."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-    if strategy == "discard":
-        return [s for s in segments if s.legal]
-    return segments
+    return legal | (strategy != "discard")
 
 
 def repair_tags_batch(paths: list, tagset: Tagset, strategy: str) -> list[list[int]]:
@@ -129,8 +116,7 @@ def repair_tags_batch(paths: list, tagset: Tagset, strategy: str) -> list[list[i
     if strategy == "none":
         return [list(tags) for tags in paths]
     flat, firsts, starts, ends, legal = _chunks(paths, tagset)
-    repair_segments([], strategy)  # ValueError for an unknown strategy
-    kept = legal | (strategy != "discard")
+    kept = keeps(legal, strategy)
     out = _canonical_tags(flat.size, starts[kept], ends[kept], flat[starts[kept]], tagset).tolist()
     bounds = [*firsts.tolist(), flat.size]
     return [out[a:b] for a, b in zip(bounds, bounds[1:])]

@@ -130,34 +130,6 @@ def build_tagset(scheme: Scheme | str, entity_types: list[str] | tuple[str, ...]
     return Tagset(scheme=scheme, entity_types=types, tags=tuple(tags))
 
 
-def decompose_tag(tagset: Tagset, index: int) -> tuple[str, str | None]:
-    """Return (prefix, entity_type) for a tag index; O decomposes to ("O", None)."""
-    tagset.tag_of(index)  # ValueError for an index outside [0, d)
-    return tagset.parts[index]
-
-
-def is_legal_start(tagset: Tagset, index: int) -> bool:
-    prefix, _ = decompose_tag(tagset, index)
-    if tagset.scheme is Scheme.BIO:
-        return prefix != "I"
-    return prefix in (OUTSIDE, "B", "S")
-
-
-def is_legal_transition(tagset: Tagset, i: int, j: int) -> bool:
-    """True when tag j may immediately follow tag i."""
-    pi, ti = decompose_tag(tagset, i)
-    pj, tj = decompose_tag(tagset, j)
-    if tagset.scheme is Scheme.BIO:
-        if pj != "I":
-            return True
-        return pi in ("B", "I") and ti == tj
-    # BIOES: continuation targets need an open chunk of the same type;
-    # opening targets need the previous chunk closed.
-    if pj in ("I", "E"):
-        return pi in ("B", "I") and ti == tj
-    return pi in (OUTSIDE, "E", "S")
-
-
 @dataclass(frozen=True)
 class TransitionRuleSet:
     """The illegal transition pairs (omega) and illegal start tags of a tagset.
@@ -218,10 +190,11 @@ class TransitionRuleSet:
 
 
 def illegal_transition_set(tagset: Tagset) -> TransitionRuleSet:
-    """Compile every illegal (from, to) pair and every illegal start tag:
-    each tag decomposes once, into prefix and type codes, and the rules of
-    is_legal_transition and is_legal_start apply to all pairs at once by
-    broadcasting. Use tagset.rules, which builds this once per tagset."""
+    """Compile every illegal (from, to) pair and every illegal start tag, the
+    one definition of the module docstring's rules: each tag's prefix and
+    type, read from tagset.parts, become codes, and the rules apply to all
+    pairs at once by broadcasting. Use tagset.rules, which builds this once
+    per tagset."""
     prefix = np.array([p for p, _ in tagset.parts])
     etype = np.array([-1 if t is None else tagset.entity_types.index(t) for _, t in tagset.parts])
     bioes = tagset.scheme is Scheme.BIOES

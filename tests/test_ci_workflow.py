@@ -8,13 +8,15 @@ install; every other top-level module that src/, tests/ or perfbench/
 imports must be named in the workflow's pip install line. The workflow runs
 one Python version, so another test parses every file at the oldest one
 that pyproject.toml declares, and another that no module of the package
-imports a name it does not use, since CI runs no linter. Another test
-checks that the pytest settings in pyproject.toml are in force, and the last
-that README's module map and command table list what the package has.
+imports a name it does not use, since CI runs no linter; nor may it export a
+name that only unit tests read. Another test checks that the pytest
+settings in pyproject.toml are in force, and the last that README's module
+map and command table list what the package has.
 """
 
 import argparse
 import ast
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -102,6 +104,38 @@ def test_package_modules_use_every_name_they_import():
                     if name not in used and (path.name, name) not in re_exports:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every name a syntax tree reads, as a Name or an Attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_name_is_read_outside_the_unit_tests(monkeypatch):
+    """A name that only unit tests read is no public API: each name in
+    mcrf.__all__ is read by package code outside its own definition, by
+    the acceptance gate, or by the benchmark, whose tracer names the
+    functions it wraps as strings."""
+    import mcrf
+
+    read = set()
+    for path in (ROOT / "src" / "mcrf").glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                own = {getattr(node, "name", None)}  # a def or class reading itself
+                read |= _names_read(node) - own
+    for path in [ROOT / "tests" / "test_acceptance.py", *(ROOT / "perfbench").glob("*.py")]:
+        read |= _names_read(ast.parse(path.read_text(encoding="utf-8")))
+    spec = importlib.util.spec_from_file_location("ci_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # dataclasses resolves annotations there
+    spec.loader.exec_module(tracer)
+    read |= {q.rsplit(".", 1)[1] for layer in tracer.MCRF_LAYERS for q in layer.functions}
+    assert sorted(set(mcrf.__all__) - read) == []
 
 
 def test_runtime_warnings_fail_a_test():

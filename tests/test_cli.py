@@ -941,17 +941,32 @@ class TestNegativeSeed:
         assert list(tmp_path.iterdir()) == []
 
 
+def run_module(*argv):
+    """`python -m argv...` with the package's source directory on its path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
 class TestEntryPoints:
     def test_python_dash_m_runs_the_cli(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        done = subprocess.run([sys.executable, "-m", "mcrf", "verify", "--seed", "0"],
-                              capture_output=True, text=True, env=env, timeout=300)
-        assert done.returncode == 0, done.stderr
+        done = run_module("mcrf", "verify", "--seed", "0")
         lines = done.stdout.splitlines()
         assert sum(line.startswith("[PASS]") for line in lines) == 8
         assert lines[-1].startswith("8/8 checks passed")
+
+    @pytest.mark.parametrize("module", ["mcrf", "mcrf.cli"])
+    def test_python_dash_m_prints_what_cli_main_prints(self, module, capsys):
+        """Both module entry points run cli.main: the same eight JSON lines."""
+        assert main(["verify", "--seed", "0", "--json"]) == 0
+        expected = capsys.readouterr().out.splitlines()
+        assert len(expected) == 8
+        done = run_module(module, "verify", "--seed", "0", "--json")
+        assert done.stdout.splitlines() == expected
 
     def test_console_script_names_cli_main(self):
         tomllib = pytest.importorskip("tomllib")

@@ -813,6 +813,25 @@ class TestNonFinite:
             assert same_bits(grads.transitions, alone_grads.transitions)
             assert same_bits(grads.start, alone_grads.start)
 
+    def test_the_oracle_gradient_survives_a_log_z_that_lost_its_log_n(self):
+        """At 1e308, log Z rounds to the largest score and loses its log 3:
+        every path got weight exp(0) = 1, and the enumeration's emission
+        gradient was [0, 1, 1]. It now divides by the weights' sum, as the
+        engine's marginals do, alone and beside an ordinary sentence."""
+        thirds = np.array([-2 / 3, 1 / 3, 1 / 3])
+        batch = [(np.full((1, 3), 1e308), [0])]
+        for fn in (loss_and_gradients, brute_force_loss_and_gradients):
+            grads = fn(batch, self.TRANS)[1]
+            np.testing.assert_allclose(grads.emissions[0][0], thirds, rtol=1e-15)
+            np.testing.assert_allclose(grads.start, thirds, rtol=1e-15)
+        mixed = [(np.zeros((2, 3)), [0, 1]), (np.full((2, 3), 1e307), [2, 0])]
+        engine = loss_and_gradients(mixed, self.TRANS)[1]
+        oracle = brute_force_loss_and_gradients(mixed, self.TRANS)[1]
+        for ours, theirs in zip(oracle.emissions, engine.emissions):
+            np.testing.assert_allclose(ours, theirs, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(oracle.transitions, engine.transitions, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(oracle.start, engine.start, rtol=1e-12, atol=1e-15)
+
     def test_plus_inf_gets_one_verdict_from_engine_and_enumeration(self):
         """The engine's shifted recursion read +inf as nan (log Z of nan,
         loss of nan) and the enumeration as inf (log Z of inf, loss of inf);

@@ -12,7 +12,7 @@ from mcrf.evaluation import (
     illegal_stats,
     score_paths,
 )
-from mcrf.postproc import Segment, extract_segments, repair_tags
+from mcrf.postproc import Segment, extract_segments, repair_tags, repair_tags_batch
 from mcrf.schemes import Scheme, build_tagset
 
 
@@ -189,9 +189,26 @@ class TestScorePaths:
             score_paths(gold_segments, raw * 2, self.TAGSET, "retain")
 
     def test_unknown_strategy_rejected(self):
+        """On any corpus, an empty one too, as repair_tags_batch refuses it."""
         gold_segments, raw = self._paths()
-        with pytest.raises(ValueError):
-            score_paths(gold_segments, raw, self.TAGSET, "mend")
+        for corpus in ((gold_segments, raw), ([], [])):
+            with pytest.raises(ValueError, match="^unknown strategy 'mend'"):
+                score_paths(*corpus, self.TAGSET, "mend")
+        with pytest.raises(ValueError, match="^unknown strategy 'mend'"):
+            repair_tags_batch([], self.TAGSET, "mend")
+
+    def test_the_strategy_is_read_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(legal, strategy):
+            calls.append(strategy)
+            return original(legal, strategy)
+
+        original = mcrf.evaluation.keeps
+        monkeypatch.setattr(mcrf.evaluation, "keeps", counting)
+        gold_segments, raw = self._paths()
+        score_paths(gold_segments * 3, raw * 3, self.TAGSET, "discard")
+        assert calls == ["discard"]
 
 
 class TestFormatReport:

@@ -8,7 +8,9 @@ import pytest
 from mcrf.crf import (
     TransitionMatrix,
     brute_force_best,
+    brute_force_log_partition,
     nll_loss,
+    path_score,
     viterbi,
     viterbi_batch,
 )
@@ -396,6 +398,24 @@ class TestMaskedNll:
             gold = random_legal_path(rng, BIO1, T)
             batch = [(emissions, gold)]
             assert restricted_nll(batch, trans, spec) <= nll_loss(batch, trans) + 1e-12
+
+    def test_restricted_nll_keeps_the_bits_of_the_per_sentence_sum(self):
+        """restricted_nll is the legal-paths oracle's loss; it has the bits of
+        the per-sentence sum of log Z over legal paths minus the gold score."""
+        rng = np.random.default_rng(11)
+        tagset = build_tagset(Scheme.BIO, ["LOC", "PER"])
+        spec = spec_for(tagset)
+        for _ in range(40):
+            batch = []
+            for _ in range(int(rng.integers(1, 4))):
+                T = int(rng.integers(1, 5))
+                batch.append((rng.normal(size=(T, 5)), random_legal_path(rng, tagset, T)))
+            trans = TransitionMatrix(rng.normal(size=(5, 5)), rng.normal(size=5))
+            total = 0.0
+            for emissions, gold in batch:
+                log_z = brute_force_log_partition(emissions, trans, rules=spec.rules)
+                total += log_z - path_score(emissions, trans, gold)
+            assert restricted_nll(batch, trans, spec).hex() == (total / len(batch)).hex()
 
     def test_converges_to_restricted(self):
         rng = np.random.default_rng(9)

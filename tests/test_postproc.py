@@ -14,7 +14,6 @@ from mcrf.postproc import (
     extract_segments_batch,
     repair_tags,
     repair_tags_batch,
-    segments_to_tags,
 )
 from mcrf.schemes import Scheme, build_tagset, first_violation
 from oracles import python_extract_segments, python_repair
@@ -188,24 +187,16 @@ class TestOneLegalityDefinition:
         assert illegal_start.tolist() == continuing
 
 
-class TestSegmentsToTags:
+class TestCanonicalForm:
+    """retain re-emits every extracted segment in canonical form."""
+
     def test_canonical_bio(self):
-        tags = segments_to_tags([Segment("PER", 1, 3, True)], 4, BIO)
+        tags = repair_tags(bio("O", "I-PER", "I-PER", "O"), BIO, "retain")
         assert tags == bio("O", "B-PER", "I-PER", "O")
 
     def test_canonical_bioes(self):
-        tags = segments_to_tags(
-            [Segment("PER", 0, 3, True), Segment("LOC", 3, 4, True)], 4, BIOES
-        )
+        tags = repair_tags(bioes("B-PER", "I-PER", "I-PER", "S-LOC"), BIOES, "retain")
         assert tags == bioes("B-PER", "I-PER", "E-PER", "S-LOC")
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            segments_to_tags([Segment("PER", 0, 2, True), Segment("LOC", 1, 3, True)], 3, BIO)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            segments_to_tags([Segment("PER", 1, 4, True)], 3, BIO)
 
     @pytest.mark.parametrize("start, end", [(0, 0), (2, 1), (-1, 2)])
     def test_bad_span_rejected(self, start, end):

@@ -28,7 +28,7 @@ from mcrf.crf import (
     viterbi_batch,
 )
 from mcrf.masking import MaskSpec, apply_mask, constrained_viterbi, decode, guard_threshold
-from mcrf.postproc import extract_segments, repair_segments, repair_tags
+from mcrf.postproc import extract_segments, keeps, repair_tags
 from mcrf.schemes import (
     Scheme,
     build_tagset,
@@ -174,7 +174,7 @@ def test_repaired_path_has_exactly_the_kept_segments(tagged, strategy):
     """Scoring a repair reads the kept segments off the raw extraction
     instead of extracting the repaired path again; this is why it may."""
     tagset, path = tagged
-    kept = repair_segments(extract_segments(path, tagset), strategy)
+    kept = [s for s in extract_segments(path, tagset) if keeps(s.legal, strategy)]
     repaired = extract_segments(repair_tags(path, tagset, strategy), tagset)
     assert [s.span for s in repaired] == [s.span for s in kept]
 

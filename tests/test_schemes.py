@@ -9,11 +9,8 @@ from mcrf.schemes import (
     TransitionRuleSet,
     build_tagset,
     canonical_run,
-    decompose_tag,
     first_violation,
     illegal_transition_set,
-    is_legal_start,
-    is_legal_transition,
     validate_gold_paths,
 )
 
@@ -34,6 +31,20 @@ def reference_bioes_legal(tags, i, j):
         return src[0] in "BI" and src[2:] == dst[2:]
     # O, B-*, S-* may only follow a closed position.
     return src == "O" or src[0] in "ES"
+
+
+def reference_start_legal(tags, j):
+    """Independent statement of the start rule: a sentence cannot open
+    inside a chunk, on I-X, or on a chunk's end, E-X."""
+    return tags[j][0] not in "IE"
+
+
+def legal_pair(ts, i, j):
+    return not ts.rules.tables(ts.size)[0][i, j]
+
+
+def legal_start(ts, j):
+    return not ts.rules.tables(ts.size)[1][j]
 
 
 class TestBuildTagset:
@@ -82,73 +93,66 @@ class TestDecompose:
             ts = build_tagset(scheme, ["LOC", "ORG"])
             for i, tag in enumerate(ts.tags):
                 prefix, _, etype = tag.partition("-")
-                assert decompose_tag(ts, i) == ts.parts[i] == (prefix, etype or None)
+                assert ts.parts[i] == (prefix, etype or None)
             for bad in (-1, ts.size):
                 with pytest.raises(ValueError, match=f"tag index {bad} out of range"):
-                    decompose_tag(ts, bad)
+                    ts.tag_of(bad)
 
     def test_outside(self):
         ts = build_tagset(Scheme.BIO, ["LOC"])
-        assert decompose_tag(ts, 0) == ("O", None)
+        assert ts.parts[0] == ("O", None)
 
     def test_prefixed(self):
         ts = build_tagset(Scheme.BIOES, ["ORG"])
-        assert decompose_tag(ts, ts.index_of("E-ORG")) == ("E", "ORG")
-        assert decompose_tag(ts, ts.index_of("S-ORG")) == ("S", "ORG")
+        assert ts.parts[ts.index_of("E-ORG")] == ("E", "ORG")
+        assert ts.parts[ts.index_of("S-ORG")] == ("S", "ORG")
 
 
 class TestLegality:
     def test_bio_spot_checks(self):
         ts = build_tagset(Scheme.BIO, ["LOC", "ORG"])
         idx = ts.index_of
-        assert not is_legal_transition(ts, idx("O"), idx("I-LOC"))
-        assert is_legal_transition(ts, idx("B-LOC"), idx("I-LOC"))
-        assert is_legal_transition(ts, idx("I-LOC"), idx("I-LOC"))
-        assert not is_legal_transition(ts, idx("B-LOC"), idx("I-ORG"))
-        assert not is_legal_transition(ts, idx("I-ORG"), idx("I-LOC"))
-        assert is_legal_transition(ts, idx("I-ORG"), idx("B-LOC"))
+        assert not legal_pair(ts, idx("O"), idx("I-LOC"))
+        assert legal_pair(ts, idx("B-LOC"), idx("I-LOC"))
+        assert legal_pair(ts, idx("I-LOC"), idx("I-LOC"))
+        assert not legal_pair(ts, idx("B-LOC"), idx("I-ORG"))
+        assert not legal_pair(ts, idx("I-ORG"), idx("I-LOC"))
+        assert legal_pair(ts, idx("I-ORG"), idx("B-LOC"))
 
     def test_bioes_spot_checks(self):
         ts = build_tagset(Scheme.BIOES, ["LOC", "ORG"])
         idx = ts.index_of
-        assert is_legal_transition(ts, idx("B-LOC"), idx("E-LOC"))
-        assert is_legal_transition(ts, idx("B-LOC"), idx("I-LOC"))
-        assert not is_legal_transition(ts, idx("B-LOC"), idx("O"))
-        assert not is_legal_transition(ts, idx("B-LOC"), idx("B-ORG"))
-        assert not is_legal_transition(ts, idx("I-LOC"), idx("E-ORG"))
-        assert is_legal_transition(ts, idx("E-LOC"), idx("B-ORG"))
-        assert is_legal_transition(ts, idx("S-ORG"), idx("S-LOC"))
-        assert not is_legal_transition(ts, idx("O"), idx("I-ORG"))
-        assert not is_legal_transition(ts, idx("O"), idx("E-ORG"))
+        assert legal_pair(ts, idx("B-LOC"), idx("E-LOC"))
+        assert legal_pair(ts, idx("B-LOC"), idx("I-LOC"))
+        assert not legal_pair(ts, idx("B-LOC"), idx("O"))
+        assert not legal_pair(ts, idx("B-LOC"), idx("B-ORG"))
+        assert not legal_pair(ts, idx("I-LOC"), idx("E-ORG"))
+        assert legal_pair(ts, idx("E-LOC"), idx("B-ORG"))
+        assert legal_pair(ts, idx("S-ORG"), idx("S-LOC"))
+        assert not legal_pair(ts, idx("O"), idx("I-ORG"))
+        assert not legal_pair(ts, idx("O"), idx("E-ORG"))
 
     def test_bio_matches_reference_rule_everywhere(self):
         ts = build_tagset(Scheme.BIO, ["A", "B", "C", "D"])
         for i in range(ts.size):
             for j in range(ts.size):
-                assert is_legal_transition(ts, i, j) == reference_bio_legal(ts.tags, i, j)
+                assert legal_pair(ts, i, j) == reference_bio_legal(ts.tags, i, j)
 
     def test_bioes_matches_reference_rule_everywhere(self):
         ts = build_tagset(Scheme.BIOES, ["A", "B", "C"])
         for i in range(ts.size):
             for j in range(ts.size):
-                assert is_legal_transition(ts, i, j) == reference_bioes_legal(ts.tags, i, j)
+                assert legal_pair(ts, i, j) == reference_bioes_legal(ts.tags, i, j)
 
     def test_start_legality(self):
         bio = build_tagset(Scheme.BIO, ["LOC", "ORG"])
-        assert is_legal_start(bio, bio.index_of("O"))
-        assert is_legal_start(bio, bio.index_of("B-ORG"))
-        assert not is_legal_start(bio, bio.index_of("I-ORG"))
+        assert legal_start(bio, bio.index_of("O"))
+        assert legal_start(bio, bio.index_of("B-ORG"))
+        assert not legal_start(bio, bio.index_of("I-ORG"))
         bioes = build_tagset(Scheme.BIOES, ["LOC"])
-        assert is_legal_start(bioes, bioes.index_of("S-LOC"))
-        assert not is_legal_start(bioes, bioes.index_of("I-LOC"))
-        assert not is_legal_start(bioes, bioes.index_of("E-LOC"))
-
-    def test_out_of_range_index_rejected(self):
-        ts = build_tagset(Scheme.BIO, ["LOC"])
-        with pytest.raises(ValueError):
-            is_legal_transition(ts, 0, ts.size)
-        with pytest.raises(ValueError):
-            is_legal_start(ts, -1)
+        assert legal_start(bioes, bioes.index_of("S-LOC"))
+        assert not legal_start(bioes, bioes.index_of("I-LOC"))
+        assert not legal_start(bioes, bioes.index_of("E-LOC"))
 
 
 class TestRuleSet:
@@ -172,9 +176,10 @@ class TestRuleSet:
         assert starts == {"I-PER", "E-PER"}
 
     def test_omega_partitions_pairs_with_legality(self):
-        """Every ordered pair is either legal or a member of omega, never both,
-        and the compiled tables agree entry by entry, for BIO and BIOES with
-        1 to 10 entity types (d up to 41)."""
+        """Every ordered pair is either legal by the string-level reference
+        rule or a member of omega, never both, and the compiled tables agree
+        entry by entry, for BIO and BIOES with 1 to 10 entity types (d up to
+        41); so is every start tag."""
         for scheme in (Scheme.BIO, Scheme.BIOES):
             for k in range(1, 11):
                 ts = build_tagset(scheme, [f"T{i}" for i in range(k)])
@@ -182,14 +187,16 @@ class TestRuleSet:
                 illegal_pair, illegal_start = rules.tables(ts.size)
                 assert illegal_pair.shape == (ts.size, ts.size)
                 assert illegal_start.shape == (ts.size,)
+                reference = reference_bio_legal if scheme is Scheme.BIO else reference_bioes_legal
                 for i in range(ts.size):
                     for j in range(ts.size):
-                        legal = is_legal_transition(ts, i, j)
+                        legal = reference(ts.tags, i, j)
                         assert ((i, j) in rules.omega) != legal
                         assert bool(illegal_pair[i, j]) != legal
                 for j in range(ts.size):
-                    assert (j in rules.illegal_starts) != is_legal_start(ts, j)
-                    assert bool(illegal_start[j]) != is_legal_start(ts, j)
+                    legal = reference_start_legal(ts.tags, j)
+                    assert (j in rules.illegal_starts) != legal
+                    assert bool(illegal_start[j]) != legal
 
     def test_tables_reject_out_of_range_indices(self):
         rules = illegal_transition_set(build_tagset(Scheme.BIO, ["LOC", "PER"]))
