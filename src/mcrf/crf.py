@@ -67,9 +67,17 @@ inputs hold -inf or their sums left the float range below.
 
 The brute-force routines enumerate all d^T paths (optionally restricted to
 the legal subset defined by a TransitionRuleSet) in lexicographic order and
-exist purely as independent oracles for the dynamic programs. They and
-path_score refuse a result that is not finite as the engine does, with one
-check per result or per enumerated chunk.
+exist purely as independent oracles for the dynamic programs. One
+enumerator, _iter_scored_chunks, scores k instances of one (T, d) shape,
+stacked as (k, T, d) emissions, (k, d, d) scores and (k, d) starts, against
+each chunk's path table, built once for all of them. The public oracles
+are its batch of one; the stacked forms of log Z and the best path
+(_brute_force_log_z, _brute_force_paths) let verify referee each shape
+group of its instances in one call. Each instance's scores are a C-ordered
+row, reduced as a lone instance's are, so it keeps the bits of its own
+call. They and path_score refuse a result that is not finite as the engine
+does, with one check per result or per enumerated chunk, and the stacked
+forms name the first refused instance in input order.
 """
 
 from __future__ import annotations
@@ -84,11 +92,13 @@ from .errors import SizeError
 from .schemes import TransitionRuleSet
 
 MAX_BRUTE_FORCE_PATHS = 10_000_000
-_CHUNK = 1 << 16
+_CHUNK = 1 << 16  # paths per enumerated path table
+_SLICE = 1 << 12  # path scores per gathered tile of a stacked enumeration (at least one row)
 _DECODE_CELLS = 1 << 16  # float64 cells per decode chunk: (b, T, d) table + (b, moves) step
 _UNDERFLOW = np.finfo(np.float64).tiny * 2.0**52  # v_t below this takes the log-space step
 _LOWEST = float(np.finfo(np.float64).min)  # floors the forward shift: max of a row of -inf
 _MAX_INTP = int(np.iinfo(np.intp).max)
+_SUMS_HOLD = 2.0**52  # |log Z| below which a batch loss is summed, not averaged from its NLLs
 
 _ALL_MOVES = TransitionRuleSet(frozenset(), frozenset())  # viterbi_batch without rules
 
@@ -423,10 +433,12 @@ def _batch_nll(batch: Batch | TokenBatch, scores: np.ndarray, start: np.ndarray,
     zero-padded (B, T) array: the gold emissions are summed in that order,
     and another order moves the loss's last bit; so each model's mean is
     (sum of log Z - gold score - start scores) / B, not summed from its
-    per-sentence NLLs, unless the batch sums leave the float range while
-    every NLL is finite. So each model's loss has the bits of a call with it
-    alone, and the first model in input order whose loss is not finite is
-    refused with the text a call with it alone gives.
+    per-sentence NLLs, unless the batch sums cannot hold them while every
+    NLL is finite: the sums leave the float range, or a log Z reaches
+    _SUMS_HOLD in magnitude, where the sums' ulp of 1 or more rounds the
+    other sentences' NLLs away. So each model's loss has the bits of a call
+    with it alone, and the first model in input order whose loss is not
+    finite is refused with the text a call with it alone gives.
 
     Sentence k's NLL has the bits nll_loss gives it alone when the batch is
     padded to fewer than 8 positions (numpy sums 8 or more terms pairwise)
@@ -444,15 +456,17 @@ def _batch_nll(batch: Batch | TokenBatch, scores: np.ndarray, start: np.ndarray,
     gold_em, gold_moves, starts = emissions[cells], moves[steps], start.take(tags[:, 0], axis=1)
     gold = gold_em.sum() + flat.take(gold_moves, axis=1).sum(axis=1)
     losses = (log_z.sum(axis=1) - gold - starts.sum(axis=1)) / n
-    finite = np.isfinite(losses)
-    all_finite = finite.all()
-    if not gradients or not all_finite:
+    summed = np.isfinite(losses)
+    if not np.vdot(log_z, log_z) < _SUMS_HOLD**2:  # a log Z may reach _SUMS_HOLD: look at each
+        summed &= np.abs(log_z).max(axis=1) < _SUMS_HOLD
+    all_summed = summed.all()
+    if not gradients or not all_summed:
         move_scores = np.where(steps, flat.take(moves, axis=1), 0.0).sum(axis=2)
         nlls = log_z - (gold_em.sum(axis=1) + move_scores) - starts
-    if not all_finite:
-        overflow = ~finite & np.isfinite(nlls).all(axis=1)  # only the batch sums left the range
-        losses[overflow] = (nlls[overflow] / n).sum(axis=1)
-        refused = ~(finite | overflow)
+    if not all_summed:
+        averaged = ~summed & np.isfinite(nlls).all(axis=1)  # only the batch sums failed
+        losses[averaged] = (nlls[averaged] / n).sum(axis=1)
+        refused = ~(summed | averaged)
         if refused.any():
             m = int(refused.argmax())  # the first model refused
             k = int(np.isfinite(nlls[m]).argmin())  # its first sentence whose own NLL is not finite
@@ -581,35 +595,64 @@ def _check_enumerable(T: int, d: int) -> None:
 
 def _iter_scored_chunks(
     emissions: np.ndarray,
-    trans: TransitionMatrix,
+    scores: np.ndarray,
+    start: np.ndarray,
     rules: TransitionRuleSet | None,
 ):
-    """Yield (paths, scores) chunks over all paths in lexicographic order.
+    """Yield (rows, cells, moves, scores) over all paths of k instances of
+    one shape, checked (k, T, d) emissions with (k, d, d) transition scores
+    and (k, d) starts, in lexicographic order.
 
-    With rules, paths containing an omega pair or an illegal start are
-    dropped from the chunk.
+    Each chunk of _CHUNK paths is one int32 path table, built once: path
+    p's cells of the (T, d) emissions, cells[p, t] = t * d + its tag at t
+    (so cells[:, 0] are the first tags), and its moves, the cells i * d + j
+    of the (d, d) scores; every index of an enumerable shape fits. With
+    rules, the paths containing an omega pair or an illegal start are
+    dropped from it. rows is a slice of the instances and scores its
+    C-ordered (k', n) path scores, so each row reduces as one instance's
+    (n,) scores do. They are gathered in tiles of at most _SLICE path
+    scores: max(1, _SLICE // n) rows at a time, and a row longer than that
+    in blocks of _SLICE paths.
     """
-    emissions = _sentence(emissions, trans.num_tags)
-    T, d = emissions.shape
+    k, T, d = emissions.shape
     _check_enumerable(T, d)
     if rules is not None:
         illegal_pair, illegal_start = rules.tables(d)
+    emissions, scores = emissions.reshape(k, T * d), scores.reshape(k, d * d)
     total = d**T
-    positions = np.arange(T)
     for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        paths = np.stack(
-            np.unravel_index(np.arange(lo, hi), (d,) * T), axis=1
-        )  # lexicographic: position 0 is the most significant digit
-        moves = paths[:, :-1], paths[:, 1:]  # (n, T - 1) each: empty at T = 1
-        with np.errstate(over="ignore", invalid="ignore"):  # a result that is not finite is refused
-            scores = emissions[positions[None, :], paths].sum(axis=1) + trans.start[paths[:, 0]]
-            scores += trans.scores[moves].sum(axis=1)
+        cells = np.stack(
+            np.unravel_index(np.arange(lo, min(lo + _CHUNK, total)), (d,) * T),
+            axis=1, dtype=np.int32, casting="same_kind",
+        )  # the tags, lexicographic: position 0 is the most significant digit
+        moves = cells[:, :-1] * d  # (n, T - 1): empty at T = 1
+        moves += cells[:, 1:]
         if rules is not None:
-            keep = ~(illegal_start[paths[:, 0]] | illegal_pair[moves].any(axis=1))
-            paths, scores = paths[keep], scores[keep]
-        if len(paths):
-            yield paths, scores
+            keep = ~(illegal_start[cells[:, 0]] | illegal_pair.ravel()[moves].any(axis=1))
+            cells, moves = cells[keep], moves[keep]
+        n = len(cells)
+        if not n:
+            continue
+        cells += np.arange(T, dtype=np.int32) * d
+        step = max(1, _SLICE // n)
+        for r in range(0, k, step):
+            rows = slice(r, r + step)
+            path_scores = np.empty((len(emissions[rows]), n))
+            for p in range(0, n, _SLICE):
+                block = slice(p, p + _SLICE)
+                with np.errstate(over="ignore", invalid="ignore"):  # not finite: refused by callers
+                    tile = emissions[rows].take(cells[block], axis=1).sum(axis=2)
+                    tile += start[rows].take(cells[block, 0], axis=1)
+                    tile += scores[rows].take(moves[block], axis=1).sum(axis=2)
+                path_scores[:, block] = tile
+            yield rows, cells, moves, path_scores
+
+
+def _instance(emissions: np.ndarray, trans: TransitionMatrix) -> tuple[np.ndarray, ...]:
+    """One checked sentence and its model as the stacked oracles read them:
+    (1, T, d) emissions, (1, d, d) scores and (1, d) starts."""
+    emissions = _sentence(emissions, trans.num_tags)
+    return emissions[None], trans.scores[None], trans.start[None]
 
 
 def brute_force_log_partition(
@@ -618,20 +661,35 @@ def brute_force_log_partition(
     rules: TransitionRuleSet | None = None,
 ) -> float:
     """Exact log Z by explicit enumeration (oracle for log_partition)."""
-    log_z = _enumerated_log_z(emissions, trans, rules)
-    if not math.isfinite(log_z):
-        raise _not_finite(0, "log Z of", log_z, emissions, trans.scores, trans.start)
+    return float(_brute_force_log_z(*_instance(emissions, trans), rules)[0])
+
+
+def _brute_force_log_z(
+    emissions: np.ndarray, scores: np.ndarray, start: np.ndarray, rules: TransitionRuleSet | None
+) -> np.ndarray:
+    """brute_force_log_partition of k instances of one shape, (k,) log Z:
+    the first instance in input order whose log Z is not finite is refused,
+    named by its index."""
+    log_z = _enumerated_log_z(emissions, scores, start, rules)
+    bad = ~np.isfinite(log_z)
+    if bad.any():
+        j = int(bad.argmax())
+        raise _not_finite(j, "log Z of", float(log_z[j]), emissions[j], scores[j], start[j])
     return log_z
 
 
 def _enumerated_log_z(
-    emissions: np.ndarray, trans: TransitionMatrix, rules: TransitionRuleSet | None
-) -> float:
-    """brute_force_log_partition, not checked for a finite result."""
-    parts = [logsumexp(scores) for _, scores in _iter_scored_chunks(emissions, trans, rules)]
+    emissions: np.ndarray, scores: np.ndarray, start: np.ndarray, rules: TransitionRuleSet | None
+) -> np.ndarray:
+    """_brute_force_log_z, not checked for finite results."""
+    parts = []  # (k,) log-sum-exp of each chunk with a legal path
+    for rows, _, _, path_scores in _iter_scored_chunks(emissions, scores, start, rules):
+        if rows.start == 0:
+            parts.append(np.empty(len(emissions)))
+        parts[-1][rows] = logsumexp(path_scores, axis=1)
     if not parts:
         raise ValueError("no legal paths exist for this instance")
-    return float(logsumexp(np.asarray(parts)))
+    return logsumexp(np.stack(parts, axis=1), axis=1)
 
 
 def brute_force_best(
@@ -646,20 +704,41 @@ def brute_force_best(
     smallest path. The returned score is recomputed with path_score so that
     it is bit-identical to path_score(best).
     """
-    best_path: list[int] | None = None
-    best_score = -np.inf
-    for paths, scores in _iter_scored_chunks(emissions, trans, rules):
-        k = int(np.argmax(scores))  # the first nan if there is one: no comparison takes it
-        if not scores[k] < np.inf:
-            raise _not_finite(0, "a path score is", scores[k], emissions, trans.scores, trans.start)
-        if best_path is None or scores[k] > best_score:
-            best_score = float(scores[k])
-            best_path = [int(v) for v in paths[k]]
-    if best_path is None:
-        raise ValueError("no legal paths exist for this instance")
-    if best_score == -np.inf:
-        raise _not_finite(0, _NO_FINITE_PATH, best_score)
+    best_path = _brute_force_paths(*_instance(emissions, trans), rules)[0]
     return best_path, path_score(emissions, trans, best_path)
+
+
+def _brute_force_paths(
+    emissions: np.ndarray, scores: np.ndarray, start: np.ndarray, rules: TransitionRuleSet | None
+) -> list[list[int]]:
+    """brute_force_best's path for each of k instances of one shape. An
+    instance is refused at its first chunk whose best score is nan or +inf,
+    or when its best score is -inf; the first refused in input order is
+    named by its index."""
+    k, T, d = emissions.shape
+    best = np.empty((k, T), dtype=np.intp)  # the best path's cells
+    best_score = np.full(k, -np.inf)
+    refused = np.full(k, -np.inf)  # each instance's first nan or +inf best score
+    legal = False  # a chunk had a legal path
+    for rows, cells, _, path_scores in _iter_scored_chunks(emissions, scores, start, rules):
+        legal = True
+        top = path_scores.argmax(axis=1)  # the first nan if there is one: no comparison takes it
+        value = path_scores[np.arange(len(top)), top]
+        bad = ~(value < np.inf) & (refused[rows] == -np.inf)
+        refused[rows][bad] = value[bad]
+        better = value > best_score[rows]  # an instance never better than -inf is refused below
+        best[rows][better] = cells[top[better]]
+        best_score[rows][better] = value[better]
+    if not legal:
+        raise ValueError("no legal paths exist for this instance")
+    bad = (refused != -np.inf) | (best_score == -np.inf)
+    if bad.any():
+        j = int(bad.argmax())
+        if refused[j] == -np.inf:
+            raise _not_finite(j, _NO_FINITE_PATH, -math.inf)
+        value = float(refused[j])
+        raise _not_finite(j, "a path score is", value, emissions[j], scores[j], start[j])
+    return (best - np.arange(T) * d).tolist()
 
 
 def brute_force_loss_and_gradients(
@@ -684,7 +763,8 @@ def brute_force_loss_and_gradients(
     bounds = np.cumsum(lengths)[:-1]
     for k, (emissions, tags) in enumerate(zip(np.split(tokens, bounds), np.split(golds, bounds))):
         T = len(tags)
-        log_z = _enumerated_log_z(emissions, trans, rules)
+        instance = _instance(emissions, trans)
+        log_z = float(_enumerated_log_z(*instance, rules)[0])
         loss = log_z - _score(emissions, trans, tags)
         if not math.isfinite(loss):  # so are log Z and every path score under it
             raise _refused_loss(k, loss, log_z, emissions, trans.scores, trans.start)
@@ -692,15 +772,15 @@ def brute_force_loss_and_gradients(
         d_em = np.zeros((T, d))
         before = d_trans.copy(), d_start.copy()
         mass = count = 0
-        for paths, scores in _iter_scored_chunks(emissions, trans, rules):
-            w = np.exp(scores - log_z)
+        for _, cells, moves, scores in _iter_scored_chunks(*instance, rules):
+            w = np.exp(scores[0] - log_z)
             mass += w.sum()
             count += w.size
             for t in range(T):
-                np.add.at(d_em[t], paths[:, t], w)
+                np.add.at(d_em.reshape(-1), cells[:, t], w)
             for t in range(T - 1):
-                np.add.at(d_trans, (paths[:, t], paths[:, t + 1]), w)
-            np.add.at(d_start, paths[:, 0], w)
+                np.add.at(d_trans.reshape(-1), moves[:, t], w)
+            np.add.at(d_start, cells[:, 0], w)
         if abs(mass - 1.0) > 4 * count * np.finfo(np.float64).eps:  # more than rounding
             d_em /= mass
             for counts, old in zip((d_trans, d_start), before):

@@ -11,6 +11,15 @@ vector. The finite-difference checks share one central-difference step,
 _FD_STEP, and one helper, _worst_relative_error, which collects every
 perturbed input of one loss form before it asks for their losses.
 
+check_log_partition and check_viterbi draw all 200 of their instances
+first; _shape_groups then stacks each (T, d) group of them for one call of
+the stacked enumeration oracle (crf._brute_force_log_z,
+crf._brute_force_paths), where each instance keeps the bits of its own
+call. The engine side is one log_partition or viterbi call per instance,
+and path_score rescores each best path. A check's worst error and
+mismatch count do not depend on the order in which it meets the
+instances, so it takes them group by group.
+
 Each loss form's losses come from one engine call (crf._batch_nll). A
 perturbation of the emissions (or of any encoder weight, through encode)
 leaves trans as it is, so all its perturbed sentences are one TokenBatch,
@@ -37,8 +46,8 @@ from .crf import (
     TokenBatch,
     TransitionMatrix,
     _batch_nll,
-    brute_force_best,
-    brute_force_log_partition,
+    _brute_force_log_z,
+    _brute_force_paths,
     log_partition,
     loss_and_gradients,
     path_score,
@@ -94,15 +103,27 @@ def _random_instance(rng: np.random.Generator):
     return emissions, trans, gold
 
 
+def _shape_groups(rng: np.random.Generator, count: int):
+    """count random instances, drawn in order, then stacked by their (T, d)
+    shape: yields each group's (k, T, d) emissions, (k, d, d) scores and
+    (k, d) starts."""
+    groups: dict[tuple[int, int], list] = {}
+    for _ in range(count):
+        emissions, trans, _ = _random_instance(rng)
+        groups.setdefault(emissions.shape, []).append((emissions, trans))
+    for members in groups.values():
+        emissions, trans = zip(*members)
+        scores, start = np.stack([t.scores for t in trans]), np.stack([t.start for t in trans])
+        yield np.stack(emissions), scores, start
+
+
 def check_log_partition(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(200):
-        emissions, trans, _ = _random_instance(rng)
-        worst = max(
-            worst,
-            abs(log_partition(emissions, trans) - brute_force_log_partition(emissions, trans)),
-        )
+    for emissions, scores, start in _shape_groups(rng, 200):
+        exact = _brute_force_log_z(emissions, scores, start, None).tolist()
+        for em, trans, log_z in zip(emissions, map(TransitionMatrix, scores, start), exact):
+            worst = max(worst, abs(log_partition(em, trans) - log_z))
     return CheckResult(
         name="log-partition vs enumeration",
         observed=worst,
@@ -116,13 +137,15 @@ def check_viterbi(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     mismatched_paths = 0
-    for _ in range(200):
-        emissions, trans, _ = _random_instance(rng)
-        best_path, best_score = brute_force_best(emissions, trans)
-        decoded = viterbi(emissions, trans)
-        if decoded != best_path:
-            mismatched_paths += 1
-        worst = max(worst, abs(path_score(emissions, trans, decoded) - best_score))
+    for emissions, scores, start in _shape_groups(rng, 200):
+        best_paths = _brute_force_paths(emissions, scores, start, None)
+        models = map(TransitionMatrix, scores, start)
+        for em, trans, best_path in zip(emissions, models, best_paths):
+            best_score = path_score(em, trans, best_path)
+            decoded = viterbi(em, trans)
+            if decoded != best_path:
+                mismatched_paths += 1
+            worst = max(worst, abs(path_score(em, trans, decoded) - best_score))
     passed = worst == 0.0 and mismatched_paths == 0
     return CheckResult(
         name="viterbi vs enumeration",

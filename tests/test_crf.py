@@ -37,7 +37,13 @@ from mcrf.crf import (
 )
 from mcrf.errors import SizeError
 from mcrf.masking import MaskSpec, apply_mask, constrained_viterbi, decode
-from mcrf.schemes import Scheme, TransitionRuleSet, build_tagset, illegal_transition_set
+from mcrf.schemes import (
+    Scheme,
+    TransitionRuleSet,
+    build_tagset,
+    first_violation,
+    illegal_transition_set,
+)
 
 
 def random_instance(rng, T=None, d=None, scale=2.0):
@@ -813,6 +819,24 @@ class TestNonFinite:
             assert same_bits(grads.transitions, alone_grads.transitions)
             assert same_bits(grads.start, alone_grads.start)
 
+    def test_a_huge_log_z_does_not_round_the_other_nlls_away(self):
+        """The batch loss was (sum of log Z - sum of gold scores) / B, and the
+        zero sentence's log 9 vanished into the 2e307 sums: 0.0, where the
+        two sentences alone give 2.1972 and 0.0. When a log Z reaches 2^52
+        the loss is the mean of the per-sentence NLLs, as the enumeration's."""
+        pairs = [(np.zeros((2, 3)), [0, 1]), (np.full((2, 3), 1e307), [2, 0])]
+        assert nll_loss(pairs[:1], self.TRANS) == 2 * math.log(3)
+        assert nll_loss(pairs[1:], self.TRANS) == 0.0
+        tokens = TokenBatch(np.vstack([em for em, _ in pairs]), [2, 2], [0, 1, 2, 0])
+        for batch in (pairs, tokens):
+            expected = brute_force_loss_and_gradients(batch, self.TRANS)[0]
+            assert expected == pytest.approx(math.log(3))
+            assert nll_loss(batch, self.TRANS) == loss_and_gradients(batch, self.TRANS)[0] == expected
+        for huge in (-1e307, 2.0**60):  # of either sign, and well inside the float range
+            batch = [pairs[0], (np.full((2, 3), huge), [2, 0])]
+            expected = (2 * math.log(3) + nll_loss(batch[1:], self.TRANS)) / 2
+            assert nll_loss(batch, self.TRANS) == expected
+
     def test_the_oracle_gradient_survives_a_log_z_that_lost_its_log_n(self):
         """At 1e308, log Z rounds to the largest score and loses its log 3:
         every path got weight exp(0) = 1, and the enumeration's emission
@@ -1190,8 +1214,6 @@ class TestBruteForceRestriction:
         free_path, _ = brute_force_best(emissions, trans)
         assert free_path == [ts.index_of("I-PER")] * 3
         legal_path, _ = brute_force_best(emissions, trans, rules=rules)
-        from mcrf.schemes import first_violation
-
         assert first_violation(ts, legal_path) is None
         assert legal_path[0] == ts.index_of("B-PER")
 
@@ -1218,6 +1240,132 @@ class TestBruteForceRestriction:
             log_partition(emissions, trans), abs=1e-9
         )
         assert brute_force_best(emissions, trans)[0] == viterbi(emissions, trans)
+
+
+def stacked(instances):
+    """(k, T, d) emissions, (k, d, d) scores and (k, d) starts of
+    (emissions, trans) instances of one shape."""
+    emissions, trans = zip(*instances)
+    return np.stack(emissions), np.stack([t.scores for t in trans]), np.stack([t.start for t in trans])
+
+
+def refusal(oracle, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        oracle(*args)
+    return str(info.value)
+
+
+class TestStackedOracle:
+    """verify referees each (T, d) group of instances with one stacked
+    enumeration, one path table per chunk for the whole group: each
+    instance keeps the bits, the path and the refusal of its own call."""
+
+    def assert_same_as_alone(self, instances, rules=None):
+        group = stacked(instances)
+        log_z = mcrf.crf._brute_force_log_z(*group, rules)
+        paths = mcrf.crf._brute_force_paths(*group, rules)
+        assert len(log_z) == len(paths) == len(instances)
+        for (emissions, trans), z, path in zip(instances, log_z, paths):
+            assert float(z).hex() == brute_force_log_partition(emissions, trans, rules).hex()
+            assert path == brute_force_best(emissions, trans, rules)[0]
+        return paths
+
+    @pytest.mark.parametrize("seed", [0, 3, 7, 101])
+    def test_random_groups_keep_the_bits_of_each_instance(self, seed):
+        rng = np.random.default_rng(seed)
+        for T, d in ((1, 2), (2, 5), (3, 3), (5, 4), (6, 5)):
+            group = [random_instance(rng, T, d) for _ in range(int(rng.integers(1, 9)))]
+            self.assert_same_as_alone(group)
+
+    def test_a_planted_tie_resolves_to_the_smallest_path(self):
+        """Tags 1 and 2 tie at both positions of the second instance: four
+        best paths, of which [1, 1] is the lexicographically smallest."""
+        rng = np.random.default_rng(11)
+        group = [random_instance(rng, 2, 3) for _ in range(3)]
+        group[1] = (np.array([[0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]), TransitionMatrix.zeros(3))
+        assert self.assert_same_as_alone(group)[1] == [1, 1]
+
+    def test_a_shape_of_two_chunks(self):
+        """Every path of the zero instance ties: the first chunk's first
+        path stays, though the second chunk's first path ties with it."""
+        assert mcrf.crf._CHUNK < 2**17 <= 2 * mcrf.crf._CHUNK
+        rng = np.random.default_rng(13)
+        group = [random_instance(rng, 17, 2, scale=1.0) for _ in range(3)]
+        group[1] = (np.zeros((17, 2)), TransitionMatrix.zeros(2))
+        assert self.assert_same_as_alone(group)[1] == [0] * 17
+
+    def test_a_group_under_rules(self):
+        tagset = build_tagset(Scheme.BIO, ["A", "B"])
+        rng = np.random.default_rng(17)
+        group = [random_instance(rng, 4, tagset.size) for _ in range(5)]
+        for path in self.assert_same_as_alone(group, tagset.rules):
+            assert first_violation(tagset, path) is None
+
+    def test_groups_of_several_tiles(self):
+        """Ten instances of 4^5 paths take several row slices of several
+        rows each; each instance of 5^6 paths takes several path blocks."""
+        assert 1 < mcrf.crf._SLICE // 4**5 < 10 and 5**6 > mcrf.crf._SLICE
+        rng = np.random.default_rng(19)
+        self.assert_same_as_alone([random_instance(rng, 5, 4) for _ in range(10)])
+        self.assert_same_as_alone([random_instance(rng, 6, 5) for _ in range(3)])
+
+    POISONS = {
+        "nan": lambda em: em.__setitem__((1, 2), np.nan),
+        "+inf": lambda em: em.__setitem__((1, 2), np.inf),
+        "all -inf": lambda em: em.__setitem__(1, -np.inf),  # every path passes position 1
+    }
+
+    @pytest.mark.parametrize("poison", sorted(POISONS))
+    def test_a_refused_instance_is_named_with_its_own_refusal(self, poison):
+        rng = np.random.default_rng(23)
+        for j in (0, 2):
+            group = [random_instance(rng, 3, 3) for _ in range(4)]
+            self.POISONS[poison](group[j][0])
+            emissions, trans = group[j]
+            for stacked_oracle, oracle in (
+                (mcrf.crf._brute_force_log_z, brute_force_log_partition),
+                (mcrf.crf._brute_force_paths, brute_force_best),
+            ):
+                alone = refusal(oracle, emissions, trans)
+                assert alone.startswith("sentence 1: ")
+                named = alone.replace("sentence 1: ", f"sentence {j + 1}: ")
+                assert refusal(stacked_oracle, *stacked(group), None) == named
+
+    def test_the_first_refused_instance_in_input_order_is_named(self):
+        """Instance 2's best score is -inf, found after the last chunk;
+        instance 3 holds a nan that only the second chunk reads, and instance
+        4 a nan in the first."""
+        rng = np.random.default_rng(29)
+        group = [random_instance(rng, 17, 2, scale=1.0) for _ in range(4)]
+        group[1][0][5] = -np.inf
+        group[2][0][0, 1] = np.nan  # paths from 2^16 on: the second chunk
+        group[3][0][0, 0] = np.nan
+        for stacked_oracle, first, later in (
+            (mcrf.crf._brute_force_log_z, "log Z of -inf", "log Z of nan"),
+            (mcrf.crf._brute_force_paths, "the best path score is -inf", "a path score is nan"),
+        ):
+            assert refusal(stacked_oracle, *stacked(group), None).startswith(f"sentence 2: {first},")
+            assert refusal(stacked_oracle, *stacked(group[2:]), None).startswith(
+                f"sentence 1: {later},"
+            )
+        # an instance is refused at its first bad chunk: the first chunk's
+        # best score overflows to inf, the second's is nan
+        emissions, trans = group[3]
+        emissions[:2, 0], emissions[0, 1] = 1e308, np.nan
+        alone = refusal(brute_force_best, emissions, trans)
+        assert alone.startswith("sentence 1: a path score is inf,")
+        assert refusal(mcrf.crf._brute_force_paths, *stacked(group[3:]), None) == alone
+
+    def test_a_group_without_a_legal_path_is_refused_as_one_instance_is(self):
+        no_start = TransitionRuleSet(frozenset(), frozenset({0, 1, 2}))
+        group = [random_instance(np.random.default_rng(31), 2, 3) for _ in range(3)]
+        for stacked_oracle, oracle in (
+            (mcrf.crf._brute_force_log_z, brute_force_log_partition),
+            (mcrf.crf._brute_force_paths, brute_force_best),
+        ):
+            alone = refusal(oracle, *group[0], no_start)
+            assert alone == "no legal paths exist for this instance"
+            assert refusal(stacked_oracle, *stacked(group), no_start) == alone
 
 
 class TestTransitionMatrix:

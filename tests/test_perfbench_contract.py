@@ -95,13 +95,16 @@ def test_verify_takes_every_difference_from_untraced_engine_calls():
     emission and encoder differences as a batch of perturbed sentences, the
     transition and start differences as a model axis of perturbed copies of
     trans. So a battery makes no nll_loss call, and its analytic gradients
-    and oracles keep their counts."""
+    keep their count. The log-partition and Viterbi checks referee their
+    instances through the private, untraced stacked oracles, one call per
+    (T, d) group; the traced crf.brute_force calls are check_mask_convergence's
+    8 instances x 4 mask values x 2 loss oracles and its 2 zero-gap calls."""
     with _tracer.Tracer() as tracer:
         mcrf.verification.run_verification(seed=0)
     metrics = tracer.metrics()
     assert metrics["crf.nll_loss.calls"] == 0
     assert metrics["crf.loss_and_gradients.calls"] == 50
-    assert metrics["crf.brute_force.calls"] == 466
+    assert metrics["crf.brute_force.calls"] == 8 * 4 * 2 + 2
 
 
 def test_predict_decodes_without_the_mask(tmp_path):

@@ -152,6 +152,39 @@ class TestObservedBits:
         run_verification(0)
         assert len(calls) == 340
 
+    def test_the_referee_tables_each_shape_once(self, monkeypatch):
+        """check_log_partition and check_viterbi hand each (T, d) group of
+        their 200 instances to one stacked oracle call: 24 shapes each at
+        seeds 0 and 1, every one of at most 5^6 paths, so one path table per
+        shape, not one per instance. The battery's other 132 enumerations
+        are check_mask_convergence's 66 loss oracles, a log Z pass and a
+        weights pass each, one sentence at a time."""
+        groups = {"_brute_force_log_z": [], "_brute_force_paths": []}
+        for name, sizes in groups.items():
+            def oracle(emissions, *args, stacked=getattr(verification, name), sizes=sizes):
+                sizes.append(len(emissions))
+                return stacked(emissions, *args)
+
+            monkeypatch.setattr(verification, name, oracle)
+        enumerations = []  # (instances, path tables) of each enumeration
+        enumerate_ = crf._iter_scored_chunks
+
+        def counted(emissions, *args):
+            tables = []  # kept alive, so that no two tables share an id
+            for chunk in enumerate_(emissions, *args):
+                if not any(chunk[1] is table for table in tables):
+                    tables.append(chunk[1])
+                yield chunk
+            enumerations.append((len(emissions), len(tables)))
+
+        monkeypatch.setattr(crf, "_iter_scored_chunks", counted)
+        run_verification(0)
+        for sizes in groups.values():
+            assert len(sizes) == 24 and sum(sizes) == 200
+        assert len(enumerations) == 24 + 24 + 132
+        assert [tables for _, tables in enumerations] == [1] * len(enumerations)
+        assert sum(instances for instances, _ in enumerations) == 200 + 200 + 132
+
 
 class TestCentralDifference:
     # (x + h) - h != x for the first, (x - h) + h != x for the second
