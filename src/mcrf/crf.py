@@ -70,14 +70,15 @@ the legal subset defined by a TransitionRuleSet) in lexicographic order and
 exist purely as independent oracles for the dynamic programs. One
 enumerator, _iter_scored_chunks, scores k instances of one (T, d) shape,
 stacked as (k, T, d) emissions, (k, d, d) scores and (k, d) starts, against
-each chunk's path table, built once for all of them. The public oracles
-are its batch of one; the stacked forms of log Z and the best path
-(_brute_force_log_z, _brute_force_paths) let verify referee each shape
-group of its instances in one call. Each instance's scores are a C-ordered
-row, reduced as a lone instance's are, so it keeps the bits of its own
-call. They and path_score refuse a result that is not finite as the engine
-does, with one check per result or per enumerated chunk, and the stacked
-forms name the first refused instance in input order.
+each chunk's path table, built once for all of them. The public oracles are
+its batch of one; the stacked forms of log Z and the best path
+(_brute_force_log_z, _brute_force_paths) let verify referee each shape group
+of its instances in one call. Each instance's scores are a C-ordered row,
+reduced as a lone instance's are, so it keeps the bits of its own call. The
+gradient oracle scatters a chunk's weights with one np.add.at per table.
+They and path_score refuse a result that is not finite as the engine does,
+with one check per result or per enumerated chunk, and the stacked forms
+name the first refused instance in input order.
 """
 
 from __future__ import annotations
@@ -180,15 +181,15 @@ class TokenBatch:
         return zip(np.split(self.emissions, bounds), np.split(self.tags, bounds))
 
 
-def logsumexp(x: np.ndarray, axis: int | None = None) -> np.ndarray | float:
-    """Numerically stable log(sum(exp(x))) via the max-shift trick."""
+def logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """Numerically stable log(sum(exp(x))) along axis via the max-shift trick."""
     x = np.asarray(x, dtype=np.float64)
     m = np.max(x, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):  # log 0 = -inf: every term is -inf
+    # log 0 = -inf: every term is -inf. An overflow is +inf where the maximum
+    # is +inf or nan, which the sum is anyway, or a term's -inf shift, exp 0
+    with np.errstate(divide="ignore", over="ignore"):
         out = np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True)) + m
-    if axis is None:
-        return float(out.reshape(()))
     return np.squeeze(out, axis=axis)
 
 
@@ -436,9 +437,10 @@ def _batch_nll(batch: Batch | TokenBatch, scores: np.ndarray, start: np.ndarray,
     per-sentence NLLs, unless the batch sums cannot hold them while every
     NLL is finite: the sums leave the float range, or a log Z reaches
     _SUMS_HOLD in magnitude, where the sums' ulp of 1 or more rounds the
-    other sentences' NLLs away. So each model's loss has the bits of a call
-    with it alone, and the first model in input order whose loss is not
-    finite is refused with the text a call with it alone gives.
+    other sentences' NLLs away (there each NLL is itself off by up to an ulp
+    of its log Z, in the enumeration too). So each model's loss has the bits
+    of a call with it alone, and the first model in input order whose loss
+    is not finite is refused with the text a call with it alone gives.
 
     Sentence k's NLL has the bits nll_loss gives it alone when the batch is
     padded to fewer than 8 positions (numpy sums 8 or more terms pairwise)
@@ -585,14 +587,6 @@ def viterbi(
     return viterbi_batch([emissions], trans, rules)[0]
 
 
-def _check_enumerable(T: int, d: int) -> None:
-    if d**T > MAX_BRUTE_FORCE_PATHS:
-        raise SizeError(
-            f"brute force refuses d^T = {d}^{T} = {d**T} paths "
-            f"(limit {MAX_BRUTE_FORCE_PATHS})"
-        )
-
-
 def _iter_scored_chunks(
     emissions: np.ndarray,
     scores: np.ndarray,
@@ -615,7 +609,9 @@ def _iter_scored_chunks(
     in blocks of _SLICE paths.
     """
     k, T, d = emissions.shape
-    _check_enumerable(T, d)
+    if d**T > MAX_BRUTE_FORCE_PATHS:
+        limit = f"(limit {MAX_BRUTE_FORCE_PATHS})"
+        raise SizeError(f"brute force refuses d^T = {d}^{T} = {d**T} paths {limit}")
     if rules is not None:
         illegal_pair, illegal_start = rules.tables(d)
     emissions, scores = emissions.reshape(k, T * d), scores.reshape(k, d * d)
@@ -776,10 +772,9 @@ def brute_force_loss_and_gradients(
             w = np.exp(scores[0] - log_z)
             mass += w.sum()
             count += w.size
-            for t in range(T):
-                np.add.at(d_em.reshape(-1), cells[:, t], w)
-            for t in range(T - 1):
-                np.add.at(d_trans.reshape(-1), moves[:, t], w)
+            # one scatter per table, each cell's adds in the per-position loop's order
+            np.add.at(d_em.reshape(-1), cells.ravel(), w.repeat(T))
+            np.add.at(d_trans.reshape(-1), moves.T.ravel(), np.tile(w, T - 1))
             np.add.at(d_start, cells[:, 0], w)
         if abs(mass - 1.0) > 4 * count * np.finfo(np.float64).eps:  # more than rounding
             d_em /= mass

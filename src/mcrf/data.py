@@ -31,7 +31,7 @@ from .crf import TransitionMatrix
 from .encoder import EncoderWeights, Vocabulary, encode
 from .errors import ConfigurationError, DataError, FormatError, check_seed, read_blocks, read_text
 from .masking import MaskSpec, mask_spec_for
-from .schemes import Scheme, Tagset, _first_illegal, build_tagset, canonical_run, first_violation
+from .schemes import Scheme, Tagset, build_tagset, canonical_run, corpus_violation
 
 MODEL_FORMAT = "mcrf-model-v1"
 
@@ -87,9 +87,9 @@ def read_conll(path: str, tagset: Tagset, validate: bool = True) -> list[Labeled
             firsts.append(first)
     except FormatError as exc:
         unreadable = exc
-    k = _first_illegal(tagset, [s.gold for s in sentences], True) if validate else len(sentences)
-    if k < len(sentences):
-        pos, rule = first_violation(tagset, sentences[k].gold, enforce_start=True)
+    hit = corpus_violation(tagset, [s.gold for s in sentences]) if validate else None
+    if hit is not None:
+        k, pos, rule = hit
         raise DataError(
             f"{path}:{firsts[k] + pos}: sentence {k + 1}, "
             f"position {pos + 1}: illegal gold path ({rule})"
@@ -339,9 +339,9 @@ def generate_synthetic(
             for t in range(length):
                 if rng.random() < config.noise_rate:
                     tokens[t] = str(rng.choice(global_pool))
-        if first_violation(tagset, gold, enforce_start=True) is not None:
-            raise AssertionError("generator produced an illegal gold path")
         sentences.append(LabeledSentence(tokens=tokens, gold=gold))
+    if corpus_violation(tagset, [s.gold for s in sentences]) is not None:
+        raise AssertionError("generator produced an illegal gold path")
     return tagset, sentences
 
 

@@ -225,19 +225,10 @@ def canonical_run(tagset: Tagset, entity_type: str, length: int) -> list[int]:
 def first_violation(
     tagset: Tagset, path: list[int] | tuple[int, ...], enforce_start: bool = True
 ) -> tuple[int, str] | None:
-    """Locate the first illegality in a path.
-
-    Returns (position, human-readable rule) or None for a legal path.
-    Positions are 0-based; a start violation reports position 0. This is
-    illegal_steps at B = 1.
-    """
-    flat, _, illegal = illegal_steps(tagset, [path], enforce_start)
-    if not illegal.any():
-        return None
-    t = int(illegal.argmax())
-    if t == 0:
-        return 0, f"{tagset.tags[flat[0]]} cannot start a sentence"
-    return t, f"{tagset.tags[flat[t - 1]]} -> {tagset.tags[flat[t]]} is not a legal transition"
+    """The first illegality of one path, (0-based position, human-readable
+    rule), or None for a legal path: corpus_violation at B = 1."""
+    hit = corpus_violation(tagset, [path], enforce_start)
+    return None if hit is None else hit[1:]
 
 
 def illegal_steps(tagset: Tagset, paths: list, enforce_start: bool = True) -> tuple[np.ndarray, ...]:
@@ -251,12 +242,20 @@ def illegal_steps(tagset: Tagset, paths: list, enforce_start: bool = True) -> tu
     return flat, firsts, bad
 
 
-def _first_illegal(tagset: Tagset, paths: list, enforce_start: bool) -> int:
-    """Index of the first illegal path of a corpus (len(paths) when all are
-    legal); first_violation then words what is wrong with that one path."""
-    _, firsts, bad = illegal_steps(tagset, paths, enforce_start)
-    hits = np.flatnonzero(bad)
-    return int(np.searchsorted(firsts, hits[0], "right")) - 1 if hits.size else len(paths)
+def corpus_violation(tagset: Tagset, paths: list, enforce_start: bool = True) -> tuple | None:
+    """The first illegality of a corpus, from one gather over its paths:
+    (0-based sentence, 0-based position, human-readable rule), or None when
+    every path is legal. A start violation reports position 0."""
+    flat, firsts, bad = illegal_steps(tagset, paths, enforce_start)
+    if not bad.any():
+        return None
+    hit = int(bad.argmax())
+    k = int(np.searchsorted(firsts, hit, "right")) - 1
+    t = hit - int(firsts[k])
+    tag = tagset.tags[flat[hit]]
+    if t == 0:
+        return k, 0, f"{tag} cannot start a sentence"
+    return k, t, f"{tagset.tags[flat[hit - 1]]} -> {tag} is not a legal transition"
 
 
 def validate_gold_paths(
@@ -266,16 +265,16 @@ def validate_gold_paths(
     1-based sentence (and position); name (e.g. "dev ") prefixes it."""
     paths = list(paths)
     try:
-        start = _first_illegal(tagset, paths, enforce_start)
+        hit = corpus_violation(tagset, paths, enforce_start)
     except ValueError:  # some path is unusable: an illegal one before it still comes first
-        start = 0
-    for k in range(start, len(paths)):
-        try:
-            hit = first_violation(tagset, paths[k], enforce_start=enforce_start)
-        except ValueError as exc:
-            raise DataError(f"{name}sentence {k + 1}: {exc}") from None
-        if hit is not None:
-            pos, rule = hit
-            raise DataError(
-                f"{name}sentence {k + 1}, position {pos + 1}: illegal gold path ({rule})"
-            )
+        for k, path in enumerate(paths):
+            try:
+                hit = first_violation(tagset, path, enforce_start=enforce_start)
+            except ValueError as exc:
+                raise DataError(f"{name}sentence {k + 1}: {exc}") from None
+            if hit is not None:
+                hit = (k, *hit)
+                break
+    if hit is not None:
+        k, pos, rule = hit
+        raise DataError(f"{name}sentence {k + 1}, position {pos + 1}: illegal gold path ({rule})")

@@ -12,13 +12,14 @@ _FD_STEP, and one helper, _worst_relative_error, which collects every
 perturbed input of one loss form before it asks for their losses.
 
 check_log_partition and check_viterbi draw all 200 of their instances
-first; _shape_groups then stacks each (T, d) group of them for one call of
-the stacked enumeration oracle (crf._brute_force_log_z,
-crf._brute_force_paths), where each instance keeps the bits of its own
-call. The engine side is one log_partition or viterbi call per instance,
-and path_score rescores each best path. A check's worst error and
-mismatch count do not depend on the order in which it meets the
-instances, so it takes them group by group.
+first; _shape_groups then stacks each (T, d) group of them, with the
+models it drew, for one call of the stacked enumeration oracle
+(crf._brute_force_log_z, crf._brute_force_paths), where each instance keeps
+the bits of its own call. The engine side is one log_partition or viterbi
+call per instance; path_score scores a decoded path and the best one only
+where they differ, since a matching pair's difference is exactly 0.0. A
+check's worst error and mismatch count do not depend on the order in which
+it meets the instances, so it takes them group by group.
 
 Each loss form's losses come from one engine call (crf._batch_nll). A
 perturbation of the emissions (or of any encoder weight, through encode)
@@ -93,36 +94,31 @@ def _random_scores(rng: np.random.Generator, d: int, bound: float) -> Transition
     return TransitionMatrix(scores, rng.uniform(-bound, bound, size=d))
 
 
-def _random_instance(rng: np.random.Generator):
-    """Emissions, transitions and a gold path of 1 to 6 positions and 2 to 5 tags."""
-    T = int(rng.integers(1, 7))
-    d = int(rng.integers(2, 6))
-    emissions = rng.uniform(-2.0, 2.0, size=(T, d))
-    trans = _random_scores(rng, d, 2.0)
-    gold = [int(v) for v in rng.integers(0, d, size=T)]
-    return emissions, trans, gold
-
-
 def _shape_groups(rng: np.random.Generator, count: int):
-    """count random instances, drawn in order, then stacked by their (T, d)
-    shape: yields each group's (k, T, d) emissions, (k, d, d) scores and
-    (k, d) starts."""
+    """count random instances of 1 to 6 positions and 2 to 5 tags, drawn in
+    order (each with a gold path that no check reads, so every seed keeps its
+    instances), then stacked by their (T, d) shape: yields each group's
+    (k, T, d) emissions, (k, d, d) scores, (k, d) starts and its k models."""
     groups: dict[tuple[int, int], list] = {}
     for _ in range(count):
-        emissions, trans, _ = _random_instance(rng)
+        T = int(rng.integers(1, 7))
+        d = int(rng.integers(2, 6))
+        emissions = rng.uniform(-2.0, 2.0, size=(T, d))
+        trans = _random_scores(rng, d, 2.0)
+        rng.integers(0, d, size=T)
         groups.setdefault(emissions.shape, []).append((emissions, trans))
     for members in groups.values():
-        emissions, trans = zip(*members)
-        scores, start = np.stack([t.scores for t in trans]), np.stack([t.start for t in trans])
-        yield np.stack(emissions), scores, start
+        emissions, models = zip(*members)
+        scores, start = np.stack([t.scores for t in models]), np.stack([t.start for t in models])
+        yield np.stack(emissions), scores, start, models
 
 
 def check_log_partition(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for emissions, scores, start in _shape_groups(rng, 200):
+    for emissions, scores, start, models in _shape_groups(rng, 200):
         exact = _brute_force_log_z(emissions, scores, start, None).tolist()
-        for em, trans, log_z in zip(emissions, map(TransitionMatrix, scores, start), exact):
+        for em, trans, log_z in zip(emissions, models, exact):
             worst = max(worst, abs(log_partition(em, trans) - log_z))
     return CheckResult(
         name="log-partition vs enumeration",
@@ -137,15 +133,14 @@ def check_viterbi(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     mismatched_paths = 0
-    for emissions, scores, start in _shape_groups(rng, 200):
+    for emissions, scores, start, models in _shape_groups(rng, 200):
         best_paths = _brute_force_paths(emissions, scores, start, None)
-        models = map(TransitionMatrix, scores, start)
         for em, trans, best_path in zip(emissions, models, best_paths):
-            best_score = path_score(em, trans, best_path)
             decoded = viterbi(em, trans)
-            if decoded != best_path:
+            if decoded != best_path:  # a matching pair's score difference is 0.0
                 mismatched_paths += 1
-            worst = max(worst, abs(path_score(em, trans, decoded) - best_score))
+                gap = path_score(em, trans, decoded) - path_score(em, trans, best_path)
+                worst = max(worst, abs(gap))
     passed = worst == 0.0 and mismatched_paths == 0
     return CheckResult(
         name="viterbi vs enumeration",
@@ -303,17 +298,18 @@ def check_legal_scores_unchanged(seed: int) -> CheckResult:
     tagset = build_tagset("bio", ["A", "B"])
     spec = MaskSpec(rules=tagset.rules)
     d = tagset.size
+    illegal_pair, illegal_start = tagset.rules.tables(d)
     worst = 0.0
     for _ in range(100):
         T = int(rng.integers(1, 7))
         emissions = rng.uniform(-2.0, 2.0, size=(T, d))
         trans = _random_scores(rng, d, 2.0)
         masked = apply_mask(trans, spec)
-        path = _random_legal_path(rng, tagset, T)
-        worst = max(
-            worst,
-            abs(path_score(emissions, trans, path) - path_score(emissions, masked, path)),
-        )
+        path = [int(rng.choice(np.flatnonzero(~illegal_start)))]  # a random legal path
+        for _ in range(T - 1):
+            path.append(int(rng.choice(np.flatnonzero(~illegal_pair[path[-1]]))))
+        gap = path_score(emissions, trans, path) - path_score(emissions, masked, path)
+        worst = max(worst, abs(gap))
     return CheckResult(
         name="legal path scores invariant under masking",
         observed=worst,
@@ -346,14 +342,6 @@ def check_mask_idempotence(seed: int) -> CheckResult:
         passed=mismatches == 0,
         detail="50 matrices",
     )
-
-
-def _random_legal_path(rng: np.random.Generator, tagset, T: int) -> list[int]:
-    illegal_pair, illegal_start = tagset.rules.tables(tagset.size)
-    path = [int(rng.choice(np.flatnonzero(~illegal_start)))]
-    for _ in range(T - 1):
-        path.append(int(rng.choice(np.flatnonzero(~illegal_pair[path[-1]]))))
-    return path
 
 
 def run_verification(seed: int = 0) -> tuple[list[CheckResult], float]:

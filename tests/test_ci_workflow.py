@@ -9,7 +9,8 @@ imports must be named in the workflow's pip install line. The workflow runs
 one Python version, so another test parses every file at the oldest one
 that pyproject.toml declares, and another that no module of the package
 imports a name it does not use, since CI runs no linter; nor may it export a
-name that only unit tests read. Another test checks that the pytest
+name that only unit tests read, or import another module's underscore name
+outside a short list. Another test checks that the pytest
 settings in pyproject.toml are in force, and the last that README's module
 map and command table list what the package has.
 """
@@ -104,6 +105,34 @@ def test_package_modules_use_every_name_they_import():
                     if name not in used and (path.name, name) not in re_exports:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_package_modules_import_no_private_name_of_another_but_the_listed():
+    """A module that reads another's underscore name leans on its internals:
+    only these do, each for a reason its own docstring gives (the engine's
+    refusal texts and floor in masking, the stacked oracles and the batch
+    NLL in verification)."""
+    allowed = {
+        ("masking.py", "crf", "_LOWEST"),
+        ("masking.py", "crf", "_NO_FINITE_PATH"),
+        ("masking.py", "crf", "_not_finite"),
+        ("masking.py", "crf", "_sentence"),
+        ("verification.py", "crf", "_batch_nll"),
+        ("verification.py", "crf", "_brute_force_log_z"),
+        ("verification.py", "crf", "_brute_force_paths"),
+    }
+    found = set()
+    for path in sorted((ROOT / "src" / "mcrf").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("mcrf")):
+                module = (node.module or "").removeprefix("mcrf").lstrip(".")
+                found |= {
+                    (path.name, module, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.startswith("__")
+                }
+    assert len(found) >= 5  # the scan sees the imports
+    assert sorted(found - allowed) == []
 
 
 def _names_read(tree: ast.AST) -> set[str]:

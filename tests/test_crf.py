@@ -115,11 +115,11 @@ class TestPathScore:
 class TestLogsumexp:
     def test_matches_math_on_small_values(self):
         x = np.array([1.0, 2.0, 3.0])
-        assert logsumexp(x) == pytest.approx(math.log(sum(math.exp(v) for v in x)))
+        assert logsumexp(x, axis=0) == pytest.approx(math.log(sum(math.exp(v) for v in x)))
 
     def test_survives_large_magnitudes(self):
-        assert logsumexp(np.array([1000.0, 1000.0])) == pytest.approx(1000.0 + math.log(2.0))
-        assert logsumexp(np.array([-1e4, -1e4])) == pytest.approx(-1e4 + math.log(2.0))
+        assert logsumexp(np.array([1000.0, 1000.0]), axis=0) == pytest.approx(1000.0 + math.log(2.0))
+        assert logsumexp(np.array([-1e4, -1e4]), axis=0) == pytest.approx(-1e4 + math.log(2.0))
 
     def test_axis_reduction(self):
         x = np.zeros((3, 4))
@@ -887,6 +887,24 @@ class TestNonFinite:
             nll_loss([(np.zeros((2, 3)), [0, 0])], gold_cut)
         assert math.isfinite(nll_loss([(np.zeros((2, 3)), [0, 1])], gold_cut))
 
+    def test_an_inf_path_score_beside_huge_ones_is_refused_without_a_warning(self):
+        """Column 0 at 1e308: path [0, 0] sums to +inf, the others to 1e308
+        or 0. A chunk's maximum is then inf, logsumexp shifts by 0, and exp
+        of 1e308 overflowed with a RuntimeWarning before the refusal, which
+        log_partition gave without one. RuntimeWarnings are errors here."""
+        emissions = np.zeros((2, 3))
+        emissions[:, 0] = 1e308
+        message = "^sentence 1: a path score is inf, need finite"
+        with pytest.raises(ValueError, match=message):
+            log_partition(emissions, self.TRANS)
+        with pytest.raises(ValueError, match=message):
+            brute_force_log_partition(emissions, self.TRANS)
+        with pytest.raises(ValueError, match=message):
+            mcrf.crf._brute_force_log_z(*stacked([(emissions, self.TRANS)]), None)
+        for gold in ([0, 0], [1, 2]):
+            with pytest.raises(ValueError, match=message):
+                brute_force_loss_and_gradients([(emissions, gold)], self.TRANS)
+
     def test_log_z_of_no_finite_path_is_minus_inf_without_a_warning(self):
         """The engine gave log Z of nan after a RuntimeWarning (-inf - -inf
         in its forward shift), and the enumeration -inf after another (log 0
@@ -1355,6 +1373,71 @@ class TestStackedOracle:
         alone = refusal(brute_force_best, emissions, trans)
         assert alone.startswith("sentence 1: a path score is inf,")
         assert refusal(mcrf.crf._brute_force_paths, *stacked(group[3:]), None) == alone
+
+    @staticmethod
+    def per_position_oracle(batch, trans, rules):
+        """brute_force_loss_and_gradients with one np.add.at per position
+        and chunk, as the oracle scattered its path weights before."""
+        crf = mcrf.crf
+        d = trans.num_tags
+        tokens, lengths, golds = crf._tokens(batch, d)
+        n = len(lengths)
+        d_trans, d_start, d_emissions, total = np.zeros((d, d)), np.zeros(d), [], 0.0
+        bounds = np.cumsum(lengths)[:-1]
+        for emissions, tags in zip(np.split(tokens, bounds), np.split(golds, bounds)):
+            T = len(tags)
+            instance = crf._instance(emissions, trans)
+            log_z = float(crf._enumerated_log_z(*instance, rules)[0])
+            total += log_z - crf._score(emissions, trans, tags)
+            d_em = np.zeros((T, d))
+            before = d_trans.copy(), d_start.copy()
+            mass = count = 0
+            for _, cells, moves, scores in crf._iter_scored_chunks(*instance, rules):
+                w = np.exp(scores[0] - log_z)
+                mass += w.sum()
+                count += w.size
+                for t in range(T):
+                    np.add.at(d_em.reshape(-1), cells[:, t], w)
+                for t in range(T - 1):
+                    np.add.at(d_trans.reshape(-1), moves[:, t], w)
+                np.add.at(d_start, cells[:, 0], w)
+            if abs(mass - 1.0) > 4 * count * np.finfo(np.float64).eps:
+                d_em /= mass
+                for counts, old in zip((d_trans, d_start), before):
+                    counts[...] = old + (counts - old) / mass
+            d_em[np.arange(T), tags] -= 1.0
+            d_emissions.append(d_em / n)
+            np.add.at(d_trans, (tags[:-1], tags[1:]), -1.0)
+            d_start[tags[0]] -= 1.0
+        return total / n, d_emissions, d_trans / n, d_start / n
+
+    def test_the_gradient_oracle_keeps_the_bits_of_per_position_scatters(self):
+        """One np.add.at per table and chunk adds each cell's weights in the
+        order of the per-position loop: the same loss and gradient bits, on
+        random batches, a shape of two chunks and a BIOES batch under rules."""
+        rng = np.random.default_rng(37)
+        bioes = build_tagset(Scheme.BIOES, ["A"])
+        cases = []
+        for _ in range(60):
+            d = int(rng.integers(2, 6))
+            trans = TransitionMatrix(rng.normal(size=(d, d)) * 3, rng.normal(size=d))
+            sizes = rng.integers(1, 6, size=int(rng.integers(1, 4)))
+            batch = [(rng.normal(size=(T, d)) * 3, rng.integers(0, d, size=T).tolist())
+                     for T in sizes]
+            cases.append((batch, trans, None))
+        trans = TransitionMatrix(rng.normal(size=(2, 2)), rng.normal(size=2))
+        cases.append(([(rng.normal(size=(17, 2)), [0, 1] * 8 + [1])], trans, None))
+        trans = TransitionMatrix(rng.normal(size=(5, 5)), rng.normal(size=5))
+        golds = ([1, 2, 3, 0], [4, 0, 1, 3], [0])
+        cases.append(([(rng.normal(size=(len(g), 5)), g) for g in golds], trans, bioes.rules))
+        for batch, trans, rules in cases:
+            loss, grads = brute_force_loss_and_gradients(batch, trans, rules)
+            ref_loss, ref_emissions, ref_trans, ref_start = self.per_position_oracle(
+                batch, trans, rules)
+            assert float(loss).hex() == float(ref_loss).hex()
+            assert all(map(same_bits, grads.emissions, ref_emissions))
+            assert same_bits(grads.transitions, ref_trans)
+            assert same_bits(grads.start, ref_start)
 
     def test_a_group_without_a_legal_path_is_refused_as_one_instance_is(self):
         no_start = TransitionRuleSet(frozenset(), frozenset({0, 1, 2}))

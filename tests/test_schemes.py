@@ -9,6 +9,7 @@ from mcrf.schemes import (
     TransitionRuleSet,
     build_tagset,
     canonical_run,
+    corpus_violation,
     first_violation,
     illegal_transition_set,
     validate_gold_paths,
@@ -301,9 +302,55 @@ class TestFirstViolation:
         assert first_violation(ts, np.array([0, 1])) is None
 
 
+class TestCorpusViolation:
+    """One gather over a corpus finds its first illegal path and words it:
+    (sentence, position, rule), the first path's own first_violation."""
+
+    @staticmethod
+    def reference(ts, paths, enforce_start):
+        """The first illegality by the string-level rules, path by path."""
+        legal = reference_bio_legal if ts.scheme is Scheme.BIO else reference_bioes_legal
+        for k, path in enumerate(paths):
+            if enforce_start and not reference_start_legal(ts.tags, path[0]):
+                return k, 0, f"{ts.tags[path[0]]} cannot start a sentence"
+            for t in range(1, len(path)):
+                if not legal(ts.tags, path[t - 1], path[t]):
+                    rule = f"{ts.tags[path[t - 1]]} -> {ts.tags[path[t]]} is not a legal transition"
+                    return k, t, rule
+        return None
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("enforce_start", [True, False])
+    def test_random_corpora_match_the_first_illegal_path(self, scheme, enforce_start):
+        ts = build_tagset(scheme, ["A", "B"])
+        rng = np.random.default_rng(3)
+        found = 0
+        for _ in range(300):
+            paths = []
+            for _ in range(int(rng.integers(1, 7))):
+                if rng.random() < 0.8:  # a legal path, or nearly one
+                    path = canonical_run(ts, "A", int(rng.integers(1, 5))) + [0]
+                else:
+                    path = [int(v) for v in rng.integers(0, ts.size, size=int(rng.integers(1, 6)))]
+                paths.append(path)
+            hit = corpus_violation(ts, paths, enforce_start)
+            assert hit == self.reference(ts, paths, enforce_start)
+            per_path = (first_violation(ts, path, enforce_start) for path in paths)
+            first = next(((k, *v) for k, v in enumerate(per_path) if v is not None), None)
+            assert hit == first
+            found += hit is not None
+        assert 50 < found < 250  # both kinds of corpus were drawn
+
+    def test_a_legal_and_an_empty_corpus(self):
+        ts = build_tagset(Scheme.BIOES, ["PER"])
+        assert corpus_violation(ts, [[0], [4, 1, 3]]) is None
+        assert corpus_violation(ts, []) is None
+
+
 class TestValidateGoldPaths:
-    """One gather over the concatenated paths finds the first bad sentence;
-    first_violation words it, so each message is the sentence's own."""
+    """corpus_violation finds and words the first bad sentence in one pass,
+    so each message is the sentence's own; a corpus that holds an unusable
+    path is read path by path, so whichever comes first is named."""
 
     BIO1 = build_tagset(Scheme.BIO, ["PER"])
 
@@ -329,6 +376,17 @@ class TestValidateGoldPaths:
             validate_gold_paths(self.BIO1, [[0], illegal, [1], unusable])
         with pytest.raises(DataError, match=r"^sentence 2: tag index 9 out of range"):
             validate_gold_paths(self.BIO1, [[0], unusable, [1], illegal])
+        for enforce_start in (True, False):  # a later position, before and after an unusable path
+            late = [0, 1, 1, 0, 2]
+            with pytest.raises(DataError, match=r"^sentence 3, position 5: illegal gold path"):
+                validate_gold_paths(self.BIO1, [[0], [1], late, [0.5], [2]], enforce_start)
+            with pytest.raises(DataError, match=r"^sentence 2: non-integer tag index"):
+                validate_gold_paths(self.BIO1, [[0], [0.5], late], enforce_start)
+        with pytest.raises(DataError, match=r"^sentence 2, position 1: illegal gold path "
+                                            r"\(I-PER cannot start a sentence\)"):
+            validate_gold_paths(self.BIO1, [[0], [2, 2], [7]])
+        with pytest.raises(DataError, match=r"^sentence 3: tag index 7 out of range"):
+            validate_gold_paths(self.BIO1, [[0], [2, 2], [7]], enforce_start=False)
 
     def test_start_rule_only_when_enforced(self):
         validate_gold_paths(self.BIO1, [[0], [2, 2]], enforce_start=False)

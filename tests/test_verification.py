@@ -63,6 +63,22 @@ class TestChecks:
         assert not result.passed and result.line().startswith("[FAIL] viterbi vs enumeration:")
         assert result.observed > 0.0 and " 0 path mismatches" not in result.detail
 
+    def test_the_viterbi_check_scores_only_the_mismatched_paths(self, monkeypatch):
+        """A decoded path equal to the best one differs from it by exactly
+        0.0, so path_score runs twice per mismatch and never otherwise."""
+        calls = []
+
+        def counting(emissions, trans, path):
+            calls.append(path)
+            return crf.path_score(emissions, trans, path)
+
+        monkeypatch.setattr(verification, "path_score", counting)
+        assert check_viterbi(1).passed and calls == []
+        monkeypatch.setattr(verification, "viterbi", lambda emissions, trans: [0] * len(emissions))
+        result = check_viterbi(1)
+        mismatches = int(result.detail.split(", ")[1].split()[0])
+        assert 0 < mismatches < 200 and len(calls) == 2 * mismatches
+
     def test_a_mask_that_moves_again_fails_the_idempotence_check(self, monkeypatch):
         def shifting(trans, spec):
             return TransitionMatrix(trans.scores + 1.0, trans.start)
