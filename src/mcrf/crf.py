@@ -16,10 +16,13 @@ it, are read as their checked token batch (_tokens) and padded by one
 function (_padded); a list's token-major emission gradient is split per
 sentence. The engine has a leading model axis: it runs N transition
 matrices (N, d, d) and start vectors (N, d) over one batch that they all
-read, as model-major blocks of B rows each, R = N * B rows per step. The
-public entry points run one model; verify's transition and start
-differences stack their perturbed copies as N models. Each model's log Z,
-marginals, counts and loss have the bits of a call with it alone.
+read, or over (T, N, B, d) emissions, one batch per model, as model-major
+blocks of B rows each, R = N * B rows per step. The public entry points run
+one model; verify's transition and start differences stack their perturbed
+copies as N models over one sentence, and its log-partition check takes
+each (T, d) group of instances as N models over their own sentences
+(_engine_log_z, of which log_partition is the batch of one). Each model's
+log Z, marginals, counts and loss have the bits of a call with it alone.
 
 The forward pass is a scaled log-matmul-exp: with r the row maxima of a
 and K = exp(a - r[:, None]) (entries <= 1, masked ones exact zeros),
@@ -70,12 +73,18 @@ the legal subset defined by a TransitionRuleSet) in lexicographic order and
 exist purely as independent oracles for the dynamic programs. One
 enumerator, _iter_scored_chunks, scores k instances of one (T, d) shape,
 stacked as (k, T, d) emissions, (k, d, d) scores and (k, d) starts, against
-each chunk's path table, built once for all of them. The public oracles are
-its batch of one; the stacked forms of log Z and the best path
-(_brute_force_log_z, _brute_force_paths) let verify referee each shape group
-of its instances in one call. Each instance's scores are a C-ordered row,
-reduced as a lone instance's are, so it keeps the bits of its own call. The
-gradient oracle scatters a chunk's weights with one np.add.at per table.
+each chunk's path table, built once for all of them. The table is
+position-major: (T, n) cells over (T - 1, n) moves, row t holding every
+path's cell at position t. Below 8 positions a tile of path scores adds one
+row gather per position in order, which has the bits of numpy's sum of the
+(k', n, T) gathers and costs about a third of it; from 8 positions numpy
+sums pairwise, and the tile sums those gathers as it does. The public
+oracles are the enumerator's batch of one; the stacked forms of log Z and
+the best path (_brute_force_log_z, _brute_force_paths) let verify referee
+each shape group of its instances in one call. Each instance's scores are a
+C-ordered row, reduced as a lone instance's are, so it keeps the bits of its
+own call. The gradient oracle scatters a chunk's weights with one np.add.at
+per table.
 They and path_score refuse a result that is not finite as the engine does,
 with one check per result or per enumerated chunk, and the stacked forms
 name the first refused instance in input order.
@@ -352,17 +361,19 @@ def _forward_backward(
     counts (N, d, d). Steps past a sentence's end run on unused: log Z is
     read at the end, and the backward pass starts there.
 
-    Every model reads the same batch. Its rows are model-major blocks of the
-    batch's rows, R = N * B, so every step works on one (R, d) block and
-    the products on (T, N, B, d) views of it; each model's numbers have the
-    bits of a call with it alone.
+    Every model reads the same (T, B, d) batch, or each its own batch of
+    (T, N, B, d) emissions; only the log-space step's row lookup tells the
+    two apart. The rows are model-major blocks of the batch's rows,
+    R = N * B, so every step works on one (R, d) block and the products on
+    (T, N, B, d) views of it; each model's numbers have the bits of a call
+    with it alone.
 
     A row whose alpha is all -inf gets the shift _LOWEST, not -inf, so it
     takes the log-space step and its log Z is -inf; its marginals are nan.
     Every caller refuses a log Z that is not finite, and silences numpy's
     warnings on the way there (log 0, -inf - -inf, sums past the float
     range)."""
-    T, B, d = emissions.shape
+    T, (B, d) = len(emissions), emissions.shape[-2:]
     N, R = len(scores), len(scores) * B
     r = scores.max(axis=2, initial=_LOWEST)  # a row of -inf: K's row is 0, not nan
     K = np.exp(scores - r[:, :, None])
@@ -384,7 +395,8 @@ def _forward_backward(
         alpha[t] += m
         alpha4[t] += emissions[t]
         if t in guarded:
-            alpha[t, low] = emissions[t, low % B] + guarded[t][1]
+            rows = emissions[t].reshape(-1, d)  # (B, d) read by every model, or (R, d)
+            alpha[t, low] = rows[low % len(rows)] + guarded[t][1]
     ends = lengths - 1, np.arange(N)[:, None], np.arange(B)  # (N, B) cells of alpha4
     top = alpha4[ends].max(axis=2, keepdims=True, initial=_LOWEST)
     p = np.exp(alpha4[ends] - top)
@@ -485,15 +497,33 @@ def _batch_nll(batch: Batch | TokenBatch, scores: np.ndarray, start: np.ndarray,
     return losses, CrfGradients(d_emissions, d_trans, d_em[0].sum(axis=0))
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a log Z that is not finite: below
 def log_partition(emissions: np.ndarray, trans: TransitionMatrix) -> float:
     """log Z: log-sum-exp of all d^T path scores, the engine at B = 1."""
-    emissions = _sentence(emissions, trans.num_tags)[:, None]
-    lengths = np.array([len(emissions)])
-    log_z = _forward_backward(emissions, lengths, trans.scores[None], trans.start[None], False)[0]
-    log_z = float(log_z[0, 0])
-    if not math.isfinite(log_z):
-        raise _not_finite(0, "log Z of", log_z, emissions, trans.scores, trans.start)
+    return float(_engine_log_z(*_instance(emissions, trans))[0])
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a log Z that is not finite: below
+def _engine_log_z(emissions: np.ndarray, scores: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """log_partition of k instances of one shape, checked (k, T, d)
+    emissions with (k, d, d) scores and (k, d) starts, from one engine call:
+    each instance is a model over its own sentence, so its (k,) log Z has
+    the bits of its own call, and the first in input order whose log Z is
+    not finite is refused with its own call's text, named by its index."""
+    k, T, d = emissions.shape
+    per_model = np.ascontiguousarray(emissions.transpose(1, 0, 2)).reshape(T, k, 1, d)
+    log_z = _forward_backward(per_model, np.array([T]), scores, start, False)[0][:, 0]
+    return _finite_log_z(log_z, emissions, scores, start)
+
+
+def _finite_log_z(
+    log_z: np.ndarray, emissions: np.ndarray, scores: np.ndarray, start: np.ndarray
+) -> np.ndarray:
+    """The (k,) log Z of k stacked instances, or the refusal of the first
+    in input order that is not finite, named by its index."""
+    bad = ~np.isfinite(log_z)
+    if bad.any():
+        j = int(bad.argmax())
+        raise _not_finite(j, "log Z of", float(log_z[j]), emissions[j], scores[j], start[j])
     return log_z
 
 
@@ -597,12 +627,13 @@ def _iter_scored_chunks(
     one shape, checked (k, T, d) emissions with (k, d, d) transition scores
     and (k, d) starts, in lexicographic order.
 
-    Each chunk of _CHUNK paths is one int32 path table, built once: path
-    p's cells of the (T, d) emissions, cells[p, t] = t * d + its tag at t
-    (so cells[:, 0] are the first tags), and its moves, the cells i * d + j
-    of the (d, d) scores; every index of an enumerable shape fits. With
-    rules, the paths containing an omega pair or an illegal start are
-    dropped from it. rows is a slice of the instances and scores its
+    Each chunk of _CHUNK paths is one position-major int32 path table, built
+    once: path p's cells of the (T, d) emissions, cells[t, p] = t * d + its
+    tag at t (so cells[0] are the first tags), stacked on axis 0 above its
+    moves, the (T - 1, n) cells i * d + j of the (d, d) scores; cells and
+    moves are views of the one table, and every index of an enumerable shape
+    fits. With rules, the paths containing an omega pair or an illegal start
+    are dropped from it. rows is a slice of the instances and scores its
     C-ordered (k', n) path scores, so each row reduces as one instance's
     (n,) scores do. They are gathered in tiles of at most _SLICE path
     scores: max(1, _SLICE // n) rows at a time, and a row longer than that
@@ -615,33 +646,67 @@ def _iter_scored_chunks(
     if rules is not None:
         illegal_pair, illegal_start = rules.tables(d)
     emissions, scores = emissions.reshape(k, T * d), scores.reshape(k, d * d)
+    start = start + 0.0  # no -0.0: see _path_scores
     total = d**T
     for lo in range(0, total, _CHUNK):
-        cells = np.stack(
-            np.unravel_index(np.arange(lo, min(lo + _CHUNK, total)), (d,) * T),
-            axis=1, dtype=np.int32, casting="same_kind",
-        )  # the tags, lexicographic: position 0 is the most significant digit
-        moves = cells[:, :-1] * d  # (n, T - 1): empty at T = 1
-        moves += cells[:, 1:]
+        table = np.empty((2 * T - 1, min(_CHUNK, total - lo)), dtype=np.int32)
+        index = np.arange(lo, lo + table.shape[1], dtype=np.int32)
+        for t in range(T - 1, -1, -1):  # the tags: the base-d digits of the path index, last first
+            np.divmod(index, d, out=(index, table[t]))
+        np.multiply(table[: T - 1], d, out=table[T:])  # empty at T = 1
+        table[T:] += table[1:T]
         if rules is not None:
-            keep = ~(illegal_start[cells[:, 0]] | illegal_pair.ravel()[moves].any(axis=1))
-            cells, moves = cells[keep], moves[keep]
-        n = len(cells)
+            keep = ~(illegal_start[table[0]] | illegal_pair.ravel()[table[T:]].any(axis=0))
+            table = table[:, keep]
+        cells, moves = table[:T], table[T:]
+        n = table.shape[1]
         if not n:
             continue
-        cells += np.arange(T, dtype=np.int32) * d
+        cells += np.arange(T, dtype=np.int32)[:, None] * d
         step = max(1, _SLICE // n)
         for r in range(0, k, step):
             rows = slice(r, r + step)
             path_scores = np.empty((len(emissions[rows]), n))
             for p in range(0, n, _SLICE):
                 block = slice(p, p + _SLICE)
-                with np.errstate(over="ignore", invalid="ignore"):  # not finite: refused by callers
-                    tile = emissions[rows].take(cells[block], axis=1).sum(axis=2)
-                    tile += start[rows].take(cells[block, 0], axis=1)
-                    tile += scores[rows].take(moves[block], axis=1).sum(axis=2)
-                path_scores[:, block] = tile
+                path_scores[:, block] = _path_scores(
+                    emissions[rows], start[rows], scores[rows], cells[:, block], moves[:, block]
+                )
             yield rows, cells, moves, path_scores
+
+
+@np.errstate(over="ignore", invalid="ignore")  # scores that are not finite are refused by callers
+def _path_scores(
+    emissions: np.ndarray,
+    start: np.ndarray,
+    scores: np.ndarray,
+    cells: np.ndarray,
+    moves: np.ndarray,
+) -> np.ndarray:
+    """The (k', b) scores of b paths of a table, (T, b) cells and (T - 1, b)
+    moves, under k' instances: (k', T * d) emissions, (k', d) starts with no
+    -0.0 and (k', d * d) scores. Each score is its emission gathers summed
+    position by position, plus its start, plus its move gathers summed the
+    same way. Below 8 positions numpy sums the (k', b, T) gathers in order
+    too, from an identity of +0.0; each tile adds T row gathers instead,
+    which is about three times faster at T = 6. The start holds no -0.0, so
+    no score is -0.0 where that identity gives +0.0: the bits are the same.
+    From 8 positions numpy sums pairwise, so the tile does as well."""
+    if len(cells) >= 8:
+        tile = emissions.take(cells.T, axis=1).sum(axis=2)
+        tile += start.take(cells[0], axis=1)
+        tile += scores.take(moves.T, axis=1).sum(axis=2)
+        return tile
+    tile = emissions.take(cells[0], axis=1)
+    for row in cells[1:]:
+        tile += emissions.take(row, axis=1)
+    tile += start.take(cells[0], axis=1)
+    if len(moves):
+        path_moves = scores.take(moves[0], axis=1)
+        for row in moves[1:]:
+            path_moves += scores.take(row, axis=1)
+        tile += path_moves
+    return tile
 
 
 def _instance(emissions: np.ndarray, trans: TransitionMatrix) -> tuple[np.ndarray, ...]:
@@ -667,11 +732,7 @@ def _brute_force_log_z(
     the first instance in input order whose log Z is not finite is refused,
     named by its index."""
     log_z = _enumerated_log_z(emissions, scores, start, rules)
-    bad = ~np.isfinite(log_z)
-    if bad.any():
-        j = int(bad.argmax())
-        raise _not_finite(j, "log Z of", float(log_z[j]), emissions[j], scores[j], start[j])
-    return log_z
+    return _finite_log_z(log_z, emissions, scores, start)
 
 
 def _enumerated_log_z(
@@ -723,7 +784,7 @@ def _brute_force_paths(
         bad = ~(value < np.inf) & (refused[rows] == -np.inf)
         refused[rows][bad] = value[bad]
         better = value > best_score[rows]  # an instance never better than -inf is refused below
-        best[rows][better] = cells[top[better]]
+        best[rows][better] = cells[:, top[better]].T
         best_score[rows][better] = value[better]
     if not legal:
         raise ValueError("no legal paths exist for this instance")
@@ -773,9 +834,9 @@ def brute_force_loss_and_gradients(
             mass += w.sum()
             count += w.size
             # one scatter per table, each cell's adds in the per-position loop's order
-            np.add.at(d_em.reshape(-1), cells.ravel(), w.repeat(T))
-            np.add.at(d_trans.reshape(-1), moves.T.ravel(), np.tile(w, T - 1))
-            np.add.at(d_start, cells[:, 0], w)
+            np.add.at(d_em.reshape(-1), cells.ravel(), np.tile(w, T))
+            np.add.at(d_trans.reshape(-1), moves.ravel(), np.tile(w, T - 1))
+            np.add.at(d_start, cells[0], w)
         if abs(mass - 1.0) > 4 * count * np.finfo(np.float64).eps:  # more than rounding
             d_em /= mass
             for counts, old in zip((d_trans, d_start), before):

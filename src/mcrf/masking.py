@@ -22,6 +22,7 @@ from .crf import (
     _LOWEST,
     _NO_FINITE_PATH,
     Batch,
+    CrfGradients,
     TransitionMatrix,
     _not_finite,
     _sentence,
@@ -167,9 +168,19 @@ def mask_convergence_gap(
     transition entries, and unmasked start entries. Both gaps decay like
     e^c and are exactly zero when the rule set is empty.
     """
-    masked = apply_mask(trans, spec)
-    loss_m, grads_m = brute_force_loss_and_gradients(batch, masked)
-    loss_r, grads_r = brute_force_loss_and_gradients(batch, trans, rules=spec.rules)
+    restricted = brute_force_loss_and_gradients(batch, trans, rules=spec.rules)
+    return _convergence_gap(batch, trans, spec, restricted)
+
+
+def _convergence_gap(
+    batch: Batch, trans: TransitionMatrix, spec: MaskSpec, restricted: tuple[float, CrfGradients]
+) -> tuple[float, float]:
+    """mask_convergence_gap given the restricted side, the loss and
+    gradients of the legal-paths oracle of batch, trans and spec.rules,
+    which spec.mask_value does not change: verify computes it once for all
+    the mask values of one instance."""
+    loss_m, grads_m = brute_force_loss_and_gradients(batch, apply_mask(trans, spec))
+    loss_r, grads_r = restricted
     loss_gap = abs(loss_m - loss_r)
     illegal_pair, illegal_start = spec.rules.tables(trans.num_tags)
     diffs = [em_m - em_r for em_m, em_r in zip(grads_m.emissions, grads_r.emissions)]

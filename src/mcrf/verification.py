@@ -15,11 +15,14 @@ check_log_partition and check_viterbi draw all 200 of their instances
 first; _shape_groups then stacks each (T, d) group of them, with the
 models it drew, for one call of the stacked enumeration oracle
 (crf._brute_force_log_z, crf._brute_force_paths), where each instance keeps
-the bits of its own call. The engine side is one log_partition or viterbi
-call per instance; path_score scores a decoded path and the best one only
-where they differ, since a matching pair's difference is exactly 0.0. A
-check's worst error and mismatch count do not depend on the order in which
-it meets the instances, so it takes them group by group.
+the bits of its own call. check_log_partition takes the engine's log Z of
+a group from one stacked engine call too (crf._engine_log_z, each instance
+a model over its own sentence, with the bits of its log_partition call);
+check_viterbi makes one viterbi call per instance, and path_score scores a
+decoded path and the best one only where they differ, since a matching
+pair's difference is exactly 0.0. A check's worst error and mismatch count
+do not depend on the order in which it meets the instances, so it takes
+them group by group.
 
 Each loss form's losses come from one engine call (crf._batch_nll). A
 perturbation of the emissions (or of any encoder weight, through encode)
@@ -32,7 +35,12 @@ sentence, and each model's loss has the bits of nll_loss under that copy.
 The observed values are those of one nll_loss call per perturbation. One
 _fd_crf instance makes three engine calls: the analytic gradients, the
 emission differences and the (scores, start) differences; one
-check_encoder_gradients instance makes two."""
+check_encoder_gradients instance makes two, and builds its sentence's window
+ids once for every encode of them.
+
+check_mask_convergence computes each instance's restricted (legal-paths)
+oracle once and compares it with the masked oracle at each mask value,
+through the gap arithmetic of masking.mask_convergence_gap."""
 
 from __future__ import annotations
 
@@ -49,14 +57,15 @@ from .crf import (
     _batch_nll,
     _brute_force_log_z,
     _brute_force_paths,
-    log_partition,
+    _engine_log_z,
+    brute_force_loss_and_gradients,
     loss_and_gradients,
     path_score,
     viterbi,
 )
-from .encoder import EncoderWeights, encode, encoder_backward
+from .encoder import EncoderWeights, encode, encoder_backward, window_ids
 from .errors import check_seed
-from .masking import MaskSpec, apply_mask, mask_convergence_gap
+from .masking import MaskSpec, _convergence_gap, apply_mask, mask_convergence_gap
 from .schemes import TransitionRuleSet, build_tagset
 
 _FD_STEP = 1e-5  # central-difference step of every finite-difference check
@@ -116,10 +125,9 @@ def _shape_groups(rng: np.random.Generator, count: int):
 def check_log_partition(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for emissions, scores, start, models in _shape_groups(rng, 200):
-        exact = _brute_force_log_z(emissions, scores, start, None).tolist()
-        for em, trans, log_z in zip(emissions, models, exact):
-            worst = max(worst, abs(log_partition(em, trans) - log_z))
+    for emissions, scores, start, _ in _shape_groups(rng, 200):
+        exact = _brute_force_log_z(emissions, scores, start, None)
+        worst = max(worst, float(np.abs(_engine_log_z(emissions, scores, start) - exact).max()))
     return CheckResult(
         name="log-partition vs enumeration",
         observed=worst,
@@ -237,15 +245,15 @@ def check_encoder_gradients(seed: int) -> CheckResult:
         V, e, d, T = 7, 3, 3, int(rng.integers(2, 5))
         weights = EncoderWeights.init(V, e, d, rng)
         trans = _random_scores(rng, d, 1.0)
-        ids = [int(v) for v in rng.integers(0, V, size=T)]
+        windows = window_ids(rng.integers(0, V, size=T))
         gold = [int(v) for v in rng.integers(0, d, size=T)]
 
-        _, grads = loss_and_gradients([(encode(ids, weights), gold)], trans)
-        analytic = encoder_backward(ids, grads.emissions[0], weights)
+        _, grads = loss_and_gradients([(encode(windows, weights), gold)], trans)
+        analytic = encoder_backward(windows, grads.emissions[0], weights)
         names = ("embeddings", "projection", "bias")
         pairs = [(getattr(weights, name), getattr(analytic, name)) for name in names]
         sentence_losses = partial(_sentence_losses, gold=gold, trans=trans)
-        error = _worst_relative_error(pairs, partial(encode, ids, weights), sentence_losses)
+        error = _worst_relative_error(pairs, partial(encode, windows, weights), sentence_losses)
         worst = max(worst, error)
     return CheckResult(
         name="encoder gradients vs finite differences",
@@ -268,11 +276,11 @@ def check_mask_convergence(seed: int) -> CheckResult:
         T = int(rng.integers(2, 5))
         emissions = rng.uniform(-1.5, 1.5, size=(T, d))
         trans = _random_scores(rng, d, 1.5)
-        gold = [0] * T
+        batch = [(emissions, [0] * T)]
+        restricted = brute_force_loss_and_gradients(batch, trans, tagset.rules)  # c is not read
         for c in values:
-            loss_gap, grad_gap = mask_convergence_gap(
-                [(emissions, gold)], trans, MaskSpec(rules=tagset.rules, mask_value=c)
-            )
+            spec = MaskSpec(rules=tagset.rules, mask_value=c)
+            loss_gap, grad_gap = _convergence_gap(batch, trans, spec, restricted)
             per_value[c] = max(per_value[c], max(loss_gap, grad_gap))
     monotone = all(
         per_value[values[i]] >= per_value[values[i + 1]] for i in range(len(values) - 1)

@@ -1,5 +1,6 @@
 """Linear-chain CRF core: scores, partition, gradients, Viterbi, oracles."""
 
+import itertools
 import math
 import os
 import re
@@ -1397,10 +1398,10 @@ class TestStackedOracle:
                 mass += w.sum()
                 count += w.size
                 for t in range(T):
-                    np.add.at(d_em.reshape(-1), cells[:, t], w)
+                    np.add.at(d_em.reshape(-1), cells[t], w)
                 for t in range(T - 1):
-                    np.add.at(d_trans.reshape(-1), moves[:, t], w)
-                np.add.at(d_start, cells[:, 0], w)
+                    np.add.at(d_trans.reshape(-1), moves[t], w)
+                np.add.at(d_start, cells[0], w)
             if abs(mass - 1.0) > 4 * count * np.finfo(np.float64).eps:
                 d_em /= mass
                 for counts, old in zip((d_trans, d_start), before):
@@ -1439,6 +1440,60 @@ class TestStackedOracle:
             assert same_bits(grads.transitions, ref_trans)
             assert same_bits(grads.start, ref_start)
 
+    @staticmethod
+    def gathered_scores(emissions, scores, start, rows, cells, moves):
+        """A chunk's path scores as the enumeration scored them before it
+        summed position by position: from the path-major (n, T) table, the
+        (k', b, T) emission gathers and (k', b, T - 1) move gathers of each
+        tile of at most _SLICE paths, each summed on its last axis."""
+        k, T, d = emissions.shape
+        em, sc, st = emissions.reshape(k, T * d)[rows], scores.reshape(k, d * d)[rows], start[rows]
+        path_cells, path_moves = cells.T.copy(), moves.T.copy()
+        out = np.empty((len(em), len(path_cells)))
+        for p in range(0, len(path_cells), mcrf.crf._SLICE):
+            block = slice(p, p + mcrf.crf._SLICE)
+            tile = em.take(path_cells[block], axis=1).sum(axis=2)
+            tile += st.take(path_cells[block, 0], axis=1)
+            tile += sc.take(path_moves[block], axis=1).sum(axis=2)
+            out[:, block] = tile
+        return out
+
+    @pytest.mark.parametrize("T", range(1, 11))
+    def test_the_path_scores_keep_the_bits_of_the_gathered_sums(self, T):
+        """Position-major tables of the legal paths in lexicographic order,
+        scored with the bits of the (k', b, T) gathers summed on their last
+        axis, on both sides of 8 positions, with and without BIO rules, at
+        scores up to 1e5 and with -0.0 entries: an instance of -0.0 alone
+        scores +0.0 on every path, as those sums did."""
+        rng = np.random.default_rng(41 + T)
+        bio1, bio2 = (build_tagset(Scheme.BIO, types).rules for types in (["A"], ["A", "B"]))
+        for d, rules in ((2, None), (3, None), (3, bio1), (5, bio2)):
+            if d**T > 3**10:
+                continue
+            group = [random_instance(rng, T, d, scale=float(scale)) for scale in (2.0, 1e5, 1.0, 1.0)]
+            for emissions, trans in group[2:]:  # -0.0 in most entries, in all of the last
+                for arr in (emissions, trans.scores, trans.start):
+                    arr[rng.random(arr.shape) < 0.8] = -0.0
+            for arr in (group[3][0], group[3][1].scores, group[3][1].start):
+                arr[...] = -0.0
+            emissions, scores, start = stacked(group)
+            illegal_pair, illegal_start = (rules or TransitionRuleSet(frozenset(), frozenset())).tables(d)
+            paths = np.array(list(itertools.product(range(d), repeat=T)), dtype=np.int32)
+            paths = paths[~(illegal_start[paths[:, 0]] | illegal_pair[paths[:, :-1], paths[:, 1:]].any(axis=1))]
+            tables = []
+            for rows, cells, moves, path_scores in mcrf.crf._iter_scored_chunks(
+                emissions, scores, start, rules
+            ):
+                assert cells.dtype == moves.dtype == np.int32
+                assert cells.shape == (T, path_scores.shape[1]) and moves.shape == (T - 1, len(cells[0]))
+                expected = self.gathered_scores(emissions, scores, start, rows, cells, moves)
+                assert same_bits(path_scores, expected)
+                if rows.start == 0:
+                    tables.append(cells - np.arange(T, dtype=np.int32)[:, None] * d)
+                    assert same_bits(moves, tables[-1][:-1] * d + tables[-1][1:])
+            assert same_bits(np.concatenate(tables, axis=1), paths.T)
+            assert not np.signbit(path_scores[-1]).any()  # the last row: the -0.0 instance
+
     def test_a_group_without_a_legal_path_is_refused_as_one_instance_is(self):
         no_start = TransitionRuleSet(frozenset(), frozenset({0, 1, 2}))
         group = [random_instance(np.random.default_rng(31), 2, 3) for _ in range(3)]
@@ -1449,6 +1504,48 @@ class TestStackedOracle:
             alone = refusal(oracle, *group[0], no_start)
             assert alone == "no legal paths exist for this instance"
             assert refusal(stacked_oracle, *stacked(group), no_start) == alone
+
+
+class TestStackedEngineLogZ:
+    """verify's engine side of the log-partition check: k instances of one
+    shape as k models of one engine call, each over its own sentence as
+    (T, k, 1, d) emissions, with the bits and the refusal of its own
+    log_partition call."""
+
+    def test_each_instance_has_the_bits_of_its_own_call(self, monkeypatch):
+        """Random groups, some of whose rows take the log-space step at
+        scores up to 5e3, in stacks of more than one model."""
+        guarded = []  # the group size of each log-space step of a stacked call
+        log_space = mcrf.crf.logsumexp
+        rng = np.random.default_rng(43)
+        for trial in range(150):
+            k, T, d = (int(rng.integers(lo, hi)) for lo, hi in ((1, 12), (1, 12), (2, 9)))
+            group = [random_instance(rng, T, d, scale=(2.0, 50.0, 5e3)[trial % 3]) for _ in range(k)]
+
+            def spy(x, axis, k=k):
+                guarded.append(k)
+                return log_space(x, axis)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(mcrf.crf, "logsumexp", spy)
+                log_z = mcrf.crf._engine_log_z(*stacked(group))
+            assert log_z.shape == (k,)
+            for (emissions, trans), z in zip(group, log_z):
+                assert float(z).hex() == log_partition(emissions, trans).hex()
+        assert max(guarded) > 1
+
+    @pytest.mark.parametrize("poison", sorted(TestStackedOracle.POISONS))
+    def test_the_first_refused_instance_is_named_with_its_own_refusal(self, poison):
+        """Instance j is poisoned, and a later instance holds a nan."""
+        rng = np.random.default_rng(47)
+        for j in (0, 2):
+            group = [random_instance(rng, 3, 3) for _ in range(5)]
+            TestStackedOracle.POISONS[poison](group[j][0])
+            TestStackedOracle.POISONS["nan"](group[4][0])
+            alone = refusal(log_partition, *group[j])
+            assert alone.startswith("sentence 1: ")
+            named = alone.replace("sentence 1: ", f"sentence {j + 1}: ")
+            assert refusal(mcrf.crf._engine_log_z, *stacked(group)) == named
 
 
 class TestTransitionMatrix:

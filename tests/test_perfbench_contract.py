@@ -97,14 +97,18 @@ def test_verify_takes_every_difference_from_untraced_engine_calls():
     trans. So a battery makes no nll_loss call, and its analytic gradients
     keep their count. The log-partition and Viterbi checks referee their
     instances through the private, untraced stacked oracles, one call per
-    (T, d) group; the traced crf.brute_force calls are check_mask_convergence's
-    8 instances x 4 mask values x 2 loss oracles and its 2 zero-gap calls."""
+    (T, d) group, and check_log_partition takes the engine's log Z the same
+    way, so a battery makes no crf.log_partition call either. The traced
+    crf.brute_force calls are check_mask_convergence's: for each of its 8
+    instances one restricted loss oracle, which the mask value does not
+    change, and 4 masked ones, then its 2 zero-gap calls."""
     with _tracer.Tracer() as tracer:
         mcrf.verification.run_verification(seed=0)
     metrics = tracer.metrics()
     assert metrics["crf.nll_loss.calls"] == 0
     assert metrics["crf.loss_and_gradients.calls"] == 50
-    assert metrics["crf.brute_force.calls"] == 8 * 4 * 2 + 2
+    assert metrics["crf.log_partition.calls"] == 0
+    assert metrics["crf.brute_force.calls"] == 8 * (1 + 4) + 2
 
 
 def test_predict_decodes_without_the_mask(tmp_path):

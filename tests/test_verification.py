@@ -163,19 +163,24 @@ class TestObservedBits:
         assert len(calls) == 2 * 10  # ten instances
         assert [len(scores) for _, _, scores, _, _ in calls] == [1] * 20
 
-    def test_a_battery_makes_340_engine_calls(self, monkeypatch):
+    def test_a_battery_makes_164_engine_calls(self, monkeypatch):
+        """Three for each of the two gradient checks' 20 instances, two for
+        each of the encoder check's 10, and 24 for check_log_partition: one
+        stacked call per (T, d) group of its 200 instances."""
         calls = self._count_engine_calls(monkeypatch)
         run_verification(0)
-        assert len(calls) == 340
+        assert len(calls) == 3 * 2 * 20 + 2 * 10 + 24 == 164
 
     def test_the_referee_tables_each_shape_once(self, monkeypatch):
         """check_log_partition and check_viterbi hand each (T, d) group of
-        their 200 instances to one stacked oracle call: 24 shapes each at
-        seeds 0 and 1, every one of at most 5^6 paths, so one path table per
-        shape, not one per instance. The battery's other 132 enumerations
-        are check_mask_convergence's 66 loss oracles, a log Z pass and a
+        their 200 instances to one stacked oracle call, and check_log_partition
+        to one stacked engine call: 24 shapes each at seeds 0 and 1, every one
+        of at most 5^6 paths, so one path table per shape, not one per
+        instance. The battery's other 84 enumerations are
+        check_mask_convergence's 42 loss oracles (one restricted and four
+        masked per instance, and the two zero-gap ones), a log Z pass and a
         weights pass each, one sentence at a time."""
-        groups = {"_brute_force_log_z": [], "_brute_force_paths": []}
+        groups = {"_brute_force_log_z": [], "_brute_force_paths": [], "_engine_log_z": []}
         for name, sizes in groups.items():
             def oracle(emissions, *args, stacked=getattr(verification, name), sizes=sizes):
                 sizes.append(len(emissions))
@@ -197,9 +202,9 @@ class TestObservedBits:
         run_verification(0)
         for sizes in groups.values():
             assert len(sizes) == 24 and sum(sizes) == 200
-        assert len(enumerations) == 24 + 24 + 132
+        assert len(enumerations) == 24 + 24 + 84
         assert [tables for _, tables in enumerations] == [1] * len(enumerations)
-        assert sum(instances for instances, _ in enumerations) == 200 + 200 + 132
+        assert sum(instances for instances, _ in enumerations) == 200 + 200 + 84
 
 
 class TestCentralDifference:
