@@ -75,16 +75,14 @@ enumerator, _iter_scored_chunks, scores k instances of one (T, d) shape,
 stacked as (k, T, d) emissions, (k, d, d) scores and (k, d) starts, against
 each chunk's path table, built once for all of them. The table is
 position-major: (T, n) cells over (T - 1, n) moves, row t holding every
-path's cell at position t. Below 8 positions a tile of path scores adds one
-row gather per position in order, which has the bits of numpy's sum of the
-(k', n, T) gathers and costs about a third of it; from 8 positions numpy
-sums pairwise, and the tile sums those gathers as it does. The public
-oracles are the enumerator's batch of one; the stacked forms of log Z and
-the best path (_brute_force_log_z, _brute_force_paths) let verify referee
-each shape group of its instances in one call. Each instance's scores are a
-C-ordered row, reduced as a lone instance's are, so it keeps the bits of its
-own call. The gradient oracle scatters a chunk's weights with one np.add.at
-per table.
+path's cell at position t. A tile of path scores adds one row gather per
+position in order, then the starts, then the moves' row gathers, added in
+order first. The public oracles are the enumerator's batch of one; the
+stacked forms of log Z and the best path (_brute_force_log_z,
+_brute_force_paths) let verify referee each shape group of its instances
+in one call. Each instance's scores are a C-ordered row, reduced as a lone
+instance's are, so it keeps the bits of its own call. The gradient oracle
+scatters a chunk's weights with one np.add.at per table.
 They and path_score refuse a result that is not finite as the engine does,
 with one check per result or per enumerated chunk, and the stacked forms
 name the first refused instance in input order.
@@ -108,7 +106,6 @@ _DECODE_CELLS = 1 << 16  # float64 cells per decode chunk: (b, T, d) table + (b,
 _UNDERFLOW = np.finfo(np.float64).tiny * 2.0**52  # v_t below this takes the log-space step
 _LOWEST = float(np.finfo(np.float64).min)  # floors the forward shift: max of a row of -inf
 _MAX_INTP = int(np.iinfo(np.intp).max)
-_SUMS_HOLD = 2.0**52  # |log Z| below which a batch loss is summed, not averaged from its NLLs
 
 _ALL_MOVES = TransitionRuleSet(frozenset(), frozenset())  # viterbi_batch without rules
 
@@ -442,17 +439,14 @@ def _batch_nll(batch: Batch | TokenBatch, scores: np.ndarray, start: np.ndarray,
     """The mean NLL over the padded batch under each of N models, scores
     (N, d, d) and start (N, d), from one engine call: the (N,) losses and,
     with gradients (N = 1 only), CrfGradients; without them, the (N, B)
-    per-sentence NLLs log Z_k - s(gold_k). Its gold tags are a C-ordered,
-    zero-padded (B, T) array: the gold emissions are summed in that order,
-    and another order moves the loss's last bit; so each model's mean is
-    (sum of log Z - gold score - start scores) / B, not summed from its
-    per-sentence NLLs, unless the batch sums cannot hold them while every
-    NLL is finite: the sums leave the float range, or a log Z reaches
-    _SUMS_HOLD in magnitude, where the sums' ulp of 1 or more rounds the
-    other sentences' NLLs away (there each NLL is itself off by up to an ulp
-    of its log Z, in the enumeration too). So each model's loss has the bits
-    of a call with it alone, and the first model in input order whose loss
-    is not finite is refused with the text a call with it alone gives.
+    per-sentence NLLs log Z_k - s(gold_k). Each model's loss is the sum of
+    its NLLs / B, so no sentence's NLL is rounded away by the others' (at
+    |log Z| >= 2^52 each NLL is itself off by up to an ulp of its log Z, in
+    the enumeration too), and the batch's sums cannot leave the float range
+    while every NLL is finite. Each model's loss has the bits of a call with
+    it alone; the first model in input order with a sentence whose NLL is
+    not finite is refused, named for its first such sentence, with the text
+    a call with it alone gives.
 
     Sentence k's NLL has the bits nll_loss gives it alone when the batch is
     padded to fewer than 8 positions (numpy sums 8 or more terms pairwise)
@@ -466,31 +460,20 @@ def _batch_nll(batch: Batch | TokenBatch, scores: np.ndarray, start: np.ndarray,
     cells = np.arange(tags.shape[1]), np.arange(n)[:, None], tags  # (B, T) gold cells
     steps = np.arange(1, tags.shape[1]) < lengths[:, None]  # (B, T - 1) moves in a sentence
     moves = tags[:, :-1] * d + tags[:, 1:]  # i * d + j
-    flat = scores.reshape(len(scores), d * d)
-    gold_em, gold_moves, starts = emissions[cells], moves[steps], start.take(tags[:, 0], axis=1)
-    gold = gold_em.sum() + flat.take(gold_moves, axis=1).sum(axis=1)
-    losses = (log_z.sum(axis=1) - gold - starts.sum(axis=1)) / n
-    summed = np.isfinite(losses)
-    if not np.vdot(log_z, log_z) < _SUMS_HOLD**2:  # a log Z may reach _SUMS_HOLD: look at each
-        summed &= np.abs(log_z).max(axis=1) < _SUMS_HOLD
-    all_summed = summed.all()
-    if not gradients or not all_summed:
-        move_scores = np.where(steps, flat.take(moves, axis=1), 0.0).sum(axis=2)
-        nlls = log_z - (gold_em.sum(axis=1) + move_scores) - starts
-    if not all_summed:
-        averaged = ~summed & np.isfinite(nlls).all(axis=1)  # only the batch sums failed
-        losses[averaged] = (nlls[averaged] / n).sum(axis=1)
-        refused = ~(summed | averaged)
-        if refused.any():
-            m = int(refused.argmax())  # the first model refused
-            k = int(np.isfinite(nlls[m]).argmin())  # its first sentence whose own NLL is not finite
-            raise _refused_loss(k, losses[m], log_z[m, k], emissions[:, k], scores[m], start[m])
+    move_scores = np.where(steps, scores.reshape(-1, d * d).take(moves, axis=1), 0.0).sum(axis=2)
+    nlls = log_z - (emissions[cells].sum(axis=1) + move_scores) - start.take(tags[:, 0], axis=1)
+    losses = (nlls / n).sum(axis=1)
+    bad = ~np.isfinite(nlls)
+    if bad.any():
+        m = int(bad.any(axis=1).argmax())  # the first model refused
+        k = int(bad[m].argmax())  # its first sentence whose own NLL is not finite
+        raise _refused_loss(k, losses[m], log_z[m, k], emissions[:, k], scores[m], start[m])
     if not gradients:
         return losses, nlls
     d_em = gamma[:, 0]
     d_em[cells] -= 1.0
     d_em /= n
-    d_trans = (counts[0] - np.bincount(gold_moves, minlength=d * d).reshape(d, d)) / n
+    d_trans = (counts[0] - np.bincount(moves[steps], minlength=d * d).reshape(d, d)) / n
     d_emissions = d_em.reshape(-1, d)[rows]
     if not isinstance(batch, TokenBatch):
         d_emissions = np.split(d_emissions, np.cumsum(lengths)[:-1])
@@ -646,7 +629,6 @@ def _iter_scored_chunks(
     if rules is not None:
         illegal_pair, illegal_start = rules.tables(d)
     emissions, scores = emissions.reshape(k, T * d), scores.reshape(k, d * d)
-    start = start + 0.0  # no -0.0: see _path_scores
     total = d**T
     for lo in range(0, total, _CHUNK):
         table = np.empty((2 * T - 1, min(_CHUNK, total - lo)), dtype=np.int32)
@@ -684,19 +666,10 @@ def _path_scores(
     moves: np.ndarray,
 ) -> np.ndarray:
     """The (k', b) scores of b paths of a table, (T, b) cells and (T - 1, b)
-    moves, under k' instances: (k', T * d) emissions, (k', d) starts with no
-    -0.0 and (k', d * d) scores. Each score is its emission gathers summed
-    position by position, plus its start, plus its move gathers summed the
-    same way. Below 8 positions numpy sums the (k', b, T) gathers in order
-    too, from an identity of +0.0; each tile adds T row gathers instead,
-    which is about three times faster at T = 6. The start holds no -0.0, so
-    no score is -0.0 where that identity gives +0.0: the bits are the same.
-    From 8 positions numpy sums pairwise, so the tile does as well."""
-    if len(cells) >= 8:
-        tile = emissions.take(cells.T, axis=1).sum(axis=2)
-        tile += start.take(cells[0], axis=1)
-        tile += scores.take(moves.T, axis=1).sum(axis=2)
-        return tile
+    moves, under k' instances: (k', T * d) emissions, (k', d) starts and
+    (k', d * d) scores. Each score is its emission row gathers added in
+    position order, plus its start, plus its move row gathers, themselves
+    added in order first."""
     tile = emissions.take(cells[0], axis=1)
     for row in cells[1:]:
         tile += emissions.take(row, axis=1)

@@ -9,10 +9,11 @@ imports must be named in the workflow's pip install line. The workflow runs
 one Python version, so another test parses every file at the oldest one
 that pyproject.toml declares, and another that no module of the package
 imports a name it does not use, since CI runs no linter; nor may it export a
-name that only unit tests read, or import another module's underscore name
-outside a short list. Another test checks that the pytest
-settings in pyproject.toml are in force, and the last that README's module
-map and command table list what the package has.
+name that only unit tests read, keep an underscore name that no package code
+reads, or import another module's underscore name outside a short list.
+Another test checks that the pytest settings in pyproject.toml are in
+force, and the last that README's module map and command table list what
+the package has.
 """
 
 import argparse
@@ -169,6 +170,30 @@ def test_every_public_name_is_read_outside_the_unit_tests(monkeypatch):
     spec.loader.exec_module(tracer)
     read |= {q.rsplit(".", 1)[1] for layer in tracer.MCRF_LAYERS for q in layer.functions}
     assert sorted(set(mcrf.__all__) - read) == []
+
+
+def _defined(node: ast.stmt) -> set[str]:
+    """The names a top-level statement binds: a def's or class's name, or
+    the names an assignment stores."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def test_every_private_name_is_read_by_package_code():
+    """A helper or constant whose last reader went away fails here: each
+    top-level underscore name (not a dunder) of a package module is read by
+    package code outside its own definition."""
+    defined, read = set(), set()
+    for path in (ROOT / "src" / "mcrf").glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = _defined(node)
+            defined |= {f"{path.stem}.{name}" for name in own}
+            read |= _names_read(node) - own
+    private = {q for q in defined if re.match(r"_(?!_)", q.split(".")[1])}
+    assert len(private) > 20  # the scan sees the helpers
+    assert sorted(q for q in private if q.split(".")[1] not in read) == []
 
 
 def test_runtime_warnings_fail_a_test():

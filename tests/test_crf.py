@@ -142,9 +142,12 @@ class TestLogPartition:
         )
 
     def test_matches_pure_python_enumeration(self):
+        """At T = 1 to 4, and at T = 8 to 10, where a numpy sum over the
+        positions would add pairwise."""
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            emissions, trans = random_instance(rng, T=int(rng.integers(1, 5)), d=3)
+        instances = [random_instance(rng, T=int(rng.integers(1, 5)), d=3) for _ in range(20)]
+        instances += [random_instance(rng, T, d) for T in (8, 9, 10) for d in (2, 3)]
+        for emissions, trans in instances:
             expected = python_log_partition(
                 emissions.tolist(), trans.scores.tolist(), trans.start.tolist()
             )
@@ -510,9 +513,10 @@ class TestPerSentenceLosses:
 
     def test_each_is_nll_loss_on_its_sentence(self):
         """Bitwise at d <= 3, where a row of the batch's (B, d) @ (d, d)
-        product has the bits of the (1, d) product; within 1e-12 relative
-        above, where it differs in the last bits. Padded lengths stay under
-        8, the length from which numpy's sum adds in another order."""
+        product has the bits of the (1, d) product, and there the batch loss
+        is the sum of those NLLs / B; within 1e-12 relative above, where
+        they differ in the last bits. Padded lengths stay under 8, the
+        length from which numpy's sum adds in another order."""
         rng = np.random.default_rng(18)
         for d in (2, 3, 4, 7, 13, 41):
             for _ in range(20):
@@ -530,6 +534,9 @@ class TestPerSentenceLosses:
                     losses = losses[0]
                     if d <= 3:
                         assert same_bits(losses, alone), d
+                        mean = (alone / len(alone)).sum().hex()
+                        assert nll_loss(batch, trans).hex() == mean
+                        assert loss_and_gradients(batch, trans)[0].hex() == mean
                     else:
                         np.testing.assert_allclose(losses, alone, rtol=1e-12, atol=0)
 
@@ -1441,30 +1448,30 @@ class TestStackedOracle:
             assert same_bits(grads.start, ref_start)
 
     @staticmethod
-    def gathered_scores(emissions, scores, start, rows, cells, moves):
-        """A chunk's path scores as the enumeration scored them before it
-        summed position by position: from the path-major (n, T) table, the
-        (k', b, T) emission gathers and (k', b, T - 1) move gathers of each
-        tile of at most _SLICE paths, each summed on its last axis."""
-        k, T, d = emissions.shape
-        em, sc, st = emissions.reshape(k, T * d)[rows], scores.reshape(k, d * d)[rows], start[rows]
-        path_cells, path_moves = cells.T.copy(), moves.T.copy()
-        out = np.empty((len(em), len(path_cells)))
-        for p in range(0, len(path_cells), mcrf.crf._SLICE):
-            block = slice(p, p + mcrf.crf._SLICE)
-            tile = em.take(path_cells[block], axis=1).sum(axis=2)
-            tile += st.take(path_cells[block, 0], axis=1)
-            tile += sc.take(path_moves[block], axis=1).sum(axis=2)
-            out[:, block] = tile
+    def summed_scores(emissions, scores, start, rows, cells, moves):
+        """A chunk's path scores written out from its tags: each position's
+        emission added in order, then the start, then the moves, themselves
+        added in order first."""
+        _, T, d = emissions.shape
+        tags = cells - np.arange(T)[:, None] * d
+        em, sc, st = emissions[rows], scores[rows], start[rows]
+        out = em[:, 0, tags[0]]
+        for t in range(1, T):
+            out = out + em[:, t, tags[t]]
+        out = out + st[:, tags[0]]
+        if T > 1:
+            path_moves = sc[:, tags[0], tags[1]]
+            for t in range(1, T - 1):
+                path_moves = path_moves + sc[:, tags[t], tags[t + 1]]
+            out = out + path_moves
         return out
 
     @pytest.mark.parametrize("T", range(1, 11))
     def test_the_path_scores_keep_the_bits_of_the_gathered_sums(self, T):
         """Position-major tables of the legal paths in lexicographic order,
-        scored with the bits of the (k', b, T) gathers summed on their last
-        axis, on both sides of 8 positions, with and without BIO rules, at
-        scores up to 1e5 and with -0.0 entries: an instance of -0.0 alone
-        scores +0.0 on every path, as those sums did."""
+        scored with the bits of the sums written out position by position,
+        at every length, with and without BIO rules, at scores up to 1e5
+        and with -0.0 entries, all of them in the last instance."""
         rng = np.random.default_rng(41 + T)
         bio1, bio2 = (build_tagset(Scheme.BIO, types).rules for types in (["A"], ["A", "B"]))
         for d, rules in ((2, None), (3, None), (3, bio1), (5, bio2)):
@@ -1486,13 +1493,12 @@ class TestStackedOracle:
             ):
                 assert cells.dtype == moves.dtype == np.int32
                 assert cells.shape == (T, path_scores.shape[1]) and moves.shape == (T - 1, len(cells[0]))
-                expected = self.gathered_scores(emissions, scores, start, rows, cells, moves)
+                expected = self.summed_scores(emissions, scores, start, rows, cells, moves)
                 assert same_bits(path_scores, expected)
                 if rows.start == 0:
                     tables.append(cells - np.arange(T, dtype=np.int32)[:, None] * d)
                     assert same_bits(moves, tables[-1][:-1] * d + tables[-1][1:])
             assert same_bits(np.concatenate(tables, axis=1), paths.T)
-            assert not np.signbit(path_scores[-1]).any()  # the last row: the -0.0 instance
 
     def test_a_group_without_a_legal_path_is_refused_as_one_instance_is(self):
         no_start = TransitionRuleSet(frozenset(), frozenset({0, 1, 2}))
