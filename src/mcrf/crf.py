@@ -36,25 +36,32 @@ relative precision near machine epsilon at any score magnitude and no sum of
 w_t overflows. A row whose v_t falls below that (at score gaps of ~670 or more)
 redoes the step in log space over its (rows, d, d) scores, forward and backward.
 
-One max-product engine, viterbi_batch(emissions_list, trans, rules), decodes a
-corpus; viterbi is its batch of one. It maximises over the legal moves (i, j)
-and starts of rules only, all d^2 and d of them without rules; rules.moves(d)
-lists the moves in row-major order (481 of 1681 at BIOES with 10 types). It
-sorts the sentences longest first and right-aligns them, so every sentence
-ends at the last column and the ones still running at a column are a prefix
-of the rows: each backward step computes
-tail[:k, t] = l[:k, t] + max_{legal j}(a[i, j] + tail[:k, t+1, j]) for those
-k rows only, as one gather of tail at the moves' successors, one add of their
-scores and one maximum.reduceat at each i's first move, and no padded cell is
-computed. The forward read-off takes each running row's first-occurrence
-argmax of tail plus one row of a (d + 1, d) table: a[i] after tag i, the
-start scores (row d) before a sentence's first column, and -inf at every
-illegal entry, which is never read. Every cell sees the same float
-operations as a one-sentence recursion, so the paths do not depend on the
-batch, and the tie-break argument holds row by row: fixing earlier positions
-first, each to its smallest best tag, gives the lexicographically smallest
-best path. The corpus runs in chunks of at most _DECODE_CELLS float64 cells,
-counting the (b, T, d) table and the (b, moves) step: bounded memory.
+One max-product recursion, _max_product, reads every path off. Like the
+engine it has a model axis: K transition matrices (K, d, d) and starts
+(K, d), and each sentence's model index. viterbi_batch(emissions_list,
+trans, rules) is its one model over a corpus, and viterbi its batch of one;
+verify's Viterbi check takes each (T, d) group of instances as k models
+over their own sentences (_engine_paths). A call gathers the (K, moves)
+move scores and builds one (K, d + 1, d) read-off table, once. It maximises
+over the legal moves (i, j) and starts of rules only, all d^2 and d of them
+without rules; rules.moves(d) lists the moves in row-major order (481 of
+1681 at BIOES with 10 types). It sorts the sentences longest first and
+right-aligns them, so every sentence ends at the last column and the ones
+still running at a column are a prefix of the rows: each backward step
+computes tail[:k, t] = l[:k, t] + max_{legal j}(a[i, j] + tail[:k, t+1, j])
+for those k rows only, as one gather of tail at the moves' successors, one
+add of each row's model's move scores and one maximum.reduceat at each i's
+first move, and no padded cell is computed. The forward read-off takes each
+running row's first-occurrence argmax of tail plus one row of its model's
+(d + 1, d) table: a[i] after tag i, the start scores (row d) before a
+sentence's first column, and -inf at every illegal entry, which is never
+read. Every cell sees the same float operations as a one-sentence recursion
+under its own model, so the paths depend neither on the batch nor on the
+other models, and the tie-break argument holds row by row: fixing earlier
+positions first, each to its smallest best tag, gives the lexicographically
+smallest best path. The corpus runs in chunks of at most _DECODE_CELLS
+float64 cells, counting the (b, T, d) table, the (b, moves) step and the
+chunk's (b, moves) move scores: bounded memory.
 
 No entry point returns a loss or log Z that is not finite, or reads a path
 off NaN or +inf scores (a decoded sentence's table maximum or best score,
@@ -445,8 +452,8 @@ def _batch_nll(batch: Batch | TokenBatch, scores: np.ndarray, start: np.ndarray,
     the enumeration too), and the batch's sums cannot leave the float range
     while every NLL is finite. Each model's loss has the bits of a call with
     it alone; the first model in input order with a sentence whose NLL is
-    not finite is refused, named for its first such sentence, with the text
-    a call with it alone gives.
+    not finite is refused, named for its first such sentence and quoting
+    that sentence's own NLL, as a call with the sentence alone quotes it.
 
     Sentence k's NLL has the bits nll_loss gives it alone when the batch is
     padded to fewer than 8 positions (numpy sums 8 or more terms pairwise)
@@ -467,7 +474,7 @@ def _batch_nll(batch: Batch | TokenBatch, scores: np.ndarray, start: np.ndarray,
     if bad.any():
         m = int(bad.any(axis=1).argmax())  # the first model refused
         k = int(bad[m].argmax())  # its first sentence whose own NLL is not finite
-        raise _refused_loss(k, losses[m], log_z[m, k], emissions[:, k], scores[m], start[m])
+        raise _refused_loss(k, nlls[m, k], log_z[m, k], emissions[:, k], scores[m], start[m])
     if not gradients:
         return losses, nlls
     d_em = gamma[:, 0]
@@ -532,7 +539,6 @@ def loss_and_gradients(
     return float(losses[0]), grads
 
 
-@np.errstate(over="ignore", invalid="ignore")  # scores that are not finite are refused below
 def viterbi_batch(
     emissions_list: list[np.ndarray],
     trans: TransitionMatrix,
@@ -543,54 +549,13 @@ def viterbi_batch(
     the lexicographically smallest path. The scores of illegal entries are
     never read. A sentence whose best score is not finite, or whose table
     holds a NaN or +inf, is refused as brute_force_best refuses it; the
-    first in input order is named.
-
-    tail[k, t, j] is the best score of sentence k's completion from column t
-    with tag j; the recursion runs backward, then the paths are read off
-    forward (module docstring).
+    first in input order is named. The max-product recursion at one model
+    (module docstring).
     """
     d = trans.num_tags
     emissions_list = [_sentence(em, d, k) for k, em in enumerate(emissions_list)]
-    lengths = [len(em) for em in emissions_list]
-    rules = _ALL_MOVES if rules is None else rules
-    illegal_pair, illegal_start = rules.tables(d)
-    reads = np.concatenate([trans.scores, trans.start[None]])  # read-off: row d holds the starts
-    reads[np.concatenate([illegal_pair, illegal_start[None]])] = -np.inf  # wins no argmax
-    cells, successors, firsts = rules.moves(d)
-    move_scores = trans.scores.take(cells)
-    order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)  # stable
-    paths: list[list[int]] = [[] for _ in order]
-    refused = []  # (sentence, its best score or its table's nan or inf) if not finite
-    lo = 0
-    while lo < len(order):
-        T = lengths[order[lo]]
-        chunk = order[lo : lo + max(1, _DECODE_CELLS // (T * d + cells.size))]
-        lo += len(chunk)
-        starts = [T - lengths[k] for k in chunk]  # right-aligned: all end at T - 1
-        tail = np.zeros((len(chunk), T, d))  # cells before a row's start stay 0.0
-        for row, k, start in zip(tail, chunk, starts):
-            row[start:] = emissions_list[k]
-        running = [bisect_right(starts, t) for t in range(T)]  # rows covering column t
-        for t in range(T - 2, -1, -1):
-            n = running[t]
-            step = tail[:n, t + 1].take(successors, axis=1)
-            step += move_scores
-            tail[:n, t] += np.maximum.reduceat(step, firsts, axis=1)
-        # a nan wins every argmax it meets, and an inf makes one beside an
-        # illegal entry's -inf, wherever it is in a sentence's rows
-        top = tail.max(axis=(1, 2))
-        best = (tail[np.arange(len(chunk)), starts] + reads[d]).max(axis=1)
-        verdicts = np.where(top < np.inf, best, top).tolist()
-        refused += [(k, v) for k, v in zip(chunk, verdicts) if not math.isfinite(v)]
-        tags = np.full((len(chunk), T + 1), d)  # tags[:, t + 1] at column t; d: the starts row
-        for t, n in enumerate(running):
-            tags[:n, t + 1] = (reads[tags[:n, t]] + tail[:n, t]).argmax(axis=1)
-        for k, row, start in zip(chunk, tags.tolist(), starts):
-            paths[k] = row[start + 1 :]
-    if refused:
-        k, v = min(refused)  # the first in input order
-        raise _not_finite(k, _NO_FINITE_PATH if v == -math.inf else "a path score is", v)
-    return paths
+    model = np.zeros(len(emissions_list), dtype=np.intp)
+    return _max_product(emissions_list, trans.scores[None], trans.start[None], model, rules)
 
 
 def viterbi(
@@ -598,6 +563,78 @@ def viterbi(
 ) -> list[int]:
     """Highest-scoring path of one sentence: the engine at B = 1."""
     return viterbi_batch([emissions], trans, rules)[0]
+
+
+def _engine_paths(
+    emissions: np.ndarray, scores: np.ndarray, start: np.ndarray, rules: TransitionRuleSet | None
+) -> list[list[int]]:
+    """viterbi's path for each of k instances of one shape, checked (k, T, d)
+    emissions with (k, d, d) scores and (k, d) starts, from one recursion:
+    instance j reads model j, so its path has the bits and the tie-break of
+    its own call, and the first refused in input order is named with its own
+    call's text, by its index."""
+    return _max_product(emissions, scores, start, np.arange(len(emissions)), rules)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # scores that are not finite are refused below
+def _max_product(
+    emissions_list: list[np.ndarray] | np.ndarray,
+    scores: np.ndarray,
+    start: np.ndarray,
+    model: np.ndarray,
+    rules: TransitionRuleSet | None,
+) -> list[list[int]]:
+    """The best path of each checked (T_k, d) sentence, in input order,
+    under its model model[k] of K: (K, d, d) transition scores and (K, d)
+    starts; the first refused in input order is named by its index.
+
+    tail[k, t, j] is the best score of sentence k's completion from column t
+    with tag j; the recursion runs backward, then the paths are read off
+    forward (module docstring).
+    """
+    K, d = start.shape
+    lengths = [len(em) for em in emissions_list]
+    rules = _ALL_MOVES if rules is None else rules
+    illegal_pair, illegal_start = rules.tables(d)
+    reads = np.concatenate([scores, start[:, None]], axis=1)  # read-off: row d holds the starts
+    reads[:, np.concatenate([illegal_pair, illegal_start[None]])] = -np.inf  # wins no argmax
+    cells, successors, firsts = rules.moves(d)
+    move_scores = scores.reshape(K, d * d).take(cells, axis=1)  # (K, moves)
+    order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)  # stable
+    paths: list[list[int]] = [[] for _ in order]
+    refused = []  # (sentence, its best score or its table's nan or inf) if not finite
+    lo = 0
+    while lo < len(order):
+        T = lengths[order[lo]]
+        chunk = order[lo : lo + max(1, _DECODE_CELLS // (T * d + 2 * cells.size))]
+        lo += len(chunk)
+        models = model[chunk]
+        row_moves = move_scores[models]  # (b, moves): each row's model's move scores
+        starts = [T - lengths[k] for k in chunk]  # right-aligned: all end at T - 1
+        tail = np.zeros((len(chunk), T, d))  # cells before a row's start stay 0.0
+        for row, k, start_at in zip(tail, chunk, starts):
+            row[start_at:] = emissions_list[k]
+        running = [bisect_right(starts, t) for t in range(T)]  # rows covering column t
+        for t in range(T - 2, -1, -1):
+            n = running[t]
+            step = tail[:n, t + 1].take(successors, axis=1)
+            step += row_moves[:n]
+            tail[:n, t] += np.maximum.reduceat(step, firsts, axis=1)
+        # a nan wins every argmax it meets, and an inf makes one beside an
+        # illegal entry's -inf, wherever it is in a sentence's rows
+        top = tail.max(axis=(1, 2))
+        best = (tail[np.arange(len(chunk)), starts] + reads[models, d]).max(axis=1)
+        verdicts = np.where(top < np.inf, best, top).tolist()
+        refused += [(k, v) for k, v in zip(chunk, verdicts) if not math.isfinite(v)]
+        tags = np.full((len(chunk), T + 1), d)  # tags[:, t + 1] at column t; d: the starts row
+        for t, n in enumerate(running):
+            tags[:n, t + 1] = (reads[models[:n], tags[:n, t]] + tail[:n, t]).argmax(axis=1)
+        for k, row, start_at in zip(chunk, tags.tolist(), starts):
+            paths[k] = row[start_at + 1 :]
+    if refused:
+        k, v = min(refused)  # the first in input order
+        raise _not_finite(k, _NO_FINITE_PATH if v == -math.inf else "a path score is", v)
+    return paths
 
 
 def _iter_scored_chunks(

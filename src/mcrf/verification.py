@@ -15,14 +15,15 @@ check_log_partition and check_viterbi draw all 200 of their instances
 first; _shape_groups then stacks each (T, d) group of them, with the
 models it drew, for one call of the stacked enumeration oracle
 (crf._brute_force_log_z, crf._brute_force_paths), where each instance keeps
-the bits of its own call. check_log_partition takes the engine's log Z of
-a group from one stacked engine call too (crf._engine_log_z, each instance
-a model over its own sentence, with the bits of its log_partition call);
-check_viterbi makes one viterbi call per instance, and path_score scores a
-decoded path and the best one only where they differ, since a matching
-pair's difference is exactly 0.0. A check's worst error and mismatch count
-do not depend on the order in which it meets the instances, so it takes
-them group by group.
+the bits of its own call. Each check takes the engine's side of a group
+from one stacked call too, each instance a model over its own sentence:
+check_log_partition its log Z (crf._engine_log_z, with the bits of its
+log_partition call), check_viterbi its path (crf._engine_paths, with the
+bits and the tie-break of its viterbi call). path_score scores a decoded
+path and the best one only where they differ, since a matching pair's
+difference is exactly 0.0. A check's worst error and mismatch count do not
+depend on the order in which it meets the instances, so it takes them
+group by group.
 
 Each loss form's losses come from one engine call (crf._batch_nll). A
 perturbation of the emissions (or of any encoder weight, through encode)
@@ -58,11 +59,12 @@ from .crf import (
     _brute_force_log_z,
     _brute_force_paths,
     _engine_log_z,
+    _engine_paths,
     brute_force_loss_and_gradients,
     loss_and_gradients,
     path_score,
-    viterbi,
 )
+from .crf import viterbi  # noqa: F401  (module attribute that perfbench/selftest.py checks)
 from .encoder import EncoderWeights, encode, encoder_backward, window_ids
 from .errors import check_seed
 from .masking import MaskSpec, _convergence_gap, apply_mask, mask_convergence_gap
@@ -143,8 +145,8 @@ def check_viterbi(seed: int) -> CheckResult:
     mismatched_paths = 0
     for emissions, scores, start, models in _shape_groups(rng, 200):
         best_paths = _brute_force_paths(emissions, scores, start, None)
-        for em, trans, best_path in zip(emissions, models, best_paths):
-            decoded = viterbi(em, trans)
+        decoded_paths = _engine_paths(emissions, scores, start, None)
+        for em, trans, decoded, best_path in zip(emissions, models, decoded_paths, best_paths):
             if decoded != best_path:  # a matching pair's score difference is 0.0
                 mismatched_paths += 1
                 gap = path_score(em, trans, decoded) - path_score(em, trans, best_path)

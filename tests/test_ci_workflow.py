@@ -66,7 +66,16 @@ def test_install_step_names_every_third_party_import():
     assert {"numpy", "pytest", "hypothesis"} <= third_party  # the scan sees the imports
     installs = [line for line in _run_lines() if "pip install" in line]
     assert len(installs) == 1, installs
-    assert third_party <= set(installs[0].split()), (third_party, installs[0])
+    packages = {re.split(r"[=<>!~\[]", word)[0] for word in installs[0].split()}
+    assert third_party <= packages, (third_party, installs[0])
+
+
+def test_numpy_is_pinned_to_one_release():
+    """TestObservedBits and the row bits of crf._batch_nll's docstring pin
+    the bits of one numpy build's math library and BLAS, so CI installs that
+    release, not whichever one pip resolves."""
+    (install,) = [line for line in _run_lines() if "pip install" in line]
+    assert re.search(r"(^| )numpy==\d+\.\d+\.\d+( |$)", install), install
 
 
 def test_runs_the_tier1_command():
@@ -85,10 +94,10 @@ def test_every_file_parses_at_the_oldest_declared_python():
 
 
 def test_package_modules_use_every_name_they_import():
-    """An import left behind when a helper moves fails here. cli and
-    training re-export crf.viterbi, which the benchmark's self-test
+    """An import left behind when a helper moves fails here. cli, training
+    and verification re-export crf.viterbi, which the benchmark's self-test
     requires as their module attribute."""
-    re_exports = {("cli.py", "viterbi"), ("training.py", "viterbi")}
+    re_exports = {("cli.py", "viterbi"), ("training.py", "viterbi"), ("verification.py", "viterbi")}
     paths = sorted((ROOT / "src" / "mcrf").glob("*.py"))
     assert len(paths) > 10  # the scan sees the modules
     unused = []
@@ -112,8 +121,8 @@ def test_package_modules_import_no_private_name_of_another_but_the_listed():
     """A module that reads another's underscore name leans on its internals:
     only these do, each for a reason its own docstring gives (the engine's
     refusal texts and floor in masking; the stacked oracles, the stacked
-    engine log Z, the batch NLL and the mask-convergence gap given its
-    restricted oracle, which the mask value does not change, in
+    engine log Z and paths, the batch NLL and the mask-convergence gap given
+    its restricted oracle, which the mask value does not change, in
     verification)."""
     allowed = {
         ("masking.py", "crf", "_LOWEST"),
@@ -124,6 +133,7 @@ def test_package_modules_import_no_private_name_of_another_but_the_listed():
         ("verification.py", "crf", "_brute_force_log_z"),
         ("verification.py", "crf", "_brute_force_paths"),
         ("verification.py", "crf", "_engine_log_z"),
+        ("verification.py", "crf", "_engine_paths"),
         ("verification.py", "masking", "_convergence_gap"),
     }
     found = set()

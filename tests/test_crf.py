@@ -810,6 +810,22 @@ class TestNonFinite:
                 with pytest.raises(ValueError, match="^sentence 2: loss of nan"):
                     fn(batch, self.TRANS)
 
+    def test_a_refused_batch_quotes_its_sentence_own_nll(self):
+        """Sentence 1's gold path crosses a -inf emission (NLL inf) and
+        sentence 2 holds a NaN. The refusal named sentence 1 but quoted the
+        batch loss, nan; it now quotes sentence 1's own NLL, as the sentence
+        alone and the enumeration do."""
+        a, b = np.zeros((2, 3)), np.zeros((2, 3))
+        a[0, 0], b[1, 1] = -np.inf, np.nan
+        message = "^sentence 1: loss of inf, need finite emissions and transition scores$"
+        with pytest.raises(ValueError, match=message):
+            nll_loss([(a, [0, 0])], self.TRANS)
+        batches = ([(a, [0, 0]), (b, [0, 0])], TokenBatch(np.vstack([a, b]), [2, 2], [0] * 4))
+        for batch in batches:
+            for fn in (nll_loss, loss_and_gradients, brute_force_loss_and_gradients):
+                with pytest.raises(ValueError, match=message):
+                    fn(batch, self.TRANS)
+
     def test_batch_sums_past_the_float_range_average_the_nlls(self):
         """Two sentences of 1e308 emissions each have NLL 0.0, alone and by
         enumeration, but the batch sums overflowed: a RuntimeWarning (an
@@ -1552,6 +1568,67 @@ class TestStackedEngineLogZ:
             assert alone.startswith("sentence 1: ")
             named = alone.replace("sentence 1: ", f"sentence {j + 1}: ")
             assert refusal(mcrf.crf._engine_log_z, *stacked(group)) == named
+
+
+class TestStackedDecode:
+    """verify's engine side of the Viterbi check: k instances of one shape
+    as k models of one max-product recursion, instance j under model j,
+    each with the path, the tie-break and the refusal of its own viterbi
+    call."""
+
+    TAGSETS = {"bio": build_tagset("bio", ["A", "B", "C"]), "bioes": build_tagset("bioes", ["A"])}
+
+    @pytest.mark.parametrize("cells", [mcrf.crf._DECODE_CELLS, 1])
+    @pytest.mark.parametrize("scheme", [None, "bio", "bioes"])
+    def test_each_instance_decodes_as_its_own_call(self, scheme, cells, monkeypatch):
+        """Groups of 1 to 11 instances, T 1 to 8 and d 2 to 8 (7 and 5 under
+        the BIO and BIOES rules), in one chunk and one row per chunk. Every
+        other group has integer-valued scores in [-2, 2], so paths tie often."""
+        monkeypatch.setattr(mcrf.crf, "_DECODE_CELLS", cells)
+        tagset = scheme and self.TAGSETS[scheme]
+        rules = tagset and tagset.rules
+        rng = np.random.default_rng(59)
+        for trial in range(60):
+            k, T = int(rng.integers(1, 12)), int(rng.integers(1, 9))
+            d = tagset.size if tagset else int(rng.integers(2, 9))
+            group = [random_instance(rng, T, d) for _ in range(k)]
+            if trial % 2:
+                group = [(np.round(em), TransitionMatrix(np.round(t.scores), np.round(t.start)))
+                         for em, t in group]
+            paths = mcrf.crf._engine_paths(*stacked(group), rules)
+            assert paths == [viterbi(emissions, trans, rules) for emissions, trans in group]
+
+    def test_planted_ties_resolve_to_each_model_own_smallest_path(self):
+        """Two instances with the same emissions, on which tags 1 and 2 tie,
+        under models that break the tie apart: each gets the smallest best
+        path of its own model, as enumeration finds it."""
+        emissions = np.array([[0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+        prefer_two = TransitionMatrix(np.zeros((3, 3)), np.array([0.0, 0.0, 1.0]))
+        group = [(emissions, TransitionMatrix.zeros(3)), (emissions.copy(), prefer_two)]
+        paths = mcrf.crf._engine_paths(*stacked(group), None)
+        assert paths == [[1, 1], [2, 1]]
+        assert paths == [brute_force_best(em, trans)[0] for em, trans in group]
+
+    POISONS = {
+        **TestStackedOracle.POISONS,
+        "nan score": lambda trans: trans.scores.__setitem__((0, 1), np.nan),
+        "all -inf starts": lambda trans: trans.start.__setitem__(slice(None), -np.inf),
+    }
+
+    @pytest.mark.parametrize("poison", sorted(POISONS))
+    def test_the_first_refused_instance_is_named_with_its_own_refusal(self, poison):
+        """Instance j, or its model, is poisoned, and a later instance holds
+        a nan."""
+        rng = np.random.default_rng(61)
+        for j in (0, 2):
+            group = [random_instance(rng, 3, 3) for _ in range(5)]
+            emissions, trans = group[j]
+            self.POISONS[poison](trans if poison in ("nan score", "all -inf starts") else emissions)
+            TestStackedOracle.POISONS["nan"](group[4][0])
+            alone = refusal(viterbi, *group[j])
+            assert alone.startswith("sentence 1: ")
+            named = alone.replace("sentence 1: ", f"sentence {j + 1}: ")
+            assert refusal(mcrf.crf._engine_paths, *stacked(group), None) == named
 
 
 class TestTransitionMatrix:

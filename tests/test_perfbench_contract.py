@@ -97,8 +97,8 @@ def test_verify_takes_every_difference_from_untraced_engine_calls():
     trans. So a battery makes no nll_loss call, and its analytic gradients
     keep their count. The log-partition and Viterbi checks referee their
     instances through the private, untraced stacked oracles, one call per
-    (T, d) group, and check_log_partition takes the engine's log Z the same
-    way, so a battery makes no crf.log_partition call either. The traced
+    (T, d) group, and take the engine's log Z and paths the same way, so a
+    battery makes no crf.log_partition or crf.viterbi call either. The traced
     crf.brute_force calls are check_mask_convergence's: for each of its 8
     instances one restricted loss oracle, which the mask value does not
     change, and 4 masked ones, then its 2 zero-gap calls."""
@@ -108,6 +108,7 @@ def test_verify_takes_every_difference_from_untraced_engine_calls():
     assert metrics["crf.nll_loss.calls"] == 0
     assert metrics["crf.loss_and_gradients.calls"] == 50
     assert metrics["crf.log_partition.calls"] == 0
+    assert metrics["crf.viterbi.calls"] == 0
     assert metrics["crf.brute_force.calls"] == 8 * (1 + 4) + 2
 
 

@@ -57,8 +57,13 @@ class TestChecks:
         result = check_gradients(seed=2, masked=True)
         assert result.passed
 
+    @staticmethod
+    def _decode_zeros(emissions, scores, start, rules):
+        """A wrong stacked decoder: tag 0 at every position."""
+        return [[0] * emissions.shape[1] for _ in emissions]
+
     def test_a_wrong_decoder_fails_the_viterbi_check(self, monkeypatch):
-        monkeypatch.setattr(verification, "viterbi", lambda emissions, trans: [0] * len(emissions))
+        monkeypatch.setattr(verification, "_engine_paths", self._decode_zeros)
         result = check_viterbi(1)
         assert not result.passed and result.line().startswith("[FAIL] viterbi vs enumeration:")
         assert result.observed > 0.0 and " 0 path mismatches" not in result.detail
@@ -74,7 +79,7 @@ class TestChecks:
 
         monkeypatch.setattr(verification, "path_score", counting)
         assert check_viterbi(1).passed and calls == []
-        monkeypatch.setattr(verification, "viterbi", lambda emissions, trans: [0] * len(emissions))
+        monkeypatch.setattr(verification, "_engine_paths", self._decode_zeros)
         result = check_viterbi(1)
         mismatches = int(result.detail.split(", ")[1].split()[0])
         assert 0 < mismatches < 200 and len(calls) == 2 * mismatches
@@ -173,14 +178,15 @@ class TestObservedBits:
 
     def test_the_referee_tables_each_shape_once(self, monkeypatch):
         """check_log_partition and check_viterbi hand each (T, d) group of
-        their 200 instances to one stacked oracle call, and check_log_partition
-        to one stacked engine call: 24 shapes each at seeds 0 and 1, every one
+        their 200 instances to one stacked oracle call and to one stacked
+        engine call (log Z, paths): 24 shapes each at seeds 0 and 1, every one
         of at most 5^6 paths, so one path table per shape, not one per
         instance. The battery's other 84 enumerations are
         check_mask_convergence's 42 loss oracles (one restricted and four
         masked per instance, and the two zero-gap ones), a log Z pass and a
         weights pass each, one sentence at a time."""
-        groups = {"_brute_force_log_z": [], "_brute_force_paths": [], "_engine_log_z": []}
+        groups = {name: [] for name in
+                  ("_brute_force_log_z", "_brute_force_paths", "_engine_log_z", "_engine_paths")}
         for name, sizes in groups.items():
             def oracle(emissions, *args, stacked=getattr(verification, name), sizes=sizes):
                 sizes.append(len(emissions))
