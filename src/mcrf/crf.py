@@ -7,6 +7,12 @@ A path p = (n_1 .. n_T) over d tags scores
 
 where l is the (T, d) emission matrix and a the (d, d) transition matrix.
 TransitionMatrix.zeros gives a zero start vector, which contributes nothing.
+A model is one (d + 1, d) table, TransitionMatrix.table: a as rows :d and
+start as row d, the moves from a tag d before the sentence, so move (i, j)
+is cell i * d + j of the flattened table and start j is cell d * d + j. The
+rules' TransitionRuleSet.table(d) has the same layout, and every private
+function below that reads models as arrays takes them as stacked
+(k, d + 1, d) tables, never as scores and starts.
 
 One float64 engine runs forward-backward over a left-aligned, zero-padded,
 time-major (T, B, d) batch, so each step works on one contiguous block of
@@ -14,14 +20,14 @@ rows; one sentence is a batch of one, already in that layout. Both batch
 forms, a list of (emissions, gold) pairs and a TokenBatch as training draws
 it, are read as their checked token batch (_tokens) and padded by one
 function (_padded); a list's token-major emission gradient is split per
-sentence. The engine has a leading model axis: it runs N transition
-matrices (N, d, d) and start vectors (N, d) over one batch that they all
-read, or over (T, N, B, d) emissions, one batch per model, as model-major
-blocks of B rows each, R = N * B rows per step. The public entry points run
-one model; verify's transition and start differences stack their perturbed
-copies as N models over one sentence, and its log-partition check takes
-each (T, d) group of instances as N models over their own sentences
-(_engine_log_z, of which log_partition is the batch of one). Each model's
+sentence. The engine has a leading model axis: it runs N tables
+(N, d + 1, d) over one batch that they all read, or over (T, N, B, d)
+emissions, one batch per model, as model-major blocks of B rows each,
+R = N * B rows per step. The public entry points run one model; verify's
+transition and start differences stack their perturbed copies as N models
+over one sentence, and its log-partition check takes each (T, d) group of
+instances as N models over their own sentences (_engine_log_z, of which
+log_partition is the batch of one). Each model's
 log Z, marginals, counts and loss have the bits of a call with it alone.
 
 The forward pass is a scaled log-matmul-exp: with r the row maxima of a
@@ -37,17 +43,18 @@ w_t overflows. A row whose v_t falls below that (at score gaps of ~670 or more)
 redoes the step in log space over its (rows, d, d) scores, forward and backward.
 
 One max-product recursion, _max_product, reads every path off. Like the
-engine it has a model axis: K transition matrices (K, d, d) and starts
-(K, d), and each sentence's model index. viterbi_batch(emissions_list,
-trans, rules) is its one model over a corpus, and viterbi its batch of one;
-verify's Viterbi check takes each (T, d) group of instances as k models
-over their own sentences (_engine_paths). A call gathers the (K, moves)
-move scores and builds one (K, d + 1, d) read-off table, once. It maximises
-over the legal moves (i, j) and starts of rules only, all d^2 and d of them
-without rules; rules.moves(d) lists the moves in row-major order (481 of
-1681 at BIOES with 10 types). It sorts the sentences longest first and
-right-aligns them, so every sentence ends at the last column and the ones
-still running at a column are a prefix of the rows: each backward step
+engine it has a model axis: K tables (K, d + 1, d), and each sentence's
+model index. viterbi_batch(emissions_list, trans, rules) is its one model
+over a corpus, and viterbi its batch of one; verify's Viterbi check takes
+each (T, d) group of instances as k models over their own sentences
+(_engine_paths). A call gathers the (K, moves) move scores and copies the
+tables into one (K, d + 1, d) read-off table, once, with one masked
+assignment of rules.table(d). It maximises over the legal moves (i, j) and
+starts of rules only, all d^2 and d of them without rules; rules.moves(d)
+lists the moves in row-major order (481 of 1681 at BIOES with 10 types).
+It sorts the sentences longest first and right-aligns them, so every
+sentence ends at the last column and the ones still running at a column
+are a prefix of the rows: each backward step
 computes tail[:k, t] = l[:k, t] + max_{legal j}(a[i, j] + tail[:k, t+1, j])
 for those k rows only, as one gather of tail at the moves' successors, one
 add of each row's model's move scores and one maximum.reduceat at each i's
@@ -79,7 +86,7 @@ The brute-force routines enumerate all d^T paths (optionally restricted to
 the legal subset defined by a TransitionRuleSet) in lexicographic order and
 exist purely as independent oracles for the dynamic programs. One
 enumerator, _iter_scored_chunks, scores k instances of one (T, d) shape,
-stacked as (k, T, d) emissions, (k, d, d) scores and (k, d) starts, against
+stacked as (k, T, d) emissions and (k, d + 1, d) tables, against
 each chunk's path table, built once for all of them. The table is
 position-major: (T, n) cells over (T - 1, n) moves, row t holding every
 path's cell at position t. A tile of path scores adds one row gather per
@@ -119,38 +126,48 @@ _ALL_MOVES = TransitionRuleSet(frozenset(), frozenset())  # viterbi_batch withou
 Batch = list[tuple[np.ndarray, list[int]]]  # (emissions, gold path) pairs
 
 
-@dataclass
+@dataclass(init=False)
 class TransitionMatrix:
-    """Transition scores plus the start-score vector.
+    """Transition scores plus the start-score vector, in one float64
+    (d + 1, d) table that the constructor copies them into.
 
     scores[i, j] is the score of moving from tag i to tag j; start[j] is
-    added at position 0. Both are float64 and mutated in place by training.
+    added at position 0, as if moving from a tag d before the sentence.
+    scores = table[:d] and start = table[d] are C-contiguous views of the
+    table, laid out as TransitionRuleSet.table(d), and training mutates them
+    in place.
     """
 
+    table: np.ndarray
     scores: np.ndarray
     start: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        self.start = np.asarray(self.start, dtype=np.float64)
-        d = self.scores.shape[0]
-        if self.scores.shape != (d, d):
-            raise ValueError(f"transition matrix must be square, got {self.scores.shape}")
-        if self.start.shape != (d,):
+    def __init__(self, scores, start) -> None:
+        scores = np.asarray(scores, dtype=np.float64)
+        start = np.asarray(start, dtype=np.float64)
+        if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
+            raise ValueError(f"transition matrix must be square, got {scores.shape}")
+        d = len(scores)
+        if start.shape != (d,):
             raise ValueError(
-                f"start vector shape {self.start.shape} does not match {d} tags"
+                f"start vector shape {start.shape} does not match {d} tags"
             )
+        self.table = np.concatenate([scores, start[None]])
+        self.scores, self.start = self.table[:d], self.table[d]
 
     @property
     def num_tags(self) -> int:
-        return self.scores.shape[0]
+        return self.table.shape[1]
 
     @classmethod
     def zeros(cls, num_tags: int) -> "TransitionMatrix":
         return cls(np.zeros((num_tags, num_tags)), np.zeros(num_tags))
 
     def copy(self) -> "TransitionMatrix":
-        return TransitionMatrix(self.scores.copy(), self.start.copy())
+        return TransitionMatrix(self.scores, self.start)
+
+    def __reduce__(self):  # pickle and copy.deepcopy rebuild the views of one table
+        return TransitionMatrix, (self.scores, self.start)
 
 
 @dataclass
@@ -339,7 +356,7 @@ def path_score(emissions: np.ndarray, trans: TransitionMatrix, path: list[int]) 
     emissions = _sentence(emissions, trans.num_tags)
     score = _score(emissions, trans, _gold([path], [len(emissions)], trans.num_tags))
     if not math.isfinite(score):
-        raise _not_finite(0, "path score of", score, emissions, trans.scores, trans.start)
+        raise _not_finite(0, "path score of", score, emissions, trans.table)
     return score
 
 
@@ -353,16 +370,12 @@ def _score(emissions: np.ndarray, trans: TransitionMatrix, tags: np.ndarray) -> 
 
 
 def _forward_backward(
-    emissions: np.ndarray,
-    lengths: np.ndarray,
-    scores: np.ndarray,
-    start: np.ndarray,
-    gradients: bool,
+    emissions: np.ndarray, lengths: np.ndarray, tables: np.ndarray, gradients: bool
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """log Z (N, B) of a zero-padded time-major (T, B, d) batch under each of
-    N models, transition scores (N, d, d) and starts (N, d), and, with
-    gradients, the position marginals (T, N, B, d) and expected transition
-    counts (N, d, d). Steps past a sentence's end run on unused: log Z is
+    N models, (N, d + 1, d) transition tables (TransitionMatrix.table),
+    and, with gradients, the position marginals (T, N, B, d) and expected
+    transition counts (N, d, d). Steps past a sentence's end run on unused: log Z is
     read at the end, and the backward pass starts there.
 
     Every model reads the same (T, B, d) batch, or each its own batch of
@@ -378,7 +391,8 @@ def _forward_backward(
     warnings on the way there (log 0, -inf - -inf, sums past the float
     range)."""
     T, (B, d) = len(emissions), emissions.shape[-2:]
-    N, R = len(scores), len(scores) * B
+    N, R = len(tables), len(tables) * B
+    scores, start = tables[:, :d], tables[:, d]
     r = scores.max(axis=2, initial=_LOWEST)  # a row of -inf: K's row is 0, not nan
     K = np.exp(scores - r[:, :, None])
     r = r.repeat(B, axis=0)  # (R, d): each row's model's maxima
@@ -442,10 +456,10 @@ def _refused_loss(k: int, loss: float, log_z: float, *inputs: np.ndarray) -> Val
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a loss that is not finite: below
-def _batch_nll(batch: Batch | TokenBatch, scores: np.ndarray, start: np.ndarray, gradients: bool):
-    """The mean NLL over the padded batch under each of N models, scores
-    (N, d, d) and start (N, d), from one engine call: the (N,) losses and,
-    with gradients (N = 1 only), CrfGradients; without them, the (N, B)
+def _batch_nll(batch: Batch | TokenBatch, tables: np.ndarray, gradients: bool):
+    """The mean NLL over the padded batch under each of N models, (N, d + 1, d)
+    tables, from one engine call: the (N,) losses and, with gradients
+    (N = 1 only), CrfGradients; without them, the (N, B)
     per-sentence NLLs log Z_k - s(gold_k). Each model's loss is the sum of
     its NLLs / B, so no sentence's NLL is rounded away by the others' (at
     |log Z| >= 2^52 each NLL is itself off by up to an ulp of its log Z, in
@@ -460,21 +474,21 @@ def _batch_nll(batch: Batch | TokenBatch, scores: np.ndarray, start: np.ndarray,
     and row k of the engine's (B, d) @ (d, d) products has the bits of a
     (1, d) product. On OpenBLAS 0.3.31 that holds at d = 2 and 3; at d >= 4
     the rows differ in their last bits."""
-    d, n = scores.shape[1], len(batch)
+    d, n = tables.shape[2], len(batch)
     tokens, lengths, tags = _tokens(batch, d)
     emissions, tags, rows = _padded(tokens, lengths, tags)
-    log_z, gamma, counts = _forward_backward(emissions, lengths, scores, start, gradients)
+    log_z, gamma, counts = _forward_backward(emissions, lengths, tables, gradients)
     cells = np.arange(tags.shape[1]), np.arange(n)[:, None], tags  # (B, T) gold cells
     steps = np.arange(1, tags.shape[1]) < lengths[:, None]  # (B, T - 1) moves in a sentence
-    moves = tags[:, :-1] * d + tags[:, 1:]  # i * d + j
-    move_scores = np.where(steps, scores.reshape(-1, d * d).take(moves, axis=1), 0.0).sum(axis=2)
-    nlls = log_z - (emissions[cells].sum(axis=1) + move_scores) - start.take(tags[:, 0], axis=1)
+    moves = tags[:, :-1] * d + tags[:, 1:]  # i * d + j: a cell of the flattened tables
+    move_scores = np.where(steps, tables.reshape(len(tables), -1).take(moves, axis=1), 0.0).sum(axis=2)
+    nlls = log_z - (emissions[cells].sum(axis=1) + move_scores) - tables[:, d].take(tags[:, 0], axis=1)
     losses = (nlls / n).sum(axis=1)
     bad = ~np.isfinite(nlls)
     if bad.any():
         m = int(bad.any(axis=1).argmax())  # the first model refused
         k = int(bad[m].argmax())  # its first sentence whose own NLL is not finite
-        raise _refused_loss(k, nlls[m, k], log_z[m, k], emissions[:, k], scores[m], start[m])
+        raise _refused_loss(k, nlls[m, k], log_z[m, k], emissions[:, k], tables[m])
     if not gradients:
         return losses, nlls
     d_em = gamma[:, 0]
@@ -493,34 +507,32 @@ def log_partition(emissions: np.ndarray, trans: TransitionMatrix) -> float:
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a log Z that is not finite: below
-def _engine_log_z(emissions: np.ndarray, scores: np.ndarray, start: np.ndarray) -> np.ndarray:
+def _engine_log_z(emissions: np.ndarray, tables: np.ndarray) -> np.ndarray:
     """log_partition of k instances of one shape, checked (k, T, d)
-    emissions with (k, d, d) scores and (k, d) starts, from one engine call:
+    emissions with (k, d + 1, d) transition tables, from one engine call:
     each instance is a model over its own sentence, so its (k,) log Z has
     the bits of its own call, and the first in input order whose log Z is
     not finite is refused with its own call's text, named by its index."""
     k, T, d = emissions.shape
     per_model = np.ascontiguousarray(emissions.transpose(1, 0, 2)).reshape(T, k, 1, d)
-    log_z = _forward_backward(per_model, np.array([T]), scores, start, False)[0][:, 0]
-    return _finite_log_z(log_z, emissions, scores, start)
+    log_z = _forward_backward(per_model, np.array([T]), tables, False)[0][:, 0]
+    return _finite_log_z(log_z, emissions, tables)
 
 
-def _finite_log_z(
-    log_z: np.ndarray, emissions: np.ndarray, scores: np.ndarray, start: np.ndarray
-) -> np.ndarray:
+def _finite_log_z(log_z: np.ndarray, emissions: np.ndarray, tables: np.ndarray) -> np.ndarray:
     """The (k,) log Z of k stacked instances, or the refusal of the first
     in input order that is not finite, named by its index."""
     bad = ~np.isfinite(log_z)
     if bad.any():
         j = int(bad.argmax())
-        raise _not_finite(j, "log Z of", float(log_z[j]), emissions[j], scores[j], start[j])
+        raise _not_finite(j, "log Z of", float(log_z[j]), emissions[j], tables[j])
     return log_z
 
 
 def nll_loss(batch: Batch | TokenBatch, trans: TransitionMatrix) -> float:
     """Mean NLL over a batch of (emissions, gold) pairs or a TokenBatch:
     log Z - s(gold)."""
-    return float(_batch_nll(batch, trans.scores[None], trans.start[None], False)[0][0])
+    return float(_batch_nll(batch, trans.table[None], False)[0][0])
 
 
 def loss_and_gradients(
@@ -535,7 +547,7 @@ def loss_and_gradients(
 
     all averaged over the batch.
     """
-    losses, grads = _batch_nll(batch, trans.scores[None], trans.start[None], True)
+    losses, grads = _batch_nll(batch, trans.table[None], True)
     return float(losses[0]), grads
 
 
@@ -555,7 +567,7 @@ def viterbi_batch(
     d = trans.num_tags
     emissions_list = [_sentence(em, d, k) for k, em in enumerate(emissions_list)]
     model = np.zeros(len(emissions_list), dtype=np.intp)
-    return _max_product(emissions_list, trans.scores[None], trans.start[None], model, rules)
+    return _max_product(emissions_list, trans.table[None], model, rules)
 
 
 def viterbi(
@@ -566,40 +578,38 @@ def viterbi(
 
 
 def _engine_paths(
-    emissions: np.ndarray, scores: np.ndarray, start: np.ndarray, rules: TransitionRuleSet | None
+    emissions: np.ndarray, tables: np.ndarray, rules: TransitionRuleSet | None
 ) -> list[list[int]]:
     """viterbi's path for each of k instances of one shape, checked (k, T, d)
-    emissions with (k, d, d) scores and (k, d) starts, from one recursion:
+    emissions with (k, d + 1, d) transition tables, from one recursion:
     instance j reads model j, so its path has the bits and the tie-break of
     its own call, and the first refused in input order is named with its own
     call's text, by its index."""
-    return _max_product(emissions, scores, start, np.arange(len(emissions)), rules)
+    return _max_product(emissions, tables, np.arange(len(emissions)), rules)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # scores that are not finite are refused below
 def _max_product(
     emissions_list: list[np.ndarray] | np.ndarray,
-    scores: np.ndarray,
-    start: np.ndarray,
+    tables: np.ndarray,
     model: np.ndarray,
     rules: TransitionRuleSet | None,
 ) -> list[list[int]]:
     """The best path of each checked (T_k, d) sentence, in input order,
-    under its model model[k] of K: (K, d, d) transition scores and (K, d)
-    starts; the first refused in input order is named by its index.
+    under its model model[k] of K (d + 1, d) transition tables; the first
+    refused in input order is named by its index.
 
     tail[k, t, j] is the best score of sentence k's completion from column t
     with tag j; the recursion runs backward, then the paths are read off
     forward (module docstring).
     """
-    K, d = start.shape
+    K, _, d = tables.shape
     lengths = [len(em) for em in emissions_list]
     rules = _ALL_MOVES if rules is None else rules
-    illegal_pair, illegal_start = rules.tables(d)
-    reads = np.concatenate([scores, start[:, None]], axis=1)  # read-off: row d holds the starts
-    reads[:, np.concatenate([illegal_pair, illegal_start[None]])] = -np.inf  # wins no argmax
+    reads = tables.copy()  # read-off: row d holds the starts
+    reads[:, rules.table(d)] = -np.inf  # wins no argmax
     cells, successors, firsts = rules.moves(d)
-    move_scores = scores.reshape(K, d * d).take(cells, axis=1)  # (K, moves)
+    move_scores = tables.reshape(K, -1).take(cells, axis=1)  # (K, moves)
     order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)  # stable
     paths: list[list[int]] = [[] for _ in order]
     refused = []  # (sentence, its best score or its table's nan or inf) if not finite
@@ -637,20 +647,15 @@ def _max_product(
     return paths
 
 
-def _iter_scored_chunks(
-    emissions: np.ndarray,
-    scores: np.ndarray,
-    start: np.ndarray,
-    rules: TransitionRuleSet | None,
-):
+def _iter_scored_chunks(emissions: np.ndarray, tables: np.ndarray, rules: TransitionRuleSet | None):
     """Yield (rows, cells, moves, scores) over all paths of k instances of
-    one shape, checked (k, T, d) emissions with (k, d, d) transition scores
-    and (k, d) starts, in lexicographic order.
+    one shape, checked (k, T, d) emissions with (k, d + 1, d) transition
+    tables, in lexicographic order.
 
     Each chunk of _CHUNK paths is one position-major int32 path table, built
     once: path p's cells of the (T, d) emissions, cells[t, p] = t * d + its
     tag at t (so cells[0] are the first tags), stacked on axis 0 above its
-    moves, the (T - 1, n) cells i * d + j of the (d, d) scores; cells and
+    moves, the (T - 1, n) cells i * d + j of the flattened tables; cells and
     moves are views of the one table, and every index of an enumerable shape
     fits. With rules, the paths containing an omega pair or an illegal start
     are dropped from it. rows is a slice of the instances and scores its
@@ -663,9 +668,7 @@ def _iter_scored_chunks(
     if d**T > MAX_BRUTE_FORCE_PATHS:
         limit = f"(limit {MAX_BRUTE_FORCE_PATHS})"
         raise SizeError(f"brute force refuses d^T = {d}^{T} = {d**T} paths {limit}")
-    if rules is not None:
-        illegal_pair, illegal_start = rules.tables(d)
-    emissions, scores = emissions.reshape(k, T * d), scores.reshape(k, d * d)
+    emissions = emissions.reshape(k, T * d)
     total = d**T
     for lo in range(0, total, _CHUNK):
         table = np.empty((2 * T - 1, min(_CHUNK, total - lo)), dtype=np.int32)
@@ -674,9 +677,9 @@ def _iter_scored_chunks(
             np.divmod(index, d, out=(index, table[t]))
         np.multiply(table[: T - 1], d, out=table[T:])  # empty at T = 1
         table[T:] += table[1:T]
-        if rules is not None:
-            keep = ~(illegal_start[table[0]] | illegal_pair.ravel()[table[T:]].any(axis=0))
-            table = table[:, keep]
+        if rules is not None:  # the moves' cells, and each start j's, d * d + j
+            illegal = rules.table(d).ravel()
+            table = table[:, ~(illegal[d * d + table[0]] | illegal[table[T:]].any(axis=0))]
         cells, moves = table[:T], table[T:]
         n = table.shape[1]
         if not n:
@@ -689,29 +692,26 @@ def _iter_scored_chunks(
             for p in range(0, n, _SLICE):
                 block = slice(p, p + _SLICE)
                 path_scores[:, block] = _path_scores(
-                    emissions[rows], start[rows], scores[rows], cells[:, block], moves[:, block]
+                    emissions[rows], tables[rows], cells[:, block], moves[:, block]
                 )
             yield rows, cells, moves, path_scores
 
 
 @np.errstate(over="ignore", invalid="ignore")  # scores that are not finite are refused by callers
 def _path_scores(
-    emissions: np.ndarray,
-    start: np.ndarray,
-    scores: np.ndarray,
-    cells: np.ndarray,
-    moves: np.ndarray,
+    emissions: np.ndarray, tables: np.ndarray, cells: np.ndarray, moves: np.ndarray
 ) -> np.ndarray:
     """The (k', b) scores of b paths of a table, (T, b) cells and (T - 1, b)
-    moves, under k' instances: (k', T * d) emissions, (k', d) starts and
-    (k', d * d) scores. Each score is its emission row gathers added in
-    position order, plus its start, plus its move row gathers, themselves
-    added in order first."""
+    moves, under k' instances: (k', T * d) emissions and (k', d + 1, d)
+    transition tables. Each score is its emission row gathers added in
+    position order, plus its start (row d), plus its move row gathers,
+    themselves added in order first."""
     tile = emissions.take(cells[0], axis=1)
     for row in cells[1:]:
         tile += emissions.take(row, axis=1)
-    tile += start.take(cells[0], axis=1)
+    tile += tables[:, -1].take(cells[0], axis=1)
     if len(moves):
+        scores = tables.reshape(len(tables), -1)  # cell i * d + j: the move from i to j
         path_moves = scores.take(moves[0], axis=1)
         for row in moves[1:]:
             path_moves += scores.take(row, axis=1)
@@ -721,9 +721,9 @@ def _path_scores(
 
 def _instance(emissions: np.ndarray, trans: TransitionMatrix) -> tuple[np.ndarray, ...]:
     """One checked sentence and its model as the stacked oracles read them:
-    (1, T, d) emissions, (1, d, d) scores and (1, d) starts."""
+    (1, T, d) emissions and a (1, d + 1, d) transition table."""
     emissions = _sentence(emissions, trans.num_tags)
-    return emissions[None], trans.scores[None], trans.start[None]
+    return emissions[None], trans.table[None]
 
 
 def brute_force_log_partition(
@@ -736,21 +736,21 @@ def brute_force_log_partition(
 
 
 def _brute_force_log_z(
-    emissions: np.ndarray, scores: np.ndarray, start: np.ndarray, rules: TransitionRuleSet | None
+    emissions: np.ndarray, tables: np.ndarray, rules: TransitionRuleSet | None
 ) -> np.ndarray:
     """brute_force_log_partition of k instances of one shape, (k,) log Z:
     the first instance in input order whose log Z is not finite is refused,
     named by its index."""
-    log_z = _enumerated_log_z(emissions, scores, start, rules)
-    return _finite_log_z(log_z, emissions, scores, start)
+    log_z = _enumerated_log_z(emissions, tables, rules)
+    return _finite_log_z(log_z, emissions, tables)
 
 
 def _enumerated_log_z(
-    emissions: np.ndarray, scores: np.ndarray, start: np.ndarray, rules: TransitionRuleSet | None
+    emissions: np.ndarray, tables: np.ndarray, rules: TransitionRuleSet | None
 ) -> np.ndarray:
     """_brute_force_log_z, not checked for finite results."""
     parts = []  # (k,) log-sum-exp of each chunk with a legal path
-    for rows, _, _, path_scores in _iter_scored_chunks(emissions, scores, start, rules):
+    for rows, _, _, path_scores in _iter_scored_chunks(emissions, tables, rules):
         if rows.start == 0:
             parts.append(np.empty(len(emissions)))
         parts[-1][rows] = logsumexp(path_scores, axis=1)
@@ -776,7 +776,7 @@ def brute_force_best(
 
 
 def _brute_force_paths(
-    emissions: np.ndarray, scores: np.ndarray, start: np.ndarray, rules: TransitionRuleSet | None
+    emissions: np.ndarray, tables: np.ndarray, rules: TransitionRuleSet | None
 ) -> list[list[int]]:
     """brute_force_best's path for each of k instances of one shape. An
     instance is refused at its first chunk whose best score is nan or +inf,
@@ -787,7 +787,7 @@ def _brute_force_paths(
     best_score = np.full(k, -np.inf)
     refused = np.full(k, -np.inf)  # each instance's first nan or +inf best score
     legal = False  # a chunk had a legal path
-    for rows, cells, _, path_scores in _iter_scored_chunks(emissions, scores, start, rules):
+    for rows, cells, _, path_scores in _iter_scored_chunks(emissions, tables, rules):
         legal = True
         top = path_scores.argmax(axis=1)  # the first nan if there is one: no comparison takes it
         value = path_scores[np.arange(len(top)), top]
@@ -804,7 +804,7 @@ def _brute_force_paths(
         if refused[j] == -np.inf:
             raise _not_finite(j, _NO_FINITE_PATH, -math.inf)
         value = float(refused[j])
-        raise _not_finite(j, "a path score is", value, emissions[j], scores[j], start[j])
+        raise _not_finite(j, "a path score is", value, emissions[j], tables[j])
     return (best - np.arange(T) * d).tolist()
 
 
@@ -823,8 +823,7 @@ def brute_force_loss_and_gradients(
     d = trans.num_tags
     tokens, lengths, golds = _tokens(batch, d)
     n = len(lengths)
-    d_trans = np.zeros((d, d))
-    d_start = np.zeros(d)
+    d_table = np.zeros((d + 1, d))  # the transition and start counts, laid out as trans.table
     d_emissions: list[np.ndarray] = []
     total = 0.0
     bounds = np.cumsum(lengths)[:-1]
@@ -834,10 +833,10 @@ def brute_force_loss_and_gradients(
         log_z = float(_enumerated_log_z(*instance, rules)[0])
         loss = log_z - _score(emissions, trans, tags)
         if not math.isfinite(loss):  # so are log Z and every path score under it
-            raise _refused_loss(k, loss, log_z, emissions, trans.scores, trans.start)
+            raise _refused_loss(k, loss, log_z, emissions, trans.table)
         total += loss
         d_em = np.zeros((T, d))
-        before = d_trans.copy(), d_start.copy()
+        before = d_table.copy()
         mass = count = 0
         for _, cells, moves, scores in _iter_scored_chunks(*instance, rules):
             w = np.exp(scores[0] - log_z)
@@ -845,16 +844,14 @@ def brute_force_loss_and_gradients(
             count += w.size
             # one scatter per table, each cell's adds in the per-position loop's order
             np.add.at(d_em.reshape(-1), cells.ravel(), np.tile(w, T))
-            np.add.at(d_trans.reshape(-1), moves.ravel(), np.tile(w, T - 1))
-            np.add.at(d_start, cells[0], w)
+            np.add.at(d_table.reshape(-1), moves.ravel(), np.tile(w, T - 1))
+            np.add.at(d_table[d], cells[0], w)
         if abs(mass - 1.0) > 4 * count * np.finfo(np.float64).eps:  # more than rounding
             d_em /= mass
-            for counts, old in zip((d_trans, d_start), before):
-                counts[...] = old + (counts - old) / mass
+            d_table[...] = before + (d_table - before) / mass
         d_em[np.arange(T), tags] -= 1.0
         d_emissions.append(d_em / n)
-        np.add.at(d_trans, (tags[:-1], tags[1:]), -1.0)
-        d_start[tags[0]] -= 1.0
-    return total / n, CrfGradients(
-        emissions=d_emissions, transitions=d_trans / n, start=d_start / n
-    )
+        np.add.at(d_table, (tags[:-1], tags[1:]), -1.0)
+        d_table[d, tags[0]] -= 1.0
+    d_table /= n
+    return total / n, CrfGradients(emissions=d_emissions, transitions=d_table[:d], start=d_table[d])

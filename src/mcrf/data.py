@@ -255,15 +255,13 @@ def load_model(path: str) -> ModelState:
     if state.mode == "mcrf-train":
         # masked training pins every masked entry to exactly mask_value (< 0,
         # so == compares the bits)
-        tables = spec.rules.tables(state.trans.num_tags)
-        for field, stored, masked in zip(
-            ("transitions", "start"), (state.trans.scores, state.trans.start), tables
-        ):
-            if not (stored[masked] == spec.mask_value).all():
-                raise FormatError(
-                    f"{path}: {field} has a masked entry that differs from "
-                    f"mask_value {state.mask_value!r} in mcrf-train mode"
-                )
+        off = spec.rules.table(state.trans.num_tags) & (state.trans.table != spec.mask_value)
+        if off.any():
+            field = "transitions" if off[:-1].any() else "start"  # row d holds the starts
+            raise FormatError(
+                f"{path}: {field} has a masked entry that differs from "
+                f"mask_value {state.mask_value!r} in mcrf-train mode"
+            )
     return state
 
 

@@ -1,11 +1,13 @@
 """Transition masking: apply a large negative constant c to illegal entries.
 
 Masking replaces each illegal transition score (and, when start enforcement
-is on, each illegal start score) with a finite constant c << 0. The masked
-NLL converges to the NLL computed over legal paths only as c decreases, with
-error on the order of e^c. c stays finite so every dynamic program remains
-ordinary float arithmetic; the default -1e4 makes e^c underflow to zero in
-float64, which is as good as -inf without the NaN hazards.
+is on, each illegal start score) with a finite constant c << 0: one boolean
+assignment of the rules' (d + 1, d) table into the parameters' table, whose
+row d holds the starts in both. The masked NLL converges to the NLL
+computed over legal paths only as c decreases, with error on the order of
+e^c. c stays finite so every dynamic program remains ordinary float
+arithmetic; the default -1e4 makes e^c underflow to zero in float64, which
+is as good as -inf without the NaN hazards.
 
 Decoding reads the rules, not c: decode runs crf.viterbi_batch over the
 legal moves of spec.rules alone. constrained_viterbi, the paper's masked
@@ -79,9 +81,7 @@ def apply_mask(trans: TransitionMatrix, spec: MaskSpec) -> TransitionMatrix:
 
 def reapply_mask_in_place(trans: TransitionMatrix, spec: MaskSpec) -> None:
     """Overwrite masked entries with spec.mask_value (idempotent)."""
-    illegal_pair, illegal_start = spec.rules.tables(trans.num_tags)
-    trans.scores[illegal_pair] = spec.mask_value
-    trans.start[illegal_start] = spec.mask_value
+    trans.table[spec.rules.table(trans.num_tags)] = spec.mask_value
 
 
 def guard_threshold(emissions_list: list[np.ndarray], trans: TransitionMatrix, spec: MaskSpec) -> float:
@@ -96,13 +96,13 @@ def guard_threshold(emissions_list: list[np.ndarray], trans: TransitionMatrix, s
     """
     emissions_list = [_sentence(em, trans.num_tags, k) for k, em in enumerate(emissions_list)]
     t_max = max(len(e) for e in emissions_list)
-    illegal_pair, illegal_start = spec.rules.tables(trans.num_tags)
+    legal = ~spec.rules.table(trans.num_tags)
     def finite_max_abs(arrays):  # one array at a time: no copy of a whole corpus
         return max(float(np.abs(x[np.isfinite(x)]).max(initial=0.0)) for x in arrays)
 
     max_l = finite_max_abs(emissions_list)
-    max_a = finite_max_abs([trans.scores[~illegal_pair]])
-    max_s = finite_max_abs([trans.start[~illegal_start]])
+    max_a = finite_max_abs([trans.scores[legal[:-1]]])
+    max_s = finite_max_abs([trans.start[legal[-1]]])
     return -(2.0 * t_max * (max_l + max_a + max_s) + _GUARD_MARGIN)
 
 
@@ -134,8 +134,8 @@ def constrained_viterbi(
     if threshold < spec.mask_value:  # floored: past the float range it is -inf
         spec = replace(spec, mask_value=max(threshold, _LOWEST))
     path = viterbi(emissions, apply_mask(trans, spec))
-    illegal_pair, illegal_start = spec.rules.tables(trans.num_tags)
-    if illegal_start[path[0]] or illegal_pair[path[:-1], path[1:]].any():
+    before = [trans.num_tags, *path[:-1]]  # the first tag follows tag d: its start reads row d
+    if spec.rules.table(trans.num_tags)[before, path].any():
         raise _not_finite(0, _NO_FINITE_PATH, -np.inf)
     return path
 
@@ -182,8 +182,8 @@ def _convergence_gap(
     loss_m, grads_m = brute_force_loss_and_gradients(batch, apply_mask(trans, spec))
     loss_r, grads_r = restricted
     loss_gap = abs(loss_m - loss_r)
-    illegal_pair, illegal_start = spec.rules.tables(trans.num_tags)
+    legal = ~spec.rules.table(trans.num_tags)
     diffs = [em_m - em_r for em_m, em_r in zip(grads_m.emissions, grads_r.emissions)]
-    diffs.append((grads_m.transitions - grads_r.transitions)[~illegal_pair])
-    diffs.append((grads_m.start - grads_r.start)[~illegal_start])
+    diffs.append((grads_m.transitions - grads_r.transitions)[legal[:-1]])
+    diffs.append((grads_m.start - grads_r.start)[legal[-1]])
     return loss_gap, max(float(np.abs(diff).max(initial=0.0)) for diff in diffs)

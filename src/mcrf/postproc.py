@@ -1,12 +1,12 @@
 """Segment extraction and post-hoc repair of predicted tag paths.
 
 Extraction follows the conlleval reading of broken sequences, in one rule:
-I-X or E-X (the tags the rule tables bar from starting a sentence) after
+I-X or E-X (the tags the rule table bars from starting a sentence) after
 an open chunk of type X continues that chunk, and E-X closes it; any other
 tag closes the open chunk and, unless it is O, opens its own, which S-X
-and E-X close at once. A segment is legal when the rule tables
-(tagset.rules) allow the move into its first tag, or that tag to start the
-sentence, and allow an O after its last tag: the sentence end behaves like
+and E-X close at once. A segment is legal when the rule table
+(tagset.rules) allows the move into its first tag, or that tag to start the
+sentence, and allows an O after its last tag: the sentence end behaves like
 O, as in AllenNLP's allowed_transitions. For BIOES that is "a chunk needs
 its E"; for BIO it always holds. Repair rebuilds the path from the segment
 list in canonical form:
@@ -33,7 +33,7 @@ STRATEGIES = ("retain", "discard", "none")
 
 @dataclass(frozen=True)
 class Segment:
-    """Typed span [start, end), legal when the rule tables allow its first
+    """Typed span [start, end), legal when the rule table allows its first
     move and an O after it."""
 
     entity_type: str
@@ -54,17 +54,17 @@ def _chunks(paths: list, tagset: Tagset) -> tuple[np.ndarray, ...]:
     """One pass over a corpus' concatenated tags (module docstring): the flat
     tags, each path's first position, and every chunk's start, end and
     legality, in order. A tag that cannot start a sentence (an I-X or E-X)
-    continues the chunk before it exactly when the rule tables allow the
+    continues the chunk before it exactly when the rule table allows the
     move into it."""
     flat, firsts, illegal_step = illegal_steps(tagset, paths)
     outside = tagset.index_of(OUTSIDE)
-    illegal_pair, illegal_start = tagset.rules.tables(tagset.size)
-    joins = np.append(illegal_start[flat] & ~illegal_step, False)  # joins the chunk before it
+    illegal = tagset.rules.table(tagset.size)
+    joins = np.append(illegal[-1, flat] & ~illegal_step, False)  # joins the chunk before it
     joins[firsts] = False
     starts = np.flatnonzero((flat != outside) & ~joins[:-1])
     ends = np.flatnonzero((flat != outside) & ~joins[1:]) + 1
-    illegal_end = illegal_pair[:, outside]  # END behaves like O
-    return flat, firsts, starts, ends, ~illegal_step[starts] & ~illegal_end[flat[ends - 1]]
+    illegal_end = illegal[flat[ends - 1], outside]  # END behaves like O
+    return flat, firsts, starts, ends, ~illegal_step[starts] & ~illegal_end
 
 
 def extract_segments_batch(paths: list, tagset: Tagset) -> list[list[Segment]]:

@@ -10,7 +10,10 @@ prefixes and types:
          O, E-X and S-X may be followed by O, any B-*, or any S-*.
 
 A path is illegal if it contains an illegal adjacent pair or starts on a
-tag that cannot open a sentence (I-* for BIO; I-* and E-* for BIOES).
+tag that cannot open a sentence (I-* for BIO; I-* and E-* for BIOES). Both
+are one boolean (d + 1, d) table, TransitionRuleSet.table(d): the start of
+a sentence is a move from a tag d before it, so the illegal starts are its
+row d, as the start scores are row d of crf.TransitionMatrix.table.
 """
 
 from __future__ import annotations
@@ -135,10 +138,10 @@ class TransitionRuleSet:
     """The illegal transition pairs (omega) and illegal start tags of a tagset.
 
     The two sets are the whole rule set: equality and hashing read them
-    only. tables(d) expands them into the boolean lookup tables that masking,
-    training, the enumeration oracles and every legality check read, and
-    moves(d) lists the legal moves the decoder maximises over; both are
-    built on first use for each d and kept.
+    only. table(d) expands them into the one boolean lookup table that
+    masking, training, the enumeration oracles and every legality check
+    read, and moves(d) lists the legal moves the decoder maximises over;
+    both are built on first use for each d and kept.
     """
 
     omega: frozenset[tuple[int, int]]
@@ -148,21 +151,21 @@ class TransitionRuleSet:
         object.__setattr__(self, "_tables", {})
         object.__setattr__(self, "_moves", {})
 
-    def tables(self, d: int) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only boolean illegal_pair (d, d) and illegal_start (d,) tables
-        for d tags, expanded on first use for each d."""
+    def table(self, d: int) -> np.ndarray:
+        """The read-only boolean (d + 1, d) table for d tags, expanded on
+        first use for each d: [i, j] for the move from tag i to tag j (omega)
+        and row d for the starts, as if from a tag d before the sentence."""
         if d not in self._tables:
             pairs = np.fromiter(chain.from_iterable(self.omega), np.intp).reshape(-1, 2)
             starts = np.fromiter(self.illegal_starts, np.intp)
             for name, index in (("mask entry", pairs), ("illegal start", starts)):
                 if index.size and (index.min() < 0 or index.max() >= d):
                     raise ValueError(f"{name} index out of range for {d} tags")
-            illegal_pair = np.zeros((d, d), dtype=bool)
-            illegal_pair[pairs[:, 0], pairs[:, 1]] = True
-            illegal_start = np.zeros(d, dtype=bool)
-            illegal_start[starts] = True
-            illegal_pair.flags.writeable = illegal_start.flags.writeable = False
-            self._tables[d] = (illegal_pair, illegal_start)
+            table = np.zeros((d + 1, d), dtype=bool)
+            table[pairs[:, 0], pairs[:, 1]] = True
+            table[d, starts] = True
+            table.flags.writeable = False
+            self._tables[d] = table
         return self._tables[d]
 
     def moves(self, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -171,13 +174,13 @@ class TransitionRuleSet:
         the first move of each i. ValueError names a tag that no legal move
         leaves, or says that no tag may start a sentence."""
         if d not in self._moves:
-            illegal_pair, illegal_start = self.tables(d)
-            cells = np.flatnonzero(~illegal_pair)
+            illegal = self.table(d)
+            cells = np.flatnonzero(~illegal[:d])
             firsts = np.searchsorted(cells, np.arange(d) * d)
             stuck = np.flatnonzero(np.diff(firsts, append=cells.size) == 0)
             if stuck.size:
                 raise ValueError(f"tag {stuck[0]} has no legal successor")
-            if illegal_start.all():
+            if illegal[d].all():
                 raise ValueError("no tag is a legal start")
             compiled = cells, cells % d, firsts
             for array in compiled:
@@ -233,12 +236,15 @@ def first_violation(
 
 def illegal_steps(tagset: Tagset, paths: list, enforce_start: bool = True) -> tuple[np.ndarray, ...]:
     """Tagset.concatenate's tags and first positions of a corpus, and for each
-    tag whether the move into it (at a path's first tag, its start) is illegal."""
+    tag whether the move into it is illegal: the rule table at (tag before,
+    tag), and at a path's first tag, its start, at (d, tag). The pairs are
+    gathered through views of the tags: an (N,) array of tags before would
+    cost 8 bytes a token."""
     flat, firsts = tagset.concatenate(paths)
-    illegal_pair, illegal_start = tagset.rules.tables(tagset.size)
-    bad = np.zeros(flat.size, dtype=bool)
-    bad[1:] = illegal_pair[flat[:-1], flat[1:]]
-    bad[firsts] = illegal_start[flat[firsts]] & enforce_start
+    table = tagset.rules.table(tagset.size)
+    bad = np.empty(flat.size, dtype=bool)
+    bad[1:] = table[flat[:-1], flat[1:]]
+    bad[firsts] = table[-1, flat[firsts]] & enforce_start
     return flat, firsts, bad
 
 

@@ -31,11 +31,12 @@ leaves trans as it is, so all its perturbed sentences are one TokenBatch,
 whose per-sentence NLLs are the losses; both checks run at d = 3, where
 each of those NLLs has the bits of its own nll_loss call. A perturbation of
 the transition or start scores changes trans itself, so the 2 x (d^2 + d)
-perturbed (scores, start) copies are the engine's model axis over the one
-sentence, and each model's loss has the bits of nll_loss under that copy.
+perturbed copies of its (d + 1, d) table are the engine's model axis over
+the one sentence, and each model's loss has the bits of nll_loss under that
+copy.
 The observed values are those of one nll_loss call per perturbation. One
 _fd_crf instance makes three engine calls: the analytic gradients, the
-emission differences and the (scores, start) differences; one
+emission differences and the table differences; one
 check_encoder_gradients instance makes two, and builds its sentence's window
 ids once for every encode of them.
 
@@ -109,7 +110,7 @@ def _shape_groups(rng: np.random.Generator, count: int):
     """count random instances of 1 to 6 positions and 2 to 5 tags, drawn in
     order (each with a gold path that no check reads, so every seed keeps its
     instances), then stacked by their (T, d) shape: yields each group's
-    (k, T, d) emissions, (k, d, d) scores, (k, d) starts and its k models."""
+    (k, T, d) emissions, (k, d + 1, d) transition tables and its k models."""
     groups: dict[tuple[int, int], list] = {}
     for _ in range(count):
         T = int(rng.integers(1, 7))
@@ -120,16 +121,15 @@ def _shape_groups(rng: np.random.Generator, count: int):
         groups.setdefault(emissions.shape, []).append((emissions, trans))
     for members in groups.values():
         emissions, models = zip(*members)
-        scores, start = np.stack([t.scores for t in models]), np.stack([t.start for t in models])
-        yield np.stack(emissions), scores, start, models
+        yield np.stack(emissions), np.stack([t.table for t in models]), models
 
 
 def check_log_partition(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for emissions, scores, start, _ in _shape_groups(rng, 200):
-        exact = _brute_force_log_z(emissions, scores, start, None)
-        worst = max(worst, float(np.abs(_engine_log_z(emissions, scores, start) - exact).max()))
+    for emissions, tables, _ in _shape_groups(rng, 200):
+        exact = _brute_force_log_z(emissions, tables, None)
+        worst = max(worst, float(np.abs(_engine_log_z(emissions, tables) - exact).max()))
     return CheckResult(
         name="log-partition vs enumeration",
         observed=worst,
@@ -143,9 +143,9 @@ def check_viterbi(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     mismatched_paths = 0
-    for emissions, scores, start, models in _shape_groups(rng, 200):
-        best_paths = _brute_force_paths(emissions, scores, start, None)
-        decoded_paths = _engine_paths(emissions, scores, start, None)
+    for emissions, tables, models in _shape_groups(rng, 200):
+        best_paths = _brute_force_paths(emissions, tables, None)
+        decoded_paths = _engine_paths(emissions, tables, None)
         for em, trans, decoded, best_path in zip(emissions, models, decoded_paths, best_paths):
             if decoded != best_path:  # a matching pair's score difference is 0.0
                 mismatched_paths += 1
@@ -191,27 +191,24 @@ def _sentence_losses(
     nll_loss on its own sentence (see crf._batch_nll)."""
     n = len(sentences)
     batch = TokenBatch(np.concatenate(sentences), np.full(n, len(gold)), np.tile(gold, n))
-    return _batch_nll(batch, trans.scores[None], trans.start[None], gradients=False)[1][0]
+    return _batch_nll(batch, trans.table[None], gradients=False)[1][0]
 
 
 def _fd_crf(emissions: np.ndarray, gold: list[int], trans: TransitionMatrix) -> float:
     """Worst relative error of the analytic CRF gradients against central
     finite differences over emissions, transitions, and start. The perturbed
-    (scores, start) copies are the models of one engine call."""
+    copies of the transition table are the models of one engine call."""
     batch = [(emissions, gold)]
     _, grads = loss_and_gradients(batch, trans)
 
-    def model_losses(copies: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        scores, start = (np.stack(arrays) for arrays in zip(*copies))
-        return _batch_nll(batch, scores, start, gradients=False)[0]
+    def model_losses(tables: list[np.ndarray]) -> np.ndarray:
+        return _batch_nll(batch, np.stack(tables), gradients=False)[0]
 
     sentence_losses = partial(_sentence_losses, gold=gold, trans=trans)
     trans_pairs = [(trans.scores, grads.transitions), (trans.start, grads.start)]
     return max(
         _worst_relative_error([(emissions, grads.emissions[0])], emissions.copy, sentence_losses),
-        _worst_relative_error(
-            trans_pairs, lambda: (trans.scores.copy(), trans.start.copy()), model_losses
-        ),
+        _worst_relative_error(trans_pairs, trans.table.copy, model_losses),
     )
 
 
@@ -308,16 +305,17 @@ def check_legal_scores_unchanged(seed: int) -> CheckResult:
     tagset = build_tagset("bio", ["A", "B"])
     spec = MaskSpec(rules=tagset.rules)
     d = tagset.size
-    illegal_pair, illegal_start = tagset.rules.tables(d)
+    illegal = tagset.rules.table(d)
     worst = 0.0
     for _ in range(100):
         T = int(rng.integers(1, 7))
         emissions = rng.uniform(-2.0, 2.0, size=(T, d))
         trans = _random_scores(rng, d, 2.0)
         masked = apply_mask(trans, spec)
-        path = [int(rng.choice(np.flatnonzero(~illegal_start)))]  # a random legal path
-        for _ in range(T - 1):
-            path.append(int(rng.choice(np.flatnonzero(~illegal_pair[path[-1]]))))
+        path = [d]  # a random legal path after tag d, whose row holds the starts
+        for _ in range(T):
+            path.append(int(rng.choice(np.flatnonzero(~illegal[path[-1]]))))
+        path = path[1:]
         gap = path_score(emissions, trans, path) - path_score(emissions, masked, path)
         worst = max(worst, abs(gap))
     return CheckResult(
@@ -340,10 +338,7 @@ def check_mask_idempotence(seed: int) -> CheckResult:
         trans = _random_scores(rng, d, 3.0)
         once = apply_mask(trans, spec)
         twice = apply_mask(once, spec)
-        if not (
-            np.array_equal(once.scores, twice.scores)
-            and np.array_equal(once.start, twice.start)
-        ):
+        if not np.array_equal(once.table, twice.table):
             mismatches += 1
     return CheckResult(
         name="mask idempotence",

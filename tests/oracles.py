@@ -118,7 +118,8 @@ def python_extract_segments(tags, tagset):
     into its first tag (or its start) and an O after its last tag. The
     referee for the package's corpus-at-once extraction."""
     parts = tagset.parts
-    illegal_pair, illegal_start = tagset.rules.tables(tagset.size)
+    illegal = tagset.rules.table(tagset.size)
+    illegal_pair, illegal_start = illegal[:-1], illegal[-1]
     illegal_end = illegal_pair[:, tagset.index_of("O")]
     segments = []
     open_type, open_start, open_legal = None, 0, True

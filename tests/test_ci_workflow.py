@@ -150,6 +150,23 @@ def test_package_modules_import_no_private_name_of_another_but_the_listed():
     assert sorted(found - allowed) == []
 
 
+def test_no_function_takes_the_scores_and_the_starts_side_by_side():
+    """The transition scores and the starts are one (d + 1, d) table, the
+    starts as its row d (TransitionMatrix.table, TransitionRuleSet.table):
+    a function with parameters named both scores and start splits what the
+    table joins. TransitionMatrix's constructor, which copies the two into
+    its table, is the one exception."""
+    found = []
+    for path in sorted((ROOT / "src" / "mcrf").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]}
+                if {"scores", "start"} <= names:
+                    found.append(f"{path.name}: {getattr(node, 'name', 'lambda')}")
+    assert found == ["crf.py: __init__"]
+
+
 def _names_read(tree: ast.AST) -> set[str]:
     """Every name a syntax tree reads, as a Name or an Attribute."""
     return {

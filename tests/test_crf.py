@@ -3,9 +3,11 @@
 import itertools
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
+from copy import deepcopy
 from pathlib import Path
 
 import numpy as np
@@ -61,9 +63,7 @@ def marginals(emissions, trans):
     """The engine on one sentence: position marginals (T, d), expected
     transition counts (d, d) summed over positions, and log Z."""
     lengths = np.array([len(emissions)])
-    log_z, unary, counts = _forward_backward(
-        emissions[:, None], lengths, trans.scores[None], trans.start[None], True
-    )
+    log_z, unary, counts = _forward_backward(emissions[:, None], lengths, trans.table[None], True)
     return unary[:, 0, 0], counts[0], float(log_z[0, 0])
 
 
@@ -529,7 +529,7 @@ class TestPerSentenceLosses:
                     np.concatenate([gold for _, gold in pairs]),
                 )
                 for batch in (pairs, tokens):
-                    loss, losses = _batch_nll(batch, trans.scores[None], trans.start[None], False)
+                    loss, losses = _batch_nll(batch, trans.table[None], False)
                     assert loss[0] == loss_and_gradients(batch, trans)[0]
                     losses = losses[0]
                     if d <= 3:
@@ -549,11 +549,11 @@ class TestModelAxis:
 
     @staticmethod
     def stacked_and_alone(emissions, lengths, scores, start):
-        stacked = _forward_backward(emissions, lengths, scores, start, True)
-        alone = [
-            _forward_backward(emissions, lengths, scores[n : n + 1], start[n : n + 1], True)
-            for n in range(len(scores))
-        ]
+        """The engine over N (scores, start) models stacked as their
+        (N, d + 1, d) tables, and over each model's table alone."""
+        tables = np.concatenate([scores, start[:, None]], axis=1)
+        stacked = _forward_backward(emissions, lengths, tables, True)
+        alone = [_forward_backward(emissions, lengths, tables[n : n + 1], True) for n in range(len(tables))]
         return stacked, alone
 
     def test_each_model_has_the_bits_of_its_own_call(self):
@@ -627,12 +627,10 @@ class TestModelAxis:
             trans = TransitionMatrix(rng.uniform(-2, 2, (3, 3)), rng.uniform(-2, 2, 3))
             copies = self.perturbed_copies(apply_mask(trans, spec) if trial % 2 else trans)
             copies += [apply_mask(copy, spec) for copy in copies[:6]]
-            scores = np.stack([c.scores for c in copies])
-            start = np.stack([c.start for c in copies])
-            losses, nlls = _batch_nll(batch, scores, start, False)
+            losses, nlls = _batch_nll(batch, np.stack([c.table for c in copies]), False)
             assert same_bits(losses, np.array([nll_loss(batch, c) for c in copies]))
             for copy, row in zip(copies, nlls):
-                assert same_bits(row, _batch_nll(batch, copy.scores[None], copy.start[None], False)[1][0])
+                assert same_bits(row, _batch_nll(batch, copy.table[None], False)[1][0])
 
     def test_the_first_refused_copy_is_refused_as_nll_loss_refuses_it(self):
         rng = np.random.default_rng(5)
@@ -643,9 +641,8 @@ class TestModelAxis:
         with pytest.raises(ValueError) as alone:
             nll_loss(batch, copies[2])
         assert str(alone.value).startswith("sentence 1: a path score is inf")
-        scores, start = np.stack([c.scores for c in copies]), np.stack([c.start for c in copies])
         with pytest.raises(ValueError) as stacked:
-            _batch_nll(batch, scores, start, False)
+            _batch_nll(batch, np.stack([c.table for c in copies]), False)
         assert str(stacked.value) == str(alone.value)
 
 
@@ -1215,14 +1212,12 @@ class TestViterbi:
         rng = np.random.default_rng(61)
         tagset = build_tagset(Scheme.BIOES, ["LOC", "PER"])
         rules, d = tagset.rules, tagset.size
-        illegal_pair, illegal_start = rules.tables(d)
         emissions = [rng.normal(size=(T, d)) for T in (1, 2, 5, 9)]
         trans = TransitionMatrix(rng.normal(size=(d, d)), rng.normal(size=d))
         expected = viterbi_batch(emissions, trans, rules)
         for value in (np.nan, 1e300, -1e300):
             poisoned = trans.copy()
-            poisoned.scores[illegal_pair] = value
-            poisoned.start[illegal_start] = value
+            poisoned.table[rules.table(d)] = value
             assert viterbi_batch(emissions, poisoned, rules) == expected
 
 
@@ -1285,10 +1280,10 @@ class TestBruteForceRestriction:
 
 
 def stacked(instances):
-    """(k, T, d) emissions, (k, d, d) scores and (k, d) starts of
+    """(k, T, d) emissions and (k, d + 1, d) transition tables of
     (emissions, trans) instances of one shape."""
     emissions, trans = zip(*instances)
-    return np.stack(emissions), np.stack([t.scores for t in trans]), np.stack([t.start for t in trans])
+    return np.stack(emissions), np.stack([t.table for t in trans])
 
 
 def refusal(oracle, *args) -> str:
@@ -1464,13 +1459,13 @@ class TestStackedOracle:
             assert same_bits(grads.start, ref_start)
 
     @staticmethod
-    def summed_scores(emissions, scores, start, rows, cells, moves):
+    def summed_scores(emissions, tables, rows, cells, moves):
         """A chunk's path scores written out from its tags: each position's
         emission added in order, then the start, then the moves, themselves
         added in order first."""
         _, T, d = emissions.shape
         tags = cells - np.arange(T)[:, None] * d
-        em, sc, st = emissions[rows], scores[rows], start[rows]
+        em, sc, st = emissions[rows], tables[rows, :d], tables[rows, d]
         out = em[:, 0, tags[0]]
         for t in range(1, T):
             out = out + em[:, t, tags[t]]
@@ -1499,17 +1494,17 @@ class TestStackedOracle:
                     arr[rng.random(arr.shape) < 0.8] = -0.0
             for arr in (group[3][0], group[3][1].scores, group[3][1].start):
                 arr[...] = -0.0
-            emissions, scores, start = stacked(group)
-            illegal_pair, illegal_start = (rules or TransitionRuleSet(frozenset(), frozenset())).tables(d)
+            emissions, transitions = stacked(group)
+            illegal = (rules or TransitionRuleSet(frozenset(), frozenset())).table(d)
             paths = np.array(list(itertools.product(range(d), repeat=T)), dtype=np.int32)
-            paths = paths[~(illegal_start[paths[:, 0]] | illegal_pair[paths[:, :-1], paths[:, 1:]].any(axis=1))]
+            paths = paths[~(illegal[d, paths[:, 0]] | illegal[paths[:, :-1], paths[:, 1:]].any(axis=1))]
             tables = []
             for rows, cells, moves, path_scores in mcrf.crf._iter_scored_chunks(
-                emissions, scores, start, rules
+                emissions, transitions, rules
             ):
                 assert cells.dtype == moves.dtype == np.int32
                 assert cells.shape == (T, path_scores.shape[1]) and moves.shape == (T - 1, len(cells[0]))
-                expected = self.summed_scores(emissions, scores, start, rows, cells, moves)
+                expected = self.summed_scores(emissions, transitions, rows, cells, moves)
                 assert same_bits(path_scores, expected)
                 if rows.start == 0:
                     tables.append(cells - np.arange(T, dtype=np.int32)[:, None] * d)
@@ -1637,6 +1632,31 @@ class TestTransitionMatrix:
             TransitionMatrix(np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(ValueError):
             TransitionMatrix(np.zeros((2, 2)), np.zeros(3))
+
+    def test_scalar_scores_are_refused_with_their_shape(self):
+        """A 0-d score array raised a bare IndexError from its shape."""
+        with pytest.raises(ValueError, match=re.escape("transition matrix must be square, got ()")):
+            TransitionMatrix(1.0, [0.0])
+
+    def test_one_table_holds_the_scores_and_the_starts_as_row_d(self):
+        """The constructor copies both arrays into one (d + 1, d) table, of
+        which scores and start are C-contiguous views: a write through them
+        reaches the table, and a write to the arrays passed in does not."""
+        scores, start = np.arange(9.0).reshape(3, 3), np.array([9.0, 10.0, 11.0])
+        trans = TransitionMatrix(scores, start)
+        assert same_bits(trans.table, np.arange(12.0).reshape(4, 3))
+        assert trans.scores.base is trans.table and trans.start.base is trans.table
+        assert trans.scores.flags.c_contiguous and trans.start.flags.c_contiguous
+        scores[0, 0] = start[0] = -1.0
+        assert trans.table[0, 0] == 0.0 and trans.table[3, 0] == 9.0
+        trans.scores[1, 2] = -2.0
+        trans.start[2] = -3.0
+        trans.scores += 1.0
+        assert trans.table[1, 2] == -1.0 and trans.table[3, 2] == -3.0 and trans.table[0, 0] == 1.0
+        for other in (trans.copy(), deepcopy(trans), pickle.loads(pickle.dumps(trans))):
+            assert other.table is not trans.table and same_bits(other.table, trans.table)
+            other.scores[0, 1] = other.start[1] = 7.0
+            assert other.table[0, 1] == other.table[3, 1] == 7.0 != trans.table[0, 1]
 
     def test_copy_is_independent(self):
         trans = TransitionMatrix.zeros(2)

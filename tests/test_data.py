@@ -393,7 +393,7 @@ class TestModelPersistence:
         def edit(doc):
             doc["start"][BIO1.index_of("I-PER")] = -1e4 + 1e-9
 
-        with pytest.raises(FormatError, match="start"):
+        with pytest.raises(FormatError, match=": start has a masked entry that differs from mask_value"):
             load_model(self._edited(tmp_path, small_state(mode="mcrf-train"), edit))
 
     def test_unusable_mask_value_rejected_naming_the_file(self, tmp_path):

@@ -149,8 +149,7 @@ class TestOneLegalityDefinition:
         tables yet, so first_violation passes some of them; its segments
         are illegal all the same."""
         tagset = build_tagset(scheme, types)
-        illegal_pair, _ = tagset.rules.tables(tagset.size)
-        ends_open = illegal_pair[:, tagset.index_of("O")]
+        ends_open = tagset.rules.table(tagset.size)[:-1, tagset.index_of("O")]
         unended = 0
         for length in range(1, 6):
             for path in itertools.product(range(tagset.size), repeat=length):
@@ -182,7 +181,7 @@ class TestOneLegalityDefinition:
         """Segment extraction reads which tags continue a chunk from the
         start table: exactly the I- and E- tags may not start a sentence."""
         tagset = build_tagset(scheme, [f"T{k}" for k in range(count)])
-        _, illegal_start = tagset.rules.tables(tagset.size)
+        illegal_start = tagset.rules.table(tagset.size)[-1]
         continuing = [prefix in ("I", "E") for prefix, _ in tagset.parts]
         assert illegal_start.tolist() == continuing
 

@@ -160,10 +160,8 @@ def test_nan_in_every_masked_entry_gives_the_same_paths(corpus):
     with no mask applied, and so does decode."""
     _, emissions, trans, spec = corpus
     oracle = [brute_force_best(em, trans, rules=spec.rules)[0] for em in emissions]
-    illegal_pair, illegal_start = spec.rules.tables(trans.num_tags)
     poisoned = trans.copy()
-    poisoned.scores[illegal_pair] = np.nan
-    poisoned.start[illegal_start] = np.nan
+    poisoned.table[spec.rules.table(trans.num_tags)] = np.nan
     assert viterbi_batch(emissions, poisoned, spec.rules) == oracle
     assert decode(emissions, poisoned, spec) == oracle
 

@@ -41,11 +41,11 @@ def reference_start_legal(tags, j):
 
 
 def legal_pair(ts, i, j):
-    return not ts.rules.tables(ts.size)[0][i, j]
+    return not ts.rules.table(ts.size)[i, j]
 
 
 def legal_start(ts, j):
-    return not ts.rules.tables(ts.size)[1][j]
+    return not ts.rules.table(ts.size)[ts.size, j]
 
 
 class TestBuildTagset:
@@ -185,9 +185,9 @@ class TestRuleSet:
             for k in range(1, 11):
                 ts = build_tagset(scheme, [f"T{i}" for i in range(k)])
                 rules = illegal_transition_set(ts)
-                illegal_pair, illegal_start = rules.tables(ts.size)
-                assert illegal_pair.shape == (ts.size, ts.size)
-                assert illegal_start.shape == (ts.size,)
+                illegal = rules.table(ts.size)
+                assert illegal.shape == (ts.size + 1, ts.size)
+                illegal_pair, illegal_start = illegal[:-1], illegal[-1]
                 reference = reference_bio_legal if scheme is Scheme.BIO else reference_bioes_legal
                 for i in range(ts.size):
                     for j in range(ts.size):
@@ -202,11 +202,27 @@ class TestRuleSet:
     def test_tables_reject_out_of_range_indices(self):
         rules = illegal_transition_set(build_tagset(Scheme.BIO, ["LOC", "PER"]))
         with pytest.raises(ValueError):
-            rules.tables(4)
+            rules.table(4)
         starts_only = TransitionRuleSet(frozenset(), frozenset({3}))
         with pytest.raises(ValueError):
-            starts_only.tables(3)
-        assert not starts_only.tables(4)[0].any()
+            starts_only.table(3)
+        assert not starts_only.table(4)[:4].any()
+
+    @pytest.mark.parametrize("scheme", [Scheme.BIO, Scheme.BIOES])
+    def test_one_read_only_table_with_the_starts_as_row_d(self, scheme):
+        """Rows :d are omega and row d the illegal starts, the layout of
+        TransitionMatrix.table; the decoder's moves are its legal cells
+        above row d."""
+        ts = build_tagset(scheme, ["LOC", "PER"])
+        d = ts.size
+        table = ts.rules.table(d)
+        assert table.shape == (d + 1, d) and table.dtype == bool
+        assert set(zip(*np.nonzero(table[:d]))) == ts.rules.omega
+        assert set(np.flatnonzero(table[d]).tolist()) == ts.rules.illegal_starts
+        assert np.array_equal(ts.rules.moves(d)[0], np.flatnonzero(~table[:d]))
+        assert ts.rules.table(d) is table and not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = True
 
     def test_compiled_form_leaves_equality_and_hashing_to_the_sets(self):
         ts = build_tagset(Scheme.BIOES, ["LOC"])
@@ -226,7 +242,7 @@ class TestRuleSet:
             d = ts.size
             cells, successors, firsts = ts.rules.moves(d)
             assert cells.size == count
-            assert np.array_equal(cells, np.flatnonzero(~ts.rules.tables(d)[0]))
+            assert np.array_equal(cells, np.flatnonzero(~ts.rules.table(d)[:d]))
             assert np.array_equal(successors, cells % d)
             assert np.array_equal(cells[firsts] // d, np.arange(d))
             assert ts.rules.moves(d) is ts.rules.moves(d)

@@ -299,9 +299,8 @@ class TestTrainLoop:
             mode="mcrf-train", mask_value=c, batch_size=4, max_epochs=0,
             max_iterations=30, eval_every=10, embedding_dim=4, seed=9,
         )
-        illegal_pair, illegal_start = MaskSpec(
-            illegal_transition_set(tagset), mask_value=c
-        ).rules.tables(tagset.size)
+        illegal = MaskSpec(illegal_transition_set(tagset), mask_value=c).rules.table(tagset.size)
+        illegal_pair, illegal_start = illegal[:-1], illegal[-1]
         assert illegal_pair.any() and illegal_start.any()
         seen = []
 

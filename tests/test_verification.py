@@ -58,7 +58,7 @@ class TestChecks:
         assert result.passed
 
     @staticmethod
-    def _decode_zeros(emissions, scores, start, rules):
+    def _decode_zeros(emissions, tables, rules):
         """A wrong stacked decoder: tag 0 at every position."""
         return [[0] * emissions.shape[1] for _ in emissions]
 
@@ -152,13 +152,13 @@ class TestObservedBits:
 
     def test_a_crf_instance_makes_three_engine_calls(self, monkeypatch):
         """The analytic gradients, the emissions as a batch of perturbed
-        sentences, and every perturbed (scores, start) copy as one model
+        sentences, and every perturbed copy of the table as one model
         axis (2 x (9 + 3) = 24 at d = 3)."""
         calls = self._count_engine_calls(monkeypatch)
         rng = np.random.default_rng(1)
         trans = TransitionMatrix(rng.uniform(-2, 2, (3, 3)), rng.uniform(-2, 2, 3))
         assert _fd_crf(rng.uniform(-2, 2, (4, 3)), [0, 1, 2, 0], trans) < 1e-4
-        assert [len(scores) for _, _, scores, _, _ in calls] == [1, 1, 24]
+        assert [len(tables) for _, _, tables, _ in calls] == [1, 1, 24]
 
     def test_an_encoder_instance_makes_two_engine_calls(self, monkeypatch):
         """The analytic gradients, then every perturbed weight of the
@@ -166,7 +166,7 @@ class TestObservedBits:
         calls = self._count_engine_calls(monkeypatch)
         check_encoder_gradients(4)
         assert len(calls) == 2 * 10  # ten instances
-        assert [len(scores) for _, _, scores, _, _ in calls] == [1] * 20
+        assert [len(tables) for _, _, tables, _ in calls] == [1] * 20
 
     def test_a_battery_makes_164_engine_calls(self, monkeypatch):
         """Three for each of the two gradient checks' 20 instances, two for
