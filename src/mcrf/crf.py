@@ -23,12 +23,16 @@ function (_padded); a list's token-major emission gradient is split per
 sentence. The engine has a leading model axis: it runs N tables
 (N, d + 1, d) over one batch that they all read, or over (T, N, B, d)
 emissions, one batch per model, as model-major blocks of B rows each,
-R = N * B rows per step. The public entry points run one model; verify's
-transition and start differences stack their perturbed copies as N models
-over one sentence, and its log-partition check takes each (T, d) group of
-instances as N models over their own sentences (_engine_log_z, of which
-log_partition is the batch of one). Each model's
-log Z, marginals, counts and loss have the bits of a call with it alone.
+R = N * B rows per step. _batch_nll reads the second form, without
+gradients, from a TokenBatch of (N, tokens, d) emissions: N same-shape
+batches that share their lengths and gold tags. The public entry points
+run one model. verify's gradient check takes each T group of instances as
+models over batches of their own: each instance's model over its perturbed
+sentences, and each perturbed copy of a table over its instance's
+sentence. Its log-partition check takes each (T, d) group of instances as
+N models over their own sentences (_engine_log_z, of which log_partition
+is the batch of one). Each model's log Z, marginals, counts, loss and NLLs
+have the bits of a call with it, and its own batch, alone.
 
 The forward pass is a scaled log-matmul-exp: with r the row maxima of a
 and K = exp(a - r[:, None]) (entries <= 1, masked ones exact zeros),
@@ -189,7 +193,9 @@ class TokenBatch:
     """A token-major batch: the sentences' emissions concatenated (N, d),
     their lengths (B,) and their gold tags concatenated (N,), the form in
     which the engine and the oracles read every batch. It iterates as its
-    (emissions, gold) pairs."""
+    (emissions, gold) pairs. _batch_nll alone, without gradients, also
+    reads (M, N, d) emissions: M batches, one per model, that share the
+    lengths and gold tags."""
 
     emissions: np.ndarray
     lengths: np.ndarray
@@ -242,11 +248,14 @@ def _length(path) -> int | None:
         return None
 
 
-def _tokens(batch: Batch | TokenBatch, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _tokens(
+    batch: Batch | TokenBatch, d: int, models: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Either batch form as its checked token batch: the (N, d) emissions,
     (B,) intp lengths and (N,) intp gold tags. A list batch is checked pair
     by pair, a TokenBatch before any allocation and in numpy calls whose
-    number does not grow with the batch."""
+    number does not grow with the batch. Given models, a TokenBatch may
+    instead hold (models, N, d) emissions, one batch per model."""
     if not batch:
         raise ValueError("empty batch")
     if not isinstance(batch, TokenBatch):
@@ -266,10 +275,9 @@ def _tokens(batch: Batch | TokenBatch, d: int) -> tuple[np.ndarray, np.ndarray, 
         raise ValueError(f"sentence {k + 1}: gold path of length {lengths[k]}, need T >= 1")
     lengths = lengths.astype(np.intp, copy=False)  # exact: each is at most the sum
     B, N = len(lengths), int(lengths.sum())
-    if emissions.shape != (N, d):
-        raise ValueError(
-            f"emissions of shape {emissions.shape}, need ({N}, {d}) for {B} sentences"
-        )
+    need = (models, N, d) if models and emissions.ndim == 3 else (N, d)
+    if emissions.shape != need:
+        raise ValueError(f"emissions of shape {emissions.shape}, need {need} for {B} sentences")
     if tags.shape != (N,) or tags.dtype.kind not in "iu":
         raise ValueError(
             f"gold tags of shape {tags.shape} and dtype {tags.dtype}, "
@@ -319,20 +327,24 @@ def _check_range(tags: np.ndarray, lengths: list[int] | np.ndarray, d: int) -> N
 
 def _padded(emissions: np.ndarray, lengths: np.ndarray, tags: np.ndarray) -> tuple[np.ndarray, ...]:
     """A checked token batch as the engine reads it: the left-aligned,
-    zero-padded (T, B, d) emissions, the (B, T) gold tags and each token's
-    row of the (T * B, d) view, in numpy calls whose number does not grow
-    with the batch."""
+    zero-padded (T, B, d) emissions, or (T, M, B, d) for (M, N, d) ones, one
+    batch per model; the (B, T) gold tags and each token's row of the
+    (T * B, d) view, in numpy calls whose number does not grow with the
+    batch."""
     if len(lengths) == 1:  # a batch of one is time-major as it stands
-        return emissions[:, None], tags[None], np.arange(len(tags))
-    (N, d), B, T = emissions.shape, len(lengths), int(lengths.max())
-    sentence = np.repeat(np.arange(B), lengths)
-    position = np.arange(N) - (np.cumsum(lengths) - lengths)[sentence]
-    rows = position * B + sentence
-    padded = np.zeros((T * B, d))  # pad cells stay exactly 0.0
-    padded[rows] = emissions
-    grid = np.zeros(B * T, dtype=np.intp)
-    grid[sentence * T + position] = tags
-    return padded.reshape(T, B, d), grid.reshape(B, T), rows
+        padded, grid, rows = emissions[..., None, :], tags[None], np.arange(len(tags))
+    else:
+        *models, N, d = emissions.shape
+        B, T = len(lengths), int(lengths.max())
+        sentence = np.repeat(np.arange(B), lengths)
+        position = np.arange(N) - (np.cumsum(lengths) - lengths)[sentence]
+        rows = position * B + sentence
+        padded = np.zeros((*models, T * B, d))  # pad cells stay exactly 0.0
+        padded[..., rows, :] = emissions
+        grid = np.zeros(B * T, dtype=np.intp)
+        grid[sentence * T + position] = tags
+        padded, grid = padded.reshape(*models, T, B, d), grid.reshape(B, T)
+    return (padded if emissions.ndim == 2 else padded.swapaxes(0, 1)), grid, rows
 
 
 def _not_finite(k: int, what: str, value: float, *inputs: np.ndarray) -> ValueError:
@@ -460,14 +472,17 @@ def _batch_nll(batch: Batch | TokenBatch, tables: np.ndarray, gradients: bool):
     """The mean NLL over the padded batch under each of N models, (N, d + 1, d)
     tables, from one engine call: the (N,) losses and, with gradients
     (N = 1 only), CrfGradients; without them, the (N, B)
-    per-sentence NLLs log Z_k - s(gold_k). Each model's loss is the sum of
+    per-sentence NLLs log Z_k - s(gold_k). Without gradients a TokenBatch
+    may hold (N, tokens, d) emissions: N same-shape batches, one per model,
+    that share the lengths and gold tags. Each model's loss is the sum of
     its NLLs / B, so no sentence's NLL is rounded away by the others' (at
     |log Z| >= 2^52 each NLL is itself off by up to an ulp of its log Z, in
     the enumeration too), and the batch's sums cannot leave the float range
-    while every NLL is finite. Each model's loss has the bits of a call with
-    it alone; the first model in input order with a sentence whose NLL is
-    not finite is refused, named for its first such sentence and quoting
-    that sentence's own NLL, as a call with the sentence alone quotes it.
+    while every NLL is finite. Each model's loss and NLLs have the bits of a
+    call with it, and its own batch, alone; the first model in input order
+    with a sentence whose NLL is not finite is refused, named for its first
+    such sentence and quoting that sentence's own NLL, as a call with the
+    sentence alone quotes it.
 
     Sentence k's NLL has the bits nll_loss gives it alone when the batch is
     padded to fewer than 8 positions (numpy sums 8 or more terms pairwise)
@@ -475,20 +490,23 @@ def _batch_nll(batch: Batch | TokenBatch, tables: np.ndarray, gradients: bool):
     (1, d) product. On OpenBLAS 0.3.31 that holds at d = 2 and 3; at d >= 4
     the rows differ in their last bits."""
     d, n = tables.shape[2], len(batch)
-    tokens, lengths, tags = _tokens(batch, d)
+    tokens, lengths, tags = _tokens(batch, d, 0 if gradients else len(tables))
     emissions, tags, rows = _padded(tokens, lengths, tags)
     log_z, gamma, counts = _forward_backward(emissions, lengths, tables, gradients)
     cells = np.arange(tags.shape[1]), np.arange(n)[:, None], tags  # (B, T) gold cells
+    if tokens.ndim == 3:  # (N, B, T): each model's cells of its own batch
+        cells = cells[0], np.arange(len(tables))[:, None, None], *cells[1:]
     steps = np.arange(1, tags.shape[1]) < lengths[:, None]  # (B, T - 1) moves in a sentence
     moves = tags[:, :-1] * d + tags[:, 1:]  # i * d + j: a cell of the flattened tables
     move_scores = np.where(steps, tables.reshape(len(tables), -1).take(moves, axis=1), 0.0).sum(axis=2)
-    nlls = log_z - (emissions[cells].sum(axis=1) + move_scores) - tables[:, d].take(tags[:, 0], axis=1)
+    nlls = log_z - (emissions[cells].sum(axis=-1) + move_scores) - tables[:, d].take(tags[:, 0], axis=1)
     losses = (nlls / n).sum(axis=1)
     bad = ~np.isfinite(nlls)
     if bad.any():
         m = int(bad.any(axis=1).argmax())  # the first model refused
         k = int(bad[m].argmax())  # its first sentence whose own NLL is not finite
-        raise _refused_loss(k, nlls[m, k], log_z[m, k], emissions[:, k], tables[m])
+        sentence = emissions[:, k] if tokens.ndim == 2 else emissions[:, m, k]
+        raise _refused_loss(k, nlls[m, k], log_z[m, k], sentence, tables[m])
     if not gradients:
         return losses, nlls
     d_em = gamma[:, 0]

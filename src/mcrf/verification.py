@@ -8,8 +8,10 @@ gives check k the seed seed + k, so one seed fixes the whole battery. One
 helper, _random_scores, draws every random transition matrix but the
 zero-start one of check_mask_convergence: the (d, d) scores, then the start
 vector. The finite-difference checks share one central-difference step,
-_FD_STEP, and one helper, _worst_relative_error, which collects every
-perturbed input of one loss form before it asks for their losses.
+_FD_STEP: _perturbations collects every perturbed input of one loss form,
+restoring each entry bitwise, before anything asks for their losses, and
+_relative_error compares the analytic gradients with the differences of
+those losses (_worst_relative_error is the two over one loss call).
 
 check_log_partition and check_viterbi draw all 200 of their instances
 first; _shape_groups then stacks each (T, d) group of them, with the
@@ -30,19 +32,29 @@ perturbation of the emissions (or of any encoder weight, through encode)
 leaves trans as it is, so all its perturbed sentences are one TokenBatch,
 whose per-sentence NLLs are the losses; both checks run at d = 3, where
 each of those NLLs has the bits of its own nll_loss call. A perturbation of
-the transition or start scores changes trans itself, so the 2 x (d^2 + d)
-perturbed copies of its (d + 1, d) table are the engine's model axis over
-the one sentence, and each model's loss has the bits of nll_loss under that
-copy.
-The observed values are those of one nll_loss call per perturbation. One
-_fd_crf instance makes three engine calls: the analytic gradients, the
-emission differences and the table differences; one
-check_encoder_gradients instance makes two, and builds its sentence's window
-ids once for every encode of them.
+the transition or start scores changes trans itself, so each perturbed copy
+of its (d + 1, d) table is a model of the engine's model axis over the
+instance's sentence, and each model's loss has the bits of nll_loss under
+that copy.
+
+check_gradients draws its 20 instances first and groups them by T (d = 3
+is fixed). Each instance makes its own analytic call; then each group
+makes two stacked calls (_fd_crf), each model over a batch of its own: one
+for every emission difference, k models of 2 x T x d sentences each, and
+one for every table difference, 2 x (d^2 + d) = 24 copies of each of the k
+tables, each copy over its instance's sentence. Each instance's arrays
+record their own perturbed copies, so no copy holds another instance. Every difference keeps the
+bits of its own nll_loss call, and the worst error is a maximum, so it does
+not depend on the grouping. One check_encoder_gradients instance makes two
+engine calls, and builds its sentence's window ids once for every encode of
+them.
 
 check_mask_convergence computes each instance's restricted (legal-paths)
 oracle once and compares it with the masked oracle at each mask value,
-through the gap arithmetic of masking.mask_convergence_gap."""
+through the gap arithmetic of masking.mask_convergence_gap.
+check_legal_scores_unchanged lists each tag's legal successors once and
+draws each position of a path from its tag's list, with the draws of
+rng.choice over that list."""
 
 from __future__ import annotations
 
@@ -161,54 +173,75 @@ def check_viterbi(seed: int) -> CheckResult:
     )
 
 
-def _worst_relative_error(pairs, snapshot, losses) -> float:
-    """Worst relative error of analytic gradients against central finite
-    differences of one loss. pairs holds (array, analytic gradient) pairs;
-    every entry of every array, in np.ndindex order, is set to its value
+def _perturbations(arrays, snapshot) -> list:
+    """Every entry of every array, in np.ndindex order, set to its value
     + _FD_STEP, then - _FD_STEP, while snapshot() records the input that
-    perturbation makes, and gets its saved value back, since (x + h) - h is
-    not always x. One losses(inputs) call then gives the loss of every input."""
+    perturbation makes; each entry gets its saved value back, since
+    (x + h) - h is not always x. Returns the inputs in that order."""
     inputs = []
-    for arr, _ in pairs:
+    for arr in arrays:
         for idx in np.ndindex(arr.shape):
             saved = arr[idx]
             for step in (_FD_STEP, -_FD_STEP):
                 arr[idx] = saved + step
                 inputs.append(snapshot())
             arr[idx] = saved
-    values = np.asarray(losses(inputs))
+    return inputs
+
+
+def _relative_error(gradients, values) -> float:
+    """Worst relative error of analytic gradients against the central
+    finite differences of values, the losses of _perturbations' inputs over
+    the arrays of those gradients."""
+    values = np.asarray(values)
     fd = (values[0::2] - values[1::2]) / (2 * _FD_STEP)
-    analytic = np.concatenate([g.ravel() for _, g in pairs])
+    analytic = np.concatenate([g.ravel() for g in gradients])
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-2)
     return float(np.max(np.abs(analytic - fd) / denom))
 
 
-def _sentence_losses(
-    sentences: list[np.ndarray], gold: list[int], trans: TransitionMatrix
-) -> np.ndarray:
+def _worst_relative_error(pairs, snapshot, losses) -> float:
+    """Worst relative error of analytic gradients against central finite
+    differences of one loss. pairs holds (array, analytic gradient) pairs;
+    one losses(inputs) call gives the loss of every input that
+    _perturbations records over the arrays."""
+    arrays, gradients = zip(*pairs)
+    return _relative_error(gradients, losses(_perturbations(arrays, snapshot)))
+
+
+def _sentence_losses(sentences, gold: list[int] | np.ndarray, tables: np.ndarray) -> np.ndarray:
     """The NLL of one gold path under each of several (T, d) emission
-    matrices, from one engine call. At d <= 3 and T < 8 each has the bits of
-    nll_loss on its own sentence (see crf._batch_nll)."""
-    n = len(sentences)
-    batch = TokenBatch(np.concatenate(sentences), np.full(n, len(gold)), np.tile(gold, n))
-    return _batch_nll(batch, trans.table[None], gradients=False)[1][0]
+    matrices, from one engine call: P of them under the one model of
+    (1, d + 1, d) tables, or (k, P, T, d) of them, model j of k over its own
+    P, in that order. At d <= 3 and T < 8 each has the bits of nll_loss on
+    its own sentence under its model (see crf._batch_nll)."""
+    sentences = np.asarray(sentences)
+    *models, n, T, d = sentences.shape
+    batch = TokenBatch(sentences.reshape(*models, n * T, d), np.full(n, T), np.tile(gold, n))
+    return _batch_nll(batch, tables, gradients=False)[1].ravel()
 
 
-def _fd_crf(emissions: np.ndarray, gold: list[int], trans: TransitionMatrix) -> float:
+def _fd_crf(sentences: list[np.ndarray], models: list[TransitionMatrix]) -> float:
     """Worst relative error of the analytic CRF gradients against central
-    finite differences over emissions, transitions, and start. The perturbed
-    copies of the transition table are the models of one engine call."""
-    batch = [(emissions, gold)]
-    _, grads = loss_and_gradients(batch, trans)
-
-    def model_losses(tables: list[np.ndarray]) -> np.ndarray:
-        return _batch_nll(batch, np.stack(tables), gradients=False)[0]
-
-    sentence_losses = partial(_sentence_losses, gold=gold, trans=trans)
-    trans_pairs = [(trans.scores, grads.transitions), (trans.start, grads.start)]
+    finite differences over emissions, transitions and start, for k
+    instances of one (T, d) shape under the gold path of tag 0. Each
+    instance makes its own analytic call; then one engine call gives every
+    emission difference (model j over instance j's perturbed sentences) and
+    one every table difference (each perturbed copy a model over its
+    instance's sentence)."""
+    k, (T, d) = len(sentences), sentences[0].shape
+    gold = np.zeros(T, dtype=np.intp)
+    grads = [loss_and_gradients([(em, gold)], trans)[1] for em, trans in zip(sentences, models)]
+    tables = [trans.table for trans in models]
+    # instance by instance, each array's own perturbed copies
+    perturbed = [x for em in sentences for x in _perturbations([em], em.copy)]
+    emission_losses = _sentence_losses(np.reshape(perturbed, (k, -1, T, d)), gold, np.stack(tables))
+    perturbed = [x for table in tables for x in _perturbations([table], table.copy)]
+    sentence_copies = np.repeat(np.stack(sentences)[:, None], len(perturbed) // k, axis=0)
+    table_losses = _sentence_losses(sentence_copies, gold, np.stack(perturbed))
     return max(
-        _worst_relative_error([(emissions, grads.emissions[0])], emissions.copy, sentence_losses),
-        _worst_relative_error(trans_pairs, trans.table.copy, model_losses),
+        _relative_error([g.emissions[0] for g in grads], emission_losses),
+        _relative_error([np.concatenate([g.transitions, g.start[None]]) for g in grads], table_losses),
     )
 
 
@@ -217,15 +250,13 @@ def check_gradients(seed: int, masked: bool) -> CheckResult:
     tagset = build_tagset("bio", ["A"])
     spec = MaskSpec(rules=tagset.rules)
     d = tagset.size
-    worst = 0.0
+    groups: dict[int, list] = {}  # T -> its instances, in the order drawn
     for _ in range(20):
         T = int(rng.integers(2, 5))
         emissions = rng.uniform(-2.0, 2.0, size=(T, d))
         trans = _random_scores(rng, d, 2.0)
-        gold = [0] * T
-        if masked:
-            trans = apply_mask(trans, spec)
-        worst = max(worst, _fd_crf(emissions, gold, trans))
+        groups.setdefault(T, []).append((emissions, apply_mask(trans, spec) if masked else trans))
+    worst = max(_fd_crf(*zip(*members)) for members in groups.values())
     label = "masked" if masked else "unmasked"
     return CheckResult(
         name=f"analytic vs finite-difference gradients ({label})",
@@ -251,7 +282,7 @@ def check_encoder_gradients(seed: int) -> CheckResult:
         analytic = encoder_backward(windows, grads.emissions[0], weights)
         names = ("embeddings", "projection", "bias")
         pairs = [(getattr(weights, name), getattr(analytic, name)) for name in names]
-        sentence_losses = partial(_sentence_losses, gold=gold, trans=trans)
+        sentence_losses = partial(_sentence_losses, gold=gold, tables=trans.table[None])
         error = _worst_relative_error(pairs, partial(encode, windows, weights), sentence_losses)
         worst = max(worst, error)
     return CheckResult(
@@ -305,7 +336,7 @@ def check_legal_scores_unchanged(seed: int) -> CheckResult:
     tagset = build_tagset("bio", ["A", "B"])
     spec = MaskSpec(rules=tagset.rules)
     d = tagset.size
-    illegal = tagset.rules.table(d)
+    successors = [np.flatnonzero(legal).tolist() for legal in ~tagset.rules.table(d)]
     worst = 0.0
     for _ in range(100):
         T = int(rng.integers(1, 7))
@@ -314,7 +345,8 @@ def check_legal_scores_unchanged(seed: int) -> CheckResult:
         masked = apply_mask(trans, spec)
         path = [d]  # a random legal path after tag d, whose row holds the starts
         for _ in range(T):
-            path.append(int(rng.choice(np.flatnonzero(~illegal[path[-1]]))))
+            legal = successors[path[-1]]
+            path.append(legal[rng.integers(len(legal))])  # the draw of rng.choice(legal)
         path = path[1:]
         gap = path_score(emissions, trans, path) - path_score(emissions, masked, path)
         worst = max(worst, abs(gap))

@@ -645,6 +645,67 @@ class TestModelAxis:
             _batch_nll(batch, np.stack([c.table for c in copies]), False)
         assert str(stacked.value) == str(alone.value)
 
+    @staticmethod
+    def per_model_batch(rng, N, d, B):
+        """N batches of B sentences of 1 to 7 tokens, one per model, that
+        share their lengths and gold tags, with each model's table."""
+        lengths = rng.integers(1, 8, size=B)
+        n = int(lengths.sum())
+        emissions = rng.uniform(-3, 3, size=(N, n, d))
+        tables = rng.uniform(-2, 2, size=(N, d + 1, d))
+        return TokenBatch(emissions, lengths, rng.integers(0, d, n)), tables
+
+    def test_per_model_batches_have_the_bits_of_their_own_calls(self):
+        """(N, tokens, d) emissions give each model's losses and (B,) NLLs
+        the bits of a call with that model and its batch alone, at d = 3
+        (where they are each sentence's own nll_loss too) and at d = 7."""
+        rng = np.random.default_rng(33)
+        for d in (3, 7):
+            for _ in range(30):
+                N, B = int(rng.integers(1, 6)), int(rng.integers(2, 9))
+                batch, tables = self.per_model_batch(rng, N, d, B)
+                losses, nlls = _batch_nll(batch, tables, False)
+                assert losses.shape == (N,) and nlls.shape == (N, B)
+                for m in range(N):
+                    own = TokenBatch(batch.emissions[m], batch.lengths, batch.tags)
+                    one_loss, one_nlls = _batch_nll(own, tables[m : m + 1], False)
+                    assert same_bits(losses[m : m + 1], one_loss)
+                    assert same_bits(nlls[m : m + 1], one_nlls)
+                    if d == 3:
+                        trans = TransitionMatrix(tables[m, :d], tables[m, d])
+                        alone = [nll_loss([pair], trans) for pair in own]
+                        assert same_bits(nlls[m], np.array(alone))
+
+    def test_the_first_refused_model_and_sentence_are_named(self):
+        """Model 1's sentences 3 and 4 and model 3's sentence 1 are not
+        finite: the first model wins, named for its first such sentence with
+        the text of its own call, which reads that model's own emissions (a
+        NaN there, where a finite sentence would read as an overflow)."""
+        rng = np.random.default_rng(9)
+        batch, tables = self.per_model_batch(rng, 4, 3, 4)
+        bounds = np.cumsum(batch.lengths)
+        batch.emissions[1, bounds[1]] = np.nan  # model 1, sentence 3
+        batch.emissions[1, bounds[2]] = np.inf  # model 1, sentence 4
+        batch.emissions[3, 0, 0] = np.inf  # model 3, sentence 1
+        with pytest.raises(ValueError) as alone:
+            _batch_nll(TokenBatch(batch.emissions[1], batch.lengths, batch.tags), tables[1:2], False)
+        assert str(alone.value).startswith("sentence 3: loss of nan")
+        with pytest.raises(ValueError) as stacked:
+            _batch_nll(batch, tables, False)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_per_model_emissions_need_one_batch_per_model_and_no_gradients(self):
+        batch, tables = self.per_model_batch(np.random.default_rng(2), 3, 3, 2)
+        n = len(batch.tags)
+        wrong = f"emissions of shape (3, {n}, 3), need (2, {n}, 3) for 2 sentences"
+        with pytest.raises(ValueError, match=re.escape(wrong)):
+            _batch_nll(batch, tables[:2], False)
+        with pytest.raises(ValueError, match=re.escape(wrong.replace("need (2,", "need (1,"))):
+            nll_loss(batch, TransitionMatrix.zeros(3))
+        shared = f"emissions of shape (3, {n}, 3), need ({n}, 3) for 2 sentences"
+        with pytest.raises(ValueError, match=re.escape(shared)):
+            loss_and_gradients(batch, TransitionMatrix.zeros(3))
+
 
 class TestTokenBatch:
     def test_is_the_sequence_of_its_sentences(self):

@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 
 from mcrf import crf, verification
-from mcrf.crf import TransitionMatrix
+from mcrf.crf import TransitionMatrix, _batch_nll, loss_and_gradients
 from mcrf.errors import ConfigurationError
+from mcrf.masking import MaskSpec, apply_mask
+from mcrf.schemes import build_tagset
 from mcrf.verification import (
     _FD_STEP,
     CheckResult,
     _fd_crf,
+    _random_scores,
     _worst_relative_error,
     check_encoder_gradients,
     check_gradients,
+    check_legal_scores_unchanged,
     check_log_partition,
     check_mask_convergence,
     check_mask_idempotence,
@@ -150,15 +154,20 @@ class TestObservedBits:
         monkeypatch.setattr(crf, "_forward_backward", counted)
         return calls
 
-    def test_a_crf_instance_makes_three_engine_calls(self, monkeypatch):
-        """The analytic gradients, the emissions as a batch of perturbed
-        sentences, and every perturbed copy of the table as one model
-        axis (2 x (9 + 3) = 24 at d = 3)."""
+    def test_a_crf_group_makes_one_analytic_call_per_instance_and_two_stacked(self, monkeypatch):
+        """Each of k instances of one shape makes its analytic call; then
+        one call has model j over instance j's 2 x T x d perturbed sentences,
+        and one has every perturbed copy of every table (2 x (9 + 3) = 24
+        each at d = 3) over its own instance's sentence."""
         calls = self._count_engine_calls(monkeypatch)
         rng = np.random.default_rng(1)
-        trans = TransitionMatrix(rng.uniform(-2, 2, (3, 3)), rng.uniform(-2, 2, 3))
-        assert _fd_crf(rng.uniform(-2, 2, (4, 3)), [0, 1, 2, 0], trans) < 1e-4
-        assert [len(tables) for _, _, tables, _ in calls] == [1, 1, 24]
+        k, T, d = 5, 4, 3
+        sentences = [rng.uniform(-2, 2, (T, d)) for _ in range(k)]
+        models = [_random_scores(rng, d, 2.0) for _ in range(k)]
+        assert _fd_crf(sentences, models) < 1e-4
+        assert [len(tables) for _, _, tables, _ in calls] == [1] * k + [k, 24 * k]
+        shapes = [emissions.shape for emissions, *_ in calls[k:]]
+        assert shapes == [(T, k, 2 * T * d, d), (T, 24 * k, 1, d)]
 
     def test_an_encoder_instance_makes_two_engine_calls(self, monkeypatch):
         """The analytic gradients, then every perturbed weight of the
@@ -168,13 +177,35 @@ class TestObservedBits:
         assert len(calls) == 2 * 10  # ten instances
         assert [len(tables) for _, _, tables, _ in calls] == [1] * 20
 
-    def test_a_battery_makes_164_engine_calls(self, monkeypatch):
-        """Three for each of the two gradient checks' 20 instances, two for
-        each of the encoder check's 10, and 24 for check_log_partition: one
-        stacked call per (T, d) group of its 200 instances."""
+    def test_a_battery_makes_96_engine_calls(self, monkeypatch):
+        """At seed 0: 24 for check_log_partition, one stacked call per (T, d)
+        group of its 200 instances; for each gradient check, one analytic
+        call per instance and two stacked calls per T group (T is 2 to 4,
+        and all three occur); two for each of the encoder check's 10."""
         calls = self._count_engine_calls(monkeypatch)
+        per_check = []
+        gradients = 20 + 2 * 3
+        expected = [("check_log_partition", 24), ("check_viterbi", 0),
+                    ("check_gradients", gradients), ("check_gradients", gradients),
+                    ("check_encoder_gradients", 2 * 10), ("check_mask_convergence", 0),
+                    ("check_legal_scores_unchanged", 0), ("check_mask_idempotence", 0)]
+        for name in dict(expected):
+            monkeypatch.setattr(verification, name, self._counted(name, calls, per_check))
         run_verification(0)
-        assert len(calls) == 3 * 2 * 20 + 2 * 10 + 24 == 164
+        assert per_check == expected
+        assert len(calls) == 24 + 2 * gradients + 2 * 10 == 96
+
+    @staticmethod
+    def _counted(name, calls, per_check):
+        check = getattr(verification, name)
+
+        def counted(*args, **kwargs):
+            before = len(calls)
+            result = check(*args, **kwargs)
+            per_check.append((name, len(calls) - before))
+            return result
+
+        return counted
 
     def test_the_referee_tables_each_shape_once(self, monkeypatch):
         """check_log_partition and check_viterbi hand each (T, d) group of
@@ -261,13 +292,112 @@ class TestCentralDifference:
         assert changed == [0, 0, 1, 1, 2, 2, 3, 3]
         assert error == pytest.approx(0.5, rel=1e-6)  # |1 - 2| / 2 at second[1]
 
-    def test_a_crf_check_leaves_its_arrays_unchanged(self):
+    def test_a_crf_group_leaves_every_perturbed_array_unchanged(self, monkeypatch):
+        """_fd_crf perturbs each of three instances' emissions and table in
+        place, each holding drifting entries; every one comes back bit for
+        bit from its differences."""
+        perturbed = []  # each perturbed array, with its bytes before and after
+        perturbations = verification._perturbations
+
+        def spy(arrays, snapshot):
+            before = [arr.tobytes() for arr in arrays]
+            inputs = perturbations(arrays, snapshot)
+            perturbed.extend(zip(arrays, before, [arr.tobytes() for arr in arrays]))
+            return inputs
+
+        monkeypatch.setattr(verification, "_perturbations", spy)
         rng = np.random.default_rng(0)
-        emissions = rng.uniform(-2.0, 2.0, size=(4, 3))
-        emissions[0, :2] = self.DRIFTING
-        trans = TransitionMatrix(rng.uniform(-2.0, 2.0, size=(3, 3)), np.array(self.DRIFTING + (1.0,)))
-        trans.scores[1, :2] = self.DRIFTING
-        arrays = (emissions, trans.scores, trans.start)
-        before = [a.tobytes() for a in arrays]
-        assert _fd_crf(emissions, [0, 1, 2, 0], trans) < 1e-4
-        assert [a.tobytes() for a in arrays] == before
+        sentences, models = [], []
+        for _ in range(3):
+            emissions = rng.uniform(-2.0, 2.0, size=(4, 3))
+            emissions[0, :2] = self.DRIFTING
+            start = np.array(self.DRIFTING + (1.0,))
+            trans = TransitionMatrix(rng.uniform(-2.0, 2.0, size=(3, 3)), start)
+            trans.scores[1, :2] = self.DRIFTING
+            sentences.append(emissions)
+            models.append(trans)
+        arrays = sentences + [trans.table for trans in models]
+        inputs = [a.tobytes() for a in arrays]
+        assert _fd_crf(sentences, models) < 1e-4
+        assert len(perturbed) == len(arrays)
+        assert all(arr is array for (arr, _, _), array in zip(perturbed, arrays))
+        assert all(before == after for _, before, after in perturbed)
+        assert [a.tobytes() for a in arrays] == inputs
+
+
+class TestGroupedGradientCheck:
+    @staticmethod
+    def per_instance(emissions, trans):
+        """The per-instance three-call form of the gradient check: the
+        analytic call, the emission differences as one batch of sentences
+        under the instance's model, and the table differences as the models
+        of one call over the instance's sentence."""
+        gold = [0] * len(emissions)
+        batch = [(emissions, gold)]
+        _, grads = loss_and_gradients(batch, trans)
+
+        def sentence_losses(sentences):
+            n = len(sentences)
+            stacked = crf.TokenBatch(np.concatenate(sentences), np.full(n, len(gold)), np.tile(gold, n))
+            return _batch_nll(stacked, trans.table[None], gradients=False)[1][0]
+
+        def model_losses(tables):
+            return _batch_nll(batch, np.stack(tables), gradients=False)[0]
+
+        trans_pairs = [(trans.scores, grads.transitions), (trans.start, grads.start)]
+        return max(
+            _worst_relative_error([(emissions, grads.emissions[0])], emissions.copy, sentence_losses),
+            _worst_relative_error(trans_pairs, trans.table.copy, model_losses),
+        )
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("seed", [0, 2, 3, 11, 101, 5000])
+    def test_the_grouped_check_keeps_the_per_instance_worst_error(self, seed, masked):
+        """The check groups its 20 instances by T; its worst error has the
+        bits of the maximum over the per-instance form of the same draws."""
+        rng = np.random.default_rng(seed)
+        spec = MaskSpec(rules=build_tagset("bio", ["A"]).rules)
+        worst = 0.0
+        for _ in range(20):
+            T = int(rng.integers(2, 5))
+            emissions = rng.uniform(-2.0, 2.0, size=(T, 3))
+            trans = _random_scores(rng, 3, 2.0)
+            if masked:
+                trans = apply_mask(trans, spec)
+            worst = max(worst, self.per_instance(emissions, trans))
+        assert check_gradients(seed, masked).observed.hex() == worst.hex()
+
+
+class TestLegalPathDraw:
+    @pytest.mark.parametrize("seed", [0, 3, 7, 101, 5000])
+    def test_each_position_draws_as_rng_choice_over_its_legal_successors(self, seed, monkeypatch):
+        """The check builds each tag's legal successors once and draws
+        legal[rng.integers(len(legal))] at each position: the paths of
+        rng.choice(np.flatnonzero(~illegal[tag])), the draw it replaced,
+        at every successor-list size of the tag set."""
+        paths = []
+
+        def recording(emissions, trans, path):
+            paths.append(path)
+            return crf.path_score(emissions, trans, path)
+
+        monkeypatch.setattr(verification, "path_score", recording)
+        assert check_legal_scores_unchanged(seed).passed
+        tagset = build_tagset("bio", ["A", "B"])
+        d = tagset.size
+        illegal = tagset.rules.table(d)
+        rng = np.random.default_rng(seed)
+        expected, sizes = [], set()
+        for _ in range(100):
+            T = int(rng.integers(1, 7))
+            rng.uniform(-2.0, 2.0, size=(T, d))
+            _random_scores(rng, d, 2.0)
+            path = [d]
+            for _ in range(T):
+                legal = np.flatnonzero(~illegal[path[-1]])
+                sizes.add(len(legal))
+                path.append(int(rng.choice(legal)))
+            expected += [path[1:]] * 2  # scored unmasked, then masked
+        assert paths == expected
+        assert sizes == {int(row.sum()) for row in ~illegal} == {3, 4}
+
