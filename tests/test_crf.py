@@ -543,9 +543,10 @@ class TestPerSentenceLosses:
 
 class TestModelAxis:
     """The engine's leading model axis: N transition matrices over one batch,
-    as model-major blocks of rows. Each model's numbers keep the bits of a
-    call with it alone, so a stack of perturbed copies gives each copy's
-    nll_loss in one call (the verify battery's transition differences)."""
+    or each over a batch of its own, as model-major blocks of rows. Each
+    model's numbers keep the bits of a call with it alone, so a stack of
+    perturbed copies gives each copy's nll_loss in one call (the verify
+    battery's transition differences)."""
 
     @staticmethod
     def stacked_and_alone(emissions, lengths, scores, start):
