@@ -6,7 +6,11 @@ logits[t] = concat(E[tok_{t-1}], E[tok_t], E[tok_{t+1}]) @ P + b
 Out-of-sentence neighbors use the padding embedding (row 0). A batch is its
 sentences' window_ids concatenated; encode and encoder_backward refuse ids
 that are not integers or fall outside the embedding table. encode gathers a
-batch's embeddings in one step. encoder_backward forms x.T @ d_logits and
+batch's embeddings in one step; its formula is _encode, which also takes a
+stack of weight sets along one class, (M, V, e) embeddings, (M, 3e, d)
+projections or (M, d) biases, for M logit matrices from one call, each with
+the bits of encode under its own set (verify's encoder check encodes every
+perturbed copy of a class that way). encoder_backward forms x.T @ d_logits and
 d_logits @ P.T as whole products and then scatters the embedding gradient
 in three flat np.add.at calls, one per window slot (prev, self, next), so at
 most one (N, 3e) array is alive at a time. The point is a trainable, fully
@@ -156,8 +160,18 @@ def encode(token_ids: list[int] | np.ndarray, weights: EncoderWeights) -> np.nda
     """Emission logits (N, d), one row per token: token_ids is one sentence's
     ids, or a batch's (N, 3) window ids."""
     windows = _windows(token_ids, weights)
-    x = weights.embeddings[windows].reshape(len(windows), -1)
-    return x @ weights.projection + weights.bias
+    return _encode(windows, weights.embeddings, weights.projection, weights.bias)
+
+
+def _encode(
+    windows: np.ndarray, embeddings: np.ndarray, projection: np.ndarray, bias: np.ndarray
+) -> np.ndarray:
+    """encode of checked (N, 3) window ids, unchecked, under one weight set,
+    or under a stack of M along one class: (M, V, e) embeddings, (M, 3e, d)
+    projections or (M, d) biases give (M, N, d) logits, each (N, d) slice
+    with the bits of encode under its own weight set."""
+    x = embeddings.take(windows, axis=-2)  # (..., N, 3, e)
+    return x.reshape(x.shape[:-2] + (-1,)) @ projection + bias[..., None, :]
 
 
 def encoder_backward(

@@ -11,7 +11,9 @@ vector. The finite-difference checks share one central-difference step,
 _FD_STEP: _perturbations collects every perturbed input of one loss form,
 restoring each entry bitwise, before anything asks for their losses, and
 _relative_error compares the analytic gradients with the differences of
-those losses (_worst_relative_error is the two over one loss call).
+those losses. Every worst error is a maximum taken by _worst, which keeps a
+nan: the builtin max keeps a number against a later nan (max(0.0, nan) is
+0.0), so a nan met after a check's first value would read PASS.
 
 check_log_partition and check_viterbi draw all 200 of their instances
 first; _shape_groups then stacks each (T, d) group of them, with the
@@ -28,10 +30,10 @@ depend on the order in which it meets the instances, so it takes them
 group by group.
 
 Each loss form's losses come from one engine call (crf._batch_nll). A
-perturbation of the emissions (or of any encoder weight, through encode)
-leaves trans as it is, so all its perturbed sentences are one TokenBatch,
-whose per-sentence NLLs are the losses; both checks run at d = 3, where
-each of those NLLs has the bits of its own nll_loss call. A perturbation of
+perturbation of the emissions (or of any encoder weight, through its
+logits) leaves trans as it is, so all its perturbed sentences are one
+TokenBatch, whose per-sentence NLLs are the losses; both checks run at
+d = 3, where each of those NLLs has the bits of its own nll_loss call. A perturbation of
 the transition or start scores changes trans itself, so each perturbed copy
 of its (d + 1, d) table is a model of the engine's model axis over the
 instance's sentence, and each model's loss has the bits of nll_loss under
@@ -43,25 +45,32 @@ makes two stacked calls (_fd_crf), each model over a batch of its own: one
 for every emission difference, k models of 2 x T x d sentences each, and
 one for every table difference, 2 x (d^2 + d) = 24 copies of each of the k
 tables, each copy over its instance's sentence. Each instance's arrays
-record their own perturbed copies, so no copy holds another instance. Every difference keeps the
-bits of its own nll_loss call, and the worst error is a maximum, so it does
-not depend on the grouping. One check_encoder_gradients instance makes two
-engine calls, and builds its sentence's window ids once for every encode of
-them.
+record their own perturbed copies, so no copy holds another instance.
+Every difference keeps the bits of its own nll_loss call, and the worst
+error is a maximum, so it does not depend on the grouping.
+
+One check_encoder_gradients instance makes two engine calls: its analytic
+one, after the one encode call of its sentence, and one for every
+difference. _perturbations records each weight class's copies in turn
+(embeddings, then projection, then bias), and encoder._encode encodes each
+class's stack in one call: 42 + 54 + 6 logit matrices at V = 7, e = 3 and
+d = 3, each with the bits of encode under its own weights, which make one
+batch of sentences in that order.
 
 check_mask_convergence computes each instance's restricted (legal-paths)
 oracle once and compares it with the masked oracle at each mask value,
 through the gap arithmetic of masking.mask_convergence_gap.
 check_legal_scores_unchanged lists each tag's legal successors once and
 draws each position of a path from its tag's list, with the draws of
-rng.choice over that list."""
+rng.choice over that list. It draws all 100 of its instances first, then
+scores each T group under the raw and the masked tables with one stacked
+crf._scores call each, each row with the bits of path_score."""
 
 from __future__ import annotations
 
 import json
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -73,12 +82,13 @@ from .crf import (
     _brute_force_paths,
     _engine_log_z,
     _engine_paths,
+    _scores,
     brute_force_loss_and_gradients,
     loss_and_gradients,
     path_score,
 )
 from .crf import viterbi  # noqa: F401  (module attribute that perfbench/selftest.py checks)
-from .encoder import EncoderWeights, encode, encoder_backward, window_ids
+from .encoder import EncoderWeights, _encode, encode, encoder_backward, window_ids
 from .errors import check_seed
 from .masking import MaskSpec, _convergence_gap, apply_mask, mask_convergence_gap
 from .schemes import TransitionRuleSet, build_tagset
@@ -118,6 +128,12 @@ def _random_scores(rng: np.random.Generator, d: int, bound: float) -> Transition
     return TransitionMatrix(scores, rng.uniform(-bound, bound, size=d))
 
 
+def _worst(errors) -> float:
+    """The largest of errors, 0.0 for none, and nan if any is nan: the
+    builtin max keeps a number against a nan that comes after it."""
+    return float(np.max(np.fromiter(errors, float), initial=0.0))
+
+
 def _shape_groups(rng: np.random.Generator, count: int):
     """count random instances of 1 to 6 positions and 2 to 5 tags, drawn in
     order (each with a gold path that no check reads, so every seed keeps its
@@ -138,10 +154,11 @@ def _shape_groups(rng: np.random.Generator, count: int):
 
 def check_log_partition(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errors = []
     for emissions, tables, _ in _shape_groups(rng, 200):
         exact = _brute_force_log_z(emissions, tables, None)
-        worst = max(worst, float(np.abs(_engine_log_z(emissions, tables) - exact).max()))
+        errors.append(np.abs(_engine_log_z(emissions, tables) - exact).max())
+    worst = _worst(errors)
     return CheckResult(
         name="log-partition vs enumeration",
         observed=worst,
@@ -153,16 +170,14 @@ def check_log_partition(seed: int) -> CheckResult:
 
 def check_viterbi(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    mismatched_paths = 0
+    gaps = []  # the score gap of each mismatched pair
     for emissions, tables, models in _shape_groups(rng, 200):
         best_paths = _brute_force_paths(emissions, tables, None)
         decoded_paths = _engine_paths(emissions, tables, None)
         for em, trans, decoded, best_path in zip(emissions, models, decoded_paths, best_paths):
             if decoded != best_path:  # a matching pair's score difference is 0.0
-                mismatched_paths += 1
-                gap = path_score(em, trans, decoded) - path_score(em, trans, best_path)
-                worst = max(worst, abs(gap))
+                gaps.append(abs(path_score(em, trans, decoded) - path_score(em, trans, best_path)))
+    worst, mismatched_paths = _worst(gaps), len(gaps)
     passed = worst == 0.0 and mismatched_paths == 0
     return CheckResult(
         name="viterbi vs enumeration",
@@ -200,15 +215,6 @@ def _relative_error(gradients, values) -> float:
     return float(np.max(np.abs(analytic - fd) / denom))
 
 
-def _worst_relative_error(pairs, snapshot, losses) -> float:
-    """Worst relative error of analytic gradients against central finite
-    differences of one loss. pairs holds (array, analytic gradient) pairs;
-    one losses(inputs) call gives the loss of every input that
-    _perturbations records over the arrays."""
-    arrays, gradients = zip(*pairs)
-    return _relative_error(gradients, losses(_perturbations(arrays, snapshot)))
-
-
 def _sentence_losses(sentences, gold: list[int] | np.ndarray, tables: np.ndarray) -> np.ndarray:
     """The NLL of one gold path under each of several (T, d) emission
     matrices, from one engine call: P of them under the one model of
@@ -239,10 +245,10 @@ def _fd_crf(sentences: list[np.ndarray], models: list[TransitionMatrix]) -> floa
     perturbed = [x for table in tables for x in _perturbations([table], table.copy)]
     sentence_copies = np.repeat(np.stack(sentences)[:, None], len(perturbed) // k, axis=0)
     table_losses = _sentence_losses(sentence_copies, gold, np.stack(perturbed))
-    return max(
+    return _worst([
         _relative_error([g.emissions[0] for g in grads], emission_losses),
         _relative_error([np.concatenate([g.transitions, g.start[None]]) for g in grads], table_losses),
-    )
+    ])
 
 
 def check_gradients(seed: int, masked: bool) -> CheckResult:
@@ -256,7 +262,7 @@ def check_gradients(seed: int, masked: bool) -> CheckResult:
         emissions = rng.uniform(-2.0, 2.0, size=(T, d))
         trans = _random_scores(rng, d, 2.0)
         groups.setdefault(T, []).append((emissions, apply_mask(trans, spec) if masked else trans))
-    worst = max(_fd_crf(*zip(*members)) for members in groups.values())
+    worst = _worst(_fd_crf(*zip(*members)) for members in groups.values())
     label = "masked" if masked else "unmasked"
     return CheckResult(
         name=f"analytic vs finite-difference gradients ({label})",
@@ -270,7 +276,7 @@ def check_gradients(seed: int, masked: bool) -> CheckResult:
 def check_encoder_gradients(seed: int) -> CheckResult:
     """Finite-difference check through encode -> NLL for every weight class."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errors = []
     for _ in range(10):
         V, e, d, T = 7, 3, 3, int(rng.integers(2, 5))
         weights = EncoderWeights.init(V, e, d, rng)
@@ -281,10 +287,14 @@ def check_encoder_gradients(seed: int) -> CheckResult:
         _, grads = loss_and_gradients([(encode(windows, weights), gold)], trans)
         analytic = encoder_backward(windows, grads.emissions[0], weights)
         names = ("embeddings", "projection", "bias")
-        pairs = [(getattr(weights, name), getattr(analytic, name)) for name in names]
-        sentence_losses = partial(_sentence_losses, gold=gold, tables=trans.table[None])
-        error = _worst_relative_error(pairs, partial(encode, windows, weights), sentence_losses)
-        worst = max(worst, error)
+        logits = []  # each class's perturbed copies, stacked, under one encode
+        for name in names:
+            arr = getattr(weights, name)
+            perturbed = np.stack(_perturbations([arr], arr.copy))
+            logits.append(_encode(windows, **{**vars(weights), name: perturbed}))
+        losses = _sentence_losses(np.concatenate(logits), gold, trans.table[None])
+        errors.append(_relative_error([getattr(analytic, name) for name in names], losses))
+    worst = _worst(errors)
     return CheckResult(
         name="encoder gradients vs finite differences",
         observed=worst,
@@ -301,7 +311,7 @@ def check_mask_convergence(seed: int) -> CheckResult:
     tagset = build_tagset("bio", ["A", "B"])
     d = tagset.size
     values = (-5.0, -10.0, -20.0, -30.0)
-    per_value = {c: 0.0 for c in values}
+    gaps = {c: [] for c in values}  # each value's loss and gradient gaps
     for _ in range(8):
         T = int(rng.integers(2, 5))
         emissions = rng.uniform(-1.5, 1.5, size=(T, d))
@@ -310,8 +320,8 @@ def check_mask_convergence(seed: int) -> CheckResult:
         restricted = brute_force_loss_and_gradients(batch, trans, tagset.rules)  # c is not read
         for c in values:
             spec = MaskSpec(rules=tagset.rules, mask_value=c)
-            loss_gap, grad_gap = _convergence_gap(batch, trans, spec, restricted)
-            per_value[c] = max(per_value[c], max(loss_gap, grad_gap))
+            gaps[c] += _convergence_gap(batch, trans, spec, restricted)
+    per_value = {c: _worst(gaps[c]) for c in values}
     monotone = all(
         per_value[values[i]] >= per_value[values[i + 1]] for i in range(len(values) - 1)
     )
@@ -337,7 +347,7 @@ def check_legal_scores_unchanged(seed: int) -> CheckResult:
     spec = MaskSpec(rules=tagset.rules)
     d = tagset.size
     successors = [np.flatnonzero(legal).tolist() for legal in ~tagset.rules.table(d)]
-    worst = 0.0
+    groups: dict[int, list] = {}  # T -> its instances, in the order drawn
     for _ in range(100):
         T = int(rng.integers(1, 7))
         emissions = rng.uniform(-2.0, 2.0, size=(T, d))
@@ -347,9 +357,13 @@ def check_legal_scores_unchanged(seed: int) -> CheckResult:
         for _ in range(T):
             legal = successors[path[-1]]
             path.append(legal[rng.integers(len(legal))])  # the draw of rng.choice(legal)
-        path = path[1:]
-        gap = path_score(emissions, trans, path) - path_score(emissions, masked, path)
-        worst = max(worst, abs(gap))
+        groups.setdefault(T, []).append((emissions, trans.table, masked.table, path[1:]))
+    gaps = []
+    for members in groups.values():
+        emissions, raw, masked, paths = map(np.stack, zip(*members))
+        gap = _scores(emissions, raw, paths) - _scores(emissions, masked, paths)
+        gaps.append(np.abs(gap).max())
+    worst = _worst(gaps)
     return CheckResult(
         name="legal path scores invariant under masking",
         observed=worst,

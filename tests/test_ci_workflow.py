@@ -123,7 +123,10 @@ def test_package_modules_import_no_private_name_of_another_but_the_listed():
     refusal texts and floor in masking; the stacked oracles, the stacked
     engine log Z and paths, the batch NLL and the mask-convergence gap given
     its restricted oracle, which the mask value does not change, in
-    verification)."""
+    verification; there too the unchecked stacked forms of encode, which
+    encodes each weight class's perturbed copies in one call, and of
+    path_score, which scores each length group of legal paths in one
+    call)."""
     allowed = {
         ("masking.py", "crf", "_LOWEST"),
         ("masking.py", "crf", "_NO_FINITE_PATH"),
@@ -134,6 +137,8 @@ def test_package_modules_import_no_private_name_of_another_but_the_listed():
         ("verification.py", "crf", "_brute_force_paths"),
         ("verification.py", "crf", "_engine_log_z"),
         ("verification.py", "crf", "_engine_paths"),
+        ("verification.py", "crf", "_scores"),
+        ("verification.py", "encoder", "_encode"),
         ("verification.py", "masking", "_convergence_gap"),
     }
     found = set()

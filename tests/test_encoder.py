@@ -14,6 +14,7 @@ from mcrf.encoder import (
     UNK_TOKEN,
     EncoderWeights,
     Vocabulary,
+    _encode,
     encode,
     encoder_backward,
     load_external_logits,
@@ -274,6 +275,26 @@ class TestWindowBatch:
         batch = encoder_backward(windows, d_logits, enc)
         for got, want in zip(vars(batch).values(), vars(total).values()):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestStackedEncode:
+    @pytest.mark.parametrize("V, e, d, N", [(7, 3, 3, 4), (98, 32, 7, 319), (60, 8, 41, 25)])
+    def test_each_slice_has_the_bits_of_encode_under_its_weight_set(self, V, e, d, N):
+        """_encode over weight sets stacked along one class gives, slice by
+        slice, the float.hex of encode under that set: at verify's shape, at
+        a training batch's (319 tokens, e = 32, d = 7) and at d = 41."""
+        rng = np.random.default_rng(d)
+        weights = EncoderWeights.init(V, e, d, rng)
+        ids = rng.integers(0, V, size=N)
+        for name in ("embeddings", "projection", "bias"):
+            base = getattr(weights, name)
+            stack = base + rng.normal(scale=1e-3, size=(6, *base.shape))
+            logits = _encode(window_ids(ids), **{**vars(weights), name: stack})
+            assert logits.shape == (6, N, d)
+            for one, got in zip(stack, logits):
+                alone = encode(ids, EncoderWeights(**{**vars(weights), name: one}))
+                assert list(map(float.hex, got.ravel().tolist())) == list(
+                    map(float.hex, alone.ravel().tolist()))
 
 
 class TestWeightsValidation:

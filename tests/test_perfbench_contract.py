@@ -95,10 +95,13 @@ def test_verify_takes_every_difference_from_untraced_engine_calls():
     emission and encoder differences as a batch of perturbed sentences, the
     transition and start differences as a model axis of perturbed copies of
     trans. So a battery makes no nll_loss call, and its analytic gradients
-    keep their count. The log-partition and Viterbi checks referee their
-    instances through the private, untraced stacked oracles, one call per
-    (T, d) group, and take the engine's log Z and paths the same way, so a
-    battery makes no crf.log_partition or crf.viterbi call either. The traced
+    keep their count. The encoder check's perturbed weights go through the
+    private _encode, one stacked call per weight class, so the traced
+    encode runs once per instance, for its analytic gradients. The
+    log-partition and Viterbi checks referee their instances through the
+    private, untraced stacked oracles, one call per (T, d) group, and take
+    the engine's log Z and paths the same way, so a battery makes no
+    crf.log_partition or crf.viterbi call either. The traced
     crf.brute_force calls are check_mask_convergence's: for each of its 8
     instances one restricted loss oracle, which the mask value does not
     change, and 4 masked ones, then its 2 zero-gap calls."""
@@ -107,6 +110,7 @@ def test_verify_takes_every_difference_from_untraced_engine_calls():
     metrics = tracer.metrics()
     assert metrics["crf.nll_loss.calls"] == 0
     assert metrics["crf.loss_and_gradients.calls"] == 50
+    assert metrics["encoder.encode.calls"] == 10
     assert metrics["crf.log_partition.calls"] == 0
     assert metrics["crf.viterbi.calls"] == 0
     assert metrics["crf.brute_force.calls"] == 8 * (1 + 4) + 2

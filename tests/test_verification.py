@@ -1,12 +1,14 @@
 """The built-in self-verification suite must pass in full, quickly."""
 
+import math
 import time
 
 import numpy as np
 import pytest
 
 from mcrf import crf, verification
-from mcrf.crf import TransitionMatrix, _batch_nll, loss_and_gradients
+from mcrf.crf import TransitionMatrix, _batch_nll, loss_and_gradients, nll_loss
+from mcrf.encoder import EncoderWeights, encode, encoder_backward, window_ids
 from mcrf.errors import ConfigurationError
 from mcrf.masking import MaskSpec, apply_mask
 from mcrf.schemes import build_tagset
@@ -14,8 +16,9 @@ from mcrf.verification import (
     _FD_STEP,
     CheckResult,
     _fd_crf,
+    _perturbations,
     _random_scores,
-    _worst_relative_error,
+    _relative_error,
     check_encoder_gradients,
     check_gradients,
     check_legal_scores_unchanged,
@@ -254,13 +257,8 @@ class TestCentralDifference:
         assert (self.DRIFTING[1] - h) + h != self.DRIFTING[1]
         arr = np.array([self.DRIFTING, [0.5, -2.0]])
         before = arr.copy()
-        inputs = []
-
-        def losses(snapshots):
-            inputs.extend(snapshots)
-            return [3.0 * s.sum() for s in snapshots]
-
-        error = _worst_relative_error([(arr, np.full(arr.shape, 3.0))], arr.copy, losses)
+        inputs = _perturbations([arr], arr.copy)
+        error = _relative_error([np.full(arr.shape, 3.0)], [3.0 * s.sum() for s in inputs])
         assert arr.tobytes() == before.tobytes()
         assert len(inputs) == 2 * arr.size
         for k, idx in enumerate(np.ndindex(arr.shape)):
@@ -271,22 +269,13 @@ class TestCentralDifference:
         assert error < 1e-6
 
     def test_perturbs_the_arrays_in_order_and_reports_the_worst_entry(self):
-        """Every entry of the first array, then of the second, from one
-        losses call; the error is the largest over every entry of both."""
+        """Every entry of the first array, then of the second; the error is
+        the largest over every entry of both."""
         first, second = np.array([0.5, -2.0]), np.array([[1.0], [4.0]])
-        inputs, calls = [], []
-
-        def snapshot():
-            return (first.copy(), second.copy())
-
-        def losses(snapshots):
-            calls.append(len(snapshots))
-            inputs.extend(snapshots)
-            return [a.sum() + 2.0 * b.sum() for a, b in snapshots]
-
-        analytic = [(first, np.array([1.0, 1.0])), (second, np.array([[2.0], [1.0]]))]
-        error = _worst_relative_error(analytic, snapshot, losses)
-        assert calls == [2 * (first.size + second.size)]
+        inputs = _perturbations([first, second], lambda: (first.copy(), second.copy()))
+        losses = [a.sum() + 2.0 * b.sum() for a, b in inputs]
+        error = _relative_error([np.array([1.0, 1.0]), np.array([[2.0], [1.0]])], losses)
+        assert len(inputs) == 2 * (first.size + second.size)
         changed = [int(np.flatnonzero(np.concatenate([a - first, (b - second).ravel()]))[0])
                    for a, b in inputs]
         assert changed == [0, 0, 1, 1, 2, 2, 3, 3]
@@ -325,6 +314,14 @@ class TestCentralDifference:
         assert [a.tobytes() for a in arrays] == inputs
 
 
+def fd_error(pairs, snapshot, losses) -> float:
+    """Worst relative error of (array, analytic gradient) pairs against the
+    central differences of losses(inputs) over every input _perturbations
+    records."""
+    arrays, gradients = zip(*pairs)
+    return _relative_error(gradients, losses(_perturbations(arrays, snapshot)))
+
+
 class TestGroupedGradientCheck:
     @staticmethod
     def per_instance(emissions, trans):
@@ -346,8 +343,8 @@ class TestGroupedGradientCheck:
 
         trans_pairs = [(trans.scores, grads.transitions), (trans.start, grads.start)]
         return max(
-            _worst_relative_error([(emissions, grads.emissions[0])], emissions.copy, sentence_losses),
-            _worst_relative_error(trans_pairs, trans.table.copy, model_losses),
+            fd_error([(emissions, grads.emissions[0])], emissions.copy, sentence_losses),
+            fd_error(trans_pairs, trans.table.copy, model_losses),
         )
 
     @pytest.mark.parametrize("masked", [False, True])
@@ -374,20 +371,22 @@ class TestLegalPathDraw:
         """The check builds each tag's legal successors once and draws
         legal[rng.integers(len(legal))] at each position: the paths of
         rng.choice(np.flatnonzero(~illegal[tag])), the draw it replaced,
-        at every successor-list size of the tag set."""
+        at every successor-list size of the tag set. It scores them by
+        length, in the order it first drew each length, each group unmasked
+        and then masked."""
         paths = []
 
-        def recording(emissions, trans, path):
-            paths.append(path)
-            return crf.path_score(emissions, trans, path)
+        def recording(emissions, tables, group_paths):
+            paths.append(group_paths.tolist())
+            return crf._scores(emissions, tables, group_paths)
 
-        monkeypatch.setattr(verification, "path_score", recording)
+        monkeypatch.setattr(verification, "_scores", recording)
         assert check_legal_scores_unchanged(seed).passed
         tagset = build_tagset("bio", ["A", "B"])
         d = tagset.size
         illegal = tagset.rules.table(d)
         rng = np.random.default_rng(seed)
-        expected, sizes = [], set()
+        groups, sizes = {}, set()
         for _ in range(100):
             T = int(rng.integers(1, 7))
             rng.uniform(-2.0, 2.0, size=(T, d))
@@ -397,7 +396,124 @@ class TestLegalPathDraw:
                 legal = np.flatnonzero(~illegal[path[-1]])
                 sizes.add(len(legal))
                 path.append(int(rng.choice(legal)))
-            expected += [path[1:]] * 2  # scored unmasked, then masked
-        assert paths == expected
+            groups.setdefault(T, []).append(path[1:])
+        assert paths == [group for group in groups.values() for _ in range(2)]
         assert sizes == {int(row.sum()) for row in ~illegal} == {3, 4}
+
+    @pytest.mark.parametrize("seed", [0, 6, 101])
+    def test_the_grouped_check_keeps_the_per_path_worst_gap(self, seed, monkeypatch):
+        """Under a mask that also moves the legal scores, the worst gap of
+        the stacked scores has the bits of the largest per-path
+        path_score gap over the same draws."""
+        def shifting(trans, spec):
+            return TransitionMatrix(trans.scores * 1.5 + 0.25, trans.start - 0.5)
+
+        monkeypatch.setattr(verification, "apply_mask", shifting)
+        tagset = build_tagset("bio", ["A", "B"])
+        d = tagset.size
+        illegal = tagset.rules.table(d)
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(100):
+            T = int(rng.integers(1, 7))
+            emissions = rng.uniform(-2.0, 2.0, size=(T, d))
+            trans = _random_scores(rng, d, 2.0)
+            path = [d]
+            for _ in range(T):
+                path.append(int(rng.choice(np.flatnonzero(~illegal[path[-1]]))))
+            gap = crf.path_score(emissions, trans, path[1:])
+            gap -= crf.path_score(emissions, shifting(trans, None), path[1:])
+            worst = max(worst, abs(gap))
+        result = check_legal_scores_unchanged(seed)
+        assert not result.passed and worst > 0.0
+        assert result.observed.hex() == worst.hex()
+
+
+class TestStackedEncoderCheck:
+    @pytest.mark.parametrize("seed", [0, 4, 7, 101, 5000])
+    def test_the_stacked_check_keeps_the_per_perturbation_worst_error(self, seed):
+        """The check encodes each weight class's perturbed copies in one
+        stacked call; its worst error has the bits of the form that encoded
+        each perturbation on its own and took its loss from its own nll_loss
+        call (at d = 3 the stacked losses have those bits)."""
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        names = ("embeddings", "projection", "bias")
+        for _ in range(10):
+            V, e, d, T = 7, 3, 3, int(rng.integers(2, 5))
+            weights = EncoderWeights.init(V, e, d, rng)
+            trans = _random_scores(rng, d, 1.0)
+            windows = window_ids(rng.integers(0, V, size=T))
+            gold = [int(v) for v in rng.integers(0, d, size=T)]
+            _, grads = loss_and_gradients([(encode(windows, weights), gold)], trans)
+            analytic = encoder_backward(windows, grads.emissions[0], weights)
+            pairs = [(getattr(weights, name), getattr(analytic, name)) for name in names]
+
+            def losses(inputs):
+                return [nll_loss([(logits, gold)], trans) for logits in inputs]
+
+            worst = max(worst, fd_error(pairs, lambda: encode(windows, weights), losses))
+        assert check_encoder_gradients(seed).observed.hex() == worst.hex()
+
+
+def nan_on_call(monkeypatch, name: str, call: int, make_nan) -> None:
+    """Replace verification.<name> so that its call-th call (from 1) returns
+    make_nan of what it would have returned."""
+    original, calls = getattr(verification, name), []
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        result = original(*args, **kwargs)
+        return make_nan(result) if len(calls) == call else result
+
+    monkeypatch.setattr(verification, name, patched)
+
+
+def nan_like(result):
+    return np.full(np.shape(result), np.nan) if np.ndim(result) else math.nan
+
+
+class TestNanErrorsFail:
+    """max(0.0, nan) is 0.0: a running maximum that meets a nan after its
+    first value keeps the number. Each check's worst error keeps the nan, so
+    a nan met after the first instance or group FAILs with observed nan."""
+
+    @staticmethod
+    def assert_fails_with_nan(result):
+        assert not result.passed and math.isnan(result.observed)
+        assert result.line().startswith("[FAIL]") and " observed nan " in result.line()
+
+    def test_log_partition(self, monkeypatch):
+        nan_on_call(monkeypatch, "_engine_log_z", 2, nan_like)
+        self.assert_fails_with_nan(check_log_partition(0))
+
+    def test_viterbi(self, monkeypatch):
+        monkeypatch.setattr(verification, "_engine_paths", TestChecks._decode_zeros)
+        nan_on_call(monkeypatch, "path_score", 3, nan_like)  # the second mismatch
+        self.assert_fails_with_nan(check_viterbi(1))
+
+    @pytest.mark.parametrize("name", ["_fd_crf", "_relative_error"])
+    def test_gradients(self, monkeypatch, name):
+        """The second T group's error, or the table error of the first
+        group after its emission error."""
+        nan_on_call(monkeypatch, name, 2, nan_like)
+        self.assert_fails_with_nan(check_gradients(2, masked=False))
+
+    def test_encoder_gradients(self, monkeypatch):
+        nan_on_call(monkeypatch, "_relative_error", 2, nan_like)
+        self.assert_fails_with_nan(check_encoder_gradients(4))
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_mask_convergence(self, monkeypatch, which):
+        """The second instance's loss (0) or gradient (1) gap at c = -30,
+        the check's eighth gap call."""
+        def nan_gap(gaps):
+            return tuple(math.nan if k == which else gap for k, gap in enumerate(gaps))
+
+        nan_on_call(monkeypatch, "_convergence_gap", 8, nan_gap)
+        self.assert_fails_with_nan(check_mask_convergence(5))
+
+    def test_legal_scores(self, monkeypatch):
+        nan_on_call(monkeypatch, "_scores", 3, nan_like)  # the second group, unmasked
+        self.assert_fails_with_nan(check_legal_scores_unchanged(6))
 
