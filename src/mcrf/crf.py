@@ -45,11 +45,6 @@ while it stays above 2^52 times the smallest normal float (~1e-292) a step keeps
 relative precision near machine epsilon at any score magnitude and no sum of
 w_t overflows. A row whose v_t falls below that (at score gaps of ~670 or more)
 redoes the step in log space over its (rows, d, d) scores, forward and backward.
-The forward steps first run without that test; then one np.minimum.reduce
-takes every step's minimum, and if one is below the threshold the steps from
-the first such one run again, each testing its own. So the same steps are
-guarded as under a test at every step: a step's minimum is nan exactly when
-its v_t.min() is, and a nan passes no test.
 
 One max-product recursion, _max_product, reads every path off. Like the
 engine it has a model axis: K tables (K, d + 1, d), and each sentence's
@@ -415,9 +410,7 @@ def _forward_backward(
     takes the log-space step and its log Z is -inf; its marginals are nan.
     Every caller refuses a log Z that is not finite, and silences numpy's
     warnings on the way there (log 0, -inf - -inf, sums past the float
-    range). The untested forward pass silences the log 0 and -inf - -inf of
-    an underflowed step itself, since every step from there on runs again
-    (module docstring)."""
+    range)."""
     T, (B, d) = len(emissions), emissions.shape[-2:]
     N, R = len(tables), len(tables) * B
     scores, start = tables[:, :d], tables[:, d]
@@ -425,34 +418,24 @@ def _forward_backward(
     K = np.exp(scores - r[:, :, None])
     r = r.repeat(B, axis=0)  # (R, d): each row's model's maxima
     alpha, u, v = np.empty((3, T, R, d))
-    m = np.empty((T, R, 1))  # each step's shift
     alpha4, u4, v4 = alpha.reshape(T, N, B, d), u.reshape(T, N, B, d), v.reshape(T, N, B, d)
     alpha4[0] = start[:, None] + emissions[0]
     guarded = {}  # step -> (rows redone in log space, their log-sum-exp over i)
-
-    def forward(steps: range, guard: bool) -> None:
-        for t in steps:
-            x, shift = np.add(alpha[t - 1], r, out=u[t]), m[t]
-            np.maximum.reduce(x, axis=1, keepdims=True, initial=_LOWEST, out=shift)
-            np.exp(np.subtract(x, shift, out=x), out=x)
-            np.matmul(u4[t], K, out=v4[t])
-            if guard and v[t].min() < _UNDERFLOW:
-                low = np.flatnonzero((v[t] < _UNDERFLOW).any(axis=1))
-                v[t, low] = np.inf  # zero weight in the product-form adjoint
-                guarded[t] = low, logsumexp(alpha[t - 1, low, :, None] + scores[low // B], axis=1)
-            np.log(v[t], out=alpha[t])
-            alpha[t] += shift
-            alpha4[t] += emissions[t]
-            if t in guarded:
-                rows = emissions[t].reshape(-1, d)  # (B, d) read by every model, or (R, d)
-                alpha[t, low] = rows[low % len(rows)] + guarded[t][1]
-
-    with np.errstate(divide="ignore", invalid="ignore"):  # a step past an underflow is redone
-        forward(range(1, T), guard=False)
-    # a step's minimum is nan, as its v_t.min() is, if v_t holds a nan: never guarded
-    minima = np.minimum.reduce(v[1:].reshape(T - 1, R * d), axis=1).tolist()
-    first = next((t for t, low in enumerate(minima, 1) if low < _UNDERFLOW), T)
-    forward(range(first, T), guard=True)  # from the first step that needs the guard, if any
+    for t in range(1, T):
+        x = alpha[t - 1] + r
+        m = x.max(axis=1, keepdims=True, initial=_LOWEST)
+        np.exp(np.subtract(x, m, out=x), out=u[t])
+        np.matmul(u4[t], K, out=v4[t])
+        if v[t].min() < _UNDERFLOW:
+            low = np.flatnonzero((v[t] < _UNDERFLOW).any(axis=1))
+            v[t, low] = np.inf  # zero weight in the product-form adjoint
+            guarded[t] = low, logsumexp(alpha[t - 1, low, :, None] + scores[low // B], axis=1)
+        np.log(v[t], out=alpha[t])
+        alpha[t] += m
+        alpha4[t] += emissions[t]
+        if t in guarded:
+            rows = emissions[t].reshape(-1, d)  # (B, d) read by every model, or (R, d)
+            alpha[t, low] = rows[low % len(rows)] + guarded[t][1]
     ends = lengths - 1, np.arange(N)[:, None], np.arange(B)  # (N, B) cells of alpha4
     top = alpha4[ends].max(axis=2, keepdims=True, initial=_LOWEST)
     p = np.exp(alpha4[ends] - top)

@@ -489,134 +489,6 @@ class TestUnderflowGuard:
         np.testing.assert_allclose(grads.transitions, bf.transitions, atol=1e-9)
         np.testing.assert_allclose(grads.start, bf.start, atol=1e-9)
 
-    @staticmethod
-    def per_step_guard(emissions, lengths, tables, gradients, guarded_steps):
-        """_forward_backward as it was when every forward step tested its
-        own v_t.min() against _UNDERFLOW, the reference for the engine that
-        runs the steps untested and redoes them from the first one below it.
-        Appends each step it guards to guarded_steps."""
-        logsumexp, lowest, underflow = mcrf.crf.logsumexp, mcrf.crf._LOWEST, mcrf.crf._UNDERFLOW
-        T, (B, d) = len(emissions), emissions.shape[-2:]
-        N, R = len(tables), len(tables) * B
-        scores, start = tables[:, :d], tables[:, d]
-        r = scores.max(axis=2, initial=lowest)
-        K = np.exp(scores - r[:, :, None])
-        r = r.repeat(B, axis=0)
-        alpha, u, v = np.empty((3, T, R, d))
-        alpha4, u4, v4 = alpha.reshape(T, N, B, d), u.reshape(T, N, B, d), v.reshape(T, N, B, d)
-        alpha4[0] = start[:, None] + emissions[0]
-        guarded = {}
-        for t in range(1, T):
-            x = alpha[t - 1] + r
-            m = x.max(axis=1, keepdims=True, initial=lowest)
-            np.exp(np.subtract(x, m, out=x), out=u[t])
-            np.matmul(u4[t], K, out=v4[t])
-            if v[t].min() < underflow:
-                guarded_steps.append(t)
-                low = np.flatnonzero((v[t] < underflow).any(axis=1))
-                v[t, low] = np.inf
-                guarded[t] = low, logsumexp(alpha[t - 1, low, :, None] + scores[low // B], axis=1)
-            np.log(v[t], out=alpha[t])
-            alpha[t] += m
-            alpha4[t] += emissions[t]
-            if t in guarded:
-                rows = emissions[t].reshape(-1, d)
-                alpha[t, low] = rows[low % len(rows)] + guarded[t][1]
-        ends = lengths - 1, np.arange(N)[:, None], np.arange(B)
-        top = alpha4[ends].max(axis=2, keepdims=True, initial=lowest)
-        p = np.exp(alpha4[ends] - top)
-        log_z = top[..., 0] + np.log(p.sum(axis=2))
-        if not gradients:
-            return log_z, None, None
-        gamma4, w4 = np.zeros((2, T, N, B, d))
-        gamma, w, counts = gamma4.reshape(T, R, d), w4.reshape(T, R, d), np.zeros((N, d, d))
-        gamma4[ends] = p / p.sum(axis=2, keepdims=True)
-        KT, back4 = K.transpose(0, 2, 1), np.empty((N, B, d))
-        back = back4.reshape(R, d)
-        for t in range(T - 1, 0, -1):
-            np.divide(gamma[t], v[t], out=w[t])
-            np.matmul(w4[t], KT, out=back4)
-            back *= u[t]
-            gamma[t - 1] += back
-            if t in guarded:
-                low, lse = guarded[t]
-                pair = np.exp(alpha[t - 1, low, :, None] + scores[low // B] - lse[:, None])
-                pair *= gamma[t, low, None]
-                gamma[t - 1, low] += pair.sum(axis=2)
-                for n in np.unique(low // B):
-                    counts[n] += pair[low // B == n].sum(axis=0)
-        pairs = B * (T - 1)
-        u_rows = u4[1:].transpose(1, 2, 0, 3).reshape(N, pairs, d)
-        w_rows = w4[1:].transpose(1, 2, 0, 3).reshape(N, pairs, d)
-        counts += K * (u_rows.transpose(0, 2, 1) @ w_rows)
-        return log_z, gamma4, counts
-
-    def assert_replays_the_per_step_guard(self, emissions, lengths, tables):
-        """log Z, marginals and counts with the bits of the reference, with
-        and without gradients; returns the steps the reference guarded."""
-        steps = []
-        with np.errstate(all="ignore"):
-            for gradients in (False, True):
-                got = _forward_backward(emissions, lengths, tables, gradients)
-                want = self.per_step_guard(emissions, lengths, tables, gradients, steps)
-                assert all(same_bits(a, b) for a, b in zip(got, want) if b is not None)
-                assert [a is None for a in got] == [b is None for b in want]
-        return steps[: len(steps) // 2]
-
-    @staticmethod
-    def late_underflow_batch():
-        """B = 3, d = 4, T = 12 under one table with -800 on the move 0 -> 1:
-        sentence 0 leads by 2000 on tag 0 at position 9, so step 10 alone
-        underflows (into tag 1)."""
-        rng = np.random.default_rng(4)
-        emissions = rng.normal(size=(12, 3, 4))
-        emissions[9, 0, 0] = 2000.0
-        table = rng.normal(size=(1, 5, 4))
-        table[0, 0] = 0.0
-        table[0, 0, 1] = -800.0
-        return emissions, np.array([12, 7, 12]), table
-
-    def test_a_late_underflow_is_redone_from_its_step(self):
-        emissions, lengths, table = self.late_underflow_batch()
-        assert self.assert_replays_the_per_step_guard(emissions, lengths, table) == [10]
-        per_model = np.stack([emissions, -emissions[::-1]], axis=1)  # model 1's batch never underflows
-        tables = np.concatenate([table, table])
-        assert self.assert_replays_the_per_step_guard(per_model, lengths, tables) == [10]
-
-    def test_a_nan_step_before_an_underflow_keeps_the_per_step_verdicts(self):
-        """A nan in sentence 2 at position 4 makes every later step's
-        minimum nan, which no guard test passes, so the underflow at step 10
-        is not guarded, as the per-step test did not guard it; a nan after
-        it leaves the guard at step 10."""
-        emissions, lengths, table = self.late_underflow_batch()
-        emissions[4, 2, 1] = np.nan
-        assert self.assert_replays_the_per_step_guard(emissions, lengths, table) == []
-        emissions, lengths, table = self.late_underflow_batch()
-        emissions[11, 2, 1] = np.nan
-        assert self.assert_replays_the_per_step_guard(emissions, lengths, table) == [10]
-
-    def test_random_batches_replay_the_per_step_guard(self):
-        """Shared and per-model batches at score scales up to ~2000, with
-        -inf moves and planted nans and infs: every call has the reference's
-        bits, and some are guarded, some at a step after the first."""
-        rng = np.random.default_rng(21)
-        guarded = []
-        for _ in range(300):
-            T, B, d, N = (int(rng.integers(lo, hi)) for lo, hi in ((1, 12), (1, 6), (2, 8), (1, 4)))
-            shape = (T, N, B, d) if rng.random() < 0.5 else (T, B, d)
-            emissions = rng.normal(scale=10 ** rng.uniform(0, 3.3), size=shape)
-            tables = rng.normal(scale=10 ** rng.uniform(0, 3.3), size=(N, d + 1, d))
-            if rng.random() < 0.3:
-                tables[rng.random(tables.shape) < 0.3] = -np.inf
-            for value in (np.nan, np.inf):
-                if rng.random() < 0.15:
-                    emissions[np.unravel_index(rng.integers(emissions.size), shape)] = value
-            lengths = rng.integers(1, T + 1, size=B)
-            lengths[0] = T
-            guarded.append(self.assert_replays_the_per_step_guard(emissions, lengths, tables))
-        assert sum(map(bool, guarded)) >= 50
-        assert sum(steps[0] > 1 for steps in guarded if steps) >= 5
-
     @pytest.mark.parametrize("gap", [671.0, 707.7])
     def test_many_near_threshold_steps_sum_without_overflow(self, gap):
         """One step of each copy reaches tag 1 only through a masked move or
