@@ -23,16 +23,18 @@ function (_padded); a list's token-major emission gradient is split per
 sentence. The engine has a leading model axis: it runs N tables
 (N, d + 1, d) over one batch that they all read, or over (T, N, B, d)
 emissions, one batch per model, as model-major blocks of B rows each,
-R = N * B rows per step. _batch_nll reads the second form, without
-gradients, from a TokenBatch of (N, tokens, d) emissions: N same-shape
-batches that share their lengths and gold tags. The public entry points
-run one model. verify's gradient check takes each T group of instances as
-models over batches of their own: each instance's model over its perturbed
-sentences, and each perturbed copy of a table over its instance's
-sentence. Its log-partition check takes each (T, d) group of instances as
-N models over their own sentences (_engine_log_z, of which log_partition
-is the batch of one). Each model's log Z, marginals, counts, loss and NLLs
-have the bits of a call with it, and its own batch, alone.
+R = N * B rows per step. _batch_nll reads the second form, with or
+without gradients, from a TokenBatch of (N, tokens, d) emissions: N
+same-shape batches that share their lengths and gold tags. The public
+entry points run one model. verify's gradient check takes each T group of
+instances as models over batches of their own: each instance's model over
+its sentence for the analytic gradients, over its perturbed sentences for
+the emission differences, and each perturbed copy of a table over its
+instance's sentence. Its log-partition check takes each (T, d) group of
+instances as N models over their own sentences (_engine_log_z, of which
+log_partition is the batch of one). Each model's log Z, marginals,
+counts, loss, NLLs and gradients have the bits of a call with it, and its
+own batch, alone.
 
 The forward pass is a scaled log-matmul-exp: with r the row maxima of a
 and K = exp(a - r[:, None]) (entries <= 1, masked ones exact zeros),
@@ -99,9 +101,16 @@ order first. The public oracles are the enumerator's batch of one; the
 stacked forms of log Z and the best path (_brute_force_log_z,
 _brute_force_paths) let verify referee each shape group of its instances
 in one call. Each instance's scores are a C-ordered row, reduced as a lone
-instance's are, so it keeps the bits of its own call. The gradient oracle
-scatters a chunk's weights with one np.add.at per table, and scores each
-gold path with _scores, of which path_score is the batch of one: k paths of
+instance's are, so it keeps the bits of its own call. The gradient
+oracle's one enumeration, _enumerated_gradients, takes k instances of one
+shape too: brute_force_loss_and_gradients runs it on each sentence in
+turn, adding into one table of counts, and its stacked form
+(_brute_force_gradients) on k instances, each a batch of one, so verify's
+mask-convergence check takes each T group's restricted oracle in one call
+and its masked oracle, four masked tables per instance, in another. It
+scatters a chunk's weights with one flat np.add.at per table, each
+instance's cells offset by its index, and scores each gold path with
+_scores, of which path_score is the batch of one: k paths of
 one shape, stacked as (k, T, d) emissions, (k, d + 1, d) tables and (k, T)
 paths, each row (emission sum + move sum) + start with the bits of its own
 call, so verify scores each length group of its legal paths in one call.
@@ -197,9 +206,9 @@ class TokenBatch:
     """A token-major batch: the sentences' emissions concatenated (N, d),
     their lengths (B,) and their gold tags concatenated (N,), the form in
     which the engine and the oracles read every batch. It iterates as its
-    (emissions, gold) pairs. _batch_nll alone, without gradients, also
-    reads (M, N, d) emissions: M batches, one per model, that share the
-    lengths and gold tags."""
+    (emissions, gold) pairs. _batch_nll alone also reads (M, N, d)
+    emissions: M batches, one per model, that share the lengths and gold
+    tags."""
 
     emissions: np.ndarray
     lengths: np.ndarray
@@ -479,19 +488,20 @@ def _refused_loss(k: int, loss: float, log_z: float, *inputs: np.ndarray) -> Val
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a loss that is not finite: below
 def _batch_nll(batch: Batch | TokenBatch, tables: np.ndarray, gradients: bool):
     """The mean NLL over the padded batch under each of N models, (N, d + 1, d)
-    tables, from one engine call: the (N,) losses and, with gradients
-    (N = 1 only), CrfGradients; without them, the (N, B)
-    per-sentence NLLs log Z_k - s(gold_k). Without gradients a TokenBatch
-    may hold (N, tokens, d) emissions: N same-shape batches, one per model,
-    that share the lengths and gold tags. Each model's loss is the sum of
+    tables, from one engine call: the (N,) losses and, with gradients, a
+    list of each model's CrfGradients; without them, the (N, B)
+    per-sentence NLLs log Z_k - s(gold_k). A TokenBatch may hold
+    (N, tokens, d) emissions: N same-shape batches, one per model, that
+    share the lengths and gold tags. Each model's loss is the sum of
     its NLLs / B, so no sentence's NLL is rounded away by the others' (at
     |log Z| >= 2^52 each NLL is itself off by up to an ulp of its log Z, in
     the enumeration too), and the batch's sums cannot leave the float range
-    while every NLL is finite. Each model's loss and NLLs have the bits of a
-    call with it, and its own batch, alone; the first model in input order
-    with a sentence whose NLL is not finite is refused, named for its first
-    such sentence and quoting that sentence's own NLL, as a call with the
-    sentence alone quotes it.
+    while every NLL is finite. Each model's loss, NLLs and gradients have
+    the bits of a call with it, and its own batch, alone: its loss and
+    gradients are those of its own loss_and_gradients call. The first model
+    in input order with a sentence whose NLL is not finite is refused,
+    named for its first such sentence and quoting that sentence's own NLL,
+    as a call with the sentence alone quotes it.
 
     Sentence k's NLL has the bits nll_loss gives it alone when the batch is
     padded to fewer than 8 positions (numpy sums 8 or more terms pairwise)
@@ -499,7 +509,7 @@ def _batch_nll(batch: Batch | TokenBatch, tables: np.ndarray, gradients: bool):
     (1, d) product. On OpenBLAS 0.3.31 that holds at d = 2 and 3; at d >= 4
     the rows differ in their last bits."""
     d, n = tables.shape[2], len(batch)
-    tokens, lengths, tags = _tokens(batch, d, 0 if gradients else len(tables))
+    tokens, lengths, tags = _tokens(batch, d, len(tables))
     emissions, tags, rows = _padded(tokens, lengths, tags)
     log_z, gamma, counts = _forward_backward(emissions, lengths, tables, gradients)
     cells = np.arange(tags.shape[1]), np.arange(n)[:, None], tags  # (B, T) gold cells
@@ -518,14 +528,16 @@ def _batch_nll(batch: Batch | TokenBatch, tables: np.ndarray, gradients: bool):
         raise _refused_loss(k, nlls[m, k], log_z[m, k], sentence, tables[m])
     if not gradients:
         return losses, nlls
-    d_em = gamma[:, 0]
-    d_em[cells] -= 1.0
-    d_em /= n
-    d_trans = (counts[0] - np.bincount(moves[steps], minlength=d * d).reshape(d, d)) / n
-    d_emissions = d_em.reshape(-1, d)[rows]
+    position, sentence, gold = cells[0], *cells[-2:]  # (B, T) gold cells, which every model shares
+    gamma[position, :, sentence, gold] -= 1.0  # the marginals (T, N, B, d)
+    gamma /= n
+    d_trans = (counts - np.bincount(moves[steps], minlength=d * d).reshape(d, d)) / n
+    d_start = gamma[0].sum(axis=1)
+    d_emissions = gamma.swapaxes(0, 1).reshape(len(tables), -1, d)[:, rows]  # (N, tokens, d)
     if not isinstance(batch, TokenBatch):
-        d_emissions = np.split(d_emissions, np.cumsum(lengths)[:-1])
-    return losses, CrfGradients(d_emissions, d_trans, d_em[0].sum(axis=0))
+        bounds = np.cumsum(lengths)[:-1]
+        d_emissions = [np.split(model, bounds) for model in d_emissions]
+    return losses, [CrfGradients(*model) for model in zip(d_emissions, d_trans, d_start)]
 
 
 def log_partition(emissions: np.ndarray, trans: TransitionMatrix) -> float:
@@ -572,10 +584,13 @@ def loss_and_gradients(
     d a[i, j] = sum_t P(y_t = i, y_{t+1} = j) - #(gold transitions i -> j)
     d start[j] = P(y_0 = j) - 1{gold_0 = j}
 
-    all averaged over the batch.
+    all averaged over the batch. The batch is one model's: a TokenBatch of
+    (N, d) emissions, not one batch per model.
     """
+    if isinstance(batch, TokenBatch) and batch.emissions.ndim == 3:
+        _tokens(batch, trans.num_tags)  # one model reads one (N, d) batch: refused as any other shape
     losses, grads = _batch_nll(batch, trans.table[None], True)
-    return float(losses[0]), grads
+    return float(losses[0]), grads[0]
 
 
 def viterbi_batch(
@@ -846,39 +861,83 @@ def brute_force_loss_and_gradients(
     are probability-weighted feature counts minus gold counts, exactly as in
     the analytic form but without any dynamic program. A sentence whose log Z
     lost its log n to rounding has its weighted counts divided by their sum.
+    The sentences add their counts into one table, one after another.
     """
     d = trans.num_tags
     tokens, lengths, golds = _tokens(batch, d)
     n = len(lengths)
-    d_table = np.zeros((d + 1, d))  # the transition and start counts, laid out as trans.table
+    d_table = np.zeros((1, d + 1, d))  # the transition and start counts, laid out as trans.table
     d_emissions: list[np.ndarray] = []
     total = 0.0
     bounds = np.cumsum(lengths)[:-1]
     for k, (emissions, tags) in enumerate(zip(np.split(tokens, bounds), np.split(golds, bounds))):
-        T = len(tags)
-        instance = _instance(emissions, trans)
-        log_z = float(_enumerated_log_z(*instance, rules)[0])
-        loss = log_z - float(_scores(*instance, tags[None])[0])
-        if not math.isfinite(loss):  # so are log Z and every path score under it
-            raise _refused_loss(k, loss, log_z, emissions, trans.table)
-        total += loss
-        d_em = np.zeros((T, d))
-        before = d_table.copy()
-        mass = count = 0
-        for _, cells, moves, scores in _iter_scored_chunks(*instance, rules):
-            w = np.exp(scores[0] - log_z)
-            mass += w.sum()
-            count += w.size
-            # one scatter per table, each cell's adds in the per-position loop's order
-            np.add.at(d_em.reshape(-1), cells.ravel(), np.tile(w, T))
-            np.add.at(d_table.reshape(-1), moves.ravel(), np.tile(w, T - 1))
-            np.add.at(d_table[d], cells[0], w)
-        if abs(mass - 1.0) > 4 * count * np.finfo(np.float64).eps:  # more than rounding
-            d_em /= mass
-            d_table[...] = before + (d_table - before) / mass
-        d_em[np.arange(T), tags] -= 1.0
-        d_emissions.append(d_em / n)
-        np.add.at(d_table, (tags[:-1], tags[1:]), -1.0)
-        d_table[d, tags[0]] -= 1.0
+        d_em = np.zeros((1, len(tags), d))
+        losses = _enumerated_gradients(*_instance(emissions, trans), tags[None], rules, d_em, d_table, k)
+        total += float(losses[0])
+        d_emissions.append(d_em[0] / n)
     d_table /= n
-    return total / n, CrfGradients(emissions=d_emissions, transitions=d_table[:d], start=d_table[d])
+    return total / n, CrfGradients(emissions=d_emissions, transitions=d_table[0, :d], start=d_table[0, d])
+
+
+def _brute_force_gradients(
+    emissions: np.ndarray, tables: np.ndarray, golds: np.ndarray, rules: TransitionRuleSet | None
+) -> tuple[np.ndarray, list[CrfGradients]]:
+    """brute_force_loss_and_gradients of k instances of one shape, each a
+    batch of one: checked (k, T, d) emissions, (k, d + 1, d) transition
+    tables and (k, T) gold paths. Returns the (k,) losses and each
+    instance's CrfGradients, with the bits of its own call; the first
+    refused in input order is named by its index."""
+    d_em, d_tables = np.zeros(emissions.shape), np.zeros(tables.shape)
+    losses = _enumerated_gradients(emissions, tables, golds, rules, d_em, d_tables)
+    d = tables.shape[2]
+    return losses, [CrfGradients([em], table[:d], table[d]) for em, table in zip(d_em, d_tables)]
+
+
+def _enumerated_gradients(
+    emissions: np.ndarray,
+    tables: np.ndarray,
+    golds: np.ndarray,
+    rules: TransitionRuleSet | None,
+    d_em: np.ndarray,
+    d_tables: np.ndarray,
+    first: int = 0,
+) -> np.ndarray:
+    """The (k,) NLLs of k instances of one shape, checked (k, T, d)
+    emissions, (k, d + 1, d) transition tables and (k, T) gold paths, from
+    one log Z pass and one weights pass of the enumeration. Each instance's
+    expected counts less its gold counts are added into its (T, d) of d_em
+    and its (d + 1, d) of d_tables; an instance whose weights sum off 1 by
+    more than rounding (its log Z lost its log n) has the counts it added
+    divided by their sum. The first instance whose NLL is not finite is
+    refused, named first + its index."""
+    k, T, d = emissions.shape
+    log_z = _enumerated_log_z(emissions, tables, rules)
+    with np.errstate(over="ignore", invalid="ignore"):  # a loss that is not finite: below
+        losses = log_z - _scores(emissions, tables, golds)
+    bad = ~np.isfinite(losses)
+    if bad.any():  # so are log Z and every path score under it
+        j = int(bad.argmax())
+        raise _refused_loss(first + j, float(losses[j]), float(log_z[j]), emissions[j], tables[j])
+    before = d_tables.copy()
+    mass, count = np.zeros(k), 0
+    for rows, cells, moves, scores in _iter_scored_chunks(emissions, tables, rules):
+        w = np.exp(scores - log_z[rows, None])
+        mass[rows] += w.sum(axis=1)
+        if rows.start == 0:  # a new path table
+            count += w.shape[1]
+            table_cells = np.concatenate([moves, d * d + cells[:1]]).ravel()  # the moves, then the starts
+        # one flat scatter per table, each cell's adds in the per-position loop's order
+        weights = np.tile(w, T).ravel()  # T cells of each path in each table
+        instance = np.arange(rows.start, rows.start + len(w))[:, None]
+        np.add.at(d_em.reshape(-1), (instance * (T * d) + cells.ravel()).ravel(), weights)
+        np.add.at(d_tables.reshape(-1), (instance * ((d + 1) * d) + table_cells).ravel(), weights)
+    fix = np.abs(mass - 1.0) > 4 * count * np.finfo(np.float64).eps  # more than rounding
+    if fix.any():
+        mass = mass[fix, None, None]
+        d_em[fix] /= mass
+        d_tables[fix] = before[fix] + (d_tables[fix] - before[fix]) / mass
+    instance = np.arange(k)[:, None]
+    d_em[instance, np.arange(T), golds] -= 1.0
+    np.add.at(d_tables, (instance, golds[:, :-1], golds[:, 1:]), -1.0)
+    d_tables[instance[:, 0], d, golds[:, 0]] -= 1.0
+    return losses

@@ -191,7 +191,7 @@ def encoder_backward(
     # Both products stay whole: split by window slot, BLAS would block them
     # differently and move their last bits. The gathered x is freed once its
     # product is formed, so at most one (N, 3e) array is alive at a time.
-    d_projection = weights.embeddings[windows].reshape(n, -1).T @ d_logits
+    d_projection = weights.embeddings.take(windows, axis=0).reshape(n, -1).T @ d_logits
     d_x = (d_logits @ weights.projection.T).reshape(n, 3, e)
     d_embeddings = np.zeros(weights.embeddings.shape)
     # One flat scatter per window slot (prev, self, next) into the cells of

@@ -169,20 +169,20 @@ def mask_convergence_gap(
     e^c and are exactly zero when the rule set is empty.
     """
     restricted = brute_force_loss_and_gradients(batch, trans, rules=spec.rules)
-    return _convergence_gap(batch, trans, spec, restricted)
+    masked = brute_force_loss_and_gradients(batch, apply_mask(trans, spec))
+    return _convergence_gap(masked, restricted, spec.rules.table(trans.num_tags))
 
 
 def _convergence_gap(
-    batch: Batch, trans: TransitionMatrix, spec: MaskSpec, restricted: tuple[float, CrfGradients]
+    masked: tuple[float, CrfGradients], restricted: tuple[float, CrfGradients], illegal: np.ndarray
 ) -> tuple[float, float]:
-    """mask_convergence_gap given the restricted side, the loss and
-    gradients of the legal-paths oracle of batch, trans and spec.rules,
-    which spec.mask_value does not change: verify computes it once for all
-    the mask values of one instance."""
-    loss_m, grads_m = brute_force_loss_and_gradients(batch, apply_mask(trans, spec))
-    loss_r, grads_r = restricted
-    loss_gap = abs(loss_m - loss_r)
-    legal = ~spec.rules.table(trans.num_tags)
+    """mask_convergence_gap of its two sides as given, the loss and
+    gradients of the masked oracle and of the legal-paths oracle, over the
+    rules' (d + 1, d) illegal table: verify computes both sides for a shape
+    group of instances and mask values at once."""
+    (loss_m, grads_m), (loss_r, grads_r) = masked, restricted
+    loss_gap = float(abs(loss_m - loss_r))
+    legal = ~illegal
     diffs = [em_m - em_r for em_m, em_r in zip(grads_m.emissions, grads_r.emissions)]
     diffs.append((grads_m.transitions - grads_r.transitions)[legal[:-1]])
     diffs.append((grads_m.start - grads_r.start)[legal[-1]])

@@ -40,14 +40,16 @@ instance's sentence, and each model's loss has the bits of nll_loss under
 that copy.
 
 check_gradients draws its 20 instances first and groups them by T (d = 3
-is fixed). Each instance makes its own analytic call; then each group
-makes two stacked calls (_fd_crf), each model over a batch of its own: one
-for every emission difference, k models of 2 x T x d sentences each, and
-one for every table difference, 2 x (d^2 + d) = 24 copies of each of the k
-tables, each copy over its instance's sentence. Each instance's arrays
-record their own perturbed copies, so no copy holds another instance.
-Every difference keeps the bits of its own nll_loss call, and the worst
-error is a maximum, so it does not depend on the grouping.
+is fixed). Each group makes three stacked calls (_fd_crf), each model over
+a batch of its own: one for every instance's analytic gradients, k models
+each over its instance's sentence, with the bits of that instance's own
+loss_and_gradients call; one for every emission difference, k models of
+2 x T x d sentences each; and one for every table difference,
+2 x (d^2 + d) = 24 copies of each of the k tables, each copy over its
+instance's sentence. Each instance's arrays record their own perturbed
+copies, so no copy holds another instance. Every difference keeps the bits
+of its own nll_loss call, and the worst error is a maximum, so it does not
+depend on the grouping.
 
 One check_encoder_gradients instance makes two engine calls: its analytic
 one, after the one encode call of its sentence, and one for every
@@ -57,9 +59,15 @@ class's stack in one call: 42 + 54 + 6 logit matrices at V = 7, e = 3 and
 d = 3, each with the bits of encode under its own weights, which make one
 batch of sentences in that order.
 
-check_mask_convergence computes each instance's restricted (legal-paths)
-oracle once and compares it with the masked oracle at each mask value,
-through the gap arithmetic of masking.mask_convergence_gap.
+check_mask_convergence draws its 8 instances first and groups them by T.
+Each group makes two calls of the stacked gradient enumeration
+(crf._brute_force_gradients): one for every instance's restricted
+(legal-paths) oracle, which the mask value does not change, and one for
+every masked oracle, each instance's four masked tables in turn, each over
+the instance's sentence. Each has the bits of its own
+brute_force_loss_and_gradients call, and masking._convergence_gap, the gap
+arithmetic of mask_convergence_gap, takes the two sides of each instance
+and mask value as given.
 check_legal_scores_unchanged lists each tag's legal successors once and
 draws each position of a path from its tag's list, with the draws of
 rng.choice over that list. It draws all 100 of its instances first, then
@@ -78,12 +86,12 @@ from .crf import (
     TokenBatch,
     TransitionMatrix,
     _batch_nll,
+    _brute_force_gradients,
     _brute_force_log_z,
     _brute_force_paths,
     _engine_log_z,
     _engine_paths,
     _scores,
-    brute_force_loss_and_gradients,
     loss_and_gradients,
     path_score,
 )
@@ -230,23 +238,25 @@ def _sentence_losses(sentences, gold: list[int] | np.ndarray, tables: np.ndarray
 def _fd_crf(sentences: list[np.ndarray], models: list[TransitionMatrix]) -> float:
     """Worst relative error of the analytic CRF gradients against central
     finite differences over emissions, transitions and start, for k
-    instances of one (T, d) shape under the gold path of tag 0. Each
-    instance makes its own analytic call; then one engine call gives every
-    emission difference (model j over instance j's perturbed sentences) and
-    one every table difference (each perturbed copy a model over its
-    instance's sentence)."""
+    instances of one (T, d) shape under the gold path of tag 0. Three
+    engine calls, each model over a batch of its own: one gives every
+    instance's analytic gradients (model j over instance j's sentence), one
+    every emission difference (model j over instance j's perturbed
+    sentences) and one every table difference (each perturbed copy a model
+    over its instance's sentence)."""
     k, (T, d) = len(sentences), sentences[0].shape
     gold = np.zeros(T, dtype=np.intp)
-    grads = [loss_and_gradients([(em, gold)], trans)[1] for em, trans in zip(sentences, models)]
     tables = [trans.table for trans in models]
+    stacked = np.stack(tables)
+    grads = _batch_nll(TokenBatch(np.stack(sentences), np.array([T]), gold), stacked, True)[1]
     # instance by instance, each array's own perturbed copies
     perturbed = [x for em in sentences for x in _perturbations([em], em.copy)]
-    emission_losses = _sentence_losses(np.reshape(perturbed, (k, -1, T, d)), gold, np.stack(tables))
+    emission_losses = _sentence_losses(np.reshape(perturbed, (k, -1, T, d)), gold, stacked)
     perturbed = [x for table in tables for x in _perturbations([table], table.copy)]
     sentence_copies = np.repeat(np.stack(sentences)[:, None], len(perturbed) // k, axis=0)
     table_losses = _sentence_losses(sentence_copies, gold, np.stack(perturbed))
     return _worst([
-        _relative_error([g.emissions[0] for g in grads], emission_losses),
+        _relative_error([g.emissions for g in grads], emission_losses),
         _relative_error([np.concatenate([g.transitions, g.start[None]]) for g in grads], table_losses),
     ])
 
@@ -311,16 +321,27 @@ def check_mask_convergence(seed: int) -> CheckResult:
     tagset = build_tagset("bio", ["A", "B"])
     d = tagset.size
     values = (-5.0, -10.0, -20.0, -30.0)
-    gaps = {c: [] for c in values}  # each value's loss and gradient gaps
+    specs = [MaskSpec(rules=tagset.rules, mask_value=c) for c in values]
+    groups: dict[int, list] = {}  # T -> its instances, in the order drawn
     for _ in range(8):
         T = int(rng.integers(2, 5))
         emissions = rng.uniform(-1.5, 1.5, size=(T, d))
         trans = _random_scores(rng, d, 1.5)
-        batch = [(emissions, [0] * T)]
-        restricted = brute_force_loss_and_gradients(batch, trans, tagset.rules)  # c is not read
-        for c in values:
-            spec = MaskSpec(rules=tagset.rules, mask_value=c)
-            gaps[c] += _convergence_gap(batch, trans, spec, restricted)
+        groups.setdefault(T, []).append((emissions, trans))
+    gaps = {c: [] for c in values}  # each value's loss and gradient gaps
+    illegal = tagset.rules.table(d)
+    for members in groups.values():
+        emissions = np.stack([em for em, _ in members])
+        golds = np.zeros(emissions.shape[:2], dtype=np.intp)
+        tables = np.stack([trans.table for _, trans in members])
+        restricted = _brute_force_gradients(emissions, tables, golds, tagset.rules)  # c is not read
+        # each instance's four masked tables in turn, each over the instance's sentence
+        tables = np.stack([apply_mask(trans, spec).table for _, trans in members for spec in specs])
+        emissions, golds = (np.repeat(a, len(values), axis=0) for a in (emissions, golds))
+        masked = zip(*_brute_force_gradients(emissions, tables, golds, None))
+        for instance in zip(*restricted):
+            for c in values:
+                gaps[c] += _convergence_gap(next(masked), instance, illegal)
     per_value = {c: _worst(gaps[c]) for c in values}
     monotone = all(
         per_value[values[i]] >= per_value[values[i + 1]] for i in range(len(values) - 1)

@@ -120,10 +120,11 @@ def test_package_modules_use_every_name_they_import():
 def test_package_modules_import_no_private_name_of_another_but_the_listed():
     """A module that reads another's underscore name leans on its internals:
     only these do, each for a reason its own docstring gives (the engine's
-    refusal texts and floor in masking; the stacked oracles, the stacked
-    engine log Z and paths, the batch NLL and the mask-convergence gap given
-    its restricted oracle, which the mask value does not change, in
-    verification; there too the unchecked stacked forms of encode, which
+    refusal texts and floor in masking; the stacked oracles, among them
+    the gradient enumeration, the stacked engine log Z and paths, the batch
+    NLL and the mask-convergence gap given both its sides, which verify
+    computes by shape group, in verification; there too the unchecked
+    stacked forms of encode, which
     encodes each weight class's perturbed copies in one call, and of
     path_score, which scores each length group of legal paths in one
     call)."""
@@ -133,6 +134,7 @@ def test_package_modules_import_no_private_name_of_another_but_the_listed():
         ("masking.py", "crf", "_not_finite"),
         ("masking.py", "crf", "_sentence"),
         ("verification.py", "crf", "_batch_nll"),
+        ("verification.py", "crf", "_brute_force_gradients"),
         ("verification.py", "crf", "_brute_force_log_z"),
         ("verification.py", "crf", "_brute_force_paths"),
         ("verification.py", "crf", "_engine_log_z"),

@@ -714,6 +714,80 @@ class TestModelAxis:
             _batch_nll(batch, tables, False)
         assert str(stacked.value) == str(alone.value)
 
+    @staticmethod
+    def assert_own_gradients(batch, tables, losses, grads):
+        """Each model's loss and gradients have the float.hex of its own
+        loss_and_gradients call, over its own batch of a per-model one."""
+        d = tables.shape[2]
+        assert losses.shape == (len(tables),) and len(grads) == len(tables)
+        for m, (loss, model) in enumerate(zip(losses, grads)):
+            own = batch
+            if batch.emissions.ndim == 3:
+                own = TokenBatch(batch.emissions[m], batch.lengths, batch.tags)
+            one_loss, one = loss_and_gradients(own, TransitionMatrix(tables[m, :d], tables[m, d]))
+            assert float(loss).hex() == one_loss.hex()
+            assert same_bits(model.emissions, one.emissions)
+            assert same_bits(model.transitions, one.transitions)
+            assert same_bits(model.start, one.start)
+
+    def test_per_model_gradients_have_the_bits_of_their_own_calls(self):
+        """(N, tokens, d) emissions with gradients give each model the loss
+        and gradients of its own call, at N 1 to 8, d 2 to 7 and B 1 to 4;
+        in every third batch one model's column of -1e3 sends its rows
+        through the log-space step. A shared batch under N models gives each
+        the same."""
+        rng = np.random.default_rng(35)
+        guarded = 0
+        for trial in range(120):
+            N, d, B = int(rng.integers(1, 9)), int(rng.integers(2, 8)), int(rng.integers(1, 5))
+            batch, tables = self.per_model_batch(rng, N, d, B)
+            if trial % 3 == 0:
+                tables[int(rng.integers(N)), :d, 1] = -1e3
+                batch.emissions[..., 1] = 900.0  # tag 1 leads by far: v_t underflows
+                guarded += 1
+            self.assert_own_gradients(batch, tables, *_batch_nll(batch, tables, True))
+            shared = TokenBatch(batch.emissions[0], batch.lengths, batch.tags)
+            self.assert_own_gradients(shared, tables, *_batch_nll(shared, tables, True))
+        assert guarded == 40
+
+    def test_a_log_space_step_keeps_each_models_own_gradients(self, monkeypatch):
+        """Model 2 of 4 takes the log-space step at every position and the
+        other three never do; each model's gradients keep its own bits."""
+        guarded_rows = []
+        log_space = mcrf.crf.logsumexp
+
+        def spy(x, axis=None):
+            guarded_rows.append(len(x))
+            return log_space(x, axis)
+
+        monkeypatch.setattr(mcrf.crf, "logsumexp", spy)
+        rng = np.random.default_rng(8)
+        emissions, tables = rng.normal(size=(4, 15, 4)), rng.normal(size=(4, 5, 4))
+        emissions[2, :, 1] = 900.0  # tag 1 leads by far in model 2's batch
+        tables[2, :4, 1] = -1e3
+        batch = TokenBatch(emissions, [5, 5, 5], rng.integers(0, 4, 15))
+        losses, grads = _batch_nll(batch, tables, True)
+        assert guarded_rows == [3] * 4  # model 2's B rows, at each of T - 1 steps
+        self.assert_own_gradients(batch, tables, losses, grads)
+
+    def test_the_first_refused_model_is_named_with_its_own_gradient_calls_text(self):
+        """Model 1's sentences 3 and 4 and model 3's sentence 1 are not
+        finite: the gradient form refuses model 1, named for its sentence 3
+        with the text of its own loss_and_gradients call."""
+        rng = np.random.default_rng(9)
+        batch, tables = self.per_model_batch(rng, 4, 3, 4)
+        bounds = np.cumsum(batch.lengths)
+        batch.emissions[1, bounds[1]] = np.nan
+        batch.emissions[1, bounds[2]] = np.inf
+        batch.emissions[3, 0, 0] = np.inf
+        own = TokenBatch(batch.emissions[1], batch.lengths, batch.tags)
+        with pytest.raises(ValueError) as alone:
+            loss_and_gradients(own, TransitionMatrix(tables[1, :3], tables[1, 3]))
+        assert str(alone.value).startswith("sentence 3: loss of nan")
+        with pytest.raises(ValueError) as stacked:
+            _batch_nll(batch, tables, True)
+        assert str(stacked.value) == str(alone.value)
+
     def test_per_model_emissions_need_one_batch_per_model_and_no_gradients(self):
         batch, tables = self.per_model_batch(np.random.default_rng(2), 3, 3, 2)
         n = len(batch.tags)
@@ -1538,6 +1612,63 @@ class TestStackedOracle:
             assert all(map(same_bits, grads.emissions, ref_emissions))
             assert same_bits(grads.transitions, ref_trans)
             assert same_bits(grads.start, ref_start)
+
+    @staticmethod
+    def assert_gradients_as_alone(instances, golds, rules=None):
+        """The stacked gradient oracle gives each instance the loss and
+        gradient bits of brute_force_loss_and_gradients on it alone."""
+        emissions, tables = stacked(instances)
+        losses, grads = mcrf.crf._brute_force_gradients(emissions, tables, np.asarray(golds), rules)
+        assert losses.shape == (len(instances),) and len(grads) == len(instances)
+        for (em, trans), gold, loss, model in zip(instances, golds, losses, grads):
+            one_loss, one = brute_force_loss_and_gradients([(em, list(gold))], trans, rules)
+            assert float(loss).hex() == one_loss.hex()
+            assert len(model.emissions) == 1 and same_bits(model.emissions[0], one.emissions[0])
+            assert same_bits(model.transitions, one.transitions)
+            assert same_bits(model.start, one.start)
+        return grads
+
+    @pytest.mark.parametrize("seed", [0, 3, 7, 101])
+    def test_the_stacked_gradient_oracle_keeps_the_bits_of_each_instance(self, seed):
+        """Random groups and gold paths, without rules and under BIO and
+        BIOES rules, in one row slice and in several (4^5 paths), and at
+        a shape of two chunks."""
+        rng = np.random.default_rng(seed)
+        bio, bioes = (build_tagset(s, ["A", "B"]).rules for s in (Scheme.BIO, Scheme.BIOES))
+        shapes = ((1, 2, None), (2, 5, None), (3, 3, None), (5, 4, None), (4, 5, bio),
+                  (3, 9, bioes), (17, 2, None))
+        for T, d, rules in shapes:
+            k = {17: 2, 5: 10}.get(T, int(rng.integers(1, 11)))  # 10 x 4^5 paths: three row slices
+            group = [random_instance(rng, T, d) for _ in range(k)]
+            self.assert_gradients_as_alone(group, rng.integers(0, d, size=(k, T)), rules)
+
+    def test_a_renormalized_instance_keeps_its_bits(self):
+        """The sentence np.full((1, 3), 1e308) with gold [0]: its log Z
+        rounds away its log 3, so its weights sum to 3 and its counts are
+        divided by that sum, as its own call divides them; the instances
+        beside it are not."""
+        rng = np.random.default_rng(43)
+        group = [random_instance(rng, 1, 3) for _ in range(3)]
+        group[1] = (np.full((1, 3), 1e308), TransitionMatrix.zeros(3))
+        grads = self.assert_gradients_as_alone(group, [[0], [0], [2]])
+        np.testing.assert_allclose(grads[1].emissions[0], [[-2 / 3, 1 / 3, 1 / 3]], rtol=1e-15)
+        np.testing.assert_allclose(grads[1].start, [-2 / 3, 1 / 3, 1 / 3], rtol=1e-15)
+
+    @pytest.mark.parametrize("poison", sorted(POISONS))
+    def test_the_gradient_oracle_names_the_first_refused_instance(self, poison):
+        """Instance j is poisoned, and a later one holds a nan: the stacked
+        oracle refuses instance j with the text of its own call."""
+        rng = np.random.default_rng(47)
+        for j in (0, 2):
+            group = [random_instance(rng, 3, 3) for _ in range(4)]
+            golds = rng.integers(0, 3, size=(4, 3))
+            self.POISONS[poison](group[j][0])
+            group[3][0][0, 0] = np.nan
+            emissions, trans = group[j]
+            alone = refusal(brute_force_loss_and_gradients, [(emissions, list(golds[j]))], trans)
+            assert alone.startswith("sentence 1: ")
+            named = alone.replace("sentence 1: ", f"sentence {j + 1}: ")
+            assert refusal(mcrf.crf._brute_force_gradients, *stacked(group), golds, None) == named
 
     @staticmethod
     def summed_scores(emissions, tables, rows, cells, moves):

@@ -101,19 +101,21 @@ def test_verify_takes_every_difference_from_untraced_engine_calls():
     log-partition and Viterbi checks referee their instances through the
     private, untraced stacked oracles, one call per (T, d) group, and take
     the engine's log Z and paths the same way, so a battery makes no
-    crf.log_partition or crf.viterbi call either. The traced
-    crf.brute_force calls are check_mask_convergence's: for each of its 8
-    instances one restricted loss oracle, which the mask value does not
-    change, and 4 masked ones, then its 2 zero-gap calls."""
+    crf.log_partition or crf.viterbi call either. The gradient checks
+    take their analytic gradients from one untraced stacked engine call per
+    T group, and check_mask_convergence both of its oracles from the
+    private stacked gradient enumeration, so the traced
+    crf.loss_and_gradients calls are the encoder check's 10, and the traced
+    crf.brute_force calls check_mask_convergence's 2 zero-gap calls."""
     with _tracer.Tracer() as tracer:
         mcrf.verification.run_verification(seed=0)
     metrics = tracer.metrics()
     assert metrics["crf.nll_loss.calls"] == 0
-    assert metrics["crf.loss_and_gradients.calls"] == 50
+    assert metrics["crf.loss_and_gradients.calls"] == 10
     assert metrics["encoder.encode.calls"] == 10
     assert metrics["crf.log_partition.calls"] == 0
     assert metrics["crf.viterbi.calls"] == 0
-    assert metrics["crf.brute_force.calls"] == 8 * (1 + 4) + 2
+    assert metrics["crf.brute_force.calls"] == 2
 
 
 def test_predict_decodes_without_the_mask(tmp_path):

@@ -120,9 +120,11 @@ class TestChecks:
 
 
 class TestObservedBits:
-    """The float.hex of every observed value of the battery at four seeds,
-    recorded before the engine had a model axis, when every perturbed copy
-    of the transition and start scores was its own nll_loss call. A value
+    """The float.hex of every observed value of the battery at five seeds.
+    Seeds 0, 3, 7 and 101 were recorded before the engine had a model axis,
+    when every perturbed copy of the transition and start scores was its own
+    nll_loss call; seed 5000, which the byte-identity gates also name, while
+    every gradient check still made one analytic call per instance. A value
     that moves in its last bit fails here."""
 
     OBSERVED = {
@@ -138,6 +140,9 @@ class TestObservedBits:
         101: ("0x1.0000000000000p-48", "0x0.0p+0", "0x1.c18d523c80000p-27",
               "0x1.181cc0a000000p-27", "0x1.128fbf7a00000p-27", "0x1.3800000000000p-43",
               "0x0.0p+0", "0x0.0p+0"),
+        5000: ("0x1.0000000000000p-48", "0x0.0p+0", "0x1.01d0eac400000p-27",
+               "0x1.42a3347600000p-27", "0x1.b891b5e500000p-28", "0x1.2000000000000p-43",
+               "0x0.0p+0", "0x0.0p+0"),
     }
 
     @pytest.mark.parametrize("seed", sorted(OBSERVED))
@@ -157,20 +162,22 @@ class TestObservedBits:
         monkeypatch.setattr(crf, "_forward_backward", counted)
         return calls
 
-    def test_a_crf_group_makes_one_analytic_call_per_instance_and_two_stacked(self, monkeypatch):
-        """Each of k instances of one shape makes its analytic call; then
-        one call has model j over instance j's 2 x T x d perturbed sentences,
-        and one has every perturbed copy of every table (2 x (9 + 3) = 24
-        each at d = 3) over its own instance's sentence."""
+    def test_a_crf_group_makes_three_stacked_engine_calls(self, monkeypatch):
+        """k instances of one shape: one call has model j over instance j's
+        sentence, for every analytic gradient; one has model j over
+        instance j's 2 x T x d perturbed sentences, and one has every
+        perturbed copy of every table (2 x (9 + 3) = 24 each at d = 3) over
+        its own instance's sentence."""
         calls = self._count_engine_calls(monkeypatch)
         rng = np.random.default_rng(1)
         k, T, d = 5, 4, 3
         sentences = [rng.uniform(-2, 2, (T, d)) for _ in range(k)]
         models = [_random_scores(rng, d, 2.0) for _ in range(k)]
         assert _fd_crf(sentences, models) < 1e-4
-        assert [len(tables) for _, _, tables, _ in calls] == [1] * k + [k, 24 * k]
-        shapes = [emissions.shape for emissions, *_ in calls[k:]]
-        assert shapes == [(T, k, 2 * T * d, d), (T, 24 * k, 1, d)]
+        assert [len(tables) for _, _, tables, _ in calls] == [k, k, 24 * k]
+        assert [gradients for *_, gradients in calls] == [True, False, False]
+        shapes = [emissions.shape for emissions, *_ in calls]
+        assert shapes == [(T, k, 1, d), (T, k, 2 * T * d, d), (T, 24 * k, 1, d)]
 
     def test_an_encoder_instance_makes_two_engine_calls(self, monkeypatch):
         """The analytic gradients, then every perturbed weight of the
@@ -180,14 +187,14 @@ class TestObservedBits:
         assert len(calls) == 2 * 10  # ten instances
         assert [len(tables) for _, _, tables, _ in calls] == [1] * 20
 
-    def test_a_battery_makes_96_engine_calls(self, monkeypatch):
+    def test_a_battery_makes_62_engine_calls(self, monkeypatch):
         """At seed 0: 24 for check_log_partition, one stacked call per (T, d)
-        group of its 200 instances; for each gradient check, one analytic
-        call per instance and two stacked calls per T group (T is 2 to 4,
-        and all three occur); two for each of the encoder check's 10."""
+        group of its 200 instances; for each gradient check, three stacked
+        calls per T group (T is 2 to 4, and all three occur); two for each
+        of the encoder check's 10."""
         calls = self._count_engine_calls(monkeypatch)
         per_check = []
-        gradients = 20 + 2 * 3
+        gradients = 3 * 3
         expected = [("check_log_partition", 24), ("check_viterbi", 0),
                     ("check_gradients", gradients), ("check_gradients", gradients),
                     ("check_encoder_gradients", 2 * 10), ("check_mask_convergence", 0),
@@ -196,7 +203,7 @@ class TestObservedBits:
             monkeypatch.setattr(verification, name, self._counted(name, calls, per_check))
         run_verification(0)
         assert per_check == expected
-        assert len(calls) == 24 + 2 * gradients + 2 * 10 == 96
+        assert len(calls) == 24 + 2 * gradients + 2 * 10 == 62
 
     @staticmethod
     def _counted(name, calls, per_check):
@@ -215,10 +222,13 @@ class TestObservedBits:
         their 200 instances to one stacked oracle call and to one stacked
         engine call (log Z, paths): 24 shapes each at seeds 0 and 1, every one
         of at most 5^6 paths, so one path table per shape, not one per
-        instance. The battery's other 84 enumerations are
-        check_mask_convergence's 42 loss oracles (one restricted and four
-        masked per instance, and the two zero-gap ones), a log Z pass and a
-        weights pass each, one sentence at a time."""
+        instance. The battery's other 12 enumerations are
+        check_mask_convergence's, a log Z pass and a weights pass for each
+        of its 6 gradient oracle calls: at seed 5 its 8 instances fall into
+        two T groups, each with one stacked restricted call over its k
+        instances and one stacked masked call over their 4k masked tables
+        (8 + 32 instances in all), then the two zero-gap calls, one
+        sentence each."""
         groups = {name: [] for name in
                   ("_brute_force_log_z", "_brute_force_paths", "_engine_log_z", "_engine_paths")}
         for name, sizes in groups.items():
@@ -242,9 +252,9 @@ class TestObservedBits:
         run_verification(0)
         for sizes in groups.values():
             assert len(sizes) == 24 and sum(sizes) == 200
-        assert len(enumerations) == 24 + 24 + 84
+        assert len(enumerations) == 24 + 24 + 2 * (2 * 2 + 2)
         assert [tables for _, tables in enumerations] == [1] * len(enumerations)
-        assert sum(instances for instances, _ in enumerations) == 200 + 200 + 84
+        assert sum(instances for instances, _ in enumerations) == 200 + 200 + 2 * (8 + 32 + 2)
 
 
 class TestCentralDifference:
