@@ -108,9 +108,8 @@ turn, adding into one table of counts, and its stacked form
 (_brute_force_gradients) on k instances, each a batch of one, so verify's
 mask-convergence check takes each T group's restricted oracle in one call
 and its masked oracle, four masked tables per instance, in another. It
-scatters a chunk's weights with one flat np.add.at per table, each
-instance's cells offset by its index, and scores each gold path with
-_scores, of which path_score is the batch of one: k paths of
+scatters a chunk's weights with one np.add.at per instance and table, and
+scores each gold path with _scores, of which path_score is the batch of one: k paths of
 one shape, stacked as (k, T, d) emissions, (k, d + 1, d) tables and (k, T)
 paths, each row (emission sum + move sum) + start with the bits of its own
 call, so verify scores each length group of its legal paths in one call.
@@ -533,11 +532,11 @@ def _batch_nll(batch: Batch | TokenBatch, tables: np.ndarray, gradients: bool):
     gamma /= n
     d_trans = (counts - np.bincount(moves[steps], minlength=d * d).reshape(d, d)) / n
     d_start = gamma[0].sum(axis=1)
-    d_emissions = gamma.swapaxes(0, 1).reshape(len(tables), -1, d)[:, rows]  # (N, tokens, d)
+    d_emissions = gamma.swapaxes(0, 1).reshape(len(tables), -1, d).take(rows, axis=1)  # (N, tokens, d)
     if not isinstance(batch, TokenBatch):
         bounds = np.cumsum(lengths)[:-1]
         d_emissions = [np.split(model, bounds) for model in d_emissions]
-    return losses, [CrfGradients(*model) for model in zip(d_emissions, d_trans, d_start)]
+    return losses, [CrfGradients(d_emissions[m], d_trans[m], d_start[m]) for m in range(len(tables))]
 
 
 def log_partition(emissions: np.ndarray, trans: TransitionMatrix) -> float:
@@ -925,12 +924,13 @@ def _enumerated_gradients(
         mass[rows] += w.sum(axis=1)
         if rows.start == 0:  # a new path table
             count += w.shape[1]
+            em_cells = cells.ravel()
             table_cells = np.concatenate([moves, d * d + cells[:1]]).ravel()  # the moves, then the starts
-        # one flat scatter per table, each cell's adds in the per-position loop's order
-        weights = np.tile(w, T).ravel()  # T cells of each path in each table
-        instance = np.arange(rows.start, rows.start + len(w))[:, None]
-        np.add.at(d_em.reshape(-1), (instance * (T * d) + cells.ravel()).ravel(), weights)
-        np.add.at(d_tables.reshape(-1), (instance * ((d + 1) * d) + table_cells).ravel(), weights)
+        # one scatter per instance and table, each cell's adds in the per-position loop's order
+        for em, table, weights in zip(d_em[rows], d_tables[rows], w):
+            weights = np.tile(weights, T)  # T cells of each path in each table
+            np.add.at(em.reshape(-1), em_cells, weights)
+            np.add.at(table.reshape(-1), table_cells, weights)
     fix = np.abs(mass - 1.0) > 4 * count * np.finfo(np.float64).eps  # more than rounding
     if fix.any():
         mass = mass[fix, None, None]
