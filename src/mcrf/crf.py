@@ -109,10 +109,11 @@ turn, adding into one table of counts, and its stacked form
 mask-convergence check takes each T group's restricted oracle in one call
 and its masked oracle, four masked tables per instance, in another. It
 scatters a chunk's weights with one np.add.at per instance and table, and
-scores each gold path with _scores, of which path_score is the batch of one: k paths of
-one shape, stacked as (k, T, d) emissions, (k, d + 1, d) tables and (k, T)
-paths, each row (emission sum + move sum) + start with the bits of its own
-call, so verify scores each length group of its legal paths in one call.
+scores each gold path with _scores, of which path_score is the batch of
+one: k paths of one shape, stacked as (k, T, d) emissions, (k, d + 1, d)
+tables and (k, T) paths, each row (emission sum + move sum) + start with
+the bits of its own call, so verify scores each length group of its legal
+paths in one call.
 They and path_score refuse a result that is not finite as the engine does,
 with one check per result or per enumerated chunk, and the stacked forms
 name the first refused instance in input order.
@@ -532,11 +533,13 @@ def _batch_nll(batch: Batch | TokenBatch, tables: np.ndarray, gradients: bool):
     gamma /= n
     d_trans = (counts - np.bincount(moves[steps], minlength=d * d).reshape(d, d)) / n
     d_start = gamma[0].sum(axis=1)
-    d_emissions = gamma.swapaxes(0, 1).reshape(len(tables), -1, d).take(rows, axis=1)  # (N, tokens, d)
+    # (N, tokens, d): each model's emission gradient, one take along the token axis
+    d_emissions = gamma.swapaxes(0, 1).reshape(len(tables), -1, d).take(rows, axis=1)
     if not isinstance(batch, TokenBatch):
         bounds = np.cumsum(lengths)[:-1]
         d_emissions = [np.split(model, bounds) for model in d_emissions]
-    return losses, [CrfGradients(d_emissions[m], d_trans[m], d_start[m]) for m in range(len(tables))]
+    models = range(len(tables))
+    return losses, [CrfGradients(d_emissions[m], d_trans[m], d_start[m]) for m in models]
 
 
 def log_partition(emissions: np.ndarray, trans: TransitionMatrix) -> float:
@@ -587,7 +590,7 @@ def loss_and_gradients(
     (N, d) emissions, not one batch per model.
     """
     if isinstance(batch, TokenBatch) and batch.emissions.ndim == 3:
-        _tokens(batch, trans.num_tags)  # one model reads one (N, d) batch: refused as any other shape
+        _tokens(batch, trans.num_tags)  # one model reads one (N, d) batch: refused as any shape
     losses, grads = _batch_nll(batch, trans.table[None], True)
     return float(losses[0]), grads[0]
 
@@ -871,11 +874,11 @@ def brute_force_loss_and_gradients(
     bounds = np.cumsum(lengths)[:-1]
     for k, (emissions, tags) in enumerate(zip(np.split(tokens, bounds), np.split(golds, bounds))):
         d_em = np.zeros((1, len(tags), d))
-        losses = _enumerated_gradients(*_instance(emissions, trans), tags[None], rules, d_em, d_table, k)
-        total += float(losses[0])
+        instance = _instance(emissions, trans)
+        total += float(_enumerated_gradients(*instance, tags[None], rules, d_em, d_table, k)[0])
         d_emissions.append(d_em[0] / n)
     d_table /= n
-    return total / n, CrfGradients(emissions=d_emissions, transitions=d_table[0, :d], start=d_table[0, d])
+    return total / n, CrfGradients(d_emissions, transitions=d_table[0, :d], start=d_table[0, d])
 
 
 def _brute_force_gradients(
@@ -925,7 +928,7 @@ def _enumerated_gradients(
         if rows.start == 0:  # a new path table
             count += w.shape[1]
             em_cells = cells.ravel()
-            table_cells = np.concatenate([moves, d * d + cells[:1]]).ravel()  # the moves, then the starts
+            table_cells = np.concatenate([moves, d * d + cells[:1]]).ravel()  # moves, then starts
         # one scatter per instance and table, each cell's adds in the per-position loop's order
         for em, table, weights in zip(d_em[rows], d_tables[rows], w):
             weights = np.tile(weights, T)  # T cells of each path in each table
