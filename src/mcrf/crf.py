@@ -25,11 +25,13 @@ sentence. The engine has a leading model axis: it runs N tables
 emissions, one batch per model, as model-major blocks of B rows each,
 R = N * B rows per step. _batch_nll reads the second form, with or
 without gradients, from a TokenBatch of (N, tokens, d) emissions: N
-same-shape batches that share their lengths and gold tags. The public
-entry points run one model. verify's gradient check takes each T group of
-instances as models over batches of their own: each instance's model over
-its sentence for the analytic gradients, over its perturbed sentences for
-the emission differences, and each perturbed copy of a table over its
+same-shape batches that share their lengths, and their gold tags unless
+(N, tokens) tags give each model its own; only _batch_nll reads those.
+The public entry points run one model. verify's gradient and encoder
+checks take each T group of instances as models over batches of their
+own: each instance's model over its sentence, under its own gold, for the
+analytic gradients, over its perturbed sentences for the emission (or
+encoder) differences, and each perturbed copy of a table over its
 instance's sentence. Its log-partition check takes each (T, d) group of
 instances as N models over their own sentences (_engine_log_z, of which
 log_partition is the batch of one). Each model's log Z, marginals,
@@ -207,8 +209,8 @@ class TokenBatch:
     their lengths (B,) and their gold tags concatenated (N,), the form in
     which the engine and the oracles read every batch. It iterates as its
     (emissions, gold) pairs. _batch_nll alone also reads (M, N, d)
-    emissions: M batches, one per model, that share the lengths and gold
-    tags."""
+    emissions: M batches, one per model, that share the lengths, with
+    shared (N,) or per-model (M, N) gold tags."""
 
     emissions: np.ndarray
     lengths: np.ndarray
@@ -268,7 +270,8 @@ def _tokens(
     (B,) intp lengths and (N,) intp gold tags. A list batch is checked pair
     by pair, a TokenBatch before any allocation and in numpy calls whose
     number does not grow with the batch. Given models, a TokenBatch may
-    instead hold (models, N, d) emissions, one batch per model."""
+    instead hold (models, N, d) emissions, one batch per model, and then
+    (models, N) gold tags, one row per model."""
     if not batch:
         raise ValueError("empty batch")
     if not isinstance(batch, TokenBatch):
@@ -291,7 +294,7 @@ def _tokens(
     need = (models, N, d) if models and emissions.ndim == 3 else (N, d)
     if emissions.shape != need:
         raise ValueError(f"emissions of shape {emissions.shape}, need {need} for {B} sentences")
-    if tags.shape != (N,) or tags.dtype.kind not in "iu":
+    if tags.shape not in ((N,), need[:-1]) or tags.dtype.kind not in "iu":
         raise ValueError(
             f"gold tags of shape {tags.shape} and dtype {tags.dtype}, "
             f"need ({N},) integer tags"
@@ -331,21 +334,23 @@ def _gold(paths: list, lengths: list[int], d: int) -> np.ndarray:
 
 
 def _check_range(tags: np.ndarray, lengths: list[int] | np.ndarray, d: int) -> None:
-    """Refuse the first sentence whose (N,) intp gold tags leave [0, d)."""
+    """Refuse the first sentence whose (N,) intp gold tags leave [0, d): of
+    (models, N) tags, in the first row that holds one."""
     wrapped = tags.view(np.uintp)  # a negative tag wraps to a huge unsigned one
     if wrapped.max() >= d:
-        k = int(np.searchsorted(np.cumsum(lengths), (wrapped >= d).argmax(), side="right"))
+        token = int((wrapped >= d).argmax()) % tags.shape[-1]
+        k = int(np.searchsorted(np.cumsum(lengths), token, side="right"))
         raise ValueError(f"sentence {k + 1}: gold path has a tag index out of range [0, {d})")
 
 
 def _padded(emissions: np.ndarray, lengths: np.ndarray, tags: np.ndarray) -> tuple[np.ndarray, ...]:
     """A checked token batch as the engine reads it: the left-aligned,
     zero-padded (T, B, d) emissions, or (T, M, B, d) for (M, N, d) ones, one
-    batch per model; the (B, T) gold tags and each token's row of the
-    (T * B, d) view, in numpy calls whose number does not grow with the
-    batch."""
+    batch per model; the (B, T) gold tags, or (M, B, T) for (M, N) ones, and
+    each token's row of the (T * B, d) view, in numpy calls whose number
+    does not grow with the batch."""
     if len(lengths) == 1:  # a batch of one is time-major as it stands
-        padded, grid, rows = emissions[..., None, :], tags[None], np.arange(len(tags))
+        padded, grid, rows = emissions[..., None, :], tags[..., None, :], np.arange(tags.shape[-1])
     else:
         *models, N, d = emissions.shape
         B, T = len(lengths), int(lengths.max())
@@ -354,9 +359,16 @@ def _padded(emissions: np.ndarray, lengths: np.ndarray, tags: np.ndarray) -> tup
         rows = position * B + sentence
         padded = np.zeros((*models, T * B, d))  # pad cells stay exactly 0.0
         padded[..., rows, :] = emissions
-        grid = np.zeros(B * T, dtype=np.intp)
-        grid[sentence * T + position] = tags
-        padded, grid = padded.reshape(*models, T, B, d), grid.reshape(B, T)
+        cells = sentence * T + position
+        if tags.ndim == 1:  # numpy's fast 1-D scatter
+            grid = np.zeros(B * T, dtype=np.intp)
+            grid[cells] = tags
+            grid = grid.reshape(B, T)
+        else:  # (M, N) tags: each model's own grid
+            grid = np.zeros((len(tags), B * T), dtype=np.intp)
+            grid[:, cells] = tags
+            grid = grid.reshape(len(tags), B, T)
+        padded = padded.reshape(*models, T, B, d)
     return (padded if emissions.ndim == 2 else padded.swapaxes(0, 1)), grid, rows
 
 
@@ -492,7 +504,8 @@ def _batch_nll(batch: Batch | TokenBatch, tables: np.ndarray, gradients: bool):
     list of each model's CrfGradients; without them, the (N, B)
     per-sentence NLLs log Z_k - s(gold_k). A TokenBatch may hold
     (N, tokens, d) emissions: N same-shape batches, one per model, that
-    share the lengths and gold tags. Each model's loss is the sum of
+    share the lengths, and the gold tags unless (N, tokens) tags give each
+    model its own. Each model's loss is the sum of
     its NLLs / B, so no sentence's NLL is rounded away by the others' (at
     |log Z| >= 2^52 each NLL is itself off by up to an ulp of its log Z, in
     the enumeration too), and the batch's sums cannot leave the float range
@@ -512,13 +525,20 @@ def _batch_nll(batch: Batch | TokenBatch, tables: np.ndarray, gradients: bool):
     tokens, lengths, tags = _tokens(batch, d, len(tables))
     emissions, tags, rows = _padded(tokens, lengths, tags)
     log_z, gamma, counts = _forward_backward(emissions, lengths, tables, gradients)
-    cells = np.arange(tags.shape[1]), np.arange(n)[:, None], tags  # (B, T) gold cells
+    T, N = tags.shape[-1], len(tables)
+    cells = np.arange(T), np.arange(n)[:, None], tags  # (B, T) gold cells
     if tokens.ndim == 3:  # (N, B, T): each model's cells of its own batch
-        cells = cells[0], np.arange(len(tables))[:, None, None], *cells[1:]
-    steps = np.arange(1, tags.shape[1]) < lengths[:, None]  # (B, T - 1) moves in a sentence
-    moves = tags[:, :-1] * d + tags[:, 1:]  # i * d + j: a cell of the flattened tables
-    move_scores = np.where(steps, tables.reshape(len(tables), -1).take(moves, axis=1), 0.0).sum(axis=2)
-    nlls = log_z - (emissions[cells].sum(axis=-1) + move_scores) - tables[:, d].take(tags[:, 0], axis=1)
+        cells = cells[0], np.arange(N)[:, None, None], *cells[1:]
+    steps = np.arange(1, T) < lengths[:, None]  # (B, T - 1) moves in a sentence
+    moves = tags[..., :-1] * d + tags[..., 1:]  # i * d + j: a cell of the flattened tables
+    flat = tables.reshape(N, -1)
+    if tags.ndim == 2:
+        gold_moves, gold_starts = flat.take(moves, axis=1), tables[:, d].take(tags[:, 0], axis=1)
+    else:  # per-model gold: each model's moves and start in its own table
+        index = cells[1]  # (N, 1, 1)
+        gold_moves, gold_starts = flat[index, moves], tables[index[..., 0], d, tags[..., 0]]
+    move_scores = np.where(steps, gold_moves, 0.0).sum(axis=-1)
+    nlls = log_z - (emissions[cells].sum(axis=-1) + move_scores) - gold_starts
     losses = (nlls / n).sum(axis=1)
     bad = ~np.isfinite(nlls)
     if bad.any():
@@ -528,18 +548,20 @@ def _batch_nll(batch: Batch | TokenBatch, tables: np.ndarray, gradients: bool):
         raise _refused_loss(k, nlls[m, k], log_z[m, k], sentence, tables[m])
     if not gradients:
         return losses, nlls
-    position, sentence, gold = cells[0], *cells[-2:]  # (B, T) gold cells, which every model shares
-    gamma[position, :, sentence, gold] -= 1.0  # the marginals (T, N, B, d)
+    if tags.ndim == 2:  # one gold path per sentence, which every model shares
+        cells, gold, size = (cells[0], slice(None), *cells[-2:]), moves[steps], d * d
+    else:  # each model's gold moves as cells of its own block of the (N, d, d) counts
+        gold, size = (moves + index * d * d)[:, steps].ravel(), N * d * d
+    gamma[cells] -= 1.0  # the marginals (T, N, B, d)
     gamma /= n
-    d_trans = (counts - np.bincount(moves[steps], minlength=d * d).reshape(d, d)) / n
+    d_trans = (counts - np.bincount(gold, minlength=size).reshape(-1, d, d)) / n
     d_start = gamma[0].sum(axis=1)
     # (N, tokens, d): each model's emission gradient, one take along the token axis
-    d_emissions = gamma.swapaxes(0, 1).reshape(len(tables), -1, d).take(rows, axis=1)
+    d_emissions = gamma.swapaxes(0, 1).reshape(N, -1, d).take(rows, axis=1)
     if not isinstance(batch, TokenBatch):
         bounds = np.cumsum(lengths)[:-1]
         d_emissions = [np.split(model, bounds) for model in d_emissions]
-    models = range(len(tables))
-    return losses, [CrfGradients(d_emissions[m], d_trans[m], d_start[m]) for m in models]
+    return losses, [CrfGradients(d_emissions[m], d_trans[m], d_start[m]) for m in range(N)]
 
 
 def log_partition(emissions: np.ndarray, trans: TransitionMatrix) -> float:
@@ -570,10 +592,19 @@ def _finite_log_z(log_z: np.ndarray, emissions: np.ndarray, tables: np.ndarray) 
     return log_z
 
 
+def _one_model(batch: Batch | TokenBatch, trans: TransitionMatrix, gradients: bool):
+    """_batch_nll under trans alone: the loss, and the NLLs or gradients,
+    the form of nll_loss and loss_and_gradients."""
+    if isinstance(batch, TokenBatch) and batch.emissions.ndim == 3:
+        _tokens(batch, trans.num_tags)  # one model reads one (N, d) batch: refused as any shape
+    losses, out = _batch_nll(batch, trans.table[None], gradients)
+    return float(losses[0]), out[0]
+
+
 def nll_loss(batch: Batch | TokenBatch, trans: TransitionMatrix) -> float:
     """Mean NLL over a batch of (emissions, gold) pairs or a TokenBatch:
     log Z - s(gold)."""
-    return float(_batch_nll(batch, trans.table[None], False)[0][0])
+    return _one_model(batch, trans, False)[0]
 
 
 def loss_and_gradients(
@@ -589,10 +620,7 @@ def loss_and_gradients(
     all averaged over the batch. The batch is one model's: a TokenBatch of
     (N, d) emissions, not one batch per model.
     """
-    if isinstance(batch, TokenBatch) and batch.emissions.ndim == 3:
-        _tokens(batch, trans.num_tags)  # one model reads one (N, d) batch: refused as any shape
-    losses, grads = _batch_nll(batch, trans.table[None], True)
-    return float(losses[0]), grads[0]
+    return _one_model(batch, trans, True)
 
 
 def viterbi_batch(

@@ -4,28 +4,32 @@ runs the same checks with its own tolerances.
 
 Each check draws a fixed number of random instances, which its detail
 text names, from a generator of the seed it is given; run_verification
-gives check k the seed seed + k, so one seed fixes the whole battery. One
-helper, _random_scores, draws every random transition matrix but the
-zero-start one of check_mask_convergence: the (d, d) scores, then the start
-vector. The finite-difference checks share one central-difference step,
-_FD_STEP: _perturbations collects every perturbed input of one loss form,
-restoring each entry bitwise, before anything asks for their losses, and
-_relative_error compares the analytic gradients with the differences of
-those losses. Every worst error is a maximum taken by _worst, which keeps a
+gives check k the seed seed + k, so one seed fixes the whole battery. A
+random transition matrix is its (d, d) scores, then its start vector. A
+check that draws emissions just before it, at the same bound, draws both
+in one (T + d + 1, d) uniform call whose rows T: are the (d + 1, d) table:
+back-to-back uniform calls at one bound read the stream as one call does.
+_random_scores draws the others, all but check_mask_convergence's
+zero-start one. The finite-difference checks share one central-difference
+step, _FD_STEP: _perturbations stacks the perturbed copies of one array
+without writing to it, and _relative_error compares the analytic
+gradients with the differences of their losses. Every worst error is a
+maximum taken by _worst, which keeps a
 nan: the builtin max keeps a number against a later nan (max(0.0, nan) is
 0.0), so a nan met after a check's first value would read PASS.
 
 check_log_partition and check_viterbi draw all 200 of their instances
-first; _shape_groups then stacks each (T, d) group of them, with the
-models it drew, for one call of the stacked enumeration oracle
-(crf._brute_force_log_z, crf._brute_force_paths), where each instance keeps
+first; _shape_groups then stacks each (T, d) group of them for one call
+of the stacked enumeration oracle (crf._brute_force_log_z,
+crf._brute_force_paths), where each instance keeps
 the bits of its own call. Each check takes the engine's side of a group
 from one stacked call too, each instance a model over its own sentence:
 check_log_partition its log Z (crf._engine_log_z, with the bits of its
 log_partition call), check_viterbi its path (crf._engine_paths, with the
 bits and the tie-break of its viterbi call). path_score scores a decoded
-path and the best one only where they differ, since a matching pair's
-difference is exactly 0.0. A check's worst error and mismatch count do not
+path and the best one, under a TransitionMatrix of the instance's table,
+only where they differ, since a matching pair's difference is exactly
+0.0. A check's worst error and mismatch count do not
 depend on the order in which it meets the instances, so it takes them
 group by group.
 
@@ -51,13 +55,15 @@ copies, so no copy holds another instance. Every difference keeps the bits
 of its own nll_loss call, and the worst error is a maximum, so it does not
 depend on the grouping.
 
-One check_encoder_gradients instance makes two engine calls: its analytic
-one, after the one encode call of its sentence, and one for every
-difference. _perturbations records each weight class's copies in turn
-(embeddings, then projection, then bias), and encoder._encode encodes each
-class's stack in one call: 42 + 54 + 6 logit matrices at V = 7, e = 3 and
-d = 3, each with the bits of encode under its own weights, which make one
-batch of sentences in that order.
+check_encoder_gradients draws its 10 instances first and groups them by
+T. Each group makes two engine calls, each model over a batch of its own:
+one for every instance's analytic gradients, model j over instance j's
+encoded sentence under its own gold path (the bits of its own
+loss_and_gradients call), then encoder_backward per instance; and one for
+every difference, model j over instance j's 42 + 54 + 6 perturbed logit
+matrices at V = 7, e = 3 and d = 3: the copies of its embeddings, then
+projection, then bias, each class's stack encoded in one encoder._encode
+call, each matrix with the bits of encode under its own weights.
 
 check_mask_convergence draws its 8 instances first and groups them by T.
 Each group makes two calls of the stacked gradient enumeration
@@ -92,7 +98,6 @@ from .crf import (
     _engine_log_z,
     _engine_paths,
     _scores,
-    loss_and_gradients,
     path_score,
 )
 from .crf import viterbi  # noqa: F401  (module attribute that perfbench/selftest.py checks)
@@ -146,24 +151,22 @@ def _shape_groups(rng: np.random.Generator, count: int):
     """count random instances of 1 to 6 positions and 2 to 5 tags, drawn in
     order (each with a gold path that no check reads, so every seed keeps its
     instances), then stacked by their (T, d) shape: yields each group's
-    (k, T, d) emissions, (k, d + 1, d) transition tables and its k models."""
+    (k, T, d) emissions and (k, d + 1, d) transition tables."""
     groups: dict[tuple[int, int], list] = {}
     for _ in range(count):
         T = int(rng.integers(1, 7))
         d = int(rng.integers(2, 6))
-        emissions = rng.uniform(-2.0, 2.0, size=(T, d))
-        trans = _random_scores(rng, d, 2.0)
+        groups.setdefault((T, d), []).append(rng.uniform(-2.0, 2.0, size=(T + d + 1, d)))
         rng.integers(0, d, size=T)
-        groups.setdefault(emissions.shape, []).append((emissions, trans))
-    for members in groups.values():
-        emissions, models = zip(*members)
-        yield np.stack(emissions), np.stack([t.table for t in models]), models
+    for (T, _), draws in groups.items():
+        draws = np.stack(draws)
+        yield draws[:, :T], draws[:, T:]
 
 
 def check_log_partition(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     errors = []
-    for emissions, tables, _ in _shape_groups(rng, 200):
+    for emissions, tables in _shape_groups(rng, 200):
         exact = _brute_force_log_z(emissions, tables, None)
         errors.append(np.abs(_engine_log_z(emissions, tables) - exact).max())
     worst = _worst(errors)
@@ -179,11 +182,12 @@ def check_log_partition(seed: int) -> CheckResult:
 def check_viterbi(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     gaps = []  # the score gap of each mismatched pair
-    for emissions, tables, models in _shape_groups(rng, 200):
+    for emissions, tables in _shape_groups(rng, 200):
         best_paths = _brute_force_paths(emissions, tables, None)
         decoded_paths = _engine_paths(emissions, tables, None)
-        for em, trans, decoded, best_path in zip(emissions, models, decoded_paths, best_paths):
+        for em, table, decoded, best_path in zip(emissions, tables, decoded_paths, best_paths):
             if decoded != best_path:  # a matching pair's score difference is 0.0
+                trans = TransitionMatrix(table[:-1], table[-1])
                 gaps.append(abs(path_score(em, trans, decoded) - path_score(em, trans, best_path)))
     worst, mismatched_paths = _worst(gaps), len(gaps)
     passed = worst == 0.0 and mismatched_paths == 0
@@ -196,26 +200,22 @@ def check_viterbi(seed: int) -> CheckResult:
     )
 
 
-def _perturbations(arrays, snapshot) -> list:
-    """Every entry of every array, in np.ndindex order, set to its value
-    + _FD_STEP, then - _FD_STEP, while snapshot() records the input that
-    perturbation makes; each entry gets its saved value back, since
-    (x + h) - h is not always x. Returns the inputs in that order."""
-    inputs = []
-    for arr in arrays:
-        for idx in np.ndindex(arr.shape):
-            saved = arr[idx]
-            for step in (_FD_STEP, -_FD_STEP):
-                arr[idx] = saved + step
-                inputs.append(snapshot())
-            arr[idx] = saved
-    return inputs
+def _perturbations(x: np.ndarray) -> np.ndarray:
+    """The (2 * x.size, *x.shape) copies of x with one entry moved: each
+    entry in C order set to its value + _FD_STEP, then - _FD_STEP. One
+    repeat and two scatters build them; x itself is only read."""
+    size = x.size
+    copies = np.repeat(x.reshape(1, size), 2 * size, axis=0).reshape(size, 2, size)
+    entry = np.arange(size)
+    copies[entry, 0, entry] = x.ravel() + _FD_STEP
+    copies[entry, 1, entry] = x.ravel() - _FD_STEP
+    return copies.reshape(2 * size, *x.shape)
 
 
 def _relative_error(gradients, values) -> float:
     """Worst relative error of analytic gradients against the central
-    finite differences of values, the losses of _perturbations' inputs over
-    the arrays of those gradients."""
+    finite differences of values, the losses of the _perturbations of the
+    arrays of those gradients, in turn."""
     values = np.asarray(values)
     fd = (values[0::2] - values[1::2]) / (2 * _FD_STEP)
     analytic = np.concatenate([g.ravel() for g in gradients])
@@ -223,38 +223,37 @@ def _relative_error(gradients, values) -> float:
     return float(np.max(np.abs(analytic - fd) / denom))
 
 
-def _sentence_losses(sentences, gold: list[int] | np.ndarray, tables: np.ndarray) -> np.ndarray:
-    """The NLL of one gold path under each of several (T, d) emission
+def _sentence_losses(sentences: np.ndarray, gold: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """The NLL of a gold path under each of several (T, d) emission
     matrices, from one engine call: P of them under the one model of
     (1, d + 1, d) tables, or (k, P, T, d) of them, model j of k over its own
-    P, in that order. At d <= 3 and T < 8 each has the bits of nll_loss on
-    its own sentence under its model (see crf._batch_nll)."""
-    sentences = np.asarray(sentences)
+    P, in that order. gold is one (T,) path, or (k, T) paths, model j's in
+    row j. At d <= 3 and T < 8 each has the bits of nll_loss on its own
+    sentence under its model and gold path (see crf._batch_nll)."""
     *models, n, T, d = sentences.shape
     batch = TokenBatch(sentences.reshape(*models, n * T, d), np.full(n, T), np.tile(gold, n))
     return _batch_nll(batch, tables, gradients=False)[1].ravel()
 
 
-def _fd_crf(sentences: list[np.ndarray], models: list[TransitionMatrix]) -> float:
+def _fd_crf(sentences: list[np.ndarray], tables: list[np.ndarray]) -> float:
     """Worst relative error of the analytic CRF gradients against central
     finite differences over emissions, transitions and start, for k
-    instances of one (T, d) shape under the gold path of tag 0. Three
-    engine calls, each model over a batch of its own: one gives every
-    instance's analytic gradients (model j over instance j's sentence), one
-    every emission difference (model j over instance j's perturbed
-    sentences) and one every table difference (each perturbed copy a model
-    over its instance's sentence)."""
-    k, (T, d) = len(sentences), sentences[0].shape
+    instances of one (T, d) shape, each with its (d + 1, d) transition
+    table, under the gold path of tag 0. Three engine calls, each model
+    over a batch of its own: one gives every instance's analytic gradients
+    (model j over instance j's sentence), one every emission difference
+    (model j over instance j's perturbed sentences) and one every table
+    difference (each perturbed copy a model over its instance's sentence)."""
+    k, T = len(sentences), len(sentences[0])
     gold = np.zeros(T, dtype=np.intp)
-    tables = [trans.table for trans in models]
-    stacked = np.stack(tables)
-    grads = _batch_nll(TokenBatch(np.stack(sentences), np.array([T]), gold), stacked, True)[1]
+    emissions, stacked = np.stack(sentences), np.stack(tables)
+    grads = _batch_nll(TokenBatch(emissions, np.array([T]), gold), stacked, True)[1]
     # instance by instance, each array's own perturbed copies
-    perturbed = [x for em in sentences for x in _perturbations([em], em.copy)]
-    emission_losses = _sentence_losses(np.reshape(perturbed, (k, -1, T, d)), gold, stacked)
-    perturbed = [x for table in tables for x in _perturbations([table], table.copy)]
-    sentence_copies = np.repeat(np.stack(sentences)[:, None], len(perturbed) // k, axis=0)
-    table_losses = _sentence_losses(sentence_copies, gold, np.stack(perturbed))
+    perturbed = np.stack([_perturbations(em) for em in sentences])
+    emission_losses = _sentence_losses(perturbed, gold, stacked)
+    perturbed = np.concatenate([_perturbations(table) for table in tables])
+    sentence_copies = np.repeat(emissions[:, None], len(perturbed) // k, axis=0)
+    table_losses = _sentence_losses(sentence_copies, gold, perturbed)
     return _worst([
         _relative_error([g.emissions for g in grads], emission_losses),
         _relative_error([np.concatenate([g.transitions, g.start[None]]) for g in grads], table_losses),
@@ -269,9 +268,11 @@ def check_gradients(seed: int, masked: bool) -> CheckResult:
     groups: dict[int, list] = {}  # T -> its instances, in the order drawn
     for _ in range(20):
         T = int(rng.integers(2, 5))
-        emissions = rng.uniform(-2.0, 2.0, size=(T, d))
-        trans = _random_scores(rng, d, 2.0)
-        groups.setdefault(T, []).append((emissions, apply_mask(trans, spec) if masked else trans))
+        draw = rng.uniform(-2.0, 2.0, size=(T + d + 1, d))  # emissions above the table
+        table = draw[T:]
+        if masked:
+            table = apply_mask(TransitionMatrix(table[:d], table[d]), spec).table
+        groups.setdefault(T, []).append((draw[:T], table))
     worst = _worst(_fd_crf(*zip(*members)) for members in groups.values())
     label = "masked" if masked else "unmasked"
     return CheckResult(
@@ -286,24 +287,30 @@ def check_gradients(seed: int, masked: bool) -> CheckResult:
 def check_encoder_gradients(seed: int) -> CheckResult:
     """Finite-difference check through encode -> NLL for every weight class."""
     rng = np.random.default_rng(seed)
-    errors = []
+    V, e, d = 7, 3, 3
+    names = ("embeddings", "projection", "bias")
+    groups: dict[int, list] = {}  # T -> its instances, in the order drawn
     for _ in range(10):
-        V, e, d, T = 7, 3, 3, int(rng.integers(2, 5))
+        T = int(rng.integers(2, 5))
         weights = EncoderWeights.init(V, e, d, rng)
-        trans = _random_scores(rng, d, 1.0)
+        table = _random_scores(rng, d, 1.0).table
         windows = window_ids(rng.integers(0, V, size=T))
-        gold = [int(v) for v in rng.integers(0, d, size=T)]
-
-        _, grads = loss_and_gradients([(encode(windows, weights), gold)], trans)
-        analytic = encoder_backward(windows, grads.emissions[0], weights)
-        names = ("embeddings", "projection", "bias")
-        logits = []  # each class's perturbed copies, stacked, under one encode
-        for name in names:
-            arr = getattr(weights, name)
-            perturbed = np.stack(_perturbations([arr], arr.copy))
-            logits.append(_encode(windows, **{**vars(weights), name: perturbed}))
-        losses = _sentence_losses(np.concatenate(logits), gold, trans.table[None])
-        errors.append(_relative_error([getattr(analytic, name) for name in names], losses))
+        groups.setdefault(T, []).append((windows, weights, table, rng.integers(0, d, size=T)))
+    errors = []
+    for T, members in groups.items():
+        windows, weights, tables, golds = zip(*members)
+        tables, golds = np.stack(tables), np.stack(golds)
+        logits = np.stack([encode(ids, w) for ids, w in zip(windows, weights)])
+        grads = _batch_nll(TokenBatch(logits, np.array([T]), golds), tables, True)[1]
+        analytic = [encoder_backward(ids, g.emissions, w) for ids, g, w in zip(windows, grads, weights)]
+        # each instance's perturbed copies of each class, stacked, under one encode
+        perturbed = np.stack([
+            np.concatenate([_encode(ids, **{**vars(w), name: _perturbations(getattr(w, name))})
+                            for name in names])
+            for ids, w in zip(windows, weights)
+        ])
+        losses = _sentence_losses(perturbed, golds, tables)
+        errors.append(_relative_error([getattr(a, name) for a in analytic for name in names], losses))
     worst = _worst(errors)
     return CheckResult(
         name="encoder gradients vs finite differences",
@@ -325,9 +332,8 @@ def check_mask_convergence(seed: int) -> CheckResult:
     groups: dict[int, list] = {}  # T -> its instances, in the order drawn
     for _ in range(8):
         T = int(rng.integers(2, 5))
-        emissions = rng.uniform(-1.5, 1.5, size=(T, d))
-        trans = _random_scores(rng, d, 1.5)
-        groups.setdefault(T, []).append((emissions, trans))
+        draw = rng.uniform(-1.5, 1.5, size=(T + d + 1, d))  # emissions above the table
+        groups.setdefault(T, []).append((draw[:T], TransitionMatrix(draw[T:-1], draw[-1])))
     gaps = {c: [] for c in values}  # each value's loss and gradient gaps
     illegal = tagset.rules.table(d)
     for members in groups.values():
@@ -371,8 +377,8 @@ def check_legal_scores_unchanged(seed: int) -> CheckResult:
     groups: dict[int, list] = {}  # T -> its instances, in the order drawn
     for _ in range(100):
         T = int(rng.integers(1, 7))
-        emissions = rng.uniform(-2.0, 2.0, size=(T, d))
-        trans = _random_scores(rng, d, 2.0)
+        draw = rng.uniform(-2.0, 2.0, size=(T + d + 1, d))  # emissions above the table
+        emissions, trans = draw[:T], TransitionMatrix(draw[T:-1], draw[-1])
         masked = apply_mask(trans, spec)
         path = [d]  # a random legal path after tag d, whose row holds the starts
         for _ in range(T):

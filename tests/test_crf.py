@@ -715,15 +715,20 @@ class TestModelAxis:
         assert str(stacked.value) == str(alone.value)
 
     @staticmethod
-    def assert_own_gradients(batch, tables, losses, grads):
+    def own_batch(batch, m):
+        """Model m's own TokenBatch of a per-model one: its emissions, and
+        its row of per-model gold tags."""
+        emissions = batch.emissions[m] if batch.emissions.ndim == 3 else batch.emissions
+        return TokenBatch(emissions, batch.lengths, batch.tags[m] if batch.tags.ndim == 2 else batch.tags)
+
+    @classmethod
+    def assert_own_gradients(cls, batch, tables, losses, grads):
         """Each model's loss and gradients have the float.hex of its own
         loss_and_gradients call, over its own batch of a per-model one."""
         d = tables.shape[2]
         assert losses.shape == (len(tables),) and len(grads) == len(tables)
         for m, (loss, model) in enumerate(zip(losses, grads)):
-            own = batch
-            if batch.emissions.ndim == 3:
-                own = TokenBatch(batch.emissions[m], batch.lengths, batch.tags)
+            own = cls.own_batch(batch, m)
             one_loss, one = loss_and_gradients(own, TransitionMatrix(tables[m, :d], tables[m, d]))
             assert float(loss).hex() == one_loss.hex()
             assert same_bits(model.emissions, one.emissions)
@@ -789,16 +794,88 @@ class TestModelAxis:
         assert str(stacked.value) == str(alone.value)
 
     def test_per_model_emissions_need_one_batch_per_model_and_no_gradients(self):
+        """_batch_nll needs one batch per model; the public one-model forms
+        refuse per-model emissions, one model's (1, tokens, d) too, with the
+        text of any shape that is not (tokens, d), which names no model axis."""
         batch, tables = self.per_model_batch(np.random.default_rng(2), 3, 3, 2)
         n = len(batch.tags)
         wrong = f"emissions of shape (3, {n}, 3), need (2, {n}, 3) for 2 sentences"
         with pytest.raises(ValueError, match=re.escape(wrong)):
             _batch_nll(batch, tables[:2], False)
-        with pytest.raises(ValueError, match=re.escape(wrong.replace("need (2,", "need (1,"))):
-            nll_loss(batch, TransitionMatrix.zeros(3))
-        shared = f"emissions of shape (3, {n}, 3), need ({n}, 3) for 2 sentences"
-        with pytest.raises(ValueError, match=re.escape(shared)):
-            loss_and_gradients(batch, TransitionMatrix.zeros(3))
+        for emissions in (batch.emissions, batch.emissions[:1]):
+            shared = f"emissions of shape {emissions.shape}, need ({n}, 3) for 2 sentences"
+            one_model = TokenBatch(emissions, batch.lengths, batch.tags)
+            for entry_point in (nll_loss, loss_and_gradients):
+                with pytest.raises(ValueError, match=re.escape(shared)):
+                    entry_point(one_model, TransitionMatrix.zeros(3))
+        # only _batch_nll reads per-model (models, tokens) gold tags
+        one_model = TokenBatch(batch.emissions[0], batch.lengths, np.zeros((3, n), dtype=np.int64))
+        message = f"gold tags of shape (3, {n}) and dtype int64, need ({n},) integer tags"
+        trans = TransitionMatrix.zeros(3)
+        calls = (lambda: nll_loss(one_model, trans), lambda: loss_and_gradients(one_model, trans),
+                 lambda: brute_force_loss_and_gradients(one_model, trans), lambda: list(one_model))
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+
+    @classmethod
+    def per_model_gold(cls, rng, N, d, B):
+        """per_model_batch with (N, tokens) gold tags, each model's own row."""
+        batch, tables = cls.per_model_batch(rng, N, d, B)
+        batch.tags = rng.integers(0, d, size=(N, len(batch.tags)))
+        return batch, tables
+
+    def test_per_model_gold_has_the_bits_of_each_models_own_call(self):
+        """(N, tokens) gold tags give each model the loss, NLLs and
+        gradients of its own call under its own gold, at N 1 to 8, d 2 to 7
+        and B 1 to 4; every third batch sends one model's rows through the
+        log-space step."""
+        rng = np.random.default_rng(36)
+        for trial in range(120):
+            N, d, B = int(rng.integers(1, 9)), int(rng.integers(2, 8)), int(rng.integers(1, 5))
+            batch, tables = self.per_model_gold(rng, N, d, B)
+            if trial % 3 == 0:
+                tables[int(rng.integers(N)), :d, 1] = -1e3
+                batch.emissions[..., 1] = 900.0  # tag 1 leads by far: v_t underflows
+            self.assert_own_gradients(batch, tables, *_batch_nll(batch, tables, True))
+            losses, nlls = _batch_nll(batch, tables, False)
+            assert nlls.shape == (N, B)
+            for m in range(N):
+                one_loss, one_nlls = _batch_nll(self.own_batch(batch, m), tables[m : m + 1], False)
+                assert same_bits(losses[m : m + 1], one_loss)
+                assert same_bits(nlls[m : m + 1], one_nlls)
+
+    def test_per_model_gold_names_the_first_refused_model_with_its_own_calls_text(self):
+        """Model 1's sentence 3 and model 3's sentence 1 are not finite,
+        each under its own gold: model 1 is refused, with and without
+        gradients, with the text of its own loss_and_gradients call."""
+        rng = np.random.default_rng(19)
+        batch, tables = self.per_model_gold(rng, 4, 3, 4)
+        bounds = np.cumsum(batch.lengths)
+        batch.emissions[1, bounds[1], batch.tags[1, bounds[1]]] = -np.inf  # its gold scores -inf
+        batch.emissions[3, 0, 0] = np.inf
+        own = self.own_batch(batch, 1)
+        with pytest.raises(ValueError) as alone:
+            loss_and_gradients(own, TransitionMatrix(tables[1, :3], tables[1, 3]))
+        assert str(alone.value).startswith("sentence 3: loss of inf")
+        for gradients in (False, True):
+            with pytest.raises(ValueError) as stacked:
+                _batch_nll(batch, tables, gradients)
+            assert str(stacked.value) == str(alone.value)
+
+    def test_a_gold_tag_out_of_range_in_one_models_row_names_its_sentence(self):
+        """A tag of d, or of -1, in model 2's row: refused for the sentence
+        that holds it, as that model's own call refuses it."""
+        rng = np.random.default_rng(4)
+        for bad in (3, -1):
+            batch, tables = self.per_model_gold(rng, 3, 3, 4)
+            token = int(np.cumsum(batch.lengths)[1])  # sentence 3's first token
+            batch.tags[2, token] = bad
+            message = "sentence 3: gold path has a tag index out of range [0, 3)"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                _batch_nll(batch, tables, True)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                nll_loss(self.own_batch(batch, 2), TransitionMatrix(tables[2, :3], tables[2, 3]))
 
 
 class TestTokenBatch:

@@ -172,38 +172,52 @@ class TestObservedBits:
         rng = np.random.default_rng(1)
         k, T, d = 5, 4, 3
         sentences = [rng.uniform(-2, 2, (T, d)) for _ in range(k)]
-        models = [_random_scores(rng, d, 2.0) for _ in range(k)]
-        assert _fd_crf(sentences, models) < 1e-4
+        tables = [_random_scores(rng, d, 2.0).table for _ in range(k)]
+        assert _fd_crf(sentences, tables) < 1e-4
         assert [len(tables) for _, _, tables, _ in calls] == [k, k, 24 * k]
         assert [gradients for *_, gradients in calls] == [True, False, False]
         shapes = [emissions.shape for emissions, *_ in calls]
         assert shapes == [(T, k, 1, d), (T, k, 2 * T * d, d), (T, 24 * k, 1, d)]
 
-    def test_an_encoder_instance_makes_two_engine_calls(self, monkeypatch):
-        """The analytic gradients, then every perturbed weight of the
-        embeddings, projection and bias as one batch of sentences."""
+    def test_an_encoder_t_group_makes_two_engine_calls(self, monkeypatch):
+        """A group of k instances of one T: the analytic gradients, model j
+        over instance j's encoded sentence under its own gold, then model j
+        over the 102 logit matrices of instance j's perturbed embeddings,
+        projection and bias (42 + 54 + 6 at V = 7, e = 3, d = 3)."""
         calls = self._count_engine_calls(monkeypatch)
+        groups: dict[int, int] = {}  # T -> instances, as the check draws them
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            T = int(rng.integers(2, 5))
+            EncoderWeights.init(7, 3, 3, rng)
+            _random_scores(rng, 3, 1.0)
+            rng.integers(0, 7, size=T)
+            rng.integers(0, 3, size=T)
+            groups[T] = groups.get(T, 0) + 1
         check_encoder_gradients(4)
-        assert len(calls) == 2 * 10  # ten instances
-        assert [len(tables) for _, _, tables, _ in calls] == [1] * 20
+        assert len(groups) == 3 and len(calls) == 2 * len(groups)
+        assert [len(tables) for _, _, tables, _ in calls] == [k for k in groups.values() for _ in range(2)]
+        shapes = [emissions.shape for emissions, *_ in calls]
+        assert shapes == [s for T, k in groups.items() for s in ((T, k, 1, 3), (T, k, 102, 3))]
+        assert [gradients for *_, gradients in calls] == [True, False] * len(groups)
 
-    def test_a_battery_makes_62_engine_calls(self, monkeypatch):
+    def test_a_battery_makes_48_engine_calls(self, monkeypatch):
         """At seed 0: 24 for check_log_partition, one stacked call per (T, d)
         group of its 200 instances; for each gradient check, three stacked
         calls per T group (T is 2 to 4, and all three occur); two for each
-        of the encoder check's 10."""
+        of the encoder check's three T groups."""
         calls = self._count_engine_calls(monkeypatch)
         per_check = []
         gradients = 3 * 3
         expected = [("check_log_partition", 24), ("check_viterbi", 0),
                     ("check_gradients", gradients), ("check_gradients", gradients),
-                    ("check_encoder_gradients", 2 * 10), ("check_mask_convergence", 0),
+                    ("check_encoder_gradients", 2 * 3), ("check_mask_convergence", 0),
                     ("check_legal_scores_unchanged", 0), ("check_mask_idempotence", 0)]
         for name in dict(expected):
             monkeypatch.setattr(verification, name, self._counted(name, calls, per_check))
         run_verification(0)
         assert per_check == expected
-        assert len(calls) == 24 + 2 * gradients + 2 * 10 == 62
+        assert len(calls) == 24 + 2 * gradients + 2 * 3 == 48
 
     @staticmethod
     def _counted(name, calls, per_check):
@@ -257,20 +271,45 @@ class TestObservedBits:
         assert sum(instances for instances, _ in enumerations) == 200 + 200 + 2 * (8 + 32 + 2)
 
 
+def mutate_and_restore(arrays, snapshot) -> list:
+    """The reference for _perturbations, the loop it replaced: every entry
+    of every array, in np.ndindex order, set to its value + _FD_STEP, then
+    - _FD_STEP, while snapshot() records the input that perturbation makes;
+    each entry gets its saved value back, since (x + h) - h is not always x.
+    Returns the inputs in that order."""
+    inputs = []
+    for arr in arrays:
+        for idx in np.ndindex(arr.shape):
+            saved = arr[idx]
+            for step in (_FD_STEP, -_FD_STEP):
+                arr[idx] = saved + step
+                inputs.append(snapshot())
+            arr[idx] = saved
+    return inputs
+
+
 class TestCentralDifference:
     # (x + h) - h != x for the first, (x - h) + h != x for the second
     DRIFTING = (0.9999932640791473, -0.12499297962726974)
+    # every array the checks perturb: check_gradients' (T, d) emissions and
+    # (d + 1, d) tables, the encoder check's embeddings, projection and bias
+    CHECKED_SHAPES = [(2, 3), (3, 3), (4, 3), (7, 3), (9, 3), (3,)]
 
     def test_restores_every_entry_bit_for_bit(self):
+        """The reference restores each drifting entry from its saved
+        value, and the stacked copies move one entry each, as it does."""
         h = _FD_STEP
         assert (self.DRIFTING[0] + h) - h != self.DRIFTING[0]
         assert (self.DRIFTING[1] - h) + h != self.DRIFTING[1]
         arr = np.array([self.DRIFTING, [0.5, -2.0]])
         before = arr.copy()
-        inputs = _perturbations([arr], arr.copy)
+        reference = mutate_and_restore([arr], arr.copy)
+        assert arr.tobytes() == before.tobytes()
+        inputs = _perturbations(arr)
         error = _relative_error([np.full(arr.shape, 3.0)], [3.0 * s.sum() for s in inputs])
         assert arr.tobytes() == before.tobytes()
-        assert len(inputs) == 2 * arr.size
+        assert inputs.shape == (2 * arr.size, *arr.shape)
+        assert inputs.tobytes() == np.stack(reference).tobytes()
         for k, idx in enumerate(np.ndindex(arr.shape)):
             for sign, snapshot in zip((1.0, -1.0), inputs[2 * k : 2 * k + 2]):
                 expected = before.copy()
@@ -278,35 +317,53 @@ class TestCentralDifference:
                 assert snapshot.tobytes() == expected.tobytes()
         assert error < 1e-6
 
+    @pytest.mark.parametrize("shape", CHECKED_SHAPES, ids=[
+        "emissions-T2", "emissions-T3", "emissions-T4-and-tables", "embeddings", "projection", "bias"])
+    def test_the_stacked_copies_are_the_reference_loops_at_every_checked_shape(self, shape):
+        """Byte for byte, at each shape the checks perturb, over random
+        entries of several scales with the drifting ones among them."""
+        rng = np.random.default_rng(len(shape) * 10 + shape[0])
+        for scale in (1e-3, 0.1, 2.0, 1e3):
+            arr = rng.uniform(-scale, scale, size=shape)
+            arr.reshape(-1)[:2] = self.DRIFTING
+            reference = np.stack(mutate_and_restore([arr], arr.copy))
+            assert _perturbations(arr).tobytes() == reference.tobytes()
+            assert _perturbations(arr).shape == reference.shape == (2 * arr.size, *shape)
+
+    def test_a_read_only_array_is_perturbed_without_a_write(self):
+        arr = np.array([self.DRIFTING, [0.5, -2.0], [3.0, -4.0]])
+        reference = np.stack(mutate_and_restore([arr], arr.copy))
+        arr.flags.writeable = False
+        inputs = _perturbations(arr)
+        assert inputs.flags.writeable and not arr.flags.writeable
+        assert inputs.tobytes() == reference.tobytes()
+
     def test_perturbs_the_arrays_in_order_and_reports_the_worst_entry(self):
         """Every entry of the first array, then of the second; the error is
         the largest over every entry of both."""
         first, second = np.array([0.5, -2.0]), np.array([[1.0], [4.0]])
-        inputs = _perturbations([first, second], lambda: (first.copy(), second.copy()))
-        losses = [a.sum() + 2.0 * b.sum() for a, b in inputs]
+        losses = [a.sum() + 2.0 * second.sum() for a in _perturbations(first)]
+        losses += [first.sum() + 2.0 * b.sum() for b in _perturbations(second)]
         error = _relative_error([np.array([1.0, 1.0]), np.array([[2.0], [1.0]])], losses)
-        assert len(inputs) == 2 * (first.size + second.size)
-        changed = [int(np.flatnonzero(np.concatenate([a - first, (b - second).ravel()]))[0])
-                   for a, b in inputs]
-        assert changed == [0, 0, 1, 1, 2, 2, 3, 3]
+        assert len(losses) == 2 * (first.size + second.size)
         assert error == pytest.approx(0.5, rel=1e-6)  # |1 - 2| / 2 at second[1]
 
     def test_a_crf_group_leaves_every_perturbed_array_unchanged(self, monkeypatch):
-        """_fd_crf perturbs each of three instances' emissions and table in
-        place, each holding drifting entries; every one comes back bit for
-        bit from its differences."""
+        """_fd_crf perturbs each of three instances' emissions and table,
+        each holding drifting entries and each read-only, so a write would
+        raise; every one keeps its bytes."""
         perturbed = []  # each perturbed array, with its bytes before and after
         perturbations = verification._perturbations
 
-        def spy(arrays, snapshot):
-            before = [arr.tobytes() for arr in arrays]
-            inputs = perturbations(arrays, snapshot)
-            perturbed.extend(zip(arrays, before, [arr.tobytes() for arr in arrays]))
+        def spy(x):
+            before = x.tobytes()
+            inputs = perturbations(x)
+            perturbed.append((x, before, x.tobytes()))
             return inputs
 
         monkeypatch.setattr(verification, "_perturbations", spy)
         rng = np.random.default_rng(0)
-        sentences, models = [], []
+        sentences, tables = [], []
         for _ in range(3):
             emissions = rng.uniform(-2.0, 2.0, size=(4, 3))
             emissions[0, :2] = self.DRIFTING
@@ -314,10 +371,12 @@ class TestCentralDifference:
             trans = TransitionMatrix(rng.uniform(-2.0, 2.0, size=(3, 3)), start)
             trans.scores[1, :2] = self.DRIFTING
             sentences.append(emissions)
-            models.append(trans)
-        arrays = sentences + [trans.table for trans in models]
+            tables.append(trans.table)
+        arrays = sentences + tables
         inputs = [a.tobytes() for a in arrays]
-        assert _fd_crf(sentences, models) < 1e-4
+        for a in arrays:
+            a.flags.writeable = False
+        assert _fd_crf(sentences, tables) < 1e-4
         assert len(perturbed) == len(arrays)
         assert all(arr is array for (arr, _, _), array in zip(perturbed, arrays))
         assert all(before == after for _, before, after in perturbed)
@@ -326,10 +385,10 @@ class TestCentralDifference:
 
 def fd_error(pairs, snapshot, losses) -> float:
     """Worst relative error of (array, analytic gradient) pairs against the
-    central differences of losses(inputs) over every input _perturbations
-    records."""
+    central differences of losses(inputs) over every input the reference
+    mutate_and_restore records."""
     arrays, gradients = zip(*pairs)
-    return _relative_error(gradients, losses(_perturbations(arrays, snapshot)))
+    return _relative_error(gradients, losses(mutate_and_restore(arrays, snapshot)))
 
 
 class TestGroupedGradientCheck:
