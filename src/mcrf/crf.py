@@ -14,29 +14,24 @@ rules' TransitionRuleSet.table(d) has the same layout, and every private
 function below that reads models as arrays takes them as stacked
 (k, d + 1, d) tables, never as scores and starts.
 
-One float64 engine runs forward-backward over a left-aligned, zero-padded,
-time-major (T, B, d) batch, so each step works on one contiguous block of
-rows; one sentence is a batch of one, already in that layout. Both batch
-forms, a list of (emissions, gold) pairs and a TokenBatch as training draws
-it, are read as their checked token batch (_tokens) and padded by one
-function (_padded); a list's token-major emission gradient is split per
-sentence. The engine has a leading model axis: it runs N tables
-(N, d + 1, d) over one batch that they all read, or over (T, N, B, d)
-emissions, one batch per model, as model-major blocks of B rows each,
-R = N * B rows per step. _batch_nll reads the second form, with or
-without gradients, from a TokenBatch of (N, tokens, d) emissions: N
-same-shape batches that share their lengths, and their gold tags unless
-(N, tokens) tags give each model its own; only _batch_nll reads those.
-The public entry points run one model. verify's gradient and encoder
-checks take each T group of instances as models over batches of their
-own: each instance's model over its sentence, under its own gold, for the
-analytic gradients, over its perturbed sentences for the emission (or
-encoder) differences, and each perturbed copy of a table over its
-instance's sentence. Its log-partition check takes each (T, d) group of
-instances as N models over their own sentences (_engine_log_z, of which
-log_partition is the batch of one). Each model's log Z, marginals,
-counts, loss, NLLs and gradients have the bits of a call with it, and its
-own batch, alone.
+One float64 engine runs forward-backward over one layout: left-aligned,
+zero-padded, time-major (T, M, B, d) emissions, M batches of B sentences,
+so each step works on one contiguous block of rows; one sentence is a
+batch of one, already in that layout. Both batch forms, a list of
+(emissions, gold) pairs and a TokenBatch as training draws it, are read as
+their checked token batch (_tokens) and padded by one function (_padded);
+a list's token-major emission gradient is split per sentence. The engine
+has a leading model axis: N tables (N, d + 1, d) run as model-major blocks
+of B rows each, R = N * B rows per step, over M = 1 batch that they all
+read or M = N batches, one per model, and under G = 1 gold path per
+sentence or G = N, one per model. A model axis of 1 broadcasts, so a
+training step (N = M = G = 1) and a stack of models take the same numpy
+calls. _batch_nll reads M = N from a TokenBatch of (N, tokens, d)
+emissions that share their lengths, and G = N from its (N, tokens) gold
+tags; the public entry points run one model. Each model's log Z,
+marginals, counts, loss, NLLs and gradients have the bits of a call with
+it, and its own batch, alone, so a caller may stack instances as models
+(_engine_log_z, of which log_partition is the batch of one).
 
 The forward pass is a scaled log-matmul-exp: with r the row maxima of a
 and K = exp(a - r[:, None]) (entries <= 1, masked ones exact zeros),
@@ -53,13 +48,13 @@ redoes the step in log space over its (rows, d, d) scores, forward and backward.
 One max-product recursion, _max_product, reads every path off. Like the
 engine it has a model axis: K tables (K, d + 1, d), and each sentence's
 model index. viterbi_batch(emissions_list, trans, rules) is its one model
-over a corpus, and viterbi its batch of one; verify's Viterbi check takes
-each (T, d) group of instances as k models over their own sentences
-(_engine_paths). A call gathers the (K, moves) move scores and copies the
-tables into one (K, d + 1, d) read-off table, once, with one masked
-assignment of rules.table(d). It maximises over the legal moves (i, j) and
-starts of rules only, all d^2 and d of them without rules; rules.moves(d)
-lists the moves in row-major order (481 of 1681 at BIOES with 10 types).
+over a corpus, viterbi its batch of one, and _engine_paths k instances of
+one shape, each under its own model. A call gathers the (K, moves) move
+scores and copies the tables into one (K, d + 1, d) read-off table, once,
+with one masked assignment of rules.table(d). It maximises over the legal
+moves (i, j) and starts of rules only, all d^2 and d of them without
+rules; rules.moves(d) lists the moves in row-major order (481 of 1681 at
+BIOES with 10 types).
 It sorts the sentences longest first and right-aligns them, so every
 sentence ends at the last column and the ones still running at a column
 are a prefix of the rows: each backward step
@@ -99,23 +94,18 @@ each chunk's path table, built once for all of them. The table is
 position-major: (T, n) cells over (T - 1, n) moves, row t holding every
 path's cell at position t. A tile of path scores adds one row gather per
 position in order, then the starts, then the moves' row gathers, added in
-order first. The public oracles are the enumerator's batch of one; the
-stacked forms of log Z and the best path (_brute_force_log_z,
-_brute_force_paths) let verify referee each shape group of its instances
-in one call. Each instance's scores are a C-ordered row, reduced as a lone
+order first. The public oracles are the enumerator's batch of one, and
+its stacked forms (_brute_force_log_z, _brute_force_paths) take k
+instances. Each instance's scores are a C-ordered row, reduced as a lone
 instance's are, so it keeps the bits of its own call. The gradient
 oracle's one enumeration, _enumerated_gradients, takes k instances of one
 shape too: brute_force_loss_and_gradients runs it on each sentence in
-turn, adding into one table of counts, and its stacked form
-(_brute_force_gradients) on k instances, each a batch of one, so verify's
-mask-convergence check takes each T group's restricted oracle in one call
-and its masked oracle, four masked tables per instance, in another. It
-scatters a chunk's weights with one np.add.at per instance and table, and
-scores each gold path with _scores, of which path_score is the batch of
-one: k paths of one shape, stacked as (k, T, d) emissions, (k, d + 1, d)
-tables and (k, T) paths, each row (emission sum + move sum) + start with
-the bits of its own call, so verify scores each length group of its legal
-paths in one call.
+turn, adding into one table of counts, and _brute_force_gradients on k
+instances, each a batch of one. It scatters a chunk's weights with one
+np.add.at per instance and table, and scores each gold path with _scores,
+of which path_score is the batch of one: k paths of one shape, stacked as
+(k, T, d) emissions, (k, d + 1, d) tables and (k, T) paths, each row
+(emission sum + move sum) + start with the bits of its own call.
 They and path_score refuse a result that is not finite as the engine does,
 with one check per result or per enumerated chunk, and the stacked forms
 name the first refused instance in input order.
@@ -209,8 +199,8 @@ class TokenBatch:
     their lengths (B,) and their gold tags concatenated (N,), the form in
     which the engine and the oracles read every batch. It iterates as its
     (emissions, gold) pairs. _batch_nll alone also reads (M, N, d)
-    emissions: M batches, one per model, that share the lengths, with
-    shared (N,) or per-model (M, N) gold tags."""
+    emissions, M batches that share the lengths, and (G, N) gold tags, G
+    gold paths per sentence: M and G are 1 or its number of models."""
 
     emissions: np.ndarray
     lengths: np.ndarray
@@ -271,7 +261,9 @@ def _tokens(
     by pair, a TokenBatch before any allocation and in numpy calls whose
     number does not grow with the batch. Given models, a TokenBatch may
     instead hold (models, N, d) emissions, one batch per model, and then
-    (models, N) gold tags, one row per model."""
+    (models, N) gold tags, one row per model. This is the one place that
+    tells the batch forms apart: the engine reads any of them as its one
+    layout, a model axis of 1 or of models (_padded)."""
     if not batch:
         raise ValueError("empty batch")
     if not isinstance(batch, TokenBatch):
@@ -344,32 +336,24 @@ def _check_range(tags: np.ndarray, lengths: list[int] | np.ndarray, d: int) -> N
 
 
 def _padded(emissions: np.ndarray, lengths: np.ndarray, tags: np.ndarray) -> tuple[np.ndarray, ...]:
-    """A checked token batch as the engine reads it: the left-aligned,
-    zero-padded (T, B, d) emissions, or (T, M, B, d) for (M, N, d) ones, one
-    batch per model; the (B, T) gold tags, or (M, B, T) for (M, N) ones, and
-    each token's row of the (T * B, d) view, in numpy calls whose number
-    does not grow with the batch."""
+    """A checked token batch as the engine reads it: M batches of (M, N, d)
+    emissions as the left-aligned, zero-padded, time-major (T, M, B, d)
+    emissions, G gold paths of (G, N) tags as the (G, B, T) gold tags, and
+    each token's row of a model's (T * B, d) block, in numpy calls whose
+    number does not grow with the batch."""
+    M, N, d = emissions.shape
     if len(lengths) == 1:  # a batch of one is time-major as it stands
-        padded, grid, rows = emissions[..., None, :], tags[..., None, :], np.arange(tags.shape[-1])
+        padded, grid, rows = emissions[:, :, None], tags[:, None], np.arange(N)
     else:
-        *models, N, d = emissions.shape
         B, T = len(lengths), int(lengths.max())
         sentence = np.repeat(np.arange(B), lengths)
         position = np.arange(N) - (np.cumsum(lengths) - lengths)[sentence]
         rows = position * B + sentence
-        padded = np.zeros((*models, T * B, d))  # pad cells stay exactly 0.0
-        padded[..., rows, :] = emissions
-        cells = sentence * T + position
-        if tags.ndim == 1:  # numpy's fast 1-D scatter
-            grid = np.zeros(B * T, dtype=np.intp)
-            grid[cells] = tags
-            grid = grid.reshape(B, T)
-        else:  # (M, N) tags: each model's own grid
-            grid = np.zeros((len(tags), B * T), dtype=np.intp)
-            grid[:, cells] = tags
-            grid = grid.reshape(len(tags), B, T)
-        padded = padded.reshape(*models, T, B, d)
-    return (padded if emissions.ndim == 2 else padded.swapaxes(0, 1)), grid, rows
+        padded = np.zeros((M, T, B, d))  # pad cells stay exactly 0.0
+        padded.reshape(M, T * B, d)[:, rows] = emissions
+        grid = np.zeros((len(tags), B, T), dtype=np.intp)  # pad cells hold tag 0
+        grid.reshape(len(tags), B * T)[:, sentence * T + position] = tags
+    return padded.swapaxes(0, 1), grid, rows
 
 
 def _not_finite(k: int, what: str, value: float, *inputs: np.ndarray) -> ValueError:
@@ -414,18 +398,18 @@ def _scores(emissions: np.ndarray, tables: np.ndarray, paths: np.ndarray) -> np.
 def _forward_backward(
     emissions: np.ndarray, lengths: np.ndarray, tables: np.ndarray, gradients: bool
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """log Z (N, B) of a zero-padded time-major (T, B, d) batch under each of
-    N models, (N, d + 1, d) transition tables (TransitionMatrix.table),
-    and, with gradients, the position marginals (T, N, B, d) and expected
-    transition counts (N, d, d). Steps past a sentence's end run on unused: log Z is
-    read at the end, and the backward pass starts there.
+    """log Z (N, B) of zero-padded time-major (T, M, B, d) emissions under
+    each of N models, (N, d + 1, d) transition tables
+    (TransitionMatrix.table), and, with gradients, the position marginals
+    (T, N, B, d) and expected transition counts (N, d, d). Steps past a
+    sentence's end run on unused: log Z is read at the end, and the
+    backward pass starts there.
 
-    Every model reads the same (T, B, d) batch, or each its own batch of
-    (T, N, B, d) emissions; only the log-space step's row lookup tells the
-    two apart. The rows are model-major blocks of the batch's rows,
-    R = N * B, so every step works on one (R, d) block and the products on
-    (T, N, B, d) views of it; each model's numbers have the bits of a call
-    with it alone.
+    M is 1, one batch that every model reads and that broadcasts over the
+    model axis, or N, each model's own batch. The rows are model-major
+    blocks of the batch's rows, R = N * B, so every step works on one
+    (R, d) block and the products on (T, N, B, d) views of it; each model's
+    numbers have the bits of a call with it alone.
 
     A row whose alpha is all -inf gets the shift _LOWEST, not -inf, so it
     takes the log-space step and its log Z is -inf; its marginals are nan.
@@ -454,9 +438,8 @@ def _forward_backward(
         np.log(v[t], out=alpha[t])
         alpha[t] += m
         alpha4[t] += emissions[t]
-        if t in guarded:
-            rows = emissions[t].reshape(-1, d)  # (B, d) read by every model, or (R, d)
-            alpha[t, low] = rows[low % len(rows)] + guarded[t][1]
+        if t in guarded:  # each row's model's emissions: a model axis of 1 broadcasts
+            alpha[t, low] = np.broadcast_to(emissions[t], (N, B, d)).reshape(R, d)[low] + guarded[t][1]
     ends = lengths - 1, np.arange(N)[:, None], np.arange(B)  # (N, B) cells of alpha4
     top = alpha4[ends].max(axis=2, keepdims=True, initial=_LOWEST)
     p = np.exp(alpha4[ends] - top)
@@ -502,11 +485,12 @@ def _batch_nll(batch: Batch | TokenBatch, tables: np.ndarray, gradients: bool):
     """The mean NLL over the padded batch under each of N models, (N, d + 1, d)
     tables, from one engine call: the (N,) losses and, with gradients, a
     list of each model's CrfGradients; without them, the (N, B)
-    per-sentence NLLs log Z_k - s(gold_k). A TokenBatch may hold
-    (N, tokens, d) emissions: N same-shape batches, one per model, that
-    share the lengths, and the gold tags unless (N, tokens) tags give each
-    model its own. Each model's loss is the sum of
-    its NLLs / B, so no sentence's NLL is rounded away by the others' (at
+    per-sentence NLLs log Z_k - s(gold_k). The checked tokens are read as
+    (M, tokens, d) emissions and (G, tokens) gold tags, M and G each 1 or
+    N: a TokenBatch may hold (N, tokens, d) emissions, one batch per model,
+    and (N, tokens) tags, one gold path per model. Every gather indexes the
+    N models, and a model axis of 1 broadcasts. Each model's loss is the
+    sum of its NLLs / B, so no sentence's NLL is rounded away by the others' (at
     |log Z| >= 2^52 each NLL is itself off by up to an ulp of its log Z, in
     the enumeration too), and the batch's sums cannot leave the float range
     while every NLL is finite. Each model's loss, NLLs and gradients have
@@ -521,40 +505,33 @@ def _batch_nll(batch: Batch | TokenBatch, tables: np.ndarray, gradients: bool):
     and row k of the engine's (B, d) @ (d, d) products has the bits of a
     (1, d) product. On OpenBLAS 0.3.31 that holds at d = 2 and 3; at d >= 4
     the rows differ in their last bits."""
-    d, n = tables.shape[2], len(batch)
-    tokens, lengths, tags = _tokens(batch, d, len(tables))
+    d, n, N = tables.shape[2], len(batch), len(tables)
+    tokens, lengths, tags = _tokens(batch, d, N)
+    # (M, tokens, d) emissions and (G, tokens) gold, M and G each 1 or N
+    tokens, tags = tokens.reshape(-1, *tokens.shape[-2:]), tags.reshape(-1, tags.shape[-1])
     emissions, tags, rows = _padded(tokens, lengths, tags)
     log_z, gamma, counts = _forward_backward(emissions, lengths, tables, gradients)
-    T, N = tags.shape[-1], len(tables)
-    cells = np.arange(T), np.arange(n)[:, None], tags  # (B, T) gold cells
-    if tokens.ndim == 3:  # (N, B, T): each model's cells of its own batch
-        cells = cells[0], np.arange(N)[:, None, None], *cells[1:]
+    T, models = tags.shape[-1], np.arange(N)[:, None, None]
+    # the gold cells of the emissions: their M = 1 or N model indices broadcast
+    cells = np.arange(T), models[: emissions.shape[1]], np.arange(n)[:, None], tags
     steps = np.arange(1, T) < lengths[:, None]  # (B, T - 1) moves in a sentence
-    moves = tags[..., :-1] * d + tags[..., 1:]  # i * d + j: a cell of the flattened tables
-    flat = tables.reshape(N, -1)
-    if tags.ndim == 2:
-        gold_moves, gold_starts = flat.take(moves, axis=1), tables[:, d].take(tags[:, 0], axis=1)
-    else:  # per-model gold: each model's moves and start in its own table
-        index = cells[1]  # (N, 1, 1)
-        gold_moves, gold_starts = flat[index, moves], tables[index[..., 0], d, tags[..., 0]]
-    move_scores = np.where(steps, gold_moves, 0.0).sum(axis=-1)
-    nlls = log_z - (emissions[cells].sum(axis=-1) + move_scores) - gold_starts
+    # model m's move i -> j: cell m * (d + 1) * d + i * d + j of the flattened tables
+    moves = tags[..., :-1] * d + tags[..., 1:] + models * tables[0].size
+    path = emissions[cells].sum(axis=-1) + np.where(steps, tables.take(moves), 0.0).sum(axis=-1)
+    nlls = log_z - path - tables[models[:, 0], d, tags[..., 0]]
     losses = (nlls / n).sum(axis=1)
     bad = ~np.isfinite(nlls)
     if bad.any():
-        m = int(bad.any(axis=1).argmax())  # the first model refused
-        k = int(bad[m].argmax())  # its first sentence whose own NLL is not finite
-        sentence = emissions[:, k] if tokens.ndim == 2 else emissions[:, m, k]
+        m, k = divmod(int(bad.argmax()), n)  # the first model refused, at its first such sentence
+        sentence = np.broadcast_to(emissions, (T, N, n, d))[:, m, k]
         raise _refused_loss(k, nlls[m, k], log_z[m, k], sentence, tables[m])
     if not gradients:
         return losses, nlls
-    if tags.ndim == 2:  # one gold path per sentence, which every model shares
-        cells, gold, size = (cells[0], slice(None), *cells[-2:]), moves[steps], d * d
-    else:  # each model's gold moves as cells of its own block of the (N, d, d) counts
-        gold, size = (moves + index * d * d)[:, steps].ravel(), N * d * d
-    gamma[cells] -= 1.0  # the marginals (T, N, B, d)
+    gamma[(cells[0], models, *cells[2:])] -= 1.0  # the same cells of each model's marginals
     gamma /= n
-    d_trans = (counts - np.bincount(gold, minlength=size).reshape(-1, d, d)) / n
+    # each model's gold moves counted in its block; a move past a sentence's end in the last bin
+    gold_counts = np.bincount(np.where(steps, moves, tables.size).ravel(), minlength=tables.size + 1)
+    d_trans = (counts - gold_counts[:-1].reshape(tables.shape)[:, :d]) / n
     d_start = gamma[0].sum(axis=1)
     # (N, tokens, d): each model's emission gradient, one take along the token axis
     d_emissions = gamma.swapaxes(0, 1).reshape(N, -1, d).take(rows, axis=1)

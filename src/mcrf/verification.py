@@ -224,14 +224,13 @@ def _relative_error(gradients, values) -> float:
 
 
 def _sentence_losses(sentences: np.ndarray, gold: np.ndarray, tables: np.ndarray) -> np.ndarray:
-    """The NLL of a gold path under each of several (T, d) emission
-    matrices, from one engine call: P of them under the one model of
-    (1, d + 1, d) tables, or (k, P, T, d) of them, model j of k over its own
-    P, in that order. gold is one (T,) path, or (k, T) paths, model j's in
-    row j. At d <= 3 and T < 8 each has the bits of nll_loss on its own
-    sentence under its model and gold path (see crf._batch_nll)."""
-    *models, n, T, d = sentences.shape
-    batch = TokenBatch(sentences.reshape(*models, n * T, d), np.full(n, T), np.tile(gold, n))
+    """The NLL of a gold path under each of (k, P, T, d) emission matrices,
+    from one engine call: model j of k over its own P, in that order. gold
+    is one (T,) path, or (k, T) paths, model j's in row j. At d <= 3 and
+    T < 8 each has the bits of nll_loss on its own sentence under its model
+    and gold path (see crf._batch_nll)."""
+    k, n, T, d = sentences.shape
+    batch = TokenBatch(sentences.reshape(k, n * T, d), np.full(n, T), np.tile(gold, n))
     return _batch_nll(batch, tables, gradients=False)[1].ravel()
 
 

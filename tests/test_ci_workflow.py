@@ -11,7 +11,8 @@ that pyproject.toml declares, and another that no module of the package
 imports a name it does not use, since CI runs no linter; nor may it export a
 name that only unit tests read, keep an underscore name that no package code
 reads, or import another module's underscore name outside a short list.
-Another test checks that the pytest settings in pyproject.toml are in
+Another test keeps the engine to one batch layout, reading no array
+rank. Another checks that the pytest settings in pyproject.toml are in
 force, and the last that README's module map and command table list what
 the package has.
 """
@@ -172,6 +173,25 @@ def test_no_function_takes_the_scores_and_the_starts_side_by_side():
                 if {"scores", "start"} <= names:
                     found.append(f"{path.name}: {getattr(node, 'name', 'lambda')}")
     assert found == ["crf.py: __init__"]
+
+
+def test_the_engine_reads_no_array_rank():
+    """The engine has one batch layout: _padded, _forward_backward and
+    _batch_nll read (T, M, B, d) emissions and (G, B, T) gold tags, M and G
+    each 1 or the number of models, and a model axis of 1 broadcasts. None
+    of them reads an .ndim, which would let a second layout grow back
+    unseen; _tokens is the one place that tells the batch forms apart."""
+    engine = {"_padded", "_forward_backward", "_batch_nll"}
+    tree = ast.parse((ROOT / "src" / "mcrf" / "crf.py").read_text(encoding="utf-8"))
+    functions = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in engine]
+    assert sorted(f.name for f in functions) == sorted(engine)  # the scan sees the engine
+    found = [
+        f"{f.name}: line {node.lineno}"
+        for f in functions
+        for node in ast.walk(f)
+        if isinstance(node, ast.Attribute) and node.attr == "ndim"
+    ]
+    assert found == []
 
 
 def _names_read(tree: ast.AST) -> set[str]:

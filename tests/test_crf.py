@@ -27,6 +27,7 @@ from mcrf.crf import (
     TransitionMatrix,
     _batch_nll,
     _forward_backward,
+    _padded,
     brute_force_best,
     brute_force_log_partition,
     brute_force_loss_and_gradients,
@@ -63,7 +64,7 @@ def marginals(emissions, trans):
     """The engine on one sentence: position marginals (T, d), expected
     transition counts (d, d) summed over positions, and log Z."""
     lengths = np.array([len(emissions)])
-    log_z, unary, counts = _forward_backward(emissions[:, None], lengths, trans.table[None], True)
+    log_z, unary, counts = _forward_backward(emissions[:, None, None], lengths, trans.table[None], True)
     return unary[:, 0, 0], counts[0], float(log_z[0, 0])
 
 
@@ -570,8 +571,10 @@ class TestModelAxis:
     @staticmethod
     def stacked_and_alone(emissions, lengths, scores, start):
         """The engine over N (scores, start) models stacked as their
-        (N, d + 1, d) tables, and over each model's table alone."""
+        (N, d + 1, d) tables, and over each model's table alone, all
+        reading one (T, B, d) batch as its (T, 1, B, d) layout."""
         tables = np.concatenate([scores, start[:, None]], axis=1)
+        emissions = emissions[:, None]
         stacked = _forward_backward(emissions, lengths, tables, True)
         alone = [_forward_backward(emissions, lengths, tables[n : n + 1], True) for n in range(len(tables))]
         return stacked, alone
@@ -876,6 +879,53 @@ class TestModelAxis:
                 _batch_nll(batch, tables, True)
             with pytest.raises(ValueError, match=re.escape(message)):
                 nll_loss(self.own_batch(batch, 2), TransitionMatrix(tables[2, :3], tables[2, 3]))
+
+
+class TestPadded:
+    """_padded, the engine's one layout: (M, tokens, d) emissions and
+    (G, tokens) gold tags as left-aligned, zero-padded (T, M, B, d)
+    emissions and (G, B, T) tags, against a loop over the sentences."""
+
+    @staticmethod
+    def loop(emissions, lengths, tags):
+        """Each token's row and tag written into a zero grid, sentence by
+        sentence, and its row of a model's (T * B, d) block."""
+        M, n, d = emissions.shape
+        B, T = len(lengths), max(lengths)
+        padded, grid = np.zeros((T, M, B, d)), np.zeros((len(tags), B, T), dtype=np.intp)
+        rows, token = np.empty(n, dtype=np.intp), 0
+        for k, length in enumerate(lengths):
+            for t in range(length):
+                padded[t, :, k] = emissions[:, token]
+                grid[:, k, t] = tags[:, token]
+                rows[token] = t * B + k
+                token += 1
+        return padded, grid, rows
+
+    @pytest.mark.parametrize("M", [1, 3])
+    @pytest.mark.parametrize("G", [1, 3])
+    def test_is_the_loop_at_every_model_and_gold_count(self, M, G):
+        """B = 1 and ragged B > 1. Every token's emissions and tags are
+        nonzero, so a pad cell reads exactly 0.0 and tag 0 only if _padded
+        leaves it so; rows maps each token back to its own cell."""
+        rng = np.random.default_rng(10 * M + G)
+        d = 4
+        for lengths in ([5], [1], [3, 1, 4, 1, 5], [2, 7, 2], [6, 6]):
+            n, T = sum(lengths), max(lengths)
+            emissions = rng.uniform(0.5, 2.0, size=(M, n, d)) * rng.choice([-1.0, 1.0], size=(M, n, d))
+            tags = rng.integers(1, d, size=(G, n))
+            padded, grid, rows = _padded(emissions, np.array(lengths), tags)
+            want_padded, want_grid, want_rows = self.loop(emissions, lengths, tags)
+            assert same_bits(padded, want_padded)
+            assert same_bits(grid, want_grid)
+            assert same_bits(rows, want_rows)
+            pad = np.arange(T)[:, None] >= np.array(lengths)  # (T, B) cells past an end
+            assert same_bits(padded.swapaxes(1, 2)[pad], np.zeros((pad.sum(), M, d)))
+            assert not grid.transpose(2, 1, 0)[pad].any()
+            blocks = padded.swapaxes(0, 1).reshape(M, -1, d)  # each model's (T * B, d) block
+            assert same_bits(blocks[:, rows], emissions)
+            if len(lengths) == 1:  # a batch of one is read as it stands, not copied
+                assert np.shares_memory(padded, emissions) and np.shares_memory(grid, tags)
 
 
 class TestTokenBatch:
