@@ -261,9 +261,8 @@ def _tokens(
     by pair, a TokenBatch before any allocation and in numpy calls whose
     number does not grow with the batch. Given models, a TokenBatch may
     instead hold (models, N, d) emissions, one batch per model, and then
-    (models, N) gold tags, one row per model. This is the one place that
-    tells the batch forms apart: the engine reads any of them as its one
-    layout, a model axis of 1 or of models (_padded)."""
+    (models, N) gold tags, one row per model. The engine reads each form
+    in its one layout (_padded): only the checks tell the forms apart."""
     if not batch:
         raise ValueError("empty batch")
     if not isinstance(batch, TokenBatch):

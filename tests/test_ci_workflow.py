@@ -180,7 +180,8 @@ def test_the_engine_reads_no_array_rank():
     _batch_nll read (T, M, B, d) emissions and (G, B, T) gold tags, M and G
     each 1 or the number of models, and a model axis of 1 broadcasts. None
     of them reads an .ndim, which would let a second layout grow back
-    unseen; _tokens is the one place that tells the batch forms apart."""
+    unseen: only the checks before them (_tokens, and _one_model's refusal
+    of per-model emissions) tell the batch forms apart."""
     engine = {"_padded", "_forward_backward", "_batch_nll"}
     tree = ast.parse((ROOT / "src" / "mcrf" / "crf.py").read_text(encoding="utf-8"))
     functions = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in engine]
