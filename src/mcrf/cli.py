@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import replace
@@ -24,7 +25,7 @@ from .encoder import load_external_logits
 from .errors import ConfigurationError, DataError, McrfError
 from .evaluation import format_report, score_paths
 from .masking import decode
-from .postproc import STRATEGIES, extract_segments_batch, repair_tags_batch
+from .postproc import STRATEGIES, repair_tags_batch
 from .schemes import Scheme, Tagset, build_tagset
 from .training import TrainConfig, train
 from .verification import run_verification
@@ -152,8 +153,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise DataError("eval needs --model and --data (or --gold and --pred)")
         model, gold_sents, raw = _decode_data(args)
         tagset = model.tagset
-    gold_segments = extract_segments_batch([s.gold for s in gold_sents], tagset)
-    print(format_report(*score_paths(gold_segments, raw, tagset, args.strategy)))
+    print(format_report(*score_paths([s.gold for s in gold_sents], raw, tagset, args.strategy)))
     return 0
 
 
@@ -198,7 +198,10 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The mcrf argument parser, built on the first call and shared by every
+    later one: parse_args leaves it unchanged, so main reuses it."""
     parser = argparse.ArgumentParser(
         prog="mcrf",
         description="Sequence labeling with linear-chain CRFs and transition masking.",

@@ -19,7 +19,6 @@ from .data import LabeledSentence
 from .errors import ConfigurationError
 from .evaluation import ChunkMetrics, IllegalStats, score_paths
 from .masking import MaskSpec, constrained_viterbi, decode
-from .postproc import extract_segments_batch
 from .schemes import Scheme, Tagset, first_violation
 from .training import TrainConfig, train
 
@@ -115,7 +114,7 @@ def compare_systems(
     crf_model, _ = train(train_sentences, dev_sentences, crf_config, tagset)
     mcrf_model, _ = train(train_sentences, dev_sentences, mcrf_config, tagset)
     spec = mcrf_model.mask_spec
-    gold_segments = extract_segments_batch([s.gold for s in dev_sentences], tagset)
+    gold = [s.gold for s in dev_sentences]
     crf_emissions = crf_model.emissions(dev_sentences)
     tagger_raw = decode(crf_emissions, TransitionMatrix.zeros(tagset.size), None)
     crf_raw = decode(crf_emissions, crf_model.trans, None)
@@ -123,7 +122,7 @@ def compare_systems(
     mcrf_train_raw = decode(mcrf_model.emissions(dev_sentences), mcrf_model.trans, spec)
 
     def row(label: str, raw: list[list[int]], strategy: str) -> SystemRow:
-        metrics, stats = score_paths(gold_segments, raw, tagset, strategy)
+        metrics, stats = score_paths(gold, raw, tagset, strategy)
         return SystemRow(label=label, metrics=metrics, stats=stats)
 
     rows = [

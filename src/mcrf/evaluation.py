@@ -4,6 +4,14 @@ A predicted segment is a true positive when a gold segment with the same
 entity type and the same [start, end) span exists in the same sentence.
 Metrics are micro-averaged over the corpus; every ratio with a zero
 denominator is reported as 0.
+
+score_paths, the one scoring rule of eval, training and the comparison
+table, reads tag paths on both sides and builds no Segment: it takes the
+chunk arrays of postproc.chunks once per side and matches them by flat
+position. Sentences of equal lengths lay both corpora out alike, so a raw
+chunk is a hit when a gold chunk starts at its start, ends at its end and
+has its type (Tagset.type_codes). chunk_prf and illegal_stats score
+Segment lists: they are the reference that score_paths is tested against.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .postproc import Segment, extract_segments_batch, keeps
+from .postproc import Segment, chunks, keeps
 from .schemes import Tagset
 
 
@@ -92,10 +100,6 @@ def chunk_prf(gold: list[list[Segment]], pred: list[list[Segment]]) -> ChunkMetr
 def illegal_stats(gold: list[list[Segment]], pred: list[list[Segment]]) -> IllegalStats:
     """Cross-classify predicted segments: (legal vs illegal) x (TP vs FP)."""
     _check_sentences(gold, pred)
-    return _illegal_stats(gold, pred)
-
-
-def _illegal_stats(gold: list[list[Segment]], pred: list[list[Segment]]) -> IllegalStats:
     counts = {(True, True): 0, (True, False): 0, (False, True): 0, (False, False): 0}
     for gold_segs, pred_segs in zip(gold, pred):
         gold_spans = {s.span for s in gold_segs}
@@ -110,18 +114,45 @@ def _illegal_stats(gold: list[list[Segment]], pred: list[list[Segment]]) -> Ille
 
 
 def score_paths(
-    gold_segments: list[list[Segment]],
+    gold_paths: list[list[int]],
     raw_paths: list[list[int]],
     tagset: Tagset,
     strategy: str,
 ) -> tuple[ChunkMetrics, IllegalStats]:
-    """Score one decode: P/R/F1 of the paths after the repair strategy,
-    illegal-segment counts of the raw paths (which repair would hide)."""
-    raw_segments = extract_segments_batch(raw_paths, tagset)
-    kept = keeps(np.array([False, True]), strategy).tolist()  # by legality, checked once
-    pred_segments = [[s for s in segments if kept[s.legal]] for segments in raw_segments]
-    # one check, in chunk_prf: repair keeps some of each sentence's extracted segments
-    return chunk_prf(gold_segments, pred_segments), _illegal_stats(gold_segments, raw_segments)
+    """Score one decode against the gold paths: P/R/F1 of the paths after
+    the repair strategy, illegal-segment counts of the raw paths (which
+    repair would hide). The chunks a strategy keeps are the repaired
+    paths' (postproc.keeps), so no path is repaired. ValueError when the
+    corpora differ in sentences, or first differ in length at a sentence,
+    or for the first path that Tagset.concatenate refuses."""
+    if len(gold_paths) != len(raw_paths):
+        raise ValueError(f"gold has {len(gold_paths)} sentences, predictions have {len(raw_paths)}")
+    gold, gold_firsts, gold_starts, gold_ends, _ = chunks(gold_paths, tagset)
+    raw, raw_firsts, starts, ends, legal = chunks(raw_paths, tagset)
+    gold_lengths = np.diff(gold_firsts, append=gold.size)
+    differ = np.flatnonzero(gold_lengths != np.diff(raw_firsts, append=raw.size))
+    if differ.size:
+        k = differ[0]
+        raise ValueError(
+            f"sentence {k + 1}: gold has {len(gold_paths[k])} tags, "
+            f"prediction has {len(raw_paths[k])}"
+        )
+    end_at = np.zeros(gold.size, dtype=np.intp)  # no chunk ends at 0: a miss where none starts
+    end_at[gold_starts] = gold_ends
+    types = tagset.type_codes
+    hit = (end_at[starts] == ends) & (types[gold[starts]] == types[raw[starts]])
+    kept = keeps(legal, strategy)
+    tp, predicted, hits, legal_tp, legal_count = (
+        int(np.count_nonzero(a)) for a in (hit & kept, kept, hit, hit & legal, legal)
+    )
+    metrics = ChunkMetrics(tp=tp, fp=predicted - tp, fn=gold_starts.size - tp)
+    stats = IllegalStats(
+        legal_tp=legal_tp,
+        illegal_tp=hits - legal_tp,
+        legal_fp=legal_count - legal_tp,
+        illegal_fp=starts.size - legal_count - hits + legal_tp,
+    )
+    return metrics, stats
 
 
 def format_report(metrics: ChunkMetrics, stats: IllegalStats) -> str:

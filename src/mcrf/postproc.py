@@ -18,6 +18,8 @@ list in canonical form:
 retain and discard always produce a legal path. Both run on a whole corpus
 at once, over its concatenated tags: extract_segments_batch and
 repair_tags_batch, which extract_segments and repair_tags run at B = 1.
+All of them read one pass of chunks, whose arrays evaluation.score_paths
+scores without building a Segment.
 """
 
 from __future__ import annotations
@@ -50,12 +52,13 @@ class Segment:
         return (self.entity_type, self.start, self.end)
 
 
-def _chunks(paths: list, tagset: Tagset) -> tuple[np.ndarray, ...]:
+def chunks(paths: list, tagset: Tagset) -> tuple[np.ndarray, ...]:
     """One pass over a corpus' concatenated tags (module docstring): the flat
-    tags, each path's first position, and every chunk's start, end and
-    legality, in order. A tag that cannot start a sentence (an I-X or E-X)
-    continues the chunk before it exactly when the rule table allows the
-    move into it."""
+    tags, each path's first position, and every chunk's flat start, end and
+    legality, in order; a chunk's entity type is its first tag's. A tag that
+    cannot start a sentence (an I-X or E-X) continues the chunk before it
+    exactly when the rule table allows the move into it, and no chunk
+    crosses a path's end."""
     flat, firsts, illegal_step = illegal_steps(tagset, paths)
     outside = tagset.index_of(OUTSIDE)
     illegal = tagset.rules.table(tagset.size)
@@ -70,7 +73,7 @@ def _chunks(paths: list, tagset: Tagset) -> tuple[np.ndarray, ...]:
 def extract_segments_batch(paths: list, tagset: Tagset) -> list[list[Segment]]:
     """The typed segments of every path of a corpus, read in one pass over
     the concatenated tags; only the Segment objects are built one by one."""
-    flat, firsts, starts, ends, legal = _chunks(paths, tagset)
+    flat, firsts, starts, ends, legal = chunks(paths, tagset)
     sentence = np.searchsorted(firsts, starts, side="right") - 1
     columns = (sentence, flat[starts], starts - firsts[sentence], ends - firsts[sentence], legal)
     segments: list[list[Segment]] = [[] for _ in range(len(firsts))]
@@ -115,7 +118,7 @@ def repair_tags_batch(paths: list, tagset: Tagset, strategy: str) -> list[list[i
     corpus: the kept segments are re-emitted into one O-filled array."""
     if strategy == "none":
         return [list(tags) for tags in paths]
-    flat, firsts, starts, ends, legal = _chunks(paths, tagset)
+    flat, firsts, starts, ends, legal = chunks(paths, tagset)
     kept = keeps(legal, strategy)
     out = _canonical_tags(flat.size, starts[kept], ends[kept], flat[starts[kept]], tagset).tolist()
     bounds = [*firsts.tolist(), flat.size]

@@ -110,6 +110,15 @@ class Tagset:
         )
 
     @cached_property
+    def type_codes(self) -> np.ndarray:
+        """The entity type of every tag, by index, as its position in
+        entity_types; O is -1. Read-only: the one array that the rules and
+        chunk scoring compare types through."""
+        codes = np.array([-1 if t is None else self.entity_types.index(t) for _, t in self.parts])
+        codes.flags.writeable = False
+        return codes
+
+    @cached_property
     def rules(self) -> "TransitionRuleSet":
         """The compiled illegal transitions and starts, built on first use:
         the one run-time answer to whether a path is legal."""
@@ -194,12 +203,12 @@ class TransitionRuleSet:
 
 def illegal_transition_set(tagset: Tagset) -> TransitionRuleSet:
     """Compile every illegal (from, to) pair and every illegal start tag, the
-    one definition of the module docstring's rules: each tag's prefix and
-    type, read from tagset.parts, become codes, and the rules apply to all
-    pairs at once by broadcasting. Use tagset.rules, which builds this once
-    per tagset."""
+    one definition of the module docstring's rules: each tag's prefix, read
+    from tagset.parts, and its type code, from tagset.type_codes, and the
+    rules apply to all pairs at once by broadcasting. Use tagset.rules,
+    which builds this once per tagset."""
     prefix = np.array([p for p, _ in tagset.parts])
-    etype = np.array([-1 if t is None else tagset.entity_types.index(t) for _, t in tagset.parts])
+    etype = tagset.type_codes
     bioes = tagset.scheme is Scheme.BIOES
     continues = np.isin(prefix, ("I", "E") if bioes else ("I",))  # needs an open chunk
     opened = np.isin(prefix, ("B", "I"))  # leaves its chunk open

@@ -38,7 +38,6 @@ from .encoder import EncoderWeights, Vocabulary, encode, encoder_backward, windo
 from .errors import ConfigurationError, DataError, TrainingError, check_seed
 from .evaluation import score_paths
 from .masking import DEFAULT_MASK_VALUE, MaskSpec, decode, mask_spec_for, reapply_mask_in_place
-from .postproc import extract_segments_batch
 from .schemes import Tagset, validate_gold_paths
 
 BETA1 = 0.9
@@ -243,7 +242,7 @@ def train(
     train_tags = [np.asarray(s.gold, dtype=np.intp) for s in train_sentences]  # checked above
     train_lengths = np.array([len(tags) for tags in train_tags])
     dev_tags = [np.asarray(s.gold, dtype=np.intp) for s in dev_sentences]
-    gold_segments = extract_segments_batch([s.gold for s in dev_sentences], tagset)
+    dev_gold = [s.gold for s in dev_sentences]
 
     n = len(train_sentences)
     batches_per_epoch = math.ceil(n / config.batch_size)
@@ -277,7 +276,7 @@ def train(
             try:
                 report.records.append(_evaluate(
                     iteration, loss, dev_inputs, dev_tags, encoder,
-                    trans, spec, tagset, gold_segments, config.batch_size,
+                    trans, spec, tagset, dev_gold, config.batch_size,
                 ))
             except ValueError:  # the dev corpus was checked above: its scores are not finite
                 raise TrainingError(
@@ -308,7 +307,7 @@ def _evaluate(
     trans: TransitionMatrix,
     spec: MaskSpec | None,
     tagset: Tagset,
-    gold_segments,
+    dev_gold: list[list[int]],
     batch_size: int,
 ) -> EvalRecord:
     emissions: list[np.ndarray] = []
@@ -325,7 +324,7 @@ def _evaluate(
         emissions += np.split(logits, np.cumsum(lengths)[:-1])
     predictions = decode(emissions, trans, spec)
     dev_nll = total_nll / len(dev_tags)
-    metrics, stats = score_paths(gold_segments, predictions, tagset, "none")
+    metrics, stats = score_paths(dev_gold, predictions, tagset, "none")
     return EvalRecord(
         iteration=iteration,
         train_nll=float(train_loss),

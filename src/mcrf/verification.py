@@ -78,7 +78,12 @@ check_legal_scores_unchanged lists each tag's legal successors once and
 draws each position of a path from its tag's list, with the draws of
 rng.choice over that list. It draws all 100 of its instances first, then
 scores each T group under the raw and the masked tables with one stacked
-crf._scores call each, each row with the bits of path_score."""
+crf._scores call each, each row with the bits of path_score.
+
+Those three checks (check_gradients in its masked form) mask each T
+group's stacked tables with one assignment of the rules' table (_masked),
+each table as apply_mask leaves it; only check_mask_idempotence calls
+apply_mask, whose result it checks."""
 
 from __future__ import annotations
 
@@ -234,15 +239,16 @@ def _sentence_losses(sentences: np.ndarray, gold: np.ndarray, tables: np.ndarray
     return _batch_nll(batch, tables, gradients=False)[1].ravel()
 
 
-def _fd_crf(sentences: list[np.ndarray], tables: list[np.ndarray]) -> float:
+def _fd_crf(sentences: np.ndarray | list, tables: np.ndarray | list) -> float:
     """Worst relative error of the analytic CRF gradients against central
     finite differences over emissions, transitions and start, for k
     instances of one (T, d) shape, each with its (d + 1, d) transition
-    table, under the gold path of tag 0. Three engine calls, each model
-    over a batch of its own: one gives every instance's analytic gradients
-    (model j over instance j's sentence), one every emission difference
-    (model j over instance j's perturbed sentences) and one every table
-    difference (each perturbed copy a model over its instance's sentence)."""
+    table (k of each, stacked or in a list), under the gold path of tag 0.
+    Three engine calls, each model over a batch of its own: one gives every
+    instance's analytic gradients (model j over instance j's sentence), one
+    every emission difference (model j over instance j's perturbed
+    sentences) and one every table difference (each perturbed copy a model
+    over its instance's sentence)."""
     k, T = len(sentences), len(sentences[0])
     gold = np.zeros(T, dtype=np.intp)
     emissions, stacked = np.stack(sentences), np.stack(tables)
@@ -259,6 +265,14 @@ def _fd_crf(sentences: list[np.ndarray], tables: list[np.ndarray]) -> float:
     ])
 
 
+def _masked(tables: np.ndarray, spec: MaskSpec) -> np.ndarray:
+    """A copy of (k, d + 1, d) stacked transition tables with one assignment
+    of spec's mask: each table as apply_mask leaves it."""
+    masked = tables.copy()
+    masked[:, spec.rules.table(tables.shape[-1])] = spec.mask_value
+    return masked
+
+
 def check_gradients(seed: int, masked: bool) -> CheckResult:
     rng = np.random.default_rng(seed)
     tagset = build_tagset("bio", ["A"])
@@ -267,12 +281,13 @@ def check_gradients(seed: int, masked: bool) -> CheckResult:
     groups: dict[int, list] = {}  # T -> its instances, in the order drawn
     for _ in range(20):
         T = int(rng.integers(2, 5))
-        draw = rng.uniform(-2.0, 2.0, size=(T + d + 1, d))  # emissions above the table
-        table = draw[T:]
-        if masked:
-            table = apply_mask(TransitionMatrix(table[:d], table[d]), spec).table
-        groups.setdefault(T, []).append((draw[:T], table))
-    worst = _worst(_fd_crf(*zip(*members)) for members in groups.values())
+        groups.setdefault(T, []).append(rng.uniform(-2.0, 2.0, size=(T + d + 1, d)))
+    errors = []
+    for T, draws in groups.items():
+        draws = np.stack(draws)  # emissions above the table
+        tables = _masked(draws[:, T:], spec) if masked else draws[:, T:]
+        errors.append(_fd_crf(draws[:, :T], tables))
+    worst = _worst(errors)
     label = "masked" if masked else "unmasked"
     return CheckResult(
         name=f"analytic vs finite-difference gradients ({label})",
@@ -331,17 +346,16 @@ def check_mask_convergence(seed: int) -> CheckResult:
     groups: dict[int, list] = {}  # T -> its instances, in the order drawn
     for _ in range(8):
         T = int(rng.integers(2, 5))
-        draw = rng.uniform(-1.5, 1.5, size=(T + d + 1, d))  # emissions above the table
-        groups.setdefault(T, []).append((draw[:T], TransitionMatrix(draw[T:-1], draw[-1])))
+        groups.setdefault(T, []).append(rng.uniform(-1.5, 1.5, size=(T + d + 1, d)))
     gaps = {c: [] for c in values}  # each value's loss and gradient gaps
     illegal = tagset.rules.table(d)
-    for members in groups.values():
-        emissions = np.stack([em for em, _ in members])
+    for T, draws in groups.items():
+        draws = np.stack(draws)  # emissions above the table
+        emissions, tables = draws[:, :T], draws[:, T:]
         golds = np.zeros(emissions.shape[:2], dtype=np.intp)
-        tables = np.stack([trans.table for _, trans in members])
         restricted = _brute_force_gradients(emissions, tables, golds, tagset.rules)  # c is not read
         # each instance's four masked tables in turn, each over the instance's sentence
-        tables = np.stack([apply_mask(trans, spec).table for _, trans in members for spec in specs])
+        tables = np.stack([_masked(tables, spec) for spec in specs], axis=1).reshape(-1, d + 1, d)
         emissions, golds = (np.repeat(a, len(values), axis=0) for a in (emissions, golds))
         masked = zip(*_brute_force_gradients(emissions, tables, golds, None))
         for instance in zip(*restricted):
@@ -377,17 +391,15 @@ def check_legal_scores_unchanged(seed: int) -> CheckResult:
     for _ in range(100):
         T = int(rng.integers(1, 7))
         draw = rng.uniform(-2.0, 2.0, size=(T + d + 1, d))  # emissions above the table
-        emissions, trans = draw[:T], TransitionMatrix(draw[T:-1], draw[-1])
-        masked = apply_mask(trans, spec)
         path = [d]  # a random legal path after tag d, whose row holds the starts
         for _ in range(T):
             legal = successors[path[-1]]
             path.append(legal[rng.integers(len(legal))])  # the draw of rng.choice(legal)
-        groups.setdefault(T, []).append((emissions, trans.table, masked.table, path[1:]))
+        groups.setdefault(T, []).append((draw[:T], draw[T:], path[1:]))
     gaps = []
     for members in groups.values():
-        emissions, raw, masked, paths = map(np.stack, zip(*members))
-        gap = _scores(emissions, raw, paths) - _scores(emissions, masked, paths)
+        emissions, raw, paths = map(np.stack, zip(*members))
+        gap = _scores(emissions, raw, paths) - _scores(emissions, _masked(raw, spec), paths)
         gaps.append(np.abs(gap).max())
     worst = _worst(gaps)
     return CheckResult(

@@ -11,12 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcrf import cli, postproc, schemes
+from mcrf import cli, postproc, schemes, training
 from mcrf.cli import main
 from mcrf.data import (
     LabeledSentence,
     ModelState,
     SyntheticConfig,
+    generate_synthetic,
     load_model,
     read_conll,
     save_model,
@@ -729,6 +730,38 @@ class TestCorpusAtOnce:
         postproc.repair_tags([0], tagset, "retain")
         schemes.first_violation(tagset, [0])
         assert calls == {"extract_segments": 1, "repair_tags": 1, "first_violation": 1}
+
+    def test_eval_and_training_build_no_segment(self, tmp_path, monkeypatch):
+        """eval, in both of its forms, and training's dev evaluation score
+        the chunk arrays of the tag paths: none of them builds a Segment."""
+        def refuse(*args):
+            raise AssertionError("a Segment was built")
+
+        monkeypatch.setattr(postproc, "Segment", refuse)
+        model_path, _ = bias_model(tmp_path, "crf", Scheme.BIOES)
+        data = tmp_path / "in.conll"
+        data.write_text("a\tB-LOC\nb\tE-LOC\n\nb\tS-LOC\n\na\tO\nb\tB-LOC\na\tE-LOC\n\n")
+        assert main(["eval", "--model", model_path, "--data", str(data),
+                     "--strategy", "retain"]) == 0
+        assert main(["eval", "--gold", str(data), "--pred", str(data), "--scheme", "bioes",
+                     "--types", "1"]) == 0
+        tagset, sentences = generate_synthetic(
+            SyntheticConfig(entity_types=("PER",), sentences=12, min_length=2, max_length=7), 0
+        )
+        config = TrainConfig(max_epochs=0, max_iterations=2, eval_every=1, embedding_dim=4)
+        _, report = training.train(sentences[:8], sentences[8:], config, tagset)
+        assert len(report.records) == 2
+        with pytest.raises(AssertionError, match="^a Segment was built$"):  # the guard is live
+            postproc.extract_segments_batch([[1]], tagset)
+
+    def test_two_calls_build_the_parser_once(self, tmp_path):
+        data = tmp_path / "in.conll"
+        data.write_text("a\tB-LOC\n\n")
+        cli.build_parser.cache_clear()
+        for _ in range(2):
+            assert main(["eval", "--gold", str(data), "--pred", str(data)]) == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestEval:

@@ -12,7 +12,12 @@ from mcrf.evaluation import (
     illegal_stats,
     score_paths,
 )
-from mcrf.postproc import Segment, extract_segments, repair_tags, repair_tags_batch
+from mcrf.postproc import (
+    Segment,
+    extract_segments,
+    extract_segments_batch,
+    repair_tags_batch,
+)
 from mcrf.schemes import Scheme, build_tagset
 
 
@@ -139,6 +144,15 @@ class TestIllegalStats:
         assert stats.legal_fp + stats.illegal_fp == m.fp
 
 
+def reference_scores(gold, raw, tagset, strategy):
+    """score_paths by Segment lists: chunk_prf over the repaired paths and
+    illegal_stats over the raw ones, each side extracted on its own."""
+    gold_segments = extract_segments_batch(gold, tagset)
+    repaired = extract_segments_batch(repair_tags_batch(raw, tagset, strategy), tagset)
+    raw_segments = extract_segments_batch(raw, tagset)
+    return chunk_prf(gold_segments, repaired), illegal_stats(gold_segments, raw_segments)
+
+
 class TestScorePaths:
     TAGSET = build_tagset(Scheme.BIO, ["LOC", "PER"])
 
@@ -146,52 +160,80 @@ class TestScorePaths:
         t = self.TAGSET.index_of
         gold = [[t("O"), t("B-PER"), t("O"), t("B-LOC"), t("O")]]
         raw = [[t("O"), t("I-PER"), t("O"), t("B-LOC"), t("I-PER")]]
-        return [extract_segments(g, self.TAGSET) for g in gold], raw
+        return gold, raw
 
     def test_repair_scores_the_repaired_paths_and_counts_the_raw_ones(self):
-        gold_segments, raw = self._paths()
-        raw_segments = [extract_segments(p, self.TAGSET) for p in raw]
+        gold, raw = self._paths()
         for strategy in ("retain", "discard", "none"):
-            repaired = [
-                extract_segments(repair_tags(p, self.TAGSET, strategy), self.TAGSET)
-                for p in raw
-            ]
-            metrics, stats = score_paths(gold_segments, raw, self.TAGSET, strategy)
-            assert metrics == chunk_prf(gold_segments, repaired)
-            assert stats == illegal_stats(gold_segments, raw_segments)
+            got = score_paths(gold, raw, self.TAGSET, strategy)
+            assert got == reference_scores(gold, raw, self.TAGSET, strategy)
 
     def test_hand_counts(self):
         """The raw path holds an illegal PER at 1 (a TP), a legal LOC at 3 (a
         TP) and an illegal PER at 4 (an FP); discard keeps only the LOC."""
-        gold_segments, raw = self._paths()
-        metrics, stats = score_paths(gold_segments, raw, self.TAGSET, "discard")
+        gold, raw = self._paths()
+        metrics, stats = score_paths(gold, raw, self.TAGSET, "discard")
         assert (metrics.tp, metrics.fp, metrics.fn) == (1, 0, 1)
         assert (stats.legal_tp, stats.illegal_tp, stats.legal_fp, stats.illegal_fp) == (
             1, 1, 0, 1,
         )
+        assert all(type(n) is int for n in (*vars(metrics).values(), *vars(stats).values()))
+
+    def test_a_hit_needs_the_same_sentence_span_and_type(self):
+        """Chunks match by flat position, which sentences of equal lengths
+        lay out alike: the same span in the next sentence, a span that only
+        starts or only ends alike, and the same span of another type each
+        miss."""
+        t = self.TAGSET.index_of
+        o, b_loc, i_loc, b_per = t("O"), t("B-LOC"), t("I-LOC"), t("B-PER")
+        gold = [[b_loc, o], [o, o], [b_loc, i_loc, o], [o, b_loc, o]]
+        raw = [[o, o], [b_loc, o], [b_loc, o, o], [o, b_per, o]]
+        metrics, stats = score_paths(gold, raw, self.TAGSET, "none")
+        assert (metrics.tp, metrics.fp, metrics.fn) == (0, 3, 3)
+        assert stats == IllegalStats(legal_tp=0, illegal_tp=0, legal_fp=3, illegal_fp=0)
+        metrics, _ = score_paths(gold, gold, self.TAGSET, "none")
+        assert (metrics.tp, metrics.fp, metrics.fn) == (3, 0, 0)
 
     def test_sentences_are_checked_once(self, monkeypatch):
-        """chunk_prf and illegal_stats each checked them, sorting every
-        sentence's spans twice per score_paths call."""
-        checks = []
-        original = mcrf.evaluation._check_sentences
+        """score_paths reads each side in one chunks pass, whose
+        Tagset.concatenate checks that side's paths, and runs no Segment
+        check; a sentence-count mismatch is refused before either pass."""
+        passes, checks = [], []
 
-        def counting(gold, pred):
-            checks.append(len(pred))
-            return original(gold, pred)
+        def counting(paths, tagset):
+            passes.append(len(paths))
+            return original(paths, tagset)
 
-        monkeypatch.setattr(mcrf.evaluation, "_check_sentences", counting)
-        gold_segments, raw = self._paths()
+        original = mcrf.evaluation.chunks
+        monkeypatch.setattr(mcrf.evaluation, "chunks", counting)
+        monkeypatch.setattr(mcrf.evaluation, "_check_sentences", checks.append)
+        gold, raw = self._paths()
         for strategy in ("retain", "discard", "none"):
-            score_paths(gold_segments, raw, self.TAGSET, strategy)
-        assert len(checks) == 3
+            score_paths(gold, raw, self.TAGSET, strategy)
+        assert passes == [1, 1] * 3 and checks == []
         with pytest.raises(ValueError, match="^gold has 1 sentences, predictions have 2$"):
-            score_paths(gold_segments, raw * 2, self.TAGSET, "retain")
+            score_paths(gold, raw * 2, self.TAGSET, "retain")
+        assert passes == [1, 1] * 3
+
+    def test_a_length_mismatch_names_the_first_such_sentence(self):
+        """Also where the corpora hold the same number of tags in all."""
+        gold, raw = self._paths()
+        (path,) = raw
+        with pytest.raises(ValueError, match="^sentence 2: gold has 5 tags, prediction has 4$"):
+            score_paths(gold * 3, [path, path[:4], path[:3]], self.TAGSET, "none")
+        with pytest.raises(ValueError, match="^sentence 1: gold has 5 tags, prediction has 4$"):
+            score_paths(gold * 2, [path[:4], path + [0]], self.TAGSET, "none")
+
+    def test_a_gold_path_the_tagset_refuses_is_refused(self):
+        """The gold side is read from tag paths too, with their checks."""
+        _, raw = self._paths()
+        with pytest.raises(ValueError, match="^tag index 9 out of range"):
+            score_paths([[0, 1, 2, 3, 9]], raw, self.TAGSET, "none")
 
     def test_unknown_strategy_rejected(self):
         """On any corpus, an empty one too, as repair_tags_batch refuses it."""
-        gold_segments, raw = self._paths()
-        for corpus in ((gold_segments, raw), ([], [])):
+        gold, raw = self._paths()
+        for corpus in ((gold, raw), ([], [])):
             with pytest.raises(ValueError, match="^unknown strategy 'mend'"):
                 score_paths(*corpus, self.TAGSET, "mend")
         with pytest.raises(ValueError, match="^unknown strategy 'mend'"):
@@ -206,8 +248,8 @@ class TestScorePaths:
 
         original = mcrf.evaluation.keeps
         monkeypatch.setattr(mcrf.evaluation, "keeps", counting)
-        gold_segments, raw = self._paths()
-        score_paths(gold_segments * 3, raw * 3, self.TAGSET, "discard")
+        gold, raw = self._paths()
+        score_paths(gold * 3, raw * 3, self.TAGSET, "discard")
         assert calls == ["discard"]
 
 

@@ -1,8 +1,9 @@
 """Property tests over random BIO/BIOES tagsets: constrained decoding of one
 sentence and of a corpus against the restricted enumeration oracle, the
 batched Viterbi engine on ragged corpora and against the dense recursion over
-all d^2 moves, the repair rules, and the batched forward-backward engine on
-ragged batches.
+all d^2 moves, the repair rules, chunk scoring from tag paths against the
+Segment reference, and the batched forward-backward engine on ragged
+batches.
 
 Scores are integer-valued so that the dynamic program and the enumeration
 sum every path exactly; with decimal scores the two can order a near-tie
@@ -27,8 +28,15 @@ from mcrf.crf import (
     nll_loss,
     viterbi_batch,
 )
+from mcrf.evaluation import chunk_prf, illegal_stats, score_paths
 from mcrf.masking import MaskSpec, apply_mask, constrained_viterbi, decode, guard_threshold
-from mcrf.postproc import extract_segments, keeps, repair_tags
+from mcrf.postproc import (
+    extract_segments,
+    extract_segments_batch,
+    keeps,
+    repair_tags,
+    repair_tags_batch,
+)
 from mcrf.schemes import (
     Scheme,
     build_tagset,
@@ -193,6 +201,43 @@ def test_retain_leaves_a_legal_path_unchanged(tagged):
     tagset, path = tagged
     assert first_violation(tagset, path) is None
     assert repair_tags(path, tagset, "retain") == path
+
+
+@st.composite
+def scored_corpora(draw):
+    """(tagset, gold paths, raw paths) of 0-6 sentences. The gold paths are
+    any tags, or those repaired to legal ones. The raw paths are decoded
+    from emissions that lean to the gold tags, by Viterbi with no rules
+    (often illegal) or under the rules (legal), or are the gold paths with
+    some tags redrawn."""
+    tagset = draw(tagsets())
+    d = tagset.size
+    tags = st.integers(0, d - 1)
+    gold = [draw(st.lists(tags, min_size=T, max_size=T))
+            for T in draw(st.lists(st.integers(1, 10), max_size=6))]
+    if draw(st.booleans()):
+        gold = repair_tags_batch(gold, tagset, "retain")
+    kind = draw(st.sampled_from(["viterbi", "legal", "redrawn"]))
+    if kind == "redrawn":
+        return tagset, gold, [[draw(tags) if draw(st.booleans()) else t for t in p] for p in gold]
+    bound = draw(st.sampled_from([1, 3]))
+    emissions = [_scores(draw, (len(p), d), bound) + 2 * bound * np.eye(d)[p] for p in gold]
+    trans = TransitionMatrix(_scores(draw, (d, d), bound), _scores(draw, (d,), bound))
+    return tagset, gold, viterbi_batch(emissions, trans, tagset.rules if kind == "legal" else None)
+
+
+@PROPERTY_SETTINGS
+@given(scored_corpora())
+def test_score_paths_is_the_segment_reference(case):
+    """Chunks matched by flat position count what Segment sets count:
+    chunk_prf over the repaired paths, illegal_stats over the raw ones."""
+    tagset, gold, raw = case
+    gold_segments = extract_segments_batch(gold, tagset)
+    raw_segments = extract_segments_batch(raw, tagset)
+    for strategy in ("retain", "discard", "none"):
+        repaired = extract_segments_batch(repair_tags_batch(raw, tagset, strategy), tagset)
+        reference = chunk_prf(gold_segments, repaired), illegal_stats(gold_segments, raw_segments)
+        assert score_paths(gold, raw, tagset, strategy) == reference
 
 
 @st.composite

@@ -474,10 +474,10 @@ class TestLegalPathDraw:
         """Under a mask that also moves the legal scores, the worst gap of
         the stacked scores has the bits of the largest per-path
         path_score gap over the same draws."""
-        def shifting(trans, spec):
-            return TransitionMatrix(trans.scores * 1.5 + 0.25, trans.start - 0.5)
+        def shifting(tables, spec):  # the check masks each T group's stacked tables at once
+            return np.concatenate([tables[:, :-1] * 1.5 + 0.25, tables[:, -1:] - 0.5], axis=1)
 
-        monkeypatch.setattr(verification, "apply_mask", shifting)
+        monkeypatch.setattr(verification, "_masked", shifting)
         tagset = build_tagset("bio", ["A", "B"])
         d = tagset.size
         illegal = tagset.rules.table(d)
@@ -491,7 +491,8 @@ class TestLegalPathDraw:
             for _ in range(T):
                 path.append(int(rng.choice(np.flatnonzero(~illegal[path[-1]]))))
             gap = crf.path_score(emissions, trans, path[1:])
-            gap -= crf.path_score(emissions, shifting(trans, None), path[1:])
+            shifted = shifting(trans.table[None], None)[0]
+            gap -= crf.path_score(emissions, TransitionMatrix(shifted[:-1], shifted[-1]), path[1:])
             worst = max(worst, abs(gap))
         result = check_legal_scores_unchanged(seed)
         assert not result.passed and worst > 0.0
